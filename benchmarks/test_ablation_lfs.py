@@ -42,7 +42,6 @@ def run_configuration(segment_blocks: int, cleaner_policy: str) -> dict:
             yield from layout.write_file_blocks(
                 inode, [(i, block) for i in range(FILE_BLOCKS)]
             )
-            yield from layout.write_inode(inode)
             if layout.free_segment_fraction < daemon.low_water:
                 yield from daemon.clean_until(daemon.high_water)
 

@@ -81,7 +81,6 @@ def _filled_volume(scheduler, files, blocks_per_file=12, segment_blocks=16):
             block.data[:16] = bytes([(i + j) % 251]) * 16
             pairs.append((j, block))
         run(scheduler, layout.write_file_blocks, inode, pairs)
-        run(scheduler, layout.write_inode, inode)
     run(scheduler, layout.checkpoint)
     non_free = layout.num_segments - layout.free_segment_count
     return volume, non_free, segment_blocks
@@ -142,7 +141,8 @@ def _simulated_layout_with_segments(target_segments, index_config):
             (written + j, CacheBlock(0, BLOCK, with_data=False))
             for j in range(min(64, blocks_needed - written))
         ]
-        run(scheduler, layout.write_file_blocks, inode, batch)
+        # Data only: the segment count is sized for exactly these blocks.
+        run(scheduler, lambda: layout.write_file_blocks(inode, batch, with_inode=False))
         written += len(batch)
     # Vary utilisation: retire the most recent third of the log's blocks.
     run(scheduler, layout.release_blocks, inode, written - written // 3)

@@ -258,6 +258,9 @@ class ClusterRebalancer:
         to_move: List[tuple[int, Any, Any]] = []
         #: pre-allocated landing slots in the new home's shard, by block no.
         copies: Dict[int, Any] = {}
+        #: landing slots filled straight from disk (the block was not
+        #: cached): block no -> the disk address the bytes came from.
+        landed: Dict[int, Optional[int]] = {}
         # Where the file's blocks route once the flip lands (a migrated file
         # is whole-file resident, so every block shares one target shard).
         target = cache.shards[0 if len(cache.shards) == 1 else new_home]
@@ -269,6 +272,23 @@ class ClusterRebalancer:
                 copy.busy = False
                 if target.peek(file_id, block_no) is copy:
                     target.invalidate(copy)
+
+        def landing_slot(block_no: int) -> Generator[Any, Any, Any]:
+            """A busy slot for ``block_no`` in the new home's shard.  Nothing
+            routes there before the flip; after it a client finds the block
+            busy and *waits*, instead of reading stale addresses through
+            the new volume's sub-layout."""
+            while True:
+                try:
+                    copy = yield from target.allocate(file_id, block_no)
+                    break
+                except CacheError:
+                    copy = target.peek(file_id, block_no)
+                    if copy is not None:
+                        break
+            copy.busy = True
+            copies[block_no] = copy
+            return copy
 
         try:
             for _attempt in range(8):
@@ -283,41 +303,39 @@ class ClusterRebalancer:
                     return False
                 for block_no in block_nos:
                     shard = cache.shard_for(file_id, block_no)
-                    while True:
-                        block = shard.peek(file_id, block_no)
-                        if block is not None:
-                            break
+                    block = shard.peek(file_id, block_no)
+                    if block is None and shard is not target:
+                        # Not cached: read it straight into its landing
+                        # slot.  The overloaded shard is spared an
+                        # allocation it would stall on — and a slot the
+                        # migration would hold hostage until the flip.
+                        if block_no not in landed:
+                            copy = yield from landing_slot(block_no)
+                            address = inode.get_block_address(block_no)
+                            yield from layout.read_file_block(inode, block_no, copy)
+                            landed[block_no] = address
+                        continue
+                    while block is None:  # the old shard *is* the target
                         try:
                             block = yield from shard.allocate(file_id, block_no)
                         except CacheError:
                             # A client cached it while we waited for space.
+                            block = shard.peek(file_id, block_no)
                             continue
                         block.busy = True
                         try:
                             yield from layout.read_file_block(inode, block_no, block)
                         finally:
                             block.busy = False
-                        break
                     block.busy = True  # pinned until the move completes
                     pulled.append((block_no, block, shard))
 
-                # Pre-allocate the landing slots in the new home's shard
-                # while nothing routes to them yet: after the flip a client
-                # finds these blocks busy and *waits*, instead of reading
-                # stale addresses through the new volume's sub-layout.
+                # Landing slots for the blocks that were cached, allocated
+                # while nothing routes to them yet.
                 for block_no in block_nos:
                     if cache.shard_for(file_id, block_no) is target or block_no in copies:
                         continue
-                    while True:
-                        try:
-                            copy = yield from target.allocate(file_id, block_no)
-                            break
-                        except CacheError:
-                            copy = target.peek(file_id, block_no)
-                            if copy is not None:
-                                break
-                    copy.busy = True
-                    copies[block_no] = copy
+                    yield from landing_slot(block_no)
 
                 # Re-scan the whole cache for this file's blocks — clients
                 # may have created new ones while the steps above yielded.
@@ -331,11 +349,21 @@ class ClusterRebalancer:
                         if id(block) not in landing:
                             to_move.append((block.block_id.block_no, block, shard))
                 to_move.sort(key=lambda item: item[0])
+                moving = {no for no, _b, _s in to_move}
+                # A block read straight from disk is good only while the
+                # file still maps it to the address it was read from: a
+                # client that rewrote (or truncated) it since holds — or
+                # has already flushed and lost from the cache — newer bytes.
+                landed = {
+                    no: address
+                    for no, address in landed.items()
+                    if no not in moving and inode.get_block_address(no) == address
+                }
                 # A concurrent flush clearing ``busy`` can let a pulled
                 # block be evicted before we get here: every on-disk block
                 # must be back in the cache, and every cached block outside
                 # the target shard needs its landing slot — else go again.
-                missing_pull = set(inode.block_map) - {no for no, _b, _s in to_move}
+                missing_pull = set(inode.block_map) - moving - set(landed)
                 missing_copy = any(
                     shard is not target and no not in copies
                     for no, _b, shard in to_move
@@ -408,9 +436,15 @@ class ClusterRebalancer:
                     target.notify_block_ready()
                     shard.notify_block_ready()
                 self.blocks_copied += 1
+            for block_no in sorted(landed):
+                copy = copies[block_no]
+                yield from target.mark_dirty(copy)
+                copy.busy = False
+                target.notify_block_ready()
+                self.blocks_copied += 1
             # Landing slots whose source vanished mid-protocol (truncate or
             # delete racing the pulls) were never published: drop them.
-            published = {no for no, _b, _s in to_move}
+            published = moving | set(landed)
             for block_no, copy in copies.items():
                 if block_no not in published and target.peek(file_id, block_no) is copy:
                     copy.busy = False
@@ -464,7 +498,7 @@ class ClusterRebalancer:
                 file_id=file_id,
                 source=old_home,
                 target=new_home,
-                blocks=len(to_move),
+                blocks=len(to_move) + len(landed),
             )
         )
         return True

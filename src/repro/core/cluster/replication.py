@@ -15,19 +15,20 @@ migration flips).
 Three moving parts, all owned by this module:
 
 * :class:`ReplicaManager` — the data-path half.  The routed layout calls
-  it after every primary write (fan the blocks out to the shadows; writes
-  to an unavailable volume are dropped and the copy marked *stale*) and
-  when a read addresses an unavailable volume (iterate the surviving
-  fresh copies, serve from the first one).  Replica I/O goes through the
-  serving volumes' ``RemoteVolume`` wrappers, so every copy crossing a
-  machine boundary is charged to the NICs like any other remote I/O.
+  it after every primary write (fan the blocks and the shadow inode out,
+  one log append per copy; writes to an unavailable volume are dropped
+  and the copy marked *stale*) and when a read addresses an unavailable
+  volume (iterate the surviving fresh copies, serve from the first one).
+  Replica I/O goes through the serving volumes' ``RemoteVolume``
+  wrappers, so every copy crossing a machine boundary is charged to the
+  NICs like any other remote I/O.
 * :class:`ReplicationRepairer` — the control-loop half.  A daemon that
   watches the fault board's epoch and, per damaged file: promotes a
   surviving replica to primary when the primary's volume died (flush →
   atomic flip+RSET in one scheduler step → checkpoint → COMMIT, riding
   the metadata tier's migration rule), then re-replicates missing or
-  stale copies onto replacement volumes (copy-forward block by block,
-  checkpoint the target, RSET + COMMIT).
+  stale copies onto replacement volumes (copy-forward in segment-sized
+  appends, checkpoint the target, RSET + COMMIT).
 * fail-over reads themselves never touch the dead volume: the tests prove
   it by scrubbing the dead volume's disk image to zeros at kill time.
 
@@ -42,7 +43,7 @@ kill and un-repaired post-kill writes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.blocks import CacheBlock
 from repro.core.inode import Inode
@@ -205,10 +206,15 @@ class ReplicaManager:
 
     # ------------------------------------------------------------------ write path
 
-    def replicate_writes(
-        self, inode: Inode, blocks: List[Tuple[int, CacheBlock]]
+    def replicate(
+        self,
+        inode: Inode,
+        blocks: Sequence[Tuple[int, CacheBlock]] = (),
     ) -> Generator[Any, Any, None]:
-        """Fan a primary write out to every replica volume.
+        """Fan a primary write out to every replica volume: one call into
+        each replica's sub-layout — a writeback's ``blocks`` with the shadow
+        inode behind them (one log append), or the shadow inode alone for
+        an attribute-only update.
 
         Copies on unavailable volumes miss the write: it is dropped,
         counted, and the copy marked stale so fail-over never serves it.
@@ -225,37 +231,20 @@ class ReplicaManager:
             if faults.active and faults.volume_unavailable(volume):
                 self._stale.add((inode.number, volume))
                 self.dropped_replica_writes += len(blocks)
-                faults.note_dropped_write(volume, len(blocks))
+                faults.note_dropped_write(volume, len(blocks) or 1)
                 continue
-            if faults.active:
+            if blocks and faults.active:
                 extra = faults.extra_delay(volume)
                 if extra:
                     yield from self.scheduler.sleep(extra)
             shadow = yield from self._shadow(inode.number, volume, like=inode)
             self._mirror_attrs(inode, shadow)
             sub = self.layout.sublayouts[volume]
-            yield from sub.write_file_blocks(shadow, blocks)
-            yield from sub.write_inode(shadow)
-            self.replicated_block_writes += len(blocks)
-
-    def replicate_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        """Mirror an inode write (attributes) to every available copy."""
-        rset = self.placement.replica_set(inode.number)
-        if not rset:
-            return
-        new_file = inode.number not in self.files
-        self._track(inode)
-        if new_file and self.faults.active:
-            rset = yield from self._adopt_live_rset(inode.number, rset)
-        faults = self.faults
-        for volume in rset:
-            if faults.active and faults.volume_unavailable(volume):
-                self._stale.add((inode.number, volume))
-                faults.note_dropped_write(volume)
-                continue
-            shadow = yield from self._shadow(inode.number, volume, like=inode)
-            self._mirror_attrs(inode, shadow)
-            yield from self.layout.sublayouts[volume].write_inode(shadow)
+            if blocks:
+                yield from sub.write_file_blocks(shadow, blocks)
+                self.replicated_block_writes += len(blocks)
+            else:
+                yield from sub.write_inode(shadow)
             self.replicated_inode_writes += 1
 
     # ------------------------------------------------------------------ read path
@@ -394,9 +383,10 @@ class ReplicationRepairer:
        primary's block map to the shadow's, checkpoint the new home, and
        journal COMMIT — the exact durability discipline of a migration.
     2. **re-replicate** — for each dead or stale copy: pick a replacement
-       volume in an unused failure domain, copy the file forward block by
-       block from a live source, checkpoint the target, journal
-       RSET + COMMIT, and clear the stale mark.
+       volume in an unused failure domain, copy the file forward from a
+       live source (a segment's worth of blocks per log append, the inode
+       behind the last), checkpoint the target, journal RSET + COMMIT,
+       and clear the stale mark.
     """
 
     def __init__(
@@ -624,14 +614,24 @@ class ReplicationRepairer:
         manager._mirror_attrs(source_inode, shadow)
         source_sub = layout.sublayouts[primary]
         with_data = not layout.simulated
-        for block_no in sorted(source_inode.block_map):
-            carrier = CacheBlock(slot=-1, size=layout.block_size, with_data=with_data)
-            yield from source_sub.read_file_block(source_inode, block_no, carrier)
-            carrier.valid_bytes = carrier.size
-            yield from target_sub.write_file_blocks(shadow, [(block_no, carrier)])
-            self.blocks_copied += 1
-            self.bytes_copied += layout.block_size
-        yield from target_sub.write_inode(shadow)
+        # Whole file, a segment's worth of blocks per append (bounded
+        # memory); the shadow inode rides the last batch.
+        block_nos = sorted(source_inode.block_map)
+        batch = max(getattr(target_sub, "segment_blocks", 64) - 2, 1)
+        for start in range(0, len(block_nos), batch):
+            carriers = []
+            for block_no in block_nos[start : start + batch]:
+                carrier = CacheBlock(slot=-1, size=layout.block_size, with_data=with_data)
+                yield from source_sub.read_file_block(source_inode, block_no, carrier)
+                carrier.valid_bytes = carrier.size
+                carriers.append((block_no, carrier))
+            yield from target_sub.write_file_blocks(
+                shadow, carriers, with_inode=start + batch >= len(block_nos)
+            )
+            self.blocks_copied += len(carriers)
+            self.bytes_copied += len(carriers) * layout.block_size
+        if not block_nos:
+            yield from target_sub.write_inode(shadow)
         self._hit("repair.checkpoint.pre")
         yield from target_sub.checkpoint()
         if bad in rset:

@@ -169,8 +169,9 @@ class FileSystem:
                 pairs.append((block_no, block))
         if not pairs:
             return
+        # Blocks and the inode that maps them: one layout call, which the
+        # LFS turns into one log append.
         yield from self.layout.write_file_blocks(inode, pairs)
-        yield from self.layout.write_inode(inode)
         self._dirty_inodes.pop(inode.number, None)
 
     def __repr__(self) -> str:

@@ -795,6 +795,11 @@ class RoutedLayout(StorageLayout):
         return (yield from self.sublayouts[volume].read_inode(inode_number))
 
     def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
+        yield from self._write_home_inode(inode)
+        if self.replication is not None:
+            yield from self.replication.replicate(inode)
+
+    def _write_home_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         volume = self.home_of(inode.number)
         faults = self.faults
         if faults is not None and faults.active and faults.volume_unavailable(volume):
@@ -803,8 +808,6 @@ class RoutedLayout(StorageLayout):
             faults.note_dropped_write(volume)
         else:
             yield from self.sublayouts[volume].write_inode(inode)
-        if self.replication is not None:
-            yield from self.replication.replicate_inode(inode)
 
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         if self.replication is not None:
@@ -845,7 +848,11 @@ class RoutedLayout(StorageLayout):
         return (yield from self.sublayouts[volume].read_file_block(inode, block_no, block))
 
     def write_file_blocks(
-        self, inode: Inode, blocks: List[tuple[int, CacheBlock]]
+        self,
+        inode: Inode,
+        blocks: List[tuple[int, CacheBlock]],
+        *,
+        with_inode: bool = True,
     ) -> Generator[Any, Any, None]:
         if not blocks:
             return
@@ -853,8 +860,11 @@ class RoutedLayout(StorageLayout):
         for block_no, cache_block in blocks:
             volume = self.placement.volume_for_block(inode.number, block_no)
             groups.setdefault(volume, []).append((block_no, cache_block))
+        home = self.home_of(inode.number)
         faults = self.faults
-        for volume in sorted(groups):
+        # The home volume goes last: its append carries the inode, which
+        # must map the blocks a striped file just placed on other volumes.
+        for volume in sorted(groups, key=lambda v: (v == home, v)):
             if faults is not None and faults.active:
                 if faults.volume_unavailable(volume):
                     # A dead disk eats the write; the flusher completes and
@@ -864,9 +874,14 @@ class RoutedLayout(StorageLayout):
                 extra = faults.extra_delay(volume)
                 if extra:
                     yield from self.scheduler.sleep(extra)
-            yield from self.sublayouts[volume].write_file_blocks(inode, groups[volume])
+            yield from self.sublayouts[volume].write_file_blocks(
+                inode, groups[volume], with_inode=with_inode and volume == home
+            )
+        if with_inode and home not in groups:
+            yield from self._write_home_inode(inode)
         if self.replication is not None:
-            yield from self.replication.replicate_writes(inode, blocks)
+            # A copy is always one append: blocks and shadow inode together.
+            yield from self.replication.replicate(inode, blocks)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         groups: Dict[int, Dict[int, int]] = {}

@@ -234,8 +234,14 @@ class FfsLikeLayout(StorageLayout):
         return True
 
     def write_file_blocks(
-        self, inode: Inode, blocks: list[tuple[int, CacheBlock]]
+        self,
+        inode: Inode,
+        blocks: list[tuple[int, CacheBlock]],
+        *,
+        with_inode: bool = True,
     ) -> Generator[Any, Any, None]:
+        if not blocks:
+            return
         previous: Optional[int] = None
         for block_no, cache_block in sorted(blocks, key=lambda item: item[0]):
             address = inode.get_block_address(block_no)
@@ -246,6 +252,9 @@ class FfsLikeLayout(StorageLayout):
             yield from self.volume.write_block(address, self.block_payload(cache_block))
             self.stats.disk_writes += 1
             self.stats.blocks_written += 1
+        if with_inode:
+            # Update in place: the inode's fixed slot, wherever the data went.
+            yield from self.write_inode(inode)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         for block_no in sorted(bn for bn in inode.block_map if bn >= from_block):

@@ -138,7 +138,8 @@ class StorageLayout(ABC):
 
     @abstractmethod
     def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        """Persist an inode."""
+        """Persist an inode on its own (attribute-only updates; a writeback
+        persists it through :meth:`write_file_blocks`)."""
 
     @abstractmethod
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
@@ -162,10 +163,18 @@ class StorageLayout(ABC):
 
     @abstractmethod
     def write_file_blocks(
-        self, inode: Inode, blocks: list[tuple[int, CacheBlock]]
+        self,
+        inode: Inode,
+        blocks: list[tuple[int, CacheBlock]],
+        *,
+        with_inode: bool = True,
     ) -> Generator[Any, Any, None]:
-        """Write the given (logical block number, cache block) pairs of
-        ``inode`` to disk and update the inode's block map."""
+        """One writeback: write the given (logical block number, cache
+        block) pairs of ``inode`` to disk, update the inode's block map and
+        persist the inode that now maps them — callers do not follow up with
+        :meth:`write_inode`.  ``with_inode=False`` writes the data alone,
+        for the volumes of a striped file that are not its home and for all
+        but the last batch of a multi-batch copy."""
 
     @abstractmethod
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:

@@ -163,6 +163,11 @@ class LogStructuredLayout(StorageLayout):
         #: blocks prefetched by cold-read run coalescing, keyed by disk
         #: address (payload bytes, or None in simulated mode).
         self._staged_reads: dict[int, Optional[bytes]] = {}
+        #: log addresses reserved under the append lock whose disk write has
+        #: not completed.  Inodes and summaries already name them, but the
+        #: bytes are not on disk yet: a cold-read run must stop short of
+        #: them (the block itself stays cached until its writeback returns).
+        self._unwritten: set[int] = set()
         #: layout-wide owner bloom: which inode numbers ever hit this log.
         self._owner_bloom = BloomFilter(1 << 14) if self._index_on else None
 
@@ -216,6 +221,7 @@ class LogStructuredLayout(StorageLayout):
         self._buckets.clear()
         self._unloaded.clear()
         self._staged_reads.clear()
+        self._unwritten.clear()
         if self._index_on:
             self._owner_bloom = BloomFilter(1 << 14)
         if not self.simulated:
@@ -428,20 +434,9 @@ class LogStructuredLayout(StorageLayout):
         return inode
 
     def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        self._inode_objects[inode.number] = inode
-        payload = codec.pack_inode(inode)
-        nblocks = max(1, -(-len(payload) // self.block_size))
-        old = self.inode_map.get(inode.number)
-        if old is not None:
-            self._kill_blocks(old[0], old[1])
-        chunks = self._chunk(payload, nblocks)
-        entries = [
-            (inode.number, index, True, chunk if not self.simulated else None)
-            for index, chunk in enumerate(chunks)
-        ]
-        addresses = yield from self._append(entries, contiguous=True)
-        self.inode_map[inode.number] = (addresses[0], nblocks)
-        self.stats.inodes_written += 1
+        """Append a fresh copy of ``inode`` alone (attribute-only updates;
+        a writeback's inode rides :meth:`write_file_blocks`)."""
+        yield from self._write_file(inode, [], True)
 
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         yield from self.release_blocks(inode, 0)
@@ -469,17 +464,17 @@ class LogStructuredLayout(StorageLayout):
                 block.data[: len(raw)] = raw
                 block.valid_bytes = block.size
             return True
-        run = self._read_run_length(inode, block_no, address)
-        raw = yield from self.volume.read_run(address, run)
+        offsets = self._read_run_offsets(inode, block_no, address)
+        raw = yield from self.volume.read_run(address, offsets[-1] + 1)
         self.stats.disk_reads += 1
         self.stats.blocks_read += 1
-        if run > 1:
+        if len(offsets) > 1:
             self.stats.cold_read_runs += 1
-            self.stats.cold_read_blocks_coalesced += run - 1
+            self.stats.cold_read_blocks_coalesced += len(offsets) - 1
             size = self.block_size
-            for extra in range(1, run):
-                self._staged_reads[address + extra] = (
-                    None if raw is None else raw[extra * size : (extra + 1) * size]
+            for offset in offsets[1:]:
+                self._staged_reads[address + offset] = (
+                    None if raw is None else raw[offset * size : (offset + 1) * size]
                 )
             if len(self._staged_reads) > 256:
                 # Random workloads rarely consume prefetches; drop the lot
@@ -491,47 +486,101 @@ class LogStructuredLayout(StorageLayout):
             block.valid_bytes = block.size
         return True
 
-    def _read_run_length(self, inode: Inode, block_no: int, address: int) -> int:
-        """How many logically-sequential blocks of ``inode`` sit physically
-        contiguous after ``address`` (LFS writes sequential data that way).
-        Bounded by the coalesce knob and the segment end — segments never
-        straddle disks, so the run is always a single-disk operation."""
+    def _read_run_offsets(self, inode: Inode, block_no: int, address: int) -> list[int]:
+        """Offsets from ``address`` of the logically-sequential blocks of
+        ``inode`` one disk read can fetch: ``[0]`` plus every following
+        block that sits physically next to its predecessor — or one block
+        further, because each writeback puts the inode behind its data
+        (``d0-7 i d8-15 i``) and reading *through* that block is far cheaper
+        than a second disk operation (it is fetched and discarded).  Bounded
+        by the coalesce knob (file blocks per run) and the segment end —
+        segments never straddle disks, so the run is always a single-disk
+        operation."""
+        offsets = [0]
         if not self._index_on:
-            return 1
-        limit = self.index_config.read_coalesce_blocks
-        if limit <= 1:
-            return 1
+            return offsets
         segment = self.segment_of(address)
         if segment < 0:
-            return 1
-        end = self.segment_start(segment) + self.segment_blocks
-        run = 1
-        while (
-            run < limit
-            and address + run < end
-            and address + run not in self._staged_reads
-            and inode.get_block_address(block_no + run) == address + run
-        ):
-            run += 1
-        return run
+            return offsets
+        limit = self.index_config.read_coalesce_blocks
+        room = self.segment_start(segment) + self.segment_blocks - address
+        while len(offsets) < limit:
+            following = inode.get_block_address(block_no + len(offsets))
+            if (
+                following is None
+                or following in self._staged_reads
+                or following in self._unwritten
+            ):
+                break
+            offset = following - address
+            if not offsets[-1] < offset <= offsets[-1] + 2 or offset >= room:
+                break
+            offsets.append(offset)
+        return offsets
 
     def write_file_blocks(
-        self, inode: Inode, blocks: list[tuple[int, CacheBlock]]
+        self,
+        inode: Inode,
+        blocks: list[tuple[int, CacheBlock]],
+        *,
+        with_inode: bool = True,
     ) -> Generator[Any, Any, None]:
         if not blocks:
             return
-        entries = []
-        for block_no, cache_block in sorted(blocks, key=lambda item: item[0]):
-            old_address = inode.get_block_address(block_no)
-            if old_address is not None and not self._is_synthetic(inode.number, block_no, old_address):
-                self._kill_blocks(old_address, 1)
-            entries.append((inode.number, block_no, False, self.block_payload(cache_block)))
-        addresses = yield from self._append(entries)
-        for (block_no, _cache_block), address in zip(
-            sorted(blocks, key=lambda item: item[0]), addresses
-        ):
-            inode.set_block_address(block_no, address)
-        self.stats.blocks_written += len(blocks)
+        ordered = sorted(blocks, key=lambda item: item[0])
+        yield from self._write_file(inode, ordered, with_inode)
+
+    def _write_file(
+        self, inode: Inode, blocks: list[tuple[int, CacheBlock]], with_inode: bool
+    ) -> Generator[Any, Any, None]:
+        """One log append for one writeback: ``blocks`` (sorted by block
+        number) and, right behind them, the inode that maps them.
+
+        Everything that decides *what* goes to disk happens under the append
+        lock: the data blocks get their addresses, the inode is packed
+        **then** — so it carries those addresses and every one an earlier
+        append assigned — and its copy is reserved at the next log address.
+        The inode map therefore follows log order: of two overlapping
+        writebacks of one file the later reservation is the later content,
+        whichever disk write finishes first.  After the lock is dropped the
+        lot is one ``volume.write_run`` (two when it straddles a segment end).
+        """
+        self._check_mounted()
+        assert self._append_lock is not None
+        number = inode.number
+        writes: list[tuple[int, int, Optional[bytes]]] = []
+        yield from self._append_lock.acquire()
+        try:
+            if blocks:
+                entries = []
+                for block_no, cache_block in blocks:
+                    old_address = inode.get_block_address(block_no)
+                    if old_address is not None and not self._is_synthetic(
+                        number, block_no, old_address
+                    ):
+                        self._kill_blocks(old_address, 1)
+                    entries.append((number, block_no, False, self.block_payload(cache_block)))
+                addresses = yield from self._reserve(entries, writes)
+                for (block_no, _cache_block), address in zip(blocks, addresses):
+                    inode.set_block_address(block_no, address)
+                self.stats.blocks_written += len(blocks)
+            if with_inode:
+                self._inode_objects[number] = inode
+                payload = codec.pack_inode(inode)
+                nblocks = max(1, -(-len(payload) // self.block_size))
+                old = self.inode_map.get(number)
+                if old is not None:
+                    self._kill_blocks(old[0], old[1])
+                entries = [
+                    (number, index, True, None if self.simulated else chunk)
+                    for index, chunk in enumerate(self._chunk(payload, nblocks))
+                ]
+                addresses = yield from self._reserve(entries, writes, contiguous=True)
+                self.inode_map[number] = (addresses[0], nblocks)
+                self.stats.inodes_written += 1
+        finally:
+            self._append_lock.release()
+        yield from self._issue(writes)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         for block_no in sorted(bn for bn in inode.block_map if bn >= from_block):
@@ -700,32 +749,65 @@ class LogStructuredLayout(StorageLayout):
         released, so concurrent flush threads can have several log writes
         outstanding at the disks at once (as a real system would).
         """
-        if not self._mounted:
-            raise StorageError("LFS is not mounted")
+        self._check_mounted()
         assert self._append_lock is not None
-        addresses: list[int] = []
         writes: list[tuple[int, int, Optional[bytes]]] = []
         yield from self._append_lock.acquire()
         try:
-            remaining = list(entries)
-            if contiguous and len(remaining) > self.segment_blocks - 1:
-                raise StorageError("contiguous append larger than a segment")
-            while remaining:
-                space = self.segment_blocks - self._active_offset
-                if space <= 0 or (contiguous and space < len(remaining)):
-                    yield from self._finish_active_segment()
-                    continue
-                batch = remaining[:space]
-                remaining = remaining[space:]
-                first_address, payload = self._reserve_batch(batch)
-                addresses.extend(range(first_address, first_address + len(batch)))
-                writes.append((first_address, len(batch), payload))
+            addresses = yield from self._reserve(entries, writes, contiguous)
         finally:
             self._append_lock.release()
+        yield from self._issue(writes)
+        return addresses
+
+    def _check_mounted(self) -> None:
+        if not self._mounted:
+            raise StorageError("LFS is not mounted")
+
+    def _reserve(
+        self,
+        entries: list[tuple[int, int, bool, Optional[bytes]]],
+        writes: list[tuple[int, int, Optional[bytes]]],
+        contiguous: bool = False,
+    ) -> Generator[Any, Any, list[int]]:
+        """Reserve log space for ``entries`` (the caller holds the append
+        lock) and queue the disk writes on ``writes``; returns the addresses.
+
+        A reservation that starts where the last queued write ends extends
+        that write, which is how a writeback's data and inode become one
+        disk operation."""
+        if contiguous and len(entries) > self.segment_blocks - 1:
+            raise StorageError("contiguous append larger than a segment")
+        addresses: list[int] = []
+        remaining = entries
+        while remaining:
+            space = self.segment_blocks - self._active_offset
+            if space <= 0 or (contiguous and space < len(remaining)):
+                yield from self._finish_active_segment()
+                continue
+            batch, remaining = remaining[:space], remaining[space:]
+            first_address, payload = self._reserve_batch(batch)
+            reserved = range(first_address, first_address + len(batch))
+            addresses.extend(reserved)
+            self._unwritten.update(reserved)
+            if writes and writes[-1][0] + writes[-1][1] == first_address:
+                start, count, head = writes[-1]
+                writes[-1] = (
+                    start,
+                    count + len(batch),
+                    None if payload is None or head is None else head + payload,
+                )
+            else:
+                writes.append((first_address, len(batch), payload))
+        return addresses
+
+    def _issue(
+        self, writes: list[tuple[int, int, Optional[bytes]]]
+    ) -> Generator[Any, Any, None]:
         for first_address, count, payload in writes:
             yield from self.volume.write_run(first_address, count, payload)
             self.stats.disk_writes += 1
-        return addresses
+            self._unwritten.difference_update(range(first_address, first_address + count))
 
     def _reserve_batch(
         self, batch: list[tuple[int, int, bool, Optional[bytes]]]

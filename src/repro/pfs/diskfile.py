@@ -141,7 +141,11 @@ class FileBackedDiskDriver(_RealDiskDriver):
             per_byte_time=per_byte_time,
         )
         mode = "r+b" if exists else "w+b"
-        self._file = open(self.path, mode)
+        # Unbuffered: a completed write is in the backing file (the host's
+        # page cache), so what ``sync()`` promised is what a copy of the
+        # file — or the survivor of a killed process — holds.  Every I/O is
+        # a whole block run, so a user-space buffer bought nothing.
+        self._file = open(self.path, mode, buffering=0)
         if not exists or self.path.stat().st_size < num_sectors * SECTOR_SIZE:
             self._file.truncate(num_sectors * SECTOR_SIZE)
 
@@ -157,9 +161,8 @@ class FileBackedDiskDriver(_RealDiskDriver):
         self._file.write(data)
 
     def close(self) -> None:
-        """Flush and close the backing file."""
+        """Force the backing file to stable storage and close it."""
         try:
-            self._file.flush()
             os.fsync(self._file.fileno())
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass

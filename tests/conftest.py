@@ -28,6 +28,19 @@ def run(scheduler: Scheduler, target, *args, **kwargs):
     return scheduler.run_until_complete(thread)
 
 
+def record_write_runs(volume) -> list:
+    """Wrap ``volume.write_run`` to log every call as ``(address, nblocks)``."""
+    runs: list = []
+    original = volume.write_run
+
+    def write_run(block_addr, nblocks, data):
+        runs.append((block_addr, nblocks))
+        return original(block_addr, nblocks, data)
+
+    volume.write_run = write_run
+    return runs
+
+
 @pytest.fixture
 def scheduler() -> Scheduler:
     """A deterministic virtual-time scheduler."""

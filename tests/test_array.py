@@ -38,7 +38,7 @@ from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import run
+from tests.conftest import record_write_runs, run
 
 
 # --------------------------------------------------------------------------- config
@@ -294,12 +294,106 @@ def test_routed_layout_write_read_roundtrip(scheduler):
         inode,
         [(i, data_block(scheduler, b"%d" % i)) for i in range(4)],
     )
-    run(scheduler, layout.write_inode, inode)
     again = run(scheduler, layout.read_inode, inode.number)
     assert again.number == inode.number
     block = data_block(scheduler, b"")
     assert run(scheduler, layout.read_file_block, inode, 2, block)
     assert bytes(block.data[:1]) == b"2"
+
+
+def record_runs(layout):
+    """Log every ``write_run`` of a routed layout: volume -> [(addr, n)]."""
+    return {v: record_write_runs(sub.volume) for v, sub in enumerate(layout.sublayouts)}
+
+
+def test_routed_writeback_is_one_append_on_the_home_volume(scheduler):
+    layout = make_routed(scheduler, volumes=2, segment_blocks=16)
+    layout.allocate_inode(FileKind.DIRECTORY)  # the root
+    inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="whole")
+    home = layout.home_of(inode.number)
+    runs = record_runs(layout)
+    run(
+        scheduler,
+        layout.write_file_blocks,
+        inode,
+        [(i, data_block(scheduler, b"%d" % i)) for i in range(5)],
+    )
+    start = inode.get_block_address(0)
+    assert runs[home] == [(start, 6)]  # five blocks + the inode at data_end
+    assert runs[1 - home] == []
+    assert layout.sublayouts[home].inode_map[inode.number] == (start + 5, 1)
+
+
+def test_routed_striped_writeback_keeps_the_inode_on_the_home_volume(scheduler):
+    """Non-home stripes are data-only appends; the home volume goes last so
+    the inode riding its append maps every block just placed."""
+    placement = StripedPlacement(2, stripe_unit=1)
+    layout = make_routed(scheduler, volumes=2, placement=placement, segment_blocks=16)
+    layout.allocate_inode(FileKind.DIRECTORY)  # the root
+    inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="striped")
+    home = layout.home_of(inode.number)
+    other = 1 - home
+    order = []
+    for v, sub in enumerate(layout.sublayouts):
+        original = sub.write_file_blocks
+
+        def write_file_blocks(*args, _v=v, _original=original, **kwargs):
+            order.append((_v, kwargs.get("with_inode", True)))
+            return _original(*args, **kwargs)
+
+        sub.write_file_blocks = write_file_blocks
+    runs = record_runs(layout)
+    run(
+        scheduler,
+        layout.write_file_blocks,
+        inode,
+        [(i, data_block(scheduler, b"%d" % i)) for i in range(6)],
+    )
+    assert order == [(other, False), (home, True)]
+    assert [n for _addr, n in runs[other]] == [3]
+    assert [n for _addr, n in runs[home]] == [4]  # three stripes + the inode
+    assert inode.number not in layout.sublayouts[other].inode_map
+    # The persisted inode maps the blocks of *both* volumes.
+    layout.sublayouts[home]._inode_objects.clear()
+    assert run(scheduler, layout.read_inode, inode.number).block_map == inode.block_map
+
+    # Blocks on the other volume only: the home still gets its inode.
+    for log in runs.values():
+        log.clear()
+    stripe = [b for b in range(6) if placement.volume_for_block(inode.number, b) == other]
+    run(
+        scheduler,
+        layout.write_file_blocks,
+        inode,
+        [(b, data_block(scheduler, b"v2")) for b in stripe],
+    )
+    assert [n for _addr, n in runs[other]] == [3]
+    assert [n for _addr, n in runs[home]] == [1]
+
+
+def test_routed_writeback_keeps_fault_drops_and_slow_disk_delays(scheduler):
+    from repro.core.faults import FaultState
+
+    layout = make_routed(scheduler, volumes=2, segment_blocks=16)
+    layout.faults = faults = FaultState()
+    layout.allocate_inode(FileKind.DIRECTORY)  # the root
+    inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="f")
+    home = layout.home_of(inode.number)
+    blocks = [(i, data_block(scheduler)) for i in range(3)]
+    runs = record_runs(layout)
+
+    faults.slow_volume(home, 0.25)
+    before = scheduler.now
+    run(scheduler, layout.write_file_blocks, inode, blocks)
+    assert scheduler.now - before >= 0.25  # charged once, on the block path
+    assert [n for _addr, n in runs[home]] == [4]
+
+    faults.heal_volume_speed(home)
+    faults.kill_volume(home)
+    runs[home].clear()
+    run(scheduler, layout.write_file_blocks, inode, blocks)
+    assert runs[home] == []  # blocks and inode dropped together
+    assert faults.dropped_writes_by_node[faults.node_of_volume(home)] == 3
 
 
 def test_routed_layout_striped_release_frees_every_volume(scheduler):
@@ -330,7 +424,6 @@ def test_routed_layout_free_inode_routes_home(scheduler):
     layout.allocate_inode(FileKind.DIRECTORY)
     inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="doomed")
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(scheduler))])
-    run(scheduler, layout.write_inode, inode)
     home = layout.home_of(inode.number)
     assert inode.number in layout.sublayouts[home].inode_map
     run(scheduler, layout.free_inode, inode)

@@ -370,6 +370,113 @@ def test_migration_keeps_reads_byte_identical_with_real_bytes():
     assert file_id in stack.layout.sublayouts[new_home].inode_map
 
 
+def _online_file(stack, payload, path="/data.bin"):
+    client = stack.client
+
+    def setup():
+        handle = yield from client.create(path)
+        yield from client.write(handle, 0, payload)
+        yield from client.fsync(handle)
+        yield from client.close(handle)
+        file = yield from client.lookup(path)
+        return file.file_id
+
+    return run(stack.scheduler, setup)
+
+
+def test_migration_lands_uncached_blocks_straight_in_the_new_homes_shard():
+    """A block the cache does not hold is read from the old volume into its
+    landing slot in the *new* home's shard: the shard being relieved gives
+    up no slot to the migration (real bytes, so the copy is checked)."""
+    stack = build_online_cluster(nodes=2)
+    scheduler, client = stack.scheduler, stack.client
+    payload = bytes(range(256)) * 96  # 24 KB, six blocks
+    file_id = _online_file(stack, payload)
+    placement = stack.cluster.placement
+    old_home = placement.volume_of_file(file_id)
+    new_home = 1 - old_home
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    # Two of the six blocks are cached again (one of them rewritten and
+    # still dirty); the other four exist only on the old volume.
+    patch = b"\xee" * (4 * KB)
+    expected = payload[: 2 * 4 * KB] + patch + payload[3 * 4 * KB :]
+
+    def touch():
+        handle = yield from client.open("/data.bin")
+        yield from client.read(handle, 0, 4 * KB)
+        yield from client.write(handle, 2 * 4 * KB, patch)
+        yield from client.close(handle)
+
+    run(scheduler, touch)
+    old_shard = stack.cache.shards[old_home]
+    allocations_before = old_shard.stats.allocations
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
+    assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
+    assert old_shard.stats.allocations == allocations_before
+    assert old_shard.cached_blocks_of(file_id) == []
+    assert rebalancer.blocks_copied == 6
+    assert rebalancer.schedule[-1].blocks == 6
+
+    def read_all():
+        return (yield from client.read_file("/data.bin", 0, len(payload)))
+
+    assert run(scheduler, read_all) == expected
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    assert run(scheduler, read_all) == expected
+
+
+def test_migration_rereads_a_block_rewritten_while_it_was_being_pulled():
+    """The straight-from-disk copy is good only while the inode still maps
+    the block to the address it was read from."""
+    stack = build_online_cluster(nodes=2)
+    scheduler, client = stack.scheduler, stack.client
+    payload = bytes(range(256)) * 32  # 8 KB, two blocks
+    file_id = _online_file(stack, payload)
+    placement = stack.cluster.placement
+    new_home = 1 - placement.volume_of_file(file_id)
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    patch = b"\x5a" * (4 * KB)
+
+    def rewrite_and_drop():
+        # Block 0 gets new bytes, reaches the old volume at a new address
+        # and leaves the cache again.
+        handle = yield from client.open("/data.bin")
+        yield from client.write(handle, 0, patch)
+        yield from client.fsync(handle)
+        yield from client.close(handle)
+        stack.cache.invalidate_file(file_id)
+
+    layout = stack.layout
+    original_read = layout.read_file_block
+    reads = []
+
+    def read_then_rewrite(inode, block_no, block):
+        result = yield from original_read(inode, block_no, block)
+        reads.append(block_no)
+        if len(reads) == 1:  # right behind the rebalancer's first disk read
+            yield from rewrite_and_drop()
+        return result
+
+    layout.read_file_block = read_then_rewrite
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
+    try:
+        assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
+    finally:
+        del layout.read_file_block
+    assert reads == [0, 1, 0]  # block 0 was read again from its new address
+
+    def read_all():
+        return (yield from client.read_file("/data.bin", 0, len(payload)))
+
+    assert run(scheduler, read_all) == patch + payload[4 * KB :]
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    assert run(scheduler, read_all) == patch + payload[4 * KB :]
+
+
 def test_migration_skips_directories_and_root():
     stack = build_online_cluster(nodes=2)
     scheduler = stack.scheduler

@@ -107,8 +107,8 @@ def test_ffs_free_inode_releases_blocks(scheduler):
 def test_ffs_remount_rebuilds_allocator(scheduler):
     layout = make_layout(scheduler)
     inode = layout.allocate_inode(FileKind.REGULAR)
+    # One call persists the blocks and, in its fixed slot, the inode.
     run(scheduler, layout.write_file_blocks, inode, [(i, data_block(b"p")) for i in range(4)])
-    run(scheduler, layout.write_inode, inode)
     used = layout.allocator.used_count
 
     reloaded = FfsLikeLayout(

@@ -10,7 +10,7 @@ from repro.core.storage.volume import LocalVolume
 from repro.errors import StorageError
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import run
+from tests.conftest import record_write_runs, run
 
 
 def make_layout(scheduler, simulated=False, disk_mb=8, segment_blocks=8, disks=1):
@@ -114,11 +114,15 @@ def test_overwrite_kills_old_blocks(scheduler):
     inode = layout.allocate_inode(FileKind.REGULAR)
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"v1"))])
     first_address = inode.get_block_address(0)
-    assert sum(layout.segment_usage.values()) == 1
+    first_inode_address = layout.inode_map[inode.number][0]
+    # One data block and, right behind it, the inode that maps it.
+    assert sum(layout.segment_usage.values()) == 2
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"v2"))])
-    # The log never overwrites in place: the block moved and the old copy died.
+    # The log never overwrites in place: block and inode moved, the old
+    # copies died.
     assert inode.get_block_address(0) != first_address
-    assert sum(layout.segment_usage.values()) == 1
+    assert layout.inode_map[inode.number][0] != first_inode_address
+    assert sum(layout.segment_usage.values()) == 2
 
 
 def test_release_blocks_frees_segment_usage(scheduler):
@@ -128,6 +132,8 @@ def test_release_blocks_frees_segment_usage(scheduler):
     segment = layout.segment_of(inode.get_block_address(0))
     run(scheduler, layout.release_blocks, inode, 0)
     assert inode.block_count == 0
+    assert layout.segment_usage[segment] == 1  # the inode is still live
+    run(scheduler, layout.free_inode, inode)
     assert layout.segment_usage[segment] == 0
 
 
@@ -145,7 +151,6 @@ def test_checkpoint_and_remount_restores_state(scheduler):
     inode = layout.allocate_inode(FileKind.REGULAR)
     inode.size = 3 * 4 * KB
     run(scheduler, layout.write_file_blocks, inode, [(i, data_block(b"abc")) for i in range(3)])
-    run(scheduler, layout.write_inode, inode)
     run(scheduler, layout.checkpoint)
 
     # A fresh layout object over the same volume must see the same metadata.
@@ -206,6 +211,91 @@ def test_cleaner_policies_choose_sensibly(scheduler):
     cb_choice = CostBenefitCleaner().choose(infos, now=scheduler.now)
     assert greedy_choice is not None and cb_choice is not None
     assert greedy_choice.live_blocks == min(info.live_blocks for info in infos)
+
+
+# --------------------------------------------------------------------------- one append per writeback
+
+
+@pytest.mark.parametrize("simulated", [False, True])
+def test_writeback_that_fits_is_one_write_run_with_the_inode_behind_the_data(
+    scheduler, simulated
+):
+    layout = make_layout(scheduler, simulated=simulated, segment_blocks=16)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    runs = record_write_runs(layout.volume)
+    blocks = [(i, data_block(bytes([i + 1]), with_data=not simulated)) for i in range(5)]
+    run(scheduler, layout.write_file_blocks, inode, blocks)
+    data_start = inode.get_block_address(0)
+    assert [inode.get_block_address(i) for i in range(5)] == list(
+        range(data_start, data_start + 5)
+    )
+    # Same component, both worlds: N data blocks + the inode at data_end.
+    assert runs == [(data_start, 6)]
+    assert layout.inode_map[inode.number] == (data_start + 5, 1)
+    assert layout.stats.disk_writes == (1 if simulated else 2)  # + format's superblock
+    assert (layout.stats.blocks_written, layout.stats.inodes_written) == (5, 1)
+    if not simulated:
+        # The inode on disk was packed after the addresses were assigned.
+        layout._inode_objects.clear()
+        loaded = run(scheduler, layout.read_inode, inode.number)
+        assert loaded.block_map == inode.block_map
+        target = data_block()
+        run(scheduler, layout.read_file_block, loaded, 4, target)
+        assert target.data[0] == 5
+
+
+def test_writeback_straddling_a_segment_end_costs_two_write_runs(scheduler):
+    layout = make_layout(scheduler, segment_blocks=8)  # 7 usable blocks
+    first = layout.allocate_inode(FileKind.REGULAR)
+    run(scheduler, layout.write_file_blocks, first, [(i, data_block(b"a")) for i in range(3)])
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    runs = record_write_runs(layout.volume)
+    # 3 blocks left in the active segment; 5 data blocks + inode need 6.
+    run(scheduler, layout.write_file_blocks, inode, [(i, data_block(b"b")) for i in range(5)])
+    summary_writes = [r for r in runs if r[1] == 1 and layout.segment_start(layout.segment_of(r[0])) == r[0]]
+    appends = [r for r in runs if r not in summary_writes]
+    assert len(summary_writes) == 1  # the sealed segment's summary
+    assert [count for _addr, count in appends] == [3, 3]
+    # The inode sits right behind the last data run, in the same write.
+    inode_address, inode_blocks = layout.inode_map[inode.number]
+    assert inode_blocks == 1
+    assert inode_address == inode.get_block_address(4) + 1
+    assert appends[1] == (inode.get_block_address(3), 3)
+
+
+def test_inode_is_never_split_from_its_data_by_a_checkpoint(scheduler):
+    """A checkpoint racing a writeback lands before or after the whole
+    append (data + inode are reserved under one hold of the log lock)."""
+    layout = make_layout(scheduler, segment_blocks=32)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    blocks = [(i, data_block(b"w")) for i in range(6)]
+    writer = scheduler.spawn(layout.write_file_blocks, inode, blocks, name="writer")
+    checkpointer = scheduler.spawn(layout.checkpoint, name="checkpointer")
+    scheduler.run_until_complete(writer)
+    scheduler.run_until_complete(checkpointer)
+    assert layout.inode_map[inode.number][0] == inode.get_block_address(5) + 1
+    checkpoint_address, checkpoint_blocks = layout._checkpoint_location
+    file_span = range(inode.get_block_address(0), layout.inode_map[inode.number][0] + 1)
+    assert not set(file_span) & set(range(checkpoint_address, checkpoint_address + checkpoint_blocks))
+    # The checkpoint on disk knows the inode the writeback wrote.
+    reloaded = LogStructuredLayout(
+        scheduler, layout.volume, block_size=4 * KB, segment_blocks=32, simulated=False
+    )
+    run(scheduler, reloaded.mount)
+    assert run(scheduler, reloaded.read_inode, inode.number).block_map == inode.block_map
+
+
+def test_data_only_append_leaves_the_inode_alone(scheduler):
+    layout = make_layout(scheduler, segment_blocks=16)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    runs = record_write_runs(layout.volume)
+    run(
+        scheduler,
+        lambda: layout.write_file_blocks(inode, [(0, data_block(b"x"))], with_inode=False),
+    )
+    assert runs == [(inode.get_block_address(0), 1)]
+    assert inode.number not in layout.inode_map
+    assert layout.stats.inodes_written == 0
 
 
 def test_multi_disk_segments_do_not_cross_disks(scheduler):

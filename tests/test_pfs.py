@@ -1,5 +1,7 @@
 """The Pegasus File-System facade: an on-line instantiation storing real data."""
 
+import shutil
+
 import pytest
 
 from repro.config import CacheConfig, FlushConfig, LayoutConfig
@@ -155,3 +157,120 @@ def test_multimedia_file_creation(pfs):
     assert pfs.read(handle, 0, 4096) == b"V" * 4096
     pfs.close(handle)
     assert pfs.stat("/video.mm")["kind"] == "multimedia"
+
+
+# --------------------------------------------------------------------------- durability
+
+
+def _memory_pfs():
+    # "ups": nothing flushes behind the test's back.
+    return PegasusFileSystem(
+        size_bytes=16 * MB,
+        cache=CacheConfig(size_bytes=1 * MB),
+        flush=FlushConfig(policy="ups"),
+        layout=LayoutConfig(segment_size=256 * KB),
+    )
+
+
+def _remount_copy(pfs):
+    """A fresh PFS over a copy of ``pfs``'s (memory-backed) disk images."""
+    fresh = _memory_pfs()
+    for source, target in zip(pfs.drivers, fresh.drivers):
+        target.restore(source.snapshot())
+    fresh.mount()
+    return fresh
+
+
+def test_overlapping_writebacks_keep_the_newer_inode_across_remount():
+    """One 64-KB write extends a file and reaches the log as two writebacks
+    whose disk writes overlap, the older finishing last.  The inode is
+    packed under the log lock and the inode map follows log order, so the
+    copy that maps *all* the new blocks survives unmount + a fresh mount
+    (it used to be the older one: the file's tail read back as zeros)."""
+    pfs = _memory_pfs()
+    pfs.format()
+    head = bytes(range(256)) * 16 * 7  # 7 blocks
+    pfs.write_file("/f", head)
+    pfs.sync()
+    tail = bytes((7 * j) % 253 for j in range(64 * KB))
+    offset = 5 * 4 * KB  # rewrites blocks 5-6, adds 7-20
+    pfs.write_file("/f", tail, offset=offset)
+    expected = head[:offset] + tail
+    file_id = pfs.stat("/f")["ino"]
+    dirty = sorted(pfs.cache.dirty_blocks_of(file_id), key=lambda b: b.block_id.block_no)
+    assert len(dirty) == 16
+    older, newer = dirty[:12], dirty[12:]
+
+    scheduler, volume = pfs.scheduler, pfs.volume
+    original = volume.write_run
+    stalled = []
+
+    def stall_older_append(block_addr, nblocks, data):
+        # The older writeback's disk write (12 blocks and its inode) is
+        # issued, then stalls until the newer writeback is entirely on disk.
+        if not stalled:
+            stalled.append(nblocks)
+            newer_thread = scheduler.spawn(
+                pfs.cache._writeback_blocks, file_id, newer, name="newer"
+            )
+            yield from newer_thread.join()
+        return (yield from original(block_addr, nblocks, data))
+
+    volume.write_run = stall_older_append
+    older_thread = scheduler.spawn(pfs.cache._writeback_blocks, file_id, older, name="older")
+    scheduler.run_until_complete(older_thread)
+    del volume.write_run
+    assert stalled == [len(older) + 1]
+    assert pfs.cache.dirty_blocks_of(file_id) == []
+
+    assert pfs.read_file("/f") == expected
+    pfs.unmount()
+    fresh = _remount_copy(pfs)
+    assert fresh.stat("/f")["size"] == len(expected)
+    assert fresh.read_file("/f") == expected
+
+
+def test_sync_reaches_the_backing_files(tmp_path):
+    """What ``sync()`` promised is in the backing files when it returns: a
+    copy taken right then — what a killed process would leave behind —
+    mounts and holds every synced file, while later writes are still only
+    in memory.  (The driver used to sit on a user-space buffer until
+    ``close_backing()``: the copy mounted an older checkpoint.)"""
+    def file_pfs(path):
+        return PegasusFileSystem(
+            backing=path,
+            size_bytes=16 * MB,
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy="ups"),
+            layout=LayoutConfig(segment_size=64 * KB),
+        )
+
+    live = file_pfs(tmp_path / "live.img")
+    copy = None
+    try:
+        live.format()
+        live.mkdir("/d")
+        files = {
+            f"/d/f{i}": bytes((i * 31 + j) % 251 for j in range(3000 + 4096 * i))
+            for i in range(12)
+        }
+        for path, content in list(files.items())[:6]:
+            live.write_file(path, content)
+        live.sync()
+        for path, content in list(files.items())[6:]:
+            live.write_file(path, content)
+        live.write_file("/d/f0", b"overwritten", offset=100)
+        files["/d/f0"] = files["/d/f0"][:100] + b"overwritten" + files["/d/f0"][111:]
+        live.sync()
+        live.write_file("/d/late", b"not synced yet")
+        shutil.copy(tmp_path / "live.img", tmp_path / "copy.img")
+
+        copy = file_pfs(tmp_path / "copy.img")
+        copy.mount()
+        assert sorted(copy.listdir("/d")) == sorted(p[3:] for p in files)
+        for path, content in files.items():
+            assert copy.read_file(path) == content, path
+    finally:
+        live.close_backing()
+        if copy is not None:
+            copy.close_backing()

@@ -31,6 +31,7 @@ from repro.config import (
     FlushConfig,
     LayoutConfig,
 )
+from repro.core.blocks import CacheBlock
 from repro.core.cluster.placement import ClusterPlacement
 from repro.core.faults import FaultEvent, FaultInjector
 from repro.core.metadata import DurableStore, decode_wal
@@ -39,7 +40,7 @@ from repro.core.metadata.wal import REC_RSET
 from repro.core.storage.array import HashPlacement
 from repro.errors import ConfigurationError, DataUnavailable
 from repro.units import KB, MB
-from tests.conftest import run
+from tests.conftest import record_write_runs, run
 
 NUM_FILES = 8
 FILE_BYTES = 12 * KB  # three 4 KB blocks per file
@@ -305,6 +306,120 @@ def test_repair_survives_killing_the_promoted_survivors():
     while manager.under_replicated_files() and stack.scheduler.now < deadline:
         stack.scheduler.run(until=stack.scheduler.now + 1.0, inclusive=True)
     check_reads(stack, files, "two sequential kills with repair between")
+
+
+# --------------------------------------------------------------------------- one append per copy
+
+
+def count_write_runs(stack):
+    """Log every ``write_run`` the sub-layouts issue: volume -> [(addr, n)]."""
+    return {
+        v: record_write_runs(sub.volume) for v, sub in enumerate(stack.layout.sublayouts)
+    }
+
+
+def sizes(runs):
+    return [nblocks for _address, nblocks in runs]
+
+
+def carriers(count, fill):
+    blocks = []
+    for block_no in range(count):
+        block = CacheBlock(0, 4 * KB, with_data=True)
+        block.data[:] = bytes([fill + block_no]) * (4 * KB)
+        blocks.append((block_no, block))
+    return blocks
+
+
+def test_replicated_writeback_is_one_append_per_live_replica_and_none_on_a_dead_one():
+    stack = build_online(replica_spec(nodes=3, repair=False))
+    files = populate(stack, num_files=1)
+    _path, file_id = files[0]
+    scheduler, layout = stack.scheduler, stack.layout
+    placement, manager = stack.cluster.placement, stack.cluster.replication
+    primary = placement.volume_of_file(file_id)
+    (replica,) = placement.replica_set(file_id)
+    bystander = ({0, 1, 2} - {primary, replica}).pop()
+    inode = run(scheduler, layout.read_inode, file_id)
+    inode_writes = manager.replicated_inode_writes
+
+    runs = count_write_runs(stack)
+    run(scheduler, layout.write_file_blocks, inode, carriers(3, fill=7))
+    # Three blocks + the inode behind them: one disk write on the primary,
+    # one on the replica, nothing anywhere else — and no second shadow
+    # inode (the old replicate_inode pass is gone).
+    assert sizes(runs[primary]) == [4]
+    assert sizes(runs[replica]) == [4]
+    assert runs[bystander] == []
+    assert manager.replicated_inode_writes == inode_writes + 1
+    shadow = manager._shadows[(file_id, replica)]
+    replica_sub = layout.sublayouts[replica]
+    assert replica_sub.inode_map[file_id][0] == shadow.get_block_address(2) + 1
+
+    kill(stack, "disk_fail", replica)
+    for log in runs.values():
+        log.clear()
+    dropped = manager.dropped_replica_writes
+    run(scheduler, layout.write_file_blocks, inode, carriers(3, fill=9))
+    assert sizes(runs[primary]) == [4]
+    assert runs[replica] == []  # a dead volume is never written
+    assert manager.is_stale(file_id, replica)
+    assert manager.dropped_replica_writes == dropped + 3
+
+
+def test_clone_copies_a_file_in_segment_sized_appends():
+    """Re-replication writes ⌈(k+1)/usable-segment⌉ log appends for a
+    k-block file — the shadow inode riding the last — not k + 1."""
+    spec = replica_spec(nodes=3, repair=True, repair_interval=1e9)  # daemon parked
+    stack = build_online(spec)
+    populate(stack, num_files=1)
+    scheduler, client, layout = stack.scheduler, stack.client, stack.layout
+    blocks = 20
+    content = bytes(j % 249 for j in range(blocks * 4 * KB))
+
+    def big_file():
+        handle = yield from client.create("/big")
+        yield from client.write(handle, 0, content)
+        yield from client.fsync(handle)
+        yield from client.close(handle)
+        file = yield from client.lookup("/big")
+        yield from stack.fs.sync()
+        return file.file_id
+
+    file_id = run(scheduler, big_file)
+    placement, manager = stack.cluster.placement, stack.cluster.replication
+    repairer = stack.cluster.repairer
+    primary = placement.volume_of_file(file_id)
+    (replica,) = placement.replica_set(file_id)
+    target = ({0, 1, 2} - {primary, replica}).pop()
+    kill(stack, "disk_fail", replica, scrub=True)
+
+    target_sub = layout.sublayouts[target]
+    usable = target_sub.segment_blocks - 1
+    appends = []
+    for name in ("write_file_blocks", "write_inode"):
+        original = getattr(target_sub, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            appends.append(_name)
+            return _original(*args, **kwargs)
+
+        setattr(target_sub, name, counted)
+    runs = count_write_runs(stack)
+    run(scheduler, repairer.repair_file, file_id)
+    assert placement.replica_set(file_id) == (target,)
+    assert repairer.blocks_copied == blocks
+    expected = -(-(blocks + 1) // usable)
+    assert appends == ["write_file_blocks"] * expected
+    assert expected == 2 < blocks + 1
+    # Every data block and one inode reached the target in a handful of
+    # writes (an append that straddles a segment end splits in two; sealing
+    # a segment and the checkpoint add their own blocks).
+    assert sum(sizes(runs[target])) >= blocks + 1
+    assert len(runs[target]) <= 2 * expected + 6
+    # The new copy is real: lose the primary too and read it back.
+    kill(stack, "disk_fail", primary, scrub=True)
+    assert run(scheduler, client.read_file, "/big", 0, len(content)) == content
 
 
 # --------------------------------------------------------------------------- loop equivalence

@@ -17,6 +17,8 @@ and checks the invariants that make the index safe to consult:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -220,7 +222,6 @@ def _write_file(scheduler, layout, blocks, payload_base=0):
         (i, data_block(bytes([(payload_base + i) % 251]) * 32)) for i in range(blocks)
     ]
     run(scheduler, layout.write_file_blocks, inode, pairs)
-    run(scheduler, layout.write_inode, inode)
     return inode
 
 
@@ -335,6 +336,91 @@ def test_overwritten_block_is_never_served_stale_from_staging(scheduler):
     block = data_block()
     run(scheduler, layout.read_file_block, inode, 1, block)
     assert bytes(block.data[:6]) == b"fresh!"
+
+
+def test_cold_read_runs_through_the_inode_between_two_writebacks(scheduler):
+    """A file written in two writebacks lies ``d0-3 i d4-7 i``: one disk
+    read fetches all eight blocks, the interleaved inode fetched and
+    discarded — and the gapped run obeys the same staleness rule."""
+    layout = make_layout(scheduler, segment_blocks=32)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    for first in (0, 4):
+        pairs = [(first + i, data_block(bytes([first + i + 1]) * 32)) for i in range(4)]
+        run(scheduler, layout.write_file_blocks, inode, pairs)
+    start = inode.get_block_address(0)
+    assert [inode.get_block_address(i) - start for i in range(8)] == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5, 6, 7, 8]
+
+    reads_before = layout.stats.disk_reads
+    block = data_block()
+    run(scheduler, layout.read_file_block, inode, 0, block)
+    assert layout.stats.disk_reads - reads_before == 1
+    assert layout.stats.cold_read_blocks_coalesced == 7
+    # The inode block in the gap was not staged as file data.
+    assert sorted(a - start for a in layout._staged_reads) == [1, 2, 3, 5, 6, 7, 8]
+
+    # Overwrite block 5 (past the gap): its staged copy must not be served.
+    run(scheduler, layout.write_file_blocks, inode, [(5, data_block(b"fresh!"))])
+    for i in range(1, 8):
+        block = data_block()
+        run(scheduler, layout.read_file_block, inode, i, block)
+        expected = b"fresh!" if i == 5 else bytes([i + 1]) * 6
+        assert bytes(block.data[:6]) == expected
+    # Blocks 1-4 and 6-7 came from staging; only block 5 cost a disk read.
+    assert layout.stats.coalesced_read_hits == 6
+    assert layout.stats.disk_reads - reads_before == 2
+
+    # A two-block gap is not read through, and the knob still bounds a run.
+    other = layout.allocate_inode(FileKind.REGULAR)
+    run(scheduler, layout.write_file_blocks, other, [(0, data_block(b"a"))])
+    run(scheduler, layout.write_inode, other)
+    run(scheduler, layout.write_file_blocks, other, [(1, data_block(b"b"))])
+    first = other.get_block_address(0)
+    assert other.get_block_address(1) == first + 3
+    assert layout._read_run_offsets(other, 0, first) == [0]
+    layout._staged_reads.clear()
+    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5]  # 5 moved away
+    layout.index_config = replace(INDEX, read_coalesce_blocks=3)
+    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2]
+
+
+def test_cold_read_run_stops_short_of_blocks_whose_write_is_in_flight(scheduler):
+    """A writeback's addresses are in the inode as soon as they are
+    reserved; until its disk write lands a coalesced read must not fetch
+    (and stage) what is at those addresses."""
+    layout = make_layout(scheduler, segment_blocks=32)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    first = [(i, data_block(bytes([i + 1]) * 32)) for i in range(4)]
+    run(scheduler, layout.write_file_blocks, inode, first)
+    start = inode.get_block_address(0)
+
+    original = layout.volume.write_run
+    seen = {}
+
+    def stalled_write_run(block_addr, nblocks, data):
+        # The second writeback is reserved — block 4 sits one past the first
+        # writeback's inode — but its bytes are not on disk yet: read block 0.
+        assert inode.get_block_address(4) == start + 5
+        seen["offsets"] = layout._read_run_offsets(inode, 0, start)
+        block = data_block()
+        yield from layout.read_file_block(inode, 0, block)
+        seen["staged"] = sorted(a - start for a in layout._staged_reads)
+        return (yield from original(block_addr, nblocks, data))
+
+    layout.volume.write_run = stalled_write_run
+    second = [(4 + i, data_block(bytes([5 + i]) * 32)) for i in range(4)]
+    run(scheduler, layout.write_file_blocks, inode, second)
+    del layout.volume.write_run
+    assert seen == {"offsets": [0, 1, 2, 3], "staged": [1, 2, 3]}
+    assert not layout._unwritten
+
+    # Once the write has landed the run reads through to it, correctly.
+    layout._staged_reads.clear()
+    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5, 6, 7, 8]
+    for i in range(8):
+        block = data_block()
+        run(scheduler, layout.read_file_block, inode, i, block)
+        assert bytes(block.data[:4]) == bytes([i + 1]) * 4
 
 
 def test_may_contain_inode_probe(scheduler):
@@ -511,7 +597,6 @@ def test_index_invariants_hold_over_random_histories(steps):
             pairs = [(b + i, data_block(bytes([a + 1]) * 16)) for i in range(b)]
             if pairs:
                 run(scheduler, layout.write_file_blocks, inode, pairs)
-                run(scheduler, layout.write_inode, inode)
         elif op == "release" and a in inodes:
             run(scheduler, layout.release_blocks, inodes[a], b)
             run(scheduler, layout.write_inode, inodes[a])
