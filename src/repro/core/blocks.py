@@ -51,6 +51,7 @@ class CacheBlock:
         "access_history",
         "pin_count",
         "busy",
+        "read_ahead",
     )
 
     def __init__(self, slot: int, size: int, with_data: bool):
@@ -73,6 +74,11 @@ class CacheBlock:
         #: set while a flush of this block is in flight, so that concurrent
         #: flush decisions do not pick it a second time.
         self.busy = False
+        #: set on a slot filled by a read issued for another block's miss
+        #: (the rest of that call's blocks, the layout's read-ahead) until
+        #: somebody references it: that first reference is counted as the
+        #: cache miss it would have been without the early fill.
+        self.read_ahead = False
 
     # -- state queries --------------------------------------------------------
 
@@ -127,6 +133,7 @@ class CacheBlock:
         self.access_count = 0
         self.access_history.clear()
         self.busy = False
+        self.read_ahead = False
         if self.data is not None:
             # Zero the buffer so stale data never leaks into a new file.
             self.data[:] = bytes(self.size)

@@ -200,6 +200,15 @@ class BlockCache:
         if block is None:
             self.stats.misses += 1
             return None
+        if block.read_ahead:
+            # Present only because a read for another block fetched it too:
+            # this reference would have missed, and is counted so.  The
+            # insert at fill time already stands for it with the replacement
+            # policy — a second event would promote every sequentially read
+            # block as "re-referenced".  The caller clears the flag once it
+            # takes the block.
+            self.stats.misses += 1
+            return block
         self.stats.hits += 1
         self.touch(block)
         return block
@@ -292,6 +301,21 @@ class BlockCache:
             # caller already handles it with a re-lookup.
             if block_id in self._index:
                 raise CacheError(f"block {block_id} is already cached")
+        return self._install(block, block_id)
+
+    def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
+        """:meth:`allocate` for a block nobody is waiting for (read-ahead):
+        never blocks and never flushes.  ``None`` when the block is already
+        cached or no slot is free or evictable right now."""
+        block_id = BlockId(file_id, block_no)
+        if block_id in self._index:
+            return None
+        block = self._take_free_or_evict(block_id)
+        if block is None:
+            return None
+        return self._install(block, block_id)
+
+    def _install(self, block: CacheBlock, block_id: BlockId) -> CacheBlock:
         block.block_id = block_id
         block.state = BlockState.CLEAN
         block.record_access(self.scheduler.now)

@@ -301,6 +301,7 @@ class ClusterRebalancer:
                     release_pins()
                     self.migrations_skipped += 1
                     return False
+                to_land: List[tuple[int, Any]] = []
                 for block_no in block_nos:
                     shard = cache.shard_for(file_id, block_no)
                     block = shard.peek(file_id, block_no)
@@ -310,10 +311,7 @@ class ClusterRebalancer:
                         # allocation it would stall on — and a slot the
                         # migration would hold hostage until the flip.
                         if block_no not in landed:
-                            copy = yield from landing_slot(block_no)
-                            address = inode.get_block_address(block_no)
-                            yield from layout.read_file_block(inode, block_no, copy)
-                            landed[block_no] = address
+                            to_land.append((block_no, (yield from landing_slot(block_no))))
                         continue
                     while block is None:  # the old shard *is* the target
                         try:
@@ -324,11 +322,16 @@ class ClusterRebalancer:
                             continue
                         block.busy = True
                         try:
-                            yield from layout.read_file_block(inode, block_no, block)
+                            yield from layout.read_file_blocks(inode, [(block_no, block)])
                         finally:
                             block.busy = False
                     block.busy = True  # pinned until the move completes
                     pulled.append((block_no, block, shard))
+                if to_land:
+                    # One read for everything that lands straight from disk.
+                    addresses = {no: inode.get_block_address(no) for no, _ in to_land}
+                    yield from layout.read_file_blocks(inode, to_land)
+                    landed.update(addresses)
 
                 # Landing slots for the blocks that were cached, allocated
                 # while nothing routes to them yet.

@@ -259,15 +259,19 @@ class ReplicaManager:
             and (file_id, volume) not in self._stale
         ]
 
-    def _count_failover(self, failed_volume: int) -> None:
-        self.failover_reads += 1
+    def _count_failover(self, failed_volume: int, count: int = 1) -> None:
+        self.failover_reads += count
         node = self.faults.node_of_volume(failed_volume)
-        self.failovers_by_node[node] = self.failovers_by_node.get(node, 0) + 1
+        self.failovers_by_node[node] = self.failovers_by_node.get(node, 0) + count
 
     def read_failover(
-        self, inode: Inode, block_no: int, block: CacheBlock, failed_volume: int
-    ) -> Generator[Any, Any, bool]:
-        """Serve one block from a surviving fresh copy, or raise
+        self,
+        inode: Inode,
+        blocks: Sequence[Tuple[int, CacheBlock]],
+        failed_volume: int,
+    ) -> Generator[Any, Any, int]:
+        """Serve one read's blocks on ``failed_volume`` from a surviving
+        fresh copy (one fail-over counted per block), or raise
         :class:`DataUnavailable` when none is left.
 
         In the simulated world a missing shadow is created on demand: a
@@ -288,14 +292,15 @@ class ReplicaManager:
             shadow = yield from self._shadow(inode.number, volume, like=like)
             if shadow is None:
                 continue
-            result = yield from self.layout.sublayouts[volume].read_file_block(
-                shadow, block_no, block
+            result = yield from self.layout.sublayouts[volume].read_file_blocks(
+                shadow, list(blocks)
             )
-            self._count_failover(failed_volume)
+            self._count_failover(failed_volume, len(blocks))
             return result
         raise DataUnavailable(
-            f"block {block_no} of file {inode.number} lives on unavailable "
-            f"volume {failed_volume} and no surviving replica holds a copy"
+            f"blocks {[block_no for block_no, _ in blocks]} of file {inode.number} "
+            f"live on unavailable volume {failed_volume} and no surviving "
+            "replica holds a copy"
         )
 
     def read_inode_failover(
@@ -619,12 +624,13 @@ class ReplicationRepairer:
         block_nos = sorted(source_inode.block_map)
         batch = max(getattr(target_sub, "segment_blocks", 64) - 2, 1)
         for start in range(0, len(block_nos), batch):
-            carriers = []
-            for block_no in block_nos[start : start + batch]:
-                carrier = CacheBlock(slot=-1, size=layout.block_size, with_data=with_data)
-                yield from source_sub.read_file_block(source_inode, block_no, carrier)
+            carriers = [
+                (block_no, CacheBlock(slot=-1, size=layout.block_size, with_data=with_data))
+                for block_no in block_nos[start : start + batch]
+            ]
+            yield from source_sub.read_file_blocks(source_inode, carriers)
+            for _block_no, carrier in carriers:
                 carrier.valid_bytes = carrier.size
-                carriers.append((block_no, carrier))
             yield from target_sub.write_file_blocks(
                 shadow, carriers, with_inode=start + batch >= len(block_nos)
             )

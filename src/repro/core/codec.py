@@ -31,6 +31,7 @@ __all__ = [
     "pack_directory",
     "unpack_directory",
     "pack_checkpoint",
+    "checkpoint_size",
     "unpack_checkpoint",
     "pack_segment_summary",
     "unpack_segment_summary",
@@ -244,6 +245,15 @@ def pack_checkpoint(
     for segment in sorted(segment_usage):
         parts.append(_SEG_USAGE_ENTRY.pack(segment, segment_usage[segment]))
     return b"".join(parts)
+
+
+def checkpoint_size(inodes: int, segments: int) -> int:
+    """Bytes :func:`pack_checkpoint` produces for that many map entries."""
+    return (
+        _CHECKPOINT_HEADER.size
+        + inodes * _IMAP_ENTRY.size
+        + segments * _SEG_USAGE_ENTRY.size
+    )
 
 
 def unpack_checkpoint(data: bytes) -> dict:

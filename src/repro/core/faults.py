@@ -169,9 +169,9 @@ class FaultState:
             self.dropped_writes_by_node.get(node, 0) + blocks
         )
 
-    def note_failed_read(self, volume: int) -> None:
+    def note_failed_read(self, volume: int, blocks: int = 1) -> None:
         node = self.node_of_volume(volume)
-        self.failed_reads_by_node[node] = self.failed_reads_by_node.get(node, 0) + 1
+        self.failed_reads_by_node[node] = self.failed_reads_by_node.get(node, 0) + blocks
 
     def snapshot(self) -> dict:
         return {

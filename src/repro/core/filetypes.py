@@ -15,7 +15,7 @@ examples the paper gives for why per-file policy matters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, Optional
 
 from repro.core import codec
 from repro.core.blocks import CacheBlock
@@ -108,18 +108,16 @@ class BaseFile:
         if length == 0:
             return b""
         parts: list[bytes] = []
-        for block_no in block_span(offset, length, self.block_size):
+        span = block_span(offset, length, self.block_size)
+        for block_no in span:
             block_start = block_no * self.block_size
             start_in_block = max(offset, block_start) - block_start
             end_in_block = min(offset + length, block_start + self.block_size) - block_start
             extent = end_in_block - start_in_block
-            block = yield from self._block_for_read(block_no)
-            if block is None:
-                parts.append(bytes(extent))
-            else:
-                chunk = yield from self.fs.datamover.copy_out(block, start_in_block, extent)
-                parts.append(chunk)
-        yield from self._after_read(block_span(offset, length, self.block_size))
+            block = yield from self._block_for_read(block_no, range(block_no + 1, span.stop))
+            chunk = yield from self.fs.datamover.copy_out(block, start_in_block, extent)
+            parts.append(chunk)
+        yield from self._after_read(span)
         return b"".join(parts)
 
     def write(
@@ -136,13 +134,25 @@ class BaseFile:
             return 0
         scheduler = self.fs.scheduler
         written = 0
-        for block_no in block_span(offset, length, self.block_size):
+        span = block_span(offset, length, self.block_size)
+        # The only other block of the call that can need its old contents is
+        # the last one, when the write ends inside it: it rides the first
+        # block's disk read.
+        last_no = span[-1]
+        tail = (
+            (last_no,)
+            if (offset + length) % self.block_size and self._has_old_data(last_no)
+            else ()
+        )
+        for block_no in span:
             block_start = block_no * self.block_size
             start_in_block = max(offset, block_start) - block_start
             end_in_block = min(offset + length, block_start + self.block_size) - block_start
             extent = end_in_block - start_in_block
             whole_block = start_in_block == 0 and extent == self.block_size
-            block = yield from self._block_for_write(block_no, whole_block)
+            block = yield from self._block_for_write(
+                block_no, whole_block, tail if block_no < last_no else ()
+            )
             block.pin()
             try:
                 if data is not None:
@@ -190,7 +200,33 @@ class BaseFile:
 
     # -- cache plumbing ------------------------------------------------------------------
 
-    def _block_for_read(self, block_no: int) -> Generator[Any, Any, Optional[CacheBlock]]:
+    def _block_for_read(
+        self, block_no: int, call_blocks: Iterable[int] = ()
+    ) -> Generator[Any, Any, CacheBlock]:
+        """The cache block holding ``block_no``, read from disk on a miss —
+        in the same disk read as whichever of ``call_blocks`` (the blocks
+        the call goes on to need) are missing too."""
+        return self._block_for(block_no, None, call_blocks)
+
+    def _block_for_write(
+        self, block_no: int, whole_block: bool, call_blocks: Iterable[int] = ()
+    ) -> Generator[Any, Any, CacheBlock]:
+        """The cache block to write ``block_no`` into; a partial write over
+        old data reads the block first (``call_blocks`` as above)."""
+        return self._block_for(block_no, whole_block, call_blocks)
+
+    def _has_old_data(self, block_no: int) -> bool:
+        return (
+            self.inode.get_block_address(block_no) is not None
+            or block_no * self.block_size < self.inode.size
+        )
+
+    def _block_for(
+        self, block_no: int, whole_block: Optional[bool], call_blocks: Iterable[int]
+    ) -> Generator[Any, Any, CacheBlock]:
+        """``whole_block`` is ``None`` for a read; for a write it says
+        whether the whole block is replaced — then, or with no old data
+        under it, a miss needs no disk read."""
         cache = self.fs.cache
         while True:
             block = cache.lookup(self.file_id, block_no)
@@ -198,6 +234,12 @@ class BaseFile:
                 if block.busy:
                     yield from cache.wait_block_ready(self.file_id, block_no)
                     continue
+                if block.read_ahead:
+                    # An earlier read's run brought it in; the cache counted
+                    # this first reference as a miss, the layout counts the
+                    # disk read it did not need.
+                    block.read_ahead = False
+                    self.fs.layout.stats.coalesced_read_hits += 1
                 return block
             try:
                 block = yield from cache.allocate(self.file_id, block_no)
@@ -205,60 +247,54 @@ class BaseFile:
                 # Another thread slipped in and cached the block; retry.
                 continue
             break
-        block.pin()
-        block.busy = True
+        if whole_block is None or (not whole_block and self._has_old_data(block_no)):
+            yield from self._fill(block_no, block, call_blocks)
+        return block
+
+    def _fill(
+        self, block_no: int, block: CacheBlock, call_blocks: Iterable[int]
+    ) -> Generator[Any, Any, None]:
+        """One layout read for a missed block and for what can ride along:
+        the other missing blocks of the call, and whatever following blocks
+        the layout finds worth reading ahead.  Those get a slot only if the
+        cache can spare one without flushing; all slots are pinned busy
+        while the read is in flight, so a second client missing any of them
+        waits for this read instead of issuing its own."""
+        cache, file_id = self.fs.cache, self.file_id
+        filling: list[tuple[int, CacheBlock]] = []
+
+        def hold(held_no: int, slot: CacheBlock) -> None:
+            slot.pin()
+            slot.busy = True
+            filling.append((held_no, slot))
+
+        def spare_slot(ahead_no: int) -> Optional[CacheBlock]:
+            slot = cache.try_allocate(file_id, ahead_no)
+            if slot is not None:
+                slot.read_ahead = True
+                hold(ahead_no, slot)
+            return slot
+
+        hold(block_no, block)
+        for other_no in call_blocks:
+            spare_slot(other_no)
         failed = False
         try:
-            yield from self.fs.layout.read_file_block(self.inode, block_no, block)
+            yield from self.fs.layout.read_file_blocks(
+                self.inode, list(filling), readahead=spare_slot
+            )
         except Exception:
             failed = True
             raise
         finally:
-            block.busy = False
-            block.unpin()
-            if failed and not block.pinned and not block.busy:
-                # A fill that died (dead volume, no live replica) must not
-                # linger in the cache as valid-looking data.
-                cache.invalidate(block)
-            cache.notify_block_ready(self.file_id, block_no)
-        return block
-
-    def _block_for_write(
-        self, block_no: int, whole_block: bool
-    ) -> Generator[Any, Any, CacheBlock]:
-        cache = self.fs.cache
-        while True:
-            block = cache.lookup(self.file_id, block_no)
-            if block is not None:
-                if block.busy:
-                    yield from cache.wait_block_ready(self.file_id, block_no)
-                    continue
-                return block
-            try:
-                block = yield from cache.allocate(self.file_id, block_no)
-            except CacheError:
-                continue
-            break
-        needs_old_data = not whole_block and (
-            self.inode.get_block_address(block_no) is not None
-            or block_no * self.block_size < self.inode.size
-        )
-        if needs_old_data:
-            block.pin()
-            block.busy = True
-            failed = False
-            try:
-                yield from self.fs.layout.read_file_block(self.inode, block_no, block)
-            except Exception:
-                failed = True
-                raise
-            finally:
-                block.busy = False
-                block.unpin()
-                if failed and not block.pinned and not block.busy:
-                    cache.invalidate(block)
-                cache.notify_block_ready(self.file_id, block_no)
-        return block
+            for filled_no, slot in filling:
+                slot.busy = False
+                slot.unpin()
+                if failed and not slot.pinned and not slot.busy:
+                    # A fill that died (dead volume, no live replica) must
+                    # not linger in the cache as valid-looking data.
+                    cache.invalidate(slot)
+                cache.notify_block_ready(file_id, filled_no)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(#{self.file_id} size={self.size})"

@@ -35,8 +35,9 @@ from repro.core.blocks import CacheBlock
 from repro.core.cache import BlockCache, CacheStatistics
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
-from repro.core.storage.layout import StorageLayout
+from repro.core.storage.layout import ReadAhead, StorageLayout
 from repro.core.storage.volume import Volume
+from repro.core.sync import gather
 from repro.errors import ConfigurationError, DataUnavailable, StorageError
 
 __all__ = [
@@ -533,6 +534,9 @@ class ShardedCache:
             # release it and allocate in the right shard instead.
             shard.invalidate(block)
 
+    def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
+        return self.shard_for(file_id, block_no).try_allocate(file_id, block_no)
+
     def touch(self, block: CacheBlock) -> None:
         self._shard_of_block(block).touch(block)
 
@@ -824,28 +828,69 @@ class RoutedLayout(StorageLayout):
 
     # ------------------------------------------------------------------ data blocks
 
-    def read_file_block(
-        self, inode: Inode, block_no: int, block: CacheBlock
-    ) -> Generator[Any, Any, bool]:
-        volume = self.placement.volume_for_block(inode.number, block_no)
+    def read_file_blocks(
+        self,
+        inode: Inode,
+        blocks: List[tuple[int, CacheBlock]],
+        *,
+        readahead: Optional[ReadAhead] = None,
+    ) -> Generator[Any, Any, int]:
+        """Group the call's blocks by volume (as :meth:`write_file_blocks`
+        does) and read every group at once: a striped file keeps all its
+        volumes busy for one client read."""
+        groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
+        for block_no, cache_block in blocks:
+            volume = self.placement.volume_for_block(inode.number, block_no)
+            groups.setdefault(volume, []).append((block_no, cache_block))
+        counts = yield from gather(
+            self.scheduler,
+            [
+                self._read_group(inode, volume, groups[volume], readahead)
+                for volume in sorted(groups)
+            ],
+            name="read-volume",
+        )
+        return sum(counts)
+
+    def _read_group(
+        self,
+        inode: Inode,
+        volume: int,
+        group: List[tuple[int, CacheBlock]],
+        readahead: Optional[ReadAhead],
+    ) -> Generator[Any, Any, int]:
+        """One volume's share of a read: fault delay and fail-over apply to
+        the group as a whole."""
         faults = self.faults
         if faults is not None and faults.active:
             if faults.volume_unavailable(volume):
-                faults.note_failed_read(volume)
+                faults.note_failed_read(volume, len(group))
                 if self.replication is not None:
-                    return (
-                        yield from self.replication.read_failover(
-                            inode, block_no, block, volume
-                        )
-                    )
+                    return (yield from self.replication.read_failover(inode, group, volume))
                 raise DataUnavailable(
-                    f"block {block_no} of file {inode.number} lives on "
-                    f"unavailable volume {volume} and the cluster keeps no replicas"
+                    f"blocks {[block_no for block_no, _ in group]} of file "
+                    f"{inode.number} live on unavailable volume {volume} "
+                    "and the cluster keeps no replicas"
                 )
             extra = faults.extra_delay(volume)
             if extra:
                 yield from self.scheduler.sleep(extra)
-        return (yield from self.sublayouts[volume].read_file_block(inode, block_no, block))
+        own_blocks_only = None
+        if readahead is not None:
+            # The inode maps every volume's blocks, each in its own address
+            # space: a sub-layout may only run on into blocks that are its.
+            placement, number = self.placement, inode.number
+
+            def own_blocks_only(block_no: int) -> Optional[CacheBlock]:
+                if placement.volume_for_block(number, block_no) != volume:
+                    return None
+                return readahead(block_no)
+
+        return (
+            yield from self.sublayouts[volume].read_file_blocks(
+                inode, group, readahead=own_blocks_only
+            )
+        )
 
     def write_file_blocks(
         self,
@@ -920,10 +965,12 @@ class RoutedLayout(StorageLayout):
 
     def combined_stats(self) -> dict:
         """Summed :class:`~repro.core.storage.layout.LayoutStatistics` over
-        the sub-layouts (the per-volume breakdown lives in the report)."""
+        the sub-layouts (the per-volume breakdown lives in the report), plus
+        what is counted against the router itself (``coalesced_read_hits``:
+        the file system credits the layout it talks to)."""
         totals: Dict[str, int] = {}
-        for sub in self.sublayouts:
-            for key, value in vars(sub.stats).items():
+        for layout in (self, *self.sublayouts):
+            for key, value in vars(layout.stats).items():
                 if isinstance(value, (int, float)):
                     totals[key] = totals.get(key, 0) + value
         return totals

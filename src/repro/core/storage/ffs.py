@@ -217,22 +217,6 @@ class FfsLikeLayout(StorageLayout):
 
     # ------------------------------------------------------------------ file data
 
-    def read_file_block(
-        self, inode: Inode, block_no: int, block: CacheBlock
-    ) -> Generator[Any, Any, bool]:
-        address = inode.get_block_address(block_no)
-        if address is None:
-            if not self.simulated:
-                return False
-            address = self.synthesize_address(inode.number, block_no)
-        raw = yield from self.volume.read_block(address)
-        self.stats.disk_reads += 1
-        self.stats.blocks_read += 1
-        if raw is not None and block.data is not None:
-            block.data[: len(raw)] = raw
-            block.valid_bytes = block.size
-        return True
-
     def write_file_blocks(
         self,
         inode: Inode,
@@ -272,9 +256,6 @@ class FfsLikeLayout(StorageLayout):
         return self.allocator.free_count
 
     # ------------------------------------------------------------------ helpers
-
-    def _is_synthetic(self, inode_number: int, block_no: int, address: int) -> bool:
-        return self._synthetic_addresses.get((inode_number, block_no)) == address
 
     def _pad(self, data: bytes) -> bytes:
         if len(data) > self.block_size:

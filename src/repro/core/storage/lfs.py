@@ -35,7 +35,7 @@ from repro.core import codec
 from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
-from repro.core.storage.layout import StorageLayout
+from repro.core.storage.layout import ReadAhead, ReadRun, StorageLayout
 from repro.core.storage.segindex import (
     BloomFilter,
     SegmentIndex,
@@ -160,13 +160,10 @@ class LogStructuredLayout(StorageLayout):
         #: non-free segments whose summary/index has not been read since
         #: mount (lazy mount: loaded on first cleaner touch).
         self._unloaded: set[int] = set()
-        #: blocks prefetched by cold-read run coalescing, keyed by disk
-        #: address (payload bytes, or None in simulated mode).
-        self._staged_reads: dict[int, Optional[bytes]] = {}
         #: log addresses reserved under the append lock whose disk write has
         #: not completed.  Inodes and summaries already name them, but the
-        #: bytes are not on disk yet: a cold-read run must stop short of
-        #: them (the block itself stays cached until its writeback returns).
+        #: bytes are not on disk yet: read-ahead must stop short of them
+        #: (the block itself stays cached until its writeback returns).
         self._unwritten: set[int] = set()
         #: layout-wide owner bloom: which inode numbers ever hit this log.
         self._owner_bloom = BloomFilter(1 << 14) if self._index_on else None
@@ -220,7 +217,6 @@ class LogStructuredLayout(StorageLayout):
         self._indexes.clear()
         self._buckets.clear()
         self._unloaded.clear()
-        self._staged_reads.clear()
         self._unwritten.clear()
         if self._index_on:
             self._owner_bloom = BloomFilter(1 << 14)
@@ -271,7 +267,6 @@ class LogStructuredLayout(StorageLayout):
         self._durable_checkpoint = True
         self._rebuild_free_heaps()
         self._live_total = sum(self.segment_usage.values())
-        self._staged_reads.clear()
         if self._index_on:
             # Lazy mount: defer the one-read-per-segment summary sweep.  The
             # checkpoint's usage counters are enough to seed the cleaner's
@@ -361,26 +356,40 @@ class LogStructuredLayout(StorageLayout):
             return
         if self.simulated:
             return
-        # Retire the previous checkpoint's blocks.
-        if self._checkpoint_location is not None:
-            old_addr, old_blocks = self._checkpoint_location
-            self._kill_blocks(old_addr, old_blocks)
-        payload = codec.pack_checkpoint(
-            timestamp=self.scheduler.now,
-            next_inode_number=self.next_inode_number,
-            next_segment=self._active_segment or 0,
-            inode_map=self.inode_map,
-            segment_usage={
-                s: self.segment_usage[s]
-                for s in range(self.num_segments)
-                if self.segment_usage[s] > 0 or s == self._active_segment
-            },
-        )
-        nblocks = max(1, -(-len(payload) // self.block_size))
-        chunks = self._chunk(payload, nblocks)
-        entries = [(0, i, False, chunk) for i, chunk in enumerate(chunks)]
-        addresses = yield from self._append(entries, contiguous=True)
-        self._checkpoint_location = (addresses[0], nblocks)
+        assert self._append_lock is not None
+        writes: list[tuple[int, int, Optional[bytes]]] = []
+        yield from self._append_lock.acquire()
+        try:
+            # Retire the previous checkpoint's blocks.
+            if self._checkpoint_location is not None:
+                self._kill_blocks(*self._checkpoint_location)
+            # Reserve first, pack then: the usage table must count the
+            # checkpoint's own blocks — and the fresh segment they may have
+            # opened — or a remount takes that segment for free and writes
+            # over the checkpoint the superblock points at.  One entry of
+            # slack in the size covers that segment.
+            size = codec.checkpoint_size(
+                len(self.inode_map), len(self._checkpointed_usage()) + 1
+            )
+            nblocks = -(-size // self.block_size)
+            entries = [(0, i, False, None) for i in range(nblocks)]
+            addresses = yield from self._reserve(entries, writes, contiguous=True)
+            payload = codec.pack_checkpoint(
+                timestamp=self.scheduler.now,
+                next_inode_number=self.next_inode_number,
+                next_segment=self._active_segment or 0,
+                inode_map=self.inode_map,
+                segment_usage=self._checkpointed_usage(),
+            )
+            writes[-1] = (
+                addresses[0],
+                nblocks,
+                payload + bytes(nblocks * self.block_size - len(payload)),
+            )
+            self._checkpoint_location = (addresses[0], nblocks)
+        finally:
+            self._append_lock.release()
+        yield from self._issue(writes)
         yield from self._write_active_summary()
         superblock = codec.pack_superblock(
             self.block_size,
@@ -392,6 +401,13 @@ class LogStructuredLayout(StorageLayout):
         yield from self.volume.write_block(0, self._pad(superblock))
         self.stats.disk_writes += 1
         self._durable_checkpoint = True
+
+    def _checkpointed_usage(self) -> dict[int, int]:
+        return {
+            s: self.segment_usage[s]
+            for s in range(self.num_segments)
+            if self.segment_usage[s] > 0 or s == self._active_segment
+        }
 
     # ------------------------------------------------------------------ inodes
 
@@ -447,76 +463,69 @@ class LogStructuredLayout(StorageLayout):
 
     # ------------------------------------------------------------------ file data
 
-    def read_file_block(
-        self, inode: Inode, block_no: int, block: CacheBlock
-    ) -> Generator[Any, Any, bool]:
-        address = inode.get_block_address(block_no)
-        if address is None:
-            if not self.simulated:
-                return False  # a hole: caller sees zeros
-            address = self.synthesize_address(inode.number, block_no)
-        if self._index_on and address in self._staged_reads:
-            # A previous coalesced run already fetched this block.
-            raw = self._staged_reads.pop(address)
-            self.stats.coalesced_read_hits += 1
-            self.stats.blocks_read += 1
-            if raw is not None and block.data is not None:
-                block.data[: len(raw)] = raw
-                block.valid_bytes = block.size
-            return True
-        offsets = self._read_run_offsets(inode, block_no, address)
-        raw = yield from self.volume.read_run(address, offsets[-1] + 1)
-        self.stats.disk_reads += 1
-        self.stats.blocks_read += 1
-        if len(offsets) > 1:
-            self.stats.cold_read_runs += 1
-            self.stats.cold_read_blocks_coalesced += len(offsets) - 1
-            size = self.block_size
-            for offset in offsets[1:]:
-                self._staged_reads[address + offset] = (
-                    None if raw is None else raw[offset * size : (offset + 1) * size]
-                )
-            if len(self._staged_reads) > 256:
-                # Random workloads rarely consume prefetches; drop the lot
-                # rather than let stale staging grow without bound.
-                self._staged_reads.clear()
-            raw = None if raw is None else raw[:size]
-        if raw is not None and block.data is not None:
-            block.data[: len(raw)] = raw
-            block.valid_bytes = block.size
-        return True
+    def _plan_read_runs(
+        self,
+        inode: Inode,
+        slots: dict[int, CacheBlock],
+        readahead: Optional[ReadAhead],
+    ) -> list[ReadRun]:
+        """Plan one client read into the fewest disk reads.
 
-    def _read_run_offsets(self, inode: Inode, block_no: int, address: int) -> list[int]:
-        """Offsets from ``address`` of the logically-sequential blocks of
-        ``inode`` one disk read can fetch: ``[0]`` plus every following
-        block that sits physically next to its predecessor — or one block
-        further, because each writeback puts the inode behind its data
-        (``d0-7 i d8-15 i``) and reading *through* that block is far cheaper
-        than a second disk operation (it is fetched and discarded).  Bounded
-        by the coalesce knob (file blocks per run) and the segment end —
-        segments never straddle disks, so the run is always a single-disk
-        operation."""
-        offsets = [0]
-        if not self._index_on:
-            return offsets
-        segment = self.segment_of(address)
-        if segment < 0:
-            return offsets
-        limit = self.index_config.read_coalesce_blocks
-        room = self.segment_start(segment) + self.segment_blocks - address
-        while len(offsets) < limit:
-            following = inode.get_block_address(block_no + len(offsets))
-            if (
-                following is None
-                or following in self._staged_reads
-                or following in self._unwritten
-            ):
-                break
-            offset = following - address
-            if not offsets[-1] < offset <= offsets[-1] + 2 or offset >= room:
-                break
-            offsets.append(offset)
-        return offsets
+        The requested blocks are taken in file order; a block joins the run
+        before it when it sits physically next to that run's last block — or
+        one block further, because each writeback puts the inode behind its
+        data (``d0-7 i d8-15 i``) and reading *through* that block is far
+        cheaper than a second disk operation (it is fetched and discarded).
+        The last run is then extended the same way with the file's following
+        blocks, as far as ``readahead`` hands out slots for them, the file
+        has blocks, and their bytes are on disk (not ``_unwritten``).  A run
+        holds at most ``read_coalesce_blocks`` file blocks and ends with its
+        segment — segments never straddle disks, so a run is always a
+        single-disk operation.  Index off (or a bound of 0/1): single-block
+        runs, no read-ahead.
+        """
+        limit = self.index_config.read_coalesce_blocks if self._index_on else 1
+        runs: list[ReadRun] = []
+        members: list[tuple[int, int]] = []
+        start = room = 0
+
+        def joins(address: int) -> bool:
+            offset = address - start
+            return (
+                len(members) < limit
+                and members[-1][0] < offset <= members[-1][0] + 2
+                and offset < room
+            )
+
+        for block_no in sorted(slots):
+            address = self._read_address(inode, block_no)
+            if address is None:
+                continue  # a hole: the caller sees zeros
+            if runs and joins(address):
+                members.append((address - start, block_no))
+                continue
+            start, members = address, [(0, block_no)]
+            runs.append((start, members))
+            # Blocks from here to the segment end; outside any segment the
+            # run stays this one block.
+            segment = self.segment_of(start)
+            room = 1
+            if segment >= 0:
+                room = self.segment_start(segment) + self.segment_blocks - start
+        if runs and readahead is not None:
+            block_no = members[-1][1] + 1
+            end = -(-inode.size // self.block_size)
+            while block_no < end and block_no not in slots:
+                address = self._read_address(inode, block_no)
+                if address is None or address in self._unwritten or not joins(address):
+                    break
+                slot = readahead(block_no)
+                if slot is None:
+                    break
+                slots[block_no] = slot
+                members.append((address - start, block_no))
+                block_no += 1
+        return runs
 
     def write_file_blocks(
         self,
@@ -913,15 +922,6 @@ class LogStructuredLayout(StorageLayout):
             self._indexes[segment] = SegmentIndex(
                 self.index_config, self.segment_blocks - 1
             )
-            if self._staged_reads:
-                # The segment's old contents are about to be overwritten;
-                # drop any prefetched blocks staged from its address range.
-                start = self.segment_start(segment)
-                end = start + self.segment_blocks
-                for address in [
-                    a for a in self._staged_reads if start <= a < end
-                ]:
-                    del self._staged_reads[address]
 
     def _rebuild_free_heaps(self) -> None:
         self._free_heaps = [[] for _ in range(self.volume.num_disks)]
@@ -1000,9 +1000,6 @@ class LogStructuredLayout(StorageLayout):
             total += index.memory_bytes
         total += 48 * len(self._buckets)  # bucket dict + _where entries
         return total
-
-    def _is_synthetic(self, inode_number: int, block_no: int, address: int) -> bool:
-        return self._synthetic_addresses.get((inode_number, block_no)) == address
 
     def _chunk(self, payload: bytes, nblocks: int) -> list[bytes]:
         return [

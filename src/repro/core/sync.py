@@ -10,6 +10,8 @@ components in the framework need a few richer primitives:
 * :class:`Channel` — an unbounded producer/consumer message queue; simulated
   disks wait on a channel for work to arrive, and the in-process NFS
   transport is a pair of channels.
+* :func:`gather` — run a few generators side by side and wait for all of
+  them (one client read whose blocks sit on several disks or volumes).
 
 All ``acquire``/``get``-style operations are generator helpers used with
 ``yield from`` inside scheduler threads.
@@ -18,12 +20,46 @@ All ``acquire``/``get``-style operations are generator helpers used with
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator, Optional, Sequence
 
 from repro.core.scheduler import Event, Scheduler
 from repro.errors import SchedulerError
 
-__all__ = ["Event", "Semaphore", "Mutex", "Resource", "Channel"]
+__all__ = ["Event", "Semaphore", "Mutex", "Resource", "Channel", "gather"]
+
+
+def gather(
+    scheduler: Scheduler, jobs: Sequence[Generator[Any, Any, Any]], name: str = "gather"
+) -> Generator[Any, Any, list]:
+    """``results = yield from gather(scheduler, jobs)``: run the generators
+    concurrently and return their results in order once every one is done.
+
+    The first job runs in the calling thread, so a single job costs no
+    thread at all; each further job gets a helper thread (on the caller's
+    node).  A job that raises does not cut the others short — they may be
+    filling buffers the caller still owns — and the first failure is
+    re-raised here after all of them have finished.
+    """
+    results: list = [None] * len(jobs)
+    failures: list[BaseException] = []
+
+    def guarded(index: int, job: Generator[Any, Any, Any]) -> Generator[Any, Any, None]:
+        try:
+            results[index] = yield from job
+        except Exception as exc:  # noqa: BLE001 - handed to the caller below
+            failures.append(exc)
+
+    helpers = [
+        scheduler.spawn(guarded(index, job), name=name)
+        for index, job in enumerate(jobs[1:], start=1)
+    ]
+    if jobs:
+        yield from guarded(0, jobs[0])
+    for helper in helpers:
+        yield from helper.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 class Semaphore:

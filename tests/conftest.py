@@ -59,12 +59,18 @@ def make_memory_filesystem(
     disk_mb: int = 16,
     flush: FlushConfig | None = None,
     segment_blocks: int = 16,
+    index_config=None,
 ) -> FileSystem:
     """A small real (byte-moving) file system on a memory disk."""
     driver = MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB)
     volume = LocalVolume([driver], block_size=4 * KB)
     layout = LogStructuredLayout(
-        scheduler, volume, block_size=4 * KB, segment_blocks=segment_blocks, simulated=False
+        scheduler,
+        volume,
+        block_size=4 * KB,
+        segment_blocks=segment_blocks,
+        simulated=False,
+        index_config=index_config,
     )
     cache = BlockCache(scheduler, CacheConfig(size_bytes=cache_blocks * 4 * KB), with_data=True)
     datamover = DataMover(charge_time=False)

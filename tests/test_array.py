@@ -32,6 +32,7 @@ from repro.core.storage.array import (
     make_placement_policy,
 )
 from repro.core.storage.lfs import LogStructuredLayout
+from repro.core.storage.segindex import SegmentIndexConfig
 from repro.core.storage.volume import LocalVolume
 from repro.errors import ConfigurationError
 from repro.patsy.simulator import PatsySimulator
@@ -238,14 +239,21 @@ def test_sharded_cache_single_shard_is_a_passthrough(scheduler):
 # --------------------------------------------------------------------------- routed layout
 
 
-def make_routed(scheduler, volumes=2, placement=None, disk_mb=2, segment_blocks=8):
+def make_routed(
+    scheduler, volumes=2, placement=None, disk_mb=2, segment_blocks=8, index_config=None
+):
     vols = [
         LocalVolume([MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB)], block_size=4 * KB)
         for _ in range(volumes)
     ]
     subs = [
         LogStructuredLayout(
-            scheduler, vol, block_size=4 * KB, segment_blocks=segment_blocks, simulated=False
+            scheduler,
+            vol,
+            block_size=4 * KB,
+            segment_blocks=segment_blocks,
+            simulated=False,
+            index_config=index_config,
         )
         for vol in vols
     ]
@@ -297,7 +305,7 @@ def test_routed_layout_write_read_roundtrip(scheduler):
     again = run(scheduler, layout.read_inode, inode.number)
     assert again.number == inode.number
     block = data_block(scheduler, b"")
-    assert run(scheduler, layout.read_file_block, inode, 2, block)
+    assert run(scheduler, layout.read_file_blocks, inode, [(2, block)]) == 1
     assert bytes(block.data[:1]) == b"2"
 
 
@@ -657,3 +665,52 @@ def test_sun4_280_preset_runs_with_per_volume_stats():
     table = format_volume_table(result.volume_stats)
     assert "vol0" in table and "vol4" in table
     assert "placement=hash" in table
+
+
+def test_a_read_spanning_two_volumes_has_both_reads_outstanding_at_once(scheduler):
+    """One client read of a striped file is one layout call: the router
+    groups the blocks by volume and every group's disk read is in flight
+    together — and a sub-layout never reads ahead into another volume's
+    blocks, whose addresses in the shared inode are not its own."""
+    layout = make_routed(
+        scheduler,
+        volumes=2,
+        placement=StripedPlacement(2, stripe_unit=2),
+        segment_blocks=16,
+        index_config=SegmentIndexConfig(),
+    )
+    layout.allocate_inode(FileKind.DIRECTORY)  # the root
+    inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="striped")
+    pairs = [(i, data_block(scheduler, bytes([i + 1]) * 8)) for i in range(8)]
+    run(scheduler, layout.write_file_blocks, inode, pairs)
+    inode.size = 8 * 4 * KB
+    assert {layout.placement.volume_for_block(inode.number, i) for i in (1, 2)} == {0, 1}
+
+    in_flight = []
+    peak = []
+    for index, sub in enumerate(layout.sublayouts):
+        def read_run(block_addr, nblocks=1, index=index, original=sub.volume.read_run):
+            in_flight.append(index)
+            peak.append(sorted(in_flight))
+            try:
+                return (yield from original(block_addr, nblocks))
+            finally:
+                in_flight.remove(index)
+
+        sub.volume.read_run = read_run
+
+    slots = {i: data_block(scheduler, b"") for i in (1, 2)}
+    offered = []
+
+    def offer(block_no):
+        offered.append(block_no)
+        return slots.setdefault(block_no, data_block(scheduler, b""))
+
+    count = run(scheduler, layout.read_file_blocks, inode, list(slots.items()), readahead=offer)
+    assert [0, 1] in peak  # both volumes' reads were outstanding together
+    assert len(peak) == 2  # one disk read per volume
+    # Block 1 ends its stripe unit: nothing to run on into on that volume.
+    # Block 2 starts one: block 3 is next to it on the same volume.
+    assert offered == [3] and count == 3
+    for i in (1, 2, 3):
+        assert bytes(slots[i].data[:8]) == bytes([i + 1]) * 8

@@ -450,23 +450,24 @@ def test_migration_rereads_a_block_rewritten_while_it_was_being_pulled():
         stack.cache.invalidate_file(file_id)
 
     layout = stack.layout
-    original_read = layout.read_file_block
+    original_read = layout.read_file_blocks
     reads = []
 
-    def read_then_rewrite(inode, block_no, block):
-        result = yield from original_read(inode, block_no, block)
-        reads.append(block_no)
+    def read_then_rewrite(inode, blocks, **kwargs):
+        result = yield from original_read(inode, blocks, **kwargs)
+        reads.append([block_no for block_no, _block in blocks])
         if len(reads) == 1:  # right behind the rebalancer's first disk read
             yield from rewrite_and_drop()
         return result
 
-    layout.read_file_block = read_then_rewrite
+    layout.read_file_blocks = read_then_rewrite
     rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
     try:
         assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
     finally:
-        del layout.read_file_block
-    assert reads == [0, 1, 0]  # block 0 was read again from its new address
+        del layout.read_file_blocks
+    # One read pulls the whole file; block 0 is read again from its new address.
+    assert reads == [[0, 1], [0]]
 
     def read_all():
         return (yield from client.read_file("/data.bin", 0, len(payload)))
@@ -550,3 +551,39 @@ def test_rebalancing_schedule_is_deterministic():
 def test_rebalancing_changes_with_the_seed_but_replays_cleanly():
     result = _rebalancing_run(seed=2)
     assert result.errors == 0
+
+
+def test_a_dead_home_volume_serves_the_whole_group_from_the_replica():
+    """One client read of a file whose home volume is dead: the router
+    hands the call's blocks to fail-over as one group, a live replica's
+    sub-layout serves them in one call, and every block counts as one
+    fail-over read."""
+    from tests.test_replication import (
+        FILE_BYTES, build_online, kill, payload, populate, replica_spec,
+    )
+
+    stack = build_online(replica_spec(nodes=3, sharded=False, repair=False))
+    files = populate(stack)
+    kill(stack, "node_crash", 1, scrub=True)
+    placement, manager = stack.cluster.placement, stack.cluster.replication
+    dead = set(stack.cluster.faults.dead_volumes)
+    path, file_id = next((p, f) for p, f in files if placement.volume_of_file(f) in dead)
+    stack.cache.invalidate_file(file_id)
+
+    calls = []
+    for volume, sub in enumerate(stack.layout.sublayouts):
+        def read_file_blocks(inode, blocks, volume=volume, original=sub.read_file_blocks, **kw):
+            calls.append((volume, [block_no for block_no, _block in blocks]))
+            return original(inode, blocks, **kw)
+
+        sub.read_file_blocks = read_file_blocks
+
+    failovers = manager.failover_reads
+    failed_reads = dict(stack.cluster.faults.failed_reads_by_node)
+    data = run(stack.scheduler, stack.client.read_file, path, 0, FILE_BYTES)
+    assert data == payload(int(path[2:]))
+    (volume, block_nos), = calls
+    assert block_nos == [0, 1, 2]
+    assert volume in placement.replica_set(file_id) and volume not in dead
+    assert manager.failover_reads - failovers == 3
+    assert stack.cluster.faults.failed_reads_by_node[1] - failed_reads.get(1, 0) == 3

@@ -89,7 +89,7 @@ def test_ffs_write_in_place(scheduler):
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"v2"))])
     assert inode.get_block_address(0) == address  # update in place, no relocation
     target = data_block()
-    run(scheduler, layout.read_file_block, inode, 0, target)
+    run(scheduler, layout.read_file_blocks, inode, [(0, target)])
     assert bytes(target.data[:2]) == b"v2"
 
 
@@ -132,5 +132,5 @@ def test_ffs_simulated_synthesizes(scheduler):
     layout = make_layout(scheduler, simulated=True)
     inode = layout.allocate_inode(FileKind.REGULAR)
     block = CacheBlock(0, 4 * KB, with_data=False)
-    assert run(scheduler, layout.read_file_block, inode, 9, block) is True
+    assert run(scheduler, layout.read_file_blocks, inode, [(9, block)]) == 1
     assert layout.stats.synthesized_addresses == 1

@@ -13,14 +13,19 @@ from repro.units import KB, MB
 from tests.conftest import record_write_runs, run
 
 
-def make_layout(scheduler, simulated=False, disk_mb=8, segment_blocks=8, disks=1):
+def make_layout(scheduler, simulated=False, disk_mb=8, segment_blocks=8, disks=1, seed=0):
     drivers = [
         MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB, name=f"d{i}")
         for i in range(disks)
     ]
     volume = LocalVolume(drivers, block_size=4 * KB)
     layout = LogStructuredLayout(
-        scheduler, volume, block_size=4 * KB, segment_blocks=segment_blocks, simulated=simulated
+        scheduler,
+        volume,
+        block_size=4 * KB,
+        segment_blocks=segment_blocks,
+        simulated=simulated,
+        seed=seed,
     )
     run(scheduler, layout.format)
     run(scheduler, layout.mount)
@@ -86,27 +91,76 @@ def test_file_block_roundtrip_real_data(scheduler):
     inode = layout.allocate_inode(FileKind.REGULAR)
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"payload-0"))])
     target = data_block()
-    found = run(scheduler, layout.read_file_block, inode, 0, target)
-    assert found is True
+    assert run(scheduler, layout.read_file_blocks, inode, [(0, target)]) == 1
     assert bytes(target.data[:9]) == b"payload-0"
 
 
 def test_hole_read_returns_false_for_real_layout(scheduler):
     layout = make_layout(scheduler, simulated=False)
     inode = layout.allocate_inode(FileKind.REGULAR)
-    assert run(scheduler, layout.read_file_block, inode, 5, data_block()) is False
+    reads = layout.stats.disk_reads
+    assert run(scheduler, layout.read_file_blocks, inode, [(5, data_block())]) == 0
+    assert layout.stats.disk_reads == reads
 
 
 def test_simulated_layout_synthesizes_addresses(scheduler):
     layout = make_layout(scheduler, simulated=True)
     inode = layout.allocate_inode(FileKind.REGULAR)
     block = CacheBlock(0, 4 * KB, with_data=False)
-    found = run(scheduler, layout.read_file_block, inode, 3, block)
-    assert found is True
+    assert run(scheduler, layout.read_file_blocks, inode, [(3, block)]) == 1
     assert layout.stats.synthesized_addresses == 1
     # The synthesised address is stable across repeated reads.
     address = layout.synthesize_address(inode.number, 3)
     assert layout.synthesize_address(inode.number, 3) == address
+
+
+def test_synthetic_files_are_extents_drawn_from_seed_and_inode(scheduler):
+    """A file the simulator never saw written is placed once, as a file:
+    block k sits k blocks behind the base, and the base depends on the seed
+    and the inode number only — not on which file was touched first."""
+    layout = make_layout(scheduler, simulated=True, seed=5)
+    addresses = [layout.synthesize_address(7, k) for k in range(6)]
+    assert addresses == list(range(addresses[0], addresses[0] + 6))
+    assert layout.stats.synthesized_addresses == 1  # one draw for the file
+
+    twin = make_layout(scheduler, simulated=True, seed=5)
+    twin.synthesize_address(9, 0)  # another file first, and blocks out of order
+    assert [twin.synthesize_address(7, k) for k in (5, 0, 3)] == [
+        addresses[5], addresses[0], addresses[3],
+    ]
+    other_seed = make_layout(scheduler, simulated=True, seed=6)
+    assert other_seed.synthesize_address(7, 0) != addresses[0]
+    assert layout.synthesize_address(8, 0) != addresses[0]
+
+    # Truncate and regrow: the addresses stick.
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    before = [layout.synthesize_address(inode.number, k) for k in range(4)]
+    run(scheduler, layout.release_blocks, inode, 1)
+    assert [layout.synthesize_address(inode.number, k) for k in range(4)] == before
+
+
+def test_a_synthetic_extent_never_straddles_a_disk_or_the_volume_end(scheduler):
+    # Three 1-MB disks of 256 blocks: a 40-block file drawn anywhere runs
+    # off its disk about one time in six, so both cases are exercised.
+    layout = make_layout(scheduler, simulated=True, disk_mb=1, disks=3, segment_blocks=8)
+    volume = layout.volume
+    continued = 0
+    for inode_number in range(2, 200):
+        addresses = [layout.synthesize_address(inode_number, k) for k in range(40)]
+        assert all(1 <= address < volume.total_blocks for address in addresses)
+        for previous, address in zip(addresses, addresses[1:]):
+            if address == previous + 1:  # same extent: same disk
+                assert volume.disk_of(address) == volume.disk_of(previous)
+            else:  # the file continues in a new extent, on whatever disk
+                continued += 1
+                assert previous + 1 == volume.total_blocks or (
+                    volume.disk_of(previous) != volume.disk_of(previous + 1)
+                )
+        # Stable on a second pass, in any order.
+        assert [layout.synthesize_address(inode_number, k) for k in reversed(range(40))] == (
+            addresses[::-1]
+        )
+    assert 5 < continued < 100
 
 
 def test_overwrite_kills_old_blocks(scheduler):
@@ -240,7 +294,7 @@ def test_writeback_that_fits_is_one_write_run_with_the_inode_behind_the_data(
         loaded = run(scheduler, layout.read_inode, inode.number)
         assert loaded.block_map == inode.block_map
         target = data_block()
-        run(scheduler, layout.read_file_block, loaded, 4, target)
+        run(scheduler, layout.read_file_blocks, loaded, [(4, target)])
         assert target.data[0] == 5
 
 

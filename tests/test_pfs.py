@@ -274,3 +274,89 @@ def test_sync_reaches_the_backing_files(tmp_path):
         live.close_backing()
         if copy is not None:
             copy.close_backing()
+
+
+def test_checkpoint_in_a_fresh_segment_survives_the_next_mount():
+    """The checkpoint that ``unmount`` writes opens a fresh segment.  Its
+    usage table must count that segment (its own blocks are the only live
+    ones there): the next mount used to take it for free, log new data over
+    the checkpoint the superblock still points at, and a crash before the
+    following checkpoint lost the whole file system."""
+    def small_pfs():
+        return PegasusFileSystem(
+            size_bytes=16 * MB,
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy="ups"),
+            layout=LayoutConfig(segment_size=64 * KB),
+        )
+
+    def remount(source):
+        fresh = small_pfs()
+        for old, new in zip(source.drivers, fresh.drivers):
+            new.restore(old.snapshot())
+        fresh.mount()
+        return fresh
+
+    first = small_pfs()
+    first.format()
+    files = {f"/f{i}": bytes((i * 17 + j) % 251 for j in range(5000 + 1000 * i)) for i in range(6)}
+    for path, content in files.items():
+        first.write_file(path, content)
+    first.sync()
+    layout = first.layout
+    root = first.fs.root_directory().inode
+    while layout._active_offset < layout.segment_blocks:  # fill the segment exactly
+        first.run(layout.write_inode, root)
+    full = layout._active_segment
+    first.unmount()
+    address, _nblocks = layout._checkpoint_location
+    assert layout.segment_of(address) != full  # the checkpoint opened a fresh segment
+
+    second = remount(first)
+    assert second.layout._active_segment != layout.segment_of(address)
+    # A segment's worth of new data reaches the log; no checkpoint follows.
+    second.write_file("/new", bytes(range(256)) * 16 * layout.segment_blocks)
+    second.run(second.cache.flush_all)
+
+    third = remount(second)  # the superblock still names the first checkpoint
+    for path, content in files.items():
+        assert third.read_file(path) == content, path
+
+
+def test_one_64kb_read_of_a_fragmented_file_costs_one_disk_read_per_fragment():
+    """A file written by three writebacks lies in three stretches of the
+    log: each writeback's inode, a neighbour's blocks and inode and a
+    checkpoint sit between one stretch and the next — too far apart to read
+    through.  One 64-KB call plans them as three runs, one disk read each,
+    and returns the model's bytes."""
+    pfs = _memory_pfs()
+    pfs.format()
+    model = bytearray()
+    for part, blocks in enumerate((6, 5, 5)):
+        data = bytes((part * 83 + j) % 251 for j in range(blocks * 4 * KB))
+        pfs.write_file("/f", data, offset=len(model))
+        model += data
+        pfs.sync()
+        pfs.write_file(f"/neighbour{part}", bytes([part + 1]) * (2 * 4 * KB))
+        pfs.sync()
+    assert len(model) == 64 * KB
+    inode = pfs.fs.file_table.find(pfs.stat("/f")["ino"]).inode
+    addresses = [inode.get_block_address(i) for i in range(16)]
+    breaks = [i for i in range(1, 16) if addresses[i] != addresses[i - 1] + 1]
+    assert breaks == [6, 11]
+    assert all(addresses[i] - addresses[i - 1] > 2 for i in breaks)  # not one-block gaps
+    pfs.cache.invalidate_file(inode.number)
+
+    reads = []
+    original = pfs.volume.read_run
+
+    def read_run(block_addr, nblocks=1):
+        reads.append((block_addr, nblocks))
+        return original(block_addr, nblocks)
+
+    pfs.volume.read_run = read_run
+    try:
+        assert pfs.read_file("/f", 0, 64 * KB) == bytes(model)
+    finally:
+        del pfs.volume.read_run
+    assert reads == [(addresses[0], 6), (addresses[6], 5), (addresses[11], 5)]

@@ -48,10 +48,11 @@ from repro.core.storage.segindex import (
     owner_key,
 )
 from repro.core.storage.volume import LocalVolume
-from repro.errors import ConfigurationError
+from repro.core.client import AbstractClientInterface
+from repro.errors import ConfigurationError, StorageError
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import run
+from tests.conftest import make_memory_filesystem, run
 
 INDEX = SegmentIndexConfig()
 
@@ -222,7 +223,36 @@ def _write_file(scheduler, layout, blocks, payload_base=0):
         (i, data_block(bytes([(payload_base + i) % 251]) * 32)) for i in range(blocks)
     ]
     run(scheduler, layout.write_file_blocks, inode, pairs)
+    inode.size = blocks * 4 * KB
     return inode
+
+
+class Slots:
+    """Stand-in for the block cache under a layout-level read: the slots a
+    file would hold, by block number.  Called with a block number it is the
+    read-ahead offer — a fresh slot, or ``None`` for a block already held."""
+
+    def __init__(self):
+        self.blocks = {}
+
+    def __call__(self, block_no):
+        if block_no in self.blocks:
+            return None
+        self.blocks[block_no] = data_block()
+        return self.blocks[block_no]
+
+    def read(self, scheduler, layout, inode, *block_nos):
+        """One client read of ``block_nos`` (read-ahead on offer)."""
+        wanted = [(n, self.blocks.setdefault(n, data_block())) for n in block_nos]
+        return run(scheduler, layout.read_file_blocks, inode, wanted, readahead=self)
+
+
+def planned(layout, inode, *block_nos, readahead=True):
+    """The planner's runs for one client read of ``block_nos``, and every
+    block they fetch (requested + read-ahead)."""
+    slots = {n: data_block() for n in block_nos}
+    runs = layout._plan_read_runs(inode, slots, Slots() if readahead else None)
+    return runs, sorted(slots)
 
 
 def test_lazy_mount_defers_summary_reads(scheduler):
@@ -294,7 +324,7 @@ def test_clean_segment_coalesces_reads_and_preserves_bytes(scheduler):
     # The copied-forward bytes still read back intact.
     for i in range(12):
         block = data_block()
-        assert run(scheduler, layout.read_file_block, inode, i, block)
+        assert run(scheduler, layout.read_file_blocks, inode, [(i, block)]) == 1
         assert bytes(block.data[:32]) == bytes([(3 + i) % 251]) * 32
 
 
@@ -302,96 +332,225 @@ def test_cold_reads_coalesce_into_runs(scheduler):
     layout = make_layout(scheduler, segment_blocks=8)
     inode = _write_file(scheduler, layout, blocks=10, payload_base=1)
     reads_before = layout.stats.disk_reads
-    for i in range(10):
-        block = data_block()
-        assert run(scheduler, layout.read_file_block, inode, i, block)
-        assert bytes(block.data[:32]) == bytes([(1 + i) % 251]) * 32
+    slots = Slots()
+    for i in range(10):  # a sequential reader, one block per call
+        if i not in slots.blocks:
+            assert slots.read(scheduler, layout, inode, i) > 1
+        assert bytes(slots.blocks[i].data[:32]) == bytes([(1 + i) % 251]) * 32
     assert layout.stats.cold_read_runs > 0
-    assert layout.stats.coalesced_read_hits == layout.stats.cold_read_blocks_coalesced
-    assert layout.stats.coalesced_read_hits > 0
-    # Strictly fewer disk reads than blocks.
-    assert layout.stats.disk_reads - reads_before == 10 - layout.stats.coalesced_read_hits
+    assert layout.stats.cold_read_blocks_coalesced > 0
+    # Strictly fewer disk reads than blocks: every block is read exactly once.
+    assert layout.stats.blocks_read == 10
+    assert (
+        layout.stats.disk_reads - reads_before
+        == 10 - layout.stats.cold_read_blocks_coalesced
+    )
 
-    # Index off: the original one-read-per-block path, byte-identical data.
+    # Index off: one read per block, no read-ahead, byte-identical data —
+    # also when one call asks for all ten.
     legacy = make_layout(scheduler, segment_blocks=8, index_config=None)
     legacy_inode = _write_file(scheduler, legacy, blocks=10, payload_base=1)
     reads_before = legacy.stats.disk_reads
+    slots = Slots()
+    assert slots.read(scheduler, legacy, legacy_inode, *range(10)) == 10
+    assert sorted(slots.blocks) == list(range(10))
     for i in range(10):
-        block = data_block()
-        assert run(scheduler, legacy.read_file_block, legacy_inode, i, block)
-        assert bytes(block.data[:32]) == bytes([(1 + i) % 251]) * 32
+        assert bytes(slots.blocks[i].data[:32]) == bytes([(1 + i) % 251]) * 32
     assert legacy.stats.disk_reads - reads_before == 10
     assert legacy.stats.cold_read_runs == 0
 
 
 def test_overwritten_block_is_never_served_stale_from_staging(scheduler):
-    layout = make_layout(scheduler, segment_blocks=8)
-    inode = _write_file(scheduler, layout, blocks=4, payload_base=0)
-    # Reading block 0 stages blocks 1..3 of the run.
-    block = data_block()
-    run(scheduler, layout.read_file_block, inode, 0, block)
-    # Overwrite block 1: its address moves to the log head, so the staged
-    # copy of the old address must not be consulted.
-    run(scheduler, layout.write_file_blocks, inode, [(1, data_block(b"fresh!"))])
-    block = data_block()
-    run(scheduler, layout.read_file_block, inode, 1, block)
-    assert bytes(block.data[:6]) == b"fresh!"
+    """Read-ahead lands in cache slots keyed by (file, block): a block
+    overwritten after it was read ahead is overwritten *in* its slot, and
+    once evicted it is read from its new address."""
+    fs, client, file = _cold_file(scheduler, blocks=4)
+    cache = fs.cache
+
+    def body():
+        handle = yield from client.open("/f")
+        # Reading block 0 brings blocks 1..3 of the run into the cache.
+        yield from client.read(handle, 0, 4 * KB)
+        cached = sorted(b.block_id.block_no for b in cache.cached_blocks_of(file.file_id))
+        assert cached == [0, 1, 2, 3]
+        # Overwrite block 1: its address moves to the log head.
+        yield from client.write(handle, 4 * KB, b"fresh!")
+        first = yield from client.read(handle, 4 * KB, 6)
+        yield from client.fsync(handle)
+        cache.invalidate_file(file.file_id)
+        second = yield from client.read(handle, 4 * KB, 6)
+        return first, second
+
+    assert run(scheduler, body) == (b"fresh!", b"fresh!")
+
+
+def _cold_file(scheduler, blocks, cache_blocks=64):
+    """A memory file system holding ``/f`` — ``blocks`` blocks, block ``i``
+    filled with byte ``i + 1`` — on disk and nowhere in the cache."""
+    fs = make_memory_filesystem(
+        scheduler, cache_blocks=cache_blocks, segment_blocks=32, index_config=INDEX
+    )
+    run(scheduler, fs.mount, True)
+    client = AbstractClientInterface(fs, auto_materialize=False)
+
+    def body():
+        handle = yield from client.create("/f")
+        yield from client.write(
+            handle, 0, b"".join(bytes([i + 1]) * (4 * KB) for i in range(blocks))
+        )
+        yield from client.fsync(handle)
+        yield from client.close(handle)
+        return (yield from client.lookup("/f"))
+
+    file = run(scheduler, body)
+    fs.cache.invalidate_file(file.file_id)
+    return fs, client, file
+
+
+def test_a_block_read_ahead_is_the_cache_miss_it_was(scheduler):
+    """Eight cold blocks (one run's worth) read in 8-KB calls: one disk
+    read, and the cache still reports eight misses — a block that arrived
+    with another block's read is counted when it is first referenced, as a
+    miss for the cache and as a coalesced hit for the layout."""
+    assert INDEX.read_coalesce_blocks == 8
+    fs, client, file = _cold_file(scheduler, blocks=8)
+    cache, layout = fs.cache, fs.layout
+    hits, misses = cache.stats.hits, cache.stats.misses
+    reads = layout.stats.disk_reads
+
+    def body():
+        handle = yield from client.open("/f")
+        data = b""
+        for offset in range(0, 8 * 4 * KB, 8 * KB):
+            data += yield from client.read(handle, offset, 8 * KB)
+        again = yield from client.read(handle, 0, 8 * KB)
+        return data, again
+
+    data, again = run(scheduler, body)
+    assert data == b"".join(bytes([i + 1]) * (4 * KB) for i in range(8))
+    assert again == data[: 8 * KB]
+    assert layout.stats.disk_reads - reads == 1
+    assert layout.stats.cold_read_blocks_coalesced == 7
+    assert layout.stats.coalesced_read_hits == 7
+    assert cache.stats.misses - misses == 8
+    assert cache.stats.hits - hits == 2  # only the re-read hit the cache
+    assert not any(block.read_ahead for block in cache.blocks())
+
+
+def test_two_clients_missing_the_same_run_cost_one_disk_read(scheduler):
+    fs, client, file = _cold_file(scheduler, blocks=8)
+    reads = fs.layout.stats.disk_reads
+
+    def reader(offset):
+        handle = yield from client.open("/f")
+        return (yield from client.read(handle, offset, 8 * KB))
+
+    first = scheduler.spawn(reader, 0)
+    second = scheduler.spawn(reader, 8 * KB)  # blocks 2-3: inside the first's run
+    assert scheduler.run_until_complete(first) == b"\x01" * (4 * KB) + b"\x02" * (4 * KB)
+    assert scheduler.run_until_complete(second) == b"\x03" * (4 * KB) + b"\x04" * (4 * KB)
+    assert fs.layout.stats.disk_reads - reads == 1
+
+
+def test_a_fill_that_fails_invalidates_every_placeholder_of_its_run(scheduler):
+    """Today's single-block rule, for the whole group: nothing a failed
+    read was filling stays behind as valid-looking data, and a client that
+    waited on one of the placeholders retries (and here fails too)."""
+    fs, client, file = _cold_file(scheduler, blocks=8)
+    cache, volume = fs.cache, fs.layout.volume
+    original = volume.read_run
+    outcomes = []
+
+    def failing_read_run(block_addr, nblocks=1):
+        yield from scheduler.sleep(0.01)  # long enough for the waiter to queue
+        raise StorageError("medium error")
+
+    def reader(offset):
+        handle = yield from client.open("/f")
+        try:
+            yield from client.read(handle, offset, 8 * KB)
+        except StorageError as exc:
+            outcomes.append(str(exc))
+
+    volume.read_run = failing_read_run
+    threads = [scheduler.spawn(reader, 0), scheduler.spawn(reader, 16 * KB)]
+    for thread in threads:
+        scheduler.run_until_complete(thread)
+    del volume.read_run
+    assert outcomes == ["medium error", "medium error"]
+    assert cache.cached_blocks_of(file.file_id) == []
+
+    def reread():
+        handle = yield from client.open("/f")
+        return (yield from client.read(handle, 0, 8 * 4 * KB))
+
+    assert run(scheduler, reread) == b"".join(bytes([i + 1]) * (4 * KB) for i in range(8))
 
 
 def test_cold_read_runs_through_the_inode_between_two_writebacks(scheduler):
     """A file written in two writebacks lies ``d0-3 i d4-7 i``: one disk
     read fetches all eight blocks, the interleaved inode fetched and
-    discarded — and the gapped run obeys the same staleness rule."""
+    discarded."""
     layout = make_layout(scheduler, segment_blocks=32)
     inode = layout.allocate_inode(FileKind.REGULAR)
     for first in (0, 4):
         pairs = [(first + i, data_block(bytes([first + i + 1]) * 32)) for i in range(4)]
         run(scheduler, layout.write_file_blocks, inode, pairs)
+    inode.size = 8 * 4 * KB
     start = inode.get_block_address(0)
-    assert [inode.get_block_address(i) - start for i in range(8)] == [0, 1, 2, 3, 5, 6, 7, 8]
-    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5, 6, 7, 8]
+    offsets = [0, 1, 2, 3, 5, 6, 7, 8]
+    assert [inode.get_block_address(i) - start for i in range(8)] == offsets
+    whole_file = [(start, list(zip(offsets, range(8))))]
+    assert planned(layout, inode, 0) == (whole_file, list(range(8)))
+    # The same run whether the blocks are asked for or read ahead ...
+    assert planned(layout, inode, *range(8), readahead=False)[0] == whole_file
+    # ... and without an offer of slots nothing is read ahead.
+    assert planned(layout, inode, 0, readahead=False) == ([(start, [(0, 0)])], [0])
 
     reads_before = layout.stats.disk_reads
-    block = data_block()
-    run(scheduler, layout.read_file_block, inode, 0, block)
+    slots = Slots()
+    assert slots.read(scheduler, layout, inode, 0) == 8
     assert layout.stats.disk_reads - reads_before == 1
     assert layout.stats.cold_read_blocks_coalesced == 7
-    # The inode block in the gap was not staged as file data.
-    assert sorted(a - start for a in layout._staged_reads) == [1, 2, 3, 5, 6, 7, 8]
+    # The inode block in the gap was not handed to anybody as file data.
+    assert sorted(slots.blocks) == list(range(8))
+    for i in range(8):
+        assert bytes(slots.blocks[i].data[:4]) == bytes([i + 1]) * 4
 
-    # Overwrite block 5 (past the gap): its staged copy must not be served.
+    # Overwrite block 5 (past the gap): it has left the run.
     run(scheduler, layout.write_file_blocks, inode, [(5, data_block(b"fresh!"))])
-    for i in range(1, 8):
-        block = data_block()
-        run(scheduler, layout.read_file_block, inode, i, block)
-        expected = b"fresh!" if i == 5 else bytes([i + 1]) * 6
-        assert bytes(block.data[:6]) == expected
-    # Blocks 1-4 and 6-7 came from staging; only block 5 cost a disk read.
-    assert layout.stats.coalesced_read_hits == 6
-    assert layout.stats.disk_reads - reads_before == 2
+    assert planned(layout, inode, 0)[1] == [0, 1, 2, 3, 4]
+    block = data_block()
+    assert run(scheduler, layout.read_file_blocks, inode, [(5, block)]) == 1
+    assert bytes(block.data[:6]) == b"fresh!"
 
     # A two-block gap is not read through, and the knob still bounds a run.
     other = layout.allocate_inode(FileKind.REGULAR)
     run(scheduler, layout.write_file_blocks, other, [(0, data_block(b"a"))])
     run(scheduler, layout.write_inode, other)
     run(scheduler, layout.write_file_blocks, other, [(1, data_block(b"b"))])
+    other.size = 2 * 4 * KB
     first = other.get_block_address(0)
     assert other.get_block_address(1) == first + 3
-    assert layout._read_run_offsets(other, 0, first) == [0]
-    layout._staged_reads.clear()
-    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5]  # 5 moved away
+    assert planned(layout, other, 0) == ([(first, [(0, 0)])], [0])
+    assert planned(layout, other, 0, 1)[0] == [(first, [(0, 0)]), (first + 3, [(0, 1)])]
     layout.index_config = replace(INDEX, read_coalesce_blocks=3)
-    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2]
+    assert planned(layout, inode, 0)[1] == [0, 1, 2]
+    # Asked-for blocks past the bound start the next run, which reads ahead.
+    runs, fetched = planned(layout, inode, 0, 1, 2, 3)
+    assert [[n for _offset, n in members] for _start, members in runs] == [[0, 1, 2], [3, 4]]
+    assert fetched == [0, 1, 2, 3, 4]
 
 
 def test_cold_read_run_stops_short_of_blocks_whose_write_is_in_flight(scheduler):
     """A writeback's addresses are in the inode as soon as they are
-    reserved; until its disk write lands a coalesced read must not fetch
-    (and stage) what is at those addresses."""
+    reserved; until its disk write lands read-ahead must not fetch what is
+    at those addresses."""
     layout = make_layout(scheduler, segment_blocks=32)
     inode = layout.allocate_inode(FileKind.REGULAR)
     first = [(i, data_block(bytes([i + 1]) * 32)) for i in range(4)]
     run(scheduler, layout.write_file_blocks, inode, first)
+    inode.size = 8 * 4 * KB
     start = inode.get_block_address(0)
 
     original = layout.volume.write_run
@@ -401,26 +560,108 @@ def test_cold_read_run_stops_short_of_blocks_whose_write_is_in_flight(scheduler)
         # The second writeback is reserved — block 4 sits one past the first
         # writeback's inode — but its bytes are not on disk yet: read block 0.
         assert inode.get_block_address(4) == start + 5
-        seen["offsets"] = layout._read_run_offsets(inode, 0, start)
-        block = data_block()
-        yield from layout.read_file_block(inode, 0, block)
-        seen["staged"] = sorted(a - start for a in layout._staged_reads)
+        seen["planned"] = planned(layout, inode, 0)[1]
+        slots = Slots()
+        yield from layout.read_file_blocks(
+            inode, [(0, slots.blocks.setdefault(0, data_block()))], readahead=slots
+        )
+        seen["fetched"] = sorted(slots.blocks)
         return (yield from original(block_addr, nblocks, data))
 
     layout.volume.write_run = stalled_write_run
     second = [(4 + i, data_block(bytes([5 + i]) * 32)) for i in range(4)]
     run(scheduler, layout.write_file_blocks, inode, second)
     del layout.volume.write_run
-    assert seen == {"offsets": [0, 1, 2, 3], "staged": [1, 2, 3]}
+    assert seen == {"planned": [0, 1, 2, 3], "fetched": [0, 1, 2, 3]}
     assert not layout._unwritten
 
     # Once the write has landed the run reads through to it, correctly.
-    layout._staged_reads.clear()
-    assert layout._read_run_offsets(inode, 0, start) == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert planned(layout, inode, 0)[1] == list(range(8))
+    slots = Slots()
+    assert slots.read(scheduler, layout, inode, 0) == 8
     for i in range(8):
-        block = data_block()
-        run(scheduler, layout.read_file_block, inode, i, block)
-        assert bytes(block.data[:4]) == bytes([i + 1]) * 4
+        assert bytes(slots.blocks[i].data[:4]) == bytes([i + 1]) * 4
+
+
+@st.composite
+def block_maps(draw):
+    """A file's block map as the log leaves it — stretches of adjacent
+    addresses, one-block gaps (an inode in between), longer gaps and jumps,
+    also backwards — plus what one client read asks for and what it finds:
+    reserved-but-unwritten addresses, blocks already cached, the bound."""
+    steps = draw(
+        st.lists(st.sampled_from([1, 1, 1, 1, 1, 1, 2, 2, 3, 9, -7, 40]), min_size=6, max_size=30)
+    )
+    address, addresses = draw(st.integers(1, 60)), []
+    for step in steps:
+        address = max(1, address + step)
+        addresses.append(address)
+    count = len(addresses)
+    holes = draw(st.sets(st.integers(0, count - 1), max_size=2))
+    block_map = {n: a for n, a in enumerate(addresses) if n not in holes}
+    # One call's blocks: a short stretch of the file, sometimes one more.
+    first = draw(st.integers(0, count - 1))
+    wanted = set(range(first, min(first + draw(st.integers(1, 5)), count)))
+    wanted |= draw(st.sets(st.integers(0, count - 1), max_size=1))
+    others = st.sets(st.integers(0, count - 1).filter(lambda n: n not in wanted), max_size=3)
+    unwritten = {block_map[n] for n in draw(others) if n in block_map}
+    cached = draw(others)
+    limit = draw(st.sampled_from([0, 1, 2, 3, 8, 8, 16]))
+    size_blocks = draw(st.sampled_from([count, count, count, draw(st.integers(0, count))]))
+    return block_map, wanted, unwritten, cached, limit, size_blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=block_maps())
+def test_planned_runs_cover_the_read_once_and_respect_every_bound(case):
+    block_map, wanted, unwritten, cached, limit, size_blocks = case
+    scheduler = Scheduler(clock=VirtualClock(), seed=7)
+    layout = make_layout(
+        scheduler,
+        segment_blocks=16,
+        disk_mb=1,
+        index_config=replace(INDEX, read_coalesce_blocks=limit),
+    )
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    inode.block_map = dict(block_map)
+    inode.size = size_blocks * 4 * KB
+    layout._unwritten = set(unwritten)
+    slots = {n: data_block() for n in wanted}
+    offered = []
+
+    def offer(block_no):
+        offered.append(block_no)
+        return None if block_no in cached else data_block()
+
+    runs = layout._plan_read_runs(inode, slots, offer)
+    fetched = [n for _start, members in runs for _offset, n in members]
+    ahead = sorted(set(slots) - wanted)
+    # Exactly the requested blocks that have an address, plus the read-ahead
+    # — each once, in file order.
+    assert fetched == sorted(fetched) and len(set(fetched)) == len(fetched)
+    assert set(fetched) == {n for n in wanted if n in block_map} | set(ahead)
+    for start, members in runs:
+        offsets = [offset for offset, _n in members]
+        assert offsets[0] == 0
+        assert all(0 < b - a <= 2 for a, b in zip(offsets, offsets[1:]))  # gaps of <= 1 block
+        assert all(block_map[n] == start + offset for offset, n in members)
+        assert len(members) <= max(limit, 1)
+        segment = layout.segment_of(start)
+        if segment < 0:
+            assert len(members) == 1
+        else:
+            assert layout.segment_of(start + offsets[-1]) == segment
+    # Read-ahead: the blocks right behind the last one asked for, inside the
+    # file, on disk already, into slots the cache could spare — and only
+    # blocks that were going to be fetched were asked a slot for.
+    if ahead:
+        last = max(n for n in wanted if n in block_map)
+        assert ahead == list(range(last + 1, last + 1 + len(ahead)))
+        assert ahead[-1] < size_blocks
+        assert not {block_map[n] for n in ahead} & unwritten
+        assert not set(ahead) & cached
+        assert [n for _offset, n in runs[-1][1]][-len(ahead):] == ahead  # the last run, extended
+    assert [n for n in offered if n not in cached] == ahead
 
 
 def test_may_contain_inode_probe(scheduler):
