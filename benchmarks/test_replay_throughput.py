@@ -29,19 +29,13 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
-from benchmarks.conftest import BENCH_SEED, BENCH_TRACE_SCALE, run_once
-from repro.config import cluster_config
-from repro.patsy.simulator import PatsySimulator
+from benchmarks.conftest import run_once
 from repro.patsy.stats import LatencyRecorder
 from repro.patsy.traces import TraceReader, iter_trace_tuples
-from repro.patsy.workload import WorkloadProfile, generate_workload
-from repro.units import KB
 
 TRACE_OPS = 1_000_000
 NUM_CLIENTS = 8
@@ -258,211 +252,12 @@ def compare_pipelines(trace_path: Path):
     }
 
 
-# --------------------------------------------------------------------------- parallel cluster replay
-
-CLUSTER_NODES = 4
-CLUSTER_CLIENTS = 8
-
-
-def partitioned_cluster_workload():
-    """A 4-node-partitionable trace: every client works inside its own
-    ``/c{i}`` subtree, so per-node worker processes never share state."""
-    merged = []
-    for client in range(CLUSTER_CLIENTS):
-        profile = WorkloadProfile(
-            name=f"cluster-parallel-c{client}",
-            duration=60.0 * max(BENCH_TRACE_SCALE, 0.1) / 0.4,
-            num_clients=1,
-            read_fraction=0.7,
-            stat_fraction=1.0,
-            stat_burst=1,
-            initial_files=25,
-            mean_file_size=32 * KB,
-            large_file_fraction=0.05,
-            large_file_size=256 * KB,
-            mean_think_time=0.25,
-            intra_op_gap=0.01,
-            overwrite_fraction=0.2,
-            delete_fraction=0.1,
-            hot_read_fraction=0.2,
-            hot_set_size=5,
-        )
-        for record in generate_workload(profile, seed=BENCH_SEED + client):
-            merged.append(
-                replace(
-                    record,
-                    client=client,
-                    path=f"/c{client}{record.path}",
-                    path2=f"/c{client}{record.path2}" if record.path2 else record.path2,
-                )
-            )
-    merged.sort(key=lambda record: record.timestamp)
-    return merged
-
-
-def _cluster_replay_config(*, sharded_loop: bool, parallel: bool):
-    config = cluster_config(
-        nodes=CLUSTER_NODES,
-        scale=0.001,
-        seed=BENCH_SEED,
-        volumes_per_node=2,
-        disks_per_node=2,
-        buses_per_node=1,
-        placement="node",
-        rebalance=False,
-    )
-    return replace(
-        config,
-        cluster=replace(
-            config.cluster,
-            client_entry="home",
-            sharded_loop=sharded_loop,
-            parallel=parallel,
-        ),
-    )
-
-
-def _timed_replay(config, trace):
-    gc.collect()
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    result = PatsySimulator(config).replay(trace, trace_name="cluster-parallel")
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - wall_start
-    return result, wall, cpu
-
-
-def _cluster_leg(result, wall, cpu):
-    return {
-        "elapsed_seconds": round(wall, 3),
-        "cpu_seconds": round(cpu, 3),
-        "operations": result.operations,
-        "errors": result.errors,
-        "simulated_time": result.simulated_time,
-        "mean_latency": result.mean_latency,
-    }
-
-
-def run_cluster_replay_benchmarks():
-    """The three execution modes of the same 4-node replay.
-
-    ``sequential`` is the single global event heap (node-merge policy),
-    ``sharded`` the per-node sub-queues in one process (Stage A), and
-    ``parallel`` one worker process per node (Stage B).  All three produce
-    identical simulation results; the parallel leg additionally reports its
-    critical path — the largest per-worker CPU time, i.e. the wall-clock
-    the replay takes once every worker has its own core.  On boxes with
-    fewer cores than nodes (``cpu_count`` is recorded alongside) the
-    workers time-slice and elapsed wall-clock shows no win; the
-    per-worker CPU seconds are scheduling-independent, so the critical
-    path is the honest multi-core number either way.
-    """
-    trace = partitioned_cluster_workload()
-
-    sequential, seq_wall, seq_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=False, parallel=False), trace
-    )
-    sharded, shard_wall, shard_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=True, parallel=False), trace
-    )
-    parallel, par_wall, par_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=True, parallel=True), trace
-    )
-
-    stats = parallel.parallel_stats
-    critical_path = stats["critical_path_seconds"]
-    section = {
-        "nodes": CLUSTER_NODES,
-        "trace_ops": len(trace),
-        "cpu_count": os.cpu_count(),
-        "sequential": _cluster_leg(sequential, seq_wall, seq_cpu),
-        "sharded": _cluster_leg(sharded, shard_wall, shard_cpu),
-        "parallel": dict(
-            _cluster_leg(parallel, par_wall, par_cpu),
-            workers=stats["workers"],
-            worker_cpu_seconds={
-                node: round(seconds, 3)
-                for node, seconds in sorted(stats["worker_cpu_seconds"].items())
-            },
-            critical_path_seconds=round(critical_path, 3),
-        ),
-        "speedup_sharded": round(seq_cpu / shard_cpu, 2),
-        "speedup_parallel_critical_path": round(seq_cpu / critical_path, 2),
-    }
-    return section, sequential, sharded, parallel
-
-
-def test_parallel_cluster_replay(benchmark):
-    section, sequential, sharded, parallel = run_once(
-        benchmark, run_cluster_replay_benchmarks
-    )
-
-    # Merge the cluster section into BENCH_replay.json next to the pipeline
-    # numbers (test_replay_throughput writes the base report first when the
-    # whole directory runs; standalone runs update the committed file).
-    report = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    report["cluster"] = section
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    print()
-    for leg in ("sequential", "sharded", "parallel"):
-        row = section[leg]
-        print(
-            f"{leg:<11} wall={row['elapsed_seconds']:>6.2f}s "
-            f"cpu={row['cpu_seconds']:>6.2f}s "
-            f"sim-time={row['simulated_time']:.2f}s ops={row['operations']}"
-        )
-    print(
-        f"critical path (max worker cpu): "
-        f"{section['parallel']['critical_path_seconds']:.2f}s on "
-        f"{section['parallel']['workers']} workers (cpu_count={section['cpu_count']})"
-    )
-    print(
-        f"speedup: sharded {section['speedup_sharded']}x, "
-        f"parallel critical-path {section['speedup_parallel_critical_path']}x "
-        f"-> {RESULT_PATH.name}"
-    )
-
-    # Unchanged simulated-time results across all three execution modes.
-    # Beyond the recorder's exact-replay window the merged mean is a sum of
-    # per-node partial sums, so float summation *order* differs from the
-    # sequential stream — everything else (simulated time, counts, blocks)
-    # must match exactly, the means to the last few ulps.
-    assert sequential.summary() == sharded.summary()
-    seq_summary = sequential.summary()
-    par_summary = parallel.summary()
-    float_keys = {
-        key
-        for key in seq_summary
-        if isinstance(seq_summary[key], float) and "latency" in key
-    }
-    for key in seq_summary:
-        if key in float_keys:
-            assert math.isclose(par_summary[key], seq_summary[key], rel_tol=1e-12), key
-        else:
-            assert par_summary[key] == seq_summary[key], key
-    assert sequential.simulated_time == parallel.simulated_time
-    assert sequential.errors == 0
-    # The acceptance bar: with one worker per node, the replay's critical
-    # path is at least 2x faster than the sequential event loop.
-    assert section["speedup_parallel_critical_path"] >= 2.0, (
-        f"parallel critical path {section['parallel']['critical_path_seconds']}s "
-        f"vs sequential {section['sequential']['cpu_seconds']}s cpu"
-    )
-
-
 def test_replay_throughput(benchmark, tmp_path):
     trace_path = tmp_path / "replay-1m.tsv"
     write_trace(trace_path, TRACE_OPS)
 
     report = run_once(benchmark, compare_pipelines, trace_path)
 
-    # Preserve the cluster section written by test_parallel_cluster_replay
-    # (either earlier in this run or committed from a previous one).
-    if RESULT_PATH.exists():
-        previous = json.loads(RESULT_PATH.read_text())
-        if "cluster" in previous:
-            report["cluster"] = previous["cluster"]
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print()
     print(

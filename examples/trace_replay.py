@@ -8,7 +8,7 @@ Patsy simulator, and print the per-interval and plug-in statistics,
 including the disk-queue and rotational-delay histograms.
 
 Run with:  python examples/trace_replay.py [trace-name] [scale] [--full-hardware] [--volumes N]
-           python examples/trace_replay.py --nodes 4 --jobs 4   # parallel cluster replay
+           python examples/trace_replay.py --nodes 4   # 4-node cluster replay
 """
 
 import argparse
@@ -16,16 +16,12 @@ import tempfile
 from pathlib import Path
 
 from repro import PatsySimulator, sprite_like_trace
+from repro.analysis.report import format_cluster_table
 from repro.cli import add_cluster_flags, add_stack_flags, cluster_replay_config
 from repro.config import FlushConfig, sprite_server_config, sun4_280_config
 from repro.patsy.sprite import load_sprite_trace
 from repro.patsy.stats import DiskQueuePlugin, RotationalDelayPlugin
-from repro.patsy.traces import (
-    load_trace,
-    operation_mix,
-    partition_by_client,
-    save_trace,
-)
+from repro.patsy.traces import load_trace, operation_mix, save_trace
 from repro.units import human_time
 
 
@@ -50,12 +46,9 @@ def main() -> None:
 
     # 3. Configure a simulator close to the paper's Sprite server and replay.
     if args.nodes > 1:
-        # N-node cluster replay.  The trace is rewritten into per-client
-        # subtrees so every node owns its clients' files outright — the
-        # partition that lets --parallel/--jobs run one worker process per
-        # node with byte-identical results.
+        # N-node cluster replay: node 0 is the front end, files home by
+        # directory across every node's volumes, the rebalancer runs.
         config = cluster_replay_config(args, seed=11)
-        replayable = partition_by_client(replayable)
     elif args.full_hardware:
         # The paper machine as a storage array: per-volume layouts, cache
         # shards and flush daemons via the sun4_280 preset.
@@ -77,20 +70,14 @@ def main() -> None:
             f"{report['operations']:5d} ops, mean {human_time(report['mean_latency'])}"
         )
 
-    if result.parallel_stats:
-        stats = result.parallel_stats
-        print(
-            f"\nparallel replay: {stats['workers']} worker processes, "
-            f"critical path {stats['critical_path_seconds']:.2f}s "
-            "(max per-worker CPU time)"
-        )
-    else:
-        # The plug-in histograms sample the in-process hardware models; a
-        # parallel run's hardware lives in the worker processes.
-        print("\nplug-in statistics histograms:")
-        print(DiskQueuePlugin().histogram(simulator).to_ascii(label="disk queue length"))
+    if result.cluster_stats:
         print()
-        print(RotationalDelayPlugin().histogram(simulator).to_ascii(label="rotational delay (s)"))
+        print(format_cluster_table(result.cluster_stats))
+
+    print("\nplug-in statistics histograms:")
+    print(DiskQueuePlugin().histogram(simulator).to_ascii(label="disk queue length"))
+    print()
+    print(RotationalDelayPlugin().histogram(simulator).to_ascii(label="rotational delay (s)"))
 
     trace_path.unlink(missing_ok=True)
 

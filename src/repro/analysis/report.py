@@ -305,15 +305,6 @@ def format_cluster_table(
             f"dead-nodes={len(faults.get('dead_nodes', []))} "
             f"partitioned={len(faults.get('unreachable_volumes', []))}"
         )
-    parallel = cluster_stats.get("parallel")
-    if parallel:
-        jobs = parallel.get("jobs", 0)
-        lines.append(
-            f"parallel replay: workers={parallel.get('workers', 0)} "
-            f"jobs={jobs if jobs else 'per-node'} "
-            f"critical-path={parallel.get('critical_path_seconds', 0.0):.2f}s "
-            "(max per-worker cpu)"
-        )
     return "\n".join(lines)
 
 

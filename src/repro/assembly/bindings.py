@@ -30,7 +30,7 @@ from repro.assembly.spec import StackSpec
 from repro.core.clock import RealClock, VirtualClock
 from repro.core.datamover import DataMover
 from repro.core.iosched import make_io_scheduler
-from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler, ShardedScheduler
+from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler
 from repro.units import MB
 
 __all__ = ["Hardware", "Binding", "SimulatedBinding", "OnlineBinding", "ClusterBinding"]
@@ -76,16 +76,13 @@ class Binding:
     def _cluster_scheduler(self, clock: Any, seed: int, cluster: Optional[Any]) -> Scheduler:
         """The shared scheduler-selection rule.
 
-        Multi-node stacks run under the deterministic node-merge order so the
-        interleaving is a pure function of the workload (the premise of the
-        sharded and parallel executors); ``cluster.sharded_loop`` picks the
-        per-node sub-queue implementation of that same order.  Single-machine
-        stacks keep the paper's seeded random policy, byte-for-byte.
+        Multi-node stacks run under the deterministic node-merge order
+        (lowest node, then arrival stamp), so the interleaving is a pure
+        function of the workload.  Single-machine stacks keep the paper's
+        seeded random policy, byte-for-byte.
         """
         if cluster is None or cluster.nodes <= 1:
             return Scheduler(clock=clock, seed=seed)
-        if cluster.sharded_loop:
-            return ShardedScheduler(clock=clock, seed=seed, nodes=cluster.nodes)
         return Scheduler(clock=clock, seed=seed, policy=NodeMergeSchedulingPolicy())
 
     def build_hardware(self, spec: StackSpec, scheduler: Scheduler) -> Hardware:

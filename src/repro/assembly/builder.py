@@ -267,14 +267,6 @@ def build_stack(
             stripe_unit=node_array.stripe_unit_blocks,
         )
         if cluster is not None:
-            if hasattr(placement, "bind_cluster"):
-                # Node-affine policies resolve the creator's node from the
-                # scheduler's current thread at allocation time.
-                def _creator_node(scheduler: Scheduler = scheduler) -> int:
-                    current = scheduler.current_thread
-                    return current.node if current is not None else 0
-
-                placement.bind_cluster(spec.volumes_per_node, _creator_node)
             placement = ClusterPlacement(
                 placement,
                 cluster.nodes,
@@ -290,12 +282,12 @@ def build_stack(
                 block_size=spec.cache.block_size,
             )
             node = spec.node_of_volume(v)
-            if nics and (node != 0 or cluster is not None and cluster.client_entry == "home"):
+            if nics and node != 0:
                 # Node-aware wrapper: accesses from the owner's own threads
-                # (daemons, homed clients) stay off the network; foreign
-                # accesses cross the accessor's NIC out and the owner's back.
-                # Under the default front-end entry, node-0 volumes stay bare
-                # LocalVolumes — node 0 is where every client runs.
+                # (its daemons) stay off the network; foreign accesses cross
+                # the accessor's NIC out and the owner's back.  Node-0
+                # volumes stay bare LocalVolumes — node 0 is the front end,
+                # where every client runs.
                 assert cluster is not None
                 remote = RemoteVolume(
                     local,

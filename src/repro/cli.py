@@ -15,25 +15,16 @@ sub-config or a whole simulator configuration, both routed through the
 :func:`repro.config.sun4_280_config` preset so the examples and the
 benchmarks agree on what "the full machine" means.
 
-Cluster replays additionally take the parallel-execution flags:
-
-* ``--nodes N`` — replay on an N-node cluster instead of one machine.
-* ``--parallel`` — run each node's event sub-queue in its own worker
-  process (Stage B of the sharded scheduler); results are byte-identical
-  to the sequential replay.
-* ``--jobs N`` — cap the number of concurrent worker processes (0, the
-  default, means one per node); implies ``--parallel``.
-
-``add_cluster_flags`` installs them; ``cluster_replay_config`` turns the
-parsed arguments into the node-partitioned cluster configuration the
-parallel executor requires (``client_entry="home"``, node-affine
-placement, rebalancing off).
+Cluster replays additionally take ``--nodes N`` — replay on an N-node
+cluster instead of one machine.  ``add_cluster_flags`` installs it;
+``cluster_replay_config`` turns the parsed arguments into the
+:func:`repro.config.cluster_config` preset (front-end entry at node 0,
+directory placement, online rebalancing — the shape the benchmarks run).
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 from typing import Optional
 
 from repro.config import (
@@ -103,25 +94,13 @@ def stack_config(
 
 
 def add_cluster_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Add the ``--nodes`` / ``--parallel`` / ``--jobs`` replay flags."""
+    """Add the ``--nodes`` replay flag."""
     parser.add_argument(
         "--nodes",
         type=int,
         default=1,
         metavar="N",
         help="replay on an N-node cluster (default: 1, a single machine)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="one worker process per node; byte-identical to the sequential replay",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cap on concurrent worker processes (0 = one per node); implies --parallel",
     )
     return parser
 
@@ -178,30 +157,7 @@ def fault_schedule(args: argparse.Namespace) -> list:
 def cluster_replay_config(
     args: argparse.Namespace, scale: float = 0.01, seed: int = 0
 ) -> SimulationConfig:
-    """The cluster configuration selected by the ``add_cluster_flags``
-    flags, shaped for the node partition the parallel executor needs:
-    clients enter the simulation at their home node, placement is
-    node-affine and online rebalancing is off (it would migrate files
-    across the partition mid-run).  Use with a trace whose clients stay
-    inside per-client subtrees — see
-    :func:`repro.patsy.traces.partition_by_client`."""
+    """The :func:`repro.config.cluster_config` preset at ``--nodes`` nodes."""
     if args.nodes < 1:
         raise ConfigurationError("--nodes must be at least 1")
-    if args.jobs < 0:
-        raise ConfigurationError("--jobs cannot be negative")
-    config = cluster_config(
-        nodes=args.nodes,
-        scale=scale,
-        seed=seed,
-        placement="node",
-        rebalance=False,
-    )
-    return replace(
-        config,
-        cluster=replace(
-            config.cluster,
-            client_entry="home",
-            parallel=args.parallel or args.jobs > 0,
-            jobs=args.jobs,
-        ),
-    )
+    return cluster_config(nodes=args.nodes, scale=scale, seed=seed)

@@ -299,11 +299,8 @@ class ArrayConfig:
     #: explicit total disk count (None = buses * disks_per_bus).
     num_disks: Optional[int] = None
     #: placement policy routing files/blocks to volumes: "hash" (whole file
-    #: by name hash), "stripe" (round-robin stripe units across volumes),
-    #: "directory" (files co-locate with their parent directory) or "node"
-    #: (top-level directories home on their creator's cluster node,
-    #: directory affinity below — the partitioned layout the parallel
-    #: replay executor requires).
+    #: by name hash), "stripe" (round-robin stripe units across volumes) or
+    #: "directory" (files co-locate with their parent directory).
     placement: str = "hash"
     #: stripe unit in file blocks (placement == "stripe").
     stripe_unit_blocks: int = 16
@@ -330,7 +327,7 @@ class ArrayConfig:
             raise ConfigurationError("each volume needs at least one disk")
         if self.buses > disks:
             raise ConfigurationError("more buses than disks makes no sense")
-        if self.placement not in {"hash", "stripe", "directory", "node"} and not _is_registered(
+        if self.placement not in {"hash", "stripe", "directory"} and not _is_registered(
             "placement", self.placement
         ):
             raise ConfigurationError(f"unknown placement policy {self.placement!r}")
@@ -426,21 +423,6 @@ class ClusterConfig:
     metadata_latency: float = 0.0002
     #: bandwidth of the metadata device, bytes per second.
     metadata_bandwidth: float = 20 * MB
-    #: shard the event loop by node (per-node sub-queues with a deterministic
-    #: cross-node merge).  Always safe with ``nodes > 1``: the schedule is a
-    #: pure function of the workload either way.  ``False`` keeps the single
-    #: global heap (the sequential reference the sharded loop is pinned to).
-    sharded_loop: bool = True
-    #: run each node's sub-queue in a worker process (``core.parallel``);
-    #: requires a node-partitioned workload (``client_entry="home"``, the
-    #: ``node`` placement, rebalancing off).
-    parallel: bool = False
-    #: worker-process cap for ``parallel`` runs; 0 = one worker per node.
-    jobs: int = 0
-    #: where client requests enter the cluster: ``"front-end"`` (node 0
-    #: issues everything, the paper's shape) or ``"home"`` (each client is
-    #: pinned round-robin to a node and its I/O starts there).
-    client_entry: str = "front-end"
     #: extra copies kept of every file (0 = no replication, the pre-existing
     #: single-copy stack, byte-identical by construction).  Replica ``i`` of
     #: a file homes on the next nodes after its primary's node (the next
@@ -464,14 +446,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError("a cluster needs at least one node")
-        if self.jobs < 0:
-            raise ConfigurationError("jobs cannot be negative")
-        if self.client_entry not in ("front-end", "home"):
-            raise ConfigurationError(
-                f"unknown client_entry {self.client_entry!r} (want 'front-end' or 'home')"
-            )
-        if self.parallel and not self.sharded_loop:
-            raise ConfigurationError("parallel replay requires the sharded event loop")
         if self.network_bandwidth <= 0:
             raise ConfigurationError("network bandwidth must be positive")
         if self.network_latency < 0 or self.nic_overhead < 0:
@@ -508,11 +482,6 @@ class ClusterConfig:
             # The WAL packs a replica set into one i64 argument: up to seven
             # 8-bit volume slots, so at most 6 extra copies.
             raise ConfigurationError("replicas must be between 0 and 6")
-        if self.replicas > 0 and self.parallel:
-            raise ConfigurationError(
-                "replication is not supported under the parallel executor "
-                "(replica writes cross the node partition)"
-            )
         if self.repair_interval <= 0:
             raise ConfigurationError("repair_interval must be positive")
         if self.repair_workers < 1:

@@ -10,7 +10,7 @@ the NIC is released — the wire is pipelined, only the interface serialises.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.core.scheduler import Delay, Scheduler
 from repro.core.sync import Resource
@@ -49,26 +49,6 @@ class Nic:
 
     def serialisation_time(self, nbytes: int) -> float:
         return self.overhead + nbytes / self.bandwidth
-
-    @property
-    def lookahead(self) -> float:
-        """Minimum in-flight time of any message through this NIC.
-
-        Per-message overhead plus propagation latency — the serialisation
-        term only grows with the payload, so this is a hard lower bound on
-        how long any cross-node interaction stays invisible to the peer.
-        Conservative parallel replay (:mod:`repro.core.parallel`) uses it as
-        the Chandy–Misra lookahead: a node granted time ``T`` may run freely
-        to ``T + lookahead`` without waiting for new messages.
-        """
-        return self.overhead + self.latency
-
-    def earliest_delivery(self, now: Optional[float] = None) -> float:
-        """Earliest time a message sent through this NIC from ``now`` (default:
-        the current scheduler time) can reach its destination."""
-        if now is None:
-            now = self.scheduler.now
-        return now + self.lookahead
 
     # -- use ---------------------------------------------------------------------
 

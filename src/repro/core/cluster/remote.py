@@ -38,9 +38,9 @@ class RemoteVolume(Volume):
         Node-aware routing (cluster stacks): ``node`` is the volume's owner
         and ``nics`` the per-node interfaces.  Each access resolves the
         *accessor's* node from the scheduler's current thread — an access
-        from the owner node (its flush daemon, cleaner, or a client homed
-        there) goes straight to the backing volume, while a foreign access
-        crosses the accessor's NIC out and the owner's NIC back.  Without a
+        from the owner node (its flush daemon or cleaner) goes straight to
+        the backing volume, while a foreign access crosses the accessor's
+        NIC out and the owner's NIC back.  Without a
         scheduler the wrapper is static: every access is charged the
         ``local_nic``/``remote_nic`` pair (the front-end-relative model).
     """

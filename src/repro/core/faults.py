@@ -20,7 +20,7 @@ False and every check short-circuits on one attribute read).
 :class:`FaultInjector` is the active half: a daemon thread that sleeps on
 the ordinary scheduler until each scripted event's time and applies it —
 one ``Delay`` per event, so the same schedule fires at the same simulated
-instants under both the sequential and the sharded event loop.
+instants on every run.
 
 What a fault *means* is enforced at the routing layer
 (:class:`~repro.core.storage.array.RoutedLayout`): reads addressed to an
@@ -216,8 +216,7 @@ class FaultInjector:
         self.applied = 0
 
     def start(self) -> None:
-        """Spawn the injector daemon (idempotent; node 0, so the timeline
-        is identical under the sequential and the sharded loop)."""
+        """Spawn the injector daemon (idempotent; on node 0, the front end)."""
         if self.thread is None and self.schedule:
             self.thread = self.scheduler.spawn(
                 self._daemon, name="fault-injector", daemon=True, node=0

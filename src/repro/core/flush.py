@@ -66,7 +66,7 @@ class FlushPolicy(ABC):
         self.wakeups_coalesced = 0
         #: blocks flushed ahead of demand to restock the free-block pool.
         self.flush_ahead_blocks = 0
-        #: cluster node whose sub-queue runs this policy's daemons.
+        #: cluster node this policy's daemons run on.
         self.node = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -74,8 +74,9 @@ class FlushPolicy(ABC):
     def attach(self, cache: BlockCache, scheduler: Scheduler, node: int = 0) -> None:
         """Connect the policy to a cache and start its service threads.
 
-        ``node`` tags the daemons with the cluster node that owns the cache,
-        so a sharded or parallel replay runs them on that node's sub-queue.
+        ``node`` tags the daemons with the cluster node that owns the cache:
+        the node-merge scheduling order sorts by it, and a volume access
+        from its owner's daemons stays off the network.
         """
         self.cache = cache
         self.scheduler = scheduler
@@ -369,8 +370,7 @@ class ShardedFlushPolicy(FlushPolicy):
                 self.governor_threads = [self.governor_thread]
             return
         # Cluster: one governor per node, each watching only its node's
-        # shards — flush pressure never crosses the NIC boundary, which is
-        # what lets the parallel executor run each node independently.
+        # shards — flush pressure never crosses the NIC boundary.
         for shard_node in distinct_nodes:
             group = [s for s, n in zip(shards, shard_nodes) if n == shard_node]
             if len(group) <= 1:

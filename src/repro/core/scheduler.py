@@ -27,14 +27,10 @@ is how a PFS instantiation serves real clients.
 As in the paper, the default scheduling policy picks a *random* runnable
 thread; other policies are derived classes of :class:`SchedulingPolicy`.
 
-Cluster replays shard this event loop by node.  Every thread carries the
-``node`` it runs on; :class:`NodeMergeSchedulingPolicy` makes the
-interleaving a deterministic pure function of the workload (lowest node
-first, then arrival order), and :class:`ShardedScheduler` reproduces exactly
-that schedule from per-node sub-queues — node-local events run from a
-node-local deque/heap, cross-node wake-ups pass through a small transfer
-queue, and the global merge is only performed when the clock must advance
-past another node's earliest pending event (the conservative window).
+Multi-node stacks run this same event loop.  Every thread carries the
+``node`` it runs on, and :class:`NodeMergeSchedulingPolicy` orders runnable
+threads by lowest node first, then arrival stamp — which makes a cluster
+replay a deterministic pure function of the trace.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ import heapq
 import itertools
 import random
 from abc import ABC, abstractmethod
-from collections import deque
 from hashlib import blake2b
 from typing import Any, Callable, Dict, Generator, Iterable, Optional, Sequence
 
@@ -65,7 +60,6 @@ __all__ = [
     "FifoSchedulingPolicy",
     "NodeMergeSchedulingPolicy",
     "Scheduler",
-    "ShardedScheduler",
 ]
 
 
@@ -246,8 +240,8 @@ class Thread:
     threads (disk controllers, the cleaner, flush daemons) that are expected
     to be blocked forever when a run ends; they are excluded from deadlock
     accounting.  ``node`` is the cluster node the thread belongs to (0 for
-    single-machine stacks); it routes the thread to its per-node sub-queue
-    under a :class:`ShardedScheduler`.
+    single-machine stacks); :class:`NodeMergeSchedulingPolicy` orders by it
+    and the schedule hash keeps one stream per node.
     """
 
     _counter = itertools.count(1)
@@ -395,12 +389,10 @@ class NodeMergeSchedulingPolicy(SchedulingPolicy):
     """Deterministic cluster merge order: lowest node first, then arrival.
 
     At equal simulated time the runnable thread with the smallest
-    ``(node, arrival stamp)`` pair runs first.  This is the tie-break rule of
-    the sharded event loop (time is handled by the delayed heap; the stamp is
-    the per-node sequence), expressed as an ordinary policy so a plain
-    :class:`Scheduler` produces the *identical* schedule — the sequential
-    reference that :class:`ShardedScheduler` and the parallel executor are
-    pinned against.
+    ``(node, arrival stamp)`` pair runs first (time is handled by the delayed
+    heap).  Nothing in the rule is random, so the schedule of a multi-node
+    stack is a pure function of the workload;
+    ``tests/golden/cluster_schedule.json`` pins it.
     """
 
     def select(self, runnable: Sequence[Thread], rng: random.Random) -> int:
@@ -451,10 +443,12 @@ class Scheduler:
         #: thread's entry can be recycled across repeated delays).
         self._delayed: list[list] = []
         self._seq = itertools.count()
-        #: arrival stamps for the deterministic node-merge order; one global
-        #: monotone counter shared by every sub-queue.
+        #: arrival stamps for the deterministic node-merge order.
         self._stamp_counter = itertools.count()
-        self._threads: list[Thread] = []
+        #: every thread that has not run to completion, in spawn order (a
+        #: dict for O(1) removal); :meth:`_finish` drops a thread, so memory
+        #: follows the live population, not the number ever spawned.
+        self._threads: Dict[Thread, None] = {}
         self._failures: list[Thread] = []
         self.current_thread: Optional[Thread] = None
         #: number of thread resumptions performed (context switches).
@@ -511,7 +505,7 @@ class Scheduler:
             current = self.current_thread
             node = current.node if current is not None else 0
         thread = Thread(self, generator, name or default_name, daemon=daemon, node=node)
-        self._threads.append(thread)
+        self._threads[thread] = None
         self._make_runnable(thread)
         return thread
 
@@ -525,7 +519,8 @@ class Scheduler:
 
     @property
     def threads(self) -> tuple[Thread, ...]:
-        return tuple(self._threads)
+        """The live threads, in spawn order."""
+        return tuple(t for t in self._threads if t.alive)
 
     @property
     def failures(self) -> tuple[Thread, ...]:
@@ -545,10 +540,9 @@ class Scheduler:
         if self._abort is not None:
             exc, self._abort = self._abort, None
             # The machine died: daemons (flush/WAL/cleaner service threads,
-            # including lazily-spawned ones sitting in per-node sub-queues)
-            # must not survive into the post-crash recovery run, or an armed
-            # crash point can leave a sub-queue non-empty and hang the
-            # recovery matrix.
+            # including lazily-spawned ones) must not survive into the
+            # post-crash recovery run, or an armed crash point can leave a
+            # queue non-empty and hang the recovery matrix.
             self.cancel_daemons()
             raise exc
 
@@ -558,7 +552,11 @@ class Scheduler:
         Models a crash taking the service threads down with the machine: the
         generators are abandoned mid-flight (no ``finally`` cleanup runs, as
         none would on a real power failure) and their queue entries are
-        purged so no sub-queue retains work.  Returns the number cancelled.
+        purged so no queue retains work.  Returns the number cancelled.
+
+        Cancelled threads stay referenced from the thread table: releasing
+        an unfinished generator would close it, which runs exactly the
+        ``finally`` blocks a power failure never reaches.
         """
         now = self.clock.now()
         cancelled = 0
@@ -573,16 +571,12 @@ class Scheduler:
                     thread._waiting_on = None
                 cancelled += 1
         if cancelled:
-            self._purge_dead()
+            self._runnable[:] = [t for t in self._runnable if t.alive]
+            live = [entry for entry in self._delayed if entry[2].alive]
+            if len(live) != len(self._delayed):
+                self._delayed[:] = live
+                heapq.heapify(self._delayed)
         return cancelled
-
-    def _purge_dead(self) -> None:
-        """Drop dead threads from the runnable/delayed structures."""
-        self._runnable[:] = [t for t in self._runnable if t.alive]
-        live = [entry for entry in self._delayed if entry[2].alive]
-        if len(live) != len(self._delayed):
-            self._delayed[:] = live
-            heapq.heapify(self._delayed)
 
     # -- schedule recording ----------------------------------------------------
 
@@ -591,16 +585,10 @@ class Scheduler:
 
         Every step folds ``(time, thread name)`` into the hasher of the
         stepped thread's node.  Per-node streams (rather than one global
-        stream) are what make the digests comparable across the sequential,
-        sharded and parallel executors: a worker process reproduces exactly
-        its own node's stream.
+        stream) say *which* node's schedule moved when a digest changes.
         """
         if self._schedule_hash is None:
             self._schedule_hash = {}
-
-    @property
-    def schedule_hash_enabled(self) -> bool:
-        return self._schedule_hash is not None
 
     def schedule_digests(self) -> Dict[int, str]:
         """Hex digests of the per-node schedule streams recorded so far."""
@@ -630,9 +618,9 @@ class Scheduler:
         ``until`` bounds (virtual or real) time: the scheduler stops once the
         clock would pass it.  By default threads scheduled at exactly
         ``until`` are released but not executed; ``inclusive`` also executes
-        everything due at that instant (the parallel executor's end
-        protocol needs both edges).  Returns the clock value when the run
-        stopped.
+        everything due at that instant (what a caller polling in fixed
+        steps wants: a daemon due exactly at the step boundary runs in this
+        step, not the next).  Returns the clock value when the run stopped.
         """
         runnable = self._runnable
         delayed = self._delayed
@@ -685,17 +673,11 @@ class Scheduler:
                 clock.advance_to(wake_time)
                 self._release_expired(wake_time)
             else:
-                self._raise_deadlock(thread)
-        return self._finish_run(thread, raise_failures)
-
-    def _raise_deadlock(self, thread: Thread) -> None:
-        blocked = [t.name for t in self._threads if t.alive and not t.daemon]
-        raise DeadlockError(
-            f"thread {thread.name!r} cannot complete: no runnable or delayed "
-            f"threads remain (blocked non-daemon threads: {blocked})"
-        )
-
-    def _finish_run(self, thread: Thread, raise_failures: bool) -> Any:
+                blocked = [t.name for t in self._threads if t.alive and not t.daemon]
+                raise DeadlockError(
+                    f"thread {thread.name!r} cannot complete: no runnable or delayed "
+                    f"threads remain (blocked non-daemon threads: {blocked})"
+                )
         if thread in self._failures:
             self._failures.remove(thread)
         if thread.exception is not None:
@@ -720,12 +702,8 @@ class Scheduler:
         thread._stamp = next(self._stamp_counter)
         self._runnable.append(thread)
 
-    def _release_expired(self, now: Optional[float] = None) -> None:
+    def _release_expired(self, now: float) -> None:
         delayed = self._delayed
-        if not delayed:
-            return
-        if now is None:
-            now = self.clock.now()
         pop = heapq.heappop
         delayed_state = ThreadState.DELAYED
         while delayed and delayed[0][0] <= now:
@@ -747,10 +725,6 @@ class Scheduler:
             thread = runnable.pop(index)
         if not thread.alive:
             return
-        self._execute(thread)
-
-    def _execute(self, thread: Thread) -> None:
-        """Resume ``thread`` once and dispatch whatever it yields."""
         if self._schedule_hash is not None:
             self._record_step(thread)
         self.current_thread = thread
@@ -784,7 +758,7 @@ class Scheduler:
             # so mutate and re-push instead of allocating a fresh tuple.
             entry[0] = self.clock.now() + command.seconds
             entry[1] = next(self._seq)
-            self._push_delayed(thread, entry)
+            heapq.heappush(self._delayed, entry)
         elif cls is WaitEvent:
             consumed, value = command.event._consume_pending()
             if consumed:
@@ -810,9 +784,6 @@ class Scheduler:
             )
             self._finish(thread, exception=error)
 
-    def _push_delayed(self, thread: Thread, entry: list) -> None:
-        heapq.heappush(self._delayed, entry)
-
     def _finish(
         self,
         thread: Thread,
@@ -824,6 +795,7 @@ class Scheduler:
         thread.state = ThreadState.FAILED if exception is not None else ThreadState.FINISHED
         thread.alive = False
         thread.finished_at = self.clock.now()
+        del self._threads[thread]
         joiners, thread._joiners = thread._joiners, []
         if exception is not None and not joiners:
             # Nobody is waiting to observe the failure; remember it so run()
@@ -839,331 +811,3 @@ class Scheduler:
         raise SchedulerError(
             f"thread {thread.name!r} died with an unhandled exception"
         ) from thread.exception
-
-
-# ---------------------------------------------------------------------------
-# The sharded event loop
-# ---------------------------------------------------------------------------
-
-
-class ShardedScheduler(Scheduler):
-    """Per-node sub-queues with a deterministic cross-node merge.
-
-    The global runnable list and delayed heap of :class:`Scheduler` are
-    split by cluster node: each node owns a FIFO deque of runnable threads
-    and a min-heap of delayed ones.  Because arrival stamps are drawn from
-    one global counter and each deque is FIFO, the head of the lowest-index
-    non-empty deque *is* the global ``(node, stamp)`` minimum — so stepping
-    sub-queues in node order reproduces, step for step, the schedule of a
-    plain scheduler under :class:`NodeMergeSchedulingPolicy` without the
-    O(runnable) policy scan.
-
-    Cross-node wake-ups (a thread on node *i* signalling a thread on node
-    *j*) pass through a small transfer queue that is folded into the
-    destination deques at the start of the next step; since no release or
-    external wake can interleave before that step, stamp order within every
-    deque is preserved.
-
-    Clock advances use the conservative-window rule of parallel discrete
-    event simulation: when the earliest delayed wake-up belongs to node *k*
-    and is *strictly earlier* than every other node's earliest wake-up, only
-    node *k*'s heap is consulted (a node-local window); the full cross-node
-    merge runs only when two nodes' windows touch.  In-process the window
-    closes at the other nodes' earliest event because shared-memory
-    interactions have zero lookahead; across worker processes the NIC
-    delivery latency widens it (see :mod:`repro.core.parallel`).
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        seed: int = 0,
-        policy: Optional[SchedulingPolicy] = None,
-        nodes: int = 1,
-    ):
-        super().__init__(
-            clock,
-            seed,
-            policy if policy is not None else NodeMergeSchedulingPolicy(),
-        )
-        self.nodes = max(int(nodes), 1)
-        self._run_q: list[deque[Thread]] = [deque() for _ in range(self.nodes)]
-        self._delay_q: list[list[list]] = [[] for _ in range(self.nodes)]
-        self._cross: deque[Thread] = deque()
-        self._runnable_count = 0
-        self._min_node = self.nodes
-        #: statistics: how often the loop crossed a node boundary vs stayed
-        #: inside one node's conservative window.
-        self.cross_node_wakes = 0
-        self.window_batches = 0
-        self.window_releases = 0
-
-    # -- sub-queue bookkeeping -------------------------------------------------
-
-    def _make_runnable(self, thread: Thread) -> None:
-        thread.state = ThreadState.RUNNABLE
-        thread._stamp = next(self._stamp_counter)
-        self._runnable_count += 1
-        node = thread.node
-        current = self.current_thread
-        if current is not None and current.node != node:
-            # A cross-node wake-up: park it on the transfer queue; it is
-            # folded into the destination deque at the next step, before any
-            # other wake source can run, so deque stamp order is preserved.
-            self._cross.append(thread)
-            self.cross_node_wakes += 1
-        else:
-            if self._cross:
-                # A direct append (spawn, release, same-node wake) while
-                # cross-parked wake-ups are pending: fold them first — they
-                # carry older stamps and must precede this thread in its
-                # deque.  Happens when a run loop returns with parked wakes
-                # (e.g. the awaited thread finished mid-instant) and the
-                # caller then spawns or releases before stepping again.
-                self._drain_cross()
-            self._run_q[node].append(thread)
-            if node < self._min_node:
-                self._min_node = node
-
-    def _drain_cross(self) -> None:
-        cross = self._cross
-        run_q = self._run_q
-        min_node = self._min_node
-        while cross:
-            thread = cross.popleft()
-            node = thread.node
-            run_q[node].append(thread)
-            if node < min_node:
-                min_node = node
-        self._min_node = min_node
-
-    def _step(self) -> None:
-        if self._cross:
-            self._drain_cross()
-        node = self._min_node
-        run_q = self._run_q
-        q = run_q[node]
-        thread = q.popleft()
-        self._runnable_count -= 1
-        if not q:
-            # Advance to the next non-empty deque *before* running the
-            # thread: wake-ups during the step re-lower _min_node as needed.
-            nodes = self.nodes
-            node += 1
-            while node < nodes and not run_q[node]:
-                node += 1
-            self._min_node = node
-        if not thread.alive:
-            return
-        self._execute(thread)
-
-    def _push_delayed(self, thread: Thread, entry: list) -> None:
-        heapq.heappush(self._delay_q[thread.node], entry)
-
-    def _release_expired(self, now: Optional[float] = None) -> None:
-        """Release every delayed thread due at or before the current time,
-        merging the per-node heaps in global (time, seq) order."""
-        if now is None:
-            now = self.clock.now()
-        heaps = self._delay_q
-        delayed_state = ThreadState.DELAYED
-        while True:
-            best = None
-            best_node = -1
-            for node, heap in enumerate(heaps):
-                if heap:
-                    head = heap[0]
-                    if head[0] <= now and (best is None or head < best):
-                        best = head
-                        best_node = node
-            if best is None:
-                return
-            heapq.heappop(heaps[best_node])
-            thread = best[2]
-            if thread.alive and thread.state is delayed_state:
-                thread._send_value = None
-                self._make_runnable(thread)
-
-    def _release_node(self, node: int, now: Optional[float] = None) -> None:
-        """Node-local window release: pop due entries from one heap only."""
-        heap = self._delay_q[node]
-        if now is None:
-            now = self.clock.now()
-        pop = heapq.heappop
-        delayed_state = ThreadState.DELAYED
-        released = 0
-        while heap and heap[0][0] <= now:
-            thread = pop(heap)[2]
-            released += 1
-            if thread.alive and thread.state is delayed_state:
-                thread._send_value = None
-                self._make_runnable(thread)
-        self.window_releases += released
-
-    def _earliest_delayed(self) -> tuple[int, float, float]:
-        """(node, wake time, next other node's wake time) of the earliest
-        delayed thread; node is -1 when nothing is delayed."""
-        best_node = -1
-        best = 0.0
-        other = float("inf")
-        for node, heap in enumerate(self._delay_q):
-            if heap:
-                t = heap[0][0]
-                if best_node < 0 or t < best:
-                    if best_node >= 0 and best < other:
-                        other = best
-                    best = t
-                    best_node = node
-                elif t < other:
-                    other = t
-        return best_node, best, other
-
-    def _advance_clock(self) -> bool:
-        """Advance time to the earliest delayed wake-up and release it.
-
-        Uses the node-local window when the earliest wake-up is strictly
-        before every other node's: only that node's heap is touched.
-        Returns False when nothing is delayed.
-        """
-        node, wake, other = self._earliest_delayed()
-        if node < 0:
-            return False
-        self.clock.advance_to(wake)
-        if wake < other:
-            self.window_batches += 1
-            self._release_node(node, wake)
-        else:
-            self._release_expired(wake)
-        return True
-
-    # -- run loops --------------------------------------------------------------
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        raise_failures: bool = True,
-        inclusive: bool = False,
-    ) -> float:
-        clock = self.clock
-        step = self._step
-        heaps = self._delay_q
-        infinity = float("inf")
-        steps = 0
-        while True:
-            if self._abort is not None:
-                self._check_abort()
-            if max_steps is not None and steps >= max_steps:
-                break
-            if until is not None:
-                now = clock.now()
-                if now > until or not inclusive and now >= until:
-                    break
-            if self._runnable_count:
-                step()
-                steps += 1
-                continue
-            # Inlined _earliest_delayed: scan the per-node heap heads for the
-            # earliest wake-up and the next other node's earliest.
-            best_node = -1
-            wake = 0.0
-            other = infinity
-            for node, heap in enumerate(heaps):
-                if heap:
-                    t = heap[0][0]
-                    if best_node < 0 or t < wake:
-                        if best_node >= 0 and wake < other:
-                            other = wake
-                        wake = t
-                        best_node = node
-                    elif t < other:
-                        other = t
-            if best_node < 0:
-                break
-            if until is not None and wake > until:
-                clock.advance_to(until)
-                break
-            clock.advance_to(wake)
-            if wake < other:
-                self.window_batches += 1
-                self._release_node(best_node, wake)
-            else:
-                self._release_expired(wake)
-        if raise_failures:
-            self._raise_pending_failure()
-        return clock.now()
-
-    def run_until_complete(self, thread: Thread, raise_failures: bool = True) -> Any:
-        step = self._step
-        heaps = self._delay_q
-        advance_to = self.clock.advance_to
-        infinity = float("inf")
-        while thread.alive:
-            if self._abort is not None:
-                self._check_abort()
-            if self._runnable_count:
-                step()
-                continue
-            # Inlined _advance_clock: find the earliest delayed wake-up and
-            # release within the node-local window when it is strictly
-            # earlier than every other node's.
-            best_node = -1
-            wake = 0.0
-            other = infinity
-            for node, heap in enumerate(heaps):
-                if heap:
-                    t = heap[0][0]
-                    if best_node < 0 or t < wake:
-                        if best_node >= 0 and wake < other:
-                            other = wake
-                        wake = t
-                        best_node = node
-                    elif t < other:
-                        other = t
-            if best_node < 0:
-                self._raise_deadlock(thread)
-            advance_to(wake)
-            if wake < other:
-                self.window_batches += 1
-                self._release_node(best_node, wake)
-            else:
-                self._release_expired(wake)
-        return self._finish_run(thread, raise_failures)
-
-    # -- crash cleanup -----------------------------------------------------------
-
-    def _purge_dead(self) -> None:
-        count = 0
-        min_node = self.nodes
-        for node, q in enumerate(self._run_q):
-            if q:
-                live = [t for t in q if t.alive]
-                q.clear()
-                q.extend(live)
-                if live and node < min_node:
-                    min_node = node
-                count += len(live)
-        live_cross = [t for t in self._cross if t.alive]
-        self._cross.clear()
-        self._cross.extend(live_cross)
-        count += len(live_cross)
-        self._runnable_count = count
-        self._min_node = min_node
-        for heap in self._delay_q:
-            live_entries = [entry for entry in heap if entry[2].alive]
-            if len(live_entries) != len(heap):
-                heap[:] = live_entries
-                heapq.heapify(heap)
-
-    # -- introspection ------------------------------------------------------------
-
-    def queue_snapshot(self) -> Dict[str, Any]:
-        """Per-node queue depths, for the cluster statistics report."""
-        return {
-            "runnable": [len(q) for q in self._run_q],
-            "delayed": [len(h) for h in self._delay_q],
-            "cross_queue": len(self._cross),
-            "cross_node_wakes": self.cross_node_wakes,
-            "window_batches": self.window_batches,
-            "window_releases": self.window_releases,
-        }

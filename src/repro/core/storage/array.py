@@ -45,7 +45,6 @@ __all__ = [
     "HashPlacement",
     "StripedPlacement",
     "DirectoryAffinityPlacement",
-    "NodeAffinityPlacement",
     "make_placement_policy",
     "VolumeSet",
     "ShardedCache",
@@ -169,62 +168,6 @@ class DirectoryAffinityPlacement(PlacementPolicy):
         return self.volume_of_file(parent_id)
 
 
-class NodeAffinityPlacement(PlacementPolicy):
-    """Creator-node homing: the cluster analogue of directory affinity.
-
-    A *top-level* directory (a child of the root) homes on the cluster node
-    of the thread that creates it — spread over that node's volumes by name
-    hash — and everything beneath inherits its parent's volume.  A client
-    working in its own top-level tree therefore never touches another
-    node's disks, which is the layout the parallel replay executor requires
-    (each node's worker replays a closed partition of the namespace).
-
-    Outside a cluster the policy degrades to directory affinity over one
-    node that owns every volume.  The builder wires the cluster shape in
-    through :meth:`bind_cluster`; the policy stays pure arithmetic after
-    creation — the creator's node is read from the scheduler's current
-    thread at allocation time, which is deterministic under the node-merge
-    schedule.
-    """
-
-    name = "node"
-
-    def __init__(self, num_volumes: int):
-        super().__init__(num_volumes)
-        #: volumes owned by one node; all of them until bind_cluster().
-        self.volumes_per_node = num_volumes
-        #: returns the allocating thread's cluster node (None = node 0).
-        self.node_resolver: Optional[Callable[[], int]] = None
-
-    def bind_cluster(
-        self, volumes_per_node: int, node_resolver: Callable[[], int]
-    ) -> None:
-        if volumes_per_node < 1 or self.num_volumes % volumes_per_node:
-            raise ConfigurationError(
-                f"{self.num_volumes} volumes do not split into nodes of "
-                f"{volumes_per_node}"
-            )
-        self.volumes_per_node = volumes_per_node
-        self.node_resolver = node_resolver
-
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
-        if parent_id is not None and parent_id != ROOT_INODE_NUMBER:
-            return self.volume_of_file(parent_id)
-        node = self.node_resolver() if self.node_resolver is not None else 0
-        base = node * self.volumes_per_node
-        if name is None:
-            return base + counter % self.volumes_per_node
-        return base + _crc(f"{parent_id if parent_id is not None else 0}/{name}") % (
-            self.volumes_per_node
-        )
-
-
 # "placement" factories take (num_volumes, stripe_unit=...) and return a
 # PlacementPolicy; whole-file policies ignore the stripe keyword.
 registry.register(
@@ -235,9 +178,6 @@ registry.register(
     "placement",
     "directory",
     lambda num_volumes, stripe_unit=16: DirectoryAffinityPlacement(num_volumes),
-)
-registry.register(
-    "placement", "node", lambda num_volumes, stripe_unit=16: NodeAffinityPlacement(num_volumes)
 )
 
 

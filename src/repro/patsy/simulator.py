@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -184,9 +185,6 @@ class SimulationResult:
     #: scheduler's schedule hash was enabled before replay.  Deliberately
     #: excluded from :meth:`summary` so legacy summaries stay byte-identical.
     schedule_digests: Dict[int, str] = field(default_factory=dict)
-    #: Stage-B bookkeeping (worker end times, job cap, queue stats) when the
-    #: run went through the parallel executor; empty for in-process runs.
-    parallel_stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def mean_latency(self) -> float:
@@ -297,19 +295,7 @@ class PatsySimulator:
         self.scheduler.run_until_complete(thread)
         self._mounted = True
 
-    # ------------------------------------------------------------------ cluster entry
-
-    def client_node(self, client: int) -> int:
-        """The cluster node a client's operations enter at.
-
-        Front-end entry (the default) funnels every client through node 0;
-        with ``client_entry="home"`` clients are spread round-robin across
-        the nodes and their replay threads run on the node they enter at.
-        """
-        cluster = self.config.cluster
-        if cluster is None or cluster.nodes <= 1 or cluster.client_entry != "home":
-            return 0
-        return client % cluster.nodes
+    # ------------------------------------------------------------------ faults
 
     def inject_faults(
         self, schedule: Sequence[FaultEvent], scrub: bool = False
@@ -338,82 +324,6 @@ class PatsySimulator:
         injector.start()
         return injector
 
-    @staticmethod
-    def partition_setup_dirs(
-        records: Iterable[TraceRecord], nodes: int, strict: bool = False
-    ) -> List[tuple[int, str]]:
-        """Top-level directories to pre-create before replay, each tagged
-        with the home node (``client % nodes``) of the first client that
-        touches it, in first-appearance order.
-
-        Pre-creating these — before any client runs — moves every write to
-        the shared root directory out of the replay phase.  That is the
-        namespace half of the node partition: afterwards a client's
-        operations resolve through in-core dirents and touch only volumes
-        on its own node.  With ``strict`` a directory reached by clients of
-        two different nodes raises (the trace is not partitionable).
-        """
-        order: List[str] = []
-        owner: Dict[str, int] = {}
-        for record in records:
-            node = record.client % nodes
-            for path in (record.path, record.path2):
-                if not path:
-                    continue
-                parts = path.strip("/").split("/")
-                if len(parts) < 2 or not parts[0]:
-                    continue  # the root itself, or a top-level file
-                top = "/" + parts[0]
-                if top not in owner:
-                    owner[top] = node
-                    order.append(top)
-                elif strict and owner[top] != node:
-                    raise ConfigurationError(
-                        f"trace is not partitioned by node: {top} is used by "
-                        f"clients on node {owner[top]} and node {node}"
-                    )
-        return [(owner[top], top) for top in order]
-
-    def prepare_namespace(self, dirs: Sequence[tuple[int, str]]) -> None:
-        """Pre-create top-level directories (idempotent; mounts if needed).
-
-        One setup thread per node, driven to completion in node order, each
-        creating its node's directories in first-appearance order.  Every
-        parallel worker runs this identically on its full stack, so the
-        post-setup state — inode numbers, cached root dirents, file-table
-        contents — agrees byte-for-byte across processes and with the
-        sequential run.
-        """
-        if not dirs:
-            return
-        self.mount()
-        by_node: Dict[int, List[str]] = {}
-        for node, path in dirs:
-            by_node.setdefault(node, []).append(path)
-
-        def _setup(paths: List[str]) -> Generator[Any, Any, None]:
-            for path in paths:
-                try:
-                    yield from self.client.mkdir(path)
-                except FileSystemError:
-                    pass  # already present; the trace may mkdir it again
-
-        threads = [
-            self.scheduler.spawn(_setup, paths, name=f"setup-n{node}", node=node)
-            for node, paths in sorted(by_node.items())
-        ]
-        for thread in threads:
-            self.scheduler.run_until_complete(thread)
-
-    def _auto_setup_dirs(self, records: Sequence[TraceRecord]) -> List[tuple[int, str]]:
-        """Setup directories for :meth:`replay`'s automatic namespace phase
-        (multi-node home-entry runs only — exactly the runs whose schedule
-        must be reproducible under the parallel executor)."""
-        cluster = self.config.cluster
-        if cluster is None or cluster.nodes <= 1 or cluster.client_entry != "home":
-            return []
-        return self.partition_setup_dirs(records, cluster.nodes)
-
     # ------------------------------------------------------------------ replay
 
     def replay(
@@ -430,18 +340,6 @@ class PatsySimulator:
         streaming engine replays without materialising the trace; both
         engines produce identical measurements on the same trace.
         """
-        cluster = self.config.cluster
-        if cluster is not None and cluster.parallel and cluster.nodes > 1:
-            from repro.core.parallel import ParallelReplayExecutor
-
-            if isinstance(records, (str, Path)):
-                records = load_trace(records)
-            executor = ParallelReplayExecutor(
-                self.config, enable_digests=self.scheduler.schedule_hash_enabled
-            )
-            return executor.replay(
-                list(records), trace_name=trace_name, max_time=max_time
-            )
         is_path = isinstance(records, (str, Path))
         is_sequence = not is_path and isinstance(records, Sequence)
         if self.config.streaming or not (is_path or is_sequence):
@@ -451,33 +349,22 @@ class PatsySimulator:
         if not records:
             raise TraceError("cannot replay an empty trace")
         self.mount()
-        self.prepare_namespace(self._auto_setup_dirs(records))
         limit = max_time if max_time is not None else self.config.max_simulated_time
-        self.run_client_streams(records, limit)
-        self.latency.finish()
-        return self.build_result(trace_name)
-
-    def run_client_streams(
-        self, records: Sequence[TraceRecord], limit: Optional[float]
-    ) -> None:
-        """Spawn a replay thread per client — on its entry node — and drive
-        them to completion in client order.  Leaves the recorder open and
-        builds no result: :meth:`replay` finishes both, and the parallel
-        executor interposes its end protocol between the two."""
         streams = records_by_client(records)
         threads = [
             self.scheduler.spawn(
                 self._client_thread,
                 client,
-                stream,
+                partial(next, iter(stream), None),
                 limit,
                 name=f"client-{client}",
-                node=self.client_node(client),
             )
             for client, stream in sorted(streams.items())
         ]
         for thread in threads:
             self.scheduler.run_until_complete(thread)
+        self.latency.finish()
+        return self.build_result(trace_name)
 
     def replay_stream(
         self,
@@ -500,16 +387,6 @@ class PatsySimulator:
         record surfaces.
         """
         self.mount()
-        cluster = self.config.cluster
-        if cluster is not None and cluster.nodes > 1 and cluster.client_entry == "home":
-            # Keep streaming replay schedule-identical to materialised
-            # replay on enumerable sources: run the same namespace phase.
-            if isinstance(source, (str, Path)):
-                self.prepare_namespace(
-                    self.partition_setup_dirs(iter_trace(source), cluster.nodes)
-                )
-            elif isinstance(source, Sequence):
-                self.prepare_namespace(self._auto_setup_dirs(source))
         limit = max_time if max_time is not None else self.config.max_simulated_time
         records, known_clients, counts = self._open_trace_source(source, clients)
         threads: List[Any] = []
@@ -518,12 +395,12 @@ class PatsySimulator:
         def spawn_client(client: int) -> None:
             threads.append(
                 self.scheduler.spawn(
-                    self._client_thread_streaming,
+                    self._client_thread,
                     client,
-                    demux,
+                    partial(demux.next_record, client),
                     limit,
+                    partial(demux.finish_client, client),
                     name=f"client-{client}",
-                    node=self.client_node(client),
                 )
             )
 
@@ -577,16 +454,24 @@ class PatsySimulator:
         """Convenience wrapper used by tests: replay and return the result."""
         return self.replay(records)
 
-    def _client_thread_streaming(
-        self, client: int, demux: _TraceDemux, max_time: Optional[float]
+    def _client_thread(
+        self,
+        client: int,
+        next_record: Callable[[], Optional[TraceRecord]],
+        max_time: Optional[float],
+        on_done: Optional[Callable[[], None]] = None,
     ) -> Generator[Any, Any, None]:
-        """Streaming twin of :meth:`_client_thread`: identical yield
-        sequence, but records are pulled from the demux on demand (the pull
-        itself never yields, so the scheduler sees the same execution as
-        the materialised path)."""
+        """One client's replay loop, shared by both engines.
+
+        ``next_record`` returns the client's next record or None when it
+        has no more — an iterator over its materialised stream, or a pull
+        from the streaming demux (which never yields, so the scheduler sees
+        the same execution either way).  ``on_done`` runs once the records
+        are exhausted, before the leftover handles are closed.
+        """
         handles: Dict[str, int] = {}
         while True:
-            record = demux.next_record(client)
+            record = next_record()
             if record is None:
                 break
             if max_time is not None and record.timestamp > max_time:
@@ -600,31 +485,8 @@ class PatsySimulator:
             except FileSystemError:
                 self.errors += 1
             self.latency.record(started, record.op, self.scheduler.now - started, client)
-        demux.finish_client(client)
-        # Close anything the trace left open.
-        for path, handle in list(handles.items()):
-            try:
-                yield from self.client.close(handle)
-            except FileSystemError:
-                self.errors += 1
-            handles.pop(path, None)
-
-    def _client_thread(
-        self, client: int, records: List[TraceRecord], max_time: Optional[float]
-    ) -> Generator[Any, Any, None]:
-        handles: Dict[str, int] = {}
-        for record in records:
-            if max_time is not None and record.timestamp > max_time:
-                break
-            delay = record.timestamp - self.scheduler.now
-            if delay > 0:
-                yield Delay(delay)
-            started = self.scheduler.now
-            try:
-                yield from self._execute(record, handles)
-            except FileSystemError:
-                self.errors += 1
-            self.latency.record(started, record.op, self.scheduler.now - started, client)
+        if on_done is not None:
+            on_done()
         # Close anything the trace left open.
         for path, handle in list(handles.items()):
             try:
@@ -879,8 +741,6 @@ class PatsySimulator:
             stats["replication"] = topology.replication.snapshot()
         if topology.repairer is not None:
             stats["repairer"] = topology.repairer.snapshot()
-        if hasattr(self.scheduler, "queue_snapshot"):
-            stats["scheduler"] = self.scheduler.queue_snapshot()
         return stats
 
     def collect_statistics(self) -> Dict[str, Any]:

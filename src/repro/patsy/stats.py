@@ -307,26 +307,6 @@ class LatencyShard:
                 values.extend([min(max(_bucket_value(index), self.minv), self.maxv)] * count)
         return values
 
-    def merge(self, other: "LatencyShard") -> None:
-        """Fold ``other`` into this shard — exact for every statistic the
-        shard keeps: counts and bucket histograms add elementwise, extrema
-        take the min/max.  (The float ``total`` adds in argument order, so
-        a merged mean can differ from the sequential one in the last ulp;
-        the recorder's exact-window merge path avoids even that.)"""
-        if other.n == 0:
-            return
-        self.n += other.n
-        self.total += other.total
-        self.zeros += other.zeros
-        if other.minv < self.minv:
-            self.minv = other.minv
-        if other.maxv > self.maxv:
-            self.maxv = other.maxv
-        counts = self.counts
-        for index, count in enumerate(other.counts):
-            if count:
-                counts[index] += count
-
     def summary(self) -> dict:
         return {
             "operations": self.n,
@@ -473,10 +453,8 @@ class LatencyRecorder:
         self.overall = LatencyShard()
         self.op_shards: Dict[str, LatencyShard] = {}
         self.client_shards: Dict[int, LatencyShard] = {}
-        #: exact (start_time, latency, op, client) prefix; capped at
-        #: ``exact_window``.  Start times let :meth:`merged` replay the
-        #: entries of several per-node recorders in completion order.
-        self._window: List[Tuple[float, float, str, int]] = []
+        #: exact (latency, op, client) prefix; capped at ``exact_window``.
+        self._window: List[Tuple[float, str, int]] = []
         self._p2: Dict[float, P2Quantile] = {}
         if p2_quantiles:
             self._p2 = {fraction: P2Quantile(fraction) for fraction in p2_quantiles}
@@ -541,7 +519,7 @@ class LatencyRecorder:
         self._interval_sum += latency
         window = self._window
         if len(window) < self.exact_window:
-            window.append((start_time, latency, op, client))
+            window.append((latency, op, client))
         if self._p2:
             for estimator in self._p2.values():
                 estimator.add(latency)
@@ -599,9 +577,9 @@ class LatencyRecorder:
         afterwards — suitable for CDF tables and plots)."""
         if self.window_is_exact:
             if op is None:
-                return [latency for _, latency, _, _ in self._window]
+                return [latency for latency, _, _ in self._window]
             return [
-                latency for _, latency, sample_op, _ in self._window if sample_op == op
+                latency for latency, sample_op, _ in self._window if sample_op == op
             ]
         shard = self._shard(op)
         return shard.reconstructed_values() if shard is not None else []
@@ -654,7 +632,7 @@ class LatencyRecorder:
         (the sharded recorders make these free)."""
         if self.window_is_exact:
             by_client: Dict[int, List[float]] = {}
-            for _, latency, _, client in self._window:
+            for latency, _, client in self._window:
                 by_client.setdefault(client, []).append(latency)
             out: Dict[int, dict] = {}
             for client in sorted(by_client):
@@ -684,92 +662,6 @@ class LatencyRecorder:
             "p99_latency": self.percentile(0.99),
             "per_operation": self.per_operation_means(),
         }
-
-    # -- deterministic merge (parallel replay) ---------------------------------------
-
-    @classmethod
-    def merged(cls, parts: Sequence["LatencyRecorder"]) -> "LatencyRecorder":
-        """Deterministically merge per-node recorders into one.
-
-        ``parts`` must be ordered by cluster node id — the node id is the
-        tie-break when two operations complete at the same instant, mirroring
-        the scheduler's node-merge order.  Call :meth:`finish` on each part
-        first so its trailing interval is closed.
-
-        While the combined run fits the exact window, every part's verbatim
-        entries are replayed through a fresh recorder in completion order
-        ``(start + latency, node, per-node position)`` — exactly the order a
-        sequential run would have recorded them — so every summary statistic
-        is *bit-identical* to the sequential recorder's.  Beyond the window,
-        shards merge arithmetically (exact counts/extrema/histograms; means
-        can differ from sequential in the last ulp because float sums
-        reassociate) and the verbatim window is rebuilt as the true global
-        prefix.  P² estimators are not mergeable and are dropped on the
-        arithmetic path; percentile queries fall back to the histogram
-        shards.
-        """
-        if not parts:
-            return cls()
-        first = parts[0]
-        out = cls(
-            report_interval=first.report_interval,
-            exact_window=first.exact_window,
-            p2_quantiles=sorted(first._p2) or None,
-        )
-        total = sum(part.count for part in parts)
-        entries = [
-            (start + latency, node, position, start, op, latency, client)
-            for node, part in enumerate(parts)
-            for position, (start, latency, op, client) in enumerate(part._window)
-        ]
-        entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        if total <= out.exact_window and all(part.window_is_exact for part in parts):
-            for _, _, _, start, op, latency, client in entries:
-                out.record(start, op, latency, client=client)
-            out.finish()
-            return out
-        # Arithmetic path: exact aggregates, reassociated float sums.
-        out._p2 = {}
-        for part in parts:
-            out.overall.merge(part.overall)
-            for op, shard in part.op_shards.items():
-                mine = out.op_shards.get(op)
-                if mine is None:
-                    mine = out.op_shards[op] = LatencyShard()
-                mine.merge(shard)
-            for client, shard in part.client_shards.items():
-                mine = out.client_shards.get(client)
-                if mine is None:
-                    mine = out.client_shards[client] = LatencyShard()
-                mine.merge(shard)
-        # Any global prefix restricts to a per-node prefix, so the union of
-        # the parts' windows contains the true global prefix.
-        out._window = [
-            (start, latency, op, client)
-            for _, _, _, start, op, latency, client in entries[: out.exact_window]
-        ]
-        by_start: Dict[float, dict] = {}
-        for part in parts:
-            for report in part.interval_reports:
-                agg = by_start.setdefault(
-                    report["start"],
-                    {"start": report["start"], "end": report["end"], "operations": 0, "sum": 0.0},
-                )
-                agg["operations"] += report["operations"]
-                agg["sum"] += report["mean_latency"] * report["operations"]
-        out.interval_reports = [
-            {
-                "start": agg["start"],
-                "end": agg["end"],
-                "operations": agg["operations"],
-                "mean_latency": agg["sum"] / agg["operations"] if agg["operations"] else 0.0,
-            }
-            for agg in (by_start[start] for start in sorted(by_start))
-        ]
-        if out.interval_reports:
-            out._interval_start = out.interval_reports[-1]["end"]
-            out._interval_end = out._interval_start + out.report_interval
-        return out
 
     def describe(self) -> str:
         summary = self.summary()

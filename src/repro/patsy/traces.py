@@ -35,7 +35,6 @@ __all__ = [
     "scan_trace_client_counts",
     "save_trace",
     "records_by_client",
-    "partition_by_client",
     "group_operations",
     "OperationGroup",
     "trace_duration",
@@ -269,24 +268,6 @@ def records_by_client(records: Sequence[TraceRecord]) -> dict[int, list[TraceRec
     for stream in streams.values():
         stream.sort(key=lambda record: record.timestamp)
     return streams
-
-
-def partition_by_client(records: Iterable[TraceRecord]) -> list[TraceRecord]:
-    """Rewrite a trace so every client works inside its own ``/c{client}``
-    subtree — the node-partitioned shape the parallel cluster replay
-    (``cluster.parallel`` / ``--jobs``) requires.  Timestamps, operations
-    and sizes are untouched; only paths gain the per-client prefix."""
-    rewritten = []
-    for record in records:
-        prefix = f"/c{record.client}"
-        rewritten.append(
-            replace(
-                record,
-                path=f"{prefix}{record.path}",
-                path2=f"{prefix}{record.path2}" if record.path2 else record.path2,
-            )
-        )
-    return rewritten
 
 
 def trace_duration(records: Sequence[TraceRecord]) -> float:

@@ -562,7 +562,7 @@ def test_a_dead_home_volume_serves_the_whole_group_from_the_replica():
         FILE_BYTES, build_online, kill, payload, populate, replica_spec,
     )
 
-    stack = build_online(replica_spec(nodes=3, sharded=False, repair=False))
+    stack = build_online(replica_spec(nodes=3, repair=False))
     files = populate(stack)
     kill(stack, "node_crash", 1, scrub=True)
     placement, manager = stack.cluster.placement, stack.cluster.replication

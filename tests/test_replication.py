@@ -13,9 +13,6 @@ The contract under test, end to end:
 * The repair daemon notices the fault-board epoch move and restores full
   replication (promote + re-replicate), journalling the replica-set
   repoints through the metadata WAL.
-
-Everything runs under both event loops — the sequential reference and the
-sharded per-node loop — via the ``sharded`` parametrisation.
 """
 
 import pytest
@@ -54,7 +51,6 @@ def replica_spec(
     nodes=3,
     volumes_per_node=1,
     replicas=1,
-    sharded=True,
     repair=True,
     repair_interval=0.5,
 ):
@@ -74,7 +70,6 @@ def replica_spec(
             replicas=replicas,
             repair=repair,
             repair_interval=repair_interval,
-            sharded_loop=sharded,
         ),
     )
 
@@ -219,17 +214,16 @@ def test_replica_sets_never_colocate(nodes, volumes_per_node, replicas, file_id)
 # --------------------------------------------------------------------------- fail-over reads
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["sequential", "sharded"])
-def test_failover_reads_survive_scrubbed_node_kill(sharded):
+def test_failover_reads_survive_scrubbed_node_kill():
     """Kill a whole node *and zero its disk images*: every file must still
     read back byte-identical, via the surviving replicas only."""
-    stack = build_online(replica_spec(nodes=3, sharded=sharded, repair=False))
+    stack = build_online(replica_spec(nodes=3, repair=False))
     files = populate(stack)
     manager = stack.cluster.replication
     assert manager is not None
     assert manager.under_replicated_files() == 0
     kill(stack, "node_crash", 1, scrub=True)
-    check_reads(stack, files, f"node 1 dead, sharded={sharded}")
+    check_reads(stack, files, "node 1 dead")
     placement = stack.cluster.placement
     dead = set(stack.cluster.faults.dead_volumes)
     assert dead == set(placement.volumes_of_node(1))
@@ -240,11 +234,10 @@ def test_failover_reads_survive_scrubbed_node_kill(sharded):
     assert manager.under_replicated_files() > 0  # repair was off
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["sequential", "sharded"])
-def test_reads_fail_without_replication(sharded):
+def test_reads_fail_without_replication():
     """The control: the same scrubbed kill with replication off must lose
     the files homed on the dead node."""
-    stack = build_online(replica_spec(nodes=3, replicas=0, sharded=sharded))
+    stack = build_online(replica_spec(nodes=3, replicas=0))
     files = populate(stack)
     kill(stack, "node_crash", 1, scrub=True)
     placement = stack.cluster.placement
@@ -258,13 +251,12 @@ def test_reads_fail_without_replication(sharded):
 # --------------------------------------------------------------------------- repair
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["sequential", "sharded"])
-def test_repairer_restores_full_replication(sharded):
+def test_repairer_restores_full_replication():
     """After a volume dies the repair daemon must promote/re-replicate
     every damaged file; a second scrubbed kill of the *original* copies
     then proves the new copies are real."""
     store = DurableStore()
-    stack = build_online(replica_spec(nodes=3, sharded=sharded), store=store)
+    stack = build_online(replica_spec(nodes=3), store=store)
     files = populate(stack)
     manager = stack.cluster.replication
     repairer = stack.cluster.repairer
@@ -277,7 +269,7 @@ def test_repairer_restores_full_replication(sharded):
     assert manager.under_replicated_files() == 0
     assert repairer.promoted_files + repairer.repaired_copies > 0
     assert repairer.lost_files == 0
-    check_reads(stack, files, f"post-repair, sharded={sharded}")
+    check_reads(stack, files, "post-repair")
     # The repoints were journalled: force the WAL out and look for RSETs.
     run(stack.scheduler, stack.metadata.wal.sync)
     records, _ = decode_wal(bytes(store.wal))
@@ -420,23 +412,6 @@ def test_clone_copies_a_file_in_segment_sized_appends():
     # The new copy is real: lose the primary too and read it back.
     kill(stack, "disk_fail", primary, scrub=True)
     assert run(scheduler, client.read_file, "/big", 0, len(content)) == content
-
-
-# --------------------------------------------------------------------------- loop equivalence
-
-
-def test_sequential_and_sharded_runs_agree():
-    """The same populate + kill + fail-over sequence under both loops must
-    produce the same replication counters and the same bytes."""
-    snapshots = []
-    for sharded in (False, True):
-        stack = build_online(replica_spec(nodes=3, sharded=sharded, repair=False))
-        files = populate(stack)
-        kill(stack, "node_crash", 1, scrub=True)
-        check_reads(stack, files, f"sharded={sharded}")
-        snap = stack.cluster.replication.snapshot()
-        snapshots.append(snap)
-    assert snapshots[0] == snapshots[1]
 
 
 # --------------------------------------------------------------------------- simulator counters

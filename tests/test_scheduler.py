@@ -294,3 +294,25 @@ def test_threads_property_and_names(scheduler):
     assert thread.name == "my-thread"
     assert thread in scheduler.threads
     scheduler.run()
+    assert thread not in scheduler.threads
+
+
+def test_finished_threads_are_not_retained(scheduler):
+    """The scheduler's memory follows the live population, not the number
+    of threads ever spawned (a day of replay spawns thousands of short
+    helpers): finished threads leave the table, a blocked daemon stays."""
+    never = scheduler.new_event("never")
+
+    def daemon():
+        yield from never.wait()
+
+    def short(i):
+        yield Delay(0.001)
+        return i
+
+    blocked = scheduler.spawn(daemon, name="blocked-daemon", daemon=True)
+    for i in range(2000):
+        assert run(scheduler, short, i) == i
+        assert len(scheduler._threads) <= 2
+    assert scheduler.threads == (blocked,)
+    assert blocked.alive
