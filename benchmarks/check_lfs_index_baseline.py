@@ -4,19 +4,19 @@
 Compares the freshly generated ``BENCH_lfs_index.json`` against the
 committed ``benchmarks/baseline_lfs_index.json``.  Every gated metric is
 deterministic — simulated (virtual-clock) latencies and structural disk
-read / candidate counters under a fixed seed — so unlike the replay gate
-the tolerance here only covers deliberate workload retuning, not host
-noise:
+read / candidate counters under a fixed seed — so the numbers themselves
+are compared with ``==``:
 
-* mount with the index on must stay a constant number of disk reads
-  (checkpoint + superblock), independent of segment count,
-* the cleaner's candidate set must stay bounded at every sweep size,
-* the cold-read median speedup (index off p50 / index on p50) must stay
-  within ``tolerance`` of the committed baseline,
-* the index-on run must keep issuing fewer disk reads than index-off,
-* the in-core index footprint must stay under the cache-budget cap.
+* a mount is a constant number of disk reads (superblock + checkpoint),
+  independent of segment count,
+* the cleaner's candidate set stays bounded at every sweep size,
+* the cold scan's disk reads, median read latency and simulated run time,
+  on the 10-disk array and on the 4-node cluster, are the committed ones,
+* the in-core index footprint stays under the cache-budget cap.
 
-Exits non-zero on regression.
+``BENCH_lfs_index.json`` is tracked, so its presence proves nothing; the
+git-ignored ``BENCH_lfs_index.host.json`` the benchmark writes beside it
+does, and the gate fails without it.  Exits non-zero on regression.
 """
 
 from __future__ import annotations
@@ -27,13 +27,22 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_lfs_index.json"
+HOST_PATH = REPO_ROOT / "BENCH_lfs_index.host.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline_lfs_index.json"
+BENCHMARK = "PYTHONPATH=src python -m pytest benchmarks/test_lfs_index.py -q -s"
 
 
 def main() -> int:
+    if not HOST_PATH.exists():
+        print(
+            f"FAIL: {HOST_PATH.name} not found: the segment-index benchmark has not run "
+            f"in this checkout, so {RESULT_PATH.name} is only the committed copy.  "
+            f"Run `{BENCHMARK}` first.",
+            file=sys.stderr,
+        )
+        return 2
     report = json.loads(RESULT_PATH.read_text())
     baseline = json.loads(BASELINE_PATH.read_text())
-    tolerance = float(baseline.get("tolerance", 0.25))
     failures = []
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -42,47 +51,38 @@ def main() -> int:
         if not ok:
             failures.append(f"{label}: {detail}")
 
-    mount_cap = int(baseline["mount_disk_reads_index_on"])
+    def check_equal(label: str, measured, expected) -> None:
+        check(label, measured == expected, f"{measured!r} (baseline {expected!r})")
+
     for entry in report["mount"]:
-        reads = entry["index_on"]["disk_reads"]
-        check(
+        check_equal(
             f"mount reads ({entry['non_free_segments']} segments)",
-            reads <= mount_cap,
-            f"{reads} disk reads with index on (cap {mount_cap})",
+            entry["disk_reads"],
+            baseline["mount_disk_reads"],
         )
 
     candidate_cap = int(baseline["cleaner_candidate_bound"])
     for entry in report["cleaner_scan"]:
-        considered = entry["index_on"]["candidates_per_choose"]
+        considered = entry["candidates_per_choose"]
         check(
             f"cleaner candidates ({entry['sealed_segments']} segments)",
             considered <= candidate_cap,
-            f"{considered} candidates/choose with index on (cap {candidate_cap})",
+            f"{considered} candidates/choose (cap {candidate_cap})",
         )
 
     cold = report["cold_read"]
-    on_p50 = cold["index_on"]["latency"]["p50"]
-    off_p50 = cold["index_off"]["latency"]["p50"]
-    speedup = off_p50 / on_p50 if on_p50 else float("inf")
-    floor = float(baseline["cold_read_p50_speedup"]) * (1.0 - tolerance)
-    check(
-        "cold-read p50 speedup",
-        speedup >= floor,
-        f"{speedup:.2f}x vs baseline {baseline['cold_read_p50_speedup']}x "
-        f"(floor {floor:.2f}x, tolerance {tolerance:.0%})",
+    check_equal("cold-read disk reads", cold["disk_reads"], baseline["cold_read"]["disk_reads"])
+    check_equal("cold-read p50", cold["latency"]["p50"], baseline["cold_read"]["p50"])
+    check_equal(
+        "cold-read simulated time", cold["simulated_time"], baseline["cold_read"]["simulated_time"]
+    )
+    cluster = report["cluster"]
+    check_equal("cluster p50", cluster["latency"]["p50"], baseline["cluster"]["p50"])
+    check_equal(
+        "cluster simulated time", cluster["simulated_time"], baseline["cluster"]["simulated_time"]
     )
 
-    read_ratio = cold["index_on"]["disk_reads"] / max(
-        1, cold["index_off"]["disk_reads"]
-    )
-    ratio_cap = float(baseline["cold_read_disk_read_ratio"]) * (1.0 + tolerance)
-    check(
-        "cold-read disk reads",
-        read_ratio <= min(ratio_cap, 1.0),
-        f"on/off ratio {read_ratio:.3f} (cap {min(ratio_cap, 1.0):.3f})",
-    )
-
-    fraction = cold["index_on"]["index_fraction_of_cache"]
+    fraction = cold["index_fraction_of_cache"]
     fraction_cap = float(baseline["index_fraction_of_cache_max"])
     check(
         "index footprint",

@@ -11,7 +11,9 @@ benchmark run stays in the minutes range.
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 #: fraction of the full synthetic trace replayed by the benchmarks.
 #: Overridable via the environment so CI can run a reduced smoke pass
@@ -25,3 +27,17 @@ BENCH_SEED = 2
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def write_results(name: str, simulated: dict, host: dict) -> None:
+    """Publish one benchmark's numbers at the repository root.
+
+    ``BENCH_<name>.json`` is tracked and holds only what repeats exactly —
+    simulated time and counters — so a re-run leaves no diff;
+    ``BENCH_<name>.host.json`` is git-ignored and holds what this machine's
+    clock and allocator measured.  The ``check_*_baseline.py`` gates refuse
+    to run without the host file: it is the proof the benchmark ran here.
+    """
+    root = Path(__file__).resolve().parents[1]
+    (root / f"BENCH_{name}.json").write_text(json.dumps(simulated, indent=2) + "\n")
+    (root / f"BENCH_{name}.host.json").write_text(json.dumps(host, indent=2) + "\n")

@@ -21,11 +21,12 @@ from __future__ import annotations
 import random
 
 from benchmarks.conftest import run_once
+from repro.assembly.registry import registry
 from repro.core.blocks import CacheBlock
 from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind
 from repro.core.scheduler import Scheduler
-from repro.core.storage.cleaner import CleanerDaemon, make_cleaner
+from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume
 from repro.pfs.diskfile import MemoryBackedDiskDriver
@@ -58,7 +59,7 @@ def run_cleaner_experiment(policy_name: str) -> dict:
     drive(scheduler, layout.format)
     drive(scheduler, layout.mount)
     daemon = CleanerDaemon(
-        scheduler, layout, make_cleaner(policy_name), low_water=0.22, high_water=0.32
+        scheduler, layout, registry.create("cleaner", policy_name), low_water=0.22, high_water=0.32
     )
     inode = layout.allocate_inode(FileKind.REGULAR)
     hot_count = int(FILE_BLOCKS * HOT_FRACTION)

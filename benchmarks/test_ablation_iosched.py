@@ -8,7 +8,7 @@ first-come-first-served on total seek distance and mean response time.
 import random
 
 from benchmarks.conftest import run_once
-from repro.core.iosched import make_io_scheduler
+from repro.assembly.registry import registry
 from repro.core.scheduler import Scheduler
 from repro.core.clock import VirtualClock
 from repro.patsy.bus import ScsiBus
@@ -24,7 +24,7 @@ def run_policy(policy_name: str) -> dict:
     bus = ScsiBus(scheduler)
     disk = SimulatedDisk(scheduler, HP97560, bus)
     driver = SimulatedDiskDriver(
-        scheduler, disk, bus, io_scheduler=make_io_scheduler(policy_name)
+        scheduler, disk, bus, io_scheduler=registry.create("iosched", policy_name)
     )
     rng = random.Random(42)
     sectors = [rng.randrange(0, disk.num_sectors - 64) for _ in range(NUM_REQUESTS)]

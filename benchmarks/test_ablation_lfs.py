@@ -7,11 +7,12 @@ reports how much cleaning each configuration needed.
 """
 
 from benchmarks.conftest import run_once
+from repro.assembly.registry import registry
 from repro.core.blocks import CacheBlock
 from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind
 from repro.core.scheduler import Scheduler
-from repro.core.storage.cleaner import CleanerDaemon, make_cleaner
+from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume
 from repro.pfs.diskfile import MemoryBackedDiskDriver
@@ -29,7 +30,7 @@ def run_configuration(segment_blocks: int, cleaner_policy: str) -> dict:
         scheduler, volume, block_size=4 * KB, segment_blocks=segment_blocks, simulated=False
     )
     daemon = CleanerDaemon(
-        scheduler, layout, make_cleaner(cleaner_policy), low_water=0.3, high_water=0.5
+        scheduler, layout, registry.create("cleaner", cleaner_policy), low_water=0.3, high_water=0.5
     )
 
     def body():

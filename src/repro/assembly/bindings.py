@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Union
 
+from repro.assembly.registry import registry
 from repro.assembly.spec import StackSpec
 from repro.core.clock import RealClock, VirtualClock
 from repro.core.datamover import DataMover
-from repro.core.iosched import make_io_scheduler
 from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler
 from repro.units import MB
 
@@ -118,8 +118,8 @@ class Binding:
     def make_metadata_device(self, spec: StackSpec, scheduler: Scheduler) -> Any:
         """The device the durable metadata tier (WAL + manifest) lives on.
 
-        Only consulted when ``spec.cluster.metadata`` is enabled; each
-        binding picks its world's back-end.
+        Only consulted for cluster stacks; each binding picks its world's
+        back-end.
         """
         raise NotImplementedError
 
@@ -186,7 +186,7 @@ class SimulatedBinding(Binding):
                 disk,
                 bus,
                 name=f"sim-disk{index}",
-                io_scheduler=make_io_scheduler(host.io_scheduler),
+                io_scheduler=registry.create("iosched", host.io_scheduler),
                 node=node,
             )
             disks.append(disk)
@@ -291,7 +291,7 @@ class OnlineBinding(Binding):
         per_disk = self.size_bytes // num_disks
         drivers: List[Any] = []
         for index in range(num_disks):
-            io_scheduler = make_io_scheduler(spec.host.io_scheduler)
+            io_scheduler = registry.create("iosched", spec.host.io_scheduler)
             if self.backing is None:
                 drivers.append(
                     MemoryBackedDiskDriver(

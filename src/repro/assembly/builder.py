@@ -40,16 +40,15 @@ from repro.core.cluster.rebalance import ClusterRebalancer
 from repro.core.cluster.remote import RemoteVolume
 from repro.core.datamover import DataMover
 from repro.core.filesystem import FileSystem
-from repro.core.flush import FlushPolicy, ShardedFlushPolicy, make_flush_policy
+from repro.core.flush import FlushPolicy, ShardedFlushPolicy
 from repro.core.scheduler import Scheduler
 from repro.core.storage.array import (
     PlacementPolicy,
     RoutedLayout,
     ShardedCache,
     VolumeSet,
-    make_placement_policy,
 )
-from repro.core.storage.cleaner import CleanerDaemon, CleanerSet, make_cleaner
+from repro.core.storage.cleaner import CleanerDaemon, CleanerSet
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume, Volume
 from repro.errors import ConfigurationError
@@ -99,7 +98,7 @@ class StorageStack:
     placement: Optional[PlacementPolicy]
     #: the cluster topology (multi-machine stacks only).
     cluster: Optional[ClusterTopology] = None
-    #: the durable metadata tier (cluster stacks with ``metadata=True``).
+    #: the durable metadata tier (cluster stacks only).
     metadata: Optional[Any] = None
     #: crash-injection hooks threaded through the stack (tests only).
     crashpoints: Optional[Any] = None
@@ -206,7 +205,7 @@ def _make_cleaner_daemon(
     return CleanerDaemon(
         scheduler,
         layout,
-        make_cleaner(spec.layout.cleaner_policy, spec.layout.cleaner_age_scale),
+        registry.create("cleaner", spec.layout.cleaner_policy),
         low_water=spec.layout.cleaner_low_water,
         high_water=spec.layout.cleaner_high_water,
         node=node,
@@ -252,7 +251,7 @@ def build_stack(
             scheduler, spec.cache, with_data=with_data
         )
         datamover = binding.make_datamover(spec)
-        flush_policy: FlushPolicy = make_flush_policy(spec.flush)
+        flush_policy: FlushPolicy = registry.create("flush", spec.flush.policy, spec.flush)
         if isinstance(layout, LogStructuredLayout):
             cleaner = _make_cleaner_daemon(spec, scheduler, layout)
     else:
@@ -261,7 +260,8 @@ def build_stack(
         # is configured, so cluster-without-array stacks track ArrayConfig's
         # dataclass defaults from one place.
         node_array = spec.effective_array
-        placement = make_placement_policy(
+        placement = registry.create(
+            "placement",
             node_array.placement,
             total_volumes,
             stripe_unit=node_array.stripe_unit_blocks,
@@ -345,7 +345,6 @@ def build_stack(
             spec.flush,
             high_water=node_array.governor_high_water,
             low_water=node_array.governor_low_water,
-            check_interval=node_array.governor_interval,
         )
         if cluster is not None and cluster.nodes > 1:
             # Home each cache shard's flush daemons (and the governors) on
@@ -413,46 +412,34 @@ def build_stack(
                     )
                 layout.replication = ReplicaManager(scheduler, layout, placement, faults)
                 topology.replication = layout.replication
-            if cluster.metadata:
-                # Imported here for their registry side effects ("wal" and
-                # "manifest" kinds) and to keep the metadata package out of
-                # non-cluster assemblies entirely.
-                import repro.core.metadata.manifest  # noqa: F401
-                import repro.core.metadata.wal  # noqa: F401
-                from repro.core.metadata.tier import MetadataTier
+            # Every cluster stack carries the durable metadata tier; it
+            # stays invisible to the replay until something is journalled.
+            from repro.core.metadata.manifest import ManifestStore
+            from repro.core.metadata.tier import MetadataTier
+            from repro.core.metadata.wal import WriteAheadLog
 
-                device = binding.make_metadata_device(spec, scheduler)
-                wal = registry.create(
-                    "wal",
-                    cluster.wal_kind,
-                    scheduler,
-                    device,
-                    commit_records=cluster.wal_commit_records,
-                    commit_bytes=cluster.wal_commit_bytes,
-                    commit_interval=cluster.wal_commit_interval,
-                    group_commit=cluster.wal_group_commit,
-                    crashpoints=crashpoints,
-                )
-                manifest_store = registry.create(
-                    "manifest",
-                    cluster.manifest_kind,
-                    scheduler,
-                    device,
-                    crashpoints=crashpoints,
-                )
-                metadata = MetadataTier(
-                    scheduler,
-                    placement,
-                    wal,
-                    manifest_store,
-                    cluster,
-                    crashpoints=crashpoints,
-                )
-                topology.metadata = metadata
-                if topology.replication is not None:
-                    # Creation-time replica re-homing (dead default volume
-                    # at first write) journals RSETs like a repair does.
-                    topology.replication.metadata = metadata
+            device = binding.make_metadata_device(spec, scheduler)
+            wal = WriteAheadLog(
+                scheduler,
+                device,
+                commit_records=cluster.wal_commit_records,
+                commit_bytes=cluster.wal_commit_bytes,
+                commit_interval=cluster.wal_commit_interval,
+                crashpoints=crashpoints,
+            )
+            metadata = MetadataTier(
+                scheduler,
+                placement,
+                wal,
+                ManifestStore(scheduler, device, crashpoints=crashpoints),
+                cluster,
+                crashpoints=crashpoints,
+            )
+            topology.metadata = metadata
+            if topology.replication is not None:
+                # Creation-time replica re-homing (dead default volume
+                # at first write) journals RSETs like a repair does.
+                topology.replication.metadata = metadata
 
     return StorageStack(
         spec=spec,

@@ -3,13 +3,9 @@
 The paper organises the framework as a taxonomy of *base*, *derived* and
 *helper* components, each replaceable at start-up ("the log-cleaner can be
 replaced and is plugged into the LFS component when the system starts up").
-Before this module existed, every pluggable family had its own ad-hoc
-factory function (``make_flush_policy``, ``make_io_scheduler``,
-``make_placement_policy``, ``make_cleaner``, ``make_replacement_policy``)
-and adding a policy meant editing the module that owned the ``if``-chain.
-
-The registry replaces those chains with a single two-level namespace of
-named factories, keyed first by component *kind* and then by policy *name*.
+The registry is a single two-level namespace of named factories, keyed
+first by component *kind* and then by policy *name*; call sites build a
+component with ``registry.create(kind, name, ...)``.
 Built-in policies self-register when their module is imported; third-party
 code registers the same way, without touching any core module::
 
@@ -21,10 +17,6 @@ code registers the same way, without touching any core module::
 
     registry.register("flush", "eager", EagerFlushPolicy)
     FlushConfig(policy="eager")          # now a valid configuration
-
-The legacy ``make_*`` functions survive as thin wrappers over
-:meth:`ComponentRegistry.create`, so existing call sites (and the paper's
-vocabulary of "the factory for X") keep working.
 
 This module deliberately has no dependencies beyond ``repro.errors``: every
 core module imports it to self-register, so it must sit below all of them
@@ -48,8 +40,6 @@ KNOWN_KINDS = (
     "layout",       # storage layouts (LFS / FFS)       (core.storage.lfs/ffs)
     "placement",    # array file/block placement        (core.storage.array)
     "cleaner",      # LFS segment cleaners              (core.storage.cleaner)
-    "wal",          # metadata write-ahead logs         (core.metadata.wal)
-    "manifest",     # metadata manifest stores          (core.metadata.manifest)
 )
 
 

@@ -162,8 +162,7 @@ class StackSpec:
         """A :class:`~repro.config.SimulationConfig` running this stack.
 
         ``overrides`` forwards any of the run-scoped knobs the spec does
-        not carry (``report_interval``, ``max_simulated_time``,
-        ``streaming``).
+        not carry (``report_interval``, ``streaming``).
         """
         return SimulationConfig(
             cache=self.cache,

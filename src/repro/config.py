@@ -56,8 +56,6 @@ class CacheConfig:
     #: replacement policy: "lru", "random", "lfu", "slru", "lru-k",
     #: "clock", "2q" or "arc" (see :mod:`repro.core.replacement`).
     replacement: str = "lru"
-    #: fraction of the cache protected by SLRU (only used by "slru").
-    slru_protected_fraction: float = 0.5
     #: K parameter for LRU-K replacement.
     lru_k: int = 2
     #: fraction of the cache given to 2Q's A1in FIFO (only used by "2q").
@@ -84,8 +82,6 @@ class CacheConfig:
         # Policy parameters are validated only for the selected policy:
         # the knobs are documented as "only used by" their policy, and a
         # config that never reads a value must not be rejected over it.
-        if self.replacement == "slru" and not (0.0 < self.slru_protected_fraction < 1.0):
-            raise ConfigurationError("slru_protected_fraction must be in (0, 1)")
         if self.replacement == "2q" and (
             not (0.0 < self.twoq_in_fraction < 1.0) or self.twoq_out_fraction <= 0.0
         ):
@@ -177,23 +173,11 @@ class LayoutConfig:
     cleaner_high_water: float = 0.4
     #: cleaner policy: "greedy" or "cost-benefit".
     cleaner_policy: str = "cost-benefit"
-    #: cost-benefit age normalisation (seconds): a segment this old doubles
-    #: its benefit score relative to a fresh one (Sprite's utilisation-vs-age
-    #: trade-off; see :class:`repro.core.storage.cleaner.CostBenefitCleaner`).
-    cleaner_age_scale: float = 30.0
-    #: FFS-style layout parameters (used when kind == "ffs").
-    cylinder_group_size: int = 2 * MB
-    #: per-segment sparse index + bloom filter on the LFS read/cleaner
-    #: path (LSM-style).  Off reproduces the pre-index stack byte for
-    #: byte: eager summary reloads at mount, full segment scans per
-    #: cleaner wakeup, one read per live block when cleaning.
-    segment_index: bool = True
-    #: sample every Nth summary entry into the sparse offset index.
+    #: LFS per-segment index: sample every Nth summary entry into the
+    #: sparse offset index.
     index_sparse_every: int = 4
-    #: bloom filter size in bits per indexed key.
-    index_bloom_bits: int = 8
     #: bound on the cleaner's candidate set drawn from the utilisation
-    #: buckets (0 = scan every segment, as without the index).
+    #: buckets (0 = scan every segment).
     cleaner_candidates: int = 64
     #: maximum blocks coalesced into one cold-read run (<=1 disables).
     read_coalesce_blocks: int = 8
@@ -209,12 +193,8 @@ class LayoutConfig:
             "cleaner", self.cleaner_policy
         ):
             raise ConfigurationError(f"unknown cleaner policy {self.cleaner_policy!r}")
-        if self.cleaner_age_scale <= 0:
-            raise ConfigurationError("cleaner_age_scale must be positive")
         if self.index_sparse_every < 1:
             raise ConfigurationError("index_sparse_every must be >= 1")
-        if self.index_bloom_bits < 1:
-            raise ConfigurationError("index_bloom_bits must be >= 1")
         if self.cleaner_candidates < 0:
             raise ConfigurationError("cleaner_candidates must be >= 0")
         if self.read_coalesce_blocks < 0:
@@ -222,14 +202,11 @@ class LayoutConfig:
 
     def index_config(self):
         """The :class:`~repro.core.storage.segindex.SegmentIndexConfig`
-        these knobs describe, or None when the index is disabled."""
-        if not self.segment_index:
-            return None
+        these knobs describe."""
         from repro.core.storage.segindex import SegmentIndexConfig
 
         return SegmentIndexConfig(
             sparse_every=self.index_sparse_every,
-            bloom_bits=self.index_bloom_bits,
             cleaner_candidates=self.cleaner_candidates,
             read_coalesce_blocks=self.read_coalesce_blocks,
         )
@@ -312,8 +289,6 @@ class ArrayConfig:
     governor_high_water: float = 0.85
     #: aggregate dirty ratio at which the governor stops draining.
     governor_low_water: float = 0.70
-    #: how often (simulated seconds) the governor re-examines the shards.
-    governor_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.volumes < 1:
@@ -337,8 +312,6 @@ class ArrayConfig:
             raise ConfigurationError(f"unknown cache shard policy {self.shard!r}")
         if not (0.0 <= self.governor_low_water <= self.governor_high_water <= 1.0):
             raise ConfigurationError("governor water marks must satisfy 0 <= low <= high <= 1")
-        if self.governor_interval <= 0:
-            raise ConfigurationError("governor_interval must be positive")
 
     @property
     def total_disks(self) -> int:
@@ -400,23 +373,17 @@ class ClusterConfig:
     free_space_low_water: float = 0.10
     #: upper bound on file migrations per monitor round.
     max_migrations_per_round: int = 8
-    #: durable metadata tier: journal routing flips and migration state in a
-    #: write-ahead log, periodically folded into an atomically rewritten
+    #: the durable metadata tier journals routing flips and migration state
+    #: in a write-ahead log, periodically folded into an atomically rewritten
     #: manifest, so a crashed node recovers its routing table at mount time.
-    metadata: bool = True
-    #: WAL implementation name in the assembly registry ("wal" kind).
-    wal_kind: str = "group-commit"
-    #: manifest-store implementation name ("manifest" kind).
-    manifest_kind: str = "atomic-rewrite"
-    #: group commit becomes due after this many buffered records ...
+    #: A group commit becomes due after this many buffered records (1 =
+    #: commit after every record) ...
     wal_commit_records: int = 8
     #: ... or this many buffered bytes ...
     wal_commit_bytes: int = 4 * KB
     #: ... or this much simulated time since the previous commit (the
     #: interval daemon; only spawned once something is journalled).
     wal_commit_interval: float = 1.0
-    #: False = commit after every record (no batching; for comparison runs).
-    wal_group_commit: bool = True
     #: fold the WAL into the manifest once the log file passes this size.
     wal_checkpoint_bytes: int = 64 * KB
     #: per-operation latency of the (simulated) metadata device, seconds.
@@ -460,14 +427,6 @@ class ClusterConfig:
             raise ConfigurationError("free_space_low_water must be in [0, 1)")
         if self.max_migrations_per_round < 1:
             raise ConfigurationError("max_migrations_per_round must be positive")
-        if self.wal_kind != "group-commit" and not _is_registered("wal", self.wal_kind):
-            raise ConfigurationError(f"unknown WAL implementation {self.wal_kind!r}")
-        if self.manifest_kind != "atomic-rewrite" and not _is_registered(
-            "manifest", self.manifest_kind
-        ):
-            raise ConfigurationError(
-                f"unknown manifest implementation {self.manifest_kind!r}"
-            )
         if self.wal_commit_records < 1:
             raise ConfigurationError("wal_commit_records must be positive")
         if self.wal_commit_bytes < 1:
@@ -508,9 +467,6 @@ class SimulationConfig:
     #: emit interval statistics every this many seconds of simulated time
     #: (the paper reports every 15 minutes).
     report_interval: float = 900.0
-    #: stop the simulation after this much simulated time (None = run the
-    #: whole trace).
-    max_simulated_time: Optional[float] = None
     #: replay traces through the streaming engine: records are pulled from
     #: the source one at a time and demultiplexed into per-client threads
     #: without materialising the trace (memory stays O(clients + skew)

@@ -129,7 +129,6 @@ class BlockCache:
             config.num_blocks,
             rng=scheduler.rng,
             stats=self.stats,
-            slru_fraction=config.slru_protected_fraction,
             k=config.lru_k,
             twoq_in_fraction=config.twoq_in_fraction,
             twoq_out_fraction=config.twoq_out_fraction,

@@ -64,7 +64,7 @@ class ClusterTopology:
     rebalancer: Optional["ClusterRebalancer"] = None
     #: remote volumes, keyed by global volume index (front-end view).
     remote_volumes: dict = field(default_factory=dict)
-    #: the durable metadata tier (WAL + manifest), when enabled.
+    #: the durable metadata tier (WAL + manifest).
     metadata: Optional[Any] = None
     #: the fault board (``repro.core.faults.FaultState``).
     faults: Optional[Any] = None

@@ -24,7 +24,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.core.iosched import IoScheduler, make_io_scheduler
+from repro.assembly.registry import registry
+from repro.core.iosched import IoScheduler
 from repro.core.scheduler import Event, Scheduler
 from repro.errors import DiskAddressError, DiskError
 from repro.units import SECTOR_SIZE
@@ -166,7 +167,7 @@ class DiskDriver(ABC):
         self.scheduler = scheduler
         self.name = name
         self.node = node
-        self.queue = io_scheduler if io_scheduler is not None else make_io_scheduler("clook")
+        self.queue = io_scheduler if io_scheduler is not None else registry.create("iosched", "clook")
         self.num_sectors = num_sectors
         self.sector_size = sector_size
         self.stats = DriverStatistics()

@@ -44,7 +44,6 @@ __all__ = [
     "WriteSavingPolicy",
     "NvramPolicy",
     "ShardedFlushPolicy",
-    "make_flush_policy",
 ]
 
 
@@ -350,7 +349,7 @@ class ShardedFlushPolicy(FlushPolicy):
                 self.config, nvram_bytes=max(self.config.nvram_bytes // len(shards), 1)
             )
         for shard, shard_node in zip(shards, shard_nodes):
-            child = make_flush_policy(child_config)
+            child = registry.create("flush", child_config.policy, child_config)
             child.attach(shard, scheduler, node=shard_node)
             self.children.append(child)
         if self.config.policy == "ups" or self.high_water >= 1.0:
@@ -432,12 +431,3 @@ class ShardedFlushPolicy(FlushPolicy):
 registry.register("flush", "periodic", PeriodicUpdatePolicy)
 registry.register("flush", "ups", WriteSavingPolicy)
 registry.register("flush", "nvram", NvramPolicy)
-
-
-def make_flush_policy(config: FlushConfig) -> FlushPolicy:
-    """Instantiate the flush policy selected by ``config.policy``.
-
-    Thin wrapper over ``registry.create("flush", ...)``; a third-party
-    policy registered under kind ``"flush"`` is instantiated the same way.
-    """
-    return registry.create("flush", config.policy, config)

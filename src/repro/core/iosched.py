@@ -30,7 +30,6 @@ __all__ = [
     "ScanScheduler",
     "CscanScheduler",
     "ScanEdfScheduler",
-    "make_io_scheduler",
 ]
 
 
@@ -202,12 +201,3 @@ for _cls in (
     ScanEdfScheduler,
 ):
     registry.register("iosched", _cls.name, _cls)
-
-
-def make_io_scheduler(name: str) -> IoScheduler:
-    """Factory keyed by the ``HostConfig.io_scheduler`` names.
-
-    Thin wrapper over ``registry.create("iosched", name)``; third-party
-    schedulers registered under the same kind are constructible here too.
-    """
-    return registry.create("iosched", name)

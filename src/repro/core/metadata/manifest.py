@@ -29,7 +29,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional, Tuple
 
-from repro.assembly.registry import registry
 from repro.core.metadata.crash import CrashPoints
 from repro.core.metadata.device import MetadataDevice
 from repro.core.scheduler import Scheduler
@@ -107,12 +106,7 @@ class Manifest:
 
 
 class ManifestStore:
-    """Reads and atomically rewrites the manifest on a metadata device.
-
-    Registered in the assembly registry as ``("manifest", "atomic-rewrite")``.
-    """
-
-    name = "atomic-rewrite"
+    """Reads and atomically rewrites the manifest on a metadata device."""
 
     def __init__(
         self,
@@ -146,6 +140,3 @@ class ManifestStore:
 
     def snapshot(self) -> dict:
         return {"writes": self.writes, "corrupt_reads": self.corrupt_reads}
-
-
-registry.register("manifest", "atomic-rewrite", ManifestStore)

@@ -37,7 +37,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.assembly.registry import registry
 from repro.core.metadata.crash import CrashPoints
 from repro.core.metadata.device import MetadataDevice
 from repro.core.scheduler import Scheduler, Thread
@@ -135,12 +134,8 @@ def decode_wal(data: bytes) -> Tuple[List[WalRecord], int]:
 
 
 class WriteAheadLog:
-    """Group-committed journal over a :class:`MetadataDevice`.
-
-    Registered in the assembly registry as ``("wal", "group-commit")``.
-    """
-
-    name = "group-commit"
+    """Group-committed journal over a :class:`MetadataDevice`
+    (``commit_records=1`` commits after every record)."""
 
     def __init__(
         self,
@@ -149,7 +144,6 @@ class WriteAheadLog:
         commit_records: int = 8,
         commit_bytes: int = 4096,
         commit_interval: float = 1.0,
-        group_commit: bool = True,
         crashpoints: Optional[CrashPoints] = None,
     ):
         self.scheduler = scheduler
@@ -157,7 +151,6 @@ class WriteAheadLog:
         self.commit_records = commit_records
         self.commit_bytes = commit_bytes
         self.commit_interval = commit_interval
-        self.group_commit = group_commit
         self.crashpoints = crashpoints
         self._next_lsn = 1
         self._pending: List[bytes] = []
@@ -194,13 +187,9 @@ class WriteAheadLog:
         self._pending.append(frame)
         self._pending_bytes += len(frame)
         self.records_appended += 1
-        if (
-            not self.group_commit
-            or len(self._pending) >= self.commit_records
-            or self._pending_bytes >= self.commit_bytes
-        ):
+        if len(self._pending) >= self.commit_records or self._pending_bytes >= self.commit_bytes:
             self._commit_due = True
-        if self.group_commit and self.commit_interval > 0 and self._daemon is None:
+        if self.commit_interval > 0 and self._daemon is None:
             # Lazily spawned on the first record ever logged: a WAL that
             # journals nothing leaves the scheduler untouched.
             self._daemon = self.scheduler.spawn(
@@ -264,6 +253,3 @@ class WriteAheadLog:
             "pending_records": self.pending_records,
             "device_bytes": self.device.wal_bytes,
         }
-
-
-registry.register("wal", "group-commit", WriteAheadLog)

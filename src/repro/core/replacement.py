@@ -1033,15 +1033,8 @@ POLICY_NAMES = ("lru", "random", "lfu", "slru", "lru-k", "clock", "2q", "arc")
 # the CacheConfig policy knobs they care about, by name; the factory below
 # only forwards the knobs a factory's signature declares, so a plain policy
 # class (capacity, rng, stats) registers directly without adapter noise.
-for _cls in (LruPolicy, RandomPolicy, LfuPolicy, ClockPolicy, ArcPolicy):
+for _cls in (LruPolicy, RandomPolicy, LfuPolicy, SlruPolicy, ClockPolicy, ArcPolicy):
     registry.register("replacement", _cls.name, _cls)
-registry.register(
-    "replacement",
-    "slru",
-    lambda capacity, rng=None, stats=None, slru_fraction=0.5: SlruPolicy(
-        capacity, rng, stats, protected_fraction=slru_fraction
-    ),
-)
 registry.register(
     "replacement",
     "lru-k",
@@ -1077,7 +1070,6 @@ def make_replacement_policy(
     *,
     rng: Optional[random.Random] = None,
     stats: Optional[object] = None,
-    slru_fraction: float = 0.5,
     k: int = 2,
     twoq_in_fraction: float = 0.25,
     twoq_out_fraction: float = 0.5,
@@ -1096,7 +1088,6 @@ def make_replacement_policy(
         {
             "rng": rng,
             "stats": stats,
-            "slru_fraction": slru_fraction,
             "k": k,
             "twoq_in_fraction": twoq_in_fraction,
             "twoq_out_fraction": twoq_out_fraction,

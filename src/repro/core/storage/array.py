@@ -45,7 +45,6 @@ __all__ = [
     "HashPlacement",
     "StripedPlacement",
     "DirectoryAffinityPlacement",
-    "make_placement_policy",
     "VolumeSet",
     "ShardedCache",
     "RoutedLayout",
@@ -169,7 +168,8 @@ class DirectoryAffinityPlacement(PlacementPolicy):
 
 
 # "placement" factories take (num_volumes, stripe_unit=...) and return a
-# PlacementPolicy; whole-file policies ignore the stripe keyword.
+# PlacementPolicy, keyed by ``ArrayConfig.placement``; whole-file policies
+# ignore the stripe keyword.
 registry.register(
     "placement", "hash", lambda num_volumes, stripe_unit=16: HashPlacement(num_volumes)
 )
@@ -179,17 +179,6 @@ registry.register(
     "directory",
     lambda num_volumes, stripe_unit=16: DirectoryAffinityPlacement(num_volumes),
 )
-
-
-def make_placement_policy(
-    name: str, num_volumes: int, stripe_unit: int = 16
-) -> PlacementPolicy:
-    """Factory keyed by ``ArrayConfig.placement``.
-
-    Thin wrapper over ``registry.create("placement", ...)``; third-party
-    placement policies registered under the same kind work here unchanged.
-    """
-    return registry.create("placement", name, num_volumes, stripe_unit=stripe_unit)
 
 
 # --------------------------------------------------------------------------- volume set

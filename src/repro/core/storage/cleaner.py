@@ -24,7 +24,6 @@ __all__ = [
     "CostBenefitCleaner",
     "CleanerDaemon",
     "CleanerSet",
-    "make_cleaner",
 ]
 
 
@@ -179,16 +178,7 @@ class CleanerSet:
         return iter(self.daemons)
 
 
-# "cleaner" factories take (age_scale=...) and return a SegmentCleaner;
-# policies that do not use an age model simply ignore the keyword.
-registry.register("cleaner", "greedy", lambda age_scale=30.0: GreedyCleaner())
+# "cleaner" factories take no arguments and return a SegmentCleaner, keyed
+# by ``LayoutConfig.cleaner_policy``.
+registry.register("cleaner", "greedy", GreedyCleaner)
 registry.register("cleaner", "cost-benefit", CostBenefitCleaner)
-
-
-def make_cleaner(name: str, age_scale: float = 30.0) -> SegmentCleaner:
-    """Factory keyed by ``LayoutConfig.cleaner_policy``.
-
-    Thin wrapper over ``registry.create("cleaner", ...)``; third-party
-    cleaners registered under the same kind work here unchanged.
-    """
-    return registry.create("cleaner", name, age_scale=age_scale)

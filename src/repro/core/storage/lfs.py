@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import defaultdict
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.assembly.registry import registry
 from repro.core import codec
@@ -96,7 +96,7 @@ class LogStructuredLayout(StorageLayout):
         segment_blocks: int = 64,
         simulated: bool = False,
         seed: int = 0,
-        index_config: Optional[SegmentIndexConfig] = None,
+        index_config: SegmentIndexConfig = SegmentIndexConfig(),
     ):
         super().__init__(scheduler, volume, block_size, simulated=simulated, seed=seed)
         if segment_blocks < 4:
@@ -146,9 +146,8 @@ class LogStructuredLayout(StorageLayout):
         # Incremental total of live blocks across all segments (= what the old
         # free_blocks property recomputed with an O(num_segments) sum).
         self._live_total = 0
-        # --- LSM-style per-segment indexes (None/off = pre-index behaviour) ---
+        # --- LSM-style per-segment indexes ------------------------------------
         self.index_config = index_config
-        self._index_on = index_config is not None
         #: recovery crash points; attached by the assembly builder when a
         #: CrashPoints instance is threaded through the stack.
         self.crashpoints = None
@@ -166,7 +165,7 @@ class LogStructuredLayout(StorageLayout):
         #: (the block itself stays cached until its writeback returns).
         self._unwritten: set[int] = set()
         #: layout-wide owner bloom: which inode numbers ever hit this log.
-        self._owner_bloom = BloomFilter(1 << 14) if self._index_on else None
+        self._owner_bloom = BloomFilter(1 << 14)
 
     # ------------------------------------------------------------------ geometry helpers
 
@@ -218,8 +217,7 @@ class LogStructuredLayout(StorageLayout):
         self._buckets.clear()
         self._unloaded.clear()
         self._unwritten.clear()
-        if self._index_on:
-            self._owner_bloom = BloomFilter(1 << 14)
+        self._owner_bloom = BloomFilter(1 << 14)
         if not self.simulated:
             superblock = codec.pack_superblock(
                 self.block_size, self.segment_blocks, self.volume.total_blocks, 0, 0
@@ -267,43 +265,25 @@ class LogStructuredLayout(StorageLayout):
         self._durable_checkpoint = True
         self._rebuild_free_heaps()
         self._live_total = sum(self.segment_usage.values())
-        if self._index_on:
-            # Lazy mount: defer the one-read-per-segment summary sweep.  The
-            # checkpoint's usage counters are enough to seed the cleaner's
-            # utilisation buckets; a segment's summary (and persisted index)
-            # is read the first time the cleaner touches it.
-            self._indexes.clear()
-            self._buckets.clear()
-            self._unloaded.clear()
-            self.segment_summaries.clear()
-            self._owner_bloom = BloomFilter(1 << 14)
-            for segment in range(self.num_segments):
-                if segment in self.free_segments:
-                    continue
-                self._unloaded.add(segment)
-                self._buckets.insert(
-                    segment, self.segment_usage[segment], self.segment_blocks - 1
-                )
-        else:
-            yield from self._reload_summaries()
-
-    def _reload_summaries(self) -> Generator[Any, Any, None]:
+        # Lazy mount: no summary sweep.  The checkpoint's usage counters are
+        # enough to seed the cleaner's utilisation buckets; a segment's
+        # summary (and persisted index) is read the first time the cleaner
+        # touches it.
+        self._indexes.clear()
+        self._buckets.clear()
+        self._unloaded.clear()
         self.segment_summaries.clear()
+        self._owner_bloom = BloomFilter(1 << 14)
         for segment in range(self.num_segments):
             if segment in self.free_segments:
                 continue
-            raw = yield from self.volume.read_block(self.segment_start(segment))
-            self.stats.disk_reads += 1
-            if raw is None:
-                continue
-            try:
-                entries = codec.unpack_segment_summary(raw)
-            except StorageError:
-                entries = []
-            self.segment_summaries[segment] = entries
+            self._unloaded.add(segment)
+            self._buckets.insert(
+                segment, self.segment_usage[segment], self.segment_blocks - 1
+            )
 
     def _load_segment_summary(self, segment: int) -> Generator[Any, Any, None]:
-        """Lazily read one sealed segment's summary block (index-on mount).
+        """Lazily read one sealed segment's summary block.
 
         Decodes the summary entries and, when the block carries a persisted
         index section, the bloom/sparse index; legacy blocks written before
@@ -326,7 +306,6 @@ class LogStructuredLayout(StorageLayout):
             except StorageError:
                 entries = []
         self.segment_summaries[segment] = entries
-        assert self.index_config is not None
         live = self.segment_usage[segment]
         if packed is not None and packed["sparse_every"] == self.index_config.sparse_every:
             self.stats.index_reads += 1
@@ -346,9 +325,8 @@ class LogStructuredLayout(StorageLayout):
                 self.index_config, self.segment_blocks - 1, entries, live
             )
         self._indexes[segment] = index
-        if self._owner_bloom is not None:
-            for owner, _logical, _is_inode in entries:
-                self._owner_bloom.add(owner_key(owner))
+        for owner, _logical, _is_inode in entries:
+            self._owner_bloom.add(owner_key(owner))
 
     def checkpoint(self) -> Generator[Any, Any, None]:
         """Append a checkpoint to the log and point the superblock at it."""
@@ -481,10 +459,10 @@ class LogStructuredLayout(StorageLayout):
         has blocks, and their bytes are on disk (not ``_unwritten``).  A run
         holds at most ``read_coalesce_blocks`` file blocks and ends with its
         segment — segments never straddle disks, so a run is always a
-        single-disk operation.  Index off (or a bound of 0/1): single-block
-        runs, no read-ahead.
+        single-disk operation.  A bound of 0 or 1: single-block runs, no
+        read-ahead.
         """
-        limit = self.index_config.read_coalesce_blocks if self._index_on else 1
+        limit = self.index_config.read_coalesce_blocks
         runs: list[ReadRun] = []
         members: list[tuple[int, int]] = []
         start = room = 0
@@ -602,10 +580,11 @@ class LogStructuredLayout(StorageLayout):
 
     # ------------------------------------------------------------------ cleaner support
 
-    def segment_infos(self) -> list[SegmentInfo]:
-        """Candidate segments for cleaning (excludes free and active ones)."""
+    def segment_infos(self, segments: Optional[Iterable[int]] = None) -> list[SegmentInfo]:
+        """Candidate segments for cleaning: ``segments`` (default: all of
+        them) minus the free and the active ones."""
         infos = []
-        for segment in range(self.num_segments):
+        for segment in range(self.num_segments) if segments is None else segments:
             if segment in self.free_segments or segment == self._active_segment:
                 continue
             infos.append(
@@ -621,32 +600,16 @@ class LogStructuredLayout(StorageLayout):
     def cleaner_candidates(self, now: float = 0.0) -> list[SegmentInfo]:
         """Bounded cleaner candidate set.
 
-        With the segment index on, candidates come from the incrementally
-        maintained utilisation buckets — the emptiest segments first, at most
-        ``cleaner_candidates`` of them — so a cleaner wakeup costs O(bound)
-        instead of rebuilding an O(num_segments) info list.  Greedy's global
-        minimum always lies in the lowest occupied bucket; cost-benefit's age
-        term may in rare cases prefer a segment outside the bound (the usual
-        LSM-compaction approximation).  Index off falls back to the full scan.
+        Candidates come from the incrementally maintained utilisation
+        buckets — the emptiest segments first, at most ``cleaner_candidates``
+        of them — so a cleaner wakeup costs O(bound) instead of rebuilding an
+        O(num_segments) info list.  Greedy's global minimum always lies in
+        the lowest occupied bucket; cost-benefit's age term may in rare cases
+        prefer a segment outside the bound (the usual LSM-compaction
+        approximation).  A bound of 0 scans every segment.
         """
-        if not self._index_on or self.index_config.cleaner_candidates <= 0:
-            infos = self.segment_infos()
-            self.stats.cleaner_candidate_scans += 1
-            self.stats.cleaner_candidates_considered += len(infos)
-            return infos
-        capacity = self.segment_blocks - 1
-        infos = []
-        for segment in self._buckets.candidates(self.index_config.cleaner_candidates):
-            if segment in self.free_segments or segment == self._active_segment:
-                continue
-            infos.append(
-                SegmentInfo(
-                    index=segment,
-                    live_blocks=self.segment_usage[segment],
-                    capacity=capacity,
-                    modified_at=self.segment_mtime[segment],
-                )
-            )
+        bound = self.index_config.cleaner_candidates
+        infos = self.segment_infos(self._buckets.candidates(bound) if bound > 0 else None)
         self.stats.cleaner_candidate_scans += 1
         self.stats.cleaner_candidates_considered += len(infos)
         return infos
@@ -658,42 +621,35 @@ class LogStructuredLayout(StorageLayout):
         """
         if segment in self.free_segments or segment == self._active_segment:
             return (0, 0)
-        if self._index_on and segment in self._unloaded:
+        if segment in self._unloaded:
             yield from self._load_segment_summary(segment)
         entries = list(self.segment_summaries.get(segment, []))
         start = self.segment_start(segment)
         copied = 0
-        staged: Optional[dict[int, Optional[bytes]]] = None
-        if self._index_on:
-            # Coalesce the live blocks into contiguous multi-block reads
-            # instead of one disk operation per live block.  Liveness is
-            # re-checked per entry below: copying an inode forward can kill a
-            # later entry of this same segment mid-clean.
-            live_offsets = [
-                offset
-                for offset, (owner, logical, is_inode) in enumerate(entries, start=1)
-                if self._is_live(start + offset, owner, logical, is_inode)
-            ]
-            staged = {}
-            size = self.block_size
-            for run_start, run_len in _contiguous_runs(live_offsets):
-                raw = yield from self.volume.read_run(start + run_start, run_len)
-                self.stats.disk_reads += 1
-                self.stats.cleaner_read_runs += 1
-                for j in range(run_len):
-                    staged[run_start + j] = (
-                        None if raw is None else raw[j * size : (j + 1) * size]
-                    )
+        # Coalesce the live blocks into contiguous multi-block reads instead
+        # of one disk operation per live block.  Liveness is re-checked per
+        # entry below: copying an inode forward can kill a later entry of
+        # this same segment mid-clean.
+        live_offsets = [
+            offset
+            for offset, (owner, logical, is_inode) in enumerate(entries, start=1)
+            if self._is_live(start + offset, owner, logical, is_inode)
+        ]
+        staged: dict[int, Optional[bytes]] = {}
+        size = self.block_size
+        for run_start, run_len in _contiguous_runs(live_offsets):
+            raw = yield from self.volume.read_run(start + run_start, run_len)
+            self.stats.disk_reads += 1
+            self.stats.cleaner_read_runs += 1
+            for j in range(run_len):
+                staged[run_start + j] = (
+                    None if raw is None else raw[j * size : (j + 1) * size]
+                )
         for offset, (inode_number, logical_block, is_inode) in enumerate(entries, start=1):
             address = start + offset
             if not self._is_live(address, inode_number, logical_block, is_inode):
                 continue
-            if staged is not None and offset in staged:
-                raw = staged[offset]
-            else:
-                raw = yield from self.volume.read_run(address, 1)
-                self.stats.disk_reads += 1
-                self.stats.cleaner_read_runs += 1
+            raw = staged[offset]
             inode = self._inode_objects.get(inode_number)
             if is_inode:
                 if inode is None:
@@ -835,13 +791,12 @@ class LogStructuredLayout(StorageLayout):
                 parts.append(self._pad(data if data is not None else b""))
             payload = b"".join(parts)
         summary = self.segment_summaries[segment]
-        index = self._indexes.get(segment) if self._index_on else None
+        index = self._indexes[segment]
         offset = self._active_offset
         for owner, logical, is_inode, _data in batch:
             summary.append((owner, logical, is_inode))
-            if index is not None:
-                index.add(owner, logical, is_inode, offset)
-                self._owner_bloom.add(owner_key(owner))
+            index.add(owner, logical, is_inode, offset)
+            self._owner_bloom.add(owner_key(owner))
             offset += 1
         self.segment_usage[segment] += len(batch)
         self._live_total += len(batch)
@@ -852,7 +807,7 @@ class LogStructuredLayout(StorageLayout):
     def _finish_active_segment(self) -> Generator[Any, Any, None]:
         sealed = self._active_segment
         yield from self._write_active_summary()
-        if self._index_on and sealed is not None:
+        if sealed is not None:
             self._buckets.insert(
                 sealed, self.segment_usage[sealed], self.segment_blocks - 1
             )
@@ -865,47 +820,34 @@ class LogStructuredLayout(StorageLayout):
         # Crash points arm only once a superblock-committed checkpoint
         # exists: before that floor a crash legitimately loses data (classic
         # LFS), which is outside the recovery harness's contract.
-        crashpoints = (
-            self.crashpoints
-            if self._index_on and self._durable_checkpoint
-            else None
-        )
+        crashpoints = self.crashpoints if self._durable_checkpoint else None
+        payload: Optional[bytes] = None
         if self.simulated:
-            if not self._index_on:
-                return
-            # The persisted index must hit the platter, so the simulated
-            # world charges the summary+index block write the real world
-            # performs at every segment seal.
-            if crashpoints is not None:
-                crashpoints.hit("lfs.index.write.pre")
-            yield from self.volume.write_block(self.segment_start(segment), None)
-            self.stats.disk_writes += 1
+            # The simulated world charges the summary+index block write the
+            # real world performs at every segment seal.
             self.stats.index_writes += 1
-            if crashpoints is not None:
-                crashpoints.hit("lfs.index.write.post")
-            return
-        payload = codec.pack_segment_summary(self.segment_summaries.get(segment, []))
-        if self._index_on:
-            index = self._indexes.get(segment)
-            if index is not None:
-                section = codec.pack_segment_index(
-                    index.entries,
-                    index.live,
-                    index.dead,
-                    index.bloom.num_bits,
-                    index.bloom.num_hashes,
-                    index.bloom.to_bytes(),
-                    index.config.sparse_every,
-                    index.sparse,
-                )
-                # Ride in the summary block's slack; absurdly large segment
-                # geometries simply skip persistence (rebuilt from entries).
-                if len(payload) + len(section) <= self.block_size:
-                    payload += section
-                    self.stats.index_writes += 1
+        else:
+            packed = codec.pack_segment_summary(self.segment_summaries.get(segment, []))
+            index = self._indexes[segment]
+            section = codec.pack_segment_index(
+                index.entries,
+                index.live,
+                index.dead,
+                index.bloom.num_bits,
+                index.bloom.num_hashes,
+                index.bloom.to_bytes(),
+                index.config.sparse_every,
+                index.sparse,
+            )
+            # Ride in the summary block's slack; absurdly large segment
+            # geometries simply skip persistence (rebuilt from entries).
+            if len(packed) + len(section) <= self.block_size:
+                packed += section
+                self.stats.index_writes += 1
+            payload = self._pad(packed)
         if crashpoints is not None:
             crashpoints.hit("lfs.index.write.pre")
-        yield from self.volume.write_block(self.segment_start(segment), self._pad(payload))
+        yield from self.volume.write_block(self.segment_start(segment), payload)
         self.stats.disk_writes += 1
         if crashpoints is not None:
             crashpoints.hit("lfs.index.write.post")
@@ -916,12 +858,9 @@ class LogStructuredLayout(StorageLayout):
         self._active_offset = 1
         self.segment_summaries[segment] = []
         self._last_disk = self._segment_disk[segment]
-        if self._index_on:
-            self._buckets.remove(segment)
-            self._unloaded.discard(segment)
-            self._indexes[segment] = SegmentIndex(
-                self.index_config, self.segment_blocks - 1
-            )
+        self._buckets.remove(segment)
+        self._unloaded.discard(segment)
+        self._indexes[segment] = SegmentIndex(self.index_config, self.segment_blocks - 1)
 
     def _rebuild_free_heaps(self) -> None:
         self._free_heaps = [[] for _ in range(self.volume.num_disks)]
@@ -965,12 +904,11 @@ class LogStructuredLayout(StorageLayout):
                 usage = self.segment_usage[segment] - 1
                 self.segment_usage[segment] = usage
                 self._live_total -= 1
-                if self._index_on:
-                    index = self._indexes.get(segment)
-                    if index is not None:
-                        index.kill()
-                    # O(1): no-op unless the segment crosses a bucket edge.
-                    self._buckets.update(segment, usage, self.segment_blocks - 1)
+                index = self._indexes.get(segment)
+                if index is not None:
+                    index.kill()
+                # O(1): no-op unless the segment crosses a bucket edge.
+                self._buckets.update(segment, usage, self.segment_blocks - 1)
 
     # ------------------------------------------------------------------ index probes
 
@@ -980,11 +918,11 @@ class LogStructuredLayout(StorageLayout):
         ``False`` is authoritative (the inode never hit this log); ``True``
         is advisory.  Replication's shadow-inode synthesis uses this to skip
         doomed ``read_inode`` attempts on fail-over.  Always ``True`` while
-        any segment summary is still unloaded or the index is off — a bloom
-        must never produce a false negative."""
+        any segment summary is still unloaded — a bloom must never produce a
+        false negative."""
         if inode_number in self.inode_map or inode_number in self._inode_objects:
             return True
-        if not self._index_on or self._unloaded:
+        if self._unloaded:
             return True
         if self._owner_bloom.may_contain(owner_key(inode_number)):
             return True
@@ -993,8 +931,6 @@ class LogStructuredLayout(StorageLayout):
 
     def index_memory_bytes(self) -> int:
         """Approximate in-core footprint of the segment-index machinery."""
-        if not self._index_on:
-            return 0
         total = self._owner_bloom.memory_bytes
         for index in self._indexes.values():
             total += index.memory_bytes

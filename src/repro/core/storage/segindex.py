@@ -83,9 +83,9 @@ class SegmentIndexConfig:
 
     def __post_init__(self) -> None:
         if self.sparse_every < 1:
-            raise ConfigurationError("index_sparse_every must be >= 1")
+            raise ConfigurationError("sparse_every must be >= 1")
         if self.bloom_bits < 1:
-            raise ConfigurationError("index_bloom_bits must be >= 1")
+            raise ConfigurationError("bloom_bits must be >= 1")
         if self.cleaner_candidates < 0:
             raise ConfigurationError("cleaner_candidates must be >= 0")
         if self.read_coalesce_blocks < 0:

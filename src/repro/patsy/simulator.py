@@ -349,14 +349,13 @@ class PatsySimulator:
         if not records:
             raise TraceError("cannot replay an empty trace")
         self.mount()
-        limit = max_time if max_time is not None else self.config.max_simulated_time
         streams = records_by_client(records)
         threads = [
             self.scheduler.spawn(
                 self._client_thread,
                 client,
                 partial(next, iter(stream), None),
-                limit,
+                max_time,
                 name=f"client-{client}",
             )
             for client, stream in sorted(streams.items())
@@ -387,7 +386,6 @@ class PatsySimulator:
         record surfaces.
         """
         self.mount()
-        limit = max_time if max_time is not None else self.config.max_simulated_time
         records, known_clients, counts = self._open_trace_source(source, clients)
         threads: List[Any] = []
         demux: _TraceDemux
@@ -398,7 +396,7 @@ class PatsySimulator:
                     self._client_thread,
                     client,
                     partial(demux.next_record, client),
-                    limit,
+                    max_time,
                     partial(demux.finish_client, client),
                     name=f"client-{client}",
                 )
@@ -733,8 +731,7 @@ class PatsySimulator:
                 }
                 for m in topology.rebalancer.schedule
             ]
-        if topology.metadata is not None:
-            stats["metadata"] = topology.metadata.snapshot()
+        stats["metadata"] = topology.metadata.snapshot()
         if topology.faults is not None and topology.faults.active:
             stats["faults"] = topology.faults.snapshot()
         if topology.replication is not None:

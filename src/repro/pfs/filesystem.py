@@ -91,18 +91,12 @@ class PegasusFileSystem:
                 "cache/flush/layout/array/io_scheduler/seed keywords, not both"
             )
         self.spec = spec
-        # Deprecation shims: the sub-configs used to be stored piecewise.
-        self.cache_config = spec.cache
-        self.flush_config = spec.flush
-        self.layout_config = spec.layout
 
         binding = OnlineBinding(backing=backing, size_bytes=size_bytes, real_time=real_time)
         stack = build_stack(spec, binding)
         self.stack = stack
         self.scheduler = stack.scheduler
         self.drivers = stack.drivers
-        #: deprecation shim: the first (often only) disk driver.
-        self.driver = stack.drivers[0]
         self.volume = stack.volume
         self.layout = stack.layout
         self.cache = stack.cache

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.assembly.registry import registry
 from repro.config import CacheConfig, FlushConfig, LayoutConfig
 from repro.core.cache import BlockCache
 from repro.core.clock import VirtualClock
@@ -16,6 +17,7 @@ from repro.core.datamover import DataMover
 from repro.core.filesystem import FileSystem
 from repro.core.scheduler import FifoSchedulingPolicy, Scheduler
 from repro.core.storage.lfs import LogStructuredLayout
+from repro.core.storage.segindex import SegmentIndexConfig
 from repro.core.storage.volume import LocalVolume
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.pfs.filesystem import PegasusFileSystem
@@ -59,7 +61,7 @@ def make_memory_filesystem(
     disk_mb: int = 16,
     flush: FlushConfig | None = None,
     segment_blocks: int = 16,
-    index_config=None,
+    index_config: SegmentIndexConfig = SegmentIndexConfig(),
 ) -> FileSystem:
     """A small real (byte-moving) file system on a memory disk."""
     driver = MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB)
@@ -74,9 +76,8 @@ def make_memory_filesystem(
     )
     cache = BlockCache(scheduler, CacheConfig(size_bytes=cache_blocks * 4 * KB), with_data=True)
     datamover = DataMover(charge_time=False)
-    from repro.core.flush import make_flush_policy
-
-    policy = make_flush_policy(flush if flush is not None else FlushConfig(policy="periodic"))
+    flush = flush if flush is not None else FlushConfig(policy="periodic")
+    policy = registry.create("flush", flush.policy, flush)
     return FileSystem(scheduler, cache, layout, datamover, flush_policy=policy)
 
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.assembly.registry import registry
 from repro.config import (
     ArrayConfig,
     CacheConfig,
@@ -29,10 +30,8 @@ from repro.core.storage.array import (
     ShardedCache,
     StripedPlacement,
     VolumeSet,
-    make_placement_policy,
 )
 from repro.core.storage.lfs import LogStructuredLayout
-from repro.core.storage.segindex import SegmentIndexConfig
 from repro.core.storage.volume import LocalVolume
 from repro.errors import ConfigurationError
 from repro.patsy.simulator import PatsySimulator
@@ -115,12 +114,12 @@ def test_directory_affinity_groups_files_and_spreads_directories():
     assert len(homes) > 1  # directories fan out over the volumes
 
 
-def test_make_placement_policy_factory():
-    assert isinstance(make_placement_policy("hash", 3), HashPlacement)
-    assert isinstance(make_placement_policy("stripe", 3, stripe_unit=8), StripedPlacement)
-    assert isinstance(make_placement_policy("directory", 3), DirectoryAffinityPlacement)
+def test_placement_policy_factory():
+    assert isinstance(registry.create("placement", "hash", 3), HashPlacement)
+    assert isinstance(registry.create("placement", "stripe", 3, stripe_unit=8), StripedPlacement)
+    assert isinstance(registry.create("placement", "directory", 3), DirectoryAffinityPlacement)
     with pytest.raises(ConfigurationError):
-        make_placement_policy("nearest", 3)
+        registry.create("placement", "nearest", 3)
 
 
 # --------------------------------------------------------------------------- volume set
@@ -239,9 +238,7 @@ def test_sharded_cache_single_shard_is_a_passthrough(scheduler):
 # --------------------------------------------------------------------------- routed layout
 
 
-def make_routed(
-    scheduler, volumes=2, placement=None, disk_mb=2, segment_blocks=8, index_config=None
-):
+def make_routed(scheduler, volumes=2, placement=None, disk_mb=2, segment_blocks=8):
     vols = [
         LocalVolume([MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB)], block_size=4 * KB)
         for _ in range(volumes)
@@ -253,7 +250,6 @@ def make_routed(
             block_size=4 * KB,
             segment_blocks=segment_blocks,
             simulated=False,
-            index_config=index_config,
         )
         for vol in vols
     ]
@@ -677,7 +673,6 @@ def test_a_read_spanning_two_volumes_has_both_reads_outstanding_at_once(schedule
         volumes=2,
         placement=StripedPlacement(2, stripe_unit=2),
         segment_blocks=16,
-        index_config=SegmentIndexConfig(),
     )
     layout.allocate_inode(FileKind.DIRECTORY)  # the root
     inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="striped")

@@ -27,7 +27,7 @@ from repro.config import (
     sun4_280_config,
 )
 from repro.core.cache import BlockCache
-from repro.core.flush import FlushPolicy, ShardedFlushPolicy, make_flush_policy
+from repro.core.flush import FlushPolicy, ShardedFlushPolicy
 from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
 from repro.core.storage.cleaner import CleanerSet
 from repro.core.storage.lfs import LogStructuredLayout
@@ -91,7 +91,7 @@ def test_third_party_flush_policy_plugs_in_without_editing_core():
         # Config validation consults the registry for non-builtin names...
         config = FlushConfig(policy="eager-test")
         # ...and the factory instantiates the third-party class.
-        policy = make_flush_policy(config)
+        policy = registry.create("flush", config.policy, config)
         assert isinstance(policy, EagerFlushPolicy)
     finally:
         registry.unregister("flush", "eager-test")

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.assembly.registry import registry
 from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind
 from repro.core.storage.cleaner import (
     CleanerDaemon,
     CostBenefitCleaner,
     GreedyCleaner,
-    make_cleaner,
 )
 from repro.core.storage.lfs import LogStructuredLayout, SegmentInfo
 from repro.core.storage.volume import LocalVolume
@@ -36,10 +36,10 @@ def data_block(payload=b"x"):
 
 
 def test_make_cleaner_factory():
-    assert isinstance(make_cleaner("greedy"), GreedyCleaner)
-    assert isinstance(make_cleaner("cost-benefit"), CostBenefitCleaner)
+    assert isinstance(registry.create("cleaner", "greedy"), GreedyCleaner)
+    assert isinstance(registry.create("cleaner", "cost-benefit"), CostBenefitCleaner)
     with pytest.raises(ConfigurationError):
-        make_cleaner("magic")
+        registry.create("cleaner", "magic")
 
 
 def test_greedy_picks_emptiest_segment():

@@ -1,9 +1,16 @@
 """Configuration objects and their validation."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
+    ArrayConfig,
     CacheConfig,
+    ClusterConfig,
     FlushConfig,
     HostConfig,
     LayoutConfig,
@@ -80,3 +87,40 @@ def test_small_test_config_is_small():
     config = small_test_config()
     assert config.cache.num_blocks == 64
     assert config.host.num_disks == 1
+
+
+def test_every_config_field_is_read_by_the_program():
+    """A knob nothing reads cannot change what the program does, so it must
+    not be offered.  Range checks in ``config.py``'s own ``__post_init__``
+    do not count as a read; a derived property there (``total_disks``,
+    ``index_config()``) does."""
+    package = Path(repro.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        validation = {
+            id(node)
+            for function in ast.walk(tree)
+            if path == package / "config.py"
+            and isinstance(function, ast.FunctionDef)
+            and function.name == "__post_init__"
+            for node in ast.walk(function)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in validation
+        }
+    for config in (
+        CacheConfig,
+        FlushConfig,
+        LayoutConfig,
+        HostConfig,
+        ArrayConfig,
+        ClusterConfig,
+        SimulationConfig,
+    ):
+        unread = [f.name for f in dataclasses.fields(config) if f.name not in read]
+        assert not unread, f"{config.__name__} fields no code reads: {unread}"

@@ -11,6 +11,7 @@ data was actually moved".
 import pytest
 
 from repro.assembly import OnlineBinding, SimulatedBinding, StackSpec, build_stack
+from repro.assembly.registry import registry
 from repro.config import ArrayConfig, CacheConfig, FlushConfig, small_test_config
 from repro.core.cache import BlockCache
 from repro.core.client import AbstractClientInterface
@@ -18,7 +19,6 @@ from repro.core.flush import (
     NvramPolicy,
     PeriodicUpdatePolicy,
     ShardedFlushPolicy,
-    make_flush_policy,
 )
 from repro.core.storage.array import RoutedLayout, ShardedCache
 from repro.core.storage.cleaner import CleanerSet
@@ -130,8 +130,9 @@ def test_write_savings_visible_in_both_instantiations():
 
 def test_migrating_a_policy_requires_no_code_changes():
     """The same factory call configures the policy for either instantiation."""
-    policy_for_patsy = make_flush_policy(FlushConfig(policy="periodic"))
-    policy_for_pfs = make_flush_policy(FlushConfig(policy="periodic"))
+    config = FlushConfig(policy="periodic")
+    policy_for_patsy = registry.create("flush", config.policy, config)
+    policy_for_pfs = registry.create("flush", config.policy, config)
     assert isinstance(policy_for_patsy, PeriodicUpdatePolicy)
     assert type(policy_for_patsy) is type(policy_for_pfs)
 

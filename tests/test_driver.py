@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.assembly.registry import registry
 from repro.core.driver import IOKind
-from repro.core.iosched import make_io_scheduler
 from repro.errors import DiskAddressError, DiskError
 from repro.pfs.diskfile import FileBackedDiskDriver, MemoryBackedDiskDriver
 from repro.units import MB, SECTOR_SIZE
@@ -114,7 +114,7 @@ def test_clook_ordering_observed(scheduler):
     driver = MemoryBackedDiskDriver(
         scheduler,
         size_bytes=1 * MB,
-        io_scheduler=make_io_scheduler("clook"),
+        io_scheduler=registry.create("iosched", "clook"),
         fixed_latency=0.01,
     )
     completions = []

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.assembly.registry import registry
 from repro.config import DAEMON_LOW_WATER_DEFAULTS, FlushConfig
 from repro.core.cache import BlockCache
 from repro.core.flush import (
     NvramPolicy,
     PeriodicUpdatePolicy,
     WriteSavingPolicy,
-    make_flush_policy,
 )
 from repro.config import CacheConfig
 from repro.core.scheduler import Delay
@@ -25,7 +25,7 @@ def make_cache_with_policy(scheduler, flush_config, blocks=16):
         yield Delay(0.002)
 
     cache.writeback = writeback
-    policy = make_flush_policy(flush_config)
+    policy = registry.create("flush", flush_config.policy, flush_config)
     policy.attach(cache, scheduler)
     return cache, policy, written
 
@@ -40,9 +40,12 @@ def dirty_blocks(scheduler, cache, file_id, count):
 
 
 def test_factory_dispatch():
-    assert isinstance(make_flush_policy(FlushConfig(policy="periodic")), PeriodicUpdatePolicy)
-    assert isinstance(make_flush_policy(FlushConfig(policy="ups")), WriteSavingPolicy)
-    assert isinstance(make_flush_policy(FlushConfig(policy="nvram")), NvramPolicy)
+    for name, cls in (
+        ("periodic", PeriodicUpdatePolicy),
+        ("ups", WriteSavingPolicy),
+        ("nvram", NvramPolicy),
+    ):
+        assert isinstance(registry.create("flush", name, FlushConfig(policy=name)), cls)
 
 
 def test_flush_config_validation():

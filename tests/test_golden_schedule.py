@@ -1,27 +1,40 @@
-"""Golden pin of the multi-node schedule.
+"""Golden pins of the default stacks, simulated and on disk.
 
 A cluster replay is a pure function of the trace: multi-node stacks run the
 ordinary ``Scheduler`` under ``NodeMergeSchedulingPolicy`` (lowest node, then
-arrival stamp).  This test freezes that function on the shape the end-to-end
-``cluster_repl`` workload runs — four nodes, ``replicas=1``, a node crash and
-a disk failure mid-trace — by comparing the run's ``summary()`` and per-node
-``schedule_digests()`` with ``tests/golden/cluster_schedule.json``.
+arrival stamp).  The first test freezes that function on the shape the
+end-to-end ``cluster_repl`` workload runs — four nodes, ``replicas=1``, a node
+crash and a disk failure mid-trace — by comparing the run's ``summary()`` and
+per-node ``schedule_digests()`` with ``tests/golden/cluster_schedule.json``.
 
-The file is only ever rewritten on purpose, by running this module as a
-script (see ``REGENERATE``); a change that moves the schedule must say so.
+The second freezes the single-machine array in both worlds
+(``tests/golden/array_replay.json``): PATSY replaying a denser trace of the
+same shape on ``sun4_280_config`` under the ``periodic`` and ``nvram`` flush
+policies, and a PFS on file-backed disks running a fixed script through an
+unmount and a remount, pinned down to the bytes of every backing image.
+
+The files are only ever rewritten on purpose, by running this module as a
+script (see ``REGENERATE``); a change that moves a result must say so.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from repro.config import cluster_config
+from repro.assembly.spec import StackSpec
+from repro.config import cluster_config, sun4_280_config
 from repro.core.faults import FaultEvent
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.traces import TraceRecord
+from repro.pfs.filesystem import PegasusFileSystem
+from repro.units import KB, MB
 
 GOLDEN = Path(__file__).parent / "golden" / "cluster_schedule.json"
+ARRAY_GOLDEN = Path(__file__).parent / "golden" / "array_replay.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden_schedule.py"
 
 SPAN = 60.0
@@ -29,8 +42,9 @@ CLIENTS = 8
 SESSIONS = 96
 
 
-def golden_trace() -> list[TraceRecord]:
-    """A few hundred operations, eight clients each in its own subtree.
+def golden_trace(sessions: int = SESSIONS) -> list[TraceRecord]:
+    """A few hundred operations, eight clients each in its own subtree
+    (``sessions`` packs more of them into the same ``SPAN``).
 
     Pure arithmetic (a 31-bit LCG), so the trace is the same on every
     interpreter: half the sessions read one of six long-lived files, half
@@ -46,9 +60,9 @@ def golden_trace() -> list[TraceRecord]:
 
     records: list[TraceRecord] = []
     fresh = [0] * CLIENTS
-    for session in range(SESSIONS):
+    for session in range(sessions):
         client = session % CLIENTS
-        t = SPAN * session / SESSIONS + draw(100) / 1000.0
+        t = SPAN * session / sessions + draw(100) / 1000.0
         base = f"/c{client}"
         if draw(2):
             path = f"{base}/old{draw(6)}"
@@ -121,7 +135,120 @@ def test_cluster_schedule_matches_golden():
     assert run == golden, "fail-over / repair counters moved" + hint
 
 
+#: enough sessions that every volume of the array seals several segments.
+ARRAY_SESSIONS = 960
+
+
+def array_trace() -> list[TraceRecord]:
+    """The golden trace, denser, plus sequential reads of files that existed
+    before the trace (no ``open``: an open would create them empty), so cold
+    extents are planned into runs and read ahead."""
+    records = golden_trace(ARRAY_SESSIONS)
+    for client in range(CLIENTS):
+        for k in range(4):
+            for step in range(6):
+                at = 5.0 + 10.0 * k + 0.05 * step + 0.001 * client
+                records.append(
+                    TraceRecord(at, client, "read", f"/c{client}/cold{k}", step * 16 * KB, 16 * KB)
+                )
+    records.sort(key=lambda record: record.timestamp)
+    return records
+
+
+def array_patsy_run(policy: str) -> dict:
+    config = sun4_280_config(scale=0.02)
+    simulator = PatsySimulator(config.with_flush(replace(config.flush, policy=policy)))
+    result = simulator.replay(array_trace(), trace_name="golden")
+    return {
+        "summary": result.summary(),
+        "layout": result.volume_stats["rollup"]["layout"],
+        "sectors_written": {d.name: d.stats.sectors_written for d in simulator.drivers},
+    }
+
+
+def _payload(tag: int, length: int) -> bytes:
+    """``length`` bytes that differ per ``tag`` and per 4-byte word."""
+    words = -(-length // 4)
+    return b"".join(
+        ((tag * 2654435761 + i * 40503) % 2**32).to_bytes(4, "little") for i in range(words)
+    )[:length]
+
+
+def array_pfs_run(directory: Path) -> dict:
+    """Create, write, overwrite, truncate, sync, unmount, remount, read back:
+    the spec PATSY replays above, moving real bytes under virtual time."""
+    spec = StackSpec.from_config(sun4_280_config(scale=0.02))
+    backing = directory / "disk"
+    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+    pfs.format()
+    paths = []
+    for d in range(4):
+        pfs.mkdir(f"/d{d}")
+        for f in range(12):
+            path = f"/d{d}/f{f}"
+            paths.append(path)
+            pfs.create(path)
+            pfs.write_file(path, _payload(100 * d + f, (1 + (5 * f + d) % 24) * 4 * KB + 17 * f))
+    for n, path in enumerate(paths):
+        if n % 3 == 0:  # overwrite in the middle, partial blocks at both ends
+            pfs.write_file(path, _payload(1000 + n, 6 * KB), offset=3 * KB)
+        elif n % 3 == 1:  # grow
+            pfs.append(path, _payload(2000 + n, 9 * KB + n))
+        if n % 8 == 5:
+            pfs.truncate(path, 5 * KB + n)
+    pfs.sync()
+    for n, path in enumerate(paths):
+        if n % 4 == 2:  # dirty again after the sync: unmount has to flush it
+            pfs.write_file(path, _payload(3000 + n, 2 * 4 * KB))
+    pfs.delete(paths.pop(7))
+    written = pfs.statistics()
+    pfs.unmount()
+    pfs.close_backing()
+
+    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+    pfs.mount()
+    files = {path: hashlib.sha256(pfs.read_file(path)).hexdigest() for path in paths}
+    statistics = {"first_mount": written, "remount": pfs.statistics()}
+    pfs.unmount()
+    pfs.close_backing()
+    images = {
+        image.name: hashlib.sha256(image.read_bytes()).hexdigest()
+        for image in sorted(directory.iterdir())
+    }
+    return {"statistics": statistics, "files": files, "images": images}
+
+
+def array_run(directory: Path) -> dict:
+    pinned = {
+        "patsy": {policy: array_patsy_run(policy) for policy in ("periodic", "nvram")},
+        "pfs": array_pfs_run(directory),
+    }
+    return json.loads(json.dumps(pinned))
+
+
+def test_array_replay_matches_golden(tmp_path):
+    run = array_run(tmp_path)
+    golden = json.loads(ARRAY_GOLDEN.read_text())
+    hint = f"; if the stack was meant to change, regenerate with `{REGENERATE}`"
+    for policy, pinned in golden["patsy"].items():
+        # The run really seals segments and reads cold extents.
+        assert pinned["layout"]["index_writes"] > 0 and pinned["layout"]["cold_read_runs"] > 0
+        assert run["patsy"][policy] == pinned, (
+            f"the sun4_280 replay under the {policy} flush policy moved" + hint
+        )
+    assert len(golden["pfs"]["images"]) == 10
+    assert run["pfs"]["files"] == golden["pfs"]["files"], (
+        "a PFS file reads back different bytes after remount" + hint
+    )
+    assert run["pfs"] == golden["pfs"], "PFS statistics or backing images moved" + hint
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden_run(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as scratch:
+        ARRAY_GOLDEN.write_text(
+            json.dumps(array_run(Path(scratch)), indent=2, sort_keys=True) + "\n"
+        )
+    print(f"wrote {ARRAY_GOLDEN}")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.driver import IOKind, IORequest
-from repro.core.iosched import make_io_scheduler
+from repro.assembly.registry import registry
 from repro.errors import ConfigurationError
 
 
@@ -22,26 +22,26 @@ def drain(scheduler, head=0):
 
 
 def test_fcfs_preserves_arrival_order():
-    sched = make_io_scheduler("fcfs")
+    sched = registry.create("iosched", "fcfs")
     for sector in (500, 100, 900, 300):
         sched.add(req(sector))
     assert drain(sched) == [500, 100, 900, 300]
 
 
 def test_clook_services_ascending_then_wraps():
-    sched = make_io_scheduler("clook")
+    sched = registry.create("iosched", "clook")
     for sector in (500, 100, 900, 300):
         sched.add(req(sector))
     assert drain(sched, head=400) == [500, 900, 100, 300]
 
 
 def test_clook_empty_returns_none():
-    sched = make_io_scheduler("clook")
+    sched = registry.create("iosched", "clook")
     assert sched.next(0) is None
 
 
 def test_look_elevator_reverses_at_edge():
-    sched = make_io_scheduler("look")
+    sched = registry.create("iosched", "look")
     for sector in (500, 100, 900):
         sched.add(req(sector))
     order = drain(sched, head=450)
@@ -49,7 +49,7 @@ def test_look_elevator_reverses_at_edge():
 
 
 def test_scan_services_all_requests():
-    sched = make_io_scheduler("scan")
+    sched = registry.create("iosched", "scan")
     sectors = [10, 990, 400, 600]
     for sector in sectors:
         sched.add(req(sector))
@@ -57,14 +57,14 @@ def test_scan_services_all_requests():
 
 
 def test_cscan_wraps_to_lowest():
-    sched = make_io_scheduler("cscan")
+    sched = registry.create("iosched", "cscan")
     for sector in (800, 200, 600):
         sched.add(req(sector))
     assert drain(sched, head=500) == [600, 800, 200]
 
 
 def test_scan_edf_prefers_earliest_deadline():
-    sched = make_io_scheduler("scan-edf")
+    sched = registry.create("iosched", "scan-edf")
     late = req(100, deadline=10.0)
     soon = req(900, deadline=1.0)
     none = req(50, deadline=None)
@@ -76,7 +76,7 @@ def test_scan_edf_prefers_earliest_deadline():
 
 
 def test_scan_edf_uses_scan_within_deadline_class():
-    sched = make_io_scheduler("scan-edf")
+    sched = registry.create("iosched", "scan-edf")
     a = req(700, deadline=1.0)
     b = req(300, deadline=1.02)  # same deadline class at default granularity
     sched.add(a)
@@ -85,11 +85,11 @@ def test_scan_edf_uses_scan_within_deadline_class():
 
 
 def test_pending_property():
-    sched = make_io_scheduler("fcfs")
+    sched = registry.create("iosched", "fcfs")
     sched.add(req(1))
     assert len(sched.pending) == 1
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigurationError):
-        make_io_scheduler("elevator-2000")
+        registry.create("iosched", "elevator-2000")

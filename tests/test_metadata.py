@@ -5,7 +5,7 @@ The contracts pinned here:
 * WAL records round-trip through the CRC framing and replay stops exactly
   at a torn tail (partial frame or damaged CRC);
 * group commit batches by record count, byte count and time interval, and
-  ``group_commit=False`` degenerates to commit-per-record;
+  ``commit_records=1`` degenerates to commit-per-record;
 * the manifest encodes/decodes atomically-rewritten snapshots and treats
   any damage as "absent";
 * ``ClusterPlacement.flip`` is idempotent and replaying the same WAL twice
@@ -149,13 +149,11 @@ def test_group_commit_interval_daemon_commits_idle_records(scheduler):
 
 def test_without_group_commit_every_record_commits(scheduler):
     device = MemoryMetadataDevice(scheduler)
-    wal = WriteAheadLog(scheduler, device, group_commit=False, commit_records=100)
+    wal = WriteAheadLog(scheduler, device, commit_records=1)
     for i in range(3):
         wal.append(REC_BEGIN, i)
         run(scheduler, wal.maybe_sync)
     assert wal.commits == 3
-    # No batching means no interval daemon either.
-    assert wal._daemon is None
 
 
 def test_wal_never_journalling_never_touches_the_scheduler(scheduler):

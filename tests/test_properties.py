@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.assembly.registry import registry
 from repro.core import codec
 from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind, Inode
@@ -10,7 +11,6 @@ from repro.core.storage.allocator import BlockAllocator
 from repro.config import CacheConfig
 from repro.core.cache import BlockCache
 from repro.core.driver import IOKind, IORequest
-from repro.core.iosched import make_io_scheduler
 from repro.analysis.cdf import cumulative_distribution, fraction_at_or_below
 from repro.core.namespace import normalize_path, split_path
 from repro.patsy.diskspec import HP97560
@@ -110,7 +110,7 @@ def test_allocator_never_double_allocates(operations):
 )
 @settings(max_examples=60, deadline=None)
 def test_io_schedulers_serve_every_request_exactly_once(sectors, head, policy):
-    scheduler = make_io_scheduler(policy)
+    scheduler = registry.create("iosched", policy)
     requests = [IORequest(kind=IOKind.READ, sector=s, count=1) for s in sectors]
     for request in requests:
         scheduler.add(request)

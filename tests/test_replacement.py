@@ -162,7 +162,7 @@ def test_lfu_breaks_frequency_ties_by_recency():
 
 
 def test_slru_evicts_probationary_before_protected():
-    cache = MiniCache("slru", 4, slru_fraction=0.5)
+    cache = MiniCache("slru", 4)
     cache.access(1)
     cache.access(1)  # promoted to protected
     cache.access(2)
@@ -289,8 +289,7 @@ def test_factory_rejects_unknown():
 
 
 def test_factory_forwards_parameters():
-    slru = make_replacement_policy("slru", 16, slru_fraction=0.25)
-    assert slru.protected_capacity == 4
+    assert SlruPolicy(16, protected_fraction=0.25).protected_capacity == 4
     lru_k = make_replacement_policy("lru-k", 16, k=3)
     assert lru_k.k == 3
     twoq = make_replacement_policy("2q", 16, twoq_in_fraction=0.5, twoq_out_fraction=1.0)

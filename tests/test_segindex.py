@@ -1,7 +1,7 @@
 """The LSM-style LFS segment indexes: blooms, sparse offsets, utilisation
-buckets, lazy mounts, coalesced reads and the index-off equivalence pin.
+buckets, lazy mounts and coalesced reads.
 
-The property test at the bottom drives a real (byte-moving) index-on layout
+The property test at the bottom drives a real (byte-moving) layout
 through random write/overwrite/release/clean/checkpoint-remount sequences
 and checks the invariants that make the index safe to consult:
 
@@ -167,9 +167,7 @@ def test_index_config_validation():
         SegmentIndexConfig(bloom_bits=0)
     with pytest.raises(ConfigurationError):
         LayoutConfig(index_sparse_every=0)
-    assert LayoutConfig(segment_index=False).index_config() is None
-    cfg = LayoutConfig(cleaner_candidates=9).index_config()
-    assert cfg is not None and cfg.cleaner_candidates == 9
+    assert LayoutConfig(cleaner_candidates=9).index_config().cleaner_candidates == 9
 
 
 # --------------------------------------------------------------------------- codec
@@ -281,13 +279,6 @@ def test_lazy_mount_defers_summary_reads(scheduler):
     assert remounted.stats.lazy_summary_loads >= 1
     assert remounted.stats.index_reads >= 1
 
-    # Index-off mounts still pay the full sweep (the pre-index behaviour).
-    legacy = LogStructuredLayout(
-        scheduler, layout.volume, block_size=4 * KB, segment_blocks=8,
-    )
-    run(scheduler, legacy.mount)
-    assert legacy.stats.disk_reads >= 2 + non_free - 1
-
 
 def test_cleaner_candidates_bounded_and_contain_greedy_choice(scheduler):
     layout = make_layout(
@@ -345,19 +336,6 @@ def test_cold_reads_coalesce_into_runs(scheduler):
         layout.stats.disk_reads - reads_before
         == 10 - layout.stats.cold_read_blocks_coalesced
     )
-
-    # Index off: one read per block, no read-ahead, byte-identical data —
-    # also when one call asks for all ten.
-    legacy = make_layout(scheduler, segment_blocks=8, index_config=None)
-    legacy_inode = _write_file(scheduler, legacy, blocks=10, payload_base=1)
-    reads_before = legacy.stats.disk_reads
-    slots = Slots()
-    assert slots.read(scheduler, legacy, legacy_inode, *range(10)) == 10
-    assert sorted(slots.blocks) == list(range(10))
-    for i in range(10):
-        assert bytes(slots.blocks[i].data[:32]) == bytes([(1 + i) % 251]) * 32
-    assert legacy.stats.disk_reads - reads_before == 10
-    assert legacy.stats.cold_read_runs == 0
 
 
 def test_overwritten_block_is_never_served_stale_from_staging(scheduler):
@@ -671,9 +649,6 @@ def test_may_contain_inode_probe(scheduler):
     absent = sum(not layout.may_contain_inode(n) for n in range(50_000, 50_200))
     assert absent > 150  # blooms: almost all unknown inodes are rejected
     assert layout.stats.bloom_skips == absent
-    # Index off: the probe always says maybe.
-    legacy = make_layout(scheduler, segment_blocks=8, index_config=None)
-    assert legacy.may_contain_inode(123_456)
 
 
 def test_pick_free_segment_matches_reference_scan(scheduler):
@@ -711,22 +686,23 @@ def test_free_blocks_matches_recount(scheduler):
     assert layout._live_total == live
 
 
-# --------------------------------------------------------------------------- stack equivalence
+# --------------------------------------------------------------------------- whole stack
 
 
-def _stack_spec(nodes=None, segment_index=True):
-    layout = LayoutConfig(segment_size=16 * 4 * KB, segment_index=segment_index)
+def _stack_spec(nodes=None):
     return StackSpec(
         cache=CacheConfig(size_bytes=64 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
-        layout=layout,
+        layout=LayoutConfig(segment_size=16 * 4 * KB),
         array=ArrayConfig(volumes=1, buses=1, disks_per_bus=1),
         cluster=ClusterConfig(nodes=nodes, rebalance=False) if nodes else None,
         seed=11,
     )
 
 
-def _drive_and_read(spec, nodes):
+@pytest.mark.parametrize("nodes", [1, 4])
+def test_stack_reads_back_written_bytes(nodes):
+    spec = _stack_spec(nodes=nodes)
     stack = build_stack(spec, OnlineBinding(size_bytes=16 * MB * max(nodes, 1)))
     scheduler, client = stack.scheduler, stack.client
     run(scheduler, stack.fs.mount, True)
@@ -758,15 +734,7 @@ def _drive_and_read(spec, nodes):
         path: run(scheduler, client.read_file, path, 0, len(payloads[path]))
         for path in payloads
     }
-    assert contents == payloads  # each world is self-consistent
-    return contents
-
-
-@pytest.mark.parametrize("nodes", [1, 4])
-def test_index_on_and_off_read_back_identical_bytes(nodes):
-    on = _drive_and_read(_stack_spec(nodes=nodes, segment_index=True), nodes)
-    off = _drive_and_read(_stack_spec(nodes=nodes, segment_index=False), nodes)
-    assert on == off
+    assert contents == payloads
 
 
 # --------------------------------------------------------------------------- the property test
