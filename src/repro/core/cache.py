@@ -143,6 +143,13 @@ class BlockCache:
         self._clean: dict[BlockId, CacheBlock] = {}
         #: dirty residents, in first-dirtied order (drives flush policies).
         self._dirty: "OrderedDict[BlockId, CacheBlock]" = OrderedDict()
+        #: per-file views of ``_index`` and ``_dirty``: ``file_id ->
+        #: {block_no -> block}``.  Updated exactly where the global maps are,
+        #: so each lists its file's blocks in the order the global map holds
+        #: them (that order reaches the free list and the policy); a file
+        #: with no block left has no entry.
+        self._resident_of: dict[int, dict[int, CacheBlock]] = {}
+        self._dirty_of: dict[int, dict[int, CacheBlock]] = {}
 
         #: registered by the file system; required before any flush happens.
         self.writeback: Optional[WritebackFn] = None
@@ -219,10 +226,10 @@ class BlockCache:
 
     def dirty_blocks_of(self, file_id: int) -> list[CacheBlock]:
         """Dirty blocks of one file, oldest first."""
-        return [block for block in self._dirty.values() if block.block_id.file_id == file_id]
+        return list(self._dirty_of.get(file_id, {}).values())
 
     def cached_blocks_of(self, file_id: int) -> list[CacheBlock]:
-        return [block for block in self._index.values() if block.block_id.file_id == file_id]
+        return list(self._resident_of.get(file_id, {}).values())
 
     def oldest_dirty(self, skip_busy: bool = True) -> Optional[CacheBlock]:
         for block in self._dirty.values():
@@ -233,12 +240,9 @@ class BlockCache:
 
     def dirty_files(self) -> list[int]:
         """File identifiers that currently own dirty blocks, oldest first."""
-        seen: list[int] = []
-        for block in self._dirty.values():
-            file_id = block.block_id.file_id
-            if file_id not in seen:
-                seen.append(file_id)
-        return seen
+        # Not the keys of ``_dirty_of``: a file keeps its slot there after
+        # its oldest block is cleaned, ``_dirty`` orders by the oldest left.
+        return list(dict.fromkeys(block.block_id.file_id for block in self._dirty.values()))
 
     def blocks(self) -> Iterable[CacheBlock]:
         return iter(self._slots)
@@ -319,6 +323,7 @@ class BlockCache:
         block.state = BlockState.CLEAN
         block.record_access(self.scheduler.now)
         self._index[block_id] = block
+        self._resident_of.setdefault(block_id.file_id, {})[block_id.block_no] = block
         self._clean[block_id] = block
         self.policy.on_insert(block)
         self.stats.allocations += 1
@@ -402,6 +407,7 @@ class BlockCache:
         block.state = BlockState.DIRTY
         block.dirty_since = self.scheduler.now
         self._dirty[block.block_id] = block
+        self._dirty_of.setdefault(block.block_id.file_id, {})[block.block_id.block_no] = block
         self.policy.on_dirty(block)
         self.stats.blocks_dirtied += 1
         self.stats.peak_dirty_bytes = max(self.stats.peak_dirty_bytes, self.dirty_bytes)
@@ -422,6 +428,7 @@ class BlockCache:
         if not block.is_dirty:
             return
         self._dirty.pop(block.block_id, None)
+        self._drop_from(self._dirty_of, block.block_id)
         block.state = BlockState.CLEAN
         block.dirty_since = None
         self._clean[block.block_id] = block
@@ -436,6 +443,14 @@ class BlockCache:
         self._index.pop(block.block_id, None)
         self._clean.pop(block.block_id, None)
         self._dirty.pop(block.block_id, None)
+        self._drop_from(self._resident_of, block.block_id)
+        self._drop_from(self._dirty_of, block.block_id)
+
+    @staticmethod
+    def _drop_from(view: dict[int, dict[int, CacheBlock]], block_id: BlockId) -> None:
+        blocks = view.get(block_id.file_id)
+        if blocks is not None and blocks.pop(block_id.block_no, None) is not None and not blocks:
+            del view[block_id.file_id]
 
     def invalidate(self, block: CacheBlock) -> None:
         """Drop one block from the cache, discarding its contents."""
@@ -461,8 +476,8 @@ class BlockCache:
         dirty_dropped = 0
         doomed = [
             block
-            for block in self._index.values()
-            if block.block_id.file_id == file_id and block.block_id.block_no >= from_block
+            for block_no, block in self._resident_of.get(file_id, {}).items()
+            if block_no >= from_block
         ]
         for block in doomed:
             if block.pinned or block.busy:

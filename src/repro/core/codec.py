@@ -27,7 +27,7 @@ __all__ = [
     "unpack_superblock",
     "pack_inode",
     "unpack_inode",
-    "inode_packed_size",
+    "packed_inode_size",
     "pack_directory",
     "unpack_directory",
     "pack_checkpoint",
@@ -123,7 +123,9 @@ def pack_inode(inode: Inode) -> bytes:
     return b"".join(parts)
 
 
-def inode_packed_size(inode: Inode) -> int:
+def packed_inode_size(inode: Inode) -> int:
+    """``len(pack_inode(inode))`` without serialising (the simulator only
+    needs to know how many log blocks the inode takes)."""
     return (
         _INODE_HEADER.size
         + 2

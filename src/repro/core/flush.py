@@ -193,14 +193,12 @@ class PeriodicUpdatePolicy(FlushPolicy):
             yield from self.scheduler.sleep(self.config.scan_interval)
             # "When it detects that there exists a dirty block older than 30
             # seconds, it flushes the file associated to the oldest block."
-            expired: list[int] = []
             cutoff = self.scheduler.now - self.config.update_interval
-            for block in cache._dirty.values():
-                if block.dirty_since is None or block.dirty_since > cutoff:
-                    continue
-                file_id = block.block_id.file_id
-                if file_id not in expired:
-                    expired.append(file_id)
+            expired = dict.fromkeys(
+                block.block_id.file_id
+                for block in cache._dirty.values()
+                if block.dirty_since is not None and block.dirty_since <= cutoff
+            )
             for file_id in expired:
                 if self._outstanding >= self.max_outstanding_flushes:
                     break

@@ -528,11 +528,7 @@ class ShardedCache:
             for block in shard._dirty.values():
                 entries.append((block.dirty_since or 0.0, block.block_id.file_id))
         entries.sort(key=lambda item: item[0])
-        seen: List[int] = []
-        for _when, file_id in entries:
-            if file_id not in seen:
-                seen.append(file_id)
-        return seen
+        return list(dict.fromkeys(file_id for _when, file_id in entries))
 
     def blocks(self) -> Iterable[CacheBlock]:
         for shard in self.shards:

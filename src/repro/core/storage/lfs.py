@@ -553,15 +553,18 @@ class LogStructuredLayout(StorageLayout):
                 self.stats.blocks_written += len(blocks)
             if with_inode:
                 self._inode_objects[number] = inode
-                payload = codec.pack_inode(inode)
-                nblocks = max(1, -(-len(payload) // self.block_size))
+                if self.simulated:
+                    chunks: list[Optional[bytes]] = [None] * max(
+                        1, -(-codec.packed_inode_size(inode) // self.block_size)
+                    )
+                else:
+                    payload = codec.pack_inode(inode)
+                    chunks = self._chunk(payload, max(1, -(-len(payload) // self.block_size)))
+                nblocks = len(chunks)
                 old = self.inode_map.get(number)
                 if old is not None:
                     self._kill_blocks(old[0], old[1])
-                entries = [
-                    (number, index, True, None if self.simulated else chunk)
-                    for index, chunk in enumerate(self._chunk(payload, nblocks))
-                ]
+                entries = [(number, index, True, chunk) for index, chunk in enumerate(chunks)]
                 addresses = yield from self._reserve(entries, writes, contiguous=True)
                 self.inode_map[number] = (addresses[0], nblocks)
                 self.stats.inodes_written += 1
@@ -793,10 +796,13 @@ class LogStructuredLayout(StorageLayout):
         summary = self.segment_summaries[segment]
         index = self._indexes[segment]
         offset = self._active_offset
+        last_owner = None
         for owner, logical, is_inode, _data in batch:
             summary.append((owner, logical, is_inode))
             index.add(owner, logical, is_inode, offset)
-            self._owner_bloom.add(owner_key(owner))
+            if owner != last_owner:
+                self._owner_bloom.add(owner_key(owner))
+                last_owner = owner
             offset += 1
         self.segment_usage[segment] += len(batch)
         self._live_total += len(batch)

@@ -102,36 +102,48 @@ class BloomFilter:
     authoritative.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "bits")
+    __slots__ = ("num_bits", "num_hashes", "_bytes")
 
-    def __init__(self, num_bits: int, num_hashes: int = 4, bits: int = 0):
+    def __init__(self, num_bits: int, num_hashes: int = 4):
         self.num_bits = max(8, num_bits)
         self.num_hashes = max(1, num_hashes)
-        self.bits = bits
+        #: bit ``i`` lives in byte ``i >> 3`` (the on-disk form), so setting
+        #: one costs O(1) instead of reallocating a ``num_bits``-wide int.
+        self._bytes = bytearray(self.memory_bytes)
+
+    @property
+    def bits(self) -> int:
+        """The filter as one integer, bit ``i`` = probe position ``i``."""
+        return int.from_bytes(self._bytes, "little")
 
     def add(self, key: int) -> None:
         h1 = key & _MASK64
         h2 = _mix(key) | 1
-        bits = self.bits
+        data = self._bytes
         for i in range(self.num_hashes):
-            bits |= 1 << ((h1 + i * h2) % self.num_bits)
-        self.bits = bits
+            pos = (h1 + i * h2) % self.num_bits
+            data[pos >> 3] |= 1 << (pos & 7)
 
     def may_contain(self, key: int) -> bool:
         h1 = key & _MASK64
         h2 = _mix(key) | 1
-        bits = self.bits
+        data = self._bytes
         for i in range(self.num_hashes):
-            if not (bits >> ((h1 + i * h2) % self.num_bits)) & 1:
+            pos = (h1 + i * h2) % self.num_bits
+            if not data[pos >> 3] >> (pos & 7) & 1:
                 return False
         return True
 
     def to_bytes(self) -> bytes:
-        return self.bits.to_bytes((self.num_bits + 7) // 8, "little")
+        return bytes(self._bytes)
 
     @classmethod
     def from_bytes(cls, data: bytes, num_bits: int, num_hashes: int) -> "BloomFilter":
-        return cls(num_bits, num_hashes, bits=int.from_bytes(data, "little"))
+        bloom = cls(num_bits, num_hashes)
+        # A section of the wrong length (torn or foreign) must not index out
+        # of range: no probe position lies beyond ``num_bits``.
+        bloom._bytes[:] = data[: bloom.memory_bytes].ljust(bloom.memory_bytes, b"\0")
+        return bloom
 
     @property
     def memory_bytes(self) -> int:
@@ -148,7 +160,7 @@ class SegmentIndex:
     offset (1-based: offset 0 is the summary block itself).
     """
 
-    __slots__ = ("config", "capacity", "bloom", "sparse", "entries", "live", "dead")
+    __slots__ = ("config", "capacity", "bloom", "sparse", "entries", "live", "dead", "_last_owner")
 
     def __init__(
         self,
@@ -170,12 +182,16 @@ class SegmentIndex:
         self.entries = entries
         self.live = live
         self.dead = dead
+        self._last_owner: Optional[int] = None
 
     # ------------------------------------------------------------------ building
 
     def add(self, owner: int, logical_block: int, is_inode: bool, offset: int) -> None:
         self.bloom.add(entry_key(owner, logical_block, is_inode))
-        self.bloom.add(owner_key(owner))
+        if owner != self._last_owner:
+            # Once per run of one owner's blocks: a repeat sets no new bit.
+            self.bloom.add(owner_key(owner))
+            self._last_owner = owner
         if self.entries % self.config.sparse_every == 0:
             self.sparse[(owner, logical_block, is_inode)] = offset
         self.entries += 1

@@ -1,11 +1,15 @@
 """The block cache: allocation, LRU lists, dirty tracking, flushing."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.config import CacheConfig
 from repro.core.blocks import BlockState
 from repro.core.cache import BlockCache
-from repro.core.scheduler import Delay
+from repro.core.clock import VirtualClock
+from repro.core.scheduler import Delay, Scheduler
 from repro.errors import CacheError
 from tests.conftest import run
 
@@ -273,3 +277,79 @@ def test_hit_rate(scheduler):
     cache.lookup(1, 0)
     cache.lookup(1, 1)
     assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+# --------------------------------------------------------------------------- per-file views
+
+
+class CacheIndexMachine(RuleBasedStateMachine):
+    """Every mutation keeps the per-file views equal to the global maps
+    filtered by file, *in order* (the order reaches the free list and the
+    replacement policy, hence simulated time)."""
+
+    FILES = st.integers(1, 3)
+    BLOCKS = st.integers(0, 7)
+
+    def __init__(self):
+        super().__init__()
+        self.scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        self.cache = make_cache(self.scheduler, blocks=6)
+
+    def _resident(self, pick):
+        resident = list(self.cache._index.values())
+        return resident[pick % len(resident)]
+
+    def some_resident(self):
+        return self.cache.cached_count > 0
+
+    @rule(file_id=FILES, block_no=BLOCKS)
+    def allocate(self, file_id, block_no):
+        # On a full cache this evicts, or (all dirty) writes back first.
+        if not self.cache.contains(file_id, block_no):
+            run(self.scheduler, self.cache.allocate, file_id, block_no)
+
+    @rule(file_id=FILES, block_no=BLOCKS)
+    def try_allocate(self, file_id, block_no):
+        self.cache.try_allocate(file_id, block_no)
+
+    @precondition(some_resident)
+    @rule(pick=st.integers(0, 5))
+    def mark_dirty(self, pick):
+        run(self.scheduler, self.cache.mark_dirty, self._resident(pick))
+
+    @precondition(some_resident)
+    @rule(pick=st.integers(0, 5))
+    def mark_clean(self, pick):
+        self.cache.mark_clean(self._resident(pick))
+
+    @precondition(some_resident)
+    @rule(pick=st.integers(0, 5))
+    def invalidate(self, pick):
+        self.cache.invalidate(self._resident(pick))
+
+    @rule(file_id=FILES, from_block=BLOCKS)
+    def invalidate_file(self, file_id, from_block):
+        self.cache.invalidate_file(file_id, from_block)
+
+    @rule(whole_file=st.booleans())
+    def writeback(self, whole_file):
+        run(self.scheduler, self.cache.flush_oldest, whole_file)
+
+    @invariant()
+    def views_mirror_the_global_maps(self):
+        cache = self.cache
+        for view, whole in ((cache._resident_of, cache._index), (cache._dirty_of, cache._dirty)):
+            filtered = {}
+            for block_id, block in whole.items():
+                filtered.setdefault(block_id.file_id, []).append((block_id.block_no, block))
+            assert {f: list(blocks.items()) for f, blocks in view.items()} == filtered
+        for file_id in (1, 2, 3):
+            assert cache.dirty_blocks_of(file_id) == [
+                b for b in cache._dirty.values() if b.block_id.file_id == file_id
+            ]
+
+
+CacheIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+test_per_file_views_mirror_the_global_maps = CacheIndexMachine.TestCase

@@ -1,6 +1,8 @@
 """On-disk encodings: superblock, inodes, directories, checkpoints, summaries."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import codec
 from repro.core.inode import FileKind, Inode
@@ -53,9 +55,17 @@ def test_inode_symlink_target_roundtrip():
     assert unpacked.kind is FileKind.SYMLINK
 
 
-def test_inode_packed_size_matches():
-    inode = Inode(number=1, kind=FileKind.REGULAR, block_map={i: i * 10 for i in range(20)})
-    assert codec.inode_packed_size(inode) == len(codec.pack_inode(inode))
+@given(
+    block_map=st.dictionaries(st.integers(0, 2**32 - 1), st.integers(0, 2**48), max_size=40),
+    target=st.text(max_size=20),
+)
+@example(block_map={}, target="")  # empty map
+@example(block_map={0: 7, 9_000: 8, 2**31: 9}, target="")  # sparse map
+@example(block_map={i: 100 + i for i in range(400)}, target="ß/x")  # > one 4-KB block of map
+def test_inode_packed_size_matches(block_map, target):
+    # PATSY sizes an inode's log blocks from this without serialising it.
+    inode = Inode(number=1, kind=FileKind.REGULAR, block_map=block_map, symlink_target=target)
+    assert codec.packed_inode_size(inode) == len(codec.pack_inode(inode))
 
 
 def test_inode_bad_magic():

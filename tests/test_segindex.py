@@ -44,6 +44,7 @@ from repro.core.storage.segindex import (
     SegmentIndex,
     SegmentIndexConfig,
     UtilisationBuckets,
+    _mix,
     entry_key,
     owner_key,
 )
@@ -116,6 +117,35 @@ def test_bloom_bytes_round_trip():
     clone = BloomFilter.from_bytes(bloom.to_bytes(), bloom.num_bits, bloom.num_hashes)
     assert clone.bits == bloom.bits
     assert all(clone.may_contain(entry_key(i, i, False)) for i in range(25))
+
+
+def test_bloom_serialises_like_the_big_int_construction():
+    """The on-disk bytes are those of the original one-integer filter
+    (``bits |= 1 << pos``, little-endian): bit ``i`` in byte ``i >> 3``."""
+    bloom = BloomFilter(203, num_hashes=4)
+    reference = 0
+    for i in range(60):
+        key = entry_key(i % 7, i * 5, bool(i & 1)) if i % 3 else owner_key(i % 7)
+        bloom.add(key)
+        h2 = _mix(key) | 1
+        for probe in range(4):
+            reference |= 1 << ((key + probe * h2) % 203)
+    assert bloom.bits == reference
+    assert bloom.to_bytes() == reference.to_bytes((203 + 7) // 8, "little")
+    assert BloomFilter.from_bytes(bloom.to_bytes(), 203, 4).to_bytes() == bloom.to_bytes()
+    # A section of the wrong length is taken as far as it goes, never indexed past.
+    assert BloomFilter.from_bytes(b"\xff" * 99, 203, 4).to_bytes()[-1] == 0xFF
+    assert BloomFilter.from_bytes(b"\xff", 203, 4).may_contain(owner_key(1)) is False
+
+
+def test_segment_index_adds_the_owner_key_once_per_run_of_one_owner():
+    index = SegmentIndex(SegmentIndexConfig(), capacity=15)
+    reference = BloomFilter(index.bloom.num_bits)
+    for offset, owner in enumerate([4, 4, 4, 9, 4], start=1):
+        index.add(owner, offset, False, offset)
+        reference.add(entry_key(owner, offset, False))
+        reference.add(owner_key(owner))
+    assert index.bloom.to_bytes() == reference.to_bytes()
 
 
 def test_segment_index_counters_and_sparse_samples():
