@@ -44,7 +44,10 @@ def scaling_workload():
         mean_file_size=32 * KB,
         large_file_fraction=0.05,
         large_file_size=256 * KB,
-        mean_think_time=0.25,
+        # Short enough that the full machine is disk-bound too (about 870
+        # ops/s offered, 10 disks serve about 640): a step that absorbs the
+        # whole offered load measures the trace, not the disks.
+        mean_think_time=0.05,
         intra_op_gap=0.01,
         overwrite_fraction=0.2,
         delete_fraction=0.1,

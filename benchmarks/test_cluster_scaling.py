@@ -51,7 +51,10 @@ def scaling_workload():
         mean_file_size=32 * KB,
         large_file_fraction=0.05,
         large_file_size=256 * KB,
-        mean_think_time=0.25,
+        # Short enough that four nodes are disk-bound too (about 870 ops/s
+        # offered, they serve about 600): a step that absorbs the whole
+        # offered load measures the trace, not the spindles.
+        mean_think_time=0.05,
         intra_op_gap=0.01,
         overwrite_fraction=0.2,
         delete_fraction=0.1,

@@ -22,6 +22,9 @@ adaptive policies).  When no block is evictable the cache "initiates a
 cache flush through the oldest dirty block" — either synchronously in the
 allocating thread, or by kicking an asynchronous flush daemon (the Section
 5.2 lesson) registered by the active :class:`~repro.core.flush.FlushPolicy`.
+Such a flush writes one ``flush_unit``: by default the *extent* of dirty
+file-mates around the oldest block, so a file pushed out under pressure
+costs one log append and one inode per run, not one per block.
 
 Persistency policies (the 30-second update timer, UPS write-saving, NVRAM)
 are *derived components* implemented in :mod:`repro.core.flush`; they drive
@@ -155,10 +158,12 @@ class BlockCache:
         self.writeback: Optional[WritebackFn] = None
         #: set by the NVRAM flush policy: maximum bytes of dirty data allowed.
         self.dirty_limit_bytes: Optional[int] = None
-        #: whether draining for the dirty limit flushes whole files.
-        self.drain_whole_file: bool = True
-        #: whether replacement-pressure flushes write whole files.
-        self.flush_whole_file_on_replacement: bool = False
+        #: what one :meth:`flush_oldest` writes -- every flush made because
+        #: clean blocks or NVRAM ran out: ``"extent"`` (the oldest dirty
+        #: block and the dirty file-mates at consecutive block numbers
+        #: around it), ``"file"`` or ``"block"`` (the two NVRAM experiments;
+        #: set by the flush policy).
+        self.flush_unit: str = "extent"
         #: when set, allocation pressure is delegated to this callable
         #: (the asynchronous flush daemon) instead of flushing inline.
         self.space_requester: Optional[Callable[[], None]] = None
@@ -358,20 +363,14 @@ class BlockCache:
         # Synchronous flushing in the allocating thread (the original design
         # the paper's Section 5.2 later moved away from).
         self.stats.forced_replacement_flushes += 1
-        yield from self._flush_for_replacement()
+        yield from self._flush_oldest_or_wait()
 
-    def _flush_for_replacement(self) -> Generator[Any, Any, int]:
-        """Flush dirty data to make room.  Overridable: the default flushes
-        the single oldest dirty block; with ``flush_whole_file_on_replacement``
-        it flushes the whole file owning the oldest dirty block."""
-        victim = self.oldest_dirty()
-        if victim is None:
+    def _flush_oldest_or_wait(self) -> Generator[Any, Any, None]:
+        """Flush the oldest dirty data in the calling thread (out of clean
+        blocks with no flush daemon, or out of NVRAM)."""
+        if (yield from self.flush_oldest()) == 0:
             # Everything is pinned/busy; wait for in-flight I/O to finish.
             yield from self.wait_block_ready()
-            return 0
-        if self.flush_whole_file_on_replacement:
-            return (yield from self.flush_file(victim.block_id.file_id))
-        return (yield from self.flush_block(victim))
 
     def notify_space_available(self) -> None:
         """Called by the flush daemon once clean/free blocks exist again."""
@@ -402,7 +401,7 @@ class BlockCache:
             and self.dirty_count > 0
         ):
             self.stats.nvram_stalls += 1
-            yield from self._drain_for_dirty_limit()
+            yield from self._flush_oldest_or_wait()
         self._clean.pop(block.block_id, None)
         block.state = BlockState.DIRTY
         block.dirty_since = self.scheduler.now
@@ -412,16 +411,6 @@ class BlockCache:
         self.stats.blocks_dirtied += 1
         self.stats.peak_dirty_bytes = max(self.stats.peak_dirty_bytes, self.dirty_bytes)
         block.record_access(self.scheduler.now)
-
-    def _drain_for_dirty_limit(self) -> Generator[Any, Any, None]:
-        victim = self.oldest_dirty()
-        if victim is None:
-            yield from self.wait_block_ready()
-            return
-        if self.drain_whole_file:
-            yield from self.flush_file(victim.block_id.file_id)
-        else:
-            yield from self.flush_block(victim)
 
     def mark_clean(self, block: CacheBlock) -> None:
         """Move a dirty block back to the clean list (its data is on disk)."""
@@ -516,14 +505,33 @@ class BlockCache:
             return 0
         return (yield from self._writeback_blocks(file_id, blocks))
 
-    def flush_oldest(self, whole_file: bool) -> Generator[Any, Any, int]:
-        """Flush the oldest dirty block, or its whole file."""
+    def flush_oldest(self) -> Generator[Any, Any, int]:
+        """Flush the oldest non-busy dirty block as one :attr:`flush_unit`;
+        returns the number of blocks written (0: nothing flushable)."""
         victim = self.oldest_dirty()
         if victim is None:
             return 0
-        if whole_file:
-            return (yield from self.flush_file(victim.block_id.file_id))
-        return (yield from self.flush_block(victim))
+        file_id = victim.block_id.file_id
+        if self.flush_unit == "file":
+            return (yield from self.flush_file(file_id))
+        if self.flush_unit == "block":
+            return (yield from self.flush_block(victim))
+        return (yield from self._writeback_blocks(file_id, self._extent_around(victim)))
+
+    def _extent_around(self, victim: CacheBlock) -> list[CacheBlock]:
+        """``victim`` and its dirty file-mates at consecutive block numbers
+        on both sides, in block order.  A missing or busy neighbour ends the
+        run: it is neither waited for nor skipped over.  One writeback of
+        the run is one log append with one inode; for a sequentially written
+        file it is the paper's "file associated to the oldest block", for a
+        random overwrite nothing that was not dirtied next to the victim."""
+        mates = self._dirty_of[victim.block_id.file_id]
+        first = last = victim.block_id.block_no
+        while (mate := mates.get(first - 1)) is not None and not mate.busy:
+            first -= 1
+        while (mate := mates.get(last + 1)) is not None and not mate.busy:
+            last += 1
+        return [mates[block_no] for block_no in range(first, last + 1)]
 
     def flush_all(self) -> Generator[Any, Any, int]:
         """Flush every dirty block (sync / unmount / checkpoint)."""

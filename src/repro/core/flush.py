@@ -133,9 +133,7 @@ class FlushPolicy(ABC):
             self.daemon_wakeups += 1
             guard = 0
             while not cache.has_allocatable_slot():
-                written = yield from cache.flush_oldest(
-                    whole_file=cache.flush_whole_file_on_replacement
-                )
+                written = yield from cache.flush_oldest()
                 if written == 0:
                     # Nothing flushable right now (everything busy); wait for
                     # in-flight I/O to complete and re-evaluate.
@@ -150,9 +148,7 @@ class FlushPolicy(ABC):
                 and cache.free_count + cache.clean_count < low_water_blocks
                 and guard <= 10 * cache.num_blocks
             ):
-                written = yield from cache.flush_oldest(
-                    whole_file=cache.flush_whole_file_on_replacement
-                )
+                written = yield from cache.flush_oldest()
                 if written == 0:
                     break
                 self.flush_ahead_blocks += written
@@ -251,9 +247,9 @@ class NvramPolicy(FlushPolicy):
 
     def configure_cache(self, cache: BlockCache) -> None:
         cache.dirty_limit_bytes = self.config.nvram_bytes
-        cache.drain_whole_file = self.config.whole_file
-        # Replacement pressure should honour the same flush granularity.
-        cache.flush_whole_file_on_replacement = self.config.whole_file
+        # The paper's two NVRAM experiments; the stall path, the drain
+        # daemon and replacement pressure all honour the same granularity.
+        cache.flush_unit = "file" if self.config.whole_file else "block"
 
     def start(self) -> Optional[Thread]:
         assert self.scheduler is not None
@@ -270,7 +266,7 @@ class NvramPolicy(FlushPolicy):
             if cache.dirty_bytes <= self.high_water * limit:
                 continue
             while cache.dirty_bytes > self.low_water * limit:
-                flushed = yield from cache.flush_oldest(whole_file=self.config.whole_file)
+                flushed = yield from cache.flush_oldest()
                 self.policy_flushes += flushed
                 if flushed == 0:
                     break
@@ -293,8 +289,8 @@ class ShardedFlushPolicy(FlushPolicy):
 
     Cross-volume flush pressure is coordinated by a *governor* thread: when
     the aggregate dirty ratio across all shards passes ``high_water`` it
-    drains the dirtiest shard (whole-file granularity when the shard is
-    configured for it) until the aggregate falls back below ``low_water``.
+    drains the dirtiest shard (one ``flush_unit`` of that shard at a time)
+    until the aggregate falls back below ``low_water``.
     The governor never runs for the UPS write-saving policy — writing ahead
     of real allocation pressure would defeat the write savings that policy
     exists to measure — or for single-shard caches, which keeps a one-volume
@@ -394,9 +390,7 @@ class ShardedFlushPolicy(FlushPolicy):
                 victim = max(
                     shards, key=lambda shard: shard.dirty_bytes / max(shard.num_blocks, 1)
                 )
-                written = yield from victim.flush_oldest(
-                    whole_file=victim.flush_whole_file_on_replacement
-                )
+                written = yield from victim.flush_oldest()
                 if written == 0:
                     break
                 self.governor_flushes += written

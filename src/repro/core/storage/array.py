@@ -414,24 +414,6 @@ class ShardedCache:
             shard.dirty_limit_bytes = limit
 
     @property
-    def drain_whole_file(self) -> bool:
-        return self.shards[0].drain_whole_file
-
-    @drain_whole_file.setter
-    def drain_whole_file(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.drain_whole_file = value
-
-    @property
-    def flush_whole_file_on_replacement(self) -> bool:
-        return self.shards[0].flush_whole_file_on_replacement
-
-    @flush_whole_file_on_replacement.setter
-    def flush_whole_file_on_replacement(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.flush_whole_file_on_replacement = value
-
-    @property
     def space_requester(self):
         return self.shards[0].space_requester
 
@@ -561,13 +543,13 @@ class ShardedCache:
             written += yield from shard.flush_file(file_id)
         return written
 
-    def flush_oldest(self, whole_file: bool) -> Generator[Any, Any, int]:
+    def flush_oldest(self) -> Generator[Any, Any, int]:
+        """One flush unit of the shard holding the oldest dirty block (a
+        shard only sees its own stripe units of a striped file)."""
         victim = self.oldest_dirty()
         if victim is None:
             return 0
-        if whole_file:
-            return (yield from self.flush_file(victim.block_id.file_id))
-        return (yield from self._shard_of_block(victim).flush_block(victim))
+        return (yield from self._shard_of_block(victim).flush_oldest())
 
     def flush_all(self) -> Generator[Any, Any, int]:
         written = 0

@@ -553,14 +553,12 @@ class LogStructuredLayout(StorageLayout):
                 self.stats.blocks_written += len(blocks)
             if with_inode:
                 self._inode_objects[number] = inode
-                if self.simulated:
-                    chunks: list[Optional[bytes]] = [None] * max(
-                        1, -(-codec.packed_inode_size(inode) // self.block_size)
-                    )
-                else:
-                    payload = codec.pack_inode(inode)
-                    chunks = self._chunk(payload, max(1, -(-len(payload) // self.block_size)))
-                nblocks = len(chunks)
+                nblocks = max(1, -(-codec.packed_inode_size(inode) // self.block_size))
+                chunks: list[Optional[bytes]] = (
+                    [None] * nblocks  # PATSY needs the length only
+                    if self.simulated
+                    else self._chunk(codec.pack_inode(inode), nblocks)
+                )
                 old = self.inode_map.get(number)
                 if old is not None:
                     self._kill_blocks(old[0], old[1])

@@ -144,19 +144,58 @@ def test_flush_all(scheduler):
     assert cache.dirty_count == 0
 
 
-def test_flush_oldest_whole_file(scheduler):
-    cache = make_cache(scheduler)
+def dirty(cache, file_id, block_no):
+    block = yield from cache.allocate(file_id, block_no)
+    yield from cache.mark_dirty(block)
+    return block
+
+
+def test_flush_oldest_whole_file():
+    """``flush_oldest`` writes the oldest dirty block as one ``flush_unit``:
+    alone, with its dirty neighbours up to the first hole, or with every
+    dirty block of its file."""
+    for unit, written in (("block", (4,)), ("extent", (3, 4, 5)), ("file", (3, 4, 5, 7))):
+        scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        cache = make_cache(scheduler, blocks=16)
+        assert cache.flush_unit == "extent"  # unless the flush policy says otherwise
+        cache.flush_unit = unit
+
+        def body():
+            for block_no in (4, 7, 3, 5):  # 4 is the oldest; 6 is never dirtied
+                yield from dirty(cache, 1, block_no)
+                yield Delay(1.0)
+            yield from dirty(cache, 2, 5)  # another file's block is never a mate
+            yield from cache.allocate(1, 2)  # clean: not part of the run either
+            return (yield from cache.flush_oldest())
+
+        assert run(scheduler, body) == len(written)
+        assert cache.written_log == [(1, written)]
+        assert cache.dirty_count == 5 - len(written)
+
+
+def test_busy_neighbour_ends_the_extent(scheduler):
+    """A neighbour whose writeback is in flight ends the run: the flush
+    neither waits for it nor reaches over it to the blocks beyond."""
+    cache = make_cache(scheduler, blocks=16)
 
     def body():
-        a = yield from cache.allocate(1, 0)
-        yield from cache.mark_dirty(a)
-        yield Delay(1.0)
-        b = yield from cache.allocate(2, 0)
-        yield from cache.mark_dirty(b)
-        return (yield from cache.flush_oldest(whole_file=True))
+        for block_no in range(6):
+            yield from dirty(cache, 1, block_no)
+        busy = cache.peek(1, 2)
+        flusher = scheduler.spawn(cache.flush_block, busy)  # 5 ms at the "disk"
+        yield Delay(0.001)
+        assert busy.busy
+        # Oldest non-busy block is 0: its run stops at 1.
+        assert (yield from cache.flush_oldest()) == 2
+        # Started at once (1 ms + its own 5 ms), not after block 2 came back.
+        assert scheduler.now == pytest.approx(0.006)
+        # Now the oldest is 3, on the far side of the block that was busy.
+        assert (yield from cache.flush_oldest()) == 3
+        yield from flusher.join()
 
-    assert run(scheduler, body) == 1
-    assert cache.written_log == [(1, (0,))]
+    run(scheduler, body)
+    assert cache.written_log == [(1, (2,)), (1, (0, 1)), (1, (3, 4, 5))]
+    assert cache.dirty_count == 0
 
 
 def test_invalidate_file_counts_write_savings(scheduler):
@@ -194,7 +233,7 @@ def test_invalidate_file_partial_truncate(scheduler):
 def test_nvram_dirty_limit_stalls_and_drains(scheduler):
     cache = make_cache(scheduler, blocks=8)
     cache.dirty_limit_bytes = 2 * 4096  # at most two dirty blocks
-    cache.drain_whole_file = False
+    cache.flush_unit = "block"
 
     def body():
         for i in range(4):
@@ -331,9 +370,10 @@ class CacheIndexMachine(RuleBasedStateMachine):
     def invalidate_file(self, file_id, from_block):
         self.cache.invalidate_file(file_id, from_block)
 
-    @rule(whole_file=st.booleans())
-    def writeback(self, whole_file):
-        run(self.scheduler, self.cache.flush_oldest, whole_file)
+    @rule(unit=st.sampled_from(["block", "extent", "file"]))
+    def writeback(self, unit):
+        self.cache.flush_unit = unit
+        run(self.scheduler, self.cache.flush_oldest)
 
     @invariant()
     def views_mirror_the_global_maps(self):

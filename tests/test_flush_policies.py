@@ -11,7 +11,8 @@ from repro.core.flush import (
     WriteSavingPolicy,
 )
 from repro.config import CacheConfig
-from repro.core.scheduler import Delay
+from repro.core.clock import VirtualClock
+from repro.core.scheduler import Delay, Scheduler
 from repro.errors import ConfigurationError
 from tests.conftest import run
 
@@ -30,10 +31,13 @@ def make_cache_with_policy(scheduler, flush_config, blocks=16):
     return cache, policy, written
 
 
-def dirty_blocks(scheduler, cache, file_id, count):
+def dirty_blocks(scheduler, cache, file_id, count, stride=1):
+    """Dirty ``count`` blocks of one file; ``stride=2`` leaves a hole after
+    each, so no two are one extent and every pressure flush writes one."""
+
     def body():
         for i in range(count):
-            block = yield from cache.allocate(file_id, i)
+            block = yield from cache.allocate(file_id, i * stride)
             yield from cache.mark_dirty(block)
 
     run(scheduler, body)
@@ -103,8 +107,7 @@ def test_nvram_policy_sets_dirty_limit(scheduler):
     config = FlushConfig(policy="nvram", nvram_bytes=4 * 4096, whole_file=True)
     cache, policy, written = make_cache_with_policy(scheduler, config)
     assert cache.dirty_limit_bytes == 4 * 4096
-    assert cache.drain_whole_file is True
-    assert cache.flush_whole_file_on_replacement is True
+    assert cache.flush_unit == "file"
 
 
 def test_nvram_policy_caps_dirty_data(scheduler):
@@ -122,6 +125,28 @@ def test_nvram_background_drain_keeps_occupancy_below_limit(scheduler):
     scheduler.run(until=5.0)
     # The write-behind daemon drains below the high-water mark.
     assert cache.dirty_bytes < 8 * 4096
+
+
+def test_nvram_flush_unit_is_the_block_or_the_file_never_the_extent():
+    """The paper's two NVRAM experiments keep their granularity on both
+    paths: "partial file" writes the oldest block alone even though its
+    neighbours are dirty, "whole file" every dirty block of its file."""
+    for whole_file in (False, True):
+        # The stall path: a writer outruns a 4-block NVRAM.
+        config = FlushConfig(policy="nvram", nvram_bytes=4 * 4096, whole_file=whole_file)
+        scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        cache, policy, written = make_cache_with_policy(scheduler, config)
+        dirty_blocks(scheduler, cache, 5, 10)
+        assert cache.stats.nvram_stalls > 0 and policy.policy_flushes == 0
+        assert {len(block_nos) for _file, block_nos in written} == ({4} if whole_file else {1})
+        # The drain daemon: occupancy sits at the limit, nobody stalls.
+        config = FlushConfig(policy="nvram", nvram_bytes=8 * 4096, whole_file=whole_file)
+        scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        cache, policy, written = make_cache_with_policy(scheduler, config, blocks=32)
+        dirty_blocks(scheduler, cache, 6, 8)
+        scheduler.run(until=5.0)
+        assert cache.stats.nvram_stalls == 0 and policy.policy_flushes > 0
+        assert [len(block_nos) for _file, block_nos in written] == ([8] if whole_file else [1, 1])
 
 
 def test_synchronous_flush_mode(scheduler):
@@ -149,7 +174,9 @@ def test_periodic_policy_counts_flushes(scheduler):
 def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
     config = FlushConfig(policy="ups", daemon_low_water=0.5)
     cache, policy, written = make_cache_with_policy(scheduler, config, blocks=8)
-    dirty_blocks(scheduler, cache, 3, 8)  # fill the cache with dirty data
+    # Fill the cache with dirty data, no two blocks adjacent: the one extent
+    # the allocation demands is one block, the rest is the daemon's to restock.
+    dirty_blocks(scheduler, cache, 3, 8, stride=2)
 
     def allocate_one():
         yield from cache.allocate(4, 0)
@@ -234,7 +261,7 @@ def test_periodic_default_flush_ahead_restocks_the_free_pool(scheduler):
     # demanded block, so allocation bursts coalesce into one daemon wakeup.
     config = FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5)
     cache, policy, written = make_cache_with_policy(scheduler, config, blocks=32)
-    dirty_blocks(scheduler, cache, 3, 32)
+    dirty_blocks(scheduler, cache, 3, 32, stride=2)  # 32 one-block extents
 
     def allocate_one():
         yield from cache.allocate(4, 0)

@@ -360,3 +360,50 @@ def test_one_64kb_read_of_a_fragmented_file_costs_one_disk_read_per_fragment():
     finally:
         del pfs.volume.read_run
     assert reads == [(addresses[0], 6), (addresses[6], 5), (addresses[11], 5)]
+
+
+def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
+    """16 sequentially written blocks go through an 8-block cache whose
+    update daemon never fires, so every writeback is a pressure flush.  Each
+    is an extent -- one log append with one inode for a run of dirty
+    file-mates (it used to be one append and one inode per block, 16) -- and
+    the bytes survive unmount + a fresh mount."""
+
+    def tiny_cache_pfs():
+        return PegasusFileSystem(
+            size_bytes=16 * MB,
+            cache=CacheConfig(size_bytes=8 * 4 * KB),
+            flush=FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
+            layout=LayoutConfig(segment_size=256 * KB),
+        )
+
+    pfs = tiny_cache_pfs()
+    pfs.format()
+    pfs.write_file("/a", b"")
+    file_id = pfs.stat("/a")["ino"]
+    calls = []
+    writeback = pfs.cache.writeback
+
+    def logged(file_no, block_nos):
+        calls.append((file_no, list(block_nos)))
+        return writeback(file_no, block_nos)
+
+    pfs.cache.writeback = logged
+    inodes_before = pfs.layout.stats.inodes_written
+    data = bytes((7 * j) % 251 for j in range(64 * KB))
+    pfs.write_file("/a", data)
+    pfs.write_file("/b", data[: 32 * KB])  # pushes the rest of /a out
+    of_a = [block_nos for file_no, block_nos in calls if file_no == file_id]
+    assert sorted(no for block_nos in of_a for no in block_nos) == list(range(16))
+    assert len(of_a) <= 4
+    assert pfs.layout.stats.inodes_written - inodes_before <= 4
+    assert all(block_nos == list(range(block_nos[0], block_nos[-1] + 1)) for block_nos in of_a)
+
+    assert pfs.read_file("/a") == data
+    pfs.unmount()
+    fresh = tiny_cache_pfs()
+    for source, target in zip(pfs.drivers, fresh.drivers):
+        target.restore(source.snapshot())
+    fresh.mount()
+    assert fresh.read_file("/a") == data
+    assert fresh.read_file("/b") == data[: 32 * KB]
