@@ -13,6 +13,14 @@ same shape on ``sun4_280_config`` under the ``periodic`` and ``nvram`` flush
 policies, and a PFS on file-backed disks running a fixed script through an
 unmount and a remount, pinned down to the bytes of every backing image.
 
+The third freezes the event loop itself
+(``tests/golden/scheduler_programs.json``): a couple of hundred small thread
+programs — threads that delay, wait on and signal events, reschedule, spawn,
+join, raise and abort, under the random, FIFO and node-merge policies, driven
+through ``run`` in slices (``until``, ``inclusive``, ``max_steps``) and
+``run_until_complete`` — pinned by their schedule digests, the clock and the
+context-switch count after every slice, and what became of every thread.
+
 The files are only ever rewritten on purpose, by running this module as a
 script (see ``REGENERATE``); a change that moves a result must say so.
 """
@@ -23,11 +31,22 @@ import hashlib
 import json
 import tempfile
 from dataclasses import replace
+from hashlib import blake2b
 from pathlib import Path
 
 from repro.assembly.spec import StackSpec
 from repro.config import cluster_config, sun4_280_config
+from repro.core.clock import VirtualClock
 from repro.core.faults import FaultEvent
+from repro.core.scheduler import (
+    RESCHEDULE,
+    Delay,
+    FifoSchedulingPolicy,
+    NodeMergeSchedulingPolicy,
+    RandomSchedulingPolicy,
+    Scheduler,
+)
+from repro.errors import ReproError
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.traces import TraceRecord
 from repro.pfs.filesystem import PegasusFileSystem
@@ -35,6 +54,7 @@ from repro.units import KB, MB
 
 GOLDEN = Path(__file__).parent / "golden" / "cluster_schedule.json"
 ARRAY_GOLDEN = Path(__file__).parent / "golden" / "array_replay.json"
+PROGRAMS_GOLDEN = Path(__file__).parent / "golden" / "scheduler_programs.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden_schedule.py"
 
 SPAN = 60.0
@@ -243,6 +263,149 @@ def test_array_replay_matches_golden(tmp_path):
     assert run["pfs"] == golden["pfs"], "PFS statistics or backing images moved" + hint
 
 
+# --------------------------------------------------------------------------- the event loop
+
+PROGRAMS = 210
+POLICIES = (RandomSchedulingPolicy, FifoSchedulingPolicy, NodeMergeSchedulingPolicy)
+EVENTS = 3
+#: quarter-second steps, so wake times tie with each other and with the
+#: ``until`` of a slice; the odd ones keep some sleepers strictly first.
+DELAYS = (0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0, 1.5, 2.0, 0.1, 0.3, 0.7, 1.3)
+
+
+def _draws(seed: int):
+    """``draw(n)``: the 31-bit LCG of :func:`golden_trace`, one stream per program."""
+    state = 977 * seed + 1
+
+    def draw(n: int) -> int:
+        nonlocal state
+        state = (state * 1103515245 + 12345) % 2**31
+        return (state >> 8) % n
+
+    return draw
+
+
+def _thread_program(draw, depth: int) -> list:
+    """One thread's instructions, generated before anything runs (so the
+    program does not depend on the schedule it is there to pin)."""
+    program: list = []
+    for _ in range(2 + draw(7)):
+        kind = draw(20)
+        if kind < 7:
+            program.append(["delay", DELAYS[draw(len(DELAYS))]])
+        elif kind < 9:
+            program.append(["sleep", DELAYS[draw(len(DELAYS))]])
+        elif kind < 11:
+            program.append(["wait", draw(EVENTS)])
+        elif kind < 14:
+            program.append(["signal", draw(EVENTS)])
+        elif kind < 16:
+            program.append(["reschedule"])
+        elif kind < 18 and depth < 2:
+            program.append(["spawn", _thread_program(draw, depth + 1), bool(draw(4) == 0), draw(3)])
+        elif kind == 18:
+            program.append(["join", draw(4), bool(draw(2))])
+        elif draw(6) == 0:
+            program.append(["abort"] if draw(3) == 0 else ["raise"])
+        else:
+            program.append(["delay", DELAYS[draw(len(DELAYS))]])
+    return program
+
+
+def program_run(seed: int) -> dict:
+    draw = _draws(seed)
+    scheduler = Scheduler(clock=VirtualClock(), seed=seed, policy=POLICIES[seed % 3]())
+    scheduler.enable_schedule_hash()
+    events = [scheduler.new_event(f"e{i}") for i in range(EVENTS)]
+    order = blake2b(digest_size=8)  # what ran, in the order it ran
+    threads = []
+
+    def body(name: str, program: list):
+        children = []
+        done = 0
+        for step in program:
+            kind = step[0]
+            order.update(f"{scheduler.now!r} {name} {kind}\n".encode())
+            if kind == "delay":
+                yield Delay(step[1])
+            elif kind == "sleep":
+                yield from scheduler.sleep(step[1])
+            elif kind == "wait":
+                done += (yield from events[step[1]].wait()) or 0
+            elif kind == "signal":
+                events[step[1]].signal(done)
+            elif kind == "reschedule":
+                yield RESCHEDULE
+            elif kind == "spawn":
+                child = f"{name}.{len(children)}"
+                children.append(
+                    scheduler.spawn(body, child, step[1], name=child, daemon=step[2], node=step[3])
+                )
+                threads.append(children[-1])
+            elif kind == "join" and children:
+                try:
+                    yield from children[step[1] % len(children)].join()
+                except ValueError:
+                    if not step[2]:
+                        raise
+            elif kind == "raise":
+                raise ValueError(name)
+            elif kind == "abort":
+                scheduler.abort(RuntimeError(name))
+            done += 1
+        return [done, scheduler.now]
+
+    for index in range(2 + draw(5)):
+        name = f"t{index}"
+        threads.append(
+            scheduler.spawn(body, name, _thread_program(draw, 0), name=name, node=draw(3))
+        )
+
+    slices = []
+
+    def drive(call, **kwargs) -> None:
+        error = None
+        try:
+            call(raise_failures=False, **kwargs)
+        except (ReproError, ValueError, RuntimeError) as exc:  # deadlock, a thread's own, abort
+            error = f"{type(exc).__name__}: {exc}"
+        slices.append([scheduler.now, scheduler.context_switches, error])
+
+    drive(scheduler.run, until=0.25 * draw(8), inclusive=bool(draw(2)))
+    drive(scheduler.run, max_steps=1 + draw(6))
+    drive(scheduler.run, until=scheduler.now + 0.25 * draw(8), inclusive=bool(draw(2)))
+    if draw(2):
+        drive(lambda **kwargs: scheduler.run_until_complete(threads[0], **kwargs))
+    drive(scheduler.run)
+    return {
+        "seed": seed,
+        "slices": slices,
+        "schedule_digests": scheduler.schedule_digests(),
+        "order": order.hexdigest(),
+        "threads": {
+            t.name: [t.state.value, t.result, type(t.exception).__name__ if t.exception else None]
+            for t in threads
+        },
+        "failures": [t.name for t in scheduler.failures],
+    }
+
+
+def programs_run() -> list:
+    return json.loads(json.dumps([program_run(seed) for seed in range(PROGRAMS)]))
+
+
+def test_scheduler_programs_match_golden():
+    golden = json.loads(PROGRAMS_GOLDEN.read_text())
+    assert len(golden) == PROGRAMS
+    # The programs really sleep, block for good, fail, abort and stop mid-way.
+    outcomes = {state for pinned in golden for state, _, _ in pinned["threads"].values()}
+    assert {"finished", "failed", "blocked"} <= outcomes
+    assert any(error and error.startswith("RuntimeError") for p in golden for _, _, error in p["slices"])
+    hint = f"; if the event loop was meant to change, regenerate with `{REGENERATE}`"
+    for run, pinned in zip(programs_run(), golden):
+        assert run == pinned, f"thread program {pinned['seed']} ran differently" + hint
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden_run(), indent=2, sort_keys=True) + "\n")
@@ -252,3 +415,7 @@ if __name__ == "__main__":
             json.dumps(array_run(Path(scratch)), indent=2, sort_keys=True) + "\n"
         )
     print(f"wrote {ARRAY_GOLDEN}")
+    # One program a line: a moved schedule shows up as the lines that moved.
+    lines = ",\n".join(json.dumps(run, sort_keys=True) for run in programs_run())
+    PROGRAMS_GOLDEN.write_text(f"[\n{lines}\n]\n")
+    print(f"wrote {PROGRAMS_GOLDEN}")

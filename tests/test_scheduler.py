@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.clock import VirtualClock
+from repro.core.clock import RealClock, VirtualClock
 from repro.core.scheduler import (
     Delay,
     Event,
@@ -316,3 +316,116 @@ def test_finished_threads_are_not_retained(scheduler):
         assert len(scheduler._threads) <= 2
     assert scheduler.threads == (blocked,)
     assert blocked.alive
+
+
+# --------------------------------------------------------------------------- a lone sleeper
+#
+# A thread that sleeps while nothing else is runnable and nothing in the
+# delayed heap is due before it: what the run loops promise about it.
+
+
+def ticker(log, scheduler, period=1.0):
+    while True:
+        log.append(scheduler.now)
+        yield Delay(period)
+
+
+def test_run_until_leaves_a_later_sleeper_delayed(scheduler):
+    log = []
+    thread = scheduler.spawn(ticker, log, scheduler, 1.0)
+    assert scheduler.run(until=2.5) == 2.5
+    assert log == [0.0, 1.0, 2.0]
+    assert scheduler.now == 2.5
+    assert thread.state is ThreadState.DELAYED
+    assert scheduler._delayed[0][0] == 3.0
+    assert scheduler.context_switches == 3
+
+
+def test_run_until_boundary_exclusive_and_inclusive():
+    for inclusive, stepped, state in (
+        (False, [0.0, 1.0], ThreadState.RUNNABLE),  # released at 2.0, not executed
+        (True, [0.0, 1.0, 2.0], ThreadState.DELAYED),
+    ):
+        scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        log = []
+        thread = scheduler.spawn(ticker, log, scheduler, 1.0)
+        assert scheduler.run(until=2.0, inclusive=inclusive) == 2.0
+        assert log == stepped
+        assert thread.state is state
+        assert scheduler.context_switches == len(stepped)
+
+
+def test_max_steps_counts_every_resumption_of_a_lone_sleeper(scheduler):
+    log = []
+    scheduler.spawn(ticker, log, scheduler, 1.0)
+    scheduler.run(max_steps=3)
+    assert log == [0.0, 1.0, 2.0]
+    assert scheduler.context_switches == 3
+    assert scheduler.now == 2.0
+    scheduler.run(max_steps=2)
+    assert log == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert scheduler.context_switches == 5
+
+
+def test_abort_from_a_lone_sleeper_stops_before_its_next_resume(scheduler):
+    log = []
+
+    def doomed():
+        while True:
+            log.append(scheduler.now)
+            if len(log) == 3:
+                scheduler.abort(RuntimeError("power failure"))
+            yield Delay(1.0)
+
+    def service():
+        yield Delay(100.0)
+
+    daemon = scheduler.spawn(service, daemon=True)
+    thread = scheduler.spawn(doomed)
+    with pytest.raises(RuntimeError, match="power failure"):
+        scheduler.run_until_complete(thread)
+    assert log == [0.0, 1.0, 2.0]
+    assert scheduler.now == 2.0
+    # The crash took the daemon with it, out of the heap too.
+    assert not daemon.alive
+    assert [entry[2] for entry in scheduler._delayed] == [thread]
+    assert scheduler.cancel_daemons() == 0
+
+
+def test_equal_wake_times_run_in_sequence_order(fifo_scheduler):
+    """``late`` goes to sleep alone, until the instant ``early`` already
+    sleeps to: the entry pushed first runs first."""
+    order = []
+
+    def sleeper(name):
+        yield Delay(1.0)
+        order.append((name, fifo_scheduler.now))
+        yield Delay(1.0)
+        order.append((name, fifo_scheduler.now))
+
+    fifo_scheduler.spawn(sleeper, "early")
+    fifo_scheduler.run(max_steps=1)  # early sleeps; late is not there yet
+    fifo_scheduler.spawn(sleeper, "late")
+    fifo_scheduler.run()
+    assert order == [("early", 1.0), ("late", 1.0), ("early", 2.0), ("late", 2.0)]
+
+
+def test_real_clock_sleeps_through_a_lone_sleeper():
+    wall = {"now": 50.0}
+    slept = []
+
+    def sleep(seconds):
+        slept.append(seconds)
+        wall["now"] += seconds
+
+    clock = RealClock(sleep=sleep, monotonic=lambda: wall["now"])
+    scheduler = Scheduler(clock=clock, seed=7)
+
+    def body():
+        for _ in range(3):
+            yield Delay(0.5)
+        return scheduler.now
+
+    assert run(scheduler, body) == 1.5
+    assert slept == [0.5, 0.5, 0.5]
+    assert scheduler.context_switches == 4
