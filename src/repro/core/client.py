@@ -131,8 +131,9 @@ class AbstractClientInterface:
         if isinstance(entry.file, DirectoryFile):
             raise IsADirectory("cannot read a directory through the data interface")
         data = yield from entry.file.read(offset, length)
-        self.stats.bytes_read += length
-        entry.position = offset + length
+        # What came back, not what was asked for: a read stops at end of file.
+        self.stats.bytes_read += len(data)
+        entry.position = offset + len(data)
         return data
 
     def write(
@@ -206,7 +207,7 @@ class AbstractClientInterface:
         if isinstance(file, DirectoryFile):
             raise IsADirectory("cannot read a directory through the data interface")
         data = yield from file.read(offset, length)
-        self.stats.bytes_read += length
+        self.stats.bytes_read += len(data)
         return data
 
     def write_file(

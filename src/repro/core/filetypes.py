@@ -108,14 +108,24 @@ class BaseFile:
         if length == 0:
             return b""
         parts: list[bytes] = []
-        span = block_span(offset, length, self.block_size)
+        block_size = self.block_size
+        lookup, file_id = self.fs.cache.lookup, self.file_id
+        copy_out = self.fs.datamover.copy_out
+        span = block_span(offset, length, block_size)
         for block_no in span:
-            block_start = block_no * self.block_size
+            block_start = block_no * block_size
             start_in_block = max(offset, block_start) - block_start
-            end_in_block = min(offset + length, block_start + self.block_size) - block_start
+            end_in_block = min(offset + length, block_start + block_size) - block_start
             extent = end_in_block - start_in_block
-            block = yield from self._block_for_read(block_no, range(block_no + 1, span.stop))
-            chunk = yield from self.fs.datamover.copy_out(block, start_in_block, extent)
+            # A plain hit is taken straight from the lookup; anything else
+            # (miss, busy, first touch of a read-ahead block) from the
+            # general path, which starts from that same lookup's answer.
+            block = lookup(file_id, block_no)
+            if block is None or block.busy or block.read_ahead:
+                block = yield from self._block_for(
+                    block_no, None, range(block_no + 1, span.stop), block
+                )
+            chunk = yield from copy_out(block, start_in_block, extent)
             parts.append(chunk)
         yield from self._after_read(span)
         return b"".join(parts)
@@ -206,14 +216,18 @@ class BaseFile:
         """The cache block holding ``block_no``, read from disk on a miss —
         in the same disk read as whichever of ``call_blocks`` (the blocks
         the call goes on to need) are missing too."""
-        return self._block_for(block_no, None, call_blocks)
+        return self._block_for(
+            block_no, None, call_blocks, self.fs.cache.lookup(self.file_id, block_no)
+        )
 
     def _block_for_write(
         self, block_no: int, whole_block: bool, call_blocks: Iterable[int] = ()
     ) -> Generator[Any, Any, CacheBlock]:
         """The cache block to write ``block_no`` into; a partial write over
         old data reads the block first (``call_blocks`` as above)."""
-        return self._block_for(block_no, whole_block, call_blocks)
+        return self._block_for(
+            block_no, whole_block, call_blocks, self.fs.cache.lookup(self.file_id, block_no)
+        )
 
     def _has_old_data(self, block_no: int) -> bool:
         return (
@@ -222,18 +236,27 @@ class BaseFile:
         )
 
     def _block_for(
-        self, block_no: int, whole_block: Optional[bool], call_blocks: Iterable[int]
+        self,
+        block_no: int,
+        whole_block: Optional[bool],
+        call_blocks: Iterable[int],
+        block: Optional[CacheBlock],
     ) -> Generator[Any, Any, CacheBlock]:
-        """``whole_block`` is ``None`` for a read; for a write it says
-        whether the whole block is replaced — then, or with no old data
-        under it, a miss needs no disk read."""
+        """``block`` is what the caller's ``cache.lookup`` of ``block_no``
+        just returned.  ``whole_block`` is ``None`` for a read; for a write
+        it says whether the whole block is replaced — then, or with no old
+        data under it, a miss needs no disk read."""
         cache = self.fs.cache
         while True:
-            block = cache.lookup(self.file_id, block_no)
-            if block is not None:
-                if block.busy:
-                    yield from cache.wait_block_ready(self.file_id, block_no)
-                    continue
+            if block is None:
+                try:
+                    block = yield from cache.allocate(self.file_id, block_no)
+                    break
+                except CacheError:
+                    pass  # Another thread slipped in and cached the block; retry.
+            elif block.busy:
+                yield from cache.wait_block_ready(self.file_id, block_no)
+            else:
                 if block.read_ahead:
                     # An earlier read's run brought it in; the cache counted
                     # this first reference as a miss, the layout counts the
@@ -241,12 +264,7 @@ class BaseFile:
                     block.read_ahead = False
                     self.fs.layout.stats.coalesced_read_hits += 1
                 return block
-            try:
-                block = yield from cache.allocate(self.file_id, block_no)
-            except CacheError:
-                # Another thread slipped in and cached the block; retry.
-                continue
-            break
+            block = cache.lookup(self.file_id, block_no)
         if whole_block is None or (not whole_block and self._has_old_data(block_no)):
             yield from self._fill(block_no, block, call_blocks)
         return block
@@ -361,6 +379,12 @@ class DirectoryFile(BaseFile):
     def lookup(self, name: str) -> Generator[Any, Any, Optional[int]]:
         entries = yield from self.load_entries()
         return entries.get(name)
+
+    def find(self, name: str) -> Optional[int]:
+        """What :meth:`lookup` returns, if the entries are in core; ``None``
+        also when they are not (the caller then goes through ``lookup``)."""
+        entries = self._entries
+        return entries.get(name) if entries is not None else None
 
     def list_entries(self) -> Generator[Any, Any, Dict[str, int]]:
         entries = yield from self.load_entries()

@@ -26,12 +26,7 @@ def split_path(path: str) -> list[str]:
     """Split a path into components, ignoring empty ones and single dots."""
     if not isinstance(path, str):
         raise InvalidArgument(f"path must be a string, got {type(path).__name__}")
-    components = []
-    for part in path.split("/"):
-        if part in ("", "."):
-            continue
-        components.append(part)
-    return components
+    return [part for part in path.split("/") if part and part != "."]
 
 
 def normalize_path(path: str) -> str:
@@ -56,9 +51,11 @@ class Namespace:
         if _depth > MAX_SYMLINK_DEPTH:
             raise InvalidArgument(f"too many levels of symbolic links resolving {path!r}")
         self.lookups += 1
-        current: BaseFile = self.fs.root_directory()
         components = split_path(path)
-        for index, name in enumerate(components):
+        last = len(components) - 1
+        current, start = self._walk_in_core(components, follow_symlinks)
+        for index in range(start, len(components)):
+            name = components[index]
             if not isinstance(current, DirectoryFile):
                 raise NotADirectory(f"{'/'.join(components[:index]) or '/'} is not a directory")
             inode_number = yield from current.lookup(name)
@@ -70,8 +67,7 @@ class Namespace:
             # flush the full ancestor dirent chain.
             if current.parent_id is None:
                 current.parent_id = parent_id
-            is_last = index == len(components) - 1
-            if isinstance(current, SymlinkFile) and (follow_symlinks or not is_last):
+            if isinstance(current, SymlinkFile) and (follow_symlinks or index != last):
                 self.symlinks_followed += 1
                 target = current.target
                 if not target.startswith("/"):
@@ -82,6 +78,33 @@ class Namespace:
                     yield from self.resolve(full, follow_symlinks=follow_symlinks, _depth=_depth + 1)
                 )
         return current
+
+    def _walk_in_core(
+        self, components: list[str], follow_symlinks: bool
+    ) -> tuple[BaseFile, int]:
+        """As far down ``components`` from the root as memory alone answers:
+        the file reached and how many components that consumed.
+
+        A plain call in front of the loop in :meth:`resolve`, which picks up
+        at the first component this walk declines — a directory whose
+        entries are not loaded, a child not in the file table, a name that is
+        not there, a file where a directory should be, a symbolic link to
+        follow.  What it does answer it answers as that loop would, down to
+        the ``parent_id`` linkage; nothing is remembered between calls.
+        """
+        current: BaseFile = self.fs.root_directory()
+        find_file = self.fs.file_table.find
+        last = len(components) - 1
+        for index, name in enumerate(components):
+            child = find_file(current.find(name)) if isinstance(current, DirectoryFile) else None
+            if child is None or (
+                isinstance(child, SymlinkFile) and (follow_symlinks or index != last)
+            ):
+                return current, index
+            if child.parent_id is None:
+                child.parent_id = current.file_id
+            current = child
+        return current, len(components)
 
     def resolve_parent(self, path: str) -> Generator[Any, Any, tuple[DirectoryFile, str]]:
         """Resolve the parent directory of ``path``; returns (dir, leaf name)."""

@@ -74,7 +74,9 @@ class Delay:
     __slots__ = ("seconds",)
 
     def __init__(self, seconds: float):
-        if seconds < 0:
+        # ``not >=`` rather than ``<``: NaN compares false both ways, and in
+        # the delayed heap it would order against nothing.
+        if not seconds >= 0:
             raise ValueError(f"cannot delay for a negative duration: {seconds}")
         self.seconds = float(seconds)
 
@@ -453,6 +455,8 @@ class Scheduler:
         self.current_thread: Optional[Thread] = None
         #: number of thread resumptions performed (context switches).
         self.context_switches = 0
+        #: how many of those resumed a sleeper in place (see :meth:`_run`).
+        self.direct_resumes = 0
         #: set by abort(): the run loops re-raise it instead of stepping on,
         #: so one thread can take the whole scheduler down (crash injection).
         self._abort: Optional[BaseException] = None
@@ -622,36 +626,10 @@ class Scheduler:
         steps wants: a daemon due exactly at the step boundary runs in this
         step, not the next).  Returns the clock value when the run stopped.
         """
-        runnable = self._runnable
-        delayed = self._delayed
-        clock = self.clock
-        step = self._step
-        steps = 0
-        while True:
-            if self._abort is not None:
-                self._check_abort()
-            if max_steps is not None and steps >= max_steps:
-                break
-            if until is not None:
-                now = clock.now()
-                if now > until or not inclusive and now >= until:
-                    break
-            if runnable:
-                step()
-                steps += 1
-                continue
-            if delayed:
-                wake_time = delayed[0][0]
-                if until is not None and wake_time > until:
-                    clock.advance_to(until)
-                    break
-                clock.advance_to(wake_time)
-                self._release_expired(wake_time)
-                continue
-            break
+        self._run(None, until, inclusive, max_steps)
         if raise_failures:
             self._raise_pending_failure()
-        return clock.now()
+        return self.clock.now()
 
     def run_until_complete(self, thread: Thread, raise_failures: bool = True) -> Any:
         """Drive the scheduler until ``thread`` terminates; return its result.
@@ -659,25 +637,13 @@ class Scheduler:
         Raises :class:`DeadlockError` if the thread can never complete
         because nothing is runnable or delayed.
         """
-        runnable = self._runnable
-        delayed = self._delayed
-        clock = self.clock
-        step = self._step
-        while thread.alive:
-            if self._abort is not None:
-                self._check_abort()
-            if runnable:
-                step()
-            elif delayed:
-                wake_time = delayed[0][0]
-                clock.advance_to(wake_time)
-                self._release_expired(wake_time)
-            else:
-                blocked = [t.name for t in self._threads if t.alive and not t.daemon]
-                raise DeadlockError(
-                    f"thread {thread.name!r} cannot complete: no runnable or delayed "
-                    f"threads remain (blocked non-daemon threads: {blocked})"
-                )
+        self._run(thread)
+        if thread.alive:
+            blocked = [t.name for t in self._threads if t.alive and not t.daemon]
+            raise DeadlockError(
+                f"thread {thread.name!r} cannot complete: no runnable or delayed "
+                f"threads remain (blocked non-daemon threads: {blocked})"
+            )
         if thread in self._failures:
             self._failures.remove(thread)
         if thread.exception is not None:
@@ -694,6 +660,133 @@ class Scheduler:
         for thread in threads:
             results.append(self.run_until_complete(thread))
         return results
+
+    def _run(
+        self,
+        target: Optional[Thread] = None,
+        until: Optional[float] = None,
+        inclusive: bool = False,
+        max_steps: Optional[int] = None,
+    ) -> None:
+        """The event loop: step threads until ``target`` has terminated (if
+        one is given), a bound of :meth:`run` is reached, or nothing is
+        runnable or delayed any more.
+
+        Every turn checks whether to stop, picks the thread to step — the
+        policy's choice among the runnable ones, or else whoever sleeps
+        until the earliest instant, after advancing the clock to it — and
+        sends into its generator.  Two short cuts skip part of a turn
+        without changing which thread runs when:
+
+        * a lone sleeper due goes from the delayed heap straight into its
+          step, not through the runnable list (one runnable thread is never
+          put to the policy, and costs no random number);
+        * a thread that yields a :class:`Delay` is *resumed in place* when
+          the next turn could only hand it back: nothing is runnable; its
+          wake time is strictly earlier than the top of the heap (on a tie
+          the entry already there has the earlier sequence number and runs
+          first); no abort is pending, ``target`` is alive, and ``max_steps``
+          and ``until`` leave room for the step — the turn would not stop
+          instead.  The clock is advanced and the generator sent into again,
+          counted and hashed as the context switch it is.
+        """
+        runnable = self._runnable
+        delayed = self._delayed
+        now = self.clock.now
+        advance_to = self.clock.advance_to
+        heappush, heappop = heapq.heappush, heapq.heappop
+        delayed_state, running_state = ThreadState.DELAYED, ThreadState.RUNNING
+        steps = 0
+        while target is None or target.alive:
+            if self._abort is not None:
+                self._check_abort()
+            if max_steps is not None and steps >= max_steps:
+                return
+            if until is not None:
+                current = now()
+                if current > until or not inclusive and current >= until:
+                    return
+            if runnable:
+                if len(runnable) == 1:
+                    # Nothing to choose: no policy dispatch and, for the
+                    # random policy, no draw.
+                    thread = runnable.pop()
+                else:
+                    thread = runnable.pop(self.policy.select(runnable, self.rng))
+                steps += 1
+                if not thread.alive:
+                    continue
+                send_value, thread._send_value = thread._send_value, None
+            elif delayed:
+                wake_time = delayed[0][0]
+                if until is not None and wake_time > until:
+                    advance_to(until)
+                    return
+                advance_to(wake_time)
+                thread = heappop(delayed)[2]
+                released = thread.alive and thread.state is delayed_state
+                if (delayed and delayed[0][0] <= wake_time) or (
+                    wake_time == until and not inclusive
+                ):
+                    # Several sleepers are due, or this one exactly at a
+                    # bound that releases without executing: to the
+                    # runnable list, and the next turn decides.
+                    if released:
+                        thread._send_value = None
+                        self._make_runnable(thread)
+                    self._release_expired(wake_time)
+                    continue
+                if not released:
+                    continue
+                steps += 1
+                send_value = None
+            else:
+                return
+            while True:
+                if self._schedule_hash is not None:
+                    self._record_step(thread)
+                self.current_thread = thread
+                thread.state = running_state
+                self.context_switches += 1
+                try:
+                    command = thread._generator.send(send_value)
+                except StopIteration as stop:
+                    self._finish(thread, result=stop.value)
+                    break
+                except BaseException as exc:  # noqa: BLE001 - thread bodies may raise anything
+                    self._finish(thread, exception=exc)
+                    break
+                finally:
+                    self.current_thread = None
+                if not isinstance(command, Delay):
+                    self._dispatch(thread, command)
+                    break
+                wake_time = now() + command.seconds
+                if (
+                    not runnable
+                    and (not delayed or wake_time < delayed[0][0])
+                    and self._abort is None
+                    and (max_steps is None or steps < max_steps)
+                    and (until is None or wake_time < until)
+                    and thread.alive
+                    and (target is None or target.alive)
+                ):
+                    advance_to(wake_time)
+                    steps += 1
+                    self.direct_resumes += 1
+                    send_value = None
+                    continue
+                thread.state = delayed_state
+                entry = thread._heap_entry
+                if entry is None:
+                    thread._heap_entry = entry = [0.0, 0, thread]
+                # The entry is out of the heap here (a delayed thread cannot
+                # yield again before it is popped), so it is reused: a
+                # thread sleeps many times and allocates one entry.
+                entry[0] = wake_time
+                entry[1] = next(self._seq)
+                heappush(delayed, entry)
+                break
 
     # -- internals ---------------------------------------------------------------------
 
@@ -712,72 +805,21 @@ class Scheduler:
                 thread._send_value = None
                 self._make_runnable(thread)
 
-    def _step(self) -> None:
-        runnable = self._runnable
-        if len(runnable) == 1:
-            # Fast path shared by every policy: with a single runnable thread
-            # there is nothing to choose, so skip the policy dispatch (and,
-            # for the random policy, the RNG draw).  Replay workloads spend
-            # most steps here — one client thread running between I/Os.
-            thread = runnable.pop()
-        else:
-            index = self.policy.select(runnable, self.rng)
-            thread = runnable.pop(index)
-        if not thread.alive:
-            return
-        if self._schedule_hash is not None:
-            self._record_step(thread)
-        self.current_thread = thread
-        thread.state = ThreadState.RUNNING
-        self.context_switches += 1
-        send_value, thread._send_value = thread._send_value, None
-        try:
-            command = thread._generator.send(send_value)
-        except StopIteration as stop:
-            self._finish(thread, result=stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - thread bodies may raise anything
-            self._finish(thread, exception=exc)
-            return
-        finally:
-            self.current_thread = None
-        self._dispatch(thread, command)
-
     def _dispatch(self, thread: Thread, command: Any) -> None:
-        # Exact-type tests: the command classes are final in practice (the
-        # interned singletons cover the hottest yields) and this dispatch
-        # runs once per context switch.
-        cls = command.__class__
-        if cls is Delay:
-            thread.state = ThreadState.DELAYED
-            entry = thread._heap_entry
-            if entry is None:
-                thread._heap_entry = entry = [0.0, 0, thread]
-            # The entry is guaranteed out of the heap here (a DELAYED thread
-            # cannot yield another Delay before _release_expired pops it),
-            # so mutate and re-push instead of allocating a fresh tuple.
-            entry[0] = self.clock.now() + command.seconds
-            entry[1] = next(self._seq)
-            heapq.heappush(self._delayed, entry)
-        elif cls is WaitEvent:
-            consumed, value = command.event._consume_pending()
+        """What a stepped thread asked for, other than a :class:`Delay`
+        (which the loop handles itself)."""
+        if isinstance(command, WaitEvent):
+            event = command.event
+            consumed, value = event._consume_pending()
             if consumed:
                 thread._send_value = value
                 self._make_runnable(thread)
             else:
                 thread.state = ThreadState.BLOCKED
-                thread._waiting_on = command.event
-                command.event._add_waiter(thread)
-        elif cls is Reschedule or command is None:
+                thread._waiting_on = event
+                event._add_waiter(thread)
+        elif command is None or isinstance(command, Reschedule):
             self._make_runnable(thread)
-        elif isinstance(command, (Delay, WaitEvent, Reschedule)):
-            # A subclassed command: route through the exact-type branches.
-            if isinstance(command, Delay):
-                self._dispatch(thread, Delay(command.seconds))
-            elif isinstance(command, WaitEvent):
-                self._dispatch(thread, WaitEvent(command.event))
-            else:
-                self._make_runnable(thread)
         else:
             error = SchedulerError(
                 f"thread {thread.name!r} yielded an unknown command: {command!r}"

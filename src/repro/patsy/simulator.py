@@ -39,9 +39,9 @@ from repro.core.storage.array import RoutedLayout, ShardedCache
 from repro.errors import ConfigurationError, FileSystemError, TraceError
 from repro.patsy.stats import DEFAULT_PLUGINS, LatencyRecorder, StatisticsPlugin
 from repro.patsy.traces import (
+    TRACE_OPERATIONS,
     TraceRecord,
     iter_trace,
-    load_trace,
     records_by_client,
     scan_trace_client_counts,
 )
@@ -52,6 +52,10 @@ __all__ = ["PatsySimulator", "SimulationResult", "TraceSource"]
 #: path to an on-disk trace, an open text stream, or any record iterator
 #: (e.g. ``iter_sprite_trace(...)``).
 TraceSource = Union[Sequence[TraceRecord], str, Path, Iterable[TraceRecord]]
+#: a replay thread's open files, path -> handle, and a client-interface call
+#: as the generator the thread delegates to.
+Handles = Dict[str, int]
+ClientCall = Generator[Any, Any, Any]
 
 
 class _TraceDemux:
@@ -171,8 +175,9 @@ class SimulationResult:
     #: dirty blocks that died in memory and never cost a disk write.
     write_savings_blocks: int = 0
     blocks_written_to_disk: int = 0
-    #: streaming-replay bookkeeping (peak demux buffering etc.); empty for
-    #: materialised replay.
+    #: replay bookkeeping on the host side: ``direct_resumes`` (context
+    #: switches the event loop resumed in place) and, for streaming replay,
+    #: the demux counters (peak buffering etc.).
     stream_stats: Dict[str, Any] = field(default_factory=dict)
     #: per-volume breakdown and array-level rollup (storage-array runs only;
     #: empty — and absent from :meth:`summary` — for single-volume runs, so
@@ -272,6 +277,10 @@ class PatsySimulator:
         self.latency = LatencyRecorder(report_interval=cfg.report_interval)
         self.plugins: List[StatisticsPlugin] = [cls() for cls in (plugins or DEFAULT_PLUGINS)]
         self.errors = 0
+        #: trace operation -> the method that issues it (``_execute``).
+        self._operations: Dict[str, Callable[[TraceRecord, Handles], ClientCall]] = {
+            op: getattr(self, f"_op_{op}") for op in TRACE_OPERATIONS
+        }
         self._mounted = False
         self._stream_stats: Dict[str, Any] = {}
 
@@ -344,12 +353,12 @@ class PatsySimulator:
         is_sequence = not is_path and isinstance(records, Sequence)
         if self.config.streaming or not (is_path or is_sequence):
             return self.replay_stream(records, trace_name=trace_name, max_time=max_time)
-        if is_path:
-            records = load_trace(records)
-        if not records:
+        # A trace on disk is read once, line by line into the per-client
+        # streams; no list of the whole trace is built on the way.
+        streams = records_by_client(iter_trace(records) if is_path else records)
+        if not streams:
             raise TraceError("cannot replay an empty trace")
         self.mount()
-        streams = records_by_client(records)
         threads = [
             self.scheduler.spawn(
                 self._client_thread,
@@ -468,21 +477,26 @@ class PatsySimulator:
         are exhausted, before the leftover handles are closed.
         """
         handles: Dict[str, int] = {}
+        # Bound once per thread, when replay starts: a wrapper a tracer put
+        # on ``LatencyRecorder.record`` since the simulator was built is seen.
+        now = self.scheduler.clock.now
+        record_latency = self.latency.record
+        execute = self._execute
         while True:
             record = next_record()
             if record is None:
                 break
             if max_time is not None and record.timestamp > max_time:
                 break
-            delay = record.timestamp - self.scheduler.now
+            delay = record.timestamp - now()
             if delay > 0:
                 yield Delay(delay)
-            started = self.scheduler.now
+            started = now()
             try:
-                yield from self._execute(record, handles)
+                yield from execute(record, handles)
             except FileSystemError:
                 self.errors += 1
-            self.latency.record(started, record.op, self.scheduler.now - started, client)
+            record_latency(started, record.op, now() - started, client)
         if on_done is not None:
             on_done()
         # Close anything the trace left open.
@@ -493,56 +507,65 @@ class PatsySimulator:
                 self.errors += 1
             handles.pop(path, None)
 
-    def _execute(self, record: TraceRecord, handles: Dict[str, int]) -> Generator[Any, Any, None]:
-        client = self.client
-        op = record.op
-        path = record.path
-        if op == "open":
-            if path not in handles:
-                handles[path] = yield from client.open(path, create=True)
-        elif op == "close":
-            handle = handles.pop(path, None)
-            if handle is not None:
-                yield from client.close(handle)
-        elif op == "create":
-            if path not in handles:
-                handles[path] = yield from client.create(path, exclusive=False)
-        elif op == "read":
-            handle = handles.get(path)
-            if handle is not None:
-                yield from client.read(handle, record.offset, record.size)
-            else:
-                yield from client.read_file(path, record.offset, record.size)
-        elif op == "write":
-            handle = handles.get(path)
-            if handle is not None:
-                yield from client.write(handle, record.offset, length=record.size)
-            else:
-                yield from client.write_file(path, record.offset, length=record.size)
-        elif op == "truncate":
-            yield from client.truncate_path(path, record.size)
-        elif op == "unlink":
-            yield from client.unlink(path)
-        elif op == "mkdir":
-            yield from client.mkdir(path)
-        elif op == "rmdir":
-            yield from client.rmdir(path)
-        elif op == "stat":
-            yield from client.stat(path)
-        elif op == "readdir":
-            yield from client.readdir(path)
-        elif op == "rename":
-            yield from client.rename(path, record.path2)
-        elif op == "symlink":
-            yield from client.symlink(record.path2 or "/", path)
-        elif op == "fsync":
-            handle = handles.get(path)
-            if handle is not None:
-                yield from client.fsync(handle)
-            else:
-                yield from client.sync()
-        else:  # pragma: no cover - TraceRecord validates operations
-            raise TraceError(f"unsupported trace operation {op!r}")
+    def _execute(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        """The client-interface call for ``record``, as a generator to
+        ``yield from``: one of the ``_op_*`` methods below, by name."""
+        return self._operations[record.op](record, handles)
+
+    def _op_open(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        if record.path not in handles:
+            handles[record.path] = yield from self.client.open(record.path, create=True)
+
+    def _op_close(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        handle = handles.pop(record.path, None)
+        if handle is not None:
+            yield from self.client.close(handle)
+
+    def _op_create(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        if record.path not in handles:
+            handles[record.path] = yield from self.client.create(record.path, exclusive=False)
+
+    def _op_read(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        handle = handles.get(record.path)
+        if handle is not None:
+            return self.client.read(handle, record.offset, record.size)
+        return self.client.read_file(record.path, record.offset, record.size)
+
+    def _op_write(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        handle = handles.get(record.path)
+        if handle is not None:
+            return self.client.write(handle, record.offset, length=record.size)
+        return self.client.write_file(record.path, record.offset, length=record.size)
+
+    def _op_truncate(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.truncate_path(record.path, record.size)
+
+    def _op_unlink(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.unlink(record.path)
+
+    def _op_mkdir(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.mkdir(record.path)
+
+    def _op_rmdir(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.rmdir(record.path)
+
+    def _op_stat(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.stat(record.path)
+
+    def _op_readdir(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.readdir(record.path)
+
+    def _op_rename(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.rename(record.path, record.path2)
+
+    def _op_symlink(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        return self.client.symlink(record.path2 or "/", record.path)
+
+    def _op_fsync(self, record: TraceRecord, handles: Handles) -> ClientCall:
+        handle = handles.get(record.path)
+        if handle is not None:
+            return self.client.fsync(handle)
+        return self.client.sync()
 
     # ------------------------------------------------------------------ results
 
@@ -565,7 +588,9 @@ class PatsySimulator:
             plugin_reports=reports,
             write_savings_blocks=self.cache.stats.dirty_blocks_discarded,
             blocks_written_to_disk=self.cache.stats.blocks_written,
-            stream_stats=dict(self._stream_stats),
+            stream_stats=dict(
+                self._stream_stats, direct_resumes=self.scheduler.direct_resumes
+            ),
             volume_stats=self.collect_volume_stats(),
             cluster_stats=self.collect_cluster_stats(),
         )

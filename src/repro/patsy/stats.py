@@ -188,7 +188,8 @@ class OperationSample:
 _BUCKET_RATIO = 1.02
 _BUCKET_LOW = 1e-9
 _NBUCKETS = 1536
-_LOG_LOW = math.log(_BUCKET_LOW)
+_log = math.log
+_LOG_LOW = _log(_BUCKET_LOW)
 _LOG_RATIO = math.log(_BUCKET_RATIO)
 _INV_LOG_RATIO = 1.0 / _LOG_RATIO
 _TOP_BUCKET = _NBUCKETS - 1
@@ -467,7 +468,7 @@ class LatencyRecorder:
         # looping over a shard tuple costs ~15% of the 1M-op pipeline
         # benchmark's streaming throughput.
         if latency > 0.0:
-            index = int((math.log(latency) - _LOG_LOW) * _INV_LOG_RATIO)
+            index = int((_log(latency) - _LOG_LOW) * _INV_LOG_RATIO)
             if index < 0:
                 index = 0
             elif index > _TOP_BUCKET:
@@ -485,8 +486,9 @@ class LatencyRecorder:
             shard.counts[index] += 1
         else:
             shard.zeros += 1
-        shard = self.op_shards.get(op)
-        if shard is None:
+        try:
+            shard = self.op_shards[op]
+        except KeyError:
             shard = self.op_shards[op] = LatencyShard()
         shard.n += 1
         shard.total += latency
@@ -498,8 +500,9 @@ class LatencyRecorder:
             shard.counts[index] += 1
         else:
             shard.zeros += 1
-        shard = self.client_shards.get(client)
-        if shard is None:
+        try:
+            shard = self.client_shards[client]
+        except KeyError:
             shard = self.client_shards[client] = LatencyShard()
         shard.n += 1
         shard.total += latency

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import io
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple, Union
 
@@ -89,6 +90,10 @@ class TraceRecord:
         return replace(self, timestamp=self.timestamp + delta)
 
 
+#: operation name -> the one string object every record of it shares.
+_OPERATION = {op: op for op in TRACE_OPERATIONS}
+
+
 # --------------------------------------------------------------------------- text format
 
 
@@ -122,11 +127,40 @@ class TraceReader:
         self.stream = stream
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        new = object.__new__
+        operation = _OPERATION
         for line_number, line in enumerate(self.stream, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
-            yield self.parse_line(line, line_number)
+            # A well-formed line becomes a record right here: each field
+            # converted and checked once and stored straight into the
+            # instance (the frozen dataclass's own ``__init__`` goes through
+            # ``object.__setattr__`` per field).
+            fields = line.split("\t")
+            try:
+                timestamp = float(fields[0])
+                client = int(fields[1])
+                op = operation[fields[2]]
+                offset = int(fields[4])
+                size = int(fields[5])
+                if timestamp < 0 or offset < 0 or size < 0:
+                    raise ValueError
+            except (ValueError, LookupError):
+                # Too few fields, not a number, not an operation, negative:
+                # ``parse_line`` knows what to say about each.
+                yield self.parse_line(line, line_number)
+                continue
+            record = new(TraceRecord)
+            values = record.__dict__
+            values["timestamp"] = timestamp
+            values["client"] = client
+            values["op"] = op
+            values["path"] = fields[3]
+            values["offset"] = offset
+            values["size"] = size
+            values["path2"] = fields[6] if len(fields) > 6 else ""
+            yield record
 
     @staticmethod
     def parse_line(line: str, line_number: int = 0) -> TraceRecord:
@@ -260,13 +294,19 @@ def scan_trace_clients(source: Union[str, Path, TextIO]) -> list[int]:
 # --------------------------------------------------------------------------- analysis helpers
 
 
-def records_by_client(records: Sequence[TraceRecord]) -> dict[int, list[TraceRecord]]:
-    """Split a trace into per-client streams, each sorted by time."""
+def records_by_client(records: Iterable[TraceRecord]) -> dict[int, list[TraceRecord]]:
+    """Split a trace into per-client streams, each sorted by time.
+
+    One pass, so ``records`` may be a reader (``iter_trace(path)``): the
+    records then go from their lines into the streams and nowhere else."""
     streams: dict[int, list[TraceRecord]] = {}
     for record in records:
-        streams.setdefault(record.client, []).append(record)
+        stream = streams.get(record.client)
+        if stream is None:
+            stream = streams[record.client] = []
+        stream.append(record)
     for stream in streams.values():
-        stream.sort(key=lambda record: record.timestamp)
+        stream.sort(key=attrgetter("timestamp"))
     return streams
 
 

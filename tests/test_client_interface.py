@@ -250,6 +250,51 @@ def test_client_statistics_counters(scheduler, client):
     assert client.stats.total_operations >= 4
 
 
+def test_bytes_read_counts_what_a_read_returned(scheduler, client):
+    """A read that runs into end of file returns, counts and advances by the
+    bytes that were there, by handle and by path."""
+
+    def body():
+        handle = yield from client.create("/five")
+        yield from client.write(handle, 0, b"abcde")
+        before = client.stats.bytes_read
+        data = yield from client.read(handle, 2, 10)
+        position = client.fs.file_table.get_handle(handle).position
+        by_path = yield from client.read_file("/five", 2, 10)
+        yield from client.close(handle)
+        return data, position, by_path, client.stats.bytes_read - before
+
+    assert run(scheduler, body) == (b"cde", 5, b"cde", 6)
+
+
+def test_a_read_looks_each_block_up_once(scheduler, client, memory_fs):
+    """Hit or miss, a block of a read costs one cache lookup: a resident
+    block is taken straight from it, a missing one goes on from its answer
+    (no second lookup to find out again that it is missing)."""
+    stats = memory_fs.cache.stats
+
+    def body():
+        handle = yield from client.create("/three")
+        yield from client.write(handle, 0, b"r" * (3 * 4096))
+        yield from client.fsync(handle)
+        before = (stats.lookups, stats.hits, stats.misses)
+        hot = yield from client.read(handle, 0, 3 * 4096)
+        warm = (stats.lookups, stats.hits, stats.misses)
+        file_id = memory_fs.file_table.get_handle(handle).file.file_id
+        memory_fs.cache.invalidate_file(file_id)
+        cold = yield from client.read(handle, 0, 3 * 4096)
+        after = (stats.lookups, stats.hits, stats.misses)
+        yield from client.close(handle)
+        return hot == cold == b"r" * (3 * 4096), before, warm, after
+
+    same, before, warm, after = run(scheduler, body)
+    assert same
+    assert [b - a for a, b in zip(before, warm)] == [3, 3, 0]
+    # The first miss reads the other two in with it; their first reference
+    # still counts as the miss it would have been.
+    assert [b - a for a, b in zip(warm, after)] == [3, 0, 3]
+
+
 def test_root_directory_is_directory_file(memory_fs):
     assert isinstance(memory_fs.root_directory(), DirectoryFile)
     assert memory_fs.root_directory().inode.kind is FileKind.DIRECTORY

@@ -47,6 +47,13 @@ def test_negative_delay_rejected():
         Delay(-1.0)
 
 
+def test_nan_delay_rejected():
+    # It would sit in the delayed heap comparing unordered with everything.
+    with pytest.raises(ValueError):
+        Delay(float("nan"))
+    assert Delay(2).seconds == 2.0 and isinstance(Delay(2).seconds, float)
+
+
 def test_sleep_helper(scheduler):
     def body():
         yield from scheduler.sleep(3.0)
@@ -429,3 +436,30 @@ def test_real_clock_sleeps_through_a_lone_sleeper():
     assert run(scheduler, body) == 1.5
     assert slept == [0.5, 0.5, 0.5]
     assert scheduler.context_switches == 4
+
+
+def test_direct_resumes_counts_sleeps_that_end_first(fifo_scheduler):
+    """A sleeper is resumed in place when it alone is due next — counted in
+    ``direct_resumes``, and as the context switch it is — and goes through
+    the delayed heap when another thread is due first or at the same time."""
+    log = []
+    fifo_scheduler.spawn(ticker, log, fifo_scheduler, 1.0, name="lone")
+    fifo_scheduler.run(max_steps=4)
+    assert (fifo_scheduler.direct_resumes, fifo_scheduler.context_switches) == (3, 4)
+
+    # A second ticker with the same period: every wake-up is now a tie.
+    fifo_scheduler.spawn(ticker, log, fifo_scheduler, 1.0, name="twin")
+    fifo_scheduler.run(until=8.0)
+    assert fifo_scheduler.direct_resumes == 3
+    assert log == sorted(log)
+
+    # An always-runnable thread: nobody is ever resumed in place.
+    def spinner():
+        while True:
+            yield Reschedule()
+
+    fifo_scheduler.spawn(spinner, daemon=True)
+    before = fifo_scheduler.context_switches
+    fifo_scheduler.run(max_steps=50)
+    assert fifo_scheduler.context_switches == before + 50
+    assert fifo_scheduler.direct_resumes == 3

@@ -1,8 +1,11 @@
 """The Patsy simulator and the delayed-write experiments (integration level)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.config import FlushConfig, small_test_config
+from repro.core.scheduler import Delay
 from repro.errors import ConfigurationError, TraceError
 from repro.patsy.experiments import (
     EXPERIMENT_POLICIES,
@@ -158,3 +161,37 @@ def test_same_trace_different_policies_same_operation_count():
     counts = {r.operations for r in results.values()}
     assert len(counts) == 1
     assert counts.pop() == len(trace)
+
+
+def test_read_hot_keeps_resuming_sleepers_in_place(tmp_path, monkeypatch):
+    """The event loop's short cut is alive on the workload it was made for
+    (the 1/50-size ``read_hot`` day of ``benchmarks/e2e``): most sleeps end
+    before anything else is due, so they are resumed in place — the same
+    number of them on every replay.  A daemon that is always runnable would
+    switch the short cut off without failing anything else."""
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    monkeypatch.syspath_prepend(str(e2e))
+    import measure
+    import workloads
+
+    trace = tmp_path / "read_hot.trace"
+    workloads.write_trace(workloads.SHAPES["read_hot"].scaled(0.02), "2.0", trace)
+    delays = 0
+    construct = Delay.__init__
+
+    def counted(self, seconds):
+        nonlocal delays
+        delays += 1
+        construct(self, seconds)
+
+    monkeypatch.setattr(Delay, "__init__", counted)
+    resumed = []
+    for _ in range(2):
+        delays = 0
+        simulator = PatsySimulator(measure.patsy_config("read_hot"))
+        result = simulator.replay(str(trace))
+        resumed.append(result.stream_stats["direct_resumes"])
+        assert resumed[-1] == simulator.scheduler.direct_resumes
+        assert 0 < delays <= simulator.scheduler.context_switches
+        assert 2 * resumed[-1] >= delays
+    assert resumed[0] == resumed[1]
