@@ -13,7 +13,14 @@ same shape on ``sun4_280_config`` under the ``periodic`` and ``nvram`` flush
 policies, and a PFS on file-backed disks running a fixed script through an
 unmount and a remount, pinned down to the bytes of every backing image.
 
-The third freezes the event loop itself
+The third freezes the stacks with no array section
+(``tests/golden/single_volume_replay.json``): PATSY replaying the same trace on
+``small_test_config`` and ``sprite_server_config`` under ``periodic`` and
+``nvram``, on LFS and on FFS, pinned by summary, schedule digest and every
+disk's sectors read and written; and the default PFS running the same script
+on a memory disk and on one backing file.
+
+The fourth freezes the event loop itself
 (``tests/golden/scheduler_programs.json``): a couple of hundred small thread
 programs — threads that delay, wait on and signal events, reschedule, spawn,
 join, raise and abort, under the random, FIFO and node-merge policies, driven
@@ -35,7 +42,12 @@ from hashlib import blake2b
 from pathlib import Path
 
 from repro.assembly.spec import StackSpec
-from repro.config import cluster_config, sun4_280_config
+from repro.config import (
+    cluster_config,
+    small_test_config,
+    sprite_server_config,
+    sun4_280_config,
+)
 from repro.core.clock import VirtualClock
 from repro.core.faults import FaultEvent
 from repro.core.scheduler import (
@@ -54,6 +66,7 @@ from repro.units import KB, MB
 
 GOLDEN = Path(__file__).parent / "golden" / "cluster_schedule.json"
 ARRAY_GOLDEN = Path(__file__).parent / "golden" / "array_replay.json"
+SINGLE_GOLDEN = Path(__file__).parent / "golden" / "single_volume_replay.json"
 PROGRAMS_GOLDEN = Path(__file__).parent / "golden" / "scheduler_programs.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden_schedule.py"
 
@@ -194,12 +207,9 @@ def _payload(tag: int, length: int) -> bytes:
     )[:length]
 
 
-def array_pfs_run(directory: Path) -> dict:
-    """Create, write, overwrite, truncate, sync, unmount, remount, read back:
-    the spec PATSY replays above, moving real bytes under virtual time."""
-    spec = StackSpec.from_config(sun4_280_config(scale=0.02))
-    backing = directory / "disk"
-    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+def pfs_script(pfs: PegasusFileSystem) -> tuple[list[str], dict]:
+    """Create, write, overwrite, grow, truncate, sync, dirty again, delete.
+    Returns the surviving paths and ``statistics()`` before any unmount."""
     pfs.format()
     paths = []
     for d in range(4):
@@ -221,7 +231,16 @@ def array_pfs_run(directory: Path) -> dict:
         if n % 4 == 2:  # dirty again after the sync: unmount has to flush it
             pfs.write_file(path, _payload(3000 + n, 2 * 4 * KB))
     pfs.delete(paths.pop(7))
-    written = pfs.statistics()
+    return paths, pfs.statistics()
+
+
+def array_pfs_run(directory: Path) -> dict:
+    """The script, unmount, remount, read back: the spec PATSY replays
+    above, moving real bytes under virtual time."""
+    spec = StackSpec.from_config(sun4_280_config(scale=0.02))
+    backing = directory / "disk"
+    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+    paths, written = pfs_script(pfs)
     pfs.unmount()
     pfs.close_backing()
 
@@ -261,6 +280,101 @@ def test_array_replay_matches_golden(tmp_path):
         "a PFS file reads back different bytes after remount" + hint
     )
     assert run["pfs"] == golden["pfs"], "PFS statistics or backing images moved" + hint
+
+
+# --------------------------------------------------------------------------- no array section
+
+SINGLE_PRESETS = {
+    "small_test": small_test_config,
+    "sprite_server": lambda: sprite_server_config(scale=0.02),
+}
+SINGLE_PFS_BYTES = 16 * MB
+
+
+def single_patsy_run(preset: str, policy: str, kind: str) -> dict:
+    config = SINGLE_PRESETS[preset]()
+    config = replace(
+        config,
+        flush=replace(config.flush, policy=policy),
+        layout=replace(config.layout, kind=kind),
+    )
+    simulator = PatsySimulator(config)
+    simulator.scheduler.enable_schedule_hash()
+    result = simulator.replay(array_trace(), trace_name="golden")
+    return {
+        "summary": result.summary(),
+        "schedule_digests": result.schedule_digests,
+        "sectors": {
+            d.name: [d.stats.sectors_read, d.stats.sectors_written] for d in simulator.drivers
+        },
+    }
+
+
+def _pinned_statistics(pfs: PegasusFileSystem) -> dict:
+    statistics = pfs.statistics()
+    return {section: statistics[section] for section in ("cache", "layout", "driver")}
+
+
+def single_pfs_run(backing: Path | None) -> dict:
+    """The default PFS on one memory disk (``backing`` None: the remount is
+    a second instance given the first one's image) or on one backing file."""
+    pfs = PegasusFileSystem(backing=backing, size_bytes=SINGLE_PFS_BYTES)
+    paths, _ = pfs_script(pfs)
+    written = _pinned_statistics(pfs)
+    pfs.unmount()
+    if backing is None:
+        (disk,) = pfs.drivers
+        image = disk.snapshot()
+    else:
+        pfs.close_backing()
+        image = backing.read_bytes()
+
+    pfs = PegasusFileSystem(backing=backing, size_bytes=SINGLE_PFS_BYTES)
+    if backing is None:
+        pfs.drivers[0].restore(image)
+    pfs.mount()
+    files = {path: hashlib.sha256(pfs.read_file(path)).hexdigest() for path in paths}
+    statistics = {"first_mount": written, "remount": _pinned_statistics(pfs)}
+    pfs.unmount()
+    pfs.close_backing()
+    return {
+        "statistics": statistics,
+        "files": files,
+        "image": hashlib.sha256(image).hexdigest(),
+    }
+
+
+def single_volume_run(directory: Path) -> dict:
+    pinned = {
+        "patsy": {
+            f"{preset}/{policy}/{kind}": single_patsy_run(preset, policy, kind)
+            for preset in SINGLE_PRESETS
+            for policy in ("periodic", "nvram")
+            for kind in ("lfs", "ffs")
+        },
+        "pfs": {"memory": single_pfs_run(None), "file": single_pfs_run(directory / "disk")},
+    }
+    return json.loads(json.dumps(pinned))
+
+
+def test_single_volume_replay_matches_golden(tmp_path):
+    run = single_volume_run(tmp_path)
+    golden = json.loads(SINGLE_GOLDEN.read_text())
+    hint = f"; if the stack was meant to change, regenerate with `{REGENERATE}`"
+    assert len(golden["patsy"]) == 8
+    for name, pinned in golden["patsy"].items():
+        assert pinned["summary"]["errors"] == 0
+        assert any(written for _, written in pinned["sectors"].values())
+        assert run["patsy"][name] == pinned, f"the {name} replay moved" + hint
+    # One spec, one script: a memory disk and a backing file hold the same bytes.
+    assert golden["pfs"]["memory"] == golden["pfs"]["file"]
+    for backing, pinned in golden["pfs"].items():
+        assert run["pfs"][backing]["files"] == pinned["files"], (
+            f"a default-PFS file ({backing}) reads back different bytes after remount" + hint
+        )
+        assert run["pfs"][backing] == pinned, (
+            f"default-PFS statistics or the disk image ({backing}) moved" + hint
+        )
 
 
 # --------------------------------------------------------------------------- the event loop
@@ -415,6 +529,11 @@ if __name__ == "__main__":
             json.dumps(array_run(Path(scratch)), indent=2, sort_keys=True) + "\n"
         )
     print(f"wrote {ARRAY_GOLDEN}")
+    with tempfile.TemporaryDirectory() as scratch:
+        SINGLE_GOLDEN.write_text(
+            json.dumps(single_volume_run(Path(scratch)), indent=2, sort_keys=True) + "\n"
+        )
+    print(f"wrote {SINGLE_GOLDEN}")
     # One program a line: a moved schedule shows up as the lines that moved.
     lines = ",\n".join(json.dumps(run, sort_keys=True) for run in programs_run())
     PROGRAMS_GOLDEN.write_text(f"[\n{lines}\n]\n")
