@@ -13,21 +13,21 @@ Run with:  python examples/multimedia_streaming.py [--full-hardware] [--volumes 
 """
 
 import argparse
+from dataclasses import replace
 
-from repro import CacheConfig, LayoutConfig, PegasusFileSystem
-from repro.cli import add_stack_flags, array_section
+from repro import CacheConfig, LayoutConfig, PegasusFileSystem, StackSpec
+from repro.cli import add_stack_flags, stack_config
 from repro.units import KB, MB
 
 
 def build_fs(args) -> PegasusFileSystem:
-    array = array_section(args)
-    pfs = PegasusFileSystem(
-        size_bytes=64 * MB,
+    spec = replace(
+        StackSpec.from_config(stack_config(args)),
         # 256 cache blocks (split into per-volume shards on the array).
         cache=CacheConfig(size_bytes=1 * MB),
         layout=LayoutConfig(segment_size=128 * KB),
-        array=array,
     )
+    pfs = PegasusFileSystem(spec=spec, size_bytes=64 * MB)
     pfs.format()
     pfs.mkdir("/small")
     for i in range(32):

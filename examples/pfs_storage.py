@@ -16,10 +16,11 @@ checked across every per-volume sub-layout.
 
 import argparse
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from repro import CacheConfig, LayoutConfig, PegasusFileSystem
-from repro.cli import add_stack_flags, array_section
+from repro import CacheConfig, LayoutConfig, PegasusFileSystem, StackSpec
+from repro.cli import add_stack_flags, stack_config
 from repro.units import KB, MB
 
 
@@ -41,13 +42,15 @@ def main() -> None:
     args = parser.parse_args()
     explicit_backing = args.backing is not None
     backing = Path(args.backing) if explicit_backing else Path(tempfile.mktemp(suffix=".pfs"))
-    array = array_section(args)
-    options = dict(
-        backing=backing,
-        size_bytes=80 * MB if array is not None else 32 * MB,
+    spec = replace(
+        StackSpec.from_config(stack_config(args)),
         cache=CacheConfig(size_bytes=2 * MB),
         layout=LayoutConfig(segment_size=128 * KB),
-        array=array,
+    )
+    options = dict(
+        spec=spec,
+        backing=backing,
+        size_bytes=80 * MB if args.full_hardware else 32 * MB,
     )
 
     print(f"formatting a Pegasus file system on {backing} ...")

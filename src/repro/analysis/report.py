@@ -159,15 +159,15 @@ def format_volume_table(
     """Per-volume hit-rate/utilisation/queue table plus an array rollup.
 
     ``volume_stats`` is :attr:`repro.patsy.simulator.SimulationResult.volume_stats`
-    (``{"per_volume": {...}, "rollup": {...}}``, produced for storage-array
-    runs).  One row per volume: cache hit rate of the volume's shard, blocks
-    written, mean disk utilisation/queue length/response time over the
-    volume's disks.  The rollup line aggregates the whole array.
+    (``{"per_volume": {...}, "rollup": {...}}``).  One row per volume: cache
+    hit rate of the volume's shard, blocks written, mean disk
+    utilisation/queue length/response time over the volume's disks.  The
+    rollup line aggregates the whole array.
     """
     per_volume = volume_stats.get("per_volume", {}) if volume_stats else {}
     rollup = volume_stats.get("rollup", {}) if volume_stats else {}
     if not per_volume:
-        return "(no per-volume statistics: single-volume run)"
+        return "(no per-volume statistics)"
     lines = [title, ""]
     header = (
         f"{'volume':<8} {'disks':>5} {'hit%':>6} {'written':>8} "
@@ -200,7 +200,7 @@ def format_volume_table(
             f"{'':>7} {'':>10}"
         )
         lines.append(
-            f"placement={rollup.get('placement', '?')} shard={rollup.get('shard', '?')} "
+            f"placement={rollup.get('placement', '?')} "
             f"volumes={rollup.get('volumes', 0)} buses={rollup.get('buses', 0)} "
             f"disk-ops={rollup.get('disk_operations', 0)}"
         )

@@ -8,26 +8,24 @@ array).  This builder is now the only assembly path: a world-independent
 :class:`~repro.assembly.bindings.Binding` yields a fully wired
 :class:`StorageStack`, and the two front-ends are thin facades over it.
 
-The multi-volume branch covers both the single-machine array and the
-multi-machine cluster: a cluster is the same per-node sub-stack (volumes,
-layouts, cache shards, flush daemons) built once per node, with every
-non-front-end node's volumes wrapped in a
-:class:`~repro.core.cluster.remote.RemoteVolume` so their block I/O crosses
-the simulated network, and a
+Every stack is an array of volumes: one machine's disks carved into
+``spec.array.volumes`` volumes (one by default), each with its own layout,
+cache shard and flush daemon behind the routing façades.  A cluster is the
+same per-node sub-stack built once per node, with every non-front-end node's
+volumes wrapped in a :class:`~repro.core.cluster.remote.RemoteVolume` so
+their block I/O crosses the simulated network, and a
 :class:`~repro.core.cluster.placement.ClusterPlacement` routing tier on top.
 
 The construction order below is load-bearing: scheduler interactions during
-assembly (thread spawns, RNG wiring) must be identical across worlds and
-identical to the historical order, so that a one-volume array stays
-byte-identical to the legacy single-volume assembly and a one-node cluster
-stays byte-identical to the bare array (pinned by ``tests/test_array.py``
-and ``tests/test_cluster.py``).
+assembly (thread spawns, RNG wiring) must be identical across worlds, and a
+one-node cluster must stay byte-identical to the bare array (pinned by
+``tests/test_cluster.py`` and the goldens of ``tests/test_golden_schedule.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional
 
 from repro.assembly.bindings import Binding, Hardware
 from repro.assembly.registry import registry
@@ -40,7 +38,7 @@ from repro.core.cluster.rebalance import ClusterRebalancer
 from repro.core.cluster.remote import RemoteVolume
 from repro.core.datamover import DataMover
 from repro.core.filesystem import FileSystem
-from repro.core.flush import FlushPolicy, ShardedFlushPolicy
+from repro.core.flush import ShardedFlushPolicy
 from repro.core.scheduler import Scheduler
 from repro.core.storage.array import (
     PlacementPolicy,
@@ -61,11 +59,6 @@ import repro.core.storage.ffs  # noqa: E402,F401  (registers "ffs")
 __all__ = ["StorageStack", "build_stack"]
 
 
-def _route_to_shard_zero(file_id: int, block_no: int) -> int:
-    """Cache router for the "unified" shard policy: one cache, N volumes."""
-    return 0
-
-
 @dataclass
 class StorageStack:
     """Everything :func:`build_stack` assembled, ready to mount.
@@ -84,18 +77,19 @@ class StorageStack:
     disks: List[Any]
     #: one disk driver per disk of the spec's complement.
     drivers: List[Any]
-    #: a Volume, or a VolumeSet for an array/cluster stack.
-    volume: Volume
-    #: a single layout, or a RoutedLayout over per-volume sub-layouts.
-    layout: Any
-    #: a BlockCache, or a ShardedCache for an array/cluster stack.
-    cache: Union[BlockCache, ShardedCache]
+    #: the stack's volumes, in volume order.
+    volume: VolumeSet
+    #: the router over one sub-layout per volume.
+    layout: RoutedLayout
+    #: one cache shard per volume.
+    cache: ShardedCache
     datamover: DataMover
-    flush_policy: FlushPolicy
-    #: a CleanerDaemon, a CleanerSet (array of LFS volumes), or None.
-    cleaner: Optional[Union[CleanerDaemon, CleanerSet]]
-    #: the placement policy (array/cluster stacks only).
-    placement: Optional[PlacementPolicy]
+    #: one flush daemon per shard.
+    flush_policy: ShardedFlushPolicy
+    #: one cleaner daemon per LFS volume; None when no volume is an LFS.
+    cleaner: Optional[CleanerSet]
+    #: routes files and blocks to volumes (a ClusterPlacement on a cluster).
+    placement: PlacementPolicy
     #: the cluster topology (multi-machine stacks only).
     cluster: Optional[ClusterTopology] = None
     #: the durable metadata tier (cluster stacks only).
@@ -178,9 +172,9 @@ def _build_layout(
     inode_stride: int = 1,
     crashpoints: Optional[Any] = None,
 ):
-    """One storage layout over one volume (a whole single-volume system,
-    or member ``inode_base`` of an ``inode_stride``-volume array), created
-    through the "layout" component registry."""
+    """One storage layout over one volume — member ``inode_base`` of an
+    ``inode_stride``-volume array — created through the "layout" component
+    registry."""
     layout = registry.create(
         "layout",
         spec.layout.kind,
@@ -237,209 +231,175 @@ def build_stack(
     cluster = spec.cluster
     simulated = binding.simulated
     with_data = binding.with_data
-    placement: Optional[PlacementPolicy] = None
-    cleaner: Optional[Union[CleanerDaemon, CleanerSet]] = None
+    cleaner: Optional[CleanerSet] = None
     topology: Optional[ClusterTopology] = None
     metadata: Optional[Any] = None
 
-    if array is None and cluster is None:
-        volume: Volume = LocalVolume(drivers, block_size=spec.cache.block_size)
-        layout = _build_layout(
-            spec, scheduler, volume, simulated, spec.seed, crashpoints=crashpoints
-        )
-        cache: Union[BlockCache, ShardedCache] = BlockCache(
-            scheduler, spec.cache, with_data=with_data
-        )
-        datamover = binding.make_datamover(spec)
-        flush_policy: FlushPolicy = registry.create("flush", spec.flush.policy, spec.flush)
-        if isinstance(layout, LogStructuredLayout):
-            cleaner = _make_cleaner_daemon(spec, scheduler, layout)
-    else:
-        total_volumes = spec.num_volumes
-        # The per-node shape; synthesised defaults when no array section
-        # is configured, so cluster-without-array stacks track ArrayConfig's
-        # dataclass defaults from one place.
-        node_array = spec.effective_array
-        placement = registry.create(
-            "placement",
-            node_array.placement,
-            total_volumes,
-            stripe_unit=node_array.stripe_unit_blocks,
-        )
-        if cluster is not None:
-            placement = ClusterPlacement(
-                placement,
-                cluster.nodes,
-                spec.volumes_per_node,
-                replicas=cluster.replicas,
-            )
-        nics = hardware.nics or binding.build_network(spec, scheduler)
-        volumes: List[Volume] = []
-        remote_volumes: dict = {}
-        for v in range(total_volumes):
-            local = LocalVolume(
-                [drivers[i] for i in spec.disks_of_volume(v)],
-                block_size=spec.cache.block_size,
-            )
-            node = spec.node_of_volume(v)
-            if nics and node != 0:
-                # Node-aware wrapper: accesses from the owner's own threads
-                # (its daemons) stay off the network; foreign accesses cross
-                # the accessor's NIC out and the owner's back.  Node-0
-                # volumes stay bare LocalVolumes — node 0 is the front end,
-                # where every client runs.
-                assert cluster is not None
-                remote = RemoteVolume(
-                    local,
-                    local_nic=nics[0],
-                    remote_nic=nics[node],
-                    request_bytes=cluster.request_bytes,
-                    scheduler=scheduler,
-                    node=node,
-                    nics=nics,
-                )
-                remote_volumes[v] = remote
-                volumes.append(remote)
-            else:
-                volumes.append(local)
-        volume = VolumeSet(volumes)
-        sublayouts = [
-            _build_layout(
-                spec,
-                scheduler,
-                volumes[v],
-                simulated,
-                spec.seed + v,
-                inode_base=v,
-                inode_stride=total_volumes,
-                crashpoints=crashpoints,
-            )
-            for v in range(total_volumes)
-        ]
-        layout = RoutedLayout(
-            scheduler,
-            volume,
-            sublayouts,
+    total_volumes = spec.num_volumes
+    placement: PlacementPolicy = registry.create(
+        "placement",
+        array.placement,
+        total_volumes,
+        stripe_unit=array.stripe_unit_blocks,
+    )
+    if cluster is not None:
+        placement = ClusterPlacement(
             placement,
+            cluster.nodes,
+            spec.volumes_per_node,
+            replicas=cluster.replicas,
+        )
+    nics = hardware.nics or binding.build_network(spec, scheduler)
+    volumes: List[Volume] = []
+    remote_volumes: dict = {}
+    for v in range(total_volumes):
+        local = LocalVolume(
+            [drivers[i] for i in spec.disks_of_volume(v)],
             block_size=spec.cache.block_size,
-            seed=spec.seed,
         )
-        if node_array.shard == "per-volume":
-            shard_config = replace(
-                spec.cache,
-                size_bytes=max(
-                    spec.cache.size_bytes // total_volumes, spec.cache.block_size
-                ),
-            )
-            shards = [
-                BlockCache(scheduler, shard_config, with_data=with_data)
-                for _ in range(total_volumes)
-            ]
-            router = placement.volume_for_block
-        else:  # "unified": one cache over all volumes
-            shards = [BlockCache(scheduler, spec.cache, with_data=with_data)]
-            router = _route_to_shard_zero
-        cache = ShardedCache(shards, router)
-        datamover = binding.make_datamover(spec)
-        flush_policy = ShardedFlushPolicy(
-            spec.flush,
-            high_water=node_array.governor_high_water,
-            low_water=node_array.governor_low_water,
-        )
-        if cluster is not None and cluster.nodes > 1:
-            # Home each cache shard's flush daemons (and the governors) on
-            # the node that owns the shard's volume(s).
-            if len(shards) == total_volumes:
-                flush_policy.shard_nodes = [
-                    spec.node_of_volume(v) for v in range(total_volumes)
-                ]
-            else:
-                flush_policy.shard_nodes = [0]
-        lfs_daemons = [
-            _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
-            for v in range(total_volumes)
-            if isinstance(sublayouts[v], LogStructuredLayout)
-        ]
-        if lfs_daemons:
-            cleaner = CleanerSet(lfs_daemons)
-        if cluster is not None:
-            assert isinstance(placement, ClusterPlacement)
-            nodes = []
-            vpn = spec.volumes_per_node
-            for n in range(cluster.nodes):
-                vol_indices = list(range(n * vpn, (n + 1) * vpn))
-                node_disks = [
-                    drivers[i]
-                    for v in vol_indices
-                    for i in spec.disks_of_volume(v)
-                ]
-                nodes.append(
-                    ClusterNode(
-                        index=n,
-                        nic=nics[n] if nics else None,
-                        volume_indices=vol_indices,
-                        drivers=node_disks,
-                        volumes=[volumes[v] for v in vol_indices],
-                        sublayouts=[sublayouts[v] for v in vol_indices],
-                        cache_shards=(
-                            [shards[v] for v in vol_indices]
-                            if len(shards) == total_volumes
-                            else []
-                        ),
-                    )
-                )
-            topology = ClusterTopology(
-                nodes=nodes,
+        node = spec.node_of_volume(v)
+        if nics and node != 0:
+            # Node-aware wrapper: accesses from the owner's own threads
+            # (its daemons) stay off the network; foreign accesses cross
+            # the accessor's NIC out and the owner's back.  Node-0
+            # volumes stay bare LocalVolumes — node 0 is the front end,
+            # where every client runs.
+            assert cluster is not None
+            remote = RemoteVolume(
+                local,
+                local_nic=nics[0],
+                remote_nic=nics[node],
+                request_bytes=cluster.request_bytes,
+                scheduler=scheduler,
+                node=node,
                 nics=nics,
-                placement=placement,
-                remote_volumes=remote_volumes,
             )
-            # Every cluster stack carries a fault board; it stays inert (one
-            # attribute check per I/O) until a schedule applies an event.
-            from repro.core.faults import FaultState
-
-            faults = FaultState(volumes_per_node=spec.volumes_per_node)
-            topology.faults = faults
-            layout.faults = faults
-            if cluster.replicas > 0:
-                from repro.core.cluster.replication import ReplicaManager
-
-                if any(not hasattr(sub, "inode_map") for sub in sublayouts):
-                    raise ConfigurationError(
-                        "replication needs sub-layouts that can host foreign "
-                        "inode numbers (LFS); slot-mapped layouts cannot hold "
-                        "shadow inodes"
-                    )
-                layout.replication = ReplicaManager(scheduler, layout, placement, faults)
-                topology.replication = layout.replication
-            # Every cluster stack carries the durable metadata tier; it
-            # stays invisible to the replay until something is journalled.
-            from repro.core.metadata.manifest import ManifestStore
-            from repro.core.metadata.tier import MetadataTier
-            from repro.core.metadata.wal import WriteAheadLog
-
-            device = binding.make_metadata_device(spec, scheduler)
-            wal = WriteAheadLog(
-                scheduler,
-                device,
-                commit_records=cluster.wal_commit_records,
-                commit_bytes=cluster.wal_commit_bytes,
-                commit_interval=cluster.wal_commit_interval,
-                crashpoints=crashpoints,
+            remote_volumes[v] = remote
+            volumes.append(remote)
+        else:
+            volumes.append(local)
+    volume = VolumeSet(volumes)
+    sublayouts = [
+        _build_layout(
+            spec,
+            scheduler,
+            volumes[v],
+            simulated,
+            spec.seed + v,
+            inode_base=v,
+            inode_stride=total_volumes,
+            crashpoints=crashpoints,
+        )
+        for v in range(total_volumes)
+    ]
+    layout = RoutedLayout(
+        scheduler,
+        volume,
+        sublayouts,
+        placement,
+        block_size=spec.cache.block_size,
+        seed=spec.seed,
+    )
+    shard_config = replace(
+        spec.cache,
+        size_bytes=max(spec.cache.size_bytes // total_volumes, spec.cache.block_size),
+    )
+    shards = [
+        BlockCache(scheduler, shard_config, with_data=with_data)
+        for _ in range(total_volumes)
+    ]
+    cache = ShardedCache(shards, placement.volume_for_block)
+    datamover = binding.make_datamover(spec)
+    flush_policy = ShardedFlushPolicy(
+        spec.flush,
+        high_water=array.governor_high_water,
+        low_water=array.governor_low_water,
+    )
+    if cluster is not None and cluster.nodes > 1:
+        # Home each cache shard's flush daemons (and the governors) on
+        # the node that owns the shard's volume.
+        flush_policy.shard_nodes = [spec.node_of_volume(v) for v in range(total_volumes)]
+    lfs_daemons = [
+        _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
+        for v in range(total_volumes)
+        if isinstance(sublayouts[v], LogStructuredLayout)
+    ]
+    if lfs_daemons:
+        cleaner = CleanerSet(lfs_daemons)
+    if cluster is not None:
+        assert isinstance(placement, ClusterPlacement)
+        nodes = []
+        vpn = spec.volumes_per_node
+        for n in range(cluster.nodes):
+            vol_indices = list(range(n * vpn, (n + 1) * vpn))
+            node_disks = [
+                drivers[i]
+                for v in vol_indices
+                for i in spec.disks_of_volume(v)
+            ]
+            nodes.append(
+                ClusterNode(
+                    index=n,
+                    nic=nics[n] if nics else None,
+                    volume_indices=vol_indices,
+                    drivers=node_disks,
+                    volumes=[volumes[v] for v in vol_indices],
+                    sublayouts=[sublayouts[v] for v in vol_indices],
+                    cache_shards=[shards[v] for v in vol_indices],
+                )
             )
-            metadata = MetadataTier(
-                scheduler,
-                placement,
-                wal,
-                ManifestStore(scheduler, device, crashpoints=crashpoints),
-                cluster,
-                crashpoints=crashpoints,
-            )
-            topology.metadata = metadata
-            if topology.replication is not None:
-                # Creation-time replica re-homing (dead default volume
-                # at first write) journals RSETs like a repair does.
-                topology.replication.metadata = metadata
+        topology = ClusterTopology(
+            nodes=nodes,
+            nics=nics,
+            placement=placement,
+            remote_volumes=remote_volumes,
+        )
+        # Every cluster stack carries a fault board; it stays inert (one
+        # attribute check per I/O) until a schedule applies an event.
+        from repro.core.faults import FaultState
+
+        faults = FaultState(volumes_per_node=spec.volumes_per_node)
+        topology.faults = faults
+        layout.faults = faults
+        if cluster.replicas > 0:
+            from repro.core.cluster.replication import ReplicaManager
+
+            if any(not hasattr(sub, "inode_map") for sub in sublayouts):
+                raise ConfigurationError(
+                    "replication needs sub-layouts that can host foreign "
+                    "inode numbers (LFS); slot-mapped layouts cannot hold "
+                    "shadow inodes"
+                )
+            layout.replication = ReplicaManager(scheduler, layout, placement, faults)
+            topology.replication = layout.replication
+        # Every cluster stack carries the durable metadata tier; it
+        # stays invisible to the replay until something is journalled.
+        from repro.core.metadata.manifest import ManifestStore
+        from repro.core.metadata.tier import MetadataTier
+        from repro.core.metadata.wal import WriteAheadLog
+
+        device = binding.make_metadata_device(spec, scheduler)
+        wal = WriteAheadLog(
+            scheduler,
+            device,
+            commit_records=cluster.wal_commit_records,
+            commit_bytes=cluster.wal_commit_bytes,
+            commit_interval=cluster.wal_commit_interval,
+            crashpoints=crashpoints,
+        )
+        metadata = MetadataTier(
+            scheduler,
+            placement,
+            wal,
+            ManifestStore(scheduler, device, crashpoints=crashpoints),
+            cluster,
+            crashpoints=crashpoints,
+        )
+        topology.metadata = metadata
+        if topology.replication is not None:
+            # Creation-time replica re-homing (dead default volume
+            # at first write) journals RSETs like a repair does.
+            topology.replication.metadata = metadata
 
     return StorageStack(
         spec=spec,

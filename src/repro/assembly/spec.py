@@ -16,7 +16,7 @@ plain dicts, so an experiment manifest can carry the exact stack it ran —
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, get_args, get_type_hints
 
 from repro.config import (
     ArrayConfig,
@@ -42,6 +42,28 @@ _SECTION_TYPES = {
 }
 
 
+def _section_from_dict(name: str, section_type: type, section: Dict[str, Any]) -> Any:
+    """One sub-config from its manifest dict: unknown keys and values of the
+    wrong type are rejected by section and key before the dataclass's own
+    range checks see them."""
+    hints = get_type_hints(section_type)
+    bad = set(section) - set(hints)
+    if bad:
+        raise ConfigurationError(
+            f"unknown keys in StackSpec section {name!r}: {sorted(bad)}"
+        )
+    for key, value in section.items():
+        allowed = get_args(hints[key]) or (hints[key],)  # Optional[float] -> (float, NoneType)
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            wanted = " or ".join(t.__name__ for t in allowed)
+            raise ConfigurationError(
+                f"StackSpec section {name!r}, key {key!r}: expected {wanted}, got {value!r}"
+            )
+    return section_type(**section)
+
+
 @dataclass(frozen=True)
 class StackSpec:
     """Declarative description of one storage stack.
@@ -58,12 +80,16 @@ class StackSpec:
     flush: FlushConfig = field(default_factory=FlushConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     host: HostConfig = field(default_factory=HostConfig)
-    #: multi-volume storage array; None = the classic single-volume stack.
-    array: Optional[ArrayConfig] = None
+    #: how each machine's disks are carved into volumes (default: one
+    #: volume over all of the host's disks).
+    array: ArrayConfig = field(default_factory=ArrayConfig)
     #: multi-machine cluster tier; None (or one node) = a single machine.
     cluster: Optional[ClusterConfig] = None
     #: seed for the scheduler and any synthesised parameters.
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.array.check_fits(self.host)
 
     # ------------------------------------------------------------------ derived shape
 
@@ -73,24 +99,8 @@ class StackSpec:
 
     @property
     def volumes_per_node(self) -> int:
-        """One node's volume complement (the per-node array shape)."""
-        return self.array.volumes if self.array is not None else 1
-
-    @property
-    def effective_array(self) -> ArrayConfig:
-        """The per-node array shape, synthesised from the host when no
-        ``array`` section is configured (a single-volume node over the
-        host's disks, with every array knob at its dataclass default).
-        The one source of truth for placement/shard/governor defaults on
-        cluster stacks built without an explicit array."""
-        if self.array is not None:
-            return self.array
-        return ArrayConfig(
-            volumes=1,
-            buses=self.host.num_buses,
-            disks_per_bus=-(-self.host.num_disks // self.host.num_buses),
-            num_disks=self.host.num_disks,
-        )
+        """One node's volume complement."""
+        return self.array.volumes
 
     @property
     def num_volumes(self) -> int:
@@ -99,7 +109,7 @@ class StackSpec:
     @property
     def disks_per_node(self) -> int:
         """One node's disk complement."""
-        return self.array.total_disks if self.array is not None else self.host.num_disks
+        return self.host.num_disks
 
     @property
     def num_disks(self) -> int:
@@ -107,13 +117,9 @@ class StackSpec:
         return self.num_nodes * self.disks_per_node
 
     @property
-    def buses_per_node(self) -> int:
-        return self.array.buses if self.array is not None else self.host.num_buses
-
-    @property
     def num_buses(self) -> int:
         """Total bus complement (each node carries its own buses)."""
-        return self.num_nodes * self.buses_per_node
+        return self.num_nodes * self.host.num_buses
 
     def node_of_volume(self, volume_index: int) -> int:
         """Cluster node one volume belongs to (volumes never span nodes)."""
@@ -125,23 +131,21 @@ class StackSpec:
 
     def bus_for_disk(self, disk_index: int) -> int:
         """Global bus index of one disk (buses never span nodes)."""
-        owner = self.array if self.array is not None else self.host
         node, local = divmod(disk_index, self.disks_per_node)
-        return node * self.buses_per_node + owner.bus_for_disk(local)
+        return node * self.host.num_buses + self.host.bus_for_disk(local)
 
     def disks_of_volume(self, volume_index: int) -> range:
-        """Global disk indices of one volume (a node-local contiguous run)."""
+        """Global disk indices of one volume: a node's disks are split into
+        contiguous runs, the first ``disks % volumes`` volumes taking the
+        spare ones."""
         if not (0 <= volume_index < self.num_volumes):
             raise ConfigurationError(
                 f"no volume {volume_index} in a {self.num_volumes}-volume stack"
             )
         node, local = divmod(volume_index, self.volumes_per_node)
-        offset = node * self.disks_per_node
-        if self.array is not None:
-            local_range = self.array.disks_of_volume(local)
-        else:
-            local_range = range(self.disks_per_node)
-        return range(offset + local_range.start, offset + local_range.stop)
+        base, extra = divmod(self.disks_per_node, self.volumes_per_node)
+        start = node * self.disks_per_node + local * base + min(local, extra)
+        return range(start, start + base + (1 if local < extra else 0))
 
     # ------------------------------------------------------------------ conversions
 
@@ -161,8 +165,8 @@ class StackSpec:
     def to_config(self, **overrides: Any) -> SimulationConfig:
         """A :class:`~repro.config.SimulationConfig` running this stack.
 
-        ``overrides`` forwards any of the run-scoped knobs the spec does
-        not carry (``report_interval``, ``streaming``).
+        ``overrides`` forwards the run-scoped knob the spec does not carry
+        (``report_interval``).
         """
         return SimulationConfig(
             cache=self.cache,
@@ -175,8 +179,8 @@ class StackSpec:
             **overrides,
         )
 
-    def with_array(self, array: Optional[ArrayConfig]) -> "StackSpec":
-        """A copy of this spec on a different array shape (None removes it)."""
+    def with_array(self, array: ArrayConfig) -> "StackSpec":
+        """A copy of this spec with its disks carved differently."""
         return replace(self, array=array)
 
     def with_cluster(self, cluster: Optional[ClusterConfig]) -> "StackSpec":
@@ -198,9 +202,10 @@ class StackSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "StackSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Missing sections take their defaults; unknown keys (inside a
-        section or at the top level) are rejected so a typo in a manifest
-        fails loudly instead of silently running the default stack.
+        Missing (or ``null``) sections take their defaults; unknown keys
+        (inside a section or at the top level) and values of the wrong type
+        are rejected by name, so a typo in a manifest fails loudly instead
+        of silently running the default stack.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -208,23 +213,19 @@ class StackSpec:
             raise ConfigurationError(f"unknown StackSpec keys: {sorted(unknown)}")
         kwargs: Dict[str, Any] = {}
         for name, section_type in _SECTION_TYPES.items():
-            if name not in data:
-                continue
-            section = data[name]
+            section = data.get(name)
             if section is None:
-                kwargs[name] = None
                 continue
             if not isinstance(section, dict):
                 raise ConfigurationError(f"StackSpec section {name!r} must be a dict")
-            valid = {f.name for f in fields(section_type)}
-            bad = set(section) - valid
-            if bad:
-                raise ConfigurationError(
-                    f"unknown keys in StackSpec section {name!r}: {sorted(bad)}"
-                )
-            kwargs[name] = section_type(**section)
+            kwargs[name] = _section_from_dict(name, section_type, section)
         if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
+            try:
+                kwargs["seed"] = int(data["seed"])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"StackSpec key 'seed' must be an integer, got {data['seed']!r}"
+                ) from None
         return cls(**kwargs)
 
 

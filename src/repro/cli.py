@@ -10,10 +10,10 @@ Every script in ``examples/`` accepts the same pair of hardware flags:
   (default 5, the preset's shape; only meaningful with ``--full-hardware``).
 
 ``add_stack_flags`` puts the flags on an ``argparse`` parser;
-``array_section``/``stack_config`` turn parsed arguments into the array
-sub-config or a whole simulator configuration, both routed through the
-:func:`repro.config.sun4_280_config` preset so the examples and the
-benchmarks agree on what "the full machine" means.
+``stack_config`` turns parsed arguments into a whole simulator
+configuration (``StackSpec.from_config`` of it is what a PFS mounts), routed
+through the :func:`repro.config.sun4_280_config` preset so the examples and
+the benchmarks agree on what "the full machine" means.
 
 Cluster replays additionally take ``--nodes N`` — replay on an N-node
 cluster instead of one machine.  ``add_cluster_flags`` installs it;
@@ -25,10 +25,8 @@ directory placement, online rebalancing — the shape the benchmarks run).
 from __future__ import annotations
 
 import argparse
-from typing import Optional
 
 from repro.config import (
-    ArrayConfig,
     SimulationConfig,
     cluster_config,
     small_test_config,
@@ -38,12 +36,9 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "add_stack_flags",
-    "array_section",
     "stack_config",
     "add_cluster_flags",
     "cluster_replay_config",
-    "add_fault_flags",
-    "fault_schedule",
 ]
 
 
@@ -62,18 +57,6 @@ def add_stack_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         help="volumes the full machine's disks are carved into (default: 5)",
     )
     return parser
-
-
-def array_section(
-    args: argparse.Namespace, placement: str = "hash"
-) -> Optional[ArrayConfig]:
-    """The ``sun4_280`` array shape selected by the flags (None without
-    ``--full-hardware``) — for callers that assemble their own stack, e.g.
-    a :class:`~repro.pfs.filesystem.PegasusFileSystem` mounting the array."""
-    if not args.full_hardware:
-        return None
-    preset = sun4_280_config(scale=0.01, volumes=args.volumes, placement=placement)
-    return preset.array
 
 
 def stack_config(
@@ -103,55 +86,6 @@ def add_cluster_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParse
         help="replay on an N-node cluster (default: 1, a single machine)",
     )
     return parser
-
-
-def add_fault_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Add the ``--replicas`` / ``--fault`` availability flags."""
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="K",
-        help="keep K extra copies of every file on other failure domains "
-        "(default: 0, replication off)",
-    )
-    parser.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="KIND:TARGET@TIME[:DURATION]",
-        help="schedule a fault: disk_fail / node_crash / nic_partition / "
-        "slow_disk, e.g. --fault node_crash:1@20 "
-        "--fault nic_partition:2@10:5 (repeatable)",
-    )
-    return parser
-
-
-def fault_schedule(args: argparse.Namespace) -> list:
-    """Parse ``--fault`` specs into :class:`repro.core.faults.FaultEvent`s."""
-    from repro.core.faults import FaultEvent
-
-    events = []
-    for spec in args.fault:
-        head, _, tail = spec.partition("@")
-        kind, _, target = head.partition(":")
-        if not target or not tail:
-            raise ConfigurationError(
-                f"bad --fault spec {spec!r} (want KIND:TARGET@TIME[:DURATION])"
-            )
-        time_str, _, duration = tail.partition(":")
-        try:
-            events.append(
-                FaultEvent(
-                    time=float(time_str),
-                    kind=kind,
-                    target=int(target),
-                    duration=float(duration) if duration else 0.0,
-                )
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"bad --fault spec {spec!r}: {exc}") from exc
-    return events
 
 
 def cluster_replay_config(

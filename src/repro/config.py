@@ -251,39 +251,28 @@ class HostConfig:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Multi-volume storage-array configuration.
+    """How a machine's disks are carved into volumes and files routed there.
 
     The traced Sprite server was a Sun 4/280 with ten HP 97560 disks on
     three SCSI buses carved into more than a dozen file systems (Section
-    5.1).  An array groups the machine's disks into ``volumes`` independent
-    volumes — each with its own storage layout, cache shard and flush daemon
-    — and routes files (or individual blocks, for striping) onto them with a
-    pluggable placement policy.  When ``SimulationConfig.array`` is set it
-    takes precedence over ``HostConfig.num_disks``/``num_buses`` for the
-    simulated hardware complement; the remaining host knobs (disk model,
-    bus bandwidth, I/O scheduler) still apply.
+    5.1).  An array groups the disks :class:`HostConfig` describes into
+    ``volumes`` independent volumes — each with its own storage layout,
+    cache shard and flush daemon — and routes files (or individual blocks,
+    for striping) onto them with a pluggable placement policy.  Every stack
+    is such an array; the default is one volume over all of the host's
+    disks.
     """
 
-    #: number of independent volumes the disks are carved into.
+    #: number of independent volumes the host's disks are carved into
+    #: (contiguous split; the first ``num_disks % volumes`` volumes get the
+    #: spare disks).
     volumes: int = 1
-    #: number of shared SCSI buses; disks attach round-robin by global index,
-    #: so a volume's disks spread over the buses exactly like the real
-    #: machine's.
-    buses: int = 1
-    #: disks attached to each bus (total = buses * disks_per_bus unless
-    #: ``num_disks`` overrides it — the Sun 4/280's 10-on-3 is uneven).
-    disks_per_bus: int = 1
-    #: explicit total disk count (None = buses * disks_per_bus).
-    num_disks: Optional[int] = None
     #: placement policy routing files/blocks to volumes: "hash" (whole file
     #: by name hash), "stripe" (round-robin stripe units across volumes) or
     #: "directory" (files co-locate with their parent directory).
     placement: str = "hash"
     #: stripe unit in file blocks (placement == "stripe").
     stripe_unit_blocks: int = 16
-    #: cache sharding: "per-volume" (one BlockCache shard per volume behind
-    #: the ShardedCache façade) or "unified" (one cache over all volumes).
-    shard: str = "per-volume"
     #: aggregate dirty-ratio high-water mark at which the shared governor
     #: starts draining the dirtiest shard (1.0 disables the governor).
     governor_high_water: float = 0.85
@@ -293,52 +282,32 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.volumes < 1:
             raise ConfigurationError("an array needs at least one volume")
-        if self.buses < 1 or self.disks_per_bus < 1:
-            raise ConfigurationError("need at least one bus and one disk per bus")
-        if self.num_disks is not None and self.num_disks < 1:
-            raise ConfigurationError("num_disks must be positive")
-        disks = self.total_disks
-        if disks < self.volumes:
-            raise ConfigurationError("each volume needs at least one disk")
-        if self.buses > disks:
-            raise ConfigurationError("more buses than disks makes no sense")
         if self.placement not in {"hash", "stripe", "directory"} and not _is_registered(
             "placement", self.placement
         ):
             raise ConfigurationError(f"unknown placement policy {self.placement!r}")
         if self.stripe_unit_blocks < 1:
             raise ConfigurationError("stripe_unit_blocks must be positive")
-        if self.shard not in {"per-volume", "unified"}:
-            raise ConfigurationError(f"unknown cache shard policy {self.shard!r}")
         if not (0.0 <= self.governor_low_water <= self.governor_high_water <= 1.0):
             raise ConfigurationError("governor water marks must satisfy 0 <= low <= high <= 1")
 
-    @property
-    def total_disks(self) -> int:
-        return self.num_disks if self.num_disks is not None else self.buses * self.disks_per_bus
-
-    def bus_for_disk(self, disk_index: int) -> int:
-        """Disks are spread round-robin over the available buses."""
-        return disk_index % self.buses
-
-    def disks_of_volume(self, volume_index: int) -> range:
-        """Global disk indices belonging to one volume (contiguous split;
-        the first ``total_disks % volumes`` volumes get the spare disks)."""
-        if not (0 <= volume_index < self.volumes):
-            raise ConfigurationError(f"no volume {volume_index} in a {self.volumes}-volume array")
-        disks = self.total_disks
-        base, extra = divmod(disks, self.volumes)
-        start = volume_index * base + min(volume_index, extra)
-        return range(start, start + base + (1 if volume_index < extra else 0))
+    def check_fits(self, host: HostConfig) -> None:
+        """Reject an array that carves ``host`` into more volumes than it
+        has disks (run wherever a host and an array are put together)."""
+        if host.num_disks < self.volumes:
+            raise ConfigurationError(
+                f"each volume needs at least one disk: {self.volumes} volumes "
+                f"over {host.num_disks} disks"
+            )
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
     """Multi-machine cluster tier above the storage array.
 
-    A cluster is ``nodes`` machines, each running the per-node volume
-    complement described by ``SimulationConfig.array`` (a single-volume
-    node when no array is configured).  Node 0 is the front end where
+    A cluster is ``nodes`` machines, each with the disks and buses of
+    ``SimulationConfig.host`` carved as ``SimulationConfig.array`` says (one
+    volume per node by default).  Node 0 is the front end where
     clients arrive; block I/O addressed to another node's volumes crosses a
     simulated network link — per-NIC queueing plus latency and bandwidth,
     charged with the same time discipline as PATSY's SCSI buses.
@@ -455,24 +424,20 @@ class SimulationConfig:
     flush: FlushConfig = field(default_factory=FlushConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     host: HostConfig = field(default_factory=HostConfig)
-    #: multi-volume storage array; None keeps the classic single-volume
-    #: assembly (one cache, one volume over all of the host's disks).
-    array: Optional[ArrayConfig] = None
+    #: how the host's disks are carved into volumes (default: one volume
+    #: over all of them).
+    array: ArrayConfig = field(default_factory=ArrayConfig)
     #: multi-machine cluster tier; None (or ``nodes=1``) keeps everything on
-    #: one machine.  Each node runs the ``array`` complement (or a
-    #: single-volume stack when ``array`` is None).
+    #: one machine.  Each node has the ``host`` hardware carved as ``array``.
     cluster: Optional[ClusterConfig] = None
     #: random seed for the scheduler and any synthesised parameters.
     seed: int = 0
     #: emit interval statistics every this many seconds of simulated time
     #: (the paper reports every 15 minutes).
     report_interval: float = 900.0
-    #: replay traces through the streaming engine: records are pulled from
-    #: the source one at a time and demultiplexed into per-client threads
-    #: without materialising the trace (memory stays O(clients + skew)
-    #: instead of O(records)).  The materialised path remains the default
-    #: for small tests.
-    streaming: bool = False
+
+    def __post_init__(self) -> None:
+        self.array.check_fits(self.host)
 
     def with_flush(self, flush: FlushConfig) -> "SimulationConfig":
         """A copy of this configuration with a different flush policy."""
@@ -527,13 +492,7 @@ def sun4_280_config(
         flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
         layout=LayoutConfig(kind="lfs"),
         host=HostConfig(num_disks=num_disks, num_buses=buses),
-        array=ArrayConfig(
-            volumes=volumes,
-            buses=buses,
-            disks_per_bus=-(-num_disks // buses),
-            num_disks=num_disks,
-            placement=placement,
-        ),
+        array=ArrayConfig(volumes=volumes, placement=placement),
         seed=seed,
     )
 
@@ -569,13 +528,7 @@ def cluster_config(
         flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
         layout=LayoutConfig(kind="lfs"),
         host=HostConfig(num_disks=disks_per_node, num_buses=buses_per_node),
-        array=ArrayConfig(
-            volumes=volumes_per_node,
-            buses=buses_per_node,
-            disks_per_bus=-(-disks_per_node // buses_per_node),
-            num_disks=disks_per_node,
-            placement=placement,
-        ),
+        array=ArrayConfig(volumes=volumes_per_node, placement=placement),
         cluster=ClusterConfig(
             nodes=nodes,
             rebalance=rebalance,

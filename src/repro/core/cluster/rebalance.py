@@ -263,7 +263,7 @@ class ClusterRebalancer:
         landed: Dict[int, Optional[int]] = {}
         # Where the file's blocks route once the flip lands (a migrated file
         # is whole-file resident, so every block shares one target shard).
-        target = cache.shards[0 if len(cache.shards) == 1 else new_home]
+        target = cache.shards[new_home]
 
         def release_pins() -> None:
             for _no, block, _shard in pulled + to_move:

@@ -293,8 +293,8 @@ class ShardedFlushPolicy(FlushPolicy):
     until the aggregate falls back below ``low_water``.
     The governor never runs for the UPS write-saving policy — writing ahead
     of real allocation pressure would defeat the write savings that policy
-    exists to measure — or for single-shard caches, which keeps a one-volume
-    array byte-identical to the legacy assembly.
+    exists to measure — or for single-shard caches, where there is no other
+    shard to balance against.
     """
 
     name = "sharded"

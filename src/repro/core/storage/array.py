@@ -311,8 +311,7 @@ class ShardedCache:
     router (the same function that places the block on disk, so a block's
     cache shard always fronts the volume that stores it); whole-cache and
     whole-file operations fan out over the shards.  With a single shard
-    every call is a bare pass-through, which is what keeps a one-volume
-    array byte-identical to the legacy single-cache assembly.
+    (the default one-volume stack) every call is a bare pass-through.
     """
 
     def __init__(self, shards: Sequence[BlockCache], router: Callable[[int, int], int]):
@@ -649,6 +648,20 @@ class RoutedLayout(StorageLayout):
     def mount(self) -> Generator[Any, Any, None]:
         for sub in self.sublayouts:
             yield from sub.mount()
+        # Resume each volume's progression past every number already handed
+        # out: what the sub-layouts loaded from disk, and each one's own
+        # persisted counter (which also remembers deleted files).  A fresh
+        # or simulated mount finds nothing and starts at the root.
+        volumes = self.num_volumes
+        known = self.known_inode_numbers()
+        self._file_counter = len(known)
+        floors = [sub.next_inode_number for sub in self.sublayouts]  # type: ignore[attr-defined]
+        for number in known:
+            v = (number - ROOT_INODE_NUMBER) % volumes
+            floors[v] = max(floors[v], number + 1)
+        self._next_number = [
+            floor + (ROOT_INODE_NUMBER + v - floor) % volumes for v, floor in enumerate(floors)
+        ]
 
     def checkpoint(self) -> Generator[Any, Any, None]:
         for sub in self.sublayouts:

@@ -33,9 +33,7 @@ from repro.assembly.builder import StorageStack, build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import SimulationConfig, small_test_config
 from repro.core.faults import FaultEvent, FaultInjector
-from repro.core.flush import ShardedFlushPolicy
 from repro.core.scheduler import Delay
-from repro.core.storage.array import RoutedLayout, ShardedCache
 from repro.errors import ConfigurationError, FileSystemError, TraceError
 from repro.patsy.stats import DEFAULT_PLUGINS, LatencyRecorder, StatisticsPlugin
 from repro.patsy.traces import (
@@ -179,9 +177,8 @@ class SimulationResult:
     #: switches the event loop resumed in place) and, for streaming replay,
     #: the demux counters (peak buffering etc.).
     stream_stats: Dict[str, Any] = field(default_factory=dict)
-    #: per-volume breakdown and array-level rollup (storage-array runs only;
-    #: empty — and absent from :meth:`summary` — for single-volume runs, so
-    #: legacy summaries stay byte-identical).
+    #: per-volume breakdown and array-level rollup (not part of
+    #: :meth:`summary`).
     volume_stats: Dict[str, Any] = field(default_factory=dict)
     #: per-node/per-NIC breakdown plus rebalancer counters (multi-node
     #: cluster runs only; empty otherwise).
@@ -344,14 +341,14 @@ class PatsySimulator:
         """Replay a trace and return the measurements.
 
         ``records`` may be a materialised record list, a path to an on-disk
-        trace, an open text stream, or any record iterator.  With
-        ``config.streaming`` set (or for any non-rewindable source) the
-        streaming engine replays without materialising the trace; both
-        engines produce identical measurements on the same trace.
+        trace, an open text stream, or any record iterator.  A source that
+        cannot be rewound goes to :meth:`replay_stream`, which replays
+        without materialising the trace; both engines produce identical
+        measurements on the same trace.
         """
         is_path = isinstance(records, (str, Path))
         is_sequence = not is_path and isinstance(records, Sequence)
-        if self.config.streaming or not (is_path or is_sequence):
+        if not (is_path or is_sequence):
             return self.replay_stream(records, trace_name=trace_name, max_time=max_time)
         # A trace on disk is read once, line by line into the per-client
         # streams; no list of the whole trace is built on the way.
@@ -599,24 +596,12 @@ class PatsySimulator:
 
     def collect_volume_stats(self) -> Dict[str, Any]:
         """Per-volume cache/layout/disk/flush breakdown plus an array-level
-        rollup.  Empty for single-volume (non-array) configurations."""
-        array = self.config.array
-        if array is None and self.config.cluster is None:
-            return {}
+        rollup."""
         spec = self.stack.spec
         num_volumes = spec.num_volumes
-        assert isinstance(self.layout, RoutedLayout)
-        assert isinstance(self.cache, ShardedCache)
         elapsed = max(self.scheduler.now, 1e-9)
         per_volume: Dict[str, Any] = {}
-        # Per-volume flush counters only exist with per-volume shards; a
-        # unified cache has one flush daemon for the whole array, whose
-        # counters belong in the rollup, not attributed to any one volume.
-        flush_children: List[dict] = []
-        if isinstance(self.flush_policy, ShardedFlushPolicy):
-            children = self.flush_policy.shard_stats()
-            if len(children) == num_volumes:
-                flush_children = children
+        flush_children = self.flush_policy.shard_stats()
         for v in range(num_volumes):
             sub = self.layout.sublayouts[v]
             disks = {}
@@ -641,21 +626,17 @@ class PatsySimulator:
             index_memory = getattr(sub, "index_memory_bytes", None)
             if index_memory is not None and index_memory():
                 layout_entry["index_memory_bytes"] = index_memory()
-            entry: Dict[str, Any] = {
+            per_volume[f"vol{v}"] = {
                 "disks": disks,
                 "layout": layout_entry,
+                "cache": self.cache.shards[v].stats.snapshot(),
+                "flush": flush_children[v],
             }
-            if len(self.cache.shards) == num_volumes:
-                entry["cache"] = self.cache.shards[v].stats.snapshot()
-            if v < len(flush_children):
-                entry["flush"] = flush_children[v]
-            per_volume[f"vol{v}"] = entry
         rollup: Dict[str, Any] = {
             "volumes": num_volumes,
             "disks": spec.num_disks,
             "buses": spec.num_buses,
-            "placement": spec.effective_array.placement,
-            "shard": spec.effective_array.shard,
+            "placement": spec.array.placement,
             "cache_hit_rate": self.cache.stats.hit_rate,
             "blocks_written": self.cache.stats.blocks_written,
             "disk_operations": sum(d.stats.operations for d in self.drivers),
@@ -674,10 +655,9 @@ class PatsySimulator:
                 "memory_bytes": index_total,
                 "fraction_of_cache": index_total / cache_budget,
             }
-        if isinstance(self.flush_policy, ShardedFlushPolicy):
-            rollup["flush"] = self.flush_policy.stats()
-            rollup["governor_wakeups"] = self.flush_policy.governor_wakeups
-            rollup["governor_flushes"] = self.flush_policy.governor_flushes
+        rollup["flush"] = self.flush_policy.stats()
+        rollup["governor_wakeups"] = self.flush_policy.governor_wakeups
+        rollup["governor_flushes"] = self.flush_policy.governor_flushes
         return {"per_volume": per_volume, "rollup": rollup}
 
     def collect_cluster_stats(self) -> Dict[str, Any]:

@@ -21,9 +21,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Union
 from repro.assembly.bindings import OnlineBinding
 from repro.assembly.builder import StorageStack, build_stack
 from repro.assembly.spec import StackSpec
-from repro.config import ArrayConfig, CacheConfig, FlushConfig, HostConfig, LayoutConfig
-from repro.core.storage.array import RoutedLayout
-from repro.errors import ConfigurationError
+from repro.config import CacheConfig
 from repro.units import MB
 
 __all__ = ["PegasusFileSystem"]
@@ -42,18 +40,15 @@ class PegasusFileSystem:
 
     Parameters
     ----------
+    spec:
+        The full stack description; ``None`` is the framework's default
+        stack with a 2 MB cache.
     backing:
         ``None`` for in-memory disks, or a path to the Unix file used as
         the disk back-end (a single-disk spec uses the bare path; every
         disk ``i`` of a multi-disk spec lands in ``<backing>.d<i>``).
     size_bytes:
         Capacity of the backing store, split over the spec's disks.
-    cache, flush, layout, array, io_scheduler, seed:
-        Legacy piecewise configuration (framework defaults when omitted);
-        kept as a thin shim that builds the equivalent ``spec``.
-    spec:
-        The full stack description.  When given it wins over the piecewise
-        keywords above.
     real_time:
         Use wall-clock time instead of virtual time.  Virtual time is the
         default: the same code runs, but tests and examples finish instantly.
@@ -61,35 +56,13 @@ class PegasusFileSystem:
 
     def __init__(
         self,
+        spec: Optional[StackSpec] = None,
         backing: Optional[Union[str, Path]] = None,
         size_bytes: int = 64 * MB,
-        cache: Optional[CacheConfig] = None,
-        flush: Optional[FlushConfig] = None,
-        layout: Optional[LayoutConfig] = None,
         real_time: bool = False,
-        io_scheduler: str = "clook",
-        seed: int = 0,
-        array: Optional[ArrayConfig] = None,
-        spec: Optional[StackSpec] = None,
     ):
         if spec is None:
-            spec = StackSpec(
-                cache=cache if cache is not None else CacheConfig(size_bytes=2 * MB),
-                flush=flush if flush is not None else FlushConfig(policy="periodic"),
-                layout=layout if layout is not None else LayoutConfig(),
-                host=HostConfig(io_scheduler=io_scheduler),
-                array=array,
-                seed=seed,
-            )
-        elif (
-            any(piece is not None for piece in (cache, flush, layout, array))
-            or io_scheduler != "clook"
-            or seed != 0
-        ):
-            raise ConfigurationError(
-                "pass either a full `spec` or the piecewise "
-                "cache/flush/layout/array/io_scheduler/seed keywords, not both"
-            )
+            spec = StackSpec(cache=CacheConfig(size_bytes=2 * MB))
         self.spec = spec
 
         binding = OnlineBinding(backing=backing, size_bytes=size_bytes, real_time=real_time)
@@ -116,8 +89,9 @@ class PegasusFileSystem:
         size_bytes: int = 64 * MB,
         real_time: bool = False,
     ) -> "PegasusFileSystem":
-        """A PFS running ``spec`` — the same object a simulator replays."""
-        return cls(backing=backing, size_bytes=size_bytes, real_time=real_time, spec=spec)
+        """A PFS running ``spec`` — the same object a simulator replays
+        (the constructor call, with the spec required)."""
+        return cls(spec, backing=backing, size_bytes=size_bytes, real_time=real_time)
 
     # ------------------------------------------------------------------ scheduler plumbing
 
@@ -238,24 +212,15 @@ class PegasusFileSystem:
 
     def statistics(self) -> Dict[str, Any]:
         """Cache, layout and driver statistics for monitoring."""
-        if isinstance(self.layout, RoutedLayout):
-            combined = self.layout.combined_stats()
-            layout_stats = {
-                "disk_reads": combined.get("disk_reads", 0),
-                "disk_writes": combined.get("disk_writes", 0),
-                "blocks_written": combined.get("blocks_written", 0),
-                "free_blocks": self.layout.free_blocks,
-            }
-        else:
-            layout_stats = {
-                "disk_reads": self.layout.stats.disk_reads,
-                "disk_writes": self.layout.stats.disk_writes,
-                "blocks_written": self.layout.stats.blocks_written,
-                "free_blocks": self.layout.free_blocks,
-            }
-        stats: Dict[str, Any] = {
+        combined = self.layout.combined_stats()
+        return {
             "cache": self.cache.stats.snapshot(),
-            "layout": layout_stats,
+            "layout": {
+                "disk_reads": combined["disk_reads"],
+                "disk_writes": combined["disk_writes"],
+                "blocks_written": combined["blocks_written"],
+                "free_blocks": self.layout.free_blocks,
+            },
             "driver": {
                 "reads": sum(d.stats.reads for d in self.drivers),
                 "writes": sum(d.stats.writes for d in self.drivers),
@@ -266,10 +231,8 @@ class PegasusFileSystem:
             },
             "open_files": self.fs.file_table.open_count,
             "loaded_files": self.fs.file_table.loaded_count,
+            "volumes": self.spec.num_volumes,
         }
-        if self.spec.array is not None:
-            stats["volumes"] = self.spec.array.volumes
-        return stats
 
     def close_backing(self) -> None:
         """Release the backing files (file-backed instances only)."""

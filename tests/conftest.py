@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.assembly.registry import registry
+from repro.assembly.spec import StackSpec
 from repro.config import CacheConfig, FlushConfig, LayoutConfig
 from repro.core.cache import BlockCache
 from repro.core.clock import VirtualClock
@@ -92,9 +93,11 @@ def memory_fs(scheduler) -> FileSystem:
 def pfs() -> PegasusFileSystem:
     """A formatted in-memory Pegasus file system."""
     fs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            layout=LayoutConfig(segment_size=64 * KB),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        layout=LayoutConfig(segment_size=64 * KB),
     )
     fs.format()
     return fs

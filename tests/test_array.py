@@ -1,10 +1,9 @@
 """The multi-volume storage array: placement, sharded cache, routed layout.
 
 Covers the three layers added for the Sun 4/280 reproduction — placement
-policies, the ShardedCache façade and the RoutedLayout — plus the two
-contracts the refactor must honour: a one-volume array is byte-identical to
-the legacy single-volume assembly, and a multi-volume array actually
-spreads traffic over its volumes.
+policies, the ShardedCache façade and the RoutedLayout — plus the contract
+that a multi-volume array actually spreads traffic over its volumes.  (What a
+one-volume array measures is pinned by ``tests/golden/single_volume_replay.json``.)
 """
 
 from dataclasses import replace
@@ -12,10 +11,13 @@ from dataclasses import replace
 import pytest
 
 from repro.assembly.registry import registry
+from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
     CacheConfig,
     FlushConfig,
+    HostConfig,
+    SimulationConfig,
     small_test_config,
     sun4_280_config,
 )
@@ -47,37 +49,35 @@ from tests.conftest import record_write_runs, run
 def test_array_config_validation():
     with pytest.raises(ConfigurationError):
         ArrayConfig(volumes=0)
-    with pytest.raises(ConfigurationError):
-        ArrayConfig(volumes=4, buses=1, disks_per_bus=2)  # 2 disks, 4 volumes
+    with pytest.raises(ConfigurationError):  # 2 disks, 4 volumes
+        SimulationConfig(host=HostConfig(num_disks=2), array=ArrayConfig(volumes=4))
     with pytest.raises(ConfigurationError):
         ArrayConfig(placement="raid-z")
     with pytest.raises(ConfigurationError):
-        ArrayConfig(shard="per-core")
-    with pytest.raises(ConfigurationError):
         ArrayConfig(governor_low_water=0.9, governor_high_water=0.5)
     with pytest.raises(ConfigurationError):
-        ArrayConfig(buses=4, disks_per_bus=1, num_disks=2)  # more buses than disks
+        HostConfig(num_buses=4, num_disks=2)  # more buses than disks
 
 
 def test_array_config_disk_partition():
-    config = ArrayConfig(volumes=5, buses=3, disks_per_bus=4, num_disks=10)
-    assert config.total_disks == 10
-    ranges = [config.disks_of_volume(v) for v in range(5)]
+    spec = StackSpec(host=HostConfig(num_disks=10, num_buses=3), array=ArrayConfig(volumes=5))
+    assert spec.num_disks == 10
+    ranges = [spec.disks_of_volume(v) for v in range(5)]
     assert [len(r) for r in ranges] == [2, 2, 2, 2, 2]
     covered = [i for r in ranges for i in r]
     assert covered == list(range(10))
     # Uneven split: the first volumes absorb the spare disks.
-    uneven = ArrayConfig(volumes=3, buses=1, disks_per_bus=10, num_disks=10)
+    uneven = StackSpec(host=HostConfig(num_disks=10), array=ArrayConfig(volumes=3))
     assert [len(uneven.disks_of_volume(v)) for v in range(3)] == [4, 3, 3]
     # Buses are assigned round-robin by global disk index.
-    assert [config.bus_for_disk(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
+    assert [spec.bus_for_disk(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 def test_sun4_280_preset_matches_the_paper():
     config = sun4_280_config(scale=0.01)
-    assert config.array is not None
-    assert config.array.total_disks == 10
-    assert config.array.buses == 3
+    assert config.host.num_disks == 10
+    assert config.host.num_buses == 3
+    assert config.array.volumes == 5
     assert config.host.disk_model == "hp97560"
     assert config.layout.kind == "lfs"
 
@@ -493,7 +493,8 @@ def test_ffs_array_survives_many_files():
     config = replace(
         base,
         layout=replace(base.layout, kind="ffs"),
-        array=ArrayConfig(volumes=2, buses=1, disks_per_bus=2),
+        host=replace(base.host, num_disks=2),
+        array=ArrayConfig(volumes=2),
     )
     simulator = PatsySimulator(config)
     for v, sub in enumerate(simulator.layout.sublayouts):
@@ -590,65 +591,27 @@ def array_trace(seed=3, duration=120.0):
     return generate_workload(profile, seed=seed)
 
 
-def test_one_volume_array_reproduces_legacy_summary_byte_identically():
-    """The acceptance contract: ArrayConfig(volumes=1) must push every
-    operation through the façade/router layers and still produce the exact
-    measurements of the legacy single-volume assembly."""
-    trace = array_trace()
-    legacy = PatsySimulator(small_test_config()).replay(trace, trace_name="t")
-    config = replace(
-        small_test_config(),
-        array=ArrayConfig(volumes=1, buses=1, disks_per_bus=1),
-    )
-    arrayed = PatsySimulator(config).replay(trace, trace_name="t")
-    assert repr(legacy.summary()) == repr(arrayed.summary())
-    # The array run went through the refactored stack, not the legacy one.
-    assert arrayed.volume_stats and not legacy.volume_stats
-
-
 @pytest.mark.parametrize("placement", ["hash", "stripe", "directory"])
 def test_multi_volume_array_replays_and_spreads(placement):
     base = small_test_config()
     config = replace(
         base,
         cache=replace(base.cache, size_bytes=192 * 4 * KB),
-        array=ArrayConfig(
-            volumes=3,
-            buses=2,
-            disks_per_bus=2,
-            placement=placement,
-            stripe_unit_blocks=4,
-        ),
+        host=replace(base.host, num_disks=4, num_buses=2),
+        array=ArrayConfig(volumes=3, placement=placement, stripe_unit_blocks=4),
     )
     result = PatsySimulator(config).replay(array_trace(seed=5), trace_name=placement)
     assert result.errors == 0
     per_volume = result.volume_stats["per_volume"]
     assert set(per_volume) == {"vol0", "vol1", "vol2"}
+    # Every volume has its own cache shard and flush daemon to report.
+    assert all({"cache", "flush"} <= set(entry) for entry in per_volume.values())
     writes = [per_volume[f"vol{v}"]["layout"]["blocks_written"] for v in range(3)]
     busy = sum(1 for w in writes if w > 0)
     assert busy >= 2, f"placement {placement} left the array lopsided: {writes}"
     rollup = result.volume_stats["rollup"]
     assert rollup["placement"] == placement
     assert rollup["disk_operations"] > 0
-
-
-def test_unified_shard_keeps_one_cache_over_many_volumes():
-    base = small_test_config()
-    config = replace(
-        base,
-        array=ArrayConfig(volumes=2, buses=1, disks_per_bus=2, shard="unified"),
-    )
-    simulator = PatsySimulator(config)
-    assert len(simulator.cache.shards) == 1
-    result = simulator.replay(array_trace(seed=7), trace_name="unified")
-    assert result.errors == 0
-    per_volume = result.volume_stats["per_volume"]
-    assert all("cache" not in entry for entry in per_volume.values())
-    # One flush daemon serves the whole unified cache: its counters belong
-    # to the array rollup, never misattributed to vol0.
-    assert all("flush" not in entry for entry in per_volume.values())
-    rollup = result.volume_stats["rollup"]
-    assert "flush" in rollup and "layout" in rollup
 
 
 def test_sun4_280_preset_runs_with_per_volume_stats():

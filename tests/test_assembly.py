@@ -23,7 +23,9 @@ from repro.config import (
     HostConfig,
     LayoutConfig,
     SimulationConfig,
+    cluster_config,
     small_test_config,
+    sprite_server_config,
     sun4_280_config,
 )
 from repro.core.cache import BlockCache
@@ -118,7 +120,7 @@ def small_spec(**overrides):
 def test_stack_spec_round_trips_through_dict():
     for spec in (
         small_spec(),
-        small_spec(array=ArrayConfig(volumes=3, buses=1, disks_per_bus=3)),
+        small_spec(host=HostConfig(num_disks=3), array=ArrayConfig(volumes=3)),
         StackSpec.from_config(sun4_280_config(scale=0.002)),
     ):
         data = spec.to_dict()
@@ -136,6 +138,50 @@ def test_stack_spec_from_dict_rejects_unknown_keys():
         StackSpec.from_dict({"cache": {"size_byte": 1}})
     with pytest.raises(ConfigurationError):
         StackSpec.from_dict({"cache": 42})
+    # The hardware is the host section's to describe: the keys ArrayConfig
+    # used to repeat it with are rejected by name.
+    with pytest.raises(ConfigurationError) as error:
+        StackSpec.from_dict(
+            {"array": {"volumes": 2, "buses": 1, "disks_per_bus": 4, "num_disks": 4, "shard": "unified"}}
+        )
+    for key in ("buses", "disks_per_bus", "num_disks", "shard"):
+        assert repr(key) in str(error.value)
+
+
+@pytest.mark.parametrize(
+    "data, section, key",
+    [
+        ({"seed": "x"}, None, "seed"),
+        ({"seed": None}, None, "seed"),
+        ({"cache": {"size_bytes": "big"}}, "cache", "size_bytes"),
+        ({"array": {"volumes": "2"}}, "array", "volumes"),
+        ({"flush": {"whole_file": 1}}, "flush", "whole_file"),
+        ({"flush": {"daemon_low_water": "0.1"}}, "flush", "daemon_low_water"),
+        ({"host": {"num_disks": True}}, "host", "num_disks"),
+        ({"cluster": {"nodes": 2.0}}, "cluster", "nodes"),
+    ],
+)
+def test_stack_spec_from_dict_names_a_wrong_typed_value(data, section, key):
+    """A manifest value of the wrong type is a ConfigurationError naming the
+    section and key, never a bare TypeError/ValueError from a comparison."""
+    with pytest.raises(ConfigurationError) as error:
+        StackSpec.from_dict(data)
+    message = str(error.value)
+    assert repr(key) in message and (section is None or repr(section) in message)
+
+
+def test_stack_spec_from_dict_accepts_json_numbers_and_null_sections():
+    # An int where a float is wanted, null for an Optional knob, and null
+    # for a whole section (what an older to_dict wrote for "no array").
+    spec = StackSpec.from_dict(
+        {
+            "flush": {"update_interval": 30, "daemon_low_water": None},
+            "host": {"bus_bandwidth": 10485760},
+            "array": None,
+            "cluster": None,
+        }
+    )
+    assert spec == StackSpec()
 
 
 def test_stack_spec_config_round_trip():
@@ -147,7 +193,7 @@ def test_stack_spec_config_round_trip():
 
 
 def test_stack_spec_shape_helpers():
-    spec = small_spec(array=ArrayConfig(volumes=2, buses=1, disks_per_bus=2))
+    spec = small_spec(host=HostConfig(num_disks=2), array=ArrayConfig(volumes=2))
     assert spec.num_volumes == 2
     assert spec.num_disks == 2
     assert list(spec.disks_of_volume(1)) == [1]
@@ -161,35 +207,69 @@ def test_stack_spec_shape_helpers():
 # --------------------------------------------------------------------------- build_stack
 
 
-def test_build_stack_single_volume_both_worlds():
-    spec = small_spec()
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_test_config(),
+        sprite_server_config(scale=0.002),
+        sun4_280_config(scale=0.002),
+        cluster_config(nodes=2, scale=0.002),
+    ],
+    ids=["small_test", "sprite_server", "sun4_280", "cluster"],
+)
+def test_every_preset_builds_the_same_five_component_classes_in_both_worlds(config):
+    spec = StackSpec.from_config(config)
     sim = build_stack(spec, SimulatedBinding())
-    online = build_stack(spec, OnlineBinding(size_bytes=16 * MB))
-    # Same component classes either side of the cut-and-paste line...
-    assert type(sim.cache) is type(online.cache) is BlockCache
-    assert type(sim.flush_policy) is type(online.flush_policy)
-    assert type(sim.layout) is type(online.layout) is LogStructuredLayout
-    assert type(sim.cleaner) is type(online.cleaner)
+    online = build_stack(spec, OnlineBinding(size_bytes=4 * MB * spec.num_disks))
+    # One assembly path: the same five classes for every stack, either side
+    # of the cut-and-paste line...
+    for stack in (sim, online):
+        assert type(stack.volume) is VolumeSet and len(stack.volume) == spec.num_volumes
+        assert type(stack.layout) is RoutedLayout
+        assert [type(sub) for sub in stack.layout.sublayouts] == (
+            [LogStructuredLayout] * spec.num_volumes
+        )
+        assert type(stack.cache) is ShardedCache
+        assert [type(shard) for shard in stack.cache.shards] == [BlockCache] * spec.num_volumes
+        assert type(stack.flush_policy) is ShardedFlushPolicy
+        assert type(stack.cleaner) is CleanerSet and len(stack.cleaner) == spec.num_volumes
     # ...with only the helpers differing.
     assert sim.cache.with_data is False and online.cache.with_data is True
-    assert sim.buses and not online.buses
-    assert len(sim.drivers) == len(online.drivers) == 1
+    assert len(sim.buses) == spec.num_buses and not online.buses
+    assert len(sim.drivers) == len(online.drivers) == spec.num_disks
 
 
 def test_build_stack_array_builds_sharded_components():
-    spec = small_spec(array=ArrayConfig(volumes=3, buses=2, disks_per_bus=2))
+    spec = small_spec(host=HostConfig(num_disks=4, num_buses=2), array=ArrayConfig(volumes=3))
     stack = build_stack(spec, SimulatedBinding())
-    assert isinstance(stack.cache, ShardedCache) and len(stack.cache.shards) == 3
-    assert isinstance(stack.layout, RoutedLayout)
-    assert isinstance(stack.volume, VolumeSet) and len(stack.volume) == 3
-    assert isinstance(stack.flush_policy, ShardedFlushPolicy)
-    assert isinstance(stack.cleaner, CleanerSet) and len(stack.cleaner) == 3
-    assert stack.placement is not None and stack.placement.name == "hash"
+    assert len(stack.cache.shards) == len(stack.volume) == len(stack.cleaner) == 3
+    assert [volume.num_disks for volume in stack.volume] == [2, 1, 1]
+    assert stack.placement.name == "hash"
     assert len(stack.drivers) == 4 and len(stack.buses) == 2
 
 
+def test_hardware_is_described_once():
+    """The disks and buses are the host section's; the array section only
+    carves them.  The old contradictory pair — a one-disk host under an
+    array that brought four disks of its own — can no longer be written."""
+    with pytest.raises(TypeError):
+        ArrayConfig(volumes=2, buses=1, disks_per_bus=4)
+    with pytest.raises(TypeError):
+        ArrayConfig(volumes=2, num_disks=4)
+    # More volumes than the host has disks is refused wherever the two meet.
+    with pytest.raises(ConfigurationError):
+        SimulationConfig(host=HostConfig(num_disks=1), array=ArrayConfig(volumes=2))
+    with pytest.raises(ConfigurationError):
+        StackSpec(host=HostConfig(num_disks=1), array=ArrayConfig(volumes=2))
+    with pytest.raises(ConfigurationError):
+        StackSpec.from_dict({"host": {"num_disks": 1}, "array": {"volumes": 2}})
+    # What the host says is what gets built.
+    spec = StackSpec(host=HostConfig(num_disks=4, num_buses=1), array=ArrayConfig(volumes=2))
+    assert len(build_stack(spec, SimulatedBinding()).disks) == 4
+
+
 def test_simulator_with_prebuilt_stack_derives_its_config():
-    spec = small_spec(array=ArrayConfig(volumes=2, buses=1, disks_per_bus=2))
+    spec = small_spec(host=HostConfig(num_disks=2), array=ArrayConfig(volumes=2))
     stack = build_stack(spec, SimulatedBinding())
     simulator = PatsySimulator(stack=stack)
     # The run config comes from the stack's spec, not small_test_config().
@@ -206,13 +286,19 @@ def test_simulator_with_prebuilt_stack_derives_its_config():
 
 def test_pfs_rejects_spec_plus_piecewise_keywords():
     spec = small_spec()
-    with pytest.raises(ConfigurationError):
-        PegasusFileSystem(spec=spec, cache=CacheConfig(size_bytes=1 * MB))
-    with pytest.raises(ConfigurationError):
-        PegasusFileSystem(spec=spec, seed=9)
-    # The spec-only and piecewise-only forms both still work.
-    assert PegasusFileSystem(spec=spec).spec is spec
-    assert PegasusFileSystem(seed=9).spec.seed == 9
+    assert PegasusFileSystem(spec).spec is spec
+    assert PegasusFileSystem.from_spec(spec).spec is spec
+    # No spec: the default stack with a 2 MB cache.
+    assert PegasusFileSystem().spec == StackSpec(cache=CacheConfig(size_bytes=2 * MB))
+    # The stack is described by the spec alone.
+    for piecewise in (
+        {"cache": CacheConfig(size_bytes=1 * MB)},
+        {"array": ArrayConfig(volumes=1)},
+        {"io_scheduler": "clook"},
+        {"seed": 0},
+    ):
+        with pytest.raises(TypeError):
+            PegasusFileSystem(spec=spec, **piecewise)
 
 
 def test_third_party_replacement_class_registers_directly():
@@ -255,8 +341,8 @@ def array_spec(volumes=3):
         cache=CacheConfig(size_bytes=192 * 4 * KB),
         flush=FlushConfig(policy="periodic", nvram_bytes=16 * 4 * KB),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
-        host=HostConfig(num_disks=1, num_buses=1),
-        array=ArrayConfig(volumes=volumes, buses=1, disks_per_bus=volumes),
+        host=HostConfig(num_disks=volumes, num_buses=1),
+        array=ArrayConfig(volumes=volumes),
         seed=5,
     )
 
@@ -264,8 +350,7 @@ def array_spec(volumes=3):
 def test_pfs_mounts_a_multi_volume_array_spec():
     """The acceptance contract: the on-line world gains the array stack."""
     pfs = PegasusFileSystem(spec=array_spec(volumes=3), size_bytes=24 * MB)
-    assert isinstance(pfs.cache, ShardedCache) and len(pfs.cache.shards) == 3
-    assert isinstance(pfs.layout, RoutedLayout)
+    assert len(pfs.cache.shards) == len(pfs.layout.sublayouts) == 3
     assert len(pfs.drivers) == 3
     pfs.format()
 
@@ -305,6 +390,47 @@ def payloads_to_names(payloads):
     return [path.rsplit("/", 1)[1] for path in payloads]
 
 
+@pytest.mark.parametrize("volumes", [1, 3])
+@pytest.mark.parametrize("kind", ["lfs", "ffs"])
+def test_files_created_after_a_remount_get_fresh_inode_numbers(volumes, kind):
+    """The router resumes every volume's inode progression at mount.  It
+    used to start over at the root's number, so the first file created on a
+    remounted array replaced the root directory."""
+    from dataclasses import replace
+
+    base = array_spec(volumes=volumes)
+    spec = replace(base, layout=replace(base.layout, kind=kind))
+    first = PegasusFileSystem(spec=spec, size_bytes=24 * MB)
+    first.format()
+    first.mkdir("/d")
+    old = {f"/d/old{i}": bytes([i + 1]) * (5000 + 700 * i) for i in range(9)}
+    for path, payload in old.items():
+        first.write_file(path, payload)
+    first.delete("/d/old8")
+    del old["/d/old8"]
+    taken = {first.stat(path)["ino"] for path in old} | {first.stat("/d")["ino"], 2}
+    first.unmount()
+
+    second = PegasusFileSystem(spec=spec, size_bytes=24 * MB)
+    for source, target in zip(first.drivers, second.drivers):
+        target.restore(source.snapshot())
+    second.mount()
+    new = {f"/d/new{i}": bytes([100 + i]) * (3000 + 900 * i) for i in range(9)}
+    for path, payload in new.items():
+        second.write_file(path, payload)
+    numbers = [second.stat(path)["ino"] for path in new]
+    assert len(set(numbers)) == len(numbers) and not set(numbers) & taken
+    second.unmount()
+
+    third = PegasusFileSystem(spec=spec, size_bytes=24 * MB)
+    for source, target in zip(second.drivers, third.drivers):
+        target.restore(source.snapshot())
+    third.mount()
+    assert sorted(third.listdir("/d")) == sorted(path[3:] for path in {**old, **new})
+    for path, payload in {**old, **new}.items():
+        assert third.read_file(path) == payload, path
+
+
 def test_pfs_sun4_280_spec_mounts():
     """One spec, both worlds: the paper machine's stack mounts on-line."""
     spec = StackSpec.from_config(sun4_280_config(scale=0.002, seed=1))
@@ -321,12 +447,12 @@ def test_pfs_sun4_280_spec_mounts():
 
 def test_full_hardware_experiment_runs_on_the_sun4_280_array():
     config = experiment_config("ups", memory_scale=0.01, full_hardware=True)
-    assert config.array is not None
-    assert config.array.total_disks == 10 and config.array.buses == 3
+    assert config.host.num_disks == 10 and config.host.num_buses == 3
     assert config.array.volumes == 5
     assert config.flush.policy == "ups"
     # Default runs stay on the fast single-disk complement.
-    assert experiment_config("ups", memory_scale=0.01).array is None
+    default = experiment_config("ups", memory_scale=0.01)
+    assert default.host.num_disks == 1 and default.array.volumes == 1
 
 
 def test_array_knobs_without_full_hardware_fail_loudly():
@@ -341,7 +467,7 @@ def test_with_array_fluent_api():
     arrayed = experiment.with_array(volumes=2, placement="stripe")
     assert not experiment.full_hardware and arrayed.full_hardware
     config = arrayed.config()
-    assert config.array is not None and config.array.volumes == 2
+    assert config.array.volumes == 2
     assert config.array.placement == "stripe"
     spec = arrayed.spec()
     assert spec.array == config.array
@@ -373,19 +499,15 @@ def test_spec_diff_reports_differing_fields_only():
 
     a = StackSpec.from_config(small_test_config())
     b_config = small_test_config(seed=7)
-    b = StackSpec.from_config(b_config).with_array(
-        ArrayConfig(volumes=2, buses=1, disks_per_bus=2)
-    )
+    b = StackSpec.from_config(b_config).with_array(ArrayConfig(placement="stripe"))
     from dataclasses import replace
 
     b = replace(b, cache=replace(b.cache, replacement="arc"))
     delta = spec_diff(a, b)
     assert set(delta) == {"cache", "array", "seed"}
     assert delta["cache"] == {"replacement": ("lru", "arc")}
+    assert delta["array"] == {"placement": ("hash", "stripe")}
     assert delta["seed"] == (0, 7)
-    # A section present on one side only comes back whole (as dicts).
-    a_side, b_side = delta["array"]
-    assert a_side is None and b_side["volumes"] == 2
     # Untouched sections never appear.
     assert "flush" not in delta and "layout" not in delta and "host" not in delta
 
@@ -398,7 +520,9 @@ def test_spec_diff_cluster_section_and_experiment_delta():
     a = StackSpec.from_config(small_test_config())
     b = a.with_cluster(ClusterConfig(nodes=3))
     delta = spec_diff(a, b)
-    assert "cluster" in delta and delta["cluster"][1]["nodes"] == 3
+    # A section present on one side only comes back whole (as dicts).
+    a_side, b_side = delta["cluster"]
+    assert a_side is None and b_side["nodes"] == 3
     # Experiments print manifest deltas through the same helper.
     base = DelayedWriteExperiment(trace_name="1a", policy_name="ups")
     arrayed = base.with_array(volumes=5)

@@ -2,8 +2,7 @@
 
 The contracts pinned here:
 
-* a one-node cluster is byte-identical to the bare array stack (alongside
-  the ``ArrayConfig(volumes=1)`` equivalence in ``tests/test_array.py``),
+* a one-node cluster is byte-identical to the bare array stack,
 * block I/O to a remote node's volume pays for the network (NIC queueing,
   bandwidth, latency) with charged time,
 * migration moves a file's home volume online and reads stay
@@ -21,6 +20,7 @@ from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
+    HostConfig,
     CacheConfig,
     ClusterConfig,
     FlushConfig,
@@ -71,13 +71,14 @@ def test_cluster_config_validation():
 
 def test_spec_cluster_topology_helpers():
     spec = StackSpec(
-        array=ArrayConfig(volumes=2, buses=2, disks_per_bus=2),
+        host=HostConfig(num_disks=4, num_buses=2),
+        array=ArrayConfig(volumes=2),
         cluster=ClusterConfig(nodes=3),
     )
     assert spec.num_nodes == 3
     assert spec.volumes_per_node == 2 and spec.num_volumes == 6
     assert spec.disks_per_node == 4 and spec.num_disks == 12
-    assert spec.buses_per_node == 2 and spec.num_buses == 6
+    assert spec.host.num_buses == 2 and spec.num_buses == 6
     # Volume 3 is node 1's second volume: its disks live in node 1's slice.
     assert spec.node_of_volume(3) == 1
     assert list(spec.disks_of_volume(3)) == [6, 7]
@@ -194,10 +195,8 @@ def cluster_spec(nodes=2, volumes_per_node=1, rebalance=False, **cluster_kwargs)
         cache=replace(base.cache, size_bytes=128 * 4 * KB),
         flush=base.flush,
         layout=base.layout,
-        host=base.host,
-        array=ArrayConfig(
-            volumes=volumes_per_node, buses=1, disks_per_bus=volumes_per_node
-        ),
+        host=replace(base.host, num_disks=volumes_per_node),
+        array=ArrayConfig(volumes=volumes_per_node),
         cluster=ClusterConfig(nodes=nodes, rebalance=rebalance, **cluster_kwargs),
     )
 
@@ -274,7 +273,8 @@ def test_one_node_cluster_reproduces_array_summary_byte_identically():
     trace = skewed_trace(directories=4)
     base = replace(
         small_test_config(),
-        array=ArrayConfig(volumes=2, buses=1, disks_per_bus=2),
+        host=HostConfig(num_disks=2),
+        array=ArrayConfig(volumes=2),
     )
     arrayed = PatsySimulator(base).replay(trace, trace_name="t")
     clustered_config = replace(base, cluster=ClusterConfig(nodes=1))
@@ -317,7 +317,6 @@ def build_online_cluster(nodes=2):
         cache=CacheConfig(size_bytes=256 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
-        array=ArrayConfig(volumes=1, buses=1, disks_per_bus=1),
         cluster=ClusterConfig(nodes=nodes, rebalance=False),
     )
     stack = build_stack(spec, OnlineBinding(size_bytes=16 * MB * nodes))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.assembly import OnlineBinding, SimulatedBinding, StackSpec, build_stack
 from repro.assembly.registry import registry
-from repro.config import ArrayConfig, CacheConfig, FlushConfig, small_test_config
+from repro.config import ArrayConfig, CacheConfig, FlushConfig, HostConfig, small_test_config
 from repro.core.cache import BlockCache
 from repro.core.client import AbstractClientInterface
 from repro.core.flush import (
@@ -21,7 +21,7 @@ from repro.core.flush import (
     ShardedFlushPolicy,
 )
 from repro.core.storage.array import RoutedLayout, ShardedCache
-from repro.core.storage.cleaner import CleanerSet
+from repro.core.storage.lfs import LogStructuredLayout
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.traces import TraceRecord
 from repro.pfs.filesystem import PegasusFileSystem
@@ -41,10 +41,12 @@ WORKLOAD = [
 
 def drive_pfs(flush_policy="periodic"):
     pfs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy=flush_policy),
+            layout=LayoutConfig(segment_size=64 * KB),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        flush=FlushConfig(policy=flush_policy),
-        layout=LayoutConfig(segment_size=64 * KB),
     )
     pfs.format()
     for op, path, payload in WORKLOAD:
@@ -83,12 +85,15 @@ def test_both_instantiations_share_component_classes():
     pfs = drive_pfs()
     simulator, _result = drive_patsy()
     # Identical component classes on both sides of the cut-and-paste line.
-    assert type(pfs.cache) is type(simulator.cache) is BlockCache
+    assert type(pfs.cache) is type(simulator.cache) is ShardedCache
+    assert type(pfs.cache.shards[0]) is type(simulator.cache.shards[0]) is BlockCache
     assert type(pfs.fs.namespace) is type(simulator.fs.namespace)
     assert type(pfs.client).__mro__[1] is AbstractClientInterface or isinstance(
         pfs.client, AbstractClientInterface
     )
-    assert type(pfs.layout).__name__ == type(simulator.layout).__name__ == "LogStructuredLayout"
+    assert type(pfs.layout) is type(simulator.layout) is RoutedLayout
+    for layout in (pfs.layout, simulator.layout):
+        assert [type(sub) for sub in layout.sublayouts] == [LogStructuredLayout]
     # The only difference: the simulator's cache has no data buffers.
     assert pfs.cache.with_data is True
     assert simulator.cache.with_data is False
@@ -114,8 +119,9 @@ def test_same_namespace_outcome_in_both_instantiations():
 def test_same_policy_objects_run_in_both_worlds():
     pfs = drive_pfs(flush_policy="nvram")
     simulator, _ = drive_patsy(flush_policy="nvram")
-    assert isinstance(pfs.flush_policy, NvramPolicy)
-    assert isinstance(simulator.flush_policy, NvramPolicy)
+    for flush_policy in (pfs.flush_policy, simulator.flush_policy):
+        assert isinstance(flush_policy, ShardedFlushPolicy)
+        assert [type(child) for child in flush_policy.children] == [NvramPolicy]
     assert pfs.cache.dirty_limit_bytes is not None
     assert simulator.cache.dirty_limit_bytes is not None
 
@@ -146,46 +152,34 @@ def test_migrating_a_policy_requires_no_code_changes():
 
 def _component_classes(stack):
     """The classes of every policy-bearing component in a stack."""
-    classes = {
+    return {
         "cache": type(stack.cache),
         "flush": type(stack.flush_policy),
         "layout": type(stack.layout),
         "cleaner": type(stack.cleaner),
         "placement": type(stack.placement),
+        "cache_shards": [type(shard) for shard in stack.cache.shards],
+        "shard_policies": [type(shard.policy) for shard in stack.cache.shards],
+        "sublayouts": [type(sub) for sub in stack.layout.sublayouts],
+        "flush_children": [type(child) for child in stack.flush_policy.children],
+        "cleaner_policies": [type(daemon.policy) for daemon in stack.cleaner],
     }
-    if isinstance(stack.cache, ShardedCache):
-        classes["cache_shards"] = [type(shard) for shard in stack.cache.shards]
-        classes["shard_policies"] = [
-            type(shard.policy) for shard in stack.cache.shards
-        ]
-    else:
-        classes["replacement"] = type(stack.cache.policy)
-    if isinstance(stack.layout, RoutedLayout):
-        classes["sublayouts"] = [type(sub) for sub in stack.layout.sublayouts]
-    if isinstance(stack.flush_policy, ShardedFlushPolicy):
-        classes["flush_children"] = [
-            type(child) for child in stack.flush_policy.children
-        ]
-    if isinstance(stack.cleaner, CleanerSet):
-        classes["cleaner_policies"] = [
-            type(daemon.policy) for daemon in stack.cleaner
-        ]
-    return classes
 
 
 @pytest.mark.parametrize(
-    "array",
+    "host, array",
     [
-        None,
-        ArrayConfig(volumes=3, buses=2, disks_per_bus=2, placement="stripe"),
+        (HostConfig(), ArrayConfig()),
+        (HostConfig(num_disks=4, num_buses=2), ArrayConfig(volumes=3, placement="stripe")),
     ],
     ids=["single-volume", "multi-volume"],
 )
-def test_one_spec_builds_identical_component_classes_in_both_worlds(array):
+def test_one_spec_builds_identical_component_classes_in_both_worlds(host, array):
     spec = StackSpec(
         cache=CacheConfig(size_bytes=192 * 4 * KB, replacement="arc"),
         flush=FlushConfig(policy="nvram", nvram_bytes=16 * 4 * KB),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
+        host=host,
         array=array,
         seed=2,
     )

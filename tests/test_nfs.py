@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.assembly.spec import StackSpec
 from repro.pfs.filesystem import PegasusFileSystem
 from repro.pfs.nfs import NfsError, NfsLoopbackClient, NfsProcedure, NfsServer, NfsStatus
 from repro.config import CacheConfig, LayoutConfig
@@ -11,9 +12,11 @@ from repro.units import KB, MB
 @pytest.fixture
 def nfs():
     pfs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            layout=LayoutConfig(segment_size=64 * KB),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        layout=LayoutConfig(segment_size=64 * KB),
     )
     pfs.format()
     server = NfsServer(pfs.fs, num_threads=3)

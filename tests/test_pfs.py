@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from repro.assembly.spec import StackSpec
 from repro.config import CacheConfig, FlushConfig, LayoutConfig
 from repro.errors import FileNotFound
 from repro.pfs.filesystem import PegasusFileSystem
@@ -96,10 +97,12 @@ def test_persistence_across_remount_memoryless():
     path = tempfile.mktemp(suffix=".pfsimg")
     try:
         first = PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                layout=LayoutConfig(segment_size=64 * KB),
+            ),
             backing=path,
             size_bytes=16 * MB,
-            cache=CacheConfig(size_bytes=1 * MB),
-            layout=LayoutConfig(segment_size=64 * KB),
         )
         first.format()
         first.mkdir("/persist")
@@ -110,10 +113,12 @@ def test_persistence_across_remount_memoryless():
         first.close_backing()
 
         second = PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                layout=LayoutConfig(segment_size=64 * KB),
+            ),
             backing=path,
             size_bytes=16 * MB,
-            cache=CacheConfig(size_bytes=1 * MB),
-            layout=LayoutConfig(segment_size=64 * KB),
         )
         second.mount()
         assert second.listdir("/persist") == ["a.txt"]
@@ -127,9 +132,11 @@ def test_persistence_across_remount_memoryless():
 
 def test_ffs_layout_variant():
     pfs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            layout=LayoutConfig(kind="ffs"),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        layout=LayoutConfig(kind="ffs"),
     )
     pfs.format()
     pfs.write_file("/on-ffs", b"ffs data" * 100)
@@ -138,10 +145,12 @@ def test_ffs_layout_variant():
 
 def test_ups_flush_policy_variant():
     pfs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy="ups"),
+            layout=LayoutConfig(segment_size=64 * KB),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        flush=FlushConfig(policy="ups"),
-        layout=LayoutConfig(segment_size=64 * KB),
     )
     pfs.format()
     pfs.write_file("/ups-file", b"U" * 4096)
@@ -165,10 +174,12 @@ def test_multimedia_file_creation(pfs):
 def _memory_pfs():
     # "ups": nothing flushes behind the test's back.
     return PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy="ups"),
+            layout=LayoutConfig(segment_size=256 * KB),
+        ),
         size_bytes=16 * MB,
-        cache=CacheConfig(size_bytes=1 * MB),
-        flush=FlushConfig(policy="ups"),
-        layout=LayoutConfig(segment_size=256 * KB),
     )
 
 
@@ -201,7 +212,7 @@ def test_overlapping_writebacks_keep_the_newer_inode_across_remount():
     assert len(dirty) == 16
     older, newer = dirty[:12], dirty[12:]
 
-    scheduler, volume = pfs.scheduler, pfs.volume
+    scheduler, volume, shard = pfs.scheduler, pfs.volume[0], pfs.cache.shards[0]
     original = volume.write_run
     stalled = []
 
@@ -211,13 +222,13 @@ def test_overlapping_writebacks_keep_the_newer_inode_across_remount():
         if not stalled:
             stalled.append(nblocks)
             newer_thread = scheduler.spawn(
-                pfs.cache._writeback_blocks, file_id, newer, name="newer"
+                shard._writeback_blocks, file_id, newer, name="newer"
             )
             yield from newer_thread.join()
         return (yield from original(block_addr, nblocks, data))
 
     volume.write_run = stall_older_append
-    older_thread = scheduler.spawn(pfs.cache._writeback_blocks, file_id, older, name="older")
+    older_thread = scheduler.spawn(shard._writeback_blocks, file_id, older, name="older")
     scheduler.run_until_complete(older_thread)
     del volume.write_run
     assert stalled == [len(older) + 1]
@@ -238,11 +249,13 @@ def test_sync_reaches_the_backing_files(tmp_path):
     ``close_backing()``: the copy mounted an older checkpoint.)"""
     def file_pfs(path):
         return PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                flush=FlushConfig(policy="ups"),
+                layout=LayoutConfig(segment_size=64 * KB),
+            ),
             backing=path,
             size_bytes=16 * MB,
-            cache=CacheConfig(size_bytes=1 * MB),
-            flush=FlushConfig(policy="ups"),
-            layout=LayoutConfig(segment_size=64 * KB),
         )
 
     live = file_pfs(tmp_path / "live.img")
@@ -284,10 +297,12 @@ def test_checkpoint_in_a_fresh_segment_survives_the_next_mount():
     following checkpoint lost the whole file system."""
     def small_pfs():
         return PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                flush=FlushConfig(policy="ups"),
+                layout=LayoutConfig(segment_size=64 * KB),
+            ),
             size_bytes=16 * MB,
-            cache=CacheConfig(size_bytes=1 * MB),
-            flush=FlushConfig(policy="ups"),
-            layout=LayoutConfig(segment_size=64 * KB),
         )
 
     def remount(source):
@@ -303,7 +318,7 @@ def test_checkpoint_in_a_fresh_segment_survives_the_next_mount():
     for path, content in files.items():
         first.write_file(path, content)
     first.sync()
-    layout = first.layout
+    (layout,) = first.layout.sublayouts
     root = first.fs.root_directory().inode
     while layout._active_offset < layout.segment_blocks:  # fill the segment exactly
         first.run(layout.write_inode, root)
@@ -313,7 +328,7 @@ def test_checkpoint_in_a_fresh_segment_survives_the_next_mount():
     assert layout.segment_of(address) != full  # the checkpoint opened a fresh segment
 
     second = remount(first)
-    assert second.layout._active_segment != layout.segment_of(address)
+    assert second.layout.sublayouts[0]._active_segment != layout.segment_of(address)
     # A segment's worth of new data reaches the log; no checkpoint follows.
     second.write_file("/new", bytes(range(256)) * 16 * layout.segment_blocks)
     second.run(second.cache.flush_all)
@@ -348,17 +363,18 @@ def test_one_64kb_read_of_a_fragmented_file_costs_one_disk_read_per_fragment():
     pfs.cache.invalidate_file(inode.number)
 
     reads = []
-    original = pfs.volume.read_run
+    (volume,) = pfs.volume
+    original = volume.read_run
 
     def read_run(block_addr, nblocks=1):
         reads.append((block_addr, nblocks))
         return original(block_addr, nblocks)
 
-    pfs.volume.read_run = read_run
+    volume.read_run = read_run
     try:
         assert pfs.read_file("/f", 0, 64 * KB) == bytes(model)
     finally:
-        del pfs.volume.read_run
+        del volume.read_run
     assert reads == [(addresses[0], 6), (addresses[6], 5), (addresses[11], 5)]
 
 
@@ -371,10 +387,12 @@ def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
 
     def tiny_cache_pfs():
         return PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=8 * 4 * KB),
+                flush=FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
+                layout=LayoutConfig(segment_size=256 * KB),
+            ),
             size_bytes=16 * MB,
-            cache=CacheConfig(size_bytes=8 * 4 * KB),
-            flush=FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
-            layout=LayoutConfig(segment_size=256 * KB),
         )
 
     pfs = tiny_cache_pfs()

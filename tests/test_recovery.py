@@ -36,6 +36,7 @@ from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
+    HostConfig,
     CacheConfig,
     ClusterConfig,
     FlushConfig,
@@ -65,12 +66,8 @@ def crash_spec(nodes=2, volumes_per_node=1, placement="hash"):
         cache=CacheConfig(size_bytes=256 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
-        array=ArrayConfig(
-            volumes=volumes_per_node,
-            buses=1,
-            disks_per_bus=volumes_per_node,
-            placement=placement,
-        ),
+        host=HostConfig(num_disks=volumes_per_node),
+        array=ArrayConfig(volumes=volumes_per_node, placement=placement),
         cluster=ClusterConfig(
             nodes=nodes,
             rebalance=False,

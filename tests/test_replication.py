@@ -23,6 +23,7 @@ from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
+    HostConfig,
     CacheConfig,
     ClusterConfig,
     FlushConfig,
@@ -58,12 +59,8 @@ def replica_spec(
         cache=CacheConfig(size_bytes=256 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
-        array=ArrayConfig(
-            volumes=volumes_per_node,
-            buses=1,
-            disks_per_bus=volumes_per_node,
-            placement="hash",
-        ),
+        host=HostConfig(num_disks=volumes_per_node),
+        array=ArrayConfig(volumes=volumes_per_node, placement="hash"),
         cluster=ClusterConfig(
             nodes=nodes,
             rebalance=False,

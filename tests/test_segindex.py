@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
-    ArrayConfig,
     CacheConfig,
     ClusterConfig,
     FlushConfig,
@@ -724,7 +723,6 @@ def _stack_spec(nodes=None):
         cache=CacheConfig(size_bytes=64 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
         layout=LayoutConfig(segment_size=16 * 4 * KB),
-        array=ArrayConfig(volumes=1, buses=1, disks_per_bus=1),
         cluster=ClusterConfig(nodes=nodes, rebalance=False) if nodes else None,
         seed=11,
     )

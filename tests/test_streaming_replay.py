@@ -2,7 +2,6 @@
 client scanning and the demultiplexer's bounded buffering."""
 
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -36,9 +35,7 @@ def replay_trace(seed=5, scale=0.12):
 def test_streaming_replay_matches_materialised_byte_for_byte():
     trace = replay_trace()
     materialised = PatsySimulator(small_test_config(seed=5)).replay(trace, trace_name="t")
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace, trace_name="t")
+    streaming = PatsySimulator(small_test_config(seed=5)).replay_stream(trace, trace_name="t")
     assert streaming.operations == materialised.operations
     assert streaming.errors == materialised.errors
     assert streaming.cache_stats["hit_rate"] == materialised.cache_stats["hit_rate"]
@@ -55,9 +52,7 @@ def test_streaming_replay_from_path_matches_materialised(tmp_path):
     trace_path = tmp_path / "trace.tsv"
     save_trace(replay_trace(), trace_path)
     materialised = PatsySimulator(small_test_config(seed=5)).replay(str(trace_path))
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(str(trace_path))
+    streaming = PatsySimulator(small_test_config(seed=5)).replay_stream(str(trace_path))
     assert streaming.latency.summary() == materialised.latency.summary()
     assert streaming.summary() == materialised.summary()
     assert streaming.stream_stats["records_replayed"] == materialised.operations
@@ -78,16 +73,14 @@ def test_streaming_replay_discovery_mode_runs_every_operation():
 
 def test_streaming_replay_bounded_buffering():
     trace = replay_trace()
-    result = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace)
+    result = PatsySimulator(small_test_config(seed=5)).replay_stream(trace)
     assert 0 < result.stream_stats["peak_buffered_records"] < len(trace)
 
 
 def test_streaming_replay_rejects_empty_trace():
-    simulator = PatsySimulator(replace(small_test_config(), streaming=True))
+    simulator = PatsySimulator(small_test_config())
     with pytest.raises(TraceError):
-        simulator.replay([])
+        simulator.replay_stream([])
     with pytest.raises(TraceError):
         PatsySimulator(small_test_config()).replay(iter([]))
 
@@ -96,9 +89,7 @@ def test_streaming_replay_honours_max_time():
     trace = replay_trace()
     cutoff = trace[len(trace) // 2].timestamp
     materialised = PatsySimulator(small_test_config(seed=5)).replay(trace, max_time=cutoff)
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace, max_time=cutoff)
+    streaming = PatsySimulator(small_test_config(seed=5)).replay_stream(trace, max_time=cutoff)
     assert streaming.operations == materialised.operations
     assert streaming.latency.summary() == materialised.latency.summary()
 
@@ -180,9 +171,7 @@ def test_demux_early_finishing_client_does_not_buffer_the_tail():
     records += [
         TraceRecord(0.001 * (i + 1), 0, "stat", f"/f{i % 7}") for i in range(2_000)
     ]
-    result = PatsySimulator(
-        replace(small_test_config(seed=2), streaming=True)
-    ).replay(records)
+    result = PatsySimulator(small_test_config(seed=2)).replay_stream(records)
     assert result.operations == len(records)
     assert result.stream_stats["peak_buffered_records"] < 100
 
