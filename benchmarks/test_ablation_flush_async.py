@@ -8,6 +8,8 @@ flush daemon enabled and disabled and compares the latency experienced by
 the foreground operations.
 """
 
+from dataclasses import replace
+
 from benchmarks.conftest import BENCH_SEED, run_once
 from repro.config import FlushConfig, small_test_config
 from repro.patsy.simulator import PatsySimulator
@@ -29,7 +31,7 @@ PROFILE = WorkloadProfile(
 
 def run_variant(asynchronous: bool):
     config = small_test_config(seed=BENCH_SEED)
-    config = config.with_flush(FlushConfig(policy="ups", asynchronous=asynchronous))
+    config = replace(config, flush=FlushConfig(policy="ups", asynchronous=asynchronous))
     simulator = PatsySimulator(config)
     records = generate_workload(PROFILE, seed=BENCH_SEED)
     return simulator.replay(records, trace_name=f"async={asynchronous}")

@@ -12,9 +12,11 @@ The workload keeps a stable hot set (``large_file_fraction=0`` — a single
 policy could hold it).
 """
 
+from dataclasses import replace
+
 from benchmarks.conftest import BENCH_SEED, run_once
 from repro.analysis.report import format_replacement_comparison
-from repro.config import CacheConfig, SimulationConfig, small_test_config
+from repro.config import CacheConfig, small_test_config
 from repro.core.replacement import POLICY_NAMES
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
@@ -36,16 +38,11 @@ PROFILE = WorkloadProfile(
 
 
 def run_replacement(policy: str) -> dict:
-    base = small_test_config(seed=BENCH_SEED)
-    config = SimulationConfig(
+    spec = replace(
+        small_test_config(seed=BENCH_SEED),
         cache=CacheConfig(size_bytes=48 * 4096, replacement=policy),
-        flush=base.flush,
-        layout=base.layout,
-        host=base.host,
-        seed=BENCH_SEED,
-        report_interval=base.report_interval,
     )
-    simulator = PatsySimulator(config)
+    simulator = PatsySimulator(spec)
     result = simulator.replay(generate_workload(PROFILE, seed=BENCH_SEED))
     return result.cache_stats
 

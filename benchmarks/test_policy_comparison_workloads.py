@@ -13,8 +13,10 @@ The patterns are chosen to stress different policy properties:
   case (random replacement famously degrades more gracefully).
 """
 
+from dataclasses import replace
+
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.config import CacheConfig, SimulationConfig, small_test_config
+from repro.config import CacheConfig, small_test_config
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import ACCESS_PATTERNS, WorkloadProfile, generate_workload
 from repro.units import KB
@@ -42,16 +44,11 @@ def run_pattern(pattern: str) -> dict:
     rates = {}
     trace = generate_workload(make_profile(pattern), seed=BENCH_SEED)
     for policy in POLICIES:
-        base = small_test_config(seed=BENCH_SEED)
-        config = SimulationConfig(
+        spec = replace(
+            small_test_config(seed=BENCH_SEED),
             cache=CacheConfig(size_bytes=40 * 4096, replacement=policy),
-            flush=base.flush,
-            layout=base.layout,
-            host=base.host,
-            seed=BENCH_SEED,
-            report_interval=base.report_interval,
         )
-        simulator = PatsySimulator(config)
+        simulator = PatsySimulator(spec)
         result = simulator.replay(trace)
         rates[policy] = result.cache_stats["hit_rate"]
     return rates

@@ -5,7 +5,7 @@ The measured pipeline is the measurement hot path of a trace replay: parse
 every record of an on-disk trace, group it per client, feed every operation
 into the latency recorder and produce the end-of-run summary (mean, p50,
 p95, p99, per-operation means).  The *legacy* side reproduces the pre-PR
-implementation verbatim — one ``OperationSample`` object per operation,
+implementation verbatim — one sample object (``_LegacySample``) per operation,
 full-list sorts for every percentile; the *streaming* side is the current
 code: tuple-parsing trace iteration into the log-bucketed
 :class:`LatencyRecorder`.

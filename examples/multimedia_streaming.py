@@ -15,14 +15,14 @@ Run with:  python examples/multimedia_streaming.py [--full-hardware] [--volumes 
 import argparse
 from dataclasses import replace
 
-from repro import CacheConfig, LayoutConfig, PegasusFileSystem, StackSpec
+from repro import CacheConfig, LayoutConfig, PegasusFileSystem
 from repro.cli import add_stack_flags, stack_config
 from repro.units import KB, MB
 
 
 def build_fs(args) -> PegasusFileSystem:
     spec = replace(
-        StackSpec.from_config(stack_config(args)),
+        stack_config(args),
         # 256 cache blocks (split into per-volume shards on the array).
         cache=CacheConfig(size_bytes=1 * MB),
         layout=LayoutConfig(segment_size=128 * KB),

@@ -3,14 +3,15 @@
 
 The paper's claim is that a simulator and a file system are the same
 components under different helper bindings.  The assembly layer makes that
-claim a one-liner: describe the stack once with a ``StackSpec`` — here the
-paper's Sun 4/280 evaluation machine, ten HP 97560 disks on three SCSI
-buses carved into five volumes — then
+claim a one-liner: describe the stack once with a ``StackSpec`` — here what
+the ``sun4_280_config`` preset returns, the paper's Sun 4/280 evaluation
+machine, ten HP 97560 disks on three SCSI buses carved into five volumes —
+then hand that one object to both constructors:
 
-1. replay a synthetic trace through a ``PatsySimulator`` built from it
+1. replay a synthetic trace through ``PatsySimulator(spec)``
    (simulated disks, no data pointers), and
-2. mount a ``PegasusFileSystem`` from the *same spec* (memory-backed
-   drivers, real bytes) and store real data on the same five-volume array.
+2. mount ``PegasusFileSystem(spec)`` (memory-backed drivers, real bytes)
+   and store real data on the same five-volume array.
 
 Run with:  python examples/one_spec_two_worlds.py [--full-hardware] [--volumes N]
 
@@ -32,9 +33,7 @@ def main() -> None:
     args = add_stack_flags(argparse.ArgumentParser(description=__doc__)).parse_args()
     # The stack, described once: cache shards, flush daemons + governor,
     # per-volume LFS + cleaners, hash placement over the volumes.
-    spec = StackSpec.from_config(
-        sun4_280_config(scale=0.002, seed=42, volumes=args.volumes)
-    )
+    spec = sun4_280_config(scale=0.002, seed=42, volumes=args.volumes)
     print("spec:", f"{spec.num_disks} disks / {spec.num_buses} buses /",
           f"{spec.num_volumes} volumes, layout={spec.layout.kind}")
     print("manifest round-trip:", StackSpec.from_dict(spec.to_dict()) == spec)
@@ -42,7 +41,7 @@ def main() -> None:
 
     # --- world 1: the off-line simulator -----------------------------------
     print("=== Patsy: the same spec, simulated ===")
-    simulator = PatsySimulator.from_spec(spec)
+    simulator = PatsySimulator(spec)
     trace = generate_workload(
         WorkloadProfile(name="demo", duration=120.0, num_clients=4,
                         initial_files=30, directory_count=10),
@@ -58,7 +57,7 @@ def main() -> None:
 
     # --- world 2: the on-line file system ----------------------------------
     print("=== PFS: the same spec, storing real bytes ===")
-    pfs = PegasusFileSystem.from_spec(spec, size_bytes=40 * MB)
+    pfs = PegasusFileSystem(spec, size_bytes=40 * MB)
     pfs.format()
     pfs.mkdir("/home")
     for i in range(8):

@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro import CacheConfig, LayoutConfig, PegasusFileSystem, StackSpec
+from repro import CacheConfig, LayoutConfig, PegasusFileSystem
 from repro.cli import add_stack_flags, stack_config
 from repro.units import KB, MB
 
@@ -43,7 +43,7 @@ def main() -> None:
     explicit_backing = args.backing is not None
     backing = Path(args.backing) if explicit_backing else Path(tempfile.mktemp(suffix=".pfs"))
     spec = replace(
-        StackSpec.from_config(stack_config(args)),
+        stack_config(args),
         cache=CacheConfig(size_bytes=2 * MB),
         layout=LayoutConfig(segment_size=128 * KB),
     )

@@ -18,7 +18,7 @@ preset.
 
 import argparse
 
-from repro import PegasusFileSystem, PatsySimulator, StackSpec, TraceRecord
+from repro import PegasusFileSystem, PatsySimulator, TraceRecord
 from repro.cli import add_stack_flags, stack_config
 from repro.pfs.nfs import NfsLoopbackClient, NfsServer
 from repro.units import KB, human_time
@@ -28,7 +28,7 @@ def online_file_system(args) -> None:
     print("=== PFS: the on-line instantiation ===")
     # Memory-backed disk(s), segmented LFS, 30s update policy: the very
     # stack PATSY simulates below (with --full-hardware, the ten-disk array).
-    pfs = PegasusFileSystem(spec=StackSpec.from_config(stack_config(args)))
+    pfs = PegasusFileSystem(stack_config(args))
     pfs.format()
     pfs.mkdir("/home")
     pfs.write_file("/home/hello.txt", b"hello, cut-and-paste world\n")

@@ -13,6 +13,7 @@ Run with:  python examples/trace_replay.py [trace-name] [scale] [--full-hardware
 
 import argparse
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro import PatsySimulator, sprite_like_trace
@@ -55,7 +56,7 @@ def main() -> None:
         config = sun4_280_config(scale=0.25, seed=11, volumes=args.volumes)
     else:
         config = sprite_server_config(scale=0.25, seed=11)
-    config = config.with_flush(FlushConfig(policy="ups"))
+    config = replace(config, flush=FlushConfig(policy="ups"))
     simulator = PatsySimulator(config)
     result = simulator.replay(replayable, trace_name=trace_name)
 

@@ -18,10 +18,13 @@ Quick start::
     results = run_policy_comparison("1a")           # Figure 2 data
     for policy, result in results.items():
         print(policy, result.mean_latency)
+
+One :class:`StackSpec` describes a stack in both worlds: every preset in
+:mod:`repro.config` returns one, and ``PatsySimulator(spec)`` and
+``PegasusFileSystem(spec)`` take that same object.
 """
 
 from repro.assembly import (
-    ClusterBinding,
     OnlineBinding,
     SimulatedBinding,
     StackSpec,
@@ -37,7 +40,6 @@ from repro.config import (
     FlushConfig,
     HostConfig,
     LayoutConfig,
-    SimulationConfig,
     cluster_config,
     small_test_config,
     sprite_server_config,
@@ -60,7 +62,6 @@ from repro.pfs.nfs import NfsLoopbackClient, NfsServer
 __version__ = "1.0.0"
 
 __all__ = [
-    "ClusterBinding",
     "OnlineBinding",
     "SimulatedBinding",
     "StackSpec",
@@ -74,7 +75,6 @@ __all__ = [
     "ClusterConfig",
     "HostConfig",
     "LayoutConfig",
-    "SimulationConfig",
     "cluster_config",
     "small_test_config",
     "sprite_server_config",

@@ -8,9 +8,10 @@ package is where that thesis lives in code:
 * :mod:`repro.assembly.registry` — named, pluggable factories for every
   policy family (replacement, flush, I/O scheduling, layout, placement,
   cleaner), populated by the built-in modules and open to third parties.
-* :mod:`repro.assembly.spec` — :class:`StackSpec`, a frozen, serialisable
-  description of a full storage stack (cache + shards, flush + governor,
-  layouts, array/placement, cleaner) independent of which world runs it.
+* :mod:`repro.assembly.spec` — :class:`StackSpec` (defined in
+  :mod:`repro.config`), a frozen, serialisable description of a full storage
+  stack (cache + shards, flush + governor, layouts, array/placement,
+  cleaner) independent of which world runs it, and ``spec_diff``.
 * :mod:`repro.assembly.bindings` — the helper-component bundles that *do*
   pick a world: :class:`SimulatedBinding` (simulated disks and buses, no
   data buffers) and :class:`OnlineBinding` (memory- or file-backed drivers
@@ -39,7 +40,6 @@ __all__ = [
     "Binding",
     "SimulatedBinding",
     "OnlineBinding",
-    "ClusterBinding",
     "StorageStack",
     "build_stack",
 ]
@@ -50,7 +50,6 @@ _LAZY = {
     "Binding": "repro.assembly.bindings",
     "SimulatedBinding": "repro.assembly.bindings",
     "OnlineBinding": "repro.assembly.bindings",
-    "ClusterBinding": "repro.assembly.bindings",
     "StorageStack": "repro.assembly.builder",
     "build_stack": "repro.assembly.builder",
 }

@@ -33,7 +33,7 @@ from repro.core.datamover import DataMover
 from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler
 from repro.units import MB
 
-__all__ = ["Hardware", "Binding", "SimulatedBinding", "OnlineBinding", "ClusterBinding"]
+__all__ = ["Hardware", "Binding", "SimulatedBinding", "OnlineBinding"]
 
 
 @dataclass
@@ -197,44 +197,6 @@ class SimulatedBinding(Binding):
         # The simulator cannot perform the buffer copies, so it charges
         # time for them at the host's memory bandwidth.
         return DataMover(charge_time=True, bandwidth=spec.host.memory_copy_bandwidth)
-
-
-class ClusterBinding(SimulatedBinding):
-    """PATSY's helpers for a multi-machine stack, with per-node NIC knobs.
-
-    The plain :class:`SimulatedBinding` already builds the cluster's
-    hardware (every node's buses and disks) and its NICs from the spec's
-    cluster section; this binding exists for experiments that want
-    *heterogeneous* interconnects — e.g. one slow uplink — without growing
-    the serialisable :class:`~repro.config.ClusterConfig`.
-
-    Parameters
-    ----------
-    bandwidth_overrides:
-        Mapping of node index to that node's NIC bandwidth (bytes/s);
-        nodes not listed keep the spec's ``network_bandwidth``.
-    latency_overrides:
-        Mapping of node index to that node's one-way latency (seconds).
-    """
-
-    def __init__(
-        self,
-        bandwidth_overrides: Optional[dict] = None,
-        latency_overrides: Optional[dict] = None,
-        metadata_store: Optional[Any] = None,
-    ):
-        super().__init__(metadata_store=metadata_store)
-        self.bandwidth_overrides = dict(bandwidth_overrides or {})
-        self.latency_overrides = dict(latency_overrides or {})
-
-    def build_network(self, spec: StackSpec, scheduler: Scheduler) -> List[Any]:
-        nics = super().build_network(spec, scheduler)
-        for node, nic in enumerate(nics):
-            if node in self.bandwidth_overrides:
-                nic.bandwidth = float(self.bandwidth_overrides[node])
-            if node in self.latency_overrides:
-                nic.latency = float(self.latency_overrides[node])
-        return nics
 
 
 class OnlineBinding(Binding):

@@ -86,8 +86,8 @@ class StorageStack:
     datamover: DataMover
     #: one flush daemon per shard.
     flush_policy: ShardedFlushPolicy
-    #: one cleaner daemon per LFS volume; None when no volume is an LFS.
-    cleaner: Optional[CleanerSet]
+    #: one cleaner daemon per LFS volume (empty when no volume is an LFS).
+    cleaner: CleanerSet
     #: routes files and blocks to volumes (a ClusterPlacement on a cluster).
     placement: PlacementPolicy
     #: the cluster topology (multi-machine stacks only).
@@ -126,7 +126,7 @@ class StorageStack:
                 self.fs,
                 self.cluster.placement,
                 cluster_config,
-                metadata=self.metadata,
+                self.metadata,
                 crashpoints=self.crashpoints,
             )
             self.cluster.rebalancer = rebalancer
@@ -150,8 +150,7 @@ class StorageStack:
                 self.cluster.replication,
                 self.cluster.faults,
                 self.cache,
-                fs=self.fs,
-                metadata=self.metadata,
+                self.metadata,
                 interval=cluster_config.repair_interval,
                 workers=cluster_config.repair_workers,
                 crashpoints=self.crashpoints,
@@ -231,7 +230,6 @@ def build_stack(
     cluster = spec.cluster
     simulated = binding.simulated
     with_data = binding.with_data
-    cleaner: Optional[CleanerSet] = None
     topology: Optional[ClusterTopology] = None
     metadata: Optional[Any] = None
 
@@ -319,13 +317,11 @@ def build_stack(
         # Home each cache shard's flush daemons (and the governors) on
         # the node that owns the shard's volume.
         flush_policy.shard_nodes = [spec.node_of_volume(v) for v in range(total_volumes)]
-    lfs_daemons = [
+    cleaner = CleanerSet([
         _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
         for v in range(total_volumes)
         if isinstance(sublayouts[v], LogStructuredLayout)
-    ]
-    if lfs_daemons:
-        cleaner = CleanerSet(lfs_daemons)
+    ])
     if cluster is not None:
         assert isinstance(placement, ClusterPlacement)
         nodes = []
@@ -361,17 +357,6 @@ def build_stack(
         faults = FaultState(volumes_per_node=spec.volumes_per_node)
         topology.faults = faults
         layout.faults = faults
-        if cluster.replicas > 0:
-            from repro.core.cluster.replication import ReplicaManager
-
-            if any(not hasattr(sub, "inode_map") for sub in sublayouts):
-                raise ConfigurationError(
-                    "replication needs sub-layouts that can host foreign "
-                    "inode numbers (LFS); slot-mapped layouts cannot hold "
-                    "shadow inodes"
-                )
-            layout.replication = ReplicaManager(scheduler, layout, placement, faults)
-            topology.replication = layout.replication
         # Every cluster stack carries the durable metadata tier; it
         # stays invisible to the replay until something is journalled.
         from repro.core.metadata.manifest import ManifestStore
@@ -396,10 +381,19 @@ def build_stack(
             crashpoints=crashpoints,
         )
         topology.metadata = metadata
-        if topology.replication is not None:
-            # Creation-time replica re-homing (dead default volume
-            # at first write) journals RSETs like a repair does.
-            topology.replication.metadata = metadata
+        if cluster.replicas > 0:
+            from repro.core.cluster.replication import ReplicaManager
+
+            if any(not hasattr(sub, "inode_map") for sub in sublayouts):
+                raise ConfigurationError(
+                    "replication needs sub-layouts that can host foreign "
+                    "inode numbers (LFS); slot-mapped layouts cannot hold "
+                    "shadow inodes"
+                )
+            # Creation-time replica re-homing (dead default volume at first
+            # write) journals RSETs like a repair does.
+            layout.replication = ReplicaManager(scheduler, layout, placement, faults, metadata)
+            topology.replication = layout.replication
 
     return StorageStack(
         spec=spec,

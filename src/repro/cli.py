@@ -10,10 +10,10 @@ Every script in ``examples/`` accepts the same pair of hardware flags:
   (default 5, the preset's shape; only meaningful with ``--full-hardware``).
 
 ``add_stack_flags`` puts the flags on an ``argparse`` parser;
-``stack_config`` turns parsed arguments into a whole simulator
-configuration (``StackSpec.from_config`` of it is what a PFS mounts), routed
-through the :func:`repro.config.sun4_280_config` preset so the examples and
-the benchmarks agree on what "the full machine" means.
+``stack_config`` turns parsed arguments into the ``StackSpec`` a simulator
+replays on and a PFS mounts, routed through the
+:func:`repro.config.sun4_280_config` preset so the examples and the
+benchmarks agree on what "the full machine" means.
 
 Cluster replays additionally take ``--nodes N`` — replay on an N-node
 cluster instead of one machine.  ``add_cluster_flags`` installs it;
@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 
 from repro.config import (
-    SimulationConfig,
+    StackSpec,
     cluster_config,
     small_test_config,
     sun4_280_config,
@@ -64,8 +64,8 @@ def stack_config(
     scale: float = 0.002,
     seed: int = 0,
     placement: str = "hash",
-) -> SimulationConfig:
-    """A full simulator configuration for the flags: the ``sun4_280``
+) -> StackSpec:
+    """The stack the flags describe: the ``sun4_280``
     preset with ``--full-hardware``, the small test stack otherwise."""
     if args.volumes < 1:
         raise ConfigurationError("--volumes must be at least 1")
@@ -90,7 +90,7 @@ def add_cluster_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParse
 
 def cluster_replay_config(
     args: argparse.Namespace, scale: float = 0.01, seed: int = 0
-) -> SimulationConfig:
+) -> StackSpec:
     """The :func:`repro.config.cluster_config` preset at ``--nodes`` nodes."""
     if args.nodes < 1:
         raise ConfigurationError("--nodes must be at least 1")

@@ -3,7 +3,9 @@
 The cut-and-paste framework is assembled from components at start-up; these
 dataclasses are the "wiring lists" used by the two instantiations
 (:class:`repro.pfs.filesystem.PegasusFileSystem` and
-:class:`repro.patsy.simulator.PatsySimulator`).  They deliberately mirror the
+:class:`repro.patsy.simulator.PatsySimulator`): six sections and the
+:class:`StackSpec` that holds one of each, which both constructors take and
+every preset below returns.  They deliberately mirror the
 knobs discussed in the paper: cache size and flush policy (Section 5.1),
 storage layout and segment size (Section 2), the disk/bus complement of the
 simulated Sprite file server (Section 5.1), and so on.
@@ -11,8 +13,8 @@ simulated Sprite file server (Section 5.1), and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, Optional, get_args, get_type_hints
 
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_BLOCK_SIZE, KB, MB
@@ -38,7 +40,7 @@ __all__ = [
     "HostConfig",
     "ArrayConfig",
     "ClusterConfig",
-    "SimulationConfig",
+    "StackSpec",
     "DAEMON_LOW_WATER_DEFAULTS",
     "sprite_server_config",
     "sun4_280_config",
@@ -306,8 +308,8 @@ class ClusterConfig:
     """Multi-machine cluster tier above the storage array.
 
     A cluster is ``nodes`` machines, each with the disks and buses of
-    ``SimulationConfig.host`` carved as ``SimulationConfig.array`` says (one
-    volume per node by default).  Node 0 is the front end where
+    ``StackSpec.host`` carved as ``StackSpec.array`` says (one volume per
+    node by default).  Node 0 is the front end where
     clients arrive; block I/O addressed to another node's volumes crosses a
     simulated network link — per-NIC queueing plus latency and bandwidth,
     charged with the same time discipline as PATSY's SCSI buses.
@@ -416,35 +418,182 @@ class ClusterConfig:
             raise ConfigurationError("repair_workers must be positive")
 
 
+#: sub-config dataclass per StackSpec section, for (de)serialisation.
+_SECTION_TYPES = {
+    "cache": CacheConfig,
+    "flush": FlushConfig,
+    "layout": LayoutConfig,
+    "host": HostConfig,
+    "array": ArrayConfig,
+    "cluster": ClusterConfig,
+}
+
+
+def _section_from_dict(name: str, section_type: type, section: Dict[str, Any]) -> Any:
+    """One sub-config from its manifest dict: unknown keys and values of the
+    wrong type are rejected by section and key before the dataclass's own
+    range checks see them."""
+    hints = get_type_hints(section_type)
+    bad = set(section) - set(hints)
+    if bad:
+        raise ConfigurationError(
+            f"unknown keys in StackSpec section {name!r}: {sorted(bad)}"
+        )
+    for key, value in section.items():
+        allowed = get_args(hints[key]) or (hints[key],)  # Optional[float] -> (float, NoneType)
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            wanted = " or ".join(t.__name__ for t in allowed)
+            raise ConfigurationError(
+                f"StackSpec section {name!r}, key {key!r}: expected {wanted}, got {value!r}"
+            )
+    return section_type(**section)
+
+
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Complete configuration of a Patsy simulation run."""
+class StackSpec:
+    """Declarative, world-independent description of one storage stack.
+
+    A spec says *what* the stack is — cache geometry and replacement policy,
+    flush policy and governor marks, storage layout(s), array shape and
+    placement, cleaner policy — without saying *where* it runs.  The same
+    object builds the off-line simulator (``PatsySimulator(spec)``, under a
+    :class:`~repro.assembly.bindings.SimulatedBinding`) and the on-line file
+    system (``PegasusFileSystem(spec)``, under an
+    :class:`~repro.assembly.bindings.OnlineBinding`); that is the paper's
+    cut-and-paste claim made into an object.  ``host`` describes the
+    hardware complement: the simulated binding builds exactly that machine
+    (disk model, buses, I/O scheduler); the on-line binding keeps the
+    disk/volume counts and the I/O scheduler and ignores the performance
+    model underneath.
+
+    Specs are frozen (hashable, safe to share between runs) and serialise to
+    plain dicts, so an experiment manifest can carry the exact stack it ran —
+    ``StackSpec.from_dict(json.load(f))`` rebuilds it bit-for-bit.
+    """
 
     cache: CacheConfig = field(default_factory=CacheConfig)
     flush: FlushConfig = field(default_factory=FlushConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     host: HostConfig = field(default_factory=HostConfig)
-    #: how the host's disks are carved into volumes (default: one volume
-    #: over all of them).
+    #: how each machine's disks are carved into volumes (default: one
+    #: volume over all of the host's disks).
     array: ArrayConfig = field(default_factory=ArrayConfig)
-    #: multi-machine cluster tier; None (or ``nodes=1``) keeps everything on
-    #: one machine.  Each node has the ``host`` hardware carved as ``array``.
+    #: multi-machine cluster tier; None (or one node) = a single machine.
+    #: Each node has the ``host`` hardware carved as ``array``.
     cluster: Optional[ClusterConfig] = None
-    #: random seed for the scheduler and any synthesised parameters.
+    #: seed for the scheduler and any synthesised parameters.
     seed: int = 0
-    #: emit interval statistics every this many seconds of simulated time
-    #: (the paper reports every 15 minutes).
-    report_interval: float = 900.0
 
     def __post_init__(self) -> None:
         self.array.check_fits(self.host)
 
-    def with_flush(self, flush: FlushConfig) -> "SimulationConfig":
-        """A copy of this configuration with a different flush policy."""
-        return replace(self, flush=flush)
+    # ------------------------------------------------------------------ derived shape
+
+    @property
+    def num_nodes(self) -> int:
+        return self.cluster.nodes if self.cluster is not None else 1
+
+    @property
+    def volumes_per_node(self) -> int:
+        """One node's volume complement."""
+        return self.array.volumes
+
+    @property
+    def num_volumes(self) -> int:
+        return self.num_nodes * self.volumes_per_node
+
+    @property
+    def disks_per_node(self) -> int:
+        """One node's disk complement."""
+        return self.host.num_disks
+
+    @property
+    def num_disks(self) -> int:
+        """Total disk complement over every node of the cluster."""
+        return self.num_nodes * self.disks_per_node
+
+    @property
+    def num_buses(self) -> int:
+        """Total bus complement (each node carries its own buses)."""
+        return self.num_nodes * self.host.num_buses
+
+    def node_of_volume(self, volume_index: int) -> int:
+        """Cluster node one volume belongs to (volumes never span nodes)."""
+        return volume_index // self.volumes_per_node
+
+    def node_of_disk(self, disk_index: int) -> int:
+        """Cluster node one disk belongs to (disks never span nodes)."""
+        return disk_index // self.disks_per_node
+
+    def bus_for_disk(self, disk_index: int) -> int:
+        """Global bus index of one disk (buses never span nodes)."""
+        node, local = divmod(disk_index, self.disks_per_node)
+        return node * self.host.num_buses + self.host.bus_for_disk(local)
+
+    def disks_of_volume(self, volume_index: int) -> range:
+        """Global disk indices of one volume: a node's disks are split into
+        contiguous runs, the first ``disks % volumes`` volumes taking the
+        spare ones."""
+        if not (0 <= volume_index < self.num_volumes):
+            raise ConfigurationError(
+                f"no volume {volume_index} in a {self.num_volumes}-volume stack"
+            )
+        node, local = divmod(volume_index, self.volumes_per_node)
+        base, extra = divmod(self.disks_per_node, self.volumes_per_node)
+        start = node * self.disks_per_node + local * base + min(local, extra)
+        return range(start, start + base + (1 if local < extra else 0))
+
+    @classmethod
+    def from_config(cls, config: "StackSpec") -> "StackSpec":
+        """Its argument: every preset already returns a spec.  Kept only
+        because the frozen ``benchmarks/e2e/measure.py`` calls it."""
+        return config
+
+    # ------------------------------------------------------------------ serialisation
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A plain-dict form (JSON-safe) for experiment manifests."""
+        data: Dict[str, Any] = {}
+        for name in _SECTION_TYPES:
+            value = getattr(self, name)
+            data[name] = None if value is None else asdict(value)
+        data["seed"] = self.seed
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "StackSpec":
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Missing (or ``null``) sections take their defaults; unknown keys
+        (inside a section or at the top level) and values of the wrong type
+        are rejected by name, so a typo in a manifest fails loudly instead
+        of silently running the default stack.
+        """
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigurationError(f"unknown StackSpec keys: {sorted(unknown)}")
+        kwargs: Dict[str, Any] = {}
+        for name, section_type in _SECTION_TYPES.items():
+            section = data.get(name)
+            if section is None:
+                continue
+            if not isinstance(section, dict):
+                raise ConfigurationError(f"StackSpec section {name!r} must be a dict")
+            kwargs[name] = _section_from_dict(name, section_type, section)
+        if "seed" in data:
+            try:
+                kwargs["seed"] = int(data["seed"])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"StackSpec key 'seed' must be an integer, got {data['seed']!r}"
+                ) from None
+        return cls(**kwargs)
 
 
-def sprite_server_config(scale: float = 1.0, seed: int = 0) -> SimulationConfig:
+def sprite_server_config(scale: float = 1.0, seed: int = 0) -> StackSpec:
     """Configuration modelled on the traced Sprite file server.
 
     The original machine was a Sun 4/280 with 128 MB of main memory and ten
@@ -458,7 +607,7 @@ def sprite_server_config(scale: float = 1.0, seed: int = 0) -> SimulationConfig:
         raise ConfigurationError("scale must be in (0, 1]")
     cache_bytes = max(int(128 * MB * scale), 64 * DEFAULT_BLOCK_SIZE)
     nvram_bytes = max(int(4 * MB * scale), 8 * DEFAULT_BLOCK_SIZE)
-    return SimulationConfig(
+    return StackSpec(
         cache=CacheConfig(size_bytes=cache_bytes),
         flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
         layout=LayoutConfig(kind="lfs"),
@@ -474,7 +623,7 @@ def sun4_280_config(
     placement: str = "hash",
     num_disks: int = 10,
     buses: int = 3,
-) -> SimulationConfig:
+) -> StackSpec:
     """The paper's evaluation machine as a storage array.
 
     A Sun 4/280 file server with ten HP 97560 disks on three SCSI-2 buses
@@ -487,7 +636,7 @@ def sun4_280_config(
         raise ConfigurationError("scale must be in (0, 1]")
     cache_bytes = max(int(128 * MB * scale), 64 * DEFAULT_BLOCK_SIZE * max(volumes, 1))
     nvram_bytes = max(int(4 * MB * scale), 8 * DEFAULT_BLOCK_SIZE * max(volumes, 1))
-    return SimulationConfig(
+    return StackSpec(
         cache=CacheConfig(size_bytes=cache_bytes),
         flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
         layout=LayoutConfig(kind="lfs"),
@@ -508,7 +657,7 @@ def cluster_config(
     rebalance: bool = True,
     network_bandwidth: float = 100 * MB,
     replicas: int = 0,
-) -> SimulationConfig:
+) -> StackSpec:
     """An N-node cluster of small storage servers behind one front end.
 
     Each node runs ``volumes_per_node`` volumes over ``disks_per_node``
@@ -523,7 +672,7 @@ def cluster_config(
     total_volumes = max(nodes * volumes_per_node, 1)
     cache_bytes = max(int(128 * MB * scale), 64 * DEFAULT_BLOCK_SIZE * total_volumes)
     nvram_bytes = max(int(4 * MB * scale), 8 * DEFAULT_BLOCK_SIZE * total_volumes)
-    return SimulationConfig(
+    return StackSpec(
         cache=CacheConfig(size_bytes=cache_bytes),
         flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
         layout=LayoutConfig(kind="lfs"),
@@ -539,14 +688,13 @@ def cluster_config(
     )
 
 
-def small_test_config(seed: int = 0) -> SimulationConfig:
+def small_test_config(seed: int = 0) -> StackSpec:
     """A deliberately tiny configuration for unit tests: one disk, one bus,
     a 64-block cache and an 8-block NVRAM."""
-    return SimulationConfig(
+    return StackSpec(
         cache=CacheConfig(size_bytes=64 * DEFAULT_BLOCK_SIZE),
         flush=FlushConfig(policy="periodic", nvram_bytes=8 * DEFAULT_BLOCK_SIZE),
         layout=LayoutConfig(segment_size=16 * DEFAULT_BLOCK_SIZE),
         host=HostConfig(num_disks=1, num_buses=1),
         seed=seed,
-        report_interval=60.0,
     )

@@ -37,9 +37,10 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
+import repro.core.replacement  # noqa: F401  (registers the built-in "replacement" policies)
+from repro.assembly.registry import registry
 from repro.config import CacheConfig
 from repro.core.blocks import BlockId, BlockState, CacheBlock
-from repro.core.replacement import make_replacement_policy
 from repro.core.scheduler import Scheduler
 from repro.errors import CacheError, CacheExhaustedError
 
@@ -127,14 +128,8 @@ class BlockCache:
         self.with_data = with_data
         self.stats = CacheStatistics()
         #: the replacement policy; event-driven, shares this cache's stats.
-        self.policy = make_replacement_policy(
-            config.replacement,
-            config.num_blocks,
-            rng=scheduler.rng,
-            stats=self.stats,
-            k=config.lru_k,
-            twoq_in_fraction=config.twoq_in_fraction,
-            twoq_out_fraction=config.twoq_out_fraction,
+        self.policy = registry.create(
+            "replacement", config.replacement, config.num_blocks, scheduler.rng, self.stats, config
         )
         self._slots = [
             CacheBlock(slot, config.block_size, with_data) for slot in range(config.num_blocks)

@@ -67,14 +67,14 @@ class ClusterRebalancer:
         fs: "FileSystem",
         placement: ClusterPlacement,
         config: ClusterConfig,
-        metadata: Optional[Any] = None,
+        metadata: Any,
         crashpoints: Optional[Any] = None,
     ):
         self.fs = fs
         self.placement = placement
         self.config = config
-        #: the durable metadata tier (``repro.core.metadata``); None runs
-        #: the PR 5 behaviour — in-memory routing only.
+        #: the durable metadata tier (``repro.core.metadata``) every cluster
+        #: stack carries: routing flips and migration state are journalled.
         self.metadata = metadata
         #: crash-injection hooks for the recovery test harness.
         self.crashpoints = crashpoints
@@ -245,8 +245,7 @@ class ClusterRebalancer:
         # Journal the migration's intent before touching anything.  A BEGIN
         # without a later COMMIT is ignored at recovery, so an abandoned or
         # crashed migration leaves routing exactly where it was.
-        if self.metadata is not None:
-            self.metadata.journal_begin(file_id, old_home, new_home)
+        self.metadata.journal_begin(file_id, old_home, new_home)
         self._hit("migrate.pull.pre")
 
         # -- PULL: every live block into the cache through the old routing.
@@ -410,11 +409,10 @@ class ClusterRebalancer:
             # bookkeeping find busy blocks and wait for them.
             self._hit("migrate.flip.pre")
             placement.flip(file_id, new_home)
-            if self.metadata is not None:
-                # Same atomic step as the flip (append is synchronous and
-                # non-durable): the journal never disagrees with memory
-                # about the order of routing changes.
-                self.metadata.journal_flip(file_id, new_home)
+            # Same atomic step as the flip (append is synchronous and
+            # non-durable): the journal never disagrees with memory about
+            # the order of routing changes.
+            self.metadata.journal_flip(file_id, new_home)
             for block_no, block, _shard in to_move:
                 copy = copies.get(block_no)
                 if copy is not None and block.data is not None and copy.data is not None:
@@ -466,19 +464,18 @@ class ClusterRebalancer:
         self._hit("migrate.flush.pre")
         yield from cache.flush_file(file_id)
 
-        if self.metadata is not None:
-            # Durability barrier before COMMIT.  The flush wrote the blocks,
-            # but an LFS volume recovers only from its last checkpoint — so
-            # checkpoint the new home first, *then* journal COMMIT.  Crash
-            # before the COMMIT is durable: recovery routes to the old home,
-            # whose on-disk state is untouched (RETIRE has not run).  Crash
-            # after: recovery routes to the new home, whose copy is durable.
-            if hasattr(new_sub, "checkpoint"):
-                self._hit("migrate.checkpoint.pre")
-                yield from new_sub.checkpoint()
-            self._hit("migrate.commit.pre")
-            yield from self.metadata.journal_commit(file_id)
-            self._hit("migrate.commit.post")
+        # Durability barrier before COMMIT.  The flush wrote the blocks, but
+        # an LFS volume recovers only from its last checkpoint — so
+        # checkpoint the new home first, *then* journal COMMIT.  Crash
+        # before the COMMIT is durable: recovery routes to the old home,
+        # whose on-disk state is untouched (RETIRE has not run).  Crash
+        # after: recovery routes to the new home, whose copy is durable.
+        if hasattr(new_sub, "checkpoint"):
+            self._hit("migrate.checkpoint.pre")
+            yield from new_sub.checkpoint()
+        self._hit("migrate.commit.pre")
+        yield from self.metadata.journal_commit(file_id)
+        self._hit("migrate.commit.post")
 
         # -- RETIRE: free the old storage and the old inode record.
         self._hit("migrate.retire.pre")
@@ -490,9 +487,8 @@ class ClusterRebalancer:
         yield from old_sub.free_inode(retire)
         self._hit("migrate.retire.post")
 
-        if self.metadata is not None:
-            self.metadata.journal_end(file_id)
-            yield from self.metadata.post_migration()
+        self.metadata.journal_end(file_id)
+        yield from self.metadata.post_migration()
 
         self.migrations += 1
         self.schedule.append(

@@ -101,14 +101,14 @@ class ReplicaManager:
     layout's own read/write paths.
     """
 
-    def __init__(self, scheduler: Any, layout: Any, placement: Any, faults: Any):
+    def __init__(self, scheduler: Any, layout: Any, placement: Any, faults: Any, metadata: Any):
         self.scheduler = scheduler
         self.layout = layout
         self.placement = placement
         self.faults = faults
-        #: metadata tier for journalling creation-time RSET overrides
-        #: (wired by the builder when the cluster keeps a durable tier).
-        self.metadata: Any = None
+        #: the cluster's metadata tier: creation-time RSET overrides are
+        #: journalled like a repair's.
+        self.metadata = metadata
         #: shadow inodes by (file id, replica volume).
         self._shadows: Dict[Tuple[int, int], Inode] = {}
         #: the live primary inode object per replicated file — the object
@@ -199,9 +199,8 @@ class ReplicaManager:
         if new_rset == rset:
             return rset
         self.placement.set_replica_set(file_id, new_rset)
-        if self.metadata is not None:
-            self.metadata.journal_rset(file_id, new_rset)
-            yield from self.metadata.journal_commit(file_id)
+        self.metadata.journal_rset(file_id, new_rset)
+        yield from self.metadata.journal_commit(file_id)
         return new_rset
 
     # ------------------------------------------------------------------ write path
@@ -402,8 +401,7 @@ class ReplicationRepairer:
         manager: ReplicaManager,
         faults: Any,
         cache: Any,
-        fs: Any = None,
-        metadata: Any = None,
+        metadata: Any,
         interval: float = 1.0,
         workers: int = 1,
         crashpoints: Any = None,
@@ -414,7 +412,6 @@ class ReplicationRepairer:
         self.manager = manager
         self.faults = faults
         self.cache = cache
-        self.fs = fs
         self.metadata = metadata
         self.interval = interval
         self.workers = max(1, workers)
@@ -557,9 +554,8 @@ class ReplicationRepairer:
         placement.flip(file_id, new_home)
         new_rset = tuple(v for v in rset if v != new_home)
         placement.set_replica_set(file_id, new_rset)
-        if self.metadata is not None:
-            self.metadata.journal_flip(file_id, new_home)
-            self.metadata.journal_rset(file_id, new_rset)
+        self.metadata.journal_flip(file_id, new_home)
+        self.metadata.journal_rset(file_id, new_rset)
         new_sub = self.layout.sublayouts[new_home]
         manager._shadows.pop((file_id, new_home), None)
         if primary_obj is not None and primary_obj is not shadow:
@@ -571,8 +567,7 @@ class ReplicationRepairer:
         self._hit("repair.checkpoint.pre")
         yield from new_sub.checkpoint()
         self._hit("repair.commit.pre")
-        if self.metadata is not None:
-            yield from self.metadata.journal_commit(file_id)
+        yield from self.metadata.journal_commit(file_id)
         self._hit("repair.commit.post")
         self.promoted_files += 1
         node = self.faults.node_of_volume(new_home)
@@ -646,11 +641,9 @@ class ReplicationRepairer:
             new_rset = rset + (replacement,)
         self._hit("repair.rset.pre")
         self.placement.set_replica_set(file_id, new_rset)
-        if self.metadata is not None:
-            self.metadata.journal_rset(file_id, new_rset)
+        self.metadata.journal_rset(file_id, new_rset)
         self._hit("repair.commit.pre")
-        if self.metadata is not None:
-            yield from self.metadata.journal_commit(file_id)
+        yield from self.metadata.journal_commit(file_id)
         self._hit("repair.commit.post")
         manager._shadows[(file_id, replacement)] = shadow
         manager._stale.discard((file_id, bad))

@@ -94,16 +94,21 @@ class IORequest:
 
 @dataclass
 class DriverStatistics:
-    """Counters and samples collected by every driver."""
+    """Counters collected by every driver.
+
+    Memory is constant in the number of requests except for
+    ``queue_length_samples``, which the disk-queue histogram plug-in reads.
+    """
 
     reads: int = 0
     writes: int = 0
     sectors_read: int = 0
     sectors_written: int = 0
     queue_length_samples: list[int] = field(default_factory=list)
-    queue_times: list[float] = field(default_factory=list)
-    service_times: list[float] = field(default_factory=list)
-    response_times: list[float] = field(default_factory=list)
+    #: total time the device spent servicing requests.
+    busy_time: float = 0.0
+    #: summed response times (queueing + service) of completed requests.
+    response_time_total: float = 0.0
 
     def record_submit(self, queue_length: int) -> None:
         self.queue_length_samples.append(queue_length)
@@ -115,9 +120,8 @@ class DriverStatistics:
         else:
             self.writes += 1
             self.sectors_written += request.count
-        self.queue_times.append(request.queue_time)
-        self.service_times.append(request.service_time)
-        self.response_times.append(request.response_time)
+        self.busy_time += request.service_time
+        self.response_time_total += request.response_time
 
     @property
     def operations(self) -> int:
@@ -129,14 +133,9 @@ class DriverStatistics:
         return sum(self.queue_length_samples) / len(self.queue_length_samples)
 
     def mean_response_time(self) -> float:
-        if not self.response_times:
+        if not self.operations:
             return 0.0
-        return sum(self.response_times) / len(self.response_times)
-
-    @property
-    def busy_time(self) -> float:
-        """Total time the device spent servicing requests."""
-        return sum(self.service_times)
+        return self.response_time_total / self.operations
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the device was busy."""

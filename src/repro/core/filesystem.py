@@ -13,7 +13,7 @@ in underneath (real vs. simulated disks, real vs. absent data buffers).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.core.cache import BlockCache
 from repro.core.datamover import DataMover
@@ -23,7 +23,7 @@ from repro.core.flush import FlushPolicy
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.namespace import Namespace
 from repro.core.scheduler import Scheduler
-from repro.core.storage.cleaner import CleanerDaemon, CleanerSet
+from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.layout import StorageLayout
 from repro.errors import FileSystemError, StorageError
 from repro.core.storage.volume import Volume
@@ -41,8 +41,8 @@ class FileSystem:
         layout: StorageLayout,
         datamover: DataMover,
         flush_policy: Optional[FlushPolicy] = None,
-        # One CleanerDaemon, or a CleanerSet fanning out to one per volume.
-        cleaner: Optional["CleanerDaemon | CleanerSet"] = None,
+        # One cleaner daemon per LFS volume (none over an FFS).
+        cleaner: Iterable[CleanerDaemon] = (),
         # Durable routing metadata (repro.core.metadata.MetadataTier); its
         # mount/unmount hooks recover and checkpoint the routing table.
         metadata: Optional[Any] = None,
@@ -93,8 +93,8 @@ class FileSystem:
             yield from self.metadata.on_mount(format)
         root = yield from self._load_or_create_root()
         self._root = root
-        if self.cleaner is not None:
-            self.cleaner.start()
+        for daemon in self.cleaner:
+            daemon.start()
         self.mounted = True
 
     def _load_or_create_root(self) -> Generator[Any, Any, DirectoryFile]:

@@ -60,7 +60,6 @@ __all__ = [
     "TwoQPolicy",
     "ArcPolicy",
     "POLICY_NAMES",
-    "make_replacement_policy",
 ]
 
 
@@ -220,6 +219,10 @@ class ReplacementPolicy(ABC):
     queries).  ``incoming`` optionally names the block identity about to be
     inserted, which exact ARC uses to resolve its REPLACE tie-break.
 
+    Every policy is constructed as ``(capacity, rng, stats, config)``;
+    ``config`` is the owning cache's :class:`~repro.config.CacheConfig`, read
+    only by the policies that have knobs there (``lru_k``, ``twoq_*``).
+
     Dirty blocks are *parked*: removed from the eviction lists (they cannot
     be victims, and skipping them on every selection would make eviction
     O(dirty count)) while remembering their segment in ``node.home``.
@@ -235,6 +238,7 @@ class ReplacementPolicy(ABC):
         capacity: int,
         rng: Optional[random.Random] = None,
         stats: Optional[object] = None,
+        config: Optional[object] = None,
     ):
         if capacity < 1:
             raise ConfigurationError("replacement policy capacity must be >= 1")
@@ -365,7 +369,7 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def __init__(self, capacity: int, rng=None, stats=None):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None):
         super().__init__(capacity, rng, stats)
         self._list = _DList("lru")
 
@@ -396,7 +400,7 @@ class RandomPolicy(ReplacementPolicy):
     name = "random"
     _PROBES = 8
 
-    def __init__(self, capacity: int, rng=None, stats=None):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None):
         super().__init__(capacity, rng, stats)
         self._order: list[_Node] = []
 
@@ -473,7 +477,7 @@ class LfuPolicy(ReplacementPolicy):
 
     name = "lfu"
 
-    def __init__(self, capacity: int, rng=None, stats=None):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None):
         super().__init__(capacity, rng, stats)
         self._buckets: Dict[int, _DList] = {}
         #: lower bound on the smallest occupied frequency (lazily advanced
@@ -572,7 +576,9 @@ class SlruPolicy(ReplacementPolicy):
 
     name = "slru"
 
-    def __init__(self, capacity: int, rng=None, stats=None, protected_fraction: float = 0.5):
+    def __init__(
+        self, capacity: int, rng=None, stats=None, config=None, protected_fraction: float = 0.5
+    ):
         super().__init__(capacity, rng, stats)
         if not (0.0 < protected_fraction < 1.0):
             raise ConfigurationError("SLRU protected fraction must be in (0, 1)")
@@ -638,8 +644,10 @@ class LruKPolicy(ReplacementPolicy):
 
     name = "lru-k"
 
-    def __init__(self, capacity: int, rng=None, stats=None, k: int = 2):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None, k: int = 2):
         super().__init__(capacity, rng, stats)
+        if config is not None:
+            k = config.lru_k
         if k < 1:
             raise ConfigurationError("LRU-K requires k >= 1")
         self.k = k
@@ -700,7 +708,7 @@ class ClockPolicy(ReplacementPolicy):
 
     name = "clock"
 
-    def __init__(self, capacity: int, rng=None, stats=None):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None):
         super().__init__(capacity, rng, stats)
         self._ring = _DList("clock")
         self._hand: Optional[_Node] = None
@@ -815,10 +823,13 @@ class TwoQPolicy(ReplacementPolicy):
         capacity: int,
         rng=None,
         stats=None,
+        config=None,
         in_fraction: float = 0.25,
         out_fraction: float = 0.5,
     ):
         super().__init__(capacity, rng, stats)
+        if config is not None:
+            in_fraction, out_fraction = config.twoq_in_fraction, config.twoq_out_fraction
         if not (0.0 < in_fraction < 1.0):
             raise ConfigurationError("2Q in_fraction must be in (0, 1)")
         if out_fraction <= 0.0:
@@ -901,7 +912,7 @@ class ArcPolicy(ReplacementPolicy):
 
     name = "arc"
 
-    def __init__(self, capacity: int, rng=None, stats=None):
+    def __init__(self, capacity: int, rng=None, stats=None, config=None):
         super().__init__(capacity, rng, stats)
         self._t1 = _DList("t1")
         self._t2 = _DList("t2")
@@ -1029,68 +1040,10 @@ class ArcPolicy(ReplacementPolicy):
 POLICY_NAMES = ("lru", "random", "lfu", "slru", "lru-k", "clock", "2q", "arc")
 
 
-# "replacement" factories take (capacity, rng=None, stats=None) plus any of
-# the CacheConfig policy knobs they care about, by name; the factory below
-# only forwards the knobs a factory's signature declares, so a plain policy
-# class (capacity, rng, stats) registers directly without adapter noise.
-for _cls in (LruPolicy, RandomPolicy, LfuPolicy, SlruPolicy, ClockPolicy, ArcPolicy):
+# Every "replacement" factory is called as (capacity, rng, stats, config):
+# ``config`` is the cache's CacheConfig, from which a policy with knobs there
+# (``lru_k``, ``twoq_*``) reads them, so a policy class is its own factory.
+for _cls in (
+    LruPolicy, RandomPolicy, LfuPolicy, SlruPolicy, LruKPolicy, ClockPolicy, TwoQPolicy, ArcPolicy
+):
     registry.register("replacement", _cls.name, _cls)
-registry.register(
-    "replacement",
-    "lru-k",
-    lambda capacity, rng=None, stats=None, k=2: LruKPolicy(capacity, rng, stats, k=k),
-)
-registry.register(
-    "replacement",
-    "2q",
-    lambda capacity, rng=None, stats=None, twoq_in_fraction=0.25,
-    twoq_out_fraction=0.5: TwoQPolicy(
-        capacity, rng, stats, in_fraction=twoq_in_fraction, out_fraction=twoq_out_fraction
-    ),
-)
-
-
-def _accepted_kwargs(factory, kwargs: dict) -> dict:
-    """The subset of ``kwargs`` that ``factory``'s signature accepts (all
-    of them when it declares ``**kwargs``)."""
-    import inspect
-
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins without introspectable sigs
-        return kwargs
-    if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-        return kwargs
-    return {key: value for key, value in kwargs.items() if key in parameters}
-
-
-def make_replacement_policy(
-    name: str,
-    capacity: int,
-    *,
-    rng: Optional[random.Random] = None,
-    stats: Optional[object] = None,
-    k: int = 2,
-    twoq_in_fraction: float = 0.25,
-    twoq_out_fraction: float = 0.5,
-) -> ReplacementPolicy:
-    """Factory used by :class:`repro.core.cache.BlockCache` from configuration.
-
-    Thin wrapper over ``registry.create("replacement", ...)``: every policy
-    knob is offered as a keyword, but only the ones a factory's signature
-    declares are actually passed, so a third-party policy class registered
-    directly (``registry.register("replacement", "mru", MruPolicy)``) is
-    constructible from a :class:`~repro.config.CacheConfig` too.
-    """
-    factory = registry.get("replacement", name)
-    kwargs = _accepted_kwargs(
-        factory,
-        {
-            "rng": rng,
-            "stats": stats,
-            "k": k,
-            "twoq_in_fraction": twoq_in_fraction,
-            "twoq_out_fraction": twoq_out_fraction,
-        },
-    )
-    return registry.create("replacement", name, capacity, **kwargs)

@@ -151,17 +151,14 @@ class CleanerDaemon:
 class CleanerSet:
     """Per-volume cleaner daemons behind one handle.
 
-    Each volume of a storage array runs its own LFS and therefore its own
-    cleaner; the set only fans :meth:`start` out and aggregates counters so
-    the file system and reports can keep treating "the cleaner" as one
-    component.
+    Each LFS volume of a storage array runs its own cleaner (a stack of
+    FFS volumes has an empty set); the file system starts each daemon at
+    mount, and the set aggregates their counters so reports can keep
+    treating "the cleaner" as one component.
     """
 
     def __init__(self, daemons: Sequence[CleanerDaemon]):
         self.daemons = list(daemons)
-
-    def start(self) -> list[Thread]:
-        return [daemon.start() for daemon in self.daemons]
 
     @property
     def segments_cleaned(self) -> int:

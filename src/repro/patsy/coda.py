@@ -22,6 +22,7 @@ from repro.patsy.traces import (
     TraceRecord,
     stream_synthesize_missing_times,
     synthesize_missing_times,
+    trace_stream,
 )
 
 __all__ = ["CodaTraceReader", "load_coda_trace", "iter_coda_trace"]
@@ -93,11 +94,8 @@ def load_coda_trace(
     source: Union[str, Path, TextIO], fill_missing_times: bool = True
 ) -> list[TraceRecord]:
     """Load a Coda-like trace file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            records = list(CodaTraceReader(stream))
-    else:
-        records = list(CodaTraceReader(source))
+    with trace_stream(source) as stream:
+        records = list(CodaTraceReader(stream))
     if fill_missing_times:
         records = synthesize_missing_times(records)
     return records
@@ -109,15 +107,8 @@ def iter_coda_trace(
     """Stream a Coda-like trace without materialising it (the streaming
     counterpart of :func:`load_coda_trace`; the input must be
     time-ordered)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            reader: Iterable[TraceRecord] = CodaTraceReader(stream)
-            if fill_missing_times:
-                reader = stream_synthesize_missing_times(reader)
-            yield from reader
-        return
-    reader = CodaTraceReader(source)
-    if fill_missing_times:
-        yield from stream_synthesize_missing_times(reader)
-    else:
+    with trace_stream(source) as stream:
+        reader: Iterable[TraceRecord] = CodaTraceReader(stream)
+        if fill_missing_times:
+            reader = stream_synthesize_missing_times(reader)
         yield from reader

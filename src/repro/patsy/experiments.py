@@ -11,7 +11,7 @@ SCSI-2 buses running a segmented LFS:
 * ``nvram-partial-file`` — 4 MB NVRAM; when full, flush only the oldest
   dirty block.
 
-The helpers here build the right :class:`~repro.config.SimulationConfig`
+The helpers here build the right :class:`~repro.config.StackSpec`
 for each policy, run a :class:`~repro.patsy.simulator.PatsySimulator` over a
 trace and return the measurements that Figures 2-5 are drawn from.
 Because the synthetic traces are minutes rather than 24 hours, the memory
@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.assembly.spec import StackSpec, spec_diff
+from repro.assembly.spec import spec_diff
 from repro.config import (
+    ArrayConfig,
     FlushConfig,
     HostConfig,
-    SimulationConfig,
+    StackSpec,
     sprite_server_config,
     sun4_280_config,
 )
@@ -100,7 +101,8 @@ class DelayedWriteExperiment:
         """This experiment on the paper's ten-disk array (fluent API)."""
         return replace(self, full_hardware=True, volumes=volumes, placement=placement)
 
-    def config(self) -> SimulationConfig:
+    def spec(self) -> StackSpec:
+        """The world-independent stack this experiment runs on."""
         return experiment_config(
             self.policy_name,
             memory_scale=self.memory_scale,
@@ -109,10 +111,6 @@ class DelayedWriteExperiment:
             volumes=self.volumes,
             placement=self.placement,
         )
-
-    def spec(self) -> StackSpec:
-        """The world-independent stack this experiment runs on."""
-        return StackSpec.from_config(self.config())
 
     def spec_delta(self, other: "DelayedWriteExperiment") -> dict:
         """The manifest delta between this experiment's stack and another's
@@ -124,7 +122,7 @@ class DelayedWriteExperiment:
         return sprite_like_trace(self.trace_name, scale=self.trace_scale, seed=self.seed)
 
     def run(self) -> SimulationResult:
-        simulator = PatsySimulator(self.config())
+        simulator = PatsySimulator(self.spec())
         result = simulator.replay(self.trace(), trace_name=self.trace_name)
         result.policy_name = self.policy_name
         return result
@@ -137,8 +135,8 @@ def experiment_config(
     full_hardware: bool = False,
     volumes: int = FULL_HARDWARE_VOLUMES,
     placement: str = "hash",
-) -> SimulationConfig:
-    """The simulator configuration for one of the Section 5.1 policies.
+) -> StackSpec:
+    """The stack for one of the Section 5.1 policies.
 
     With ``full_hardware=True`` the stack is the ``sun4_280`` storage
     array — the Figure 2–5 benchmarks on the paper's real ten-disk,
@@ -162,27 +160,12 @@ def experiment_config(
         )
     else:
         base = sprite_server_config(scale=memory_scale, seed=seed)
-    flush = EXPERIMENT_POLICIES[policy_name]
-    # Keep the scaled NVRAM size from the base configuration.
-    flush = FlushConfig(
-        policy=flush.policy,
-        update_interval=flush.update_interval,
-        scan_interval=flush.scan_interval,
-        nvram_bytes=base.flush.nvram_bytes,
-        whole_file=flush.whole_file,
-        asynchronous=flush.asynchronous,
-    )
-    config = base.with_flush(flush)
+    # The policy's knobs, with the scaled NVRAM size of the base stack.
+    flush = replace(EXPERIMENT_POLICIES[policy_name], nvram_bytes=base.flush.nvram_bytes)
+    spec = replace(base, flush=flush)
     if not full_hardware:
-        config = SimulationConfig(
-            cache=config.cache,
-            flush=config.flush,
-            layout=config.layout,
-            host=DEFAULT_HOST,
-            seed=seed,
-            report_interval=config.report_interval,
-        )
-    return config
+        spec = replace(spec, host=DEFAULT_HOST, array=ArrayConfig())
+    return spec
 
 
 def format_spec_delta(delta: dict, indent: str = "  ") -> str:

@@ -30,8 +30,7 @@ from typing import (
 
 from repro.assembly.bindings import SimulatedBinding
 from repro.assembly.builder import StorageStack, build_stack
-from repro.assembly.spec import StackSpec
-from repro.config import SimulationConfig, small_test_config
+from repro.config import StackSpec, small_test_config
 from repro.core.faults import FaultEvent, FaultInjector
 from repro.core.scheduler import Delay
 from repro.errors import ConfigurationError, FileSystemError, TraceError
@@ -222,36 +221,39 @@ class PatsySimulator:
     The whole storage stack — simulated hardware, cache (shards), layout(s),
     flush policy, cleaner(s) — is assembled by
     :func:`repro.assembly.builder.build_stack` from the
-    :class:`~repro.assembly.spec.StackSpec` derived from ``config``, under a
+    :class:`~repro.config.StackSpec` it is handed — the object a
+    :class:`~repro.pfs.filesystem.PegasusFileSystem` takes — under a
     :class:`~repro.assembly.bindings.SimulatedBinding`.  The simulator owns
-    only what is specific to its world: trace replay and measurement.
+    only what is specific to its world: trace replay and measurement
+    (``report_interval``: interval statistics every this many simulated
+    seconds; the paper reports every 15 minutes).  ``plugins=None`` installs
+    :data:`~repro.patsy.stats.DEFAULT_PLUGINS`, an empty sequence none.  A
+    pre-built ``stack`` carries its own spec.
     """
 
     def __init__(
         self,
-        config: Optional[SimulationConfig] = None,
+        spec: Optional[StackSpec] = None,
+        *,
+        report_interval: float = 900.0,
         plugins: Optional[Iterable[type]] = None,
         stack: Optional[StorageStack] = None,
     ):
-        if stack is not None and config is None:
-            # A pre-built stack carries its own spec; derive the run config
-            # from it instead of silently mixing in unrelated defaults.
-            config = stack.spec.to_config()
-        self.config = config if config is not None else small_test_config()
-        cfg = self.config
         if stack is None:
-            stack = build_stack(StackSpec.from_config(cfg), SimulatedBinding())
+            if spec is None:
+                spec = small_test_config()
+            stack = build_stack(spec, SimulatedBinding())
         elif not stack.binding.simulated:
             raise ConfigurationError(
                 "PatsySimulator needs a stack built under a simulated "
                 "binding; this one moves real bytes (use PegasusFileSystem)"
             )
-        elif StackSpec.from_config(cfg) != stack.spec:
+        elif spec is not None and spec != stack.spec:
             raise ConfigurationError(
-                "the supplied stack was built from a different spec than "
-                "`config` describes; pass a matching config or let the "
-                "simulator derive one from the stack"
+                "the supplied stack was built from a different spec than the "
+                "one passed; a pre-built stack carries its own"
             )
+        self.spec = stack.spec
         self.stack = stack
         self.scheduler = stack.scheduler
         self.buses = stack.buses
@@ -271,8 +273,10 @@ class PatsySimulator:
         self.client = stack.client
 
         # --- measurement -----------------------------------------------------------
-        self.latency = LatencyRecorder(report_interval=cfg.report_interval)
-        self.plugins: List[StatisticsPlugin] = [cls() for cls in (plugins or DEFAULT_PLUGINS)]
+        self.latency = LatencyRecorder(report_interval=report_interval)
+        self.plugins: List[StatisticsPlugin] = [
+            cls() for cls in (DEFAULT_PLUGINS if plugins is None else plugins)
+        ]
         self.errors = 0
         #: trace operation -> the method that issues it (``_execute``).
         self._operations: Dict[str, Callable[[TraceRecord, Handles], ClientCall]] = {
@@ -280,16 +284,6 @@ class PatsySimulator:
         }
         self._mounted = False
         self._stream_stats: Dict[str, Any] = {}
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: StackSpec,
-        plugins: Optional[Iterable[type]] = None,
-        **config_overrides: Any,
-    ) -> "PatsySimulator":
-        """A simulator running ``spec`` (run-scoped knobs via overrides)."""
-        return cls(spec.to_config(**config_overrides), plugins=plugins)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -576,7 +570,7 @@ class PatsySimulator:
             cache_stats[f"policy_{key}"] = value
         result = SimulationResult(
             trace_name=trace_name,
-            policy_name=self.config.flush.policy,
+            policy_name=self.spec.flush.policy,
             simulated_time=self.scheduler.now,
             operations=self.latency.count,
             errors=self.errors,
@@ -597,7 +591,7 @@ class PatsySimulator:
     def collect_volume_stats(self) -> Dict[str, Any]:
         """Per-volume cache/layout/disk/flush breakdown plus an array-level
         rollup."""
-        spec = self.stack.spec
+        spec = self.spec
         num_volumes = spec.num_volumes
         elapsed = max(self.scheduler.now, 1e-9)
         per_volume: Dict[str, Any] = {}

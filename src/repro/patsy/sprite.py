@@ -23,6 +23,7 @@ from repro.patsy.traces import (
     TraceRecord,
     stream_synthesize_missing_times,
     synthesize_missing_times,
+    trace_stream,
 )
 
 __all__ = [
@@ -128,11 +129,8 @@ def load_sprite_trace(
     """Load a Sprite-like trace file, optionally spacing out read/write
     operations that share their open's timestamp (the paper's equidistant
     placement of missing operation times)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            records = list(SpriteTraceReader(stream))
-    else:
-        records = list(SpriteTraceReader(source))
+    with trace_stream(source) as stream:
+        records = list(SpriteTraceReader(stream))
     if fill_missing_times:
         records = synthesize_missing_times(records)
     return records
@@ -149,17 +147,10 @@ def iter_sprite_trace(
     :func:`repro.patsy.traces.stream_synthesize_missing_times`, whose
     memory is bounded by concurrently open open..close brackets.  The
     input file must be time-ordered (real converted traces are)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            reader: Iterable[TraceRecord] = SpriteTraceReader(stream)
-            if fill_missing_times:
-                reader = stream_synthesize_missing_times(reader)
-            yield from reader
-        return
-    reader = SpriteTraceReader(source)
-    if fill_missing_times:
-        yield from stream_synthesize_missing_times(reader)
-    else:
+    with trace_stream(source) as stream:
+        reader: Iterable[TraceRecord] = SpriteTraceReader(stream)
+        if fill_missing_times:
+            reader = stream_synthesize_missing_times(reader)
         yield from reader
 
 

@@ -17,8 +17,7 @@ the number of operations: latencies land in fixed-size log-bucketed
 histograms (one global, one per operation type, one per client), an exact
 prefix window keeps small runs bit-exact, and quantiles beyond the window
 come from histogram interpolation (bucket ratio 1.02, so relative error is
-bounded by 2%) or, opt-in, from P²-style streaming markers
-(:class:`P2Quantile`).
+bounded by 2%).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.cdf import downsample_cdf
@@ -40,8 +38,6 @@ __all__ = [
     "Histogram",
     "LatencyRecorder",
     "LatencyShard",
-    "OperationSample",
-    "P2Quantile",
     "StatisticsPlugin",
     "DiskQueuePlugin",
     "RotationalDelayPlugin",
@@ -163,20 +159,6 @@ class Histogram:
             if index < len(self.bounds):
                 lower = self.bounds[index]
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class OperationSample:
-    """One measured operation: when it started, what it was, how long it took.
-
-    Retained for API compatibility; the recorder no longer stores one of
-    these per operation (memory is constant in the operation count).
-    """
-
-    start_time: float
-    op: str
-    latency: float
-    client: int = 0
 
 
 # --------------------------------------------------------------------------- streaming quantiles
@@ -318,103 +300,6 @@ class LatencyShard:
         }
 
 
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers track the running ``p``-quantile without storing samples:
-    the marker heights are adjusted with a piecewise-parabolic fit whenever
-    their positions drift from the ideal ones.  Accuracy on smooth
-    distributions is well within 2% after a few hundred observations.
-    """
-
-    __slots__ = ("p", "count", "_q", "_pos", "_desired", "_rate")
-
-    def __init__(self, p: float):
-        if not (0.0 < p < 1.0):
-            raise InvalidArgument("P2Quantile needs a fraction in (0, 1)")
-        self.p = p
-        self.count = 0
-        self._q: List[float] = []  # marker heights
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]  # marker positions (1-based)
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._rate = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        q = self._q
-        if self.count <= 5:
-            q.append(value)
-            if self.count == 5:
-                q.sort()
-            return
-        pos = self._pos
-        # Find the cell the observation falls into and update the extremes.
-        if value < q[0]:
-            q[0] = value
-            cell = 0
-        elif value < q[1]:
-            cell = 0
-        elif value < q[2]:
-            cell = 1
-        elif value < q[3]:
-            cell = 2
-        elif value <= q[4]:
-            cell = 3
-        else:
-            q[4] = value
-            cell = 3
-        for index in range(cell + 1, 5):
-            pos[index] += 1.0
-        desired = self._desired
-        rate = self._rate
-        for index in range(5):
-            desired[index] += rate[index]
-        # Adjust the three interior markers towards their desired positions.
-        for index in range(1, 4):
-            diff = desired[index] - pos[index]
-            if (diff >= 1.0 and pos[index + 1] - pos[index] > 1.0) or (
-                diff <= -1.0 and pos[index - 1] - pos[index] < -1.0
-            ):
-                step = 1.0 if diff >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if q[index - 1] < candidate < q[index + 1]:
-                    q[index] = candidate
-                else:
-                    q[index] = self._linear(index, step)
-                pos[index] += step
-
-    def _parabolic(self, index: int, step: float) -> float:
-        q = self._q
-        pos = self._pos
-        span = pos[index + 1] - pos[index - 1]
-        right = (pos[index] - pos[index - 1] + step) * (q[index + 1] - q[index]) / (
-            pos[index + 1] - pos[index]
-        )
-        left = (pos[index + 1] - pos[index] - step) * (q[index] - q[index - 1]) / (
-            pos[index] - pos[index - 1]
-        )
-        return q[index] + (step / span) * (right + left)
-
-    def _linear(self, index: int, step: float) -> float:
-        q = self._q
-        pos = self._pos
-        offset = int(step)
-        return q[index] + step * (q[index + offset] - q[index]) / (
-            pos[index + offset] - pos[index]
-        )
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate."""
-        if self.count == 0:
-            return 0.0
-        if self.count <= 5:
-            ordered = sorted(self._q)
-            rank = min(max(int(math.ceil(self.p * self.count)) - 1, 0), self.count - 1)
-            return ordered[rank]
-        return self._q[2]
-
-
 # --------------------------------------------------------------------------- the recorder
 
 
@@ -430,8 +315,7 @@ class LatencyRecorder:
     whole run fits in that window every query (percentiles, CDFs, fraction
     thresholds) is answered exactly, which keeps small unit-test runs
     bit-identical to the pre-streaming recorder.  Past the window, answers
-    come from the fixed-size log-bucketed shards (<= 2% relative error) or,
-    for fractions listed in ``p2_quantiles``, from P² marker estimators.
+    come from the fixed-size log-bucketed shards (<= 2% relative error).
     """
 
     #: how many leading samples are kept verbatim for exact small-run answers.
@@ -441,7 +325,6 @@ class LatencyRecorder:
         self,
         report_interval: float = 900.0,
         exact_window: int = DEFAULT_EXACT_WINDOW,
-        p2_quantiles: Optional[Sequence[float]] = None,
     ):
         self.report_interval = report_interval
         self.exact_window = exact_window
@@ -456,9 +339,6 @@ class LatencyRecorder:
         self.client_shards: Dict[int, LatencyShard] = {}
         #: exact (latency, op, client) prefix; capped at ``exact_window``.
         self._window: List[Tuple[float, str, int]] = []
-        self._p2: Dict[float, P2Quantile] = {}
-        if p2_quantiles:
-            self._p2 = {fraction: P2Quantile(fraction) for fraction in p2_quantiles}
 
     # -- recording ---------------------------------------------------------------
 
@@ -523,9 +403,6 @@ class LatencyRecorder:
         window = self._window
         if len(window) < self.exact_window:
             window.append((latency, op, client))
-        if self._p2:
-            for estimator in self._p2.values():
-                estimator.add(latency)
 
     def finish(self) -> None:
         """Close the trailing reporting interval."""
@@ -601,8 +478,6 @@ class LatencyRecorder:
             values = sorted(self.latencies(op))
             index = min(int(math.ceil(fraction * len(values))) - 1, len(values) - 1)
             return values[max(index, 0)]
-        if op is None and fraction in self._p2:
-            return self._p2[fraction].value
         return shard.quantile(fraction)
 
     def cdf(self, op: Optional[str] = None, points: int = 200) -> List[Tuple[float, float]]:
@@ -685,10 +560,6 @@ class LatencyRecorder:
                     f"p95 {human_time(stats['p95_latency'])}"
                 )
         return "\n".join(lines)
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 # --------------------------------------------------------------------------- plug-ins

@@ -16,7 +16,7 @@ Sprite-like and Coda-like encodings (:mod:`repro.patsy.sprite`,
 from __future__ import annotations
 
 import heapq
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -35,6 +35,7 @@ __all__ = [
     "scan_trace_clients",
     "scan_trace_client_counts",
     "save_trace",
+    "trace_stream",
     "records_by_client",
     "group_operations",
     "OperationGroup",
@@ -213,14 +214,23 @@ def save_trace(records: Iterable[TraceRecord], path: Union[str, Path]) -> int:
         return writer.write_all(records)
 
 
-def load_trace(source: Union[str, Path, TextIO]) -> list[TraceRecord]:
-    """Load every record from a path or open text stream."""
+@contextmanager
+def trace_stream(source: Union[str, Path, TextIO]) -> Iterator[TextIO]:
+    """``source`` as an open text stream: a path is opened here and closed
+    on exit, an open stream is handed through as it is."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
-            return list(TraceReader(stream))
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return list(TraceReader(source))
-    raise TraceError(f"cannot load a trace from {type(source).__name__}")
+            yield stream
+    elif hasattr(source, "read"):
+        yield source
+    else:
+        raise TraceError(f"cannot read a trace from {type(source).__name__}")
+
+
+def load_trace(source: Union[str, Path, TextIO]) -> list[TraceRecord]:
+    """Load every record from a path or open text stream."""
+    with trace_stream(source) as stream:
+        return list(TraceReader(stream))
 
 
 def iter_trace(source: Union[str, Path, TextIO]) -> Iterator[TraceRecord]:
@@ -230,14 +240,8 @@ def iter_trace(source: Union[str, Path, TextIO]) -> Iterator[TraceRecord]:
     materialised, so a multi-million-record trace costs one record of
     memory.  When ``source`` is a path the file is closed when the
     iterator is exhausted or garbage-collected."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            yield from TraceReader(stream)
-        return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        yield from TraceReader(source)
-        return
-    raise TraceError(f"cannot stream a trace from {type(source).__name__}")
+    with trace_stream(source) as stream:
+        yield from TraceReader(stream)
 
 
 def iter_trace_tuples(
@@ -245,14 +249,8 @@ def iter_trace_tuples(
 ) -> Iterator[Tuple[float, int, str, str, int, int, str]]:
     """Stream raw ``(timestamp, client, op, path, offset, size, path2)``
     tuples (see :meth:`TraceReader.iter_tuples`) from a path or stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            yield from TraceReader(stream).iter_tuples()
-        return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        yield from TraceReader(source).iter_tuples()
-        return
-    raise TraceError(f"cannot stream a trace from {type(source).__name__}")
+    with trace_stream(source) as stream:
+        yield from TraceReader(stream).iter_tuples()
 
 
 def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]:
@@ -262,9 +260,8 @@ def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]
     same sorted order, as materialised replay, and to let a finished
     client stop pulling the shared iterator the moment its records run
     out — memory is O(#clients), never O(#records)."""
-
-    def scan(stream: TextIO) -> dict[int, int]:
-        counts: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    with trace_stream(source) as stream:
         for line in stream:
             if not line or line[0] == "#" or line == "\n":
                 continue
@@ -276,14 +273,7 @@ def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]
             except ValueError:
                 continue
             counts[client] = counts.get(client, 0) + 1
-        return counts
-
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            return scan(stream)
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return scan(source)
-    raise TraceError(f"cannot scan a trace from {type(source).__name__}")
+    return counts
 
 
 def scan_trace_clients(source: Union[str, Path, TextIO]) -> list[int]:
@@ -374,39 +364,12 @@ def group_operations(records: Sequence[TraceRecord]) -> list[OperationGroup]:
     return groups
 
 
-def synthesize_missing_times(records: Sequence[TraceRecord]) -> list[TraceRecord]:
-    """Position read/write operations with no recorded time (timestamp equal
-    to the enclosing open) equidistantly between the open and the close,
-    which is what the paper does when "the actual time a read or write
-    operation took place" is missing."""
-    result: list[TraceRecord] = []
-    for group in group_operations(records):
-        body = group.records
-        if len(body) < 3 or body[0].op != "open" or body[-1].op != "close":
-            result.extend(body)
-            continue
-        open_time = body[0].timestamp
-        close_time = body[-1].timestamp
-        inner = body[1:-1]
-        missing = [r for r in inner if r.timestamp == open_time]
-        if not missing or close_time <= open_time:
-            result.extend(body)
-            continue
-        step = (close_time - open_time) / (len(inner) + 1)
-        result.append(body[0])
-        for index, record in enumerate(inner, start=1):
-            if record.timestamp == open_time:
-                result.append(record.shifted(step * index))
-            else:
-                result.append(record)
-        result.append(body[-1])
-    result.sort(key=lambda record: record.timestamp)
-    return result
-
-
 def _adjust_group(body: list[TraceRecord]) -> list[TraceRecord]:
-    """Apply the equidistant missing-time placement to one open..close group
-    (identical rules to :func:`synthesize_missing_times`)."""
+    """One open..close group with its untimed operations spaced out: reads
+    and writes carrying the open's timestamp (no recorded time of their own)
+    are placed equidistantly between the open and the close, which is what
+    the paper does when "the actual time a read or write operation took
+    place" is missing.  Any other group comes back as it is."""
     if len(body) < 3 or body[0].op != "open" or body[-1].op != "close":
         return body
     open_time = body[0].timestamp
@@ -424,6 +387,16 @@ def _adjust_group(body: list[TraceRecord]) -> list[TraceRecord]:
             adjusted.append(record)
     adjusted.append(body[-1])
     return adjusted
+
+
+def synthesize_missing_times(records: Sequence[TraceRecord]) -> list[TraceRecord]:
+    """Fill in missing read/write times in every open..close bracket of a
+    trace (:func:`_adjust_group`) and return it in time order."""
+    result: list[TraceRecord] = []
+    for group in group_operations(records):
+        result.extend(_adjust_group(group.records))
+    result.sort(key=lambda record: record.timestamp)
+    return result
 
 
 def stream_synthesize_missing_times(

@@ -20,8 +20,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Union
 
 from repro.assembly.bindings import OnlineBinding
 from repro.assembly.builder import StorageStack, build_stack
-from repro.assembly.spec import StackSpec
-from repro.config import CacheConfig
+from repro.config import CacheConfig, StackSpec
 from repro.units import MB
 
 __all__ = ["PegasusFileSystem"]
@@ -31,10 +30,10 @@ class PegasusFileSystem:
     """An on-line file system storing real data.
 
     The stack is assembled by :func:`repro.assembly.builder.build_stack`
-    from a :class:`~repro.assembly.spec.StackSpec` under an
+    from a :class:`~repro.config.StackSpec` under an
     :class:`~repro.assembly.bindings.OnlineBinding` — the *same* builder,
-    spec and component classes that PATSY simulates, bound to drivers that
-    move real bytes.  That includes multi-volume array specs: a PFS can
+    spec object and component classes that PATSY simulates, bound to drivers
+    that move real bytes.  That includes multi-volume array specs: a PFS can
     mount the ``sun4_280`` five-volume stack with per-shard caches and
     flush daemons, exactly as the simulator runs it.
 
@@ -82,16 +81,10 @@ class PegasusFileSystem:
         self._mounted = False
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: StackSpec,
-        backing: Optional[Union[str, Path]] = None,
-        size_bytes: int = 64 * MB,
-        real_time: bool = False,
-    ) -> "PegasusFileSystem":
-        """A PFS running ``spec`` — the same object a simulator replays
-        (the constructor call, with the spec required)."""
-        return cls(spec, backing=backing, size_bytes=size_bytes, real_time=real_time)
+    def from_spec(cls, spec: StackSpec, **options: Any) -> "PegasusFileSystem":
+        """The constructor call; kept only because the frozen
+        ``benchmarks/e2e/measure.py`` spells it this way."""
+        return cls(spec, **options)
 
     # ------------------------------------------------------------------ scheduler plumbing
 

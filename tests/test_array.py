@@ -17,7 +17,6 @@ from repro.config import (
     CacheConfig,
     FlushConfig,
     HostConfig,
-    SimulationConfig,
     small_test_config,
     sun4_280_config,
 )
@@ -50,7 +49,7 @@ def test_array_config_validation():
     with pytest.raises(ConfigurationError):
         ArrayConfig(volumes=0)
     with pytest.raises(ConfigurationError):  # 2 disks, 4 volumes
-        SimulationConfig(host=HostConfig(num_disks=2), array=ArrayConfig(volumes=4))
+        StackSpec(host=HostConfig(num_disks=2), array=ArrayConfig(volumes=4))
     with pytest.raises(ConfigurationError):
         ArrayConfig(placement="raid-z")
     with pytest.raises(ConfigurationError):

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.assembly.bindings import ClusterBinding, OnlineBinding, SimulatedBinding
+from repro.assembly.bindings import OnlineBinding, SimulatedBinding
 from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
@@ -226,14 +226,6 @@ def test_multi_node_cluster_wraps_remote_volumes():
         assert len(node.drivers) == 1 and len(node.cache_shards) == 1
 
 
-def test_cluster_binding_overrides_nic_parameters():
-    binding = ClusterBinding(bandwidth_overrides={1: 1 * MB}, latency_overrides={0: 0.05})
-    stack = build_stack(cluster_spec(nodes=2), binding)
-    nics = stack.cluster.nics
-    assert nics[1].bandwidth == 1 * MB
-    assert nics[0].latency == 0.05
-
-
 def test_volume_set_rejects_raw_block_io(scheduler):
     from repro.core.storage.array import VolumeSet
 
@@ -343,7 +335,7 @@ def test_migration_keeps_reads_byte_identical_with_real_bytes():
     placement = stack.cluster.placement
     old_home = placement.volume_of_file(file_id)
     new_home = 1 - old_home
-    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster, metadata=stack.metadata)
     moved = run(scheduler, rebalancer.migrate_file, file_id, new_home)
     assert moved and placement.volume_of_file(file_id) == new_home
     assert rebalancer.blocks_copied >= 6
@@ -403,7 +395,7 @@ def test_migration_lands_uncached_blocks_straight_in_the_new_homes_shard():
     run(scheduler, touch)
     old_shard = stack.cache.shards[old_home]
     allocations_before = old_shard.stats.allocations
-    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster, metadata=stack.metadata)
     assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
     assert old_shard.stats.allocations == allocations_before
     assert old_shard.cached_blocks_of(file_id) == []
@@ -453,7 +445,7 @@ def test_migration_rereads_a_block_rewritten_while_it_was_being_pulled():
         return result
 
     layout.read_file_blocks = read_then_rewrite
-    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster)
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster, metadata=stack.metadata)
     try:
         assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
     finally:
@@ -481,7 +473,9 @@ def test_migration_skips_directories_and_root():
         return directory.file_id
 
     directory_id = run(scheduler, setup)
-    rebalancer = ClusterRebalancer(stack.fs, stack.cluster.placement, stack.spec.cluster)
+    rebalancer = ClusterRebalancer(
+        stack.fs, stack.cluster.placement, stack.spec.cluster, metadata=stack.metadata
+    )
     other = 1 - stack.cluster.placement.volume_of_file(directory_id)
     assert run(scheduler, rebalancer.migrate_file, directory_id, other) is False
     assert run(scheduler, rebalancer.migrate_file, ROOT_INODE_NUMBER, 1) is False

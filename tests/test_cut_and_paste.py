@@ -8,11 +8,22 @@ have to change anything in the code except for some small additions when
 data was actually moved".
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.assembly import OnlineBinding, SimulatedBinding, StackSpec, build_stack
 from repro.assembly.registry import registry
-from repro.config import ArrayConfig, CacheConfig, FlushConfig, HostConfig, small_test_config
+from repro.config import (
+    ArrayConfig,
+    CacheConfig,
+    FlushConfig,
+    HostConfig,
+    cluster_config,
+    small_test_config,
+    sprite_server_config,
+    sun4_280_config,
+)
 from repro.core.cache import BlockCache
 from repro.core.client import AbstractClientInterface
 from repro.core.flush import (
@@ -22,6 +33,7 @@ from repro.core.flush import (
 )
 from repro.core.storage.array import RoutedLayout, ShardedCache
 from repro.core.storage.lfs import LogStructuredLayout
+from repro.errors import ConfigurationError
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.traces import TraceRecord
 from repro.pfs.filesystem import PegasusFileSystem
@@ -62,9 +74,8 @@ def drive_pfs(flush_policy="periodic"):
 
 
 def drive_patsy(flush_policy="periodic"):
-    config = small_test_config()
-    config = config.with_flush(FlushConfig(policy=flush_policy))
-    simulator = PatsySimulator(config)
+    spec = replace(small_test_config(), flush=FlushConfig(policy=flush_policy))
+    simulator = PatsySimulator(spec)
     records = []
     t = 0.0
     for op, path, payload in WORKLOAD:
@@ -192,3 +203,27 @@ def test_one_spec_builds_identical_component_classes_in_both_worlds(host, array)
     # The only difference is the helper binding underneath.
     assert simulated.cache.with_data is False and online.cache.with_data is True
     assert type(simulated.drivers[0]) is not type(online.drivers[0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        small_test_config(seed=3),
+        sprite_server_config(scale=0.002),
+        sun4_280_config(scale=0.002),
+        cluster_config(nodes=2, scale=0.002),
+    ],
+    ids=["small_test", "sprite_server", "sun4_280", "cluster"],
+)
+def test_one_object_describes_the_stack_in_both_worlds(spec):
+    """What a preset returns is handed, unconverted, to both constructors,
+    and is the object each stack reports it was built from; a pre-built
+    stack carries it, and is refused under any other."""
+    simulator = PatsySimulator(spec)
+    pfs = PegasusFileSystem(spec, size_bytes=4 * MB * spec.num_disks)
+    assert simulator.stack.spec is spec and simulator.spec is spec
+    assert pfs.stack.spec is spec and pfs.spec is spec
+    assert StackSpec.from_dict(spec.to_dict()) == spec
+    assert PatsySimulator(spec, stack=build_stack(spec, SimulatedBinding())).spec is spec
+    with pytest.raises(ConfigurationError):
+        PatsySimulator(replace(spec, seed=spec.seed + 1), stack=simulator.stack)

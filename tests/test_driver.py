@@ -92,8 +92,19 @@ def test_queue_statistics_accumulate(scheduler):
     threads = [scheduler.spawn(client, i * 8) for i in range(5)]
     for thread in threads:
         scheduler.run_until_complete(thread)
-    assert driver.stats.operations == 5
-    assert len(driver.stats.queue_length_samples) == 5
+    stats = driver.stats
+    assert stats.operations == 5
+    assert len(stats.queue_length_samples) == 5
+    # Memory constant in the request count: running sums, and no per-request
+    # container but the queue-length samples the histogram plug-in reads.
+    containers = [
+        name for name, value in vars(stats).items() if isinstance(value, (list, dict, set, tuple))
+    ]
+    assert containers == ["queue_length_samples"]
+    assert stats.busy_time == pytest.approx(5 * 0.002)
+    assert stats.utilisation(scheduler.now) == pytest.approx(stats.busy_time / scheduler.now)
+    # One at a time on one device: the k-th request waits for k services.
+    assert stats.mean_response_time() == pytest.approx(3 * 0.002)
 
 
 def test_flush_waits_for_outstanding_work(scheduler):

@@ -41,7 +41,6 @@ from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 
-from repro.assembly.spec import StackSpec
 from repro.config import (
     cluster_config,
     small_test_config,
@@ -190,7 +189,7 @@ def array_trace() -> list[TraceRecord]:
 
 def array_patsy_run(policy: str) -> dict:
     config = sun4_280_config(scale=0.02)
-    simulator = PatsySimulator(config.with_flush(replace(config.flush, policy=policy)))
+    simulator = PatsySimulator(replace(config, flush=replace(config.flush, policy=policy)))
     result = simulator.replay(array_trace(), trace_name="golden")
     return {
         "summary": result.summary(),
@@ -237,14 +236,14 @@ def pfs_script(pfs: PegasusFileSystem) -> tuple[list[str], dict]:
 def array_pfs_run(directory: Path) -> dict:
     """The script, unmount, remount, read back: the spec PATSY replays
     above, moving real bytes under virtual time."""
-    spec = StackSpec.from_config(sun4_280_config(scale=0.02))
+    spec = sun4_280_config(scale=0.02)
     backing = directory / "disk"
-    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+    pfs = PegasusFileSystem(spec, backing=backing, size_bytes=40 * MB)
     paths, written = pfs_script(pfs)
     pfs.unmount()
     pfs.close_backing()
 
-    pfs = PegasusFileSystem.from_spec(spec, backing=backing, size_bytes=40 * MB)
+    pfs = PegasusFileSystem(spec, backing=backing, size_bytes=40 * MB)
     pfs.mount()
     files = {path: hashlib.sha256(pfs.read_file(path)).hexdigest() for path in paths}
     statistics = {"first_mount": written, "remount": pfs.statistics()}

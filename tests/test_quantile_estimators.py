@@ -1,6 +1,5 @@
-"""Streaming quantile estimation: the P² marker estimator, the log-bucket
-latency shards and the recorder's constant-memory behaviour past its exact
-window."""
+"""Streaming quantile estimation: the log-bucket latency shards and the
+recorder's constant-memory behaviour past its exact window."""
 
 import math
 import random
@@ -9,7 +8,7 @@ import pytest
 
 from repro.analysis.cdf import downsample_cdf, percentile_from_cdf
 from repro.errors import InvalidArgument
-from repro.patsy.stats import Histogram, LatencyRecorder, LatencyShard, P2Quantile
+from repro.patsy.stats import Histogram, LatencyRecorder
 
 
 def exact_percentile(values, fraction):
@@ -27,55 +26,15 @@ DISTRIBUTIONS = {
 
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 @pytest.mark.parametrize("fraction", [0.5, 0.95, 0.99])
-def test_p2_estimator_within_two_percent(name, fraction):
-    rng = random.Random(11)
-    values = [DISTRIBUTIONS[name](rng) for _ in range(100_000)]
-    estimator = P2Quantile(fraction)
-    for value in values:
-        estimator.add(value)
-    exact = exact_percentile(values, fraction)
-    assert estimator.value == pytest.approx(exact, rel=0.02)
-
-
-@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-@pytest.mark.parametrize("fraction", [0.5, 0.95, 0.99])
 def test_shard_quantile_within_two_percent(name, fraction):
     rng = random.Random(13)
     values = [DISTRIBUTIONS[name](rng) for _ in range(30_000)]
-    shard = LatencyShard()
     recorder = LatencyRecorder(exact_window=64)  # force the streaming path
     for i, value in enumerate(values):
         recorder.record(i * 0.001, "read", value)
     assert not recorder.window_is_exact
     exact = exact_percentile(values, fraction)
     assert recorder.percentile(fraction) == pytest.approx(exact, rel=0.02)
-
-
-def test_p2_small_sample_is_exact():
-    estimator = P2Quantile(0.5)
-    for value in (0.5, 0.1, 0.9):
-        estimator.add(value)
-    assert estimator.value == 0.5
-    assert P2Quantile(0.5).value == 0.0
-
-
-def test_p2_rejects_bad_fraction():
-    with pytest.raises(InvalidArgument):
-        P2Quantile(0.0)
-    with pytest.raises(InvalidArgument):
-        P2Quantile(1.5)
-
-
-def test_recorder_p2_tracking_answers_tracked_fractions():
-    rng = random.Random(3)
-    values = [rng.expovariate(50.0) for _ in range(20_000)]
-    recorder = LatencyRecorder(exact_window=64, p2_quantiles=(0.5, 0.95))
-    for i, value in enumerate(values):
-        recorder.record(i * 0.001, "read", value)
-    assert recorder.percentile(0.5) == pytest.approx(exact_percentile(values, 0.5), rel=0.02)
-    assert recorder.percentile(0.95) == pytest.approx(
-        exact_percentile(values, 0.95), rel=0.02
-    )
 
 
 def test_recorder_memory_is_constant_past_the_window():

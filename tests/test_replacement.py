@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from repro.assembly.registry import registry
+from repro.config import CacheConfig
 from repro.core.blocks import BlockId, BlockState, CacheBlock
 from repro.core.replacement import (
     ArcPolicy,
@@ -22,7 +24,6 @@ from repro.core.replacement import (
     RandomPolicy,
     SlruPolicy,
     TwoQPolicy,
-    make_replacement_policy,
 )
 from repro.errors import ConfigurationError
 
@@ -38,7 +39,7 @@ class MiniCache:
     """Fixed-capacity cache skeleton driving a policy like BlockCache does."""
 
     def __init__(self, policy_name, capacity, rng=None, **kwargs):
-        self.policy = make_replacement_policy(policy_name, capacity, rng=rng, **kwargs)
+        self.policy = registry.create("replacement", policy_name, capacity, rng, **kwargs)
         self.capacity = capacity
         self.resident = {}
         self.clock = 0.0
@@ -239,7 +240,7 @@ def test_policies_track_residency():
 
 def test_invalidate_leaves_no_ghost():
     for name in ("arc", "2q"):
-        policy = make_replacement_policy(name, 4)
+        policy = registry.create("replacement", name, 4)
         block = make_block(1, 0)
         policy.on_insert(block)
         policy.on_evict(block, ghost=False)
@@ -278,20 +279,21 @@ def test_capacity_must_be_positive():
     ],
 )
 def test_factory(name, cls):
-    policy = make_replacement_policy(name, 16)
+    policy = registry.create("replacement", name, 16)
     assert isinstance(policy, cls)
     assert policy.name == name
 
 
 def test_factory_rejects_unknown():
     with pytest.raises(ConfigurationError):
-        make_replacement_policy("mru", 16)
+        registry.create("replacement", "mru", 16)
 
 
 def test_factory_forwards_parameters():
     assert SlruPolicy(16, protected_fraction=0.25).protected_capacity == 4
-    lru_k = make_replacement_policy("lru-k", 16, k=3)
+    knobs = CacheConfig(lru_k=3, twoq_in_fraction=0.5, twoq_out_fraction=1.0)
+    lru_k = registry.create("replacement", "lru-k", 16, config=knobs)
     assert lru_k.k == 3
-    twoq = make_replacement_policy("2q", 16, twoq_in_fraction=0.5, twoq_out_fraction=1.0)
+    twoq = registry.create("replacement", "2q", 16, config=knobs)
     assert twoq.k_in == 8
     assert twoq.k_out == 16

@@ -143,7 +143,7 @@ def test_twoq_first_touch_stays_in_a1in_fifo():
 
 
 def test_twoq_ghost_hit_promotes_to_am():
-    cache = MiniCache("2q", 4, twoq_in_fraction=0.25, twoq_out_fraction=1.0)
+    cache = MiniCache("2q", 4, in_fraction=0.25, out_fraction=1.0)
     for fid in range(1, 7):
         cache.access(fid)  # fills A1in past k_in; oldest spill to A1out
     assert cache.policy.snapshot()["a1out_ghosts"] > 0
@@ -155,7 +155,7 @@ def test_twoq_ghost_hit_promotes_to_am():
 
 
 def test_twoq_a1out_is_bounded():
-    cache = MiniCache("2q", 4, twoq_out_fraction=0.5)
+    cache = MiniCache("2q", 4, out_fraction=0.5)
     for fid in range(100):
         cache.access(fid)
     assert cache.policy.snapshot()["a1out_ghosts"] <= cache.policy.k_out

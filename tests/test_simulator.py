@@ -1,5 +1,6 @@
 """The Patsy simulator and the delayed-write experiments (integration level)."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,12 +67,20 @@ def test_simulator_statistics_plugins():
 
 
 def test_simulator_interval_reports():
-    config = small_test_config()
-    simulator = PatsySimulator(config)
+    simulator = PatsySimulator(small_test_config(), report_interval=60.0)
     profile = WorkloadProfile(name="interval", duration=180.0, num_clients=2, initial_files=10)
     result = simulator.replay(generate_workload(profile, seed=1))
     # 60-second reporting interval over three minutes: at least two intervals.
     assert len(result.latency.interval_reports) >= 2
+
+
+def test_no_plugins_means_no_plugins():
+    """``plugins=None`` installs the four defaults; an empty sequence is an
+    answer, not an absence of one."""
+    assert len(PatsySimulator(small_test_config()).plugins) == 4
+    simulator = PatsySimulator(small_test_config(), plugins=[])
+    assert simulator.plugins == []
+    assert simulator.replay(tiny_trace()).plugin_reports == {}
 
 
 def test_simulator_max_time_cutoff():
@@ -141,16 +150,8 @@ def test_nvram_bottleneck_on_write_heavy_trace():
 
 
 def test_ffs_layout_simulation():
-    config = small_test_config()
-    config = config.__class__(
-        cache=config.cache,
-        flush=config.flush,
-        layout=config.layout.__class__(kind="ffs"),
-        host=config.host,
-        seed=0,
-        report_interval=config.report_interval,
-    )
-    simulator = PatsySimulator(config)
+    spec = small_test_config()
+    simulator = PatsySimulator(replace(spec, layout=replace(spec.layout, kind="ffs")))
     result = simulator.replay(tiny_trace())
     assert result.errors == 0
 
