@@ -268,13 +268,23 @@ def test_one_node_cluster_reproduces_array_summary_byte_identically():
         host=HostConfig(num_disks=2),
         array=ArrayConfig(volumes=2),
     )
-    arrayed = PatsySimulator(base).replay(trace, trace_name="t")
-    clustered_config = replace(base, cluster=ClusterConfig(nodes=1))
-    clustered = PatsySimulator(clustered_config).replay(trace, trace_name="t")
+    simulators = []
+    for config in (base, replace(base, cluster=ClusterConfig(nodes=1))):
+        simulator = PatsySimulator(config)
+        simulator.scheduler.enable_schedule_hash()
+        simulators.append((simulator, simulator.replay(trace, trace_name="t")))
+    (array_sim, arrayed), (cluster_sim, clustered) = simulators
     # The cluster stack carries the durable metadata tier and the array
     # stack does not: with nothing journalled the tier touches neither the
     # scheduler nor the devices.
     assert repr(arrayed.summary()) == repr(clustered.summary())
+    # Not only the same numbers: the same threads ran in the same order and
+    # every disk moved the same sectors.
+    assert arrayed.schedule_digests and arrayed.schedule_digests == clustered.schedule_digests
+    assert [(d.stats.sectors_read, d.stats.sectors_written) for d in array_sim.drivers] == [
+        (d.stats.sectors_read, d.stats.sectors_written) for d in cluster_sim.drivers
+    ]
+    assert any(d.stats.sectors_written for d in array_sim.drivers)
     # Both went through the multi-volume stack; only the real cluster run
     # carries cluster stats (a one-node cluster has no network to report).
     assert arrayed.volume_stats and clustered.volume_stats

@@ -253,6 +253,8 @@ def array_pfs_run(directory: Path) -> dict:
         image.name: hashlib.sha256(image.read_bytes()).hexdigest()
         for image in sorted(directory.iterdir())
     }
+    # Nothing but the ten disk images: an idle tier leaves no file behind.
+    assert sorted(images) == sorted(f"disk.d{i}" for i in range(10))
     return {"statistics": statistics, "files": files, "images": images}
 
 
@@ -336,6 +338,9 @@ def single_pfs_run(backing: Path | None) -> dict:
     statistics = {"first_mount": written, "remount": _pinned_statistics(pfs)}
     pfs.unmount()
     pfs.close_backing()
+    if backing is not None:
+        # Nothing but the disk image: an idle tier leaves no file behind.
+        assert [entry.name for entry in backing.parent.iterdir()] == [backing.name]
     return {
         "statistics": statistics,
         "files": files,
