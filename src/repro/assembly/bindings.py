@@ -28,6 +28,7 @@ from typing import Any, List, Optional, Union
 
 from repro.assembly.registry import registry
 from repro.assembly.spec import StackSpec
+from repro.config import ClusterConfig
 from repro.core.clock import RealClock, VirtualClock
 from repro.core.datamover import DataMover
 from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler
@@ -42,15 +43,12 @@ class Hardware:
 
     ``drivers`` always has one entry per disk of the spec's complement;
     ``buses`` and ``disks`` are populated only by the simulated world
-    (an on-line machine's buses are not modelled).  ``nics`` holds one
-    network interface per cluster node — empty for single-machine stacks,
-    where no network exists at all.
+    (an on-line machine's buses are not modelled).
     """
 
     drivers: List[Any]
     buses: List[Any] = field(default_factory=list)
     disks: List[Any] = field(default_factory=list)
-    nics: List[Any] = field(default_factory=list)
 
 
 class Binding:
@@ -70,10 +68,10 @@ class Binding:
     def with_data(self) -> bool:
         return not self.simulated
 
-    def make_scheduler(self, seed: int, cluster: Optional[Any] = None) -> Scheduler:
+    def make_scheduler(self, seed: int, cluster: ClusterConfig) -> Scheduler:
         raise NotImplementedError
 
-    def _cluster_scheduler(self, clock: Any, seed: int, cluster: Optional[Any]) -> Scheduler:
+    def _cluster_scheduler(self, clock: Any, seed: int, cluster: ClusterConfig) -> Scheduler:
         """The shared scheduler-selection rule.
 
         Multi-node stacks run under the deterministic node-merge order
@@ -81,7 +79,7 @@ class Binding:
         function of the workload.  Single-machine stacks keep the paper's
         seeded random policy, byte-for-byte.
         """
-        if cluster is None or cluster.nodes <= 1:
+        if cluster.nodes <= 1:
             return Scheduler(clock=clock, seed=seed)
         return Scheduler(clock=clock, seed=seed, policy=NodeMergeSchedulingPolicy())
 
@@ -92,15 +90,14 @@ class Binding:
         raise NotImplementedError
 
     def build_network(self, spec: StackSpec, scheduler: Scheduler) -> List[Any]:
-        """One NIC per cluster node, from the spec's cluster section.
+        """One NIC per node of a multi-node cluster, from the spec's
+        cluster section; a single machine has no network.
 
         Both worlds share this default: the NIC only charges (virtual or
-        real) scheduler time, exactly like the data mover.  A one-node
-        cluster — or no cluster at all — builds nothing, which is what
-        keeps the single-machine assembly untouched by the cluster tier.
+        real) scheduler time, exactly like the data mover.
         """
         cluster = spec.cluster
-        if cluster is None or cluster.nodes <= 1:
+        if cluster.nodes <= 1:
             return []
         from repro.core.cluster.network import Nic
 
@@ -116,11 +113,8 @@ class Binding:
         ]
 
     def make_metadata_device(self, spec: StackSpec, scheduler: Scheduler) -> Any:
-        """The device the durable metadata tier (WAL + manifest) lives on.
-
-        Only consulted for cluster stacks; each binding picks its world's
-        back-end.
-        """
+        """The device the durable metadata tier (WAL + manifest) lives on;
+        each binding picks its world's back-end."""
         raise NotImplementedError
 
 
@@ -140,18 +134,17 @@ class SimulatedBinding(Binding):
     def __init__(self, metadata_store: Optional[Any] = None):
         self.metadata_store = metadata_store
 
-    def make_scheduler(self, seed: int, cluster: Optional[Any] = None) -> Scheduler:
+    def make_scheduler(self, seed: int, cluster: ClusterConfig) -> Scheduler:
         return self._cluster_scheduler(VirtualClock(), seed, cluster)
 
     def make_metadata_device(self, spec: StackSpec, scheduler: Scheduler) -> Any:
         from repro.core.metadata.device import MemoryMetadataDevice
 
-        cluster = spec.cluster
         device = MemoryMetadataDevice(
             scheduler,
             store=self.metadata_store,
-            latency=cluster.metadata_latency if cluster else 0.0,
-            bandwidth=cluster.metadata_bandwidth if cluster else 0.0,
+            latency=spec.cluster.metadata_latency,
+            bandwidth=spec.cluster.metadata_bandwidth,
         )
         self.metadata_store = device.store
         return device
@@ -233,7 +226,7 @@ class OnlineBinding(Binding):
         #: backing persists metadata in real files next to the disk image).
         self.metadata_store = metadata_store
 
-    def make_scheduler(self, seed: int, cluster: Optional[Any] = None) -> Scheduler:
+    def make_scheduler(self, seed: int, cluster: ClusterConfig) -> Scheduler:
         clock = RealClock() if self.real_time else VirtualClock()
         return self._cluster_scheduler(clock, seed, cluster)
 

@@ -8,18 +8,20 @@ array).  This builder is now the only assembly path: a world-independent
 :class:`~repro.assembly.bindings.Binding` yields a fully wired
 :class:`StorageStack`, and the two front-ends are thin facades over it.
 
-Every stack is an array of volumes: one machine's disks carved into
-``spec.array.volumes`` volumes (one by default), each with its own layout,
-cache shard and flush daemon behind the routing façades.  A cluster is the
-same per-node sub-stack built once per node, with every non-front-end node's
-volumes wrapped in a :class:`~repro.core.cluster.remote.RemoteVolume` so
-their block I/O crosses the simulated network, and a
-:class:`~repro.core.cluster.placement.ClusterPlacement` routing tier on top.
+Every stack is a cluster of nodes (one by default), each an array of
+volumes: a machine's disks carved into ``spec.array.volumes`` volumes (one by
+default), each with its own layout, cache shard and flush daemon behind the
+routing façades, under a
+:class:`~repro.core.cluster.placement.ClusterPlacement` routing tier, a fault
+board and the durable metadata tier.  What the spec's numbers add: with more
+than one node, every non-front-end node's volumes are wrapped in a
+:class:`~repro.core.cluster.remote.RemoteVolume` so their block I/O crosses
+the simulated network, and the skew monitor runs; with ``replicas > 0``, the
+replica manager and the repairer.
 
 The construction order below is load-bearing: scheduler interactions during
-assembly (thread spawns, RNG wiring) must be identical across worlds, and a
-one-node cluster must stay byte-identical to the bare array (pinned by
-``tests/test_cluster.py`` and the goldens of ``tests/test_golden_schedule.py``).
+assembly (thread spawns, RNG wiring) must be identical across worlds (pinned
+by the goldens of ``tests/test_golden_schedule.py``).
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ from repro.core.cluster.node import ClusterNode, ClusterTopology
 from repro.core.cluster.placement import ClusterPlacement
 from repro.core.cluster.rebalance import ClusterRebalancer
 from repro.core.cluster.remote import RemoteVolume
+from repro.core.cluster.replication import ReplicaManager, ReplicationRepairer
 from repro.core.datamover import DataMover
 from repro.core.filesystem import FileSystem
 from repro.core.flush import ShardedFlushPolicy
+from repro.core.metadata.manifest import ManifestStore
+from repro.core.metadata.tier import MetadataTier
+from repro.core.metadata.wal import WriteAheadLog
 from repro.core.scheduler import Scheduler
-from repro.core.storage.array import (
-    PlacementPolicy,
-    RoutedLayout,
-    ShardedCache,
-    VolumeSet,
-)
+from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
 from repro.core.storage.cleaner import CleanerDaemon, CleanerSet
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume, Volume
@@ -88,12 +89,13 @@ class StorageStack:
     flush_policy: ShardedFlushPolicy
     #: one cleaner daemon per LFS volume (empty when no volume is an LFS).
     cleaner: CleanerSet
-    #: routes files and blocks to volumes (a ClusterPlacement on a cluster).
-    placement: PlacementPolicy
-    #: the cluster topology (multi-machine stacks only).
-    cluster: Optional[ClusterTopology] = None
-    #: the durable metadata tier (cluster stacks only).
-    metadata: Optional[Any] = None
+    #: routes files and blocks to volumes: the spec's placement policy
+    #: under the migration routing table.
+    placement: ClusterPlacement
+    #: the nodes (one for a single machine) and what spans them.
+    cluster: ClusterTopology
+    #: the durable metadata tier; idle until something is journalled.
+    metadata: MetadataTier
     #: crash-injection hooks threaded through the stack (tests only).
     crashpoints: Optional[Any] = None
     fs: FileSystem = field(init=False)
@@ -107,21 +109,14 @@ class StorageStack:
             self.datamover,
             flush_policy=self.flush_policy,
             cleaner=self.cleaner,
-            metadata=self.metadata,
         )
         self.client = AbstractClientInterface(
             self.fs, auto_materialize=self.binding.auto_materialize
         )
-        # The skew monitor exists only for real multi-node clusters with
-        # rebalancing enabled; a one-node cluster spawns nothing, keeping
-        # it byte-identical to the bare array assembly.
+        # The skew monitor exists only for multi-node clusters with
+        # rebalancing enabled; a single machine spawns nothing.
         cluster_config = self.spec.cluster
-        if (
-            self.cluster is not None
-            and cluster_config is not None
-            and cluster_config.nodes > 1
-            and cluster_config.rebalance
-        ):
+        if cluster_config.nodes > 1 and cluster_config.rebalance:
             rebalancer = ClusterRebalancer(
                 self.fs,
                 self.cluster.placement,
@@ -132,17 +127,8 @@ class StorageStack:
             self.cluster.rebalancer = rebalancer
             rebalancer.start()
         # The repair loop exists only for replicated clusters (replicas=0
-        # spawns nothing — the byte-identity pin against the pre-replication
-        # stack).
-        if (
-            self.cluster is not None
-            and cluster_config is not None
-            and cluster_config.replicas > 0
-            and self.cluster.replication is not None
-            and cluster_config.repair
-        ):
-            from repro.core.cluster.replication import ReplicationRepairer
-
+        # spawns nothing).
+        if cluster_config.replicas > 0 and cluster_config.repair:
             repairer = ReplicationRepairer(
                 self.scheduler,
                 self.layout,
@@ -228,26 +214,17 @@ def build_stack(
 
     array = spec.array
     cluster = spec.cluster
-    simulated = binding.simulated
-    with_data = binding.with_data
-    topology: Optional[ClusterTopology] = None
-    metadata: Optional[Any] = None
-
     total_volumes = spec.num_volumes
-    placement: PlacementPolicy = registry.create(
-        "placement",
-        array.placement,
-        total_volumes,
-        stripe_unit=array.stripe_unit_blocks,
+    placement = ClusterPlacement(
+        registry.create(
+            "placement", array.placement, total_volumes, stripe_unit=array.stripe_unit_blocks
+        ),
+        cluster.nodes,
+        spec.volumes_per_node,
+        replicas=cluster.replicas,
     )
-    if cluster is not None:
-        placement = ClusterPlacement(
-            placement,
-            cluster.nodes,
-            spec.volumes_per_node,
-            replicas=cluster.replicas,
-        )
-    nics = hardware.nics or binding.build_network(spec, scheduler)
+    # One NIC per node of a multi-node cluster; a single machine has no network.
+    nics = binding.build_network(spec, scheduler)
     volumes: List[Volume] = []
     remote_volumes: dict = {}
     for v in range(total_volumes):
@@ -256,22 +233,13 @@ def build_stack(
             block_size=spec.cache.block_size,
         )
         node = spec.node_of_volume(v)
-        if nics and node != 0:
+        if node != 0:
             # Node-aware wrapper: accesses from the owner's own threads
             # (its daemons) stay off the network; foreign accesses cross
             # the accessor's NIC out and the owner's back.  Node-0
             # volumes stay bare LocalVolumes — node 0 is the front end,
             # where every client runs.
-            assert cluster is not None
-            remote = RemoteVolume(
-                local,
-                local_nic=nics[0],
-                remote_nic=nics[node],
-                request_bytes=cluster.request_bytes,
-                scheduler=scheduler,
-                node=node,
-                nics=nics,
-            )
+            remote = RemoteVolume(local, scheduler, node, nics)
             remote_volumes[v] = remote
             volumes.append(remote)
         else:
@@ -282,7 +250,7 @@ def build_stack(
             spec,
             scheduler,
             volumes[v],
-            simulated,
+            binding.simulated,
             spec.seed + v,
             inode_base=v,
             inode_stride=total_volumes,
@@ -303,97 +271,75 @@ def build_stack(
         size_bytes=max(spec.cache.size_bytes // total_volumes, spec.cache.block_size),
     )
     shards = [
-        BlockCache(scheduler, shard_config, with_data=with_data)
+        BlockCache(scheduler, shard_config, with_data=binding.with_data)
         for _ in range(total_volumes)
     ]
     cache = ShardedCache(shards, placement.volume_for_block)
     datamover = binding.make_datamover(spec)
+    # Each cache shard's flush daemons (and the governors) are homed on the
+    # node that owns the shard's volume.
     flush_policy = ShardedFlushPolicy(
-        spec.flush,
-        high_water=array.governor_high_water,
-        low_water=array.governor_low_water,
+        spec.flush, shard_nodes=[spec.node_of_volume(v) for v in range(total_volumes)]
     )
-    if cluster is not None and cluster.nodes > 1:
-        # Home each cache shard's flush daemons (and the governors) on
-        # the node that owns the shard's volume.
-        flush_policy.shard_nodes = [spec.node_of_volume(v) for v in range(total_volumes)]
     cleaner = CleanerSet([
         _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
         for v in range(total_volumes)
         if isinstance(sublayouts[v], LogStructuredLayout)
     ])
-    if cluster is not None:
-        assert isinstance(placement, ClusterPlacement)
-        nodes = []
-        vpn = spec.volumes_per_node
-        for n in range(cluster.nodes):
-            vol_indices = list(range(n * vpn, (n + 1) * vpn))
-            node_disks = [
-                drivers[i]
-                for v in vol_indices
-                for i in spec.disks_of_volume(v)
-            ]
-            nodes.append(
-                ClusterNode(
-                    index=n,
-                    nic=nics[n] if nics else None,
-                    volume_indices=vol_indices,
-                    drivers=node_disks,
-                    volumes=[volumes[v] for v in vol_indices],
-                    sublayouts=[sublayouts[v] for v in vol_indices],
-                    cache_shards=[shards[v] for v in vol_indices],
-                )
+    # The durable metadata tier stays invisible to the replay (and to the
+    # disk) until something is journalled.
+    device = binding.make_metadata_device(spec, scheduler)
+    wal = WriteAheadLog(
+        scheduler,
+        device,
+        commit_records=cluster.wal_commit_records,
+        commit_bytes=cluster.wal_commit_bytes,
+        crashpoints=crashpoints,
+    )
+    metadata = MetadataTier(
+        scheduler,
+        placement,
+        wal,
+        ManifestStore(scheduler, device, crashpoints=crashpoints),
+        cluster,
+        crashpoints=crashpoints,
+    )
+    layout.tiers.append(metadata)
+    nodes = []
+    for n in range(cluster.nodes):
+        vol_indices = list(placement.volumes_of_node(n))
+        nodes.append(
+            ClusterNode(
+                index=n,
+                nic=nics[n] if nics else None,
+                volume_indices=vol_indices,
+                drivers=[drivers[i] for v in vol_indices for i in spec.disks_of_volume(v)],
+                volumes=[volumes[v] for v in vol_indices],
+                sublayouts=[sublayouts[v] for v in vol_indices],
+                cache_shards=[shards[v] for v in vol_indices],
             )
-        topology = ClusterTopology(
-            nodes=nodes,
-            nics=nics,
-            placement=placement,
-            remote_volumes=remote_volumes,
         )
-        # Every cluster stack carries a fault board; it stays inert (one
-        # attribute check per I/O) until a schedule applies an event.
-        from repro.core.faults import FaultState
-
-        faults = FaultState(volumes_per_node=spec.volumes_per_node)
-        topology.faults = faults
-        layout.faults = faults
-        # Every cluster stack carries the durable metadata tier; it
-        # stays invisible to the replay until something is journalled.
-        from repro.core.metadata.manifest import ManifestStore
-        from repro.core.metadata.tier import MetadataTier
-        from repro.core.metadata.wal import WriteAheadLog
-
-        device = binding.make_metadata_device(spec, scheduler)
-        wal = WriteAheadLog(
-            scheduler,
-            device,
-            commit_records=cluster.wal_commit_records,
-            commit_bytes=cluster.wal_commit_bytes,
-            commit_interval=cluster.wal_commit_interval,
-            crashpoints=crashpoints,
+    topology = ClusterTopology(
+        nodes=nodes,
+        nics=nics,
+        placement=placement,
+        remote_volumes=remote_volumes,
+        metadata=metadata,
+        faults=layout.faults,
+    )
+    if cluster.replicas > 0:
+        if any(not hasattr(sub, "inode_map") for sub in sublayouts):
+            raise ConfigurationError(
+                "replication needs sub-layouts that can host foreign "
+                "inode numbers (LFS); slot-mapped layouts cannot hold "
+                "shadow inodes"
+            )
+        # Creation-time replica re-homing (dead default volume at first
+        # write) journals RSETs like a repair does.
+        layout.replication = ReplicaManager(
+            scheduler, layout, placement, layout.faults, metadata
         )
-        metadata = MetadataTier(
-            scheduler,
-            placement,
-            wal,
-            ManifestStore(scheduler, device, crashpoints=crashpoints),
-            cluster,
-            crashpoints=crashpoints,
-        )
-        topology.metadata = metadata
-        if cluster.replicas > 0:
-            from repro.core.cluster.replication import ReplicaManager
-
-            if any(not hasattr(sub, "inode_map") for sub in sublayouts):
-                raise ConfigurationError(
-                    "replication needs sub-layouts that can host foreign "
-                    "inode numbers (LFS); slot-mapped layouts cannot hold "
-                    "shadow inodes"
-                )
-            # Creation-time replica re-homing (dead default volume at first
-            # write) journals RSETs like a repair does.
-            layout.replication = ReplicaManager(scheduler, layout, placement, faults, metadata)
-            topology.replication = layout.replication
+        topology.replication = layout.replication
 
     return StorageStack(
         spec=spec,

@@ -8,7 +8,7 @@ defined next to the section dataclasses it is made of, in
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import Any, Dict
 
 from repro.config import StackSpec
@@ -20,9 +20,7 @@ def spec_diff(a: StackSpec, b: StackSpec) -> Dict[str, Any]:
     """The fields on which two specs differ, as a nested dict.
 
     Returns ``{section: {field: (a_value, b_value)}}`` for every differing
-    sub-config field, ``{section: (a_section_or_None, b_section_or_None)}``
-    when a whole section is present on one side only, and
-    ``{"seed": (a, b)}`` for the top-level seed.  An empty dict means the
+    sub-config field and ``{"seed": (a, b)}`` for the top-level seed.  An empty dict means the
     specs describe the same stack.  Experiments use this to print manifest
     deltas — the exact knobs that separate two runs — instead of two full
     specs.
@@ -32,14 +30,12 @@ def spec_diff(a: StackSpec, b: StackSpec) -> Dict[str, Any]:
         value_a, value_b = getattr(a, name), getattr(b, name)
         if value_a == value_b:
             continue
-        if is_dataclass(value_a) and is_dataclass(value_b):
+        if is_dataclass(value_a):
             diff[name] = {
                 f.name: (getattr(value_a, f.name), getattr(value_b, f.name))
                 for f in fields(value_a)
                 if getattr(value_a, f.name) != getattr(value_b, f.name)
             }
-        else:  # the seed, or a section present on one side only
-            diff[name] = tuple(
-                asdict(value) if is_dataclass(value) else value for value in (value_a, value_b)
-            )
+        else:  # the seed
+            diff[name] = (value_a, value_b)
     return diff

@@ -175,11 +175,8 @@ class LayoutConfig:
     cleaner_high_water: float = 0.4
     #: cleaner policy: "greedy" or "cost-benefit".
     cleaner_policy: str = "cost-benefit"
-    #: LFS per-segment index: sample every Nth summary entry into the
-    #: sparse offset index.
-    index_sparse_every: int = 4
-    #: bound on the cleaner's candidate set drawn from the utilisation
-    #: buckets (0 = scan every segment).
+    #: LFS per-segment index: bound on the cleaner's candidate set drawn
+    #: from the utilisation buckets (0 = scan every segment).
     cleaner_candidates: int = 64
     #: maximum blocks coalesced into one cold-read run (<=1 disables).
     read_coalesce_blocks: int = 8
@@ -195,8 +192,6 @@ class LayoutConfig:
             "cleaner", self.cleaner_policy
         ):
             raise ConfigurationError(f"unknown cleaner policy {self.cleaner_policy!r}")
-        if self.index_sparse_every < 1:
-            raise ConfigurationError("index_sparse_every must be >= 1")
         if self.cleaner_candidates < 0:
             raise ConfigurationError("cleaner_candidates must be >= 0")
         if self.read_coalesce_blocks < 0:
@@ -208,7 +203,6 @@ class LayoutConfig:
         from repro.core.storage.segindex import SegmentIndexConfig
 
         return SegmentIndexConfig(
-            sparse_every=self.index_sparse_every,
             cleaner_candidates=self.cleaner_candidates,
             read_coalesce_blocks=self.read_coalesce_blocks,
         )
@@ -275,11 +269,6 @@ class ArrayConfig:
     placement: str = "hash"
     #: stripe unit in file blocks (placement == "stripe").
     stripe_unit_blocks: int = 16
-    #: aggregate dirty-ratio high-water mark at which the shared governor
-    #: starts draining the dirtiest shard (1.0 disables the governor).
-    governor_high_water: float = 0.85
-    #: aggregate dirty ratio at which the governor stops draining.
-    governor_low_water: float = 0.70
 
     def __post_init__(self) -> None:
         if self.volumes < 1:
@@ -290,8 +279,6 @@ class ArrayConfig:
             raise ConfigurationError(f"unknown placement policy {self.placement!r}")
         if self.stripe_unit_blocks < 1:
             raise ConfigurationError("stripe_unit_blocks must be positive")
-        if not (0.0 <= self.governor_low_water <= self.governor_high_water <= 1.0):
-            raise ConfigurationError("governor water marks must satisfy 0 <= low <= high <= 1")
 
     def check_fits(self, host: HostConfig) -> None:
         """Reject an array that carves ``host`` into more volumes than it
@@ -305,7 +292,8 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Multi-machine cluster tier above the storage array.
+    """The cluster tier above the storage array: every stack is a cluster
+    of nodes, one by default.
 
     A cluster is ``nodes`` machines, each with the disks and buses of
     ``StackSpec.host`` carved as ``StackSpec.array`` says (one volume per
@@ -317,9 +305,9 @@ class ClusterConfig:
     A skew monitor watches per-volume load and free space and, when the
     imbalance passes the configured thresholds, *migrates* files between
     volumes online: live blocks are copied forward through the cache and
-    the routing entry is flipped atomically.  With ``nodes=1`` no network
-    objects or monitor threads exist at all, so the replay is byte-identical
-    to the bare array stack (pinned by ``tests/test_cluster.py``).
+    the routing entry is flipped atomically.  With ``nodes=1`` (the
+    default: a single machine) no network objects or monitor threads exist
+    at all, and the metadata tier stays idle until something is journalled.
     """
 
     #: number of machines; node 0 is the client-facing front end.
@@ -331,8 +319,6 @@ class ClusterConfig:
     network_latency: float = 0.0002
     #: per-message NIC setup/interrupt overhead, seconds (holding the NIC).
     nic_overhead: float = 0.00005
-    #: size of a request/acknowledgement message header, bytes.
-    request_bytes: int = 128
     #: whether the skew monitor runs (``nodes > 1`` only).
     rebalance: bool = True
     #: how often (simulated seconds) the skew monitor re-examines the volumes.
@@ -340,8 +326,6 @@ class ClusterConfig:
     #: migrate when the busiest volume carries more than this multiple of the
     #: mean per-volume load over the last interval.
     imbalance_threshold: float = 2.0
-    #: also migrate off any volume whose free-block fraction drops below this.
-    free_space_low_water: float = 0.10
     #: upper bound on file migrations per monitor round.
     max_migrations_per_round: int = 8
     #: the durable metadata tier journals routing flips and migration state
@@ -350,11 +334,9 @@ class ClusterConfig:
     #: A group commit becomes due after this many buffered records (1 =
     #: commit after every record) ...
     wal_commit_records: int = 8
-    #: ... or this many buffered bytes ...
+    #: ... or this many buffered bytes (or a second of simulated time
+    #: since the previous commit).
     wal_commit_bytes: int = 4 * KB
-    #: ... or this much simulated time since the previous commit (the
-    #: interval daemon; only spawned once something is journalled).
-    wal_commit_interval: float = 1.0
     #: fold the WAL into the manifest once the log file passes this size.
     wal_checkpoint_bytes: int = 64 * KB
     #: per-operation latency of the (simulated) metadata device, seconds.
@@ -388,22 +370,16 @@ class ClusterConfig:
             raise ConfigurationError("network bandwidth must be positive")
         if self.network_latency < 0 or self.nic_overhead < 0:
             raise ConfigurationError("network latency/overhead cannot be negative")
-        if self.request_bytes < 1:
-            raise ConfigurationError("request_bytes must be positive")
         if self.rebalance_interval <= 0:
             raise ConfigurationError("rebalance_interval must be positive")
         if self.imbalance_threshold < 1.0:
             raise ConfigurationError("imbalance_threshold must be at least 1.0")
-        if not (0.0 <= self.free_space_low_water < 1.0):
-            raise ConfigurationError("free_space_low_water must be in [0, 1)")
         if self.max_migrations_per_round < 1:
             raise ConfigurationError("max_migrations_per_round must be positive")
         if self.wal_commit_records < 1:
             raise ConfigurationError("wal_commit_records must be positive")
         if self.wal_commit_bytes < 1:
             raise ConfigurationError("wal_commit_bytes must be positive")
-        if self.wal_commit_interval <= 0:
-            raise ConfigurationError("wal_commit_interval must be positive")
         if self.wal_checkpoint_bytes < 1:
             raise ConfigurationError("wal_checkpoint_bytes must be positive")
         if self.metadata_latency < 0 or self.metadata_bandwidth < 0:
@@ -456,8 +432,9 @@ class StackSpec:
     """Declarative, world-independent description of one storage stack.
 
     A spec says *what* the stack is — cache geometry and replacement policy,
-    flush policy and governor marks, storage layout(s), array shape and
-    placement, cleaner policy — without saying *where* it runs.  The same
+    flush policy, storage layout(s), array shape and placement, how many
+    such machines (one by default), cleaner policy — without saying *where*
+    it runs.  The same
     object builds the off-line simulator (``PatsySimulator(spec)``, under a
     :class:`~repro.assembly.bindings.SimulatedBinding`) and the on-line file
     system (``PegasusFileSystem(spec)``, under an
@@ -480,9 +457,9 @@ class StackSpec:
     #: how each machine's disks are carved into volumes (default: one
     #: volume over all of the host's disks).
     array: ArrayConfig = field(default_factory=ArrayConfig)
-    #: multi-machine cluster tier; None (or one node) = a single machine.
-    #: Each node has the ``host`` hardware carved as ``array``.
-    cluster: Optional[ClusterConfig] = None
+    #: the machines: each node has the ``host`` hardware carved as
+    #: ``array`` (default: one node, no replicas — a single machine).
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     #: seed for the scheduler and any synthesised parameters.
     seed: int = 0
 
@@ -493,7 +470,7 @@ class StackSpec:
 
     @property
     def num_nodes(self) -> int:
-        return self.cluster.nodes if self.cluster is not None else 1
+        return self.cluster.nodes
 
     @property
     def volumes_per_node(self) -> int:
@@ -557,8 +534,7 @@ class StackSpec:
         """A plain-dict form (JSON-safe) for experiment manifests."""
         data: Dict[str, Any] = {}
         for name in _SECTION_TYPES:
-            value = getattr(self, name)
-            data[name] = None if value is None else asdict(value)
+            data[name] = asdict(getattr(self, name))
         data["seed"] = self.seed
         return data
 

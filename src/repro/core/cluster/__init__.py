@@ -1,4 +1,4 @@
-"""The cluster tier: multiple machines above the storage array.
+"""The cluster tier: the machines above the storage array, one by default.
 
 The paper stops at one Sun 4/280; this package grows the same component
 library to N machines.  Node 0 is the front end where clients arrive; every
@@ -10,9 +10,9 @@ table, and a :class:`ClusterRebalancer` watches per-volume load/free-space
 skew and migrates files online — copy the live blocks forward through the
 cache, atomically flip the routing entry.
 
-With one node none of this exists at run time: no NICs, no remote volumes,
-no monitor thread — a one-node cluster replay is byte-identical to the bare
-array stack.
+Every stack is such a cluster.  With one node (the default) there are no
+NICs, no remote volumes and no monitor thread: only the routing table, the
+fault board and an idle metadata tier.
 """
 
 from __future__ import annotations

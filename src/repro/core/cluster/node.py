@@ -1,17 +1,17 @@
-"""``ClusterNode`` and ``ClusterTopology``: the shape of a built cluster.
+"""``ClusterNode`` and ``ClusterTopology``: the shape of a built stack.
 
 A node wraps one machine's slice of the stack — its NIC, its disk drivers,
 its (possibly remote-wrapped) volumes, its per-volume layouts and cache
-shards — exactly the sub-stack :func:`repro.assembly.builder.build_stack`
-assembles for a standalone array of the same shape.  The topology groups
-the nodes plus the cluster-wide pieces (placement tier, rebalancer) for
-reporting; all of the actual I/O routing happens through the placement and
-the routed layout, not through these wrappers.
+shards.  The topology groups the nodes (one for a single machine) plus the
+pieces that span them (placement tier, fault board, metadata tier,
+rebalancer) for reporting and fault injection; all of the actual I/O
+routing happens through the placement and the routed layout, not through
+these wrappers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.cluster.network import Nic
@@ -26,12 +26,12 @@ __all__ = ["ClusterNode", "ClusterTopology"]
 
 @dataclass
 class ClusterNode:
-    """One machine's slice of the cluster stack.
+    """One machine's slice of the stack.
 
     ``volumes`` holds the volumes as the front end sees them — the local
     node's :class:`~repro.core.storage.volume.LocalVolume` objects, or
     :class:`~repro.core.cluster.remote.RemoteVolume` wrappers for every
-    other node.  ``nic`` is None on a one-node cluster (no network exists).
+    other node.  ``nic`` is None on a single machine (no network exists).
     """
 
     index: int
@@ -43,10 +43,6 @@ class ClusterNode:
     sublayouts: List[Any]
     cache_shards: List[Any]
 
-    @property
-    def is_front_end(self) -> bool:
-        return self.index == 0
-
     def __repr__(self) -> str:
         return (
             f"ClusterNode({self.index}, volumes={self.volume_indices}, "
@@ -56,18 +52,22 @@ class ClusterNode:
 
 @dataclass
 class ClusterTopology:
-    """Everything cluster-specific a built stack carries."""
+    """The nodes of a built stack and what spans them.  Every stack has
+    one; a single machine is one node with no NICs, no remote volumes and no
+    rebalancer."""
 
     nodes: List[ClusterNode]
+    #: one NIC per node of a multi-node cluster (empty on a single machine).
     nics: List[Nic]
     placement: ClusterPlacement
-    rebalancer: Optional["ClusterRebalancer"] = None
     #: remote volumes, keyed by global volume index (front-end view).
-    remote_volumes: dict = field(default_factory=dict)
+    remote_volumes: dict
     #: the durable metadata tier (WAL + manifest).
-    metadata: Optional[Any] = None
+    metadata: Any
     #: the fault board (``repro.core.faults.FaultState``).
-    faults: Optional[Any] = None
+    faults: Any
+    #: the skew monitor, on a multi-node cluster with ``rebalance`` on.
+    rebalancer: Optional["ClusterRebalancer"] = None
     #: replication data path + repair loop, when ``replicas`` > 0.
     replication: Optional[Any] = None
     repairer: Optional[Any] = None

@@ -84,15 +84,8 @@ class ClusterPlacement(PlacementPolicy):
 
     # ------------------------------------------------------------------ topology
 
-    def node_of_volume(self, volume: int) -> int:
-        return volume // self.volumes_per_node
-
     def node_of_file(self, file_id: int) -> int:
         return self.node_of_volume(self.volume_of_file(file_id))
-
-    def volumes_of_node(self, node: int) -> range:
-        start = node * self.volumes_per_node
-        return range(start, start + self.volumes_per_node)
 
     # ------------------------------------------------------------------ routing
 
@@ -122,10 +115,6 @@ class ClusterPlacement(PlacementPolicy):
 
     # ------------------------------------------------------------------ migration
 
-    def migrated_home(self, file_id: int) -> Optional[int]:
-        """The override for ``file_id``, or None when it routes natively."""
-        return self._overrides.get(file_id)
-
     def flip(self, file_id: int, new_volume: int) -> None:
         """Atomically repoint ``file_id`` at ``new_volume``.
 
@@ -149,8 +138,8 @@ class ClusterPlacement(PlacementPolicy):
         """Drop the routing entries of a deleted file.
 
         The forget hook only fires when an entry actually existed: files
-        that never migrated leave no trace in the journal (keeping an idle
-        metadata tier byte-invisible — the one-node equivalence pin).  One
+        that never migrated leave no trace in the journal (an idle
+        metadata tier stays invisible).  One
         FORGET record covers both tables: recovery clears the replica
         override together with the home override.
         """

@@ -48,6 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ClusterRebalancer", "Migration"]
 
 
+#: migrate off (and never onto) a volume whose free-block fraction is below this.
+FREE_SPACE_LOW_WATER = 0.10
+
+
 @dataclass(frozen=True)
 class Migration:
     """One completed migration, as recorded in the schedule."""
@@ -152,7 +156,7 @@ class ClusterRebalancer:
         mean_load = sum(load) / volumes
 
         source: Optional[int] = None
-        starved = [v for v in range(volumes) if free[v] < config.free_space_low_water]
+        starved = [v for v in range(volumes) if free[v] < FREE_SPACE_LOW_WATER]
         if starved:
             # Free-space pressure beats load skew: migrate off the fullest.
             source = min(starved, key=lambda v: (free[v], v))
@@ -168,7 +172,7 @@ class ClusterRebalancer:
         candidates = [
             v
             for v in range(volumes)
-            if v != source and free[v] >= config.free_space_low_water
+            if v != source and free[v] >= FREE_SPACE_LOW_WATER
         ]
         if not candidates:
             return 0
@@ -215,8 +219,7 @@ class ClusterRebalancer:
         old_home = placement.volume_of_file(file_id)
         if new_home == old_home or file_id == ROOT_INODE_NUMBER:
             return False
-        conflict = getattr(placement, "replication_conflict", None)
-        if conflict is not None and conflict(file_id, new_home):
+        if placement.replication_conflict(file_id, new_home):
             # The target volume (or its node) holds one of the file's
             # replicas: the primary landing there would collide with the
             # shadow inode already carrying this inode number.

@@ -12,9 +12,10 @@ surfaces in the measured latencies exactly like bus contention does.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.core.cluster.network import Nic
+from repro.core.scheduler import Scheduler
 from repro.core.storage.volume import LocalVolume, Volume
 
 __all__ = ["RemoteVolume"]
@@ -27,40 +28,28 @@ class RemoteVolume(Volume):
     ----------
     backing:
         The serving node's local volume (holds the disks and queues).
-    local_nic:
-        The front end's NIC: requests and write payloads leave through it.
-    remote_nic:
-        The serving node's NIC: read payloads and acknowledgements leave
-        through it.
+    scheduler / node / nics:
+        ``node`` is the volume's owner and ``nics`` the per-node interfaces.
+        Each access resolves the *accessor's* node from the scheduler's
+        current thread — an access from the owner node (its flush daemon or
+        cleaner) goes straight to the backing volume, while a foreign access
+        crosses the accessor's NIC out and the owner's NIC back.
     request_bytes:
         Size of a request/acknowledgement header message.
-    scheduler / node / nics:
-        Node-aware routing (cluster stacks): ``node`` is the volume's owner
-        and ``nics`` the per-node interfaces.  Each access resolves the
-        *accessor's* node from the scheduler's current thread — an access
-        from the owner node (its flush daemon or cleaner) goes straight to
-        the backing volume, while a foreign access crosses the accessor's
-        NIC out and the owner's NIC back.  Without a
-        scheduler the wrapper is static: every access is charged the
-        ``local_nic``/``remote_nic`` pair (the front-end-relative model).
     """
 
     def __init__(
         self,
         backing: LocalVolume,
-        local_nic: Nic,
-        remote_nic: Nic,
+        scheduler: Scheduler,
+        node: int,
+        nics: List[Nic],
         request_bytes: int = 128,
-        scheduler: Optional[Any] = None,
-        node: int = 0,
-        nics: Optional[list] = None,
     ):
         self.backing = backing
-        self.local_nic = local_nic
-        self.remote_nic = remote_nic
         self.request_bytes = request_bytes
         self.node = node
-        self._scheduler = scheduler if nics else None
+        self._scheduler = scheduler
         self._nics = nics
         self.block_size = backing.block_size
         self.remote_reads = 0
@@ -70,10 +59,7 @@ class RemoteVolume(Volume):
 
     def _route(self) -> Optional[tuple[Nic, Nic]]:
         """(outbound NIC, return NIC) for this access, or None if node-local."""
-        scheduler = self._scheduler
-        if scheduler is None:
-            return self.local_nic, self.remote_nic
-        current = scheduler.current_thread
+        current = self._scheduler.current_thread
         accessor = current.node if current is not None else 0
         if accessor == self.node:
             return None

@@ -260,7 +260,7 @@ class ReplicaManager:
 
     def _count_failover(self, failed_volume: int, count: int = 1) -> None:
         self.failover_reads += count
-        node = self.faults.node_of_volume(failed_volume)
+        node = self.placement.node_of_volume(failed_volume)
         self.failovers_by_node[node] = self.failovers_by_node.get(node, 0) + count
 
     def read_failover(
@@ -570,7 +570,7 @@ class ReplicationRepairer:
         yield from self.metadata.journal_commit(file_id)
         self._hit("repair.commit.post")
         self.promoted_files += 1
-        node = self.faults.node_of_volume(new_home)
+        node = self.placement.node_of_volume(new_home)
         self.repairs_by_node[node] = self.repairs_by_node.get(node, 0) + 1
         return True
 
@@ -651,7 +651,7 @@ class ReplicationRepairer:
         if bad != replacement:
             manager._shadows.pop((file_id, bad), None)
         self.repaired_copies += 1
-        node = self.faults.node_of_volume(replacement)
+        node = self.placement.node_of_volume(replacement)
         self.repairs_by_node[node] = self.repairs_by_node.get(node, 0) + 1
         return True
 

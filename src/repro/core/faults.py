@@ -78,10 +78,12 @@ class FaultState:
     membership — by the routing layer and the repairer.  ``active`` flips
     True at the first applied event and never back: the data path guards
     every check behind it, so an untouched board costs one attribute read.
+    ``placement`` is the stack's placement policy: it knows which node owns
+    which volumes.
     """
 
-    def __init__(self, volumes_per_node: int = 1):
-        self.volumes_per_node = max(volumes_per_node, 1)
+    def __init__(self, placement: Any):
+        self.placement = placement
         self.active = False
         #: bumps on every applied (or healed) event; the repairer re-scans
         #: whenever it observes a new value.
@@ -103,16 +105,6 @@ class FaultState:
 
     # ------------------------------------------------------------------ queries
 
-    def node_of_volume(self, volume: int) -> int:
-        return volume // self.volumes_per_node
-
-    def volumes_of_node(self, node: int) -> range:
-        start = node * self.volumes_per_node
-        return range(start, start + self.volumes_per_node)
-
-    def volume_dead(self, volume: int) -> bool:
-        return volume in self.dead_volumes
-
     def volume_unavailable(self, volume: int) -> bool:
         """Dead or currently unreachable: nothing may be read from or
         written to this volume right now."""
@@ -131,30 +123,30 @@ class FaultState:
     def kill_volume(self, volume: int, when: float = 0.0) -> None:
         self.dead_volumes.add(volume)
         self.log.append((when, "disk_fail", volume))
-        self._touch(self.node_of_volume(volume))
+        self._touch(self.placement.node_of_volume(volume))
 
     def kill_node(self, node: int, when: float = 0.0) -> None:
         self.dead_nodes.add(node)
-        self.dead_volumes.update(self.volumes_of_node(node))
+        self.dead_volumes.update(self.placement.volumes_of_node(node))
         self.log.append((when, "node_crash", node))
         self._touch(node)
 
     def partition_node(self, node: int, when: float = 0.0) -> None:
         self.partitioned_nodes.add(node)
-        self.unreachable_volumes.update(self.volumes_of_node(node))
+        self.unreachable_volumes.update(self.placement.volumes_of_node(node))
         self.log.append((when, "nic_partition", node))
         self._touch(node)
 
     def heal_node(self, node: int, when: float = 0.0) -> None:
         self.partitioned_nodes.discard(node)
-        self.unreachable_volumes.difference_update(self.volumes_of_node(node))
+        self.unreachable_volumes.difference_update(self.placement.volumes_of_node(node))
         self.log.append((when, "nic_heal", node))
         self.epoch += 1
 
     def slow_volume(self, volume: int, extra_latency: float, when: float = 0.0) -> None:
         self.slow_volumes[volume] = extra_latency
         self.log.append((when, "slow_disk", volume))
-        self._touch(self.node_of_volume(volume))
+        self._touch(self.placement.node_of_volume(volume))
 
     def heal_volume_speed(self, volume: int, when: float = 0.0) -> None:
         self.slow_volumes.pop(volume, None)
@@ -164,13 +156,13 @@ class FaultState:
     # ------------------------------------------------------------------ accounting
 
     def note_dropped_write(self, volume: int, blocks: int = 1) -> None:
-        node = self.node_of_volume(volume)
+        node = self.placement.node_of_volume(volume)
         self.dropped_writes_by_node[node] = (
             self.dropped_writes_by_node.get(node, 0) + blocks
         )
 
     def note_failed_read(self, volume: int, blocks: int = 1) -> None:
-        node = self.node_of_volume(volume)
+        node = self.placement.node_of_volume(volume)
         self.failed_reads_by_node[node] = self.failed_reads_by_node.get(node, 0) + blocks
 
     def snapshot(self) -> dict:
@@ -185,11 +177,11 @@ class FaultState:
 
 
 class FaultInjector:
-    """Replays a fault schedule into a running cluster.
+    """Replays a fault schedule into a running stack.
 
     One daemon thread sleeps until each event's time (events and their
     heals expanded into one sorted timeline) and applies it to the
-    :class:`FaultState`.  ``node_crash`` additionally drops the node's
+    topology's :class:`FaultState`.  ``node_crash`` additionally drops the node's
     cache shards — the crashed machine's memory — losing whatever dirty
     blocks had not been flushed (exactly what replication must absorb).
 
@@ -202,15 +194,14 @@ class FaultInjector:
     def __init__(
         self,
         scheduler: Scheduler,
-        state: FaultState,
+        topology: Any,
         schedule: List[FaultEvent],
-        topology: Optional[Any] = None,
         scrub: bool = False,
     ):
         self.scheduler = scheduler
-        self.state = state
-        self.schedule = sorted(schedule, key=lambda e: (e.time, e.kind, e.target))
         self.topology = topology
+        self.state: FaultState = topology.faults
+        self.schedule = sorted(schedule, key=lambda e: (e.time, e.kind, e.target))
         self.scrub = scrub
         self.thread: Optional[Thread] = None
         self.applied = 0
@@ -255,7 +246,7 @@ class FaultInjector:
             self._scrub_volumes([event.target])
         elif event.kind == "node_crash":
             state.kill_node(event.target, when=now)
-            self._scrub_volumes(list(state.volumes_of_node(event.target)))
+            self._scrub_volumes(list(state.placement.volumes_of_node(event.target)))
             self._drop_node_memory(event.target)
         elif event.kind == "nic_partition":
             state.partition_node(event.target, when=now)
@@ -273,10 +264,10 @@ class FaultInjector:
     # ------------------------------------------------------------------ helpers
 
     def _scrub_volumes(self, volumes: List[int]) -> None:
-        if not self.scrub or self.topology is None:
+        if not self.scrub:
             return
         for v in volumes:
-            node = self.topology.nodes[self.state.node_of_volume(v)]
+            node = self.topology.node_of_volume(v)
             local = v - node.volume_indices[0]
             volume = node.volumes[local]
             # LocalVolume owns drivers; RemoteVolume delegates to its backing.
@@ -292,8 +283,6 @@ class FaultInjector:
         thread is actively using (pinned or busy) are left; their owners
         run to completion against the now-dead volume and the routing layer
         drops the I/O."""
-        if self.topology is None:
-            return
         node = self.topology.nodes[node_index]
         for shard in node.cache_shards:
             for block in list(shard.blocks()):

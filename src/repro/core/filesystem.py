@@ -43,9 +43,6 @@ class FileSystem:
         flush_policy: Optional[FlushPolicy] = None,
         # One cleaner daemon per LFS volume (none over an FFS).
         cleaner: Iterable[CleanerDaemon] = (),
-        # Durable routing metadata (repro.core.metadata.MetadataTier); its
-        # mount/unmount hooks recover and checkpoint the routing table.
-        metadata: Optional[Any] = None,
     ):
         self.scheduler = scheduler
         self.cache = cache
@@ -53,7 +50,6 @@ class FileSystem:
         self.datamover = datamover
         self.flush_policy = flush_policy
         self.cleaner = cleaner
-        self.metadata = metadata
         self.file_table = FileTable(self)
         self.namespace = Namespace(self)
         self.block_size = cache.block_size
@@ -87,10 +83,6 @@ class FileSystem:
         if format:
             yield from self.layout.format()
         yield from self.layout.mount()
-        if self.metadata is not None:
-            # Recover the routing table (manifest + WAL replay) before the
-            # first path lookup routes anything.
-            yield from self.metadata.on_mount(format)
         root = yield from self._load_or_create_root()
         self._root = root
         for daemon in self.cleaner:
@@ -126,8 +118,6 @@ class FileSystem:
     def unmount(self) -> Generator[Any, Any, None]:
         """Sync, checkpoint and quiesce the disks."""
         yield from self.sync()
-        if self.metadata is not None:
-            yield from self.metadata.on_unmount()
         yield from self.layout.unmount()
         yield from self.volume.flush()
         self.mounted = False

@@ -302,6 +302,7 @@ class ShardedFlushPolicy(FlushPolicy):
     def __init__(
         self,
         config: FlushConfig,
+        shard_nodes: List[int],
         high_water: float = 0.85,
         low_water: float = 0.70,
         check_interval: float = 1.0,
@@ -315,11 +316,8 @@ class ShardedFlushPolicy(FlushPolicy):
         self.low_water = low_water
         self.check_interval = check_interval
         self.children: List[FlushPolicy] = []
-        #: node index per shard, set by the builder before :meth:`attach` on
-        #: cluster stacks; None keeps every shard (and the governor) on the
-        #: node passed to ``attach``.
-        self.shard_nodes: Optional[List[int]] = None
-        self.governor_thread: Optional[Thread] = None
+        #: the node each shard's daemons (and its governor) run on.
+        self.shard_nodes = shard_nodes
         self.governor_threads: List[Thread] = []
         self.governor_wakeups = 0
         self.governor_flushes = 0
@@ -330,9 +328,7 @@ class ShardedFlushPolicy(FlushPolicy):
         self.node = node
         shards = cache.shards
         shard_nodes = self.shard_nodes
-        if shard_nodes is None:
-            shard_nodes = [node] * len(shards)
-        elif len(shard_nodes) != len(shards):
+        if len(shard_nodes) != len(shards):
             raise ConfigurationError(
                 f"shard_nodes carries {len(shard_nodes)} entries "
                 f"for a {len(shards)}-shard cache"
@@ -348,35 +344,21 @@ class ShardedFlushPolicy(FlushPolicy):
             self.children.append(child)
         if self.config.policy == "ups" or self.high_water >= 1.0:
             return
+        # One governor per node, each watching only its node's shards —
+        # flush pressure never crosses the NIC boundary.  Thread names feed
+        # the schedule digests: a single machine's governor has the plain one.
         distinct_nodes = sorted(set(shard_nodes))
-        if len(distinct_nodes) == 1:
-            # Single machine: one governor over the whole array, spawned
-            # under the legacy name so one-node stacks stay byte-identical.
-            if len(shards) > 1:
-                self.governor_thread = scheduler.spawn(
-                    self._governor,
-                    list(shards),
-                    name="dirty-governor",
-                    daemon=True,
-                    node=distinct_nodes[0],
-                )
-                self.governor_threads = [self.governor_thread]
-            return
-        # Cluster: one governor per node, each watching only its node's
-        # shards — flush pressure never crosses the NIC boundary.
         for shard_node in distinct_nodes:
             group = [s for s, n in zip(shards, shard_nodes) if n == shard_node]
             if len(group) <= 1:
                 continue
+            name = "dirty-governor"
+            if len(distinct_nodes) > 1:
+                name += f"-n{shard_node}"
             thread = scheduler.spawn(
-                self._governor,
-                group,
-                name=f"dirty-governor-n{shard_node}",
-                daemon=True,
-                node=shard_node,
+                self._governor, group, name=name, daemon=True, node=shard_node
             )
             self.governor_threads.append(thread)
-        self.governor_thread = self.governor_threads[0] if self.governor_threads else None
 
     def _governor(self, shards: List[BlockCache]) -> Generator[Any, Any, None]:
         assert self.cache is not None and self.scheduler is not None

@@ -15,8 +15,8 @@ world —
 
 Every I/O method is a generator so call sites are world-independent; a
 device with nothing to charge and nothing to read yields nothing at all,
-which is what keeps an idle metadata tier byte-invisible to the
-scheduler (the one-node equivalence pin in ``tests/test_cluster.py``).
+which is what keeps the idle metadata tier every stack carries
+invisible to the scheduler (and, file-backed, to the directory).
 """
 
 from __future__ import annotations
@@ -203,7 +203,8 @@ class FileMetadataDevice(MetadataDevice):
             return b""
 
     def _truncate_wal(self) -> None:
-        self.wal_path.write_bytes(b"")
+        # No file is an empty log: an idle tier leaves nothing on disk.
+        self.wal_path.unlink(missing_ok=True)
 
     def _write_manifest(self, payload: bytes) -> None:
         tmp = self.manifest_path.with_suffix(self.manifest_path.suffix + ".tmp")
@@ -220,7 +221,4 @@ class FileMetadataDevice(MetadataDevice):
             return None
 
     def _wipe_manifest(self) -> None:
-        try:
-            self.manifest_path.unlink()
-        except OSError:
-            pass
+        self.manifest_path.unlink(missing_ok=True)

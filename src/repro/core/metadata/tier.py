@@ -8,9 +8,11 @@ journaling surface the rest of the stack needs:
   *after* the new home's data is durable (flush + sub-layout checkpoint),
   END after the old copy is retired;
 * the **placement** journals FORGET when a displaced file is deleted
-  (files without a routing entry journal nothing — a one-node cluster
-  with no migrations never touches the journal at all);
-* the **file system** calls :meth:`on_mount` / :meth:`on_unmount`.
+  (files without a routing entry journal nothing — a single machine,
+  where nothing migrates, never touches the journal at all);
+* the **routed layout** calls :meth:`wipe` when it formats,
+  :meth:`recover` once its sub-layouts are mounted and :meth:`on_unmount`
+  before they unmount.
 
 Recovery replays manifest + WAL with one rule that makes every crash
 point safe: **a FLIP takes effect only if a later durable COMMIT exists
@@ -87,7 +89,7 @@ class MetadataTier:
         self.checkpoints = 0
         #: set by the first journal append or recovered durable state; an
         #: untouched tier stays invisible (no unmount checkpoint, no
-        #: scheduler interaction — the one-node byte-equality pin).
+        #: scheduler interaction, no file): every stack carries one.
         self._dirty = False
         self._recovering = False
         # -- last recovery, for reporting and tests
@@ -170,12 +172,9 @@ class MetadataTier:
 
     # ------------------------------------------------------------------ lifecycle
 
-    def on_mount(self, format: bool) -> Generator[Any, Any, None]:
-        if format:
-            # A fresh file system must not inherit stale routing.
-            self.wal.device.wipe()
-            return
-        yield from self.recover()
+    def wipe(self) -> None:
+        """Format: drop all durable routing state."""
+        self.wal.device.wipe()
 
     def on_unmount(self) -> Generator[Any, Any, None]:
         if self._dirty:

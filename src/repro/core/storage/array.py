@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Opt
 from repro.assembly.registry import registry
 from repro.core.blocks import CacheBlock
 from repro.core.cache import BlockCache, CacheStatistics
+from repro.core.faults import FaultState
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
 from repro.core.storage.layout import ReadAhead, StorageLayout
@@ -69,6 +70,17 @@ class PlacementPolicy(ABC):
         if num_volumes < 1:
             raise ConfigurationError("placement needs at least one volume")
         self.num_volumes = num_volumes
+        #: every volume belongs to one machine, until a
+        #: :class:`~repro.core.cluster.placement.ClusterPlacement` spreads
+        #: them over nodes.
+        self.volumes_per_node = num_volumes
+
+    def node_of_volume(self, volume: int) -> int:
+        return volume // self.volumes_per_node
+
+    def volumes_of_node(self, node: int) -> range:
+        start = node * self.volumes_per_node
+        return range(start, start + self.volumes_per_node)
 
     @abstractmethod
     def home_for_new_file(
@@ -90,6 +102,11 @@ class PlacementPolicy(ABC):
     def volume_for_block(self, file_id: int, block_no: int) -> int:
         """Volume holding one logical block of ``file_id``."""
         return self.volume_of_file(file_id)
+
+    def forget(self, file_id: int) -> None:
+        """``file_id`` is deleted: pure arithmetic keeps nothing to drop
+        (the cluster placement tier keeps a routing entry per displaced
+        file)."""
 
 
 def _crc(text: str) -> int:
@@ -614,10 +631,13 @@ class RoutedLayout(StorageLayout):
                 )
         self._next_number = [ROOT_INODE_NUMBER + v for v in range(volumes)]
         self._file_counter = 0
-        #: fault board (``repro.core.faults.FaultState``) — attached by the
-        #: cluster builder; None (or ``active`` False) costs one attribute
-        #: check per I/O and changes nothing.
-        self.faults: Optional[Any] = None
+        #: the fault board: inert (one attribute check per I/O) until a
+        #: fault schedule or a test marks a volume dead, unreachable or slow.
+        self.faults = FaultState(placement)
+        #: what persists the routing table, attached by the builder (the
+        #: durable metadata tier): wiped at format, recovered once the
+        #: sub-layouts are mounted, checkpointed before they unmount.
+        self.tiers: List[Any] = []
         #: replica manager (``repro.core.cluster.replication``) — attached
         #: by the builder when ``ClusterConfig.replicas`` > 0.
         self.replication: Optional[Any] = None
@@ -634,9 +654,6 @@ class RoutedLayout(StorageLayout):
     def sub_for_file(self, file_id: int) -> StorageLayout:
         return self.sublayouts[self.home_of(file_id)]
 
-    def sub_for_block(self, file_id: int, block_no: int) -> StorageLayout:
-        return self.sublayouts[self.placement.volume_for_block(file_id, block_no)]
-
     # ------------------------------------------------------------------ lifecycle
 
     def format(self) -> Generator[Any, Any, None]:
@@ -644,10 +661,17 @@ class RoutedLayout(StorageLayout):
         self._file_counter = 0
         for sub in self.sublayouts:
             yield from sub.format()
+        for tier in self.tiers:
+            # A fresh file system must not inherit stale routing.
+            tier.wipe()
 
     def mount(self) -> Generator[Any, Any, None]:
         for sub in self.sublayouts:
             yield from sub.mount()
+        for tier in self.tiers:
+            # Manifest + WAL replay, before the first path lookup routes
+            # anything.
+            yield from tier.recover()
         # Resume each volume's progression past every number already handed
         # out: what the sub-layouts loaded from disk, and each one's own
         # persisted counter (which also remembers deleted files).  A fresh
@@ -668,6 +692,8 @@ class RoutedLayout(StorageLayout):
             yield from sub.checkpoint()
 
     def unmount(self) -> Generator[Any, Any, None]:
+        for tier in self.tiers:
+            yield from tier.on_unmount()
         for sub in self.sublayouts:
             yield from sub.unmount()
 
@@ -706,7 +732,7 @@ class RoutedLayout(StorageLayout):
     def read_inode(self, inode_number: int) -> Generator[Any, Any, Inode]:
         volume = self.home_of(inode_number)
         faults = self.faults
-        if faults is not None and faults.active and faults.volume_unavailable(volume):
+        if faults.active and faults.volume_unavailable(volume):
             faults.note_failed_read(volume)
             if self.replication is not None:
                 return (
@@ -726,7 +752,7 @@ class RoutedLayout(StorageLayout):
     def _write_home_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         volume = self.home_of(inode.number)
         faults = self.faults
-        if faults is not None and faults.active and faults.volume_unavailable(volume):
+        if faults.active and faults.volume_unavailable(volume):
             # The home volume eats the write — the data loss replication
             # absorbs (and a bare cluster simply suffers).
             faults.note_dropped_write(volume)
@@ -740,11 +766,7 @@ class RoutedLayout(StorageLayout):
         # them through the router first, then retire the inode on its home.
         yield from self.release_blocks(inode, 0)
         yield from self.sub_for_file(inode.number).free_inode(inode)
-        # A dead file no longer needs a migration routing entry (the
-        # cluster placement tier keeps one per displaced file).
-        forget = getattr(self.placement, "forget", None)
-        if forget is not None:
-            forget(inode.number)
+        self.placement.forget(inode.number)
 
     # ------------------------------------------------------------------ data blocks
 
@@ -782,7 +804,7 @@ class RoutedLayout(StorageLayout):
         """One volume's share of a read: fault delay and fail-over apply to
         the group as a whole."""
         faults = self.faults
-        if faults is not None and faults.active:
+        if faults.active:
             if faults.volume_unavailable(volume):
                 faults.note_failed_read(volume, len(group))
                 if self.replication is not None:
@@ -830,7 +852,7 @@ class RoutedLayout(StorageLayout):
         # The home volume goes last: its append carries the inode, which
         # must map the blocks a striped file just placed on other volumes.
         for volume in sorted(groups, key=lambda v: (v == home, v)):
-            if faults is not None and faults.active:
+            if faults.active:
                 if faults.volume_unavailable(volume):
                     # A dead disk eats the write; the flusher completes and
                     # the data survives only where replication put a copy.

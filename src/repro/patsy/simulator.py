@@ -267,7 +267,7 @@ class PatsySimulator:
         self.cleaner = stack.cleaner
         self.placement = stack.placement
         self.cluster = stack.cluster
-        self.rebalancer = stack.cluster.rebalancer if stack.cluster is not None else None
+        self.rebalancer = stack.cluster.rebalancer
         self.metadata = stack.metadata
         self.fs = stack.fs
         self.client = stack.client
@@ -300,7 +300,7 @@ class PatsySimulator:
     def inject_faults(
         self, schedule: Sequence[FaultEvent], scrub: bool = False
     ) -> FaultInjector:
-        """Arm a scripted fault schedule against this run's cluster.
+        """Arm a scripted fault schedule against this run's stack.
 
         The injector daemon starts immediately (it sleeps until each
         event's time), so call this before :meth:`replay`.  ``scrub``
@@ -309,18 +309,7 @@ class PatsySimulator:
         hardware — and must stay off when a test remounts the "revived"
         volumes afterwards.
         """
-        if self.cluster is None or self.cluster.faults is None:
-            raise ConfigurationError(
-                "fault injection needs a cluster stack (nodes >= 1 with a "
-                "fault board); this run is a single-machine array"
-            )
-        injector = FaultInjector(
-            self.scheduler,
-            self.cluster.faults,
-            schedule,
-            topology=self.cluster,
-            scrub=scrub,
-        )
+        injector = FaultInjector(self.scheduler, self.cluster, schedule, scrub=scrub)
         injector.start()
         return injector
 
@@ -447,10 +436,6 @@ class PatsySimulator:
         if hasattr(source, "read"):
             return iter_trace(source), known, None
         return iter(source), known, None
-
-    def run_operations(self, records: Sequence[TraceRecord]) -> SimulationResult:
-        """Convenience wrapper used by tests: replay and return the result."""
-        return self.replay(records)
 
     def _client_thread(
         self,
@@ -657,10 +642,9 @@ class PatsySimulator:
     def collect_cluster_stats(self) -> Dict[str, Any]:
         """Per-node and per-NIC breakdown plus rebalancer counters.
 
-        Empty for single-machine runs (including one-node clusters, which
-        build no network at all)."""
+        Empty for single-machine runs (one node, no network at all)."""
         topology = self.cluster
-        if topology is None or topology.num_nodes <= 1:
+        if topology.num_nodes <= 1:
             return {}
         elapsed = max(self.scheduler.now, 1e-9)
         per_node: Dict[str, Any] = {}
@@ -697,7 +681,7 @@ class PatsySimulator:
                     key: sum(r[key] for r in remote) for key in remote[0]
                 }
             faults = topology.faults
-            if faults is not None and faults.active:
+            if faults.active:
                 i = node.index
                 entry["faults"] = {
                     "events": faults.faults_by_node.get(i, 0),
@@ -731,14 +715,10 @@ class PatsySimulator:
                 for m in topology.rebalancer.schedule
             ]
         stats["metadata"] = topology.metadata.snapshot()
-        if topology.faults is not None and topology.faults.active:
+        if topology.faults.active:
             stats["faults"] = topology.faults.snapshot()
         if topology.replication is not None:
             stats["replication"] = topology.replication.snapshot()
         if topology.repairer is not None:
             stats["repairer"] = topology.repairer.snapshot()
         return stats
-
-    def collect_statistics(self) -> Dict[str, Any]:
-        """All plug-in reports (without building a full result object)."""
-        return {plugin.name: plugin.collect(self) for plugin in self.plugins}

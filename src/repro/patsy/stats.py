@@ -139,11 +139,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def bucket_fractions(self) -> List[float]:
-        if self.total == 0:
-            return [0.0] * len(self.counts)
-        return [count / self.total for count in self.counts]
-
     def to_ascii(self, width: int = 40, label: str = "") -> str:
         """Render the histogram as text (one row per bucket)."""
         lines = [f"histogram {label} (n={self.total}, mean={self.mean:.6g})"]

@@ -53,8 +53,6 @@ def test_array_config_validation():
     with pytest.raises(ConfigurationError):
         ArrayConfig(placement="raid-z")
     with pytest.raises(ConfigurationError):
-        ArrayConfig(governor_low_water=0.9, governor_high_water=0.5)
-    with pytest.raises(ConfigurationError):
         HostConfig(num_buses=4, num_disks=2)  # more buses than disks
 
 
@@ -375,10 +373,9 @@ def test_routed_striped_writeback_keeps_the_inode_on_the_home_volume(scheduler):
 
 
 def test_routed_writeback_keeps_fault_drops_and_slow_disk_delays(scheduler):
-    from repro.core.faults import FaultState
-
     layout = make_routed(scheduler, volumes=2, segment_blocks=16)
-    layout.faults = faults = FaultState()
+    faults = layout.faults  # a hand-assembled router carries its own inert board
+    assert not faults.active
     layout.allocate_inode(FileKind.DIRECTORY)  # the root
     inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="f")
     home = layout.home_of(inode.number)
@@ -396,7 +393,7 @@ def test_routed_writeback_keeps_fault_drops_and_slow_disk_delays(scheduler):
     runs[home].clear()
     run(scheduler, layout.write_file_blocks, inode, blocks)
     assert runs[home] == []  # blocks and inode dropped together
-    assert faults.dropped_writes_by_node[faults.node_of_volume(home)] == 3
+    assert faults.dropped_writes_by_node == {0: 3}
 
 
 def test_routed_layout_striped_release_frees_every_volume(scheduler):
@@ -511,7 +508,9 @@ def test_sharded_flush_policy_splits_nvram_budget(scheduler):
     config = CacheConfig(size_bytes=8 * 4 * KB)
     shards = [BlockCache(scheduler, config, with_data=False) for _ in range(2)]
     cache = ShardedCache(shards, router=lambda f, b: f % 2)
-    policy = ShardedFlushPolicy(FlushConfig(policy="nvram", nvram_bytes=8 * 4 * KB))
+    policy = ShardedFlushPolicy(
+        FlushConfig(policy="nvram", nvram_bytes=8 * 4 * KB), shard_nodes=[0, 0]
+    )
     policy.attach(cache, scheduler)
     assert len(policy.children) == 2
     # The 8-block NVRAM is split 4 + 4 over the shards.
@@ -533,12 +532,13 @@ def test_sharded_flush_governor_drains_aggregate_dirty(scheduler):
     # A periodic policy that never fires on its own: only the governor acts.
     policy = ShardedFlushPolicy(
         FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
+        shard_nodes=[0, 0],
         high_water=0.5,
         low_water=0.25,
         check_interval=0.5,
     )
     policy.attach(cache, scheduler)
-    assert policy.governor_thread is not None
+    assert len(policy.governor_threads) == 1
 
     def dirty_everything():
         for file_id in (4, 5):
@@ -561,18 +561,20 @@ def test_sharded_flush_governor_never_runs_for_ups(scheduler):
     config = CacheConfig(size_bytes=8 * 4 * KB)
     shards = [BlockCache(scheduler, config, with_data=False) for _ in range(2)]
     cache = ShardedCache(shards, router=lambda f, b: f % 2)
-    policy = ShardedFlushPolicy(FlushConfig(policy="ups"), high_water=0.5, low_water=0.25)
+    policy = ShardedFlushPolicy(
+        FlushConfig(policy="ups"), shard_nodes=[0, 0], high_water=0.5, low_water=0.25
+    )
     policy.attach(cache, scheduler)
-    assert policy.governor_thread is None  # write saving: no write-ahead
+    assert not policy.governor_threads  # write saving: no write-ahead
 
 
 def test_sharded_flush_single_shard_spawns_no_governor(scheduler):
     config = CacheConfig(size_bytes=8 * 4 * KB)
     shards = [BlockCache(scheduler, config, with_data=False)]
     cache = ShardedCache(shards, router=lambda f, b: 0)
-    policy = ShardedFlushPolicy(FlushConfig(policy="periodic"))
+    policy = ShardedFlushPolicy(FlushConfig(policy="periodic"), shard_nodes=[0])
     policy.attach(cache, scheduler)
-    assert policy.governor_thread is None
+    assert not policy.governor_threads
     assert len(policy.children) == 1
 
 
@@ -623,6 +625,42 @@ def test_sun4_280_preset_runs_with_per_volume_stats():
     table = format_volume_table(result.volume_stats)
     assert "vol0" in table and "vol4" in table
     assert "placement=hash" in table
+
+
+def test_a_disk_of_a_single_machine_can_fail():
+    """Every stack carries a fault board, so the plain five-volume array can
+    lose a disk: reads homed there fail (nothing keeps a copy) and are
+    counted as errors, every other file reads clean."""
+    from repro.core.faults import FaultEvent
+    from repro.errors import DataUnavailable
+    from repro.patsy.traces import TraceRecord
+
+    dead = 3
+    simulator = PatsySimulator(sun4_280_config(scale=0.02))
+    simulator.inject_faults([FaultEvent(time=1.0, kind="disk_fail", target=dead)])
+    # Cold reads of files that existed before the trace, after the failure.
+    paths = [f"/cold{i}" for i in range(30)]
+    records = [
+        TraceRecord(2.0 + 0.1 * i, i % 4, "read", path, 0, 8192)
+        for i, path in enumerate(paths)
+    ]
+    result = simulator.replay(records, trace_name="disk-fail")
+    scheduler = simulator.scheduler
+    homes = {
+        path: simulator.layout.home_of(run(scheduler, simulator.client.lookup, path).file_id)
+        for path in paths
+    }
+    lost = [path for path in paths if homes[path] == dead]
+    assert 0 < len(lost) < len(paths)
+    assert result.errors == len(lost) and result.operations == len(paths)
+    assert simulator.cluster.faults.dead_volumes == {dead}
+    assert not result.cluster_stats  # still one machine: nothing per node to report
+    for path in paths:
+        if path in lost:
+            with pytest.raises(DataUnavailable, match="keeps no replicas"):
+                run(scheduler, simulator.client.read_file, path, 0, 4096)
+        else:
+            run(scheduler, simulator.client.read_file, path, 0, 4096)
 
 
 def test_a_read_spanning_two_volumes_has_both_reads_outstanding_at_once(scheduler):

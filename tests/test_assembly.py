@@ -21,6 +21,7 @@ from repro.assembly.registry import ComponentRegistry
 from repro.config import (
     ArrayConfig,
     CacheConfig,
+    ClusterConfig,
     FlushConfig,
     HostConfig,
     LayoutConfig,
@@ -122,10 +123,15 @@ def test_stack_spec_round_trips_through_dict():
     for spec in (
         small_spec(),
         small_spec(host=HostConfig(num_disks=3), array=ArrayConfig(volumes=3)),
+        small_test_config(),
+        sprite_server_config(scale=0.002),
         sun4_280_config(scale=0.002),
+        cluster_config(nodes=3, scale=0.002, replicas=1),
     ):
         data = spec.to_dict()
         assert StackSpec.from_dict(data) == spec
+        # Every section is written out: one machine is the one-node cluster.
+        assert all(isinstance(data[section], dict) for section in data if section != "seed")
         # And the dict is plain (JSON-safe) all the way down.
         import json
 
@@ -173,7 +179,8 @@ def test_stack_spec_from_dict_names_a_wrong_typed_value(data, section, key):
 
 def test_stack_spec_from_dict_accepts_json_numbers_and_null_sections():
     # An int where a float is wanted, null for an Optional knob, and null
-    # for a whole section (what an older to_dict wrote for "no array").
+    # for a whole section (what an older to_dict wrote for "no array" and
+    # "no cluster") or no key at all.
     spec = StackSpec.from_dict(
         {
             "flush": {"update_interval": 30, "daemon_low_water": None},
@@ -182,7 +189,8 @@ def test_stack_spec_from_dict_accepts_json_numbers_and_null_sections():
             "cluster": None,
         }
     )
-    assert spec == StackSpec()
+    assert spec == StackSpec() == StackSpec.from_dict({})
+    assert spec.cluster == ClusterConfig() and spec.cluster.nodes == 1
 
 
 def test_the_conversion_shim_has_no_caller_but_the_frozen_driver():
@@ -203,6 +211,36 @@ def test_the_conversion_shim_has_no_caller_but_the_frozen_driver():
         if name in line
     ]
     assert len(references) == 1 and references[0].startswith("src/repro/config.py:"), references
+
+
+def test_no_code_asks_whether_there_is_a_cluster():
+    """Every stack has a cluster section, a topology, a metadata tier and a
+    fault board (one node, idle, inert by default), so a test for their
+    absence is a branch nothing can take — and every preset and the default
+    PFS really build that shape."""
+    import re
+
+    question = re.compile(
+        r"cluster is (not )?None|metadata is (not )?None|topology is None|faults is not None"
+    )
+    root = Path(__file__).resolve().parent.parent
+    asked = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted((root / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if question.search(line)
+    ]
+    assert not asked, asked
+    assert StackSpec().cluster == ClusterConfig()
+    stacks = [PegasusFileSystem(size_bytes=16 * MB).stack] + [
+        build_stack(spec, SimulatedBinding())
+        for spec in (small_test_config(), sprite_server_config(0.002), sun4_280_config(0.002))
+    ]
+    for stack in stacks:
+        topology = stack.cluster
+        assert topology.num_nodes == 1 and topology.nics == [] and topology.rebalancer is None
+        assert topology.metadata is stack.metadata and not topology.faults.active
+        assert stack.layout.faults is topology.faults and stack.layout.tiers == [stack.metadata]
 
 
 def test_stack_spec_shape_helpers():
@@ -256,7 +294,7 @@ def test_build_stack_array_builds_sharded_components():
     stack = build_stack(spec, SimulatedBinding())
     assert len(stack.cache.shards) == len(stack.volume) == len(stack.cleaner) == 3
     assert [volume.num_disks for volume in stack.volume] == [2, 1, 1]
-    assert stack.placement.name == "hash"
+    assert stack.placement.inner.name == "hash"
     assert len(stack.drivers) == 4 and len(stack.buses) == 2
 
 
@@ -522,17 +560,14 @@ def test_spec_diff_reports_differing_fields_only():
 
 def test_spec_diff_cluster_section_and_experiment_delta():
     from repro.assembly import spec_diff
-    from repro.config import ClusterConfig
     from repro.patsy.experiments import format_spec_delta
 
     from dataclasses import replace
 
     a = small_test_config()
     b = replace(a, cluster=ClusterConfig(nodes=3))
-    delta = spec_diff(a, b)
-    # A section present on one side only comes back whole (as dicts).
-    a_side, b_side = delta["cluster"]
-    assert a_side is None and b_side["nodes"] == 3
+    # Every spec has every section: one machine is the one-node cluster.
+    assert spec_diff(a, b) == {"cluster": {"nodes": (1, 3)}}
     # Experiments print manifest deltas through the same helper.
     base = DelayedWriteExperiment(trace_name="1a", policy_name="ups")
     arrayed = base.with_array(volumes=5)

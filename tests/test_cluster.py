@@ -52,15 +52,11 @@ def test_cluster_config_validation():
     with pytest.raises(ConfigurationError):
         ClusterConfig(imbalance_threshold=0.5)
     with pytest.raises(ConfigurationError):
-        ClusterConfig(free_space_low_water=1.5)
-    with pytest.raises(ConfigurationError):
         ClusterConfig(rebalance_interval=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(wal_commit_records=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(wal_commit_bytes=0)
-    with pytest.raises(ConfigurationError):
-        ClusterConfig(wal_commit_interval=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(wal_checkpoint_bytes=0)
     with pytest.raises(ConfigurationError):
@@ -127,7 +123,7 @@ def test_remote_volume_charges_the_network_and_moves_bytes(scheduler):
     local = LocalVolume([driver], block_size=4 * KB)
     front = Nic(scheduler, name="front", bandwidth=10 * MB, latency=0.001, overhead=0.0)
     server = Nic(scheduler, name="server", bandwidth=10 * MB, latency=0.001, overhead=0.0)
-    remote = RemoteVolume(local, local_nic=front, remote_nic=server, request_bytes=128)
+    remote = RemoteVolume(local, scheduler, node=1, nics=[front, server])
     assert isinstance(remote, Volume)
     assert remote.total_blocks == local.total_blocks
     payload = bytes(range(256)) * 16  # one 4 KB block
@@ -255,40 +251,6 @@ def skewed_trace(seed=3, duration=120.0, directories=1):
         hot_set_size=10,
     )
     return generate_workload(profile, seed=seed)
-
-
-def test_one_node_cluster_reproduces_array_summary_byte_identically():
-    """The acceptance contract, one level above the array's own: a
-    ``ClusterConfig(nodes=1)`` replay must route every operation through the
-    cluster placement tier and still produce the exact measurements of the
-    equivalent ``ArrayConfig`` stack."""
-    trace = skewed_trace(directories=4)
-    base = replace(
-        small_test_config(),
-        host=HostConfig(num_disks=2),
-        array=ArrayConfig(volumes=2),
-    )
-    simulators = []
-    for config in (base, replace(base, cluster=ClusterConfig(nodes=1))):
-        simulator = PatsySimulator(config)
-        simulator.scheduler.enable_schedule_hash()
-        simulators.append((simulator, simulator.replay(trace, trace_name="t")))
-    (array_sim, arrayed), (cluster_sim, clustered) = simulators
-    # The cluster stack carries the durable metadata tier and the array
-    # stack does not: with nothing journalled the tier touches neither the
-    # scheduler nor the devices.
-    assert repr(arrayed.summary()) == repr(clustered.summary())
-    # Not only the same numbers: the same threads ran in the same order and
-    # every disk moved the same sectors.
-    assert arrayed.schedule_digests and arrayed.schedule_digests == clustered.schedule_digests
-    assert [(d.stats.sectors_read, d.stats.sectors_written) for d in array_sim.drivers] == [
-        (d.stats.sectors_read, d.stats.sectors_written) for d in cluster_sim.drivers
-    ]
-    assert any(d.stats.sectors_written for d in array_sim.drivers)
-    # Both went through the multi-volume stack; only the real cluster run
-    # carries cluster stats (a one-node cluster has no network to report).
-    assert arrayed.volume_stats and clustered.volume_stats
-    assert not arrayed.cluster_stats and not clustered.cluster_stats
 
 
 def test_multi_node_replay_spreads_traffic_and_reports():

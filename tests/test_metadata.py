@@ -217,6 +217,11 @@ def test_file_metadata_device_persists_real_bytes(tmp_path, scheduler):
     assert again.wal_bytes == 0
     device.wipe()
     assert again._read_manifest() is None
+    # No file is the empty state: an idle tier leaves nothing on disk, and a
+    # wipe of nothing (every format of a fresh backing) creates nothing.
+    assert list(tmp_path.iterdir()) == []
+    device.wipe()
+    assert list(tmp_path.iterdir()) == [] and again._read_wal() == b""
 
 
 # --------------------------------------------------------------------------- crash points
@@ -402,7 +407,7 @@ def test_mount_format_wipes_stale_metadata(scheduler):
     run(scheduler, tier.journal_commit, 4)
     run(scheduler, tier.checkpoint)
     fresh_tier, fresh_placement, device = make_tier(scheduler, store=store)
-    run(scheduler, fresh_tier.on_mount, True)  # format: stale routing must die
+    fresh_tier.wipe()  # format: stale routing must die
     assert device.wal_bytes == 0 and store.manifest is None
     assert fresh_placement.overrides_snapshot() == {}
 

@@ -89,45 +89,32 @@ def test_statistics_report(pfs):
     assert "driver" in stats
 
 
-def test_persistence_across_remount_memoryless():
+def test_persistence_across_remount_memoryless(tmp_path):
     """Unmount writes a checkpoint; a new PFS over the same backing file
-    sees the same namespace and data."""
-    import tempfile, os
+    sees the same namespace and data — and the backing file is all there
+    is: the idle metadata tier every stack carries leaves no ``.meta.*``."""
+    path = tmp_path / "disk.pfsimg"
+    spec = StackSpec(
+        cache=CacheConfig(size_bytes=1 * MB),
+        layout=LayoutConfig(segment_size=64 * KB),
+    )
+    first = PegasusFileSystem(spec, backing=path, size_bytes=16 * MB)
+    first.format()
+    first.mkdir("/persist")
+    first.write_file("/persist/a.txt", b"A" * 5000)
+    first.write_file("/persist/b.txt", b"B" * 3000)
+    first.delete("/persist/b.txt")
+    first.unmount()
+    first.close_backing()
+    assert list(tmp_path.iterdir()) == [path]
 
-    path = tempfile.mktemp(suffix=".pfsimg")
-    try:
-        first = PegasusFileSystem(
-            spec=StackSpec(
-                cache=CacheConfig(size_bytes=1 * MB),
-                layout=LayoutConfig(segment_size=64 * KB),
-            ),
-            backing=path,
-            size_bytes=16 * MB,
-        )
-        first.format()
-        first.mkdir("/persist")
-        first.write_file("/persist/a.txt", b"A" * 5000)
-        first.write_file("/persist/b.txt", b"B" * 3000)
-        first.delete("/persist/b.txt")
-        first.unmount()
-        first.close_backing()
-
-        second = PegasusFileSystem(
-            spec=StackSpec(
-                cache=CacheConfig(size_bytes=1 * MB),
-                layout=LayoutConfig(segment_size=64 * KB),
-            ),
-            backing=path,
-            size_bytes=16 * MB,
-        )
-        second.mount()
-        assert second.listdir("/persist") == ["a.txt"]
-        assert second.read_file("/persist/a.txt") == b"A" * 5000
-        second.unmount()
-        second.close_backing()
-    finally:
-        if os.path.exists(path):
-            os.unlink(path)
+    second = PegasusFileSystem(spec, backing=path, size_bytes=16 * MB)
+    second.mount()
+    assert second.listdir("/persist") == ["a.txt"]
+    assert second.read_file("/persist/a.txt") == b"A" * 5000
+    second.unmount()
+    second.close_backing()
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_ffs_layout_variant():

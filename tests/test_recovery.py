@@ -330,9 +330,8 @@ def drive_replica_workload(stack):
     files = scheduler.run_until_complete(scheduler.spawn(body))
     injector = FaultInjector(
         scheduler,
-        stack.cluster.faults,
+        stack.cluster,
         [FaultEvent(time=scheduler.now + 0.1, kind="disk_fail", target=0)],
-        topology=stack.cluster,
     )
     injector.start()
     scheduler.run(until=scheduler.now + 0.2, inclusive=True)

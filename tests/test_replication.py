@@ -114,9 +114,8 @@ def kill(stack, kind, target, at=None, scrub=False):
     when = scheduler.now + 0.1 if at is None else at
     injector = FaultInjector(
         scheduler,
-        stack.cluster.faults,
+        stack.cluster,
         [FaultEvent(time=when, kind=kind, target=target)],
-        topology=stack.cluster,
         scrub=scrub,
     )
     injector.start()

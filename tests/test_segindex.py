@@ -194,8 +194,6 @@ def test_index_config_validation():
         SegmentIndexConfig(sparse_every=0)
     with pytest.raises(ConfigurationError):
         SegmentIndexConfig(bloom_bits=0)
-    with pytest.raises(ConfigurationError):
-        LayoutConfig(index_sparse_every=0)
     assert LayoutConfig(cleaner_candidates=9).index_config().cleaner_candidates == 9
 
 
