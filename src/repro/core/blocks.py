@@ -10,7 +10,7 @@ the simulated case" — and data movement is charged as time instead.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import CacheError
 
@@ -52,10 +52,14 @@ class CacheBlock:
         "pin_count",
         "busy",
         "read_ahead",
+        "owner",
     )
 
-    def __init__(self, slot: int, size: int, with_data: bool):
+    def __init__(self, slot: int, size: int, with_data: bool, owner: Any = None):
         self.slot = slot
+        #: the cache (shard) this slot belongs to, for its whole life -- even
+        #: when a repair promotion moves the file's home while it is pinned.
+        self.owner = owner
         self.size = size
         self.block_id: Optional[BlockId] = None
         self.state = BlockState.FREE

@@ -47,9 +47,9 @@ from repro.errors import CacheError, CacheExhaustedError
 __all__ = ["BlockCache", "CacheStatistics", "WritebackFn"]
 
 #: Writeback callback registered by the file system: a generator function
-#: that writes the given logical blocks of ``file_id`` to stable storage and
-#: returns when the write has completed.
-WritebackFn = Callable[[int, list[int]], Generator[Any, Any, None]]
+#: that writes one batch — ``(file_id, logical block numbers)`` per file —
+#: to stable storage and returns when the write has completed.
+WritebackFn = Callable[[list[tuple[int, list[int]]]], Generator[Any, Any, None]]
 
 
 @dataclass
@@ -132,7 +132,8 @@ class BlockCache:
             "replacement", config.replacement, config.num_blocks, scheduler.rng, self.stats, config
         )
         self._slots = [
-            CacheBlock(slot, config.block_size, with_data) for slot in range(config.num_blocks)
+            CacheBlock(slot, config.block_size, with_data, self)
+            for slot in range(config.num_blocks)
         ]
         self._free: deque[CacheBlock] = deque(self._slots)
         self._index: dict[BlockId, CacheBlock] = {}
@@ -491,14 +492,24 @@ class BlockCache:
         """Write one dirty block to disk; returns the number of blocks written."""
         if not block.is_dirty or block.busy:
             return 0
-        return (yield from self._writeback_blocks(block.block_id.file_id, [block]))
+        return (yield from self._writeback_blocks([block]))
 
     def flush_file(self, file_id: int) -> Generator[Any, Any, int]:
         """Write every dirty block of ``file_id`` to disk."""
-        blocks = [b for b in self.dirty_blocks_of(file_id) if not b.busy]
+        return (yield from self.flush_files([file_id]))
+
+    def flush_files(self, file_ids: Iterable[int]) -> Generator[Any, Any, int]:
+        """Write every dirty block of ``file_ids`` as one writeback batch
+        (busy blocks, already on their way, are left out)."""
+        blocks = [
+            block
+            for file_id in file_ids
+            for block in self._dirty_of.get(file_id, {}).values()
+            if not block.busy
+        ]
         if not blocks:
             return 0
-        return (yield from self._writeback_blocks(file_id, blocks))
+        return (yield from self._writeback_blocks(blocks))
 
     def flush_oldest(self) -> Generator[Any, Any, int]:
         """Flush the oldest non-busy dirty block as one :attr:`flush_unit`;
@@ -506,12 +517,11 @@ class BlockCache:
         victim = self.oldest_dirty()
         if victim is None:
             return 0
-        file_id = victim.block_id.file_id
         if self.flush_unit == "file":
-            return (yield from self.flush_file(file_id))
+            return (yield from self.flush_file(victim.block_id.file_id))
         if self.flush_unit == "block":
             return (yield from self.flush_block(victim))
-        return (yield from self._writeback_blocks(file_id, self._extent_around(victim)))
+        return (yield from self._writeback_blocks(self._extent_around(victim)))
 
     def _extent_around(self, victim: CacheBlock) -> list[CacheBlock]:
         """``victim`` and its dirty file-mates at consecutive block numbers
@@ -531,22 +541,22 @@ class BlockCache:
     def flush_all(self) -> Generator[Any, Any, int]:
         """Flush every dirty block (sync / unmount / checkpoint)."""
         written = 0
-        while True:
-            victim = self.oldest_dirty()
-            if victim is None:
-                break
+        while (victim := self.oldest_dirty()) is not None:
             written += yield from self.flush_file(victim.block_id.file_id)
         return written
 
-    def _writeback_blocks(self, file_id: int, blocks: list[CacheBlock]) -> Generator[Any, Any, int]:
+    def _writeback_blocks(self, blocks: list[CacheBlock]) -> Generator[Any, Any, int]:
+        """One writeback call for ``blocks``, grouped by file in the order
+        the files first appear."""
         if self.writeback is None:
             raise CacheError("no writeback function registered with the cache")
+        batch: dict[int, list[int]] = {}
         for block in blocks:
             block.busy = True
             block.pin()
-        block_nos = sorted(block.block_id.block_no for block in blocks)
+            batch.setdefault(block.block_id.file_id, []).append(block.block_id.block_no)
         try:
-            yield from self.writeback(file_id, block_nos)
+            yield from self.writeback([(file_id, sorted(nos)) for file_id, nos in batch.items()])
         finally:
             for block in blocks:
                 block.unpin()

@@ -473,9 +473,8 @@ class ClusterRebalancer:
         # before the COMMIT is durable: recovery routes to the old home,
         # whose on-disk state is untouched (RETIRE has not run).  Crash
         # after: recovery routes to the new home, whose copy is durable.
-        if hasattr(new_sub, "checkpoint"):
-            self._hit("migrate.checkpoint.pre")
-            yield from new_sub.checkpoint()
+        self._hit("migrate.checkpoint.pre")
+        yield from new_sub.checkpoint()
         self._hit("migrate.commit.pre")
         yield from self.metadata.journal_commit(file_id)
         self._hit("migrate.commit.post")

@@ -58,22 +58,12 @@ def _choose_spare_volume(
     """A live volume in a failure domain neither the primary nor any
     volume in ``occupied`` already uses (lowest index wins, so every
     chooser in the module picks deterministically)."""
-    if placement.nodes > 1:
-        used_nodes = {placement.node_of_volume(primary)}
-        used_nodes.update(placement.node_of_volume(v) for v in occupied)
-        for volume in range(placement.num_volumes):
-            if faults.volume_unavailable(volume):
-                continue
-            if placement.node_of_volume(volume) in used_nodes:
-                continue
-            return volume
-        return None
+    # A failure domain is a node; on a single machine, a volume.
+    domain = placement.node_of_volume if placement.nodes > 1 else (lambda volume: volume)
+    used = {domain(v) for v in (primary, *occupied)}
     for volume in range(placement.num_volumes):
-        if faults.volume_unavailable(volume):
-            continue
-        if volume == primary or volume in occupied:
-            continue
-        return volume
+        if not faults.volume_unavailable(volume) and domain(volume) not in used:
+            return volume
     return None
 
 #: inode attributes mirrored into shadows (everything but the number and
@@ -206,45 +196,46 @@ class ReplicaManager:
     # ------------------------------------------------------------------ write path
 
     def replicate(
-        self,
-        inode: Inode,
-        blocks: Sequence[Tuple[int, CacheBlock]] = (),
+        self, files: Sequence[Tuple[Inode, Sequence[Tuple[int, CacheBlock]]]]
     ) -> Generator[Any, Any, None]:
-        """Fan a primary write out to every replica volume: one call into
-        each replica's sub-layout — a writeback's ``blocks`` with the shadow
-        inode behind them (one log append), or the shadow inode alone for
-        an attribute-only update.
+        """Fan a primary writeback batch out to the replica volumes: per
+        volume, one batch into its sub-layout — each file's ``blocks`` with
+        its shadow inode behind them, or the shadow inode alone for an
+        attribute-only update.
 
         Copies on unavailable volumes miss the write: it is dropped,
         counted, and the copy marked stale so fail-over never serves it.
         """
-        rset = self.placement.replica_set(inode.number)
-        if not rset:
-            return
-        new_file = inode.number not in self.files
-        self._track(inode)
-        if new_file and self.faults.active:
-            rset = yield from self._adopt_live_rset(inode.number, rset)
         faults = self.faults
-        for volume in rset:
-            if faults.active and faults.volume_unavailable(volume):
-                self._stale.add((inode.number, volume))
-                self.dropped_replica_writes += len(blocks)
-                faults.note_dropped_write(volume, len(blocks) or 1)
+        shares: Dict[int, List[Tuple[Inode, Sequence[Tuple[int, CacheBlock]]]]] = {}
+        for inode, blocks in files:
+            rset = self.placement.replica_set(inode.number)
+            if not rset:
                 continue
-            if blocks and faults.active:
+            new_file = inode.number not in self.files
+            self._track(inode)
+            if new_file and faults.active:
+                rset = yield from self._adopt_live_rset(inode.number, rset)
+            for volume in rset:
+                if faults.active and faults.volume_unavailable(volume):
+                    self._stale.add((inode.number, volume))
+                    self.dropped_replica_writes += len(blocks)
+                    faults.note_dropped_write(volume, len(blocks) or 1)
+                    continue
+                shares.setdefault(volume, []).append((inode, blocks))
+        for volume, share in shares.items():
+            if faults.active:
                 extra = faults.extra_delay(volume)
                 if extra:
                     yield from self.scheduler.sleep(extra)
-            shadow = yield from self._shadow(inode.number, volume, like=inode)
-            self._mirror_attrs(inode, shadow)
-            sub = self.layout.sublayouts[volume]
-            if blocks:
-                yield from sub.write_file_blocks(shadow, blocks)
+            batch = []
+            for inode, blocks in share:
+                shadow = yield from self._shadow(inode.number, volume, like=inode)
+                self._mirror_attrs(inode, shadow)
+                batch.append((shadow, list(blocks), True))
                 self.replicated_block_writes += len(blocks)
-            else:
-                yield from sub.write_inode(shadow)
-            self.replicated_inode_writes += 1
+                self.replicated_inode_writes += 1
+            yield from self.layout.sublayouts[volume].write_files(batch)
 
     # ------------------------------------------------------------------ read path
 
@@ -340,26 +331,28 @@ class ReplicaManager:
 
     # ------------------------------------------------------------------ reporting
 
+    def short(self, file_id: int) -> bool:
+        """Fewer live, fresh copies — the primary counts as a copy — than
+        the configured ``1 + replicas``.  A dead primary, a dead or stale
+        replica, and a promotion-shrunk set all qualify until repair
+        restores the full count."""
+        live = len(self._live_copies(file_id))
+        if not self.faults.volume_unavailable(self.placement.volume_of_file(file_id)):
+            live += 1
+        return live <= self.placement.replicas
+
     def under_replicated_files(self) -> int:
-        """Files with fewer live, fresh copies — the primary counts as a
-        copy — than the configured ``1 + replicas``.  A dead primary, a
-        dead or stale replica, and a promotion-shrunk set all qualify
-        until repair restores the full count."""
-        faults = self.faults
-        target = self.placement.replicas + 1
-        count = 0
-        for file_id in self.files:
-            primary = self.placement.volume_of_file(file_id)
-            live = 0 if faults.volume_unavailable(primary) else 1
-            live += sum(
-                1
-                for volume in self.placement.replica_set(file_id)
-                if not faults.volume_unavailable(volume)
-                and (file_id, volume) not in self._stale
-            )
-            if live < target:
-                count += 1
-        return count
+        return sum(map(self.short, self.files))
+
+    def healthy(self, file_id: int) -> bool:
+        """Nothing for repair to do: the primary and every replica volume
+        live and fresh, and the set at its configured size."""
+        rset = self.placement.replica_set(file_id)
+        return (
+            len(rset) >= self.placement.replicas
+            and len(self._live_copies(file_id)) == len(rset)
+            and not self.faults.volume_unavailable(self.placement.volume_of_file(file_id))
+        )
 
     def snapshot(self) -> dict:
         return {
@@ -443,7 +436,7 @@ class ReplicationRepairer:
             # being created while hardware is down.  Keep scanning until
             # the file set is fully replicated again (or nothing more can
             # be done with the surviving failure domains).
-            if self.faults.active and self.manager.under_replicated_files():
+            if self.faults.active and any(map(self.manager.short, self.manager.files)):
                 yield from self.repair_all()
 
     def repair_all(self) -> Generator[Any, Any, None]:
@@ -457,8 +450,7 @@ class ReplicationRepairer:
         self.scans += 1
         files = sorted(self.manager.files)
         if self.workers <= 1 or len(files) <= 1:
-            for file_id in files:
-                yield from self.repair_file(file_id)
+            yield from self._repair_shard(files)
             return
         shards = [files[i :: self.workers] for i in range(self.workers)]
         threads = [
@@ -473,7 +465,9 @@ class ReplicationRepairer:
 
     def _repair_shard(self, shard) -> Generator[Any, Any, None]:
         for file_id in shard:
-            yield from self.repair_file(file_id)
+            # A healthy file is skipped, not given a pass that finds nothing.
+            if not self.manager.healthy(file_id):
+                yield from self.repair_file(file_id)
 
     # ------------------------------------------------------------------ per file
 

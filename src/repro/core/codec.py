@@ -28,6 +28,7 @@ __all__ = [
     "pack_inode",
     "unpack_inode",
     "packed_inode_size",
+    "unpack_inode_block",
     "pack_directory",
     "unpack_directory",
     "pack_checkpoint",
@@ -45,6 +46,9 @@ CHECKPOINT_MAGIC = 0x43484B31  # "CHK1"
 INODE_MAGIC = 0x494E4F31  # "INO1"
 SUMMARY_MAGIC = 0x53554D31  # "SUM1"
 SEGINDEX_MAGIC = 0x53494458  # "SIDX"
+#: the logical-block field of a segment-summary entry for an inode block
+#: shared by several inodes (its owner field names the first of them).
+SHARED_INODE_BLOCK = 0xFFFFFFFF
 
 _SUPERBLOCK = struct.Struct("<IIIIQQ")
 _CHECKPOINT_HEADER = struct.Struct("<IQQdII")
@@ -55,6 +59,7 @@ _SUMMARY_HEADER = struct.Struct("<II")
 _SUMMARY_ENTRY = struct.Struct("<IIB")
 _IMAP_ENTRY = struct.Struct("<IQH")
 _SEG_USAGE_ENTRY = struct.Struct("<II")
+_INODE_MAGIC_BYTES = struct.pack("<I", INODE_MAGIC)
 
 
 # --------------------------------------------------------------------------- superblock
@@ -134,9 +139,20 @@ def packed_inode_size(inode: Inode) -> int:
     )
 
 
-def unpack_inode(data: bytes) -> Inode:
+def unpack_inode_block(data: bytes) -> list[Inode]:
+    """Every inode record at the start of ``data``: an inode block holds
+    :func:`pack_inode` records back to back, then zero padding."""
+    inodes: list[Inode] = []
+    offset = 0
+    while data[offset : offset + 4] == _INODE_MAGIC_BYTES:
+        inodes.append(unpack_inode(data, offset))
+        offset += packed_inode_size(inodes[-1])
+    return inodes
+
+
+def unpack_inode(data: bytes, offset: int = 0) -> Inode:
     try:
-        fields = _INODE_HEADER.unpack_from(data)
+        fields = _INODE_HEADER.unpack_from(data, offset)
     except struct.error as exc:
         raise StorageError("inode record too small") from exc
     (
@@ -156,7 +172,7 @@ def unpack_inode(data: bytes) -> Inode:
     ) = fields
     if magic != INODE_MAGIC:
         raise StorageError(f"bad inode magic 0x{magic:08x}")
-    offset = _INODE_HEADER.size
+    offset += _INODE_HEADER.size
     (target_len,) = struct.unpack_from("<H", data, offset)
     offset += 2
     target = data[offset : offset + target_len].decode("utf-8")

@@ -74,10 +74,6 @@ class IORequest:
         return self.count * SECTOR_SIZE
 
     @property
-    def queue_time(self) -> float:
-        return max(self.dispatched_at - self.created_at, 0.0)
-
-    @property
     def service_time(self) -> float:
         return max(self.completed_at - self.dispatched_at, 0.0)
 
@@ -96,22 +92,23 @@ class IORequest:
 class DriverStatistics:
     """Counters collected by every driver.
 
-    Memory is constant in the number of requests except for
-    ``queue_length_samples``, which the disk-queue histogram plug-in reads.
+    Memory is constant in the number of requests: ``queue_lengths`` counts
+    arrivals per queue length seen (the disk-queue plug-in's histogram), so
+    it grows with the deepest queue, never with the request count.
     """
 
     reads: int = 0
     writes: int = 0
     sectors_read: int = 0
     sectors_written: int = 0
-    queue_length_samples: list[int] = field(default_factory=list)
+    queue_lengths: dict[int, int] = field(default_factory=dict)
     #: total time the device spent servicing requests.
     busy_time: float = 0.0
     #: summed response times (queueing + service) of completed requests.
     response_time_total: float = 0.0
 
     def record_submit(self, queue_length: int) -> None:
-        self.queue_length_samples.append(queue_length)
+        self.queue_lengths[queue_length] = self.queue_lengths.get(queue_length, 0) + 1
 
     def record_completion(self, request: IORequest) -> None:
         if request.kind is IOKind.READ:
@@ -128,9 +125,10 @@ class DriverStatistics:
         return self.reads + self.writes
 
     def mean_queue_length(self) -> float:
-        if not self.queue_length_samples:
+        arrivals = sum(self.queue_lengths.values())
+        if not arrivals:
             return 0.0
-        return sum(self.queue_length_samples) / len(self.queue_length_samples)
+        return sum(length * n for length, n in self.queue_lengths.items()) / arrivals
 
     def mean_response_time(self) -> float:
         if not self.operations:

@@ -134,35 +134,35 @@ class FileSystem:
         if inode is not None:
             yield from self.layout.write_inode(inode)
 
-    @property
-    def dirty_inode_count(self) -> int:
-        return len(self._dirty_inodes)
-
     # ------------------------------------------------------------------ the writeback path
 
-    def _writeback(self, file_id: int, block_nos: list[int]) -> Generator[Any, Any, None]:
-        """Write the given cached blocks of ``file_id`` (and its inode) to disk.
+    def _writeback(self, batch: list[tuple[int, list[int]]]) -> Generator[Any, Any, None]:
+        """Write one batch — the given cached blocks of each file, and its
+        inode — to disk.
 
         Registered with the cache at construction time; every flush —
         policy-driven, NVRAM drain or replacement pressure — funnels through
         here and therefore through the storage layout and disk drivers.
         """
-        loaded = self.file_table.find(file_id)
-        if loaded is not None:
-            inode = loaded.inode
-        else:
-            inode = yield from self.layout.read_inode(file_id)
-        pairs = []
-        for block_no in block_nos:
-            block = self.cache.peek(file_id, block_no)
-            if block is not None:
-                pairs.append((block_no, block))
-        if not pairs:
-            return
-        # Blocks and the inode that maps them: one layout call, which the
+        files = []
+        for file_id, block_nos in batch:
+            loaded = self.file_table.find(file_id)
+            if loaded is not None:
+                inode = loaded.inode
+            else:
+                inode = yield from self.layout.read_inode(file_id)
+            pairs = [
+                (block_no, block)
+                for block_no in block_nos
+                if (block := self.cache.peek(file_id, block_no)) is not None
+            ]
+            if pairs:
+                files.append((inode, pairs, True))
+        # Blocks and the inodes that map them: one layout call, which the
         # LFS turns into one log append.
-        yield from self.layout.write_file_blocks(inode, pairs)
-        self._dirty_inodes.pop(inode.number, None)
+        yield from self.layout.write_files(files)
+        for inode, _pairs, _with_inode in files:
+            self._dirty_inodes.pop(inode.number, None)
 
     def __repr__(self) -> str:
         return (

@@ -108,8 +108,5 @@ class FileTable:
     def open_count(self) -> int:
         return len(self._handles)
 
-    def handles_for(self, inode_number: int) -> list[OpenHandle]:
-        return [h for h in self._handles.values() if h.file.file_id == inode_number]
-
     def __repr__(self) -> str:
         return f"FileTable(loaded={len(self._files)}, open={len(self._handles)})"

@@ -170,12 +170,6 @@ class PeriodicUpdatePolicy(FlushPolicy):
 
     name = "periodic"
 
-    def __init__(self, config: FlushConfig):
-        super().__init__(config)
-        #: bound on concurrently outstanding file flushes per update cycle.
-        self.max_outstanding_flushes = 128
-        self._outstanding = 0
-
     def start(self) -> Thread:
         assert self.scheduler is not None
         return self.scheduler.spawn(
@@ -196,20 +190,14 @@ class PeriodicUpdatePolicy(FlushPolicy):
                 if block.dirty_since is not None and block.dirty_since <= cutoff
             )
             for file_id in expired:
-                if self._outstanding >= self.max_outstanding_flushes:
-                    break
-                self._outstanding += 1
                 self.scheduler.spawn(
-                    self._flush_one_file, file_id, name=f"update-flush-{file_id}", daemon=True
+                    self._flush, [file_id], name=f"update-flush-{file_id}", daemon=True
                 )
 
-    def _flush_one_file(self, file_id: int) -> Generator[Any, Any, None]:
+    def _flush(self, file_ids: List[int]) -> Generator[Any, Any, None]:
         assert self.cache is not None
-        try:
-            flushed = yield from self.cache.flush_file(file_id)
-            self.policy_flushes += flushed
-        finally:
-            self._outstanding -= 1
+        flushed = yield from self.cache.flush_files(file_ids)
+        self.policy_flushes += flushed
 
 
 class WriteSavingPolicy(FlushPolicy):
@@ -270,11 +258,6 @@ class NvramPolicy(FlushPolicy):
                 self.policy_flushes += flushed
                 if flushed == 0:
                     break
-
-    @property
-    def nvram_blocks(self) -> int:
-        assert self.cache is not None
-        return self.config.nvram_bytes // self.cache.block_size
 
 
 class ShardedFlushPolicy(FlushPolicy):
@@ -383,12 +366,7 @@ class ShardedFlushPolicy(FlushPolicy):
 
     def stats(self) -> dict:
         """Aggregate child counters plus governor activity."""
-        totals = {
-            "daemon_wakeups": 0,
-            "wakeups_coalesced": 0,
-            "policy_flushes": 0,
-            "flush_ahead_blocks": 0,
-        }
+        totals: dict = {}
         for child in self.children:
             for key, value in child.stats().items():
                 totals[key] = totals.get(key, 0) + value

@@ -104,10 +104,6 @@ class _Node:
         """The list this node logically belongs to (even while parked)."""
         return self.owner if self.owner is not None else self.home
 
-    @property
-    def is_ghost(self) -> bool:
-        return self.block is None
-
 
 class _DList:
     """Intrusive doubly-linked list with a sentinel: every operation O(1).

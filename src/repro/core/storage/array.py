@@ -36,7 +36,7 @@ from repro.core.cache import BlockCache, CacheStatistics
 from repro.core.faults import FaultState
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
-from repro.core.storage.layout import ReadAhead, StorageLayout
+from repro.core.storage.layout import ReadAhead, StorageLayout, WriteBack
 from repro.core.storage.volume import Volume
 from repro.core.sync import gather
 from repro.errors import ConfigurationError, DataUnavailable, StorageError
@@ -358,23 +358,6 @@ class ShardedCache:
     def shard_for(self, file_id: int, block_no: int) -> BlockCache:
         return self.shards[self.shard_index(file_id, block_no)]
 
-    def _shard_of_block(self, block: CacheBlock) -> BlockCache:
-        block_id = block.block_id
-        if block_id is None:
-            raise ConfigurationError("cannot route a cache block with no identity")
-        routed = self.shard_for(block_id.file_id, block_id.block_no)
-        if routed.peek(block_id.file_id, block_id.block_no) is block:
-            return routed
-        # A repair promotion can flip the file's home volume while a thread
-        # holds one of its blocks pinned: new lookups route to the new home,
-        # but this block still lives in the shard it was allocated in.
-        # Route by residence so the in-flight operation completes against
-        # its own slot (the old node's flush path then drops the I/O).
-        for shard in self.shards:
-            if shard.peek(block_id.file_id, block_id.block_no) is block:
-                return shard
-        return routed
-
     # ------------------------------------------------------------------ aggregate views
 
     @property
@@ -465,19 +448,19 @@ class ShardedCache:
         return self.shard_for(file_id, block_no).try_allocate(file_id, block_no)
 
     def touch(self, block: CacheBlock) -> None:
-        self._shard_of_block(block).touch(block)
+        block.owner.touch(block)
 
     def mark_dirty(self, block: CacheBlock) -> Generator[Any, Any, None]:
-        yield from self._shard_of_block(block).mark_dirty(block)
+        yield from block.owner.mark_dirty(block)
 
     def mark_clean(self, block: CacheBlock) -> None:
-        self._shard_of_block(block).mark_clean(block)
+        block.owner.mark_clean(block)
 
     def invalidate(self, block: CacheBlock) -> None:
-        self._shard_of_block(block).invalidate(block)
+        block.owner.invalidate(block)
 
     def flush_block(self, block: CacheBlock) -> Generator[Any, Any, int]:
-        return (yield from self._shard_of_block(block).flush_block(block))
+        return (yield from block.owner.flush_block(block))
 
     def wait_block_ready(
         self, file_id: Optional[int] = None, block_no: Optional[int] = None
@@ -520,20 +503,9 @@ class ShardedCache:
                 oldest = candidate
         return oldest
 
-    def dirty_files(self) -> List[int]:
-        entries: List[tuple[float, int]] = []
-        for shard in self.shards:
-            for block in shard._dirty.values():
-                entries.append((block.dirty_since or 0.0, block.block_id.file_id))
-        entries.sort(key=lambda item: item[0])
-        return list(dict.fromkeys(file_id for _when, file_id in entries))
-
     def blocks(self) -> Iterable[CacheBlock]:
         for shard in self.shards:
             yield from shard.blocks()
-
-    def oldest_dirty_age(self) -> float:
-        return max((shard.oldest_dirty_age() for shard in self.shards), default=0.0)
 
     def has_allocatable_slot(self) -> bool:
         return any(shard.has_allocatable_slot() for shard in self.shards)
@@ -565,7 +537,7 @@ class ShardedCache:
         victim = self.oldest_dirty()
         if victim is None:
             return 0
-        return (yield from self._shard_of_block(victim).flush_oldest())
+        return (yield from victim.owner.flush_oldest())
 
     def flush_all(self) -> Generator[Any, Any, int]:
         written = 0
@@ -744,21 +716,6 @@ class RoutedLayout(StorageLayout):
             )
         return (yield from self.sublayouts[volume].read_inode(inode_number))
 
-    def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        yield from self._write_home_inode(inode)
-        if self.replication is not None:
-            yield from self.replication.replicate(inode)
-
-    def _write_home_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        volume = self.home_of(inode.number)
-        faults = self.faults
-        if faults.active and faults.volume_unavailable(volume):
-            # The home volume eats the write — the data loss replication
-            # absorbs (and a bare cluster simply suffers).
-            faults.note_dropped_write(volume)
-        else:
-            yield from self.sublayouts[volume].write_inode(inode)
-
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         if self.replication is not None:
             yield from self.replication.free_replicas(inode)
@@ -777,7 +734,7 @@ class RoutedLayout(StorageLayout):
         *,
         readahead: Optional[ReadAhead] = None,
     ) -> Generator[Any, Any, int]:
-        """Group the call's blocks by volume (as :meth:`write_file_blocks`
+        """Group the call's blocks by volume (as :meth:`write_files`
         does) and read every group at once: a striped file keeps all its
         volumes busy for one client read."""
         groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
@@ -834,41 +791,42 @@ class RoutedLayout(StorageLayout):
             )
         )
 
-    def write_file_blocks(
-        self,
-        inode: Inode,
-        blocks: List[tuple[int, CacheBlock]],
-        *,
-        with_inode: bool = True,
-    ) -> Generator[Any, Any, None]:
-        if not blocks:
-            return
-        groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
-        for block_no, cache_block in blocks:
-            volume = self.placement.volume_for_block(inode.number, block_no)
-            groups.setdefault(volume, []).append((block_no, cache_block))
-        home = self.home_of(inode.number)
+    def write_files(self, files: List[WriteBack]) -> Generator[Any, Any, None]:
+        """Split a writeback batch by volume and hand each volume its share
+        as one batch.  The shares carrying no inode go first — a striped
+        file's blocks on volumes other than its home — so every inode lands
+        behind the blocks it maps; an inode whose home got no blocks is an
+        entry of its own in the home's share."""
+        phases: tuple[Dict[int, List[WriteBack]], ...] = ({}, {})
+        for inode, blocks, with_inode in files:
+            home = self.home_of(inode.number)
+            groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
+            for block_no, cache_block in blocks:
+                volume = self.placement.volume_for_block(inode.number, block_no)
+                groups.setdefault(volume, []).append((block_no, cache_block))
+            if with_inode:
+                groups.setdefault(home, [])
+            for volume, group in groups.items():
+                carries = with_inode and volume == home
+                phases[carries].setdefault(volume, []).append((inode, group, carries))
         faults = self.faults
-        # The home volume goes last: its append carries the inode, which
-        # must map the blocks a striped file just placed on other volumes.
-        for volume in sorted(groups, key=lambda v: (v == home, v)):
-            if faults.active:
-                if faults.volume_unavailable(volume):
-                    # A dead disk eats the write; the flusher completes and
-                    # the data survives only where replication put a copy.
-                    faults.note_dropped_write(volume, len(groups[volume]))
-                    continue
-                extra = faults.extra_delay(volume)
-                if extra:
-                    yield from self.scheduler.sleep(extra)
-            yield from self.sublayouts[volume].write_file_blocks(
-                inode, groups[volume], with_inode=with_inode and volume == home
-            )
-        if with_inode and home not in groups:
-            yield from self._write_home_inode(inode)
+        for phase in phases:
+            for volume in sorted(phase):
+                share = phase[volume]
+                if faults.active:
+                    if faults.volume_unavailable(volume):
+                        # A dead disk eats the write; the flusher completes and
+                        # the data survives only where replication put a copy.
+                        faults.note_dropped_write(volume, sum(len(b) or 1 for _i, b, _w in share))
+                        continue
+                    extra = faults.extra_delay(volume)
+                    if extra:
+                        yield from self.scheduler.sleep(extra)
+                yield from self.sublayouts[volume].write_files(share)
         if self.replication is not None:
-            # A copy is always one append: blocks and shadow inode together.
-            yield from self.replication.replicate(inode, blocks)
+            # A copy is always one append per replica volume: blocks and
+            # shadow inodes together.
+            yield from self.replication.replicate([(inode, blocks) for inode, blocks, _w in files])
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         groups: Dict[int, Dict[int, int]] = {}

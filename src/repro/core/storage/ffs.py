@@ -22,15 +22,15 @@ the inode region (an fsck-style sweep), which doubles as a consistency check.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Generator, Optional
 
 from repro.assembly.registry import registry
 from repro.core import codec
-from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
 from repro.core.storage.allocator import BlockAllocator
-from repro.core.storage.layout import StorageLayout
+from repro.core.storage.layout import StorageLayout, WriteBack
 from repro.core.storage.volume import Volume
 from repro.errors import StorageError
 from repro.units import DEFAULT_BLOCK_SIZE
@@ -217,28 +217,22 @@ class FfsLikeLayout(StorageLayout):
 
     # ------------------------------------------------------------------ file data
 
-    def write_file_blocks(
-        self,
-        inode: Inode,
-        blocks: list[tuple[int, CacheBlock]],
-        *,
-        with_inode: bool = True,
-    ) -> Generator[Any, Any, None]:
-        if not blocks:
-            return
-        previous: Optional[int] = None
-        for block_no, cache_block in sorted(blocks, key=lambda item: item[0]):
-            address = inode.get_block_address(block_no)
-            if address is None or self._is_synthetic(inode.number, block_no, address):
-                address = self.allocator.allocate(near=previous)
-                inode.set_block_address(block_no, address)
-            previous = address
-            yield from self.volume.write_block(address, self.block_payload(cache_block))
-            self.stats.disk_writes += 1
-            self.stats.blocks_written += 1
-        if with_inode:
-            # Update in place: the inode's fixed slot, wherever the data went.
-            yield from self.write_inode(inode)
+    def write_files(self, files: list[WriteBack]) -> Generator[Any, Any, None]:
+        """Update in place, one file after the other: each block at its own
+        address, each inode in its fixed slot, wherever the data went."""
+        for inode, blocks, with_inode in files:
+            previous: Optional[int] = None
+            for block_no, cache_block in sorted(blocks, key=itemgetter(0)):
+                address = inode.get_block_address(block_no)
+                if address is None or self._is_synthetic(inode.number, block_no, address):
+                    address = self.allocator.allocate(near=previous)
+                    inode.set_block_address(block_no, address)
+                previous = address
+                yield from self.volume.write_block(address, self.block_payload(cache_block))
+                self.stats.disk_writes += 1
+                self.stats.blocks_written += 1
+            if with_inode:
+                yield from self.write_inode(inode)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         for block_no in sorted(bn for bn in inode.block_map if bn >= from_block):

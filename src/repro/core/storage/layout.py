@@ -28,7 +28,7 @@ from repro.core.storage.volume import Volume
 from repro.core.sync import gather
 from repro.errors import StorageError
 
-__all__ = ["StorageLayout", "LayoutStatistics", "ReadRun", "ReadAhead"]
+__all__ = ["StorageLayout", "LayoutStatistics", "ReadRun", "ReadAhead", "WriteBack"]
 
 #: one planned disk read: the first block address and the file blocks it
 #: fetches, as ``(offset from that address, logical block number)`` in
@@ -40,6 +40,10 @@ ReadRun = tuple[int, list[tuple[int, int]]]
 #: read-ahead: given a logical block number, a cache slot to fill — or
 #: ``None`` when the block is cached already or no slot can be spared.
 ReadAhead = Callable[[int], Optional[CacheBlock]]
+
+#: one file of a writeback batch: its inode, the (logical block number,
+#: cache block) pairs to write, and whether the inode goes down with them.
+WriteBack = tuple[Inode, list[tuple[int, CacheBlock]], bool]
 
 
 @dataclass
@@ -154,10 +158,10 @@ class StorageLayout(ABC):
     def read_inode(self, inode_number: int) -> Generator[Any, Any, Inode]:
         """Fetch an inode, possibly from disk."""
 
-    @abstractmethod
     def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         """Persist an inode on its own (attribute-only updates; a writeback
-        persists it through :meth:`write_file_blocks`)."""
+        persists it through :meth:`write_files`)."""
+        yield from self.write_files([(inode, [], True)])
 
     @abstractmethod
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
@@ -245,7 +249,6 @@ class StorageLayout(ABC):
                     block.valid_bytes = block.size
         return sum(len(members) for _address, members in runs)
 
-    @abstractmethod
     def write_file_blocks(
         self,
         inode: Inode,
@@ -253,12 +256,19 @@ class StorageLayout(ABC):
         *,
         with_inode: bool = True,
     ) -> Generator[Any, Any, None]:
-        """One writeback: write the given (logical block number, cache
-        block) pairs of ``inode`` to disk, update the inode's block map and
-        persist the inode that now maps them — callers do not follow up with
-        :meth:`write_inode`.  ``with_inode=False`` writes the data alone,
-        for the volumes of a striped file that are not its home and for all
-        but the last batch of a multi-batch copy."""
+        """One writeback of one file: a batch of one for :meth:`write_files`
+        (nothing at all without blocks).  ``with_inode=False`` writes the
+        data alone, for the volumes of a striped file that are not its home
+        and for all but the last batch of a multi-batch copy."""
+        if blocks:
+            yield from self.write_files([(inode, blocks, with_inode)])
+
+    @abstractmethod
+    def write_files(self, files: list[WriteBack]) -> Generator[Any, Any, None]:
+        """One writeback batch: write each file's (logical block number,
+        cache block) pairs, update its block map and — with ``with_inode`` —
+        persist the inode that now maps them (callers do not follow up with
+        :meth:`write_inode`); a file with no blocks is its inode alone."""
 
     @abstractmethod
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Generator, Iterable, Optional
 
 from repro.assembly.registry import registry
@@ -35,7 +36,7 @@ from repro.core import codec
 from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
-from repro.core.storage.layout import ReadAhead, ReadRun, StorageLayout
+from repro.core.storage.layout import ReadAhead, ReadRun, StorageLayout, WriteBack
 from repro.core.storage.segindex import (
     BloomFilter,
     SegmentIndex,
@@ -124,6 +125,10 @@ class LogStructuredLayout(StorageLayout):
         ]
         # --- IFILE / inode map: inode number -> (log address, blocks) -------
         self.inode_map: dict[int, tuple[int, int]] = {}
+        #: live inode blocks (the first block of a multi-block inode):
+        #: address -> the inode numbers mapped there.  A block an append
+        #: packed several inodes into stays live until the last of them dies.
+        self._inode_blocks: dict[int, set[int]] = {}
         # --- segment accounting ------------------------------------------------
         self.segment_usage: dict[int, int] = {s: 0 for s in range(self.num_segments)}
         self.segment_mtime: dict[int, float] = {s: 0.0 for s in range(self.num_segments)}
@@ -204,6 +209,7 @@ class LogStructuredLayout(StorageLayout):
     def format(self) -> Generator[Any, Any, None]:
         """Write an empty file system: a superblock with no checkpoint."""
         self.inode_map.clear()
+        self._inode_blocks.clear()
         self._inode_objects.clear()
         self.segment_usage = {s: 0 for s in range(self.num_segments)}
         self.segment_summaries.clear()
@@ -255,6 +261,9 @@ class LogStructuredLayout(StorageLayout):
             raise StorageError("checkpoint read returned no data")
         checkpoint = codec.unpack_checkpoint(raw)
         self.inode_map = dict(checkpoint["inode_map"])
+        self._inode_blocks = {}
+        for number, (first, _nblocks) in self.inode_map.items():
+            self._inode_blocks.setdefault(first, set()).add(number)
         self.next_inode_number = checkpoint["next_inode_number"]
         usage = checkpoint["segment_usage"]
         self.segment_usage = {s: usage.get(s, 0) for s in range(self.num_segments)}
@@ -423,21 +432,29 @@ class LogStructuredLayout(StorageLayout):
             if inode is None:
                 raise StorageError(f"simulated LFS lost track of inode {inode_number}")
             return inode
-        inode = codec.unpack_inode(raw)
+        # An inode block may hold several inodes: pick this one's record.
+        inode = next((i for i in codec.unpack_inode_block(raw) if i.number == inode_number), None)
+        if inode is None:
+            raise StorageError(f"inode {inode_number} is not in its inode block")
         self._inode_objects[inode_number] = inode
         return inode
 
-    def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
-        """Append a fresh copy of ``inode`` alone (attribute-only updates;
-        a writeback's inode rides :meth:`write_file_blocks`)."""
-        yield from self._write_file(inode, [], True)
-
     def free_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         yield from self.release_blocks(inode, 0)
-        old = self.inode_map.pop(inode.number, None)
-        if old is not None:
-            self._kill_blocks(old[0], old[1])
+        self._kill_inode(inode.number)
         self._inode_objects.pop(inode.number, None)
+
+    def _kill_inode(self, number: int) -> None:
+        """Retire the current copy of inode ``number``: its inode block
+        dies with the last inode mapped there."""
+        old = self.inode_map.pop(number, None)
+        if old is None:
+            return
+        members = self._inode_blocks[old[0]]
+        members.discard(number)
+        if not members:
+            del self._inode_blocks[old[0]]
+            self._kill_blocks(*old)
 
     # ------------------------------------------------------------------ file data
 
@@ -451,7 +468,7 @@ class LogStructuredLayout(StorageLayout):
 
         The requested blocks are taken in file order; a block joins the run
         before it when it sits physically next to that run's last block — or
-        one block further, because each writeback puts the inode behind its
+        one block further, because each append puts the inodes behind its
         data (``d0-7 i d8-15 i``) and reading *through* that block is far
         cheaper than a second disk operation (it is fetched and discarded).
         The last run is then extended the same way with the file's following
@@ -505,70 +522,95 @@ class LogStructuredLayout(StorageLayout):
                 block_no += 1
         return runs
 
-    def write_file_blocks(
-        self,
-        inode: Inode,
-        blocks: list[tuple[int, CacheBlock]],
-        *,
-        with_inode: bool = True,
-    ) -> Generator[Any, Any, None]:
-        if not blocks:
-            return
-        ordered = sorted(blocks, key=lambda item: item[0])
-        yield from self._write_file(inode, ordered, with_inode)
+    def write_files(self, files: list[WriteBack]) -> Generator[Any, Any, None]:
+        """One log append per batch, split before the file whose data
+        blocks would outgrow a segment (a single larger file is one append)."""
+        chunk: list[WriteBack] = []
+        data = 0
+        for inode, blocks, with_inode in files:
+            if chunk and data + len(blocks) > self.segment_blocks - 1:
+                yield from self._append_files(chunk)
+                chunk, data = [], 0
+            chunk.append((inode, sorted(blocks, key=itemgetter(0)), with_inode))
+            data += len(blocks)
+        if chunk:
+            yield from self._append_files(chunk)
 
-    def _write_file(
-        self, inode: Inode, blocks: list[tuple[int, CacheBlock]], with_inode: bool
-    ) -> Generator[Any, Any, None]:
-        """One log append for one writeback: ``blocks`` (sorted by block
-        number) and, right behind them, the inode that maps them.
+    def _append_files(self, files: list[WriteBack]) -> Generator[Any, Any, None]:
+        """One log append for one batch: every file's blocks (sorted by
+        block number) and, right behind them all, the inodes that map them.
 
         Everything that decides *what* goes to disk happens under the append
-        lock: the data blocks get their addresses, the inode is packed
-        **then** — so it carries those addresses and every one an earlier
-        append assigned — and its copy is reserved at the next log address.
-        The inode map therefore follows log order: of two overlapping
-        writebacks of one file the later reservation is the later content,
-        whichever disk write finishes first.  After the lock is dropped the
-        lot is one ``volume.write_run`` (two when it straddles a segment end).
+        lock: the data blocks get their addresses, the inodes are packed
+        **then** — so they carry those addresses and every one an earlier
+        append assigned — and their copies are reserved at the next log
+        addresses.  The inode map therefore follows log order: of two
+        overlapping writebacks of one file the later reservation is the
+        later content, whichever disk write finishes first.  After the lock
+        is dropped the lot is one ``volume.write_run`` (two when it
+        straddles a segment end).
         """
         self._check_mounted()
         assert self._append_lock is not None
-        number = inode.number
         writes: list[tuple[int, int, Optional[bytes]]] = []
         yield from self._append_lock.acquire()
         try:
-            if blocks:
-                entries = []
+            entries = []
+            for inode, blocks, _with_inode in files:
                 for block_no, cache_block in blocks:
                     old_address = inode.get_block_address(block_no)
                     if old_address is not None and not self._is_synthetic(
-                        number, block_no, old_address
+                        inode.number, block_no, old_address
                     ):
                         self._kill_blocks(old_address, 1)
-                    entries.append((number, block_no, False, self.block_payload(cache_block)))
-                addresses = yield from self._reserve(entries, writes)
-                for (block_no, _cache_block), address in zip(blocks, addresses):
-                    inode.set_block_address(block_no, address)
-                self.stats.blocks_written += len(blocks)
-            if with_inode:
-                self._inode_objects[number] = inode
-                nblocks = max(1, -(-codec.packed_inode_size(inode) // self.block_size))
-                chunks: list[Optional[bytes]] = (
-                    [None] * nblocks  # PATSY needs the length only
-                    if self.simulated
-                    else self._chunk(codec.pack_inode(inode), nblocks)
-                )
-                old = self.inode_map.get(number)
-                if old is not None:
-                    self._kill_blocks(old[0], old[1])
-                entries = [(number, index, True, chunk) for index, chunk in enumerate(chunks)]
-                addresses = yield from self._reserve(entries, writes, contiguous=True)
-                self.inode_map[number] = (addresses[0], nblocks)
-                self.stats.inodes_written += 1
+                    entries.append((inode.number, block_no, False, self.block_payload(cache_block)))
+            addresses = iter((yield from self._reserve(entries, writes)))
+            for inode, blocks, _with_inode in files:
+                for block_no, _cache_block in blocks:
+                    inode.set_block_address(block_no, next(addresses))
+            self.stats.blocks_written += len(entries)
+            inodes = [inode for inode, _blocks, with_inode in files if with_inode]
+            yield from self._append_inodes(inodes, writes)
         finally:
             self._append_lock.release()
         yield from self._issue(writes)
+
+    def _append_inodes(
+        self, inodes: list[Inode], writes: list[tuple[int, int, Optional[bytes]]]
+    ) -> Generator[Any, Any, None]:
+        """Reserve fresh copies of ``inodes`` (the caller holds the append
+        lock): packed back to back into shared inode blocks, in order; an
+        inode larger than a block gets a run of its own.  A block holding
+        one inode is that inode zero-padded, summarised as ``(inode, 0)``;
+        a shared block is summarised under its first inode with the
+        :data:`~repro.core.codec.SHARED_INODE_BLOCK` marker."""
+        groups: list[list[Inode]] = []
+        sizes: list[int] = []
+        for inode in inodes:
+            self._inode_objects[inode.number] = inode
+            self._kill_inode(inode.number)
+            size = codec.packed_inode_size(inode)
+            if groups and sizes[-1] + size <= self.block_size:
+                groups[-1].append(inode)
+                sizes[-1] += size
+            else:
+                groups.append([inode])
+                sizes.append(size)
+        for group, size in zip(groups, sizes):
+            nblocks = max(1, -(-size // self.block_size))
+            chunks: list[Optional[bytes]] = (
+                [None] * nblocks  # PATSY needs the length only
+                if self.simulated
+                else self._chunk(b"".join(map(codec.pack_inode, group)), nblocks)
+            )
+            logical = range(nblocks) if len(group) == 1 else [codec.SHARED_INODE_BLOCK]
+            entries = [(group[0].number, i, True, chunk) for i, chunk in zip(logical, chunks)]
+            addresses = yield from self._reserve(entries, writes, contiguous=True)
+            self._inode_blocks[addresses[0]] = {inode.number for inode in group}
+            for inode in group:
+                self.inode_map[inode.number] = (addresses[0], nblocks)
+                self._owner_bloom.add(owner_key(inode.number))
+        self.stats.inodes_written += len(inodes)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         for block_no in sorted(bn for bn in inode.block_map if bn >= from_block):
@@ -653,10 +695,15 @@ class LogStructuredLayout(StorageLayout):
             raw = staged[offset]
             inode = self._inode_objects.get(inode_number)
             if is_inode:
-                if inode is None:
-                    inode = yield from self.read_inode(inode_number)
-                # Rewriting the inode moves it to the head of the log.
-                yield from self.write_inode(inode)
+                # Every inode still mapped to the block moves to the head
+                # of the log, in one append.
+                inodes = []
+                for number in sorted(self._inode_blocks[address]):
+                    inode = self._inode_objects.get(number)
+                    if inode is None:
+                        inode = yield from self.read_inode(number)
+                    inodes.append(inode)
+                yield from self.write_files([(inode, [], True) for inode in inodes])
             else:
                 if inode is None:
                     try:
@@ -691,6 +738,8 @@ class LogStructuredLayout(StorageLayout):
             start, count = self._checkpoint_location
             return start <= address < start + count
         if is_inode:
+            if logical_block == codec.SHARED_INODE_BLOCK:
+                return address in self._inode_blocks
             location = self.inode_map.get(inode_number)
             if location is None:
                 return False

@@ -96,8 +96,8 @@ class BloomFilter:
     """A tiny deterministic bloom filter over 64-bit keys.
 
     ``k`` probe positions are derived from one key by double hashing
-    (h1 + i*h2), the textbook construction.  No deletions: entries of a
-    sealed segment only ever die, they are never removed from the filter,
+    (h1 + i*h2, stepped modulo the size), the textbook construction.  No
+    deletions: entries of a sealed segment only ever die, never leave the filter,
     so a stale positive costs a wasted probe while a negative is always
     authoritative.
     """
@@ -117,21 +117,21 @@ class BloomFilter:
         return int.from_bytes(self._bytes, "little")
 
     def add(self, key: int) -> None:
-        h1 = key & _MASK64
-        h2 = _mix(key) | 1
+        bits = self.num_bits
+        pos, step = (key & _MASK64) % bits, (_mix(key) | 1) % bits
         data = self._bytes
-        for i in range(self.num_hashes):
-            pos = (h1 + i * h2) % self.num_bits
+        for _ in range(self.num_hashes):
             data[pos >> 3] |= 1 << (pos & 7)
+            pos = (pos + step) % bits
 
     def may_contain(self, key: int) -> bool:
-        h1 = key & _MASK64
-        h2 = _mix(key) | 1
+        bits = self.num_bits
+        pos, step = (key & _MASK64) % bits, (_mix(key) | 1) % bits
         data = self._bytes
-        for i in range(self.num_hashes):
-            pos = (h1 + i * h2) % self.num_bits
+        for _ in range(self.num_hashes):
             if not data[pos >> 3] >> (pos & 7) & 1:
                 return False
+            pos = (pos + step) % bits
         return True
 
     def to_bytes(self) -> bytes:

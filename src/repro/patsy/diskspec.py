@@ -72,11 +72,6 @@ class DiskSpec:
     def capacity_bytes(self) -> int:
         return self.num_sectors * self.sector_size
 
-    @property
-    def track_transfer_time(self) -> float:
-        """Time to transfer one full track off the media."""
-        return self.rotation_time
-
     def sector_transfer_time(self, count: int = 1) -> float:
         """Media transfer time for ``count`` sectors."""
         return (count / self.sectors_per_track) * self.rotation_time

@@ -25,6 +25,7 @@ from repro.core.scheduler import Delay, Event, Scheduler
 from repro.core.sync import Channel
 from repro.patsy.bus import ScsiBus
 from repro.patsy.diskspec import DiskSpec
+from repro.patsy.stats import Histogram
 
 __all__ = ["SimulatedDisk", "DiskStatistics"]
 
@@ -43,12 +44,13 @@ class DiskStatistics:
     total_rotational_delay: float = 0.0
     total_transfer_time: float = 0.0
     busy_time: float = 0.0
-    rotational_delays: list = field(default_factory=list)
+    #: rotational delays, bucketed for the rotational-delay plug-in.
+    rotation: Histogram = field(default_factory=Histogram)
 
     def mean_rotational_delay(self) -> float:
-        if not self.rotational_delays:
+        if not self.seeks:
             return 0.0
-        return sum(self.rotational_delays) / len(self.rotational_delays)
+        return self.total_rotational_delay / self.seeks
 
 
 class SimulatedDisk:
@@ -67,7 +69,7 @@ class SimulatedDisk:
         self.bus = bus
         self.name = name
         self.node = node
-        self.stats = DiskStatistics()
+        self.stats = DiskStatistics(rotation=Histogram(high=spec.rotation_time, buckets=15))
         self._work: Channel = Channel(scheduler, name=f"{name}-work")
         self._current_cylinder = 0
         self._current_head = 0
@@ -104,10 +106,6 @@ class SimulatedDisk:
         signalled when the disk has finished (including the bus transfer of
         read data back to the host)."""
         self._work.put((request, completion))
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._work)
 
     # -- the controller thread --------------------------------------------------------------
 
@@ -203,7 +201,7 @@ class SimulatedDisk:
         self.stats.total_seek_time += seek_time
         self.stats.total_rotational_delay += rotation
         self.stats.total_transfer_time += transfer
-        self.stats.rotational_delays.append(rotation)
+        self.stats.rotation.add(rotation)
         yield Delay(seek_time + rotation + transfer)
         self._advance_position(request)
 

@@ -7,7 +7,7 @@ Some of the standard detailed statistics objects include histograms of disk
 queue sizes, cache statistics, and disk rotational delay statistics."
 
 The plug-ins below read counters that the core components already maintain
-(driver queue samples, disk model rotational delays, cache statistics, bus
+(driver queue lengths, disk model rotational delays, cache statistics, bus
 contention) and turn them into report dictionaries and ASCII histograms.
 
 The :class:`LatencyRecorder` is the "general simulation class" measurement
@@ -123,13 +123,25 @@ class Histogram:
             guess -= 1
         return guess
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, count: int = 1) -> None:
+        """Record ``value``, ``count`` times over."""
         index = self._bucket_index(value)
-        self.counts[index] += 1
-        self.total += 1
-        self.sum += value
+        self.counts[index] += count
+        self.total += count
+        self.sum += value * count
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+
+    def merge(self, other: "Histogram") -> None:
+        """Add every observation of ``other``, a histogram with these bounds."""
+        if other.bounds != self.bounds:
+            raise InvalidArgument("only histograms with the same buckets merge")
+        self.counts = [mine + theirs for mine, theirs in zip(self.counts, other.counts)]
+        self.total += other.total
+        self.sum += other.sum
+        if other.total:
+            self.min = other.min if self.min is None else min(self.min, other.min)
+            self.max = other.max if self.max is None else max(self.max, other.max)
 
     def add_all(self, values: Iterable[float]) -> None:
         for value in values:
@@ -582,11 +594,10 @@ class DiskQueuePlugin(StatisticsPlugin):
     def collect(self, simulator: "PatsySimulator") -> dict:
         per_disk = {}
         for driver in simulator.drivers:
-            samples = driver.stats.queue_length_samples
             per_disk[driver.name] = {
                 "operations": driver.stats.operations,
                 "mean_queue_length": driver.stats.mean_queue_length(),
-                "max_queue_length": max(samples) if samples else 0,
+                "max_queue_length": max(driver.stats.queue_lengths, default=0),
                 "mean_response_time": driver.stats.mean_response_time(),
             }
         return {"disks": per_disk}
@@ -594,7 +605,8 @@ class DiskQueuePlugin(StatisticsPlugin):
     def histogram(self, simulator: "PatsySimulator") -> Histogram:
         histogram = Histogram(bucket_bounds=[0, 1, 2, 4, 8, 16, 32, 64])
         for driver in simulator.drivers:
-            histogram.add_all(driver.stats.queue_length_samples)
+            for length, arrivals in sorted(driver.stats.queue_lengths.items()):
+                histogram.add(length, arrivals)
         return histogram
 
 
@@ -619,7 +631,7 @@ class RotationalDelayPlugin(StatisticsPlugin):
         rotation = simulator.disks[0].spec.rotation_time if simulator.disks else 0.015
         histogram = Histogram(low=0.0, high=rotation, buckets=15)
         for disk in simulator.disks:
-            histogram.add_all(disk.stats.rotational_delays)
+            histogram.merge(disk.stats.rotation)
         return histogram
 
 

@@ -332,10 +332,6 @@ class OperationGroup:
     def start_time(self) -> float:
         return self.records[0].timestamp if self.records else 0.0
 
-    @property
-    def end_time(self) -> float:
-        return self.records[-1].timestamp if self.records else 0.0
-
     def __len__(self) -> int:
         return len(self.records)
 

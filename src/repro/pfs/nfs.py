@@ -372,10 +372,6 @@ class NfsServer:
             request.reply_event = self.scheduler.new_event("nfs-reply")
         self._requests.put(request)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._requests)
-
     # -- workers -------------------------------------------------------------------------------
 
     def _worker(self, index: int) -> Generator[Any, Any, None]:

@@ -144,8 +144,9 @@ def make_sharded(scheduler, shards=2, blocks_per_shard=8):
     cache = ShardedCache(caches, router=lambda file_id, block_no: file_id % shards)
     written = []
 
-    def writeback(file_id, block_nos):
-        written.append((file_id, tuple(block_nos)))
+    def writeback(batch):
+        for file_id, block_nos in batch:
+            written.append((file_id, tuple(block_nos)))
         yield Delay(0.001)
 
     cache.writeback = writeback
@@ -336,13 +337,13 @@ def test_routed_striped_writeback_keeps_the_inode_on_the_home_volume(scheduler):
     other = 1 - home
     order = []
     for v, sub in enumerate(layout.sublayouts):
-        original = sub.write_file_blocks
+        original = sub.write_files
 
-        def write_file_blocks(*args, _v=v, _original=original, **kwargs):
-            order.append((_v, kwargs.get("with_inode", True)))
-            return _original(*args, **kwargs)
+        def write_files(files, _v=v, _original=original):
+            order.append((_v, [with_inode for _inode, _blocks, with_inode in files]))
+            return _original(files)
 
-        sub.write_file_blocks = write_file_blocks
+        sub.write_files = write_files
     runs = record_runs(layout)
     run(
         scheduler,
@@ -350,7 +351,7 @@ def test_routed_striped_writeback_keeps_the_inode_on_the_home_volume(scheduler):
         inode,
         [(i, data_block(scheduler, b"%d" % i)) for i in range(6)],
     )
-    assert order == [(other, False), (home, True)]
+    assert order == [(other, [False]), (home, [True])]
     assert [n for _addr, n in runs[other]] == [3]
     assert [n for _addr, n in runs[home]] == [4]  # three stripes + the inode
     assert inode.number not in layout.sublayouts[other].inode_map
@@ -524,8 +525,9 @@ def test_sharded_flush_governor_drains_aggregate_dirty(scheduler):
     cache = ShardedCache(shards, router=lambda f, b: f % 2)
     written = []
 
-    def writeback(file_id, block_nos):
-        written.append((file_id, tuple(block_nos)))
+    def writeback(batch):
+        for file_id, block_nos in batch:
+            written.append((file_id, tuple(block_nos)))
         yield Delay(0.001)
 
     cache.writeback = writeback

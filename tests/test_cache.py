@@ -19,8 +19,9 @@ def make_cache(scheduler, blocks=8, with_data=False, replacement="lru"):
     cache = BlockCache(scheduler, config, with_data=with_data)
     written = []
 
-    def writeback(file_id, block_nos):
-        written.append((file_id, tuple(block_nos)))
+    def writeback(batch):
+        for file_id, block_nos in batch:
+            written.append((file_id, tuple(block_nos)))
         yield Delay(0.005)
 
     cache.writeback = writeback

@@ -68,6 +68,20 @@ def test_inode_packed_size_matches(block_map, target):
     assert codec.packed_inode_size(inode) == len(codec.pack_inode(inode))
 
 
+def test_inode_block_round_trips_several_inodes():
+    inodes = [
+        Inode(number=5, kind=FileKind.REGULAR, size=9000, block_map={0: 40, 1: 41, 2: 57}),
+        Inode(number=9, kind=FileKind.SYMLINK, symlink_target="/elsewhere/ß"),
+        Inode(number=12, kind=FileKind.DIRECTORY, nlink=3, block_map={0: 77}),
+    ]
+    block = b"".join(codec.pack_inode(inode) for inode in inodes)
+    unpacked = codec.unpack_inode_block(block + bytes(4096 - len(block)))
+    assert [(i.number, i.kind, i.size, i.nlink, i.block_map, i.symlink_target) for i in unpacked] == [
+        (i.number, i.kind, i.size, i.nlink, i.block_map, i.symlink_target) for i in inodes
+    ]
+    assert codec.unpack_inode_block(bytes(4096)) == []
+
+
 def test_inode_bad_magic():
     with pytest.raises(StorageError):
         codec.unpack_inode(bytes(200))

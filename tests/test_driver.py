@@ -94,13 +94,13 @@ def test_queue_statistics_accumulate(scheduler):
         scheduler.run_until_complete(thread)
     stats = driver.stats
     assert stats.operations == 5
-    assert len(stats.queue_length_samples) == 5
-    # Memory constant in the request count: running sums, and no per-request
-    # container but the queue-length samples the histogram plug-in reads.
+    assert sum(stats.queue_lengths.values()) == 5
+    # Memory constant in the request count: running sums, and no container
+    # but the per-queue-length arrival counts the histogram plug-in reads.
     containers = [
         name for name, value in vars(stats).items() if isinstance(value, (list, dict, set, tuple))
     ]
-    assert containers == ["queue_length_samples"]
+    assert containers == ["queue_lengths"]
     assert stats.busy_time == pytest.approx(5 * 0.002)
     assert stats.utilisation(scheduler.now) == pytest.approx(stats.busy_time / scheduler.now)
     # One at a time on one device: the k-th request waits for k services.

@@ -21,8 +21,9 @@ def make_cache_with_policy(scheduler, flush_config, blocks=16):
     cache = BlockCache(scheduler, CacheConfig(size_bytes=blocks * 4096), with_data=False)
     written = []
 
-    def writeback(file_id, block_nos):
-        written.append((file_id, tuple(block_nos)))
+    def writeback(batch):
+        for file_id, block_nos in batch:
+            written.append((file_id, tuple(block_nos)))
         yield Delay(0.002)
 
     cache.writeback = writeback

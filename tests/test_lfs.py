@@ -1,7 +1,10 @@
 """The segmented log-structured layout: log writes, IFILE, checkpoint, cleaning."""
 
+import math
+
 import pytest
 
+from repro.core import codec
 from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, ROOT_INODE_NUMBER
 from repro.core.storage.cleaner import CostBenefitCleaner, GreedyCleaner
@@ -358,3 +361,143 @@ def test_multi_disk_segments_do_not_cross_disks(scheduler):
         start = layout.segment_start(segment)
         end = start + layout.segment_blocks - 1
         assert layout.volume.disk_of(start) == layout.volume.disk_of(end)
+
+
+# --------------------------------------------------------------------------- one append per batch
+
+
+def remounted(scheduler, layout):
+    """Checkpoint ``layout`` and mount a fresh instance over its volume."""
+    run(scheduler, layout.checkpoint)
+    fresh = LogStructuredLayout(
+        scheduler, layout.volume, block_size=4 * KB, segment_blocks=layout.segment_blocks
+    )
+    run(scheduler, fresh.mount)
+    return fresh
+
+
+def read_back(scheduler, layout, number, block_no=0):
+    """The inode ``number`` as stored in the log, and one data block of it."""
+    inode = run(scheduler, layout.read_inode, number)
+    target = data_block()
+    run(scheduler, layout.read_file_blocks, inode, [(block_no, target)])
+    return inode, bytes(target.data[:8])
+
+
+@pytest.mark.parametrize("simulated", [False, True])
+def test_a_batch_of_small_files_is_one_write_run_with_shared_inode_blocks(scheduler, simulated):
+    layout = make_layout(scheduler, simulated=simulated, segment_blocks=64)
+    k = 60
+    inodes = [layout.allocate_inode(FileKind.REGULAR) for _ in range(k)]
+    runs = record_write_runs(layout.volume)
+    batch = [
+        (inode, [(0, data_block(b"file%03d" % i, with_data=not simulated))], True)
+        for i, inode in enumerate(inodes)
+    ]
+    run(scheduler, layout.write_files, batch)
+    size = codec.packed_inode_size(inodes[0])
+    inode_blocks = math.ceil(k * size / (4 * KB))
+    assert inode_blocks == 2
+    start = inodes[0].get_block_address(0)
+    assert runs == [(start, k + inode_blocks)]  # every file's data, then the inodes
+    per_block = 4 * KB // size
+    assert [layout.inode_map[inode.number] for inode in inodes] == [
+        (start + k + i // per_block, 1) for i in range(k)
+    ]
+    assert layout.stats.inodes_written == k
+    assert sum(layout.segment_usage.values()) == k + inode_blocks
+    if not simulated:
+        layout._inode_objects.clear()
+        fresh = remounted(scheduler, layout)
+        for i, inode in enumerate(inodes):
+            loaded, head = read_back(scheduler, fresh, inode.number)
+            assert loaded.block_map == inode.block_map
+            assert head[:7] == b"file%03d" % i
+        assert fresh._inode_blocks == layout._inode_blocks
+
+
+def test_a_shared_inode_block_dies_with_its_last_inode(scheduler):
+    layout = make_layout(scheduler, segment_blocks=16)
+    inodes = [layout.allocate_inode(FileKind.REGULAR) for _ in range(3)]
+    run(scheduler, layout.write_files, [(inode, [], True) for inode in inodes])
+    shared = layout.inode_map[inodes[0].number][0]
+    assert layout._inode_blocks == {shared: {inode.number for inode in inodes}}
+    live = sum(layout.segment_usage.values())
+    assert live == 1
+    for inode in inodes[:2]:
+        run(scheduler, layout.write_inode, inode)
+        live += 1  # a fresh copy; the shared block still holds a live inode
+        assert sum(layout.segment_usage.values()) == live
+    assert layout._inode_blocks[shared] == {inodes[2].number}
+    run(scheduler, layout.free_inode, inodes[2])
+    assert sum(layout.segment_usage.values()) == live - 1
+    assert shared not in layout._inode_blocks
+
+
+@pytest.mark.parametrize("simulated", [False, True])
+def test_cleaner_copies_forward_the_live_inodes_of_a_shared_block(scheduler, simulated):
+    layout = make_layout(scheduler, simulated=simulated, segment_blocks=16)
+    a, b, c, d = (layout.allocate_inode(FileKind.REGULAR) for _ in range(4))
+
+    def blocks(tag, count=1):
+        return [(i, data_block(tag + b"%d" % i, with_data=not simulated)) for i in range(count)]
+
+    run(scheduler, layout.write_files, [(f, blocks(n), True) for f, n in ((a, b"a"), (b, b"b"), (c, b"c"))])
+    victim = layout.segment_of(a.get_block_address(0))
+    shared = layout.inode_map[a.number][0]
+    # a moves on (its old data and its place in the shared block die), then
+    # a larger file seals the segment.
+    run(scheduler, layout.write_files, [(a, blocks(b"A"), True)])
+    run(scheduler, layout.write_files, [(d, blocks(b"d", 10), True)])
+    assert layout._inode_blocks[shared] == {b.number, c.number}
+    assert victim != layout._active_segment
+    run(scheduler, layout.clean_segment, victim)
+    assert victim in layout.free_segments
+    moved = layout.inode_map[b.number][0]
+    assert layout.inode_map[c.number] == (moved, 1)  # still sharing, one append
+    assert layout.segment_of(moved) != victim
+    assert layout._inode_blocks[moved] == {b.number, c.number}
+    for inode in (a, b, c, d):
+        assert all(layout.segment_of(addr) != victim for addr in inode.block_map.values())
+    if not simulated:
+        fresh = remounted(scheduler, layout)
+        for inode, head in ((a, b"A0"), (b, b"b0"), (c, b"c0")):
+            loaded, data = read_back(scheduler, fresh, inode.number)
+            assert loaded.block_map == inode.block_map
+            assert data[:2] == head
+
+
+def test_a_block_of_one_inode_is_that_inode_zero_padded(scheduler):
+    layout = make_layout(scheduler, segment_blocks=16)
+    inode = layout.allocate_inode(FileKind.REGULAR)
+    run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"x"))])
+    address, nblocks = layout.inode_map[inode.number]
+    raw = run(scheduler, layout.volume.read_run, address, nblocks)
+    packed = codec.pack_inode(inode)
+    assert nblocks == 1 and raw == packed + bytes(4 * KB - len(packed))
+    [alone] = codec.unpack_inode_block(raw)
+    assert (alone.number, alone.block_map) == (inode.number, inode.block_map)
+
+
+def test_a_remount_finds_the_last_live_inode_of_a_shared_block(scheduler):
+    """Only the checkpoint's inode map survives a remount: it alone must
+    tell the cleaner that the shared block still holds c."""
+    layout = make_layout(scheduler, segment_blocks=16)
+    a, b, c, d = (layout.allocate_inode(FileKind.REGULAR) for _ in range(4))
+    batch = [(f, [(0, data_block(b"%d" % f.number))], True) for f in (a, b, c)]
+    run(scheduler, layout.write_files, batch)
+    victim = layout.segment_of(a.get_block_address(0))
+    run(scheduler, layout.write_files, [(a, [], True), (b, [], True)])
+    run(scheduler, layout.write_files, [(d, [(i, data_block(b"d")) for i in range(12)], True)])
+    fresh = remounted(scheduler, layout)
+    shared = fresh.inode_map[c.number][0]
+    assert fresh.segment_of(shared) == victim and fresh._inode_blocks[shared] == {c.number}
+    live = sum(fresh.segment_usage.values())
+    run(scheduler, fresh.clean_segment, victim)
+    assert victim in fresh.free_segments
+    assert fresh.segment_of(fresh.inode_map[c.number][0]) != victim
+    assert sum(fresh.segment_usage.values()) == live
+    fresh._inode_objects.clear()
+    for f in (a, b, c):
+        loaded, head = read_back(scheduler, fresh, f.number)
+        assert head.rstrip(b"\0") == b"%d" % f.number

@@ -143,9 +143,38 @@ def test_rotational_delay_statistics_collected(scheduler):
             yield from driver.read(sector, 4)
 
     run(scheduler, body)
-    assert len(disk.stats.rotational_delays) == 4
+    assert disk.stats.rotation.total == 4
+    assert disk.stats.mean_rotational_delay() == pytest.approx(disk.stats.rotation.mean)
     assert disk.stats.total_seek_time > 0.0
     assert 0.0 <= disk.stats.mean_rotational_delay() <= GENERIC_SMALL_DISK.rotation_time
+
+
+def test_statistics_memory_does_not_grow_with_the_request_count(scheduler):
+    """Neither the driver nor the disk model keeps anything per request:
+    after 200 requests their statistics hold what they held after 10."""
+    bus = ScsiBus(scheduler)
+    disk = SimulatedDisk(scheduler, GENERIC_SMALL_DISK, bus)
+    driver = SimulatedDiskDriver(scheduler, disk, bus)
+
+    def footprint():
+        sizes = []
+        for stats in (driver.stats, disk.stats):
+            for value in vars(stats).values():
+                if isinstance(value, (list, dict, set, tuple)):
+                    sizes.append(len(value))
+                elif hasattr(value, "counts"):
+                    sizes.append(len(value.counts))
+        return sizes
+
+    def body(count):
+        for i in range(count):
+            yield from driver.read((i * 7919) % 60_000, 4)
+
+    run(scheduler, body, 10)
+    after_ten = footprint()
+    run(scheduler, body, 190)
+    assert driver.stats.operations == 200 and disk.stats.rotation.total == 200
+    assert footprint() == after_ten
 
 
 def test_driver_shares_request_structure(scheduler):

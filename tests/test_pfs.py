@@ -209,13 +209,13 @@ def test_overlapping_writebacks_keep_the_newer_inode_across_remount():
         if not stalled:
             stalled.append(nblocks)
             newer_thread = scheduler.spawn(
-                shard._writeback_blocks, file_id, newer, name="newer"
+                shard._writeback_blocks, newer, name="newer"
             )
             yield from newer_thread.join()
         return (yield from original(block_addr, nblocks, data))
 
     volume.write_run = stall_older_append
-    older_thread = scheduler.spawn(shard._writeback_blocks, file_id, older, name="older")
+    older_thread = scheduler.spawn(shard._writeback_blocks, older, name="older")
     scheduler.run_until_complete(older_thread)
     del volume.write_run
     assert stalled == [len(older) + 1]
@@ -389,9 +389,9 @@ def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
     calls = []
     writeback = pfs.cache.writeback
 
-    def logged(file_no, block_nos):
-        calls.append((file_no, list(block_nos)))
-        return writeback(file_no, block_nos)
+    def logged(batch):
+        calls.extend((file_no, list(block_nos)) for file_no, block_nos in batch)
+        return writeback(batch)
 
     pfs.cache.writeback = logged
     inodes_before = pfs.layout.stats.inodes_written

@@ -244,8 +244,9 @@ def test_cache_dirty_blocks_are_never_victims(scheduler):
     cache = make_cache(scheduler, blocks=4, replacement="clock")
     written = []
 
-    def writeback(file_id, block_nos):
-        written.append((file_id, tuple(block_nos)))
+    def writeback(batch):
+        for file_id, block_nos in batch:
+            written.append((file_id, tuple(block_nos)))
         yield from ()
 
     cache.writeback = writeback
