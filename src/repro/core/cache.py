@@ -539,10 +539,11 @@ class BlockCache:
         return [mates[block_no] for block_no in range(first, last + 1)]
 
     def flush_all(self) -> Generator[Any, Any, int]:
-        """Flush every dirty block (sync / unmount / checkpoint)."""
+        """Flush every dirty block (sync / unmount / checkpoint), one batch
+        of every file at a time, until nothing is left but busy blocks."""
         written = 0
-        while (victim := self.oldest_dirty()) is not None:
-            written += yield from self.flush_file(victim.block_id.file_id)
+        while flushed := (yield from self.flush_files(self.dirty_files())):
+            written += flushed
         return written
 
     def _writeback_blocks(self, blocks: list[CacheBlock]) -> Generator[Any, Any, int]:

@@ -108,10 +108,9 @@ class FileSystem:
     def sync(self) -> Generator[Any, Any, int]:
         """Flush all dirty data and metadata to disk; returns blocks written."""
         written = yield from self.cache.flush_all()
-        # Inodes whose metadata changed without any data being flushed.
-        for inode in list(self._dirty_inodes.values()):
-            yield from self.layout.write_inode(inode)
-            self._dirty_inodes.pop(inode.number, None)
+        # Inodes whose metadata changed without any data being flushed: one batch.
+        dirty, self._dirty_inodes = self._dirty_inodes, {}
+        yield from self.layout.write_files([(inode, [], True) for inode in dirty.values()])
         yield from self.layout.checkpoint()
         return written
 

@@ -161,8 +161,9 @@ class PeriodicUpdatePolicy(FlushPolicy):
     Every ``scan_interval`` seconds the daemon examines the cache; every file
     owning a dirty block older than ``update_interval`` is pushed to disk.
     As in the real Unix update daemon, the write-backs are *asynchronous*:
-    the daemon queues one flush per eligible file and does not wait for the
-    disk, so an update cycle dumps a burst of writes into the disk queues —
+    the daemon queues one flush of all eligible files (one writeback batch,
+    one log append per volume under LFS) and does not wait for the disk,
+    so an update cycle dumps a burst of writes into the disk queues —
     which is exactly the queueing behaviour ("disk I/O queues are the main
     cause of relatively high file-system latencies") that the write-saving
     experiments set out to eliminate.
@@ -189,10 +190,8 @@ class PeriodicUpdatePolicy(FlushPolicy):
                 for block in cache._dirty.values()
                 if block.dirty_since is not None and block.dirty_since <= cutoff
             )
-            for file_id in expired:
-                self.scheduler.spawn(
-                    self._flush, [file_id], name=f"update-flush-{file_id}", daemon=True
-                )
+            if expired:
+                self.scheduler.spawn(self._flush, list(expired), name="update-flush", daemon=True)
 
     def _flush(self, file_ids: List[int]) -> Generator[Any, Any, None]:
         assert self.cache is not None

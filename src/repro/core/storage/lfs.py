@@ -738,13 +738,9 @@ class LogStructuredLayout(StorageLayout):
             start, count = self._checkpoint_location
             return start <= address < start + count
         if is_inode:
-            if logical_block == codec.SHARED_INODE_BLOCK:
-                return address in self._inode_blocks
-            location = self.inode_map.get(inode_number)
-            if location is None:
-                return False
-            start, count = location
-            return start <= address < start + count
+            # Block ``logical_block`` of an inode's run, or a shared block.
+            shared = logical_block == codec.SHARED_INODE_BLOCK
+            return (address if shared else address - logical_block) in self._inode_blocks
         inode = self._inode_objects.get(inode_number)
         if inode is None:
             return inode_number in self.inode_map

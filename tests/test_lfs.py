@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.config import FlushConfig
 from repro.core import codec
 from repro.core.blocks import CacheBlock
+from repro.core.client import AbstractClientInterface
 from repro.core.inode import FileKind, ROOT_INODE_NUMBER
 from repro.core.storage.cleaner import CostBenefitCleaner, GreedyCleaner
 from repro.core.storage.lfs import LogStructuredLayout
@@ -13,7 +15,7 @@ from repro.core.storage.volume import LocalVolume
 from repro.errors import StorageError
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import record_write_runs, run
+from tests.conftest import make_memory_filesystem, record_write_runs, run
 
 
 def make_layout(scheduler, simulated=False, disk_mb=8, segment_blocks=8, disks=1, seed=0):
@@ -501,3 +503,31 @@ def test_a_remount_finds_the_last_live_inode_of_a_shared_block(scheduler):
     for f in (a, b, c):
         loaded, head = read_back(scheduler, fresh, f.number)
         assert head.rstrip(b"\0") == b"%d" % f.number
+
+
+def test_k_small_files_flushed_in_one_tick_are_one_write_run(scheduler):
+    """The update daemon's tick is one writeback batch: k one-block files
+    (and the directory that names them) reach the log as one ``write_run``
+    -- every data block, then ceil(k * inode / block) shared inode blocks."""
+    flush = FlushConfig(policy="periodic", update_interval=10.0, scan_interval=5.0)
+    fs = make_memory_filesystem(scheduler, cache_blocks=256, flush=flush, segment_blocks=128)
+    run(scheduler, fs.mount, True)
+    client = AbstractClientInterface(fs, auto_materialize=False)
+    k = 40
+
+    def create_files():
+        for i in range(k):
+            handle = yield from client.create(f"/f{i}")
+            yield from client.write(handle, 0, b"%d" % i * 100)
+            yield from client.close(handle)
+
+    run(scheduler, create_files)
+    runs = record_write_runs(fs.layout.volume)
+    inodes_before = fs.layout.stats.inodes_written
+    scheduler.run(until=scheduler.now + 20.0)
+    assert fs.cache.dirty_count == 0
+    inodes = [fs.file_table.find(n).inode for n in fs.layout.known_inode_numbers()]
+    assert len(inodes) == k + 1 and fs.layout.stats.inodes_written - inodes_before == k + 1
+    inode_blocks = math.ceil(sum(map(codec.packed_inode_size, inodes)) / (4 * KB))
+    assert [nblocks for _address, nblocks in runs] == [k + 1 + inode_blocks]
+    assert len({fs.layout.inode_map[inode.number][0] for inode in inodes}) == inode_blocks

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from repro.assembly.spec import StackSpec
-from repro.config import CacheConfig, FlushConfig, LayoutConfig
+from repro.config import ArrayConfig, CacheConfig, FlushConfig, HostConfig, LayoutConfig
 from repro.errors import FileNotFound
 from repro.pfs.filesystem import PegasusFileSystem
 from repro.units import KB, MB
@@ -412,3 +412,67 @@ def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
     fresh.mount()
     assert fresh.read_file("/a") == data
     assert fresh.read_file("/b") == data[: 32 * KB]
+
+
+def test_sync_writes_a_batch_of_dirty_files_as_one_append_per_volume():
+    """Twelve small files dirtied on a two-volume array, then ``sync()``:
+    the flush is one writeback batch, so each volume takes exactly one data
+    write -- every file's blocks with the inodes packed behind them --
+    before the checkpoint; the bytes survive unmount + a fresh mount."""
+
+    def two_volume_pfs():
+        return PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                flush=FlushConfig(policy="ups"),
+                layout=LayoutConfig(segment_size=256 * KB),
+                host=HostConfig(num_disks=2),
+                array=ArrayConfig(volumes=2),
+            ),
+            size_bytes=16 * MB,
+        )
+
+    pfs = two_volume_pfs()
+    pfs.format()
+    pfs.sync()
+    contents = {f"/f{i}": bytes((i * 31 + j) % 251 for j in range(3 * KB + i)) for i in range(12)}
+    for path, data in contents.items():
+        pfs.write_file(path, data)
+    homes = {pfs.layout.home_of(pfs.stat(path)["ino"]) for path in contents}
+    assert homes == {0, 1}
+    writes = []
+    checkpointing = []
+    for v, volume in enumerate(pfs.volume):
+        original = volume.write_run
+
+        def logged(block_addr, nblocks, data=None, _v=v, _original=original):
+            if not checkpointing:
+                writes.append((_v, nblocks))
+            return _original(block_addr, nblocks, data)
+
+        volume.write_run = logged
+    checkpoint = pfs.layout.checkpoint
+
+    def marked():
+        checkpointing.append(True)
+        return checkpoint()
+
+    pfs.layout.checkpoint = marked
+    inodes_before = pfs.layout.combined_stats()["inodes_written"]
+    pfs.sync()
+    assert sorted(v for v, _nblocks in writes) == [0, 1]
+    # 13 data blocks (12 files and the root directory), then per volume
+    # one inode block shared by every inode that volume took.
+    inodes = pfs.layout.combined_stats()["inodes_written"] - inodes_before
+    assert inodes == len(contents) + 1
+    assert sum(nblocks for _v, nblocks in writes) == len(contents) + 1 + 2
+    del pfs.layout.checkpoint
+    for volume in pfs.volume:
+        del volume.write_run
+    pfs.unmount()
+    fresh = two_volume_pfs()
+    for source, target in zip(pfs.drivers, fresh.drivers):
+        target.restore(source.snapshot())
+    fresh.mount()
+    for path, data in contents.items():
+        assert fresh.read_file(path) == data

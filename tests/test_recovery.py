@@ -279,6 +279,71 @@ def test_clean_remount_rewrites_no_manifest():
     check_recovered(stack, files, deleted_path, "after three clean remount cycles")
 
 
+# --------------------------------------------------------------------------- a batched append
+
+
+def rewritten(index: int) -> bytes:
+    return bytes((index * 53 + j + 1) % 251 for j in range(FILE_BYTES))
+
+
+def drive_batched_sync(stack, marks):
+    """Create and fsync the files, sync (the floor a crash recovers to),
+    rewrite every file without fsync and sync again -- one writeback batch,
+    one log append per volume -- then unmount.  Appends to ``marks`` how
+    many crash points had been visited when that batched sync began."""
+    client, fs, crashpoints = stack.client, stack.fs, stack.crashpoints
+
+    def body():
+        yield from fs.mount(True)
+        for i in range(NUM_FILES):
+            handle = yield from client.create(f"/f{i}")
+            yield from client.write(handle, 0, payload(i))
+            yield from client.fsync(handle)
+            yield from client.close(handle)
+        yield from fs.sync()
+        for i in range(NUM_FILES):
+            handle = yield from client.open(f"/f{i}")
+            yield from client.write(handle, 0, rewritten(i))
+            yield from client.close(handle)
+        marks.append(len(crashpoints.seen) if crashpoints is not None else 0)
+        written = yield from fs.sync()
+        assert written >= NUM_FILES * FILE_BYTES // (4 * KB)
+        yield from fs.unmount()
+
+    stack.scheduler.run_until_complete(stack.scheduler.spawn(body))
+
+
+@pytest.mark.parametrize("nodes,volumes_per_node,placement", FULL_MATRIX_SHAPES)
+def test_crash_at_every_step_of_a_batched_sync_leaves_whole_files(
+    nodes, volumes_per_node, placement
+):
+    """A crash anywhere from the batched append on -- a segment sealed
+    under it, the checkpoint behind it, the unmount -- leaves every file of
+    the batch whole: its old bytes or its new ones, never a mix, and its
+    inode found in whichever inode block the surviving checkpoint names."""
+    spec = crash_spec(nodes, volumes_per_node, placement)
+    recording = CrashPoints(recording=True)
+    marks = []
+    drive_batched_sync(build_crash_stack(spec, DurableStore(), recording), marks)
+    matrix = recording.seen[marks[0] :]
+    assert any(point.startswith("lfs.index.") for point, _ in matrix)
+    survivors = set()
+    for point, occurrence in matrix[::MATRIX_STRIDE]:
+        store = DurableStore()
+        stack = build_crash_stack(spec, store, CrashPoints(arm=(point, occurrence)))
+        with pytest.raises(SimulatedCrash):
+            drive_batched_sync(stack, [])
+        images = [d.snapshot() for node in stack.cluster.nodes for d in node.drivers]
+        stack = remount(spec, store, images)
+        for i in range(NUM_FILES):
+            data = run(stack.scheduler, stack.client.read_file, f"/f{i}", 0, FILE_BYTES)
+            assert data in (payload(i), rewritten(i)), f"/f{i} torn by a crash at {point}#{occurrence}"
+            survivors.add(data == rewritten(i))
+    if MATRIX_STRIDE == 1:
+        # Crashes before the batch's checkpoint keep the old bytes, after it the new.
+        assert survivors == {False, True}
+
+
 # --------------------------------------------------------------------------- replica repair matrix
 
 
