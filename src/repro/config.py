@@ -95,12 +95,12 @@ class CacheConfig:
 
 
 #: Per-policy defaults for :attr:`FlushConfig.daemon_low_water`, applied when
-#: the field is left at ``None``.  Rationale:
-#:
+#: the field is left at ``None``.  Low water both triggers the flush daemon
+#: (an allocation leaving fewer free + clean blocks wakes it) and is the level
+#: each wakeup refills the pool to.  Rationale:
 #: * ``periodic`` — 1/16 of the cache.  The update daemon writes on a timer
-#:   anyway, so flushing slightly ahead of allocation pressure costs no extra
-#:   write traffic in steady state but absorbs allocation bursts with one
-#:   daemon wakeup instead of one per blocked allocation.
+#:   anyway, so flushing slightly ahead of allocation pressure costs little
+#:   write traffic but restocks the pool before an allocation has to stall.
 #: * ``ups`` — 0.  Write saving *is* the policy: every block written ahead of
 #:   real pressure is a block that might have died in memory, so the UPS
 #:   experiment must stay strictly flush-on-demand.
@@ -136,9 +136,9 @@ class FlushConfig:
     #: synchronously in the thread that needed a block.
     asynchronous: bool = True
     #: free-block low-water mark for the asynchronous daemon, as a fraction
-    #: of the cache: when woken by allocation pressure the daemon keeps
-    #: flushing until this many blocks are allocatable again, so bursts of
-    #: allocations are absorbed without one wakeup per request.  ``None``
+    #: of the cache: an allocation leaving fewer free + clean blocks wakes
+    #: the daemon, which flushes until this many are allocatable again, so
+    #: it restocks before allocations stall.  ``None``
     #: selects the per-policy default from :data:`DAEMON_LOW_WATER_DEFAULTS`;
     #: 0 keeps the strict flush-on-demand behaviour (required by the UPS
     #: write-saving policy, which must never write ahead of real pressure).

@@ -163,6 +163,9 @@ class BlockCache:
         #: when set, allocation pressure is delegated to this callable
         #: (the asynchronous flush daemon) instead of flushing inline.
         self.space_requester: Optional[Callable[[], None]] = None
+        #: an allocation leaving fewer free + clean blocks wakes the flush
+        #: daemon without waiting for it (set by the flush policy; 0: never).
+        self.low_water_blocks = 0
 
         self._space_available = scheduler.new_event("cache-space")
         self._io_done = scheduler.new_event("cache-io-done")
@@ -305,7 +308,10 @@ class BlockCache:
             # caller already handles it with a re-lookup.
             if block_id in self._index:
                 raise CacheError(f"block {block_id} is already cached")
-        return self._install(block, block_id)
+        block = self._install(block, block_id)
+        if len(self._free) + len(self._clean) < self.low_water_blocks:
+            self.space_requester()
+        return block
 
     def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         """:meth:`allocate` for a block nobody is waiting for (read-ahead):

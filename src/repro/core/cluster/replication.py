@@ -14,9 +14,9 @@ migration flips).
 
 Three moving parts, all owned by this module:
 
-* :class:`ReplicaManager` — the data-path half.  The routed layout calls
-  it after every primary write (fan the blocks and the shadow inode out,
-  one log append per copy; writes to an unavailable volume are dropped
+* :class:`ReplicaManager` — the data-path half.  The routed layout runs
+  its copies alongside every primary write (the blocks and the shadow
+  inode, one log append per copy; writes to an unavailable volume are dropped
   and the copy marked *stale*) and when a read addresses an unavailable
   volume (iterate the surviving fresh copies, serve from the first one).
   Replica I/O goes through the serving volumes' ``RemoteVolume``
@@ -50,6 +50,9 @@ from repro.core.inode import Inode
 from repro.errors import DataUnavailable, StorageError
 
 __all__ = ["ReplicaManager", "ReplicationRepairer"]
+
+#: one file of a primary writeback: its inode and ``(block_no, block)`` pairs.
+_Write = Tuple[Inode, Sequence[Tuple[int, CacheBlock]]]
 
 
 def _choose_spare_volume(
@@ -195,19 +198,17 @@ class ReplicaManager:
 
     # ------------------------------------------------------------------ write path
 
-    def replicate(
-        self, files: Sequence[Tuple[Inode, Sequence[Tuple[int, CacheBlock]]]]
-    ) -> Generator[Any, Any, None]:
-        """Fan a primary writeback batch out to the replica volumes: per
-        volume, one batch into its sub-layout — each file's ``blocks`` with
-        its shadow inode behind them, or the shadow inode alone for an
-        attribute-only update.
+    def replicate(self, files: Sequence[_Write]) -> Generator[Any, Any, List[Generator]]:
+        """Plan the copies of a primary writeback batch: one job per replica
+        volume, for the caller to run alongside the primary's own write.
+        A new file's replica set is settled (journalled and committed) here,
+        before any copy is issued.
 
         Copies on unavailable volumes miss the write: it is dropped,
         counted, and the copy marked stale so fail-over never serves it.
         """
         faults = self.faults
-        shares: Dict[int, List[Tuple[Inode, Sequence[Tuple[int, CacheBlock]]]]] = {}
+        shares: Dict[int, List[_Write]] = {}
         for inode, blocks in files:
             rset = self.placement.replica_set(inode.number)
             if not rset:
@@ -223,19 +224,24 @@ class ReplicaManager:
                     faults.note_dropped_write(volume, len(blocks) or 1)
                     continue
                 shares.setdefault(volume, []).append((inode, blocks))
-        for volume, share in shares.items():
-            if faults.active:
-                extra = faults.extra_delay(volume)
-                if extra:
-                    yield from self.scheduler.sleep(extra)
-            batch = []
-            for inode, blocks in share:
-                shadow = yield from self._shadow(inode.number, volume, like=inode)
-                self._mirror_attrs(inode, shadow)
-                batch.append((shadow, list(blocks), True))
-                self.replicated_block_writes += len(blocks)
-                self.replicated_inode_writes += 1
-            yield from self.layout.sublayouts[volume].write_files(batch)
+        return [self._copy(volume, share) for volume, share in shares.items()]
+
+    def _copy(self, volume: int, share: List[_Write]) -> Generator[Any, Any, None]:
+        """One replica volume's copy: one batch into its sub-layout — each
+        file's ``blocks`` with its shadow inode behind them, or the shadow
+        inode alone for an attribute-only update."""
+        if self.faults.active:
+            extra = self.faults.extra_delay(volume)
+            if extra:
+                yield from self.scheduler.sleep(extra)
+        batch = []
+        for inode, blocks in share:
+            shadow = yield from self._shadow(inode.number, volume, like=inode)
+            self._mirror_attrs(inode, shadow)
+            batch.append((shadow, list(blocks), True))
+            self.replicated_block_writes += len(blocks)
+            self.replicated_inode_writes += 1
+        yield from self.layout.sublayouts[volume].write_files(batch)
 
     # ------------------------------------------------------------------ read path
 

@@ -84,6 +84,7 @@ class FlushPolicy(ABC):
         self.configure_cache(cache)
         if self.config.asynchronous:
             cache.space_requester = self._request_space
+            cache.low_water_blocks = int(cache.num_blocks * self.config.resolved_daemon_low_water())
             self.daemon_thread = scheduler.spawn(
                 self._flush_daemon, name=f"{self.name}-flush-daemon", daemon=True, node=node
             )
@@ -119,15 +120,14 @@ class FlushPolicy(ABC):
     def _flush_daemon(self) -> Generator[Any, Any, None]:
         """Flush dirty data whenever allocation pressure asks for space.
 
-        With ``FlushConfig.daemon_low_water`` set, each wakeup also flushes
-        *ahead* of demand until that fraction of the cache is allocatable
-        again, so a burst of allocations is absorbed by one wakeup instead
-        of one per request.  The default of 0 keeps strict flush-on-demand
-        (the UPS write-saving policy depends on never writing early).
+        Below its low water (``cache.low_water_blocks``) an allocation wakes
+        the daemon before anyone stalls, and each wakeup flushes *ahead* of
+        demand until that many blocks are free or clean again: a burst of
+        allocations costs one wakeup, not one stall per request.  A low water
+        of 0 keeps strict flush-on-demand (UPS write saving never writes early).
         """
         assert self.cache is not None
         cache = self.cache
-        low_water_blocks = int(cache.num_blocks * self.config.resolved_daemon_low_water())
         while True:
             yield from self._work.wait()
             self.daemon_wakeups += 1
@@ -144,8 +144,7 @@ class FlushPolicy(ABC):
             cache.notify_space_available()
             # Flush ahead of demand down to the free-block low-water mark.
             while (
-                low_water_blocks
-                and cache.free_count + cache.clean_count < low_water_blocks
+                cache.free_count + cache.clean_count < cache.low_water_blocks
                 and guard <= 10 * cache.num_blocks
             ):
                 written = yield from cache.flush_oldest()

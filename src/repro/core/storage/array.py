@@ -462,22 +462,11 @@ class ShardedCache:
     def flush_block(self, block: CacheBlock) -> Generator[Any, Any, int]:
         return (yield from block.owner.flush_block(block))
 
-    def wait_block_ready(
-        self, file_id: Optional[int] = None, block_no: Optional[int] = None
-    ) -> Generator[Any, Any, None]:
-        if file_id is not None and block_no is not None:
-            yield from self.shards[self.shard_index(file_id, block_no)].wait_block_ready()
-        else:
-            yield from self.shards[0].wait_block_ready()
+    def wait_block_ready(self, file_id: int, block_no: int) -> Generator[Any, Any, None]:
+        yield from self.shard_for(file_id, block_no).wait_block_ready()
 
-    def notify_block_ready(
-        self, file_id: Optional[int] = None, block_no: Optional[int] = None
-    ) -> None:
-        if file_id is not None and block_no is not None:
-            self.shards[self.shard_index(file_id, block_no)].notify_block_ready()
-        else:
-            for shard in self.shards:
-                shard.notify_block_ready()
+    def notify_block_ready(self, file_id: int, block_no: int) -> None:
+        self.shard_for(file_id, block_no).notify_block_ready()
 
     # ------------------------------------------------------------------ fan-out queries
 
@@ -526,10 +515,9 @@ class ShardedCache:
         return clean_dropped, dirty_dropped
 
     def flush_file(self, file_id: int) -> Generator[Any, Any, int]:
-        written = 0
-        for shard in self.shards:
-            written += yield from shard.flush_file(file_id)
-        return written
+        """Every shard holding dirty blocks of the file writes at once."""
+        jobs = [s.flush_file(file_id) for s in self.shards if s.dirty_blocks_of(file_id)]
+        return sum((yield from gather(self.scheduler, jobs, name="flush-shard")))
 
     def flush_oldest(self) -> Generator[Any, Any, int]:
         """One flush unit of the shard holding the oldest dirty block (a
@@ -540,10 +528,9 @@ class ShardedCache:
         return (yield from victim.owner.flush_oldest())
 
     def flush_all(self) -> Generator[Any, Any, int]:
-        written = 0
-        for shard in self.shards:
-            written += yield from shard.flush_all()
-        return written
+        """Every dirty shard flushes at once: a sync takes its slowest volume's time."""
+        jobs = [shard.flush_all() for shard in self.shards if shard.dirty_count]
+        return sum((yield from gather(self.scheduler, jobs, name="flush-shard")))
 
     def __repr__(self) -> str:
         return (
@@ -660,8 +647,8 @@ class RoutedLayout(StorageLayout):
         ]
 
     def checkpoint(self) -> Generator[Any, Any, None]:
-        for sub in self.sublayouts:
-            yield from sub.checkpoint()
+        jobs = [sub.checkpoint() for sub in self.sublayouts]
+        yield from gather(self.scheduler, jobs, name="checkpoint-volume")
 
     def unmount(self) -> Generator[Any, Any, None]:
         for tier in self.tiers:
@@ -793,10 +780,10 @@ class RoutedLayout(StorageLayout):
 
     def write_files(self, files: List[WriteBack]) -> Generator[Any, Any, None]:
         """Split a writeback batch by volume and hand each volume its share
-        as one batch.  The shares carrying no inode go first — a striped
-        file's blocks on volumes other than its home — so every inode lands
-        behind the blocks it maps; an inode whose home got no blocks is an
-        entry of its own in the home's share."""
+        as one batch, all in flight at once, replica copies alongside.  The
+        shares carrying no inode go first — a striped file's blocks on
+        volumes other than its home — so every inode lands behind the blocks
+        it maps; an inode whose home got no blocks has its own entry there."""
         phases: tuple[Dict[int, List[WriteBack]], ...] = ({}, {})
         for inode, blocks, with_inode in files:
             home = self.home_of(inode.number)
@@ -809,24 +796,30 @@ class RoutedLayout(StorageLayout):
             for volume, group in groups.items():
                 carries = with_inode and volume == home
                 phases[carries].setdefault(volume, []).append((inode, group, carries))
-        faults = self.faults
-        for phase in phases:
-            for volume in sorted(phase):
-                share = phase[volume]
-                if faults.active:
-                    if faults.volume_unavailable(volume):
-                        # A dead disk eats the write; the flusher completes and
-                        # the data survives only where replication put a copy.
-                        faults.note_dropped_write(volume, sum(len(b) or 1 for _i, b, _w in share))
-                        continue
-                    extra = faults.extra_delay(volume)
-                    if extra:
-                        yield from self.scheduler.sleep(extra)
-                yield from self.sublayouts[volume].write_files(share)
+        copies = []
         if self.replication is not None:
-            # A copy is always one append per replica volume: blocks and
-            # shadow inodes together.
-            yield from self.replication.replicate([(inode, blocks) for inode, blocks, _w in files])
+            copies = yield from self.replication.replicate([(i, b) for i, b, _w in files])
+        yield from gather(self.scheduler, [self._write_phases(phases), *copies], name="write-copy")
+
+    def _write_phases(self, phases: Sequence[dict]) -> Generator[Any, Any, None]:
+        for phase in phases:
+            jobs = [self._write_share(volume, phase[volume]) for volume in sorted(phase)]
+            yield from gather(self.scheduler, jobs, name="write-volume")
+
+    def _write_share(self, volume: int, share: List[WriteBack]) -> Generator[Any, Any, None]:
+        """One volume's share of a write: fault drop and delay apply to the
+        share as a whole."""
+        faults = self.faults
+        if faults.active:
+            if faults.volume_unavailable(volume):
+                # A dead disk eats the write; the flusher completes and the
+                # data survives only where replication put a copy.
+                faults.note_dropped_write(volume, sum(len(b) or 1 for _i, b, _w in share))
+                return
+            extra = faults.extra_delay(volume)
+            if extra:
+                yield from self.scheduler.sleep(extra)
+        yield from self.sublayouts[volume].write_files(share)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
         groups: Dict[int, Dict[int, int]] = {}

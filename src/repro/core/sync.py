@@ -34,12 +34,14 @@ def gather(
     """``results = yield from gather(scheduler, jobs)``: run the generators
     concurrently and return their results in order once every one is done.
 
-    The first job runs in the calling thread, so a single job costs no
-    thread at all; each further job gets a helper thread (on the caller's
-    node).  A job that raises does not cut the others short — they may be
-    filling buffers the caller still owns — and the first failure is
-    re-raised here after all of them have finished.
+    A single job is a plain call in the calling thread.  Otherwise the
+    first job runs in the calling thread and each further one gets a helper
+    thread (on the caller's node).  A job that raises does not cut the
+    others short — they may be filling buffers the caller still owns — and
+    the first failure is re-raised here after all of them have finished.
     """
+    if len(jobs) < 2:
+        return [(yield from jobs[0])] if jobs else []
     results: list = [None] * len(jobs)
     failures: list[BaseException] = []
 
@@ -53,8 +55,7 @@ def gather(
         scheduler.spawn(guarded(index, job), name=name)
         for index, job in enumerate(jobs[1:], start=1)
     ]
-    if jobs:
-        yield from guarded(0, jobs[0])
+    yield from guarded(0, jobs[0])
     for helper in helpers:
         yield from helper.join()
     if failures:

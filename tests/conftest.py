@@ -44,6 +44,20 @@ def record_write_runs(volume) -> list:
     return runs
 
 
+def track_share_writes(layout) -> list:
+    """Wrap every sub-layout's ``write_files`` of a routed layout to log
+    ``("start" | "end", volume)`` around each batch."""
+    events: list = []
+    for volume, sub in enumerate(layout.sublayouts):
+        def write_files(files, volume=volume, original=sub.write_files):
+            events.append(("start", volume))
+            yield from original(files)
+            events.append(("end", volume))
+
+        sub.write_files = write_files
+    return events
+
+
 @pytest.fixture
 def scheduler() -> Scheduler:
     """A deterministic virtual-time scheduler."""

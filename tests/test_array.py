@@ -39,7 +39,7 @@ from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import record_write_runs, run
+from tests.conftest import record_write_runs, run, track_share_writes
 
 
 # --------------------------------------------------------------------------- config
@@ -711,3 +711,55 @@ def test_a_read_spanning_two_volumes_has_both_reads_outstanding_at_once(schedule
     assert offered == [3] and count == 3
     for i in (1, 2, 3):
         assert bytes(slots[i].data[:8]) == bytes([i + 1]) * 8
+
+
+# --------------------------------------------------------------------------- every volume at once
+
+
+def test_a_sync_of_five_volumes_takes_the_slowest_volume_not_the_sum():
+    """One dirty file per volume of the Sun 4/280 array: every shard
+    flushes at once, so the sync lasts about as long as its slowest volume's
+    append, not as long as the five appends one after another."""
+
+    def sync_time(dirty_volumes):
+        simulator = PatsySimulator(sun4_280_config(scale=0.02))
+        simulator.mount()
+        client, fs = simulator.client, simulator.fs
+
+        def body():
+            handles, created = {}, 0
+            while len(handles) < 5:  # the first file homed on each volume
+                handle = yield from client.create(f"/f{created}")
+                created += 1
+                file_id = fs.file_table.get_handle(handle).file.file_id
+                handles.setdefault(simulator.layout.home_of(file_id), handle)
+            yield from fs.sync()  # the files exist: the next sync writes data
+            for volume in dirty_volumes:
+                yield from client.write(handles[volume], 0, length=256 * KB)
+            start = simulator.scheduler.now
+            yield from fs.sync()
+            return simulator.scheduler.now - start
+
+        return run(simulator.scheduler, body)
+
+    alone = [sync_time([volume]) for volume in range(5)]
+    together = sync_time(range(5))
+    assert together <= 1.25 * max(alone)
+    assert together < 0.5 * sum(alone)
+
+
+def test_a_striped_writeback_issues_its_data_shares_together_then_the_inode(scheduler):
+    """The data-only shares of a striped file are in flight together, and
+    the home volume's append, which carries the inode, starts only once
+    both have completed."""
+    placement = StripedPlacement(3, stripe_unit=1)
+    layout = make_routed(scheduler, volumes=3, placement=placement, segment_blocks=16)
+    layout.allocate_inode(FileKind.DIRECTORY)  # the root
+    inode = layout.allocate_inode(FileKind.REGULAR, parent_id=2, name="striped")
+    home = layout.home_of(inode.number)
+    first, second = sorted({0, 1, 2} - {home})
+    events = track_share_writes(layout)
+    run(scheduler, layout.write_file_blocks, inode, [(i, data_block(scheduler)) for i in range(6)])
+    assert events[:2] == [("start", first), ("start", second)]
+    assert sorted(events[2:4]) == [("end", first), ("end", second)]
+    assert events[4:] == [("start", home), ("end", home)]

@@ -38,7 +38,7 @@ from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
-from tests.conftest import run
+from tests.conftest import run, track_share_writes
 
 
 # --------------------------------------------------------------------------- config & spec
@@ -545,3 +545,27 @@ def test_a_dead_home_volume_serves_the_whole_group_from_the_replica():
     assert volume in placement.replica_set(file_id) and volume not in dead
     assert manager.failover_reads - failovers == 3
     assert stack.cluster.faults.failed_reads_by_node[1] - failed_reads.get(1, 0) == 3
+
+
+def test_replica_copies_are_in_flight_with_the_primary_append():
+    """A replicated writeback issues the primary's append and every replica
+    copy together: at one moment all of the file's volumes are writing."""
+    from tests.test_replication import build_online, payload, replica_spec
+
+    stack = build_online(replica_spec(nodes=3))
+    client, placement = stack.client, stack.cluster.placement
+
+    def create():
+        yield from stack.fs.mount(True)
+        handle = yield from client.create("/r0")
+        yield from client.write(handle, 0, payload(0))
+        return handle
+
+    handle = run(stack.scheduler, create)
+    file_id = stack.fs.file_table.get_handle(handle).file.file_id
+    events = track_share_writes(stack.layout)
+    run(stack.scheduler, client.fsync, handle)
+    (replica,) = placement.replica_set(file_id)
+    primary = placement.volume_of_file(file_id)
+    # The file's own writeback comes first: both appends start before either ends.
+    assert sorted(events[:2]) == sorted([("start", primary), ("start", replica)])

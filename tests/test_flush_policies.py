@@ -184,9 +184,12 @@ def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
 
     run(scheduler, allocate_one)
     scheduler.run(until=scheduler.now + 1.0)  # let the daemon finish restocking
-    # One wakeup restocked the free pool to the low-water mark, not just the
-    # single block the allocation demanded.
-    assert policy.daemon_wakeups == 1
+    # The first wakeup (the dirtying crossed low water, the stall rode along)
+    # restocked the pool to the low-water mark, not just the one block the
+    # allocation demanded.  That allocation, served mid-restock, left the
+    # pool below low water again and latched a second wakeup, which found
+    # nothing left to do.
+    assert policy.daemon_wakeups == 2
     assert policy.flush_ahead_blocks > 0
     assert cache.free_count + cache.clean_count >= 4
     # The next allocations are served from the restocked pool: no new wakeup.
@@ -195,7 +198,7 @@ def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
         yield from cache.allocate(4, 2)
 
     run(scheduler, allocate_more)
-    assert policy.daemon_wakeups == 1
+    assert policy.daemon_wakeups == 2
     stats = policy.stats()
     assert stats["flush_ahead_blocks"] == policy.flush_ahead_blocks
     assert set(stats) == {
@@ -204,6 +207,38 @@ def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
         "policy_flushes",
         "flush_ahead_blocks",
     }
+
+
+def test_an_allocation_below_low_water_wakes_the_daemon_before_anyone_stalls(scheduler):
+    config = FlushConfig(policy="periodic", daemon_low_water=0.25)
+    cache, policy, written = make_cache_with_policy(scheduler, config, blocks=16)
+    assert cache.low_water_blocks == 4
+
+    def writer():
+        for i in range(32):
+            block = yield from cache.allocate(3, 2 * i)
+            yield from cache.mark_dirty(block)
+            yield Delay(0.01)
+
+    run(scheduler, writer)
+    # Twice the cache in dirty blocks and not one stall: every dip below low
+    # water woke the daemon, which restocked the pool ahead of demand.
+    assert cache.stats.allocation_stalls == 0
+    assert policy.daemon_wakeups > 0 and policy.flush_ahead_blocks > 0
+
+
+@pytest.mark.parametrize("name,signals", [("periodic", True), ("ups", False), ("nvram", False)])
+def test_only_a_policy_with_a_low_water_signals_it(scheduler, name, signals):
+    """By default only the periodic policy keeps a low water (1/16 of the
+    cache): filling the pool past it wakes that daemon, never UPS's or
+    NVRAM's, which write nothing ahead of real pressure."""
+    cache, policy, written = make_cache_with_policy(scheduler, FlushConfig(policy=name), blocks=64)
+    assert cache.low_water_blocks == (4 if signals else 0)
+    dirty_blocks(scheduler, cache, 3, 63, stride=2)  # one slot left: no stall
+    scheduler.run(until=scheduler.now + 1.0)
+    assert cache.stats.allocation_stalls == 0
+    assert (policy.daemon_wakeups > 0) is signals
+    assert bool(written) is signals
 
 
 def test_daemon_low_water_default_keeps_demand_only_behaviour(scheduler):

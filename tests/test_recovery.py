@@ -321,7 +321,34 @@ def test_crash_at_every_step_of_a_batched_sync_leaves_whole_files(
     under it, the checkpoint behind it, the unmount -- leaves every file of
     the batch whole: its old bytes or its new ones, never a mix, and its
     inode found in whichever inode block the surviving checkpoint names."""
-    spec = crash_spec(nodes, volumes_per_node, placement)
+    sweep_batched_sync(crash_spec(nodes, volumes_per_node, placement))
+
+
+def test_crash_at_every_step_of_a_replicated_sync_leaves_whole_files():
+    """The batched sync on a replicated three-volume stack, where the
+    shards flush at once and each file's primary append and replica copy
+    are in flight together: a crash anywhere from there on still leaves
+    every file its old bytes or its new ones."""
+    spec = replica_crash_spec()
+    recording = CrashPoints(recording=True)
+    stack = build_crash_stack(spec, DurableStore(), recording)
+    marks, in_flight, overlapped = [], set(), []
+    for volume, sub in enumerate(stack.layout.sublayouts):
+        def write_files(files, volume=volume, original=sub.write_files):
+            in_flight.add(volume)
+            overlapped.append(bool(marks) and len(in_flight) > 1)
+            yield from original(files)
+            in_flight.discard(volume)
+
+        sub.write_files = write_files
+    drive_batched_sync(stack, marks)
+    assert any(overlapped), "the batched sync wrote one volume at a time"
+    sweep_batched_sync(spec)
+
+
+def sweep_batched_sync(spec):
+    """Crash :func:`drive_batched_sync` at every point from its batched
+    sync on; after each remount every file reads whole."""
     recording = CrashPoints(recording=True)
     marks = []
     drive_batched_sync(build_crash_stack(spec, DurableStore(), recording), marks)
