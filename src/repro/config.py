@@ -178,7 +178,7 @@ class LayoutConfig:
     #: LFS per-segment index: bound on the cleaner's candidate set drawn
     #: from the utilisation buckets (0 = scan every segment).
     cleaner_candidates: int = 64
-    #: maximum blocks coalesced into one cold-read run (<=1 disables).
+    #: cold-read run length read-ahead stops at (<=1: none; never splits asked-for blocks).
     read_coalesce_blocks: int = 8
 
     def __post_init__(self) -> None:

@@ -58,6 +58,10 @@ class BaseFile:
         #: and destination); fsync flushes them too and clears the set, so
         #: a rename is durable once the renamed file is fsynced.
         self.pending_sync_parents: set[int] = set()
+        #: the block after the last read: a read starting at block 0, here
+        #: or one block before (an unaligned continuation) is sequential,
+        #: and only a sequential read's cold fills read ahead.
+        self.next_read_block = 0
 
     # -- identity ---------------------------------------------------------------
 
@@ -112,6 +116,7 @@ class BaseFile:
         lookup, file_id = self.fs.cache.lookup, self.file_id
         copy_out = self.fs.datamover.copy_out
         span = block_span(offset, length, block_size)
+        previous, self.next_read_block = self.next_read_block, span.stop
         for block_no in span:
             block_start = block_no * block_size
             start_in_block = max(offset, block_start) - block_start
@@ -123,7 +128,8 @@ class BaseFile:
             block = lookup(file_id, block_no)
             if block is None or block.busy or block.read_ahead:
                 block = yield from self._block_for(
-                    block_no, None, range(block_no + 1, span.stop), block
+                    block_no, None, range(block_no + 1, span.stop), block,
+                    span.start in (0, previous, previous - 1),  # a sequential read
                 )
             chunk = yield from copy_out(block, start_in_block, extent)
             parts.append(chunk)
@@ -217,7 +223,7 @@ class BaseFile:
         in the same disk read as whichever of ``call_blocks`` (the blocks
         the call goes on to need) are missing too."""
         return self._block_for(
-            block_no, None, call_blocks, self.fs.cache.lookup(self.file_id, block_no)
+            block_no, None, call_blocks, self.fs.cache.lookup(self.file_id, block_no), True
         )
 
     def _block_for_write(
@@ -226,7 +232,7 @@ class BaseFile:
         """The cache block to write ``block_no`` into; a partial write over
         old data reads the block first (``call_blocks`` as above)."""
         return self._block_for(
-            block_no, whole_block, call_blocks, self.fs.cache.lookup(self.file_id, block_no)
+            block_no, whole_block, call_blocks, self.fs.cache.lookup(self.file_id, block_no), False
         )
 
     def _has_old_data(self, block_no: int) -> bool:
@@ -241,11 +247,13 @@ class BaseFile:
         whole_block: Optional[bool],
         call_blocks: Iterable[int],
         block: Optional[CacheBlock],
+        readahead: bool,
     ) -> Generator[Any, Any, CacheBlock]:
         """``block`` is what the caller's ``cache.lookup`` of ``block_no``
         just returned.  ``whole_block`` is ``None`` for a read; for a write
         it says whether the whole block is replaced — then, or with no old
-        data under it, a miss needs no disk read."""
+        data under it, a miss needs no disk read.  ``readahead`` says
+        whether a fill may read past ``call_blocks``."""
         cache = self.fs.cache
         while True:
             if block is None:
@@ -266,18 +274,19 @@ class BaseFile:
                 return block
             block = cache.lookup(self.file_id, block_no)
         if whole_block is None or (not whole_block and self._has_old_data(block_no)):
-            yield from self._fill(block_no, block, call_blocks)
+            yield from self._fill(block_no, block, call_blocks, readahead)
         return block
 
     def _fill(
-        self, block_no: int, block: CacheBlock, call_blocks: Iterable[int]
+        self, block_no: int, block: CacheBlock, call_blocks: Iterable[int], readahead: bool
     ) -> Generator[Any, Any, None]:
         """One layout read for a missed block and for what can ride along:
-        the other missing blocks of the call, and whatever following blocks
-        the layout finds worth reading ahead.  Those get a slot only if the
-        cache can spare one without flushing; all slots are pinned busy
-        while the read is in flight, so a second client missing any of them
-        waits for this read instead of issuing its own."""
+        the other missing blocks of the call, and (with ``readahead``)
+        whatever following blocks the layout finds worth reading ahead.
+        Those get a slot only if the cache can spare one without flushing;
+        all slots are pinned busy while the read is in flight, so a second
+        client missing any of them waits for this read instead of issuing
+        its own."""
         cache, file_id = self.fs.cache, self.file_id
         filling: list[tuple[int, CacheBlock]] = []
 
@@ -299,7 +308,7 @@ class BaseFile:
         failed = False
         try:
             yield from self.fs.layout.read_file_blocks(
-                self.inode, list(filling), readahead=spare_slot
+                self.inode, list(filling), readahead=spare_slot if readahead else None
             )
         except Exception:
             failed = True
@@ -436,11 +445,6 @@ class DirectoryFile(BaseFile):
     def _validate_name(name: str) -> None:
         if not name or "/" in name or name in (".", ".."):
             raise InvalidArgument(f"invalid directory entry name {name!r}")
-
-    def read(self, offset: int, length: int) -> Generator[Any, Any, bytes]:
-        # Directories are read through readdir, not the data interface, but
-        # the underlying implementation is shared with BaseFile.
-        return (yield from super().read(offset, length))
 
 
 class MultimediaFile(BaseFile):

@@ -471,13 +471,13 @@ class LogStructuredLayout(StorageLayout):
         one block further, because each append puts the inodes behind its
         data (``d0-7 i d8-15 i``) and reading *through* that block is far
         cheaper than a second disk operation (it is fetched and discarded).
-        The last run is then extended the same way with the file's following
-        blocks, as far as ``readahead`` hands out slots for them, the file
-        has blocks, and their bytes are on disk (not ``_unwritten``).  A run
-        holds at most ``read_coalesce_blocks`` file blocks and ends with its
-        segment — segments never straddle disks, so a run is always a
-        single-disk operation.  A bound of 0 or 1: single-block runs, no
-        read-ahead.
+        A run ends with its segment — segments never straddle disks, so a
+        run is always a single-disk operation.  The last run is then
+        extended the same way with the file's following blocks, as far as
+        ``readahead`` hands out slots for them, the file has blocks, their
+        bytes are on disk (not ``_unwritten``) and the run holds fewer than
+        ``read_coalesce_blocks`` file blocks: that bound is on read-ahead
+        alone (0 or 1: none), never on the blocks the call asked for.
         """
         limit = self.index_config.read_coalesce_blocks
         runs: list[ReadRun] = []
@@ -486,11 +486,7 @@ class LogStructuredLayout(StorageLayout):
 
         def joins(address: int) -> bool:
             offset = address - start
-            return (
-                len(members) < limit
-                and members[-1][0] < offset <= members[-1][0] + 2
-                and offset < room
-            )
+            return members[-1][0] < offset <= members[-1][0] + 2 and offset < room
 
         for block_no in sorted(slots):
             address = self._read_address(inode, block_no)
@@ -510,7 +506,7 @@ class LogStructuredLayout(StorageLayout):
         if runs and readahead is not None:
             block_no = members[-1][1] + 1
             end = -(-inode.size // self.block_size)
-            while block_no < end and block_no not in slots:
+            while len(members) < limit and block_no < end and block_no not in slots:
                 address = self._read_address(inode, block_no)
                 if address is None or address in self._unwritten or not joins(address):
                     break

@@ -78,7 +78,7 @@ class SegmentIndexConfig:
     #: cleaner candidate-set bound drawn from the utilisation buckets
     #: (0 = unbounded, i.e. fall back to the full segment scan).
     cleaner_candidates: int = 64
-    #: maximum blocks coalesced into one cold-read run (<=1 disables).
+    #: cold-read run length read-ahead stops at (<=1: none; never splits asked-for blocks).
     read_coalesce_blocks: int = 8
 
     def __post_init__(self) -> None:

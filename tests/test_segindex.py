@@ -529,7 +529,7 @@ def test_cold_read_runs_through_the_inode_between_two_writebacks(scheduler):
     assert run(scheduler, layout.read_file_blocks, inode, [(5, block)]) == 1
     assert bytes(block.data[:6]) == b"fresh!"
 
-    # A two-block gap is not read through, and the knob still bounds a run.
+    # A two-block gap is not read through, and the knob still bounds read-ahead.
     other = layout.allocate_inode(FileKind.REGULAR)
     run(scheduler, layout.write_file_blocks, other, [(0, data_block(b"a"))])
     run(scheduler, layout.write_inode, other)
@@ -541,10 +541,10 @@ def test_cold_read_runs_through_the_inode_between_two_writebacks(scheduler):
     assert planned(layout, other, 0, 1)[0] == [(first, [(0, 0)]), (first + 3, [(0, 1)])]
     layout.index_config = replace(INDEX, read_coalesce_blocks=3)
     assert planned(layout, inode, 0)[1] == [0, 1, 2]
-    # Asked-for blocks past the bound start the next run, which reads ahead.
+    # Asked-for blocks past the bound stay in one run, which reads no further.
     runs, fetched = planned(layout, inode, 0, 1, 2, 3)
-    assert [[n for _offset, n in members] for _start, members in runs] == [[0, 1, 2], [3, 4]]
-    assert fetched == [0, 1, 2, 3, 4]
+    assert runs == [(start, list(zip(offsets[:4], range(4))))]
+    assert fetched == [0, 1, 2, 3]
 
 
 def test_cold_read_run_stops_short_of_blocks_whose_write_is_in_flight(scheduler):
@@ -650,12 +650,19 @@ def test_planned_runs_cover_the_read_once_and_respect_every_bound(case):
         assert offsets[0] == 0
         assert all(0 < b - a <= 2 for a, b in zip(offsets, offsets[1:]))  # gaps of <= 1 block
         assert all(block_map[n] == start + offset for offset, n in members)
-        assert len(members) <= max(limit, 1)
+        # The bound is on read-ahead: a run past it holds asked-for blocks only.
+        assert len(members) <= max(limit, 1) or not {n for _offset, n in members} & set(ahead)
         segment = layout.segment_of(start)
         if segment < 0:
             assert len(members) == 1
         else:
             assert layout.segment_of(start + offsets[-1]) == segment
+    # The fewest runs: a run starts only where the block cannot join the
+    # run before it (not next to its last block, or past its segment).
+    for (start, members), (next_start, _next) in zip(runs, runs[1:]):
+        last, segment = start + members[-1][0], layout.segment_of(start)
+        same_segment = segment >= 0 and layout.segment_of(next_start) == segment
+        assert not (last < next_start <= last + 2 and same_segment)
     # Read-ahead: the blocks right behind the last one asked for, inside the
     # file, on disk already, into slots the cache could spare — and only
     # blocks that were going to be fetched were asked a slot for.
@@ -666,6 +673,7 @@ def test_planned_runs_cover_the_read_once_and_respect_every_bound(case):
         assert not {block_map[n] for n in ahead} & unwritten
         assert not set(ahead) & cached
         assert [n for _offset, n in runs[-1][1]][-len(ahead):] == ahead  # the last run, extended
+        assert len(runs[-1][1]) <= limit  # ... never past the bound
     assert [n for n in offered if n not in cached] == ahead
 
 
