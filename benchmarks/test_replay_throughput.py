@@ -154,7 +154,7 @@ class _LegacyRecorder:
 
 def run_legacy_pipeline(trace_path: Path):
     """Materialise the trace, group per client, record, summarise — the
-    pre-PR shape of ``load_trace`` + ``records_by_client`` + recorder."""
+    pre-streaming pipeline, a whole-trace list sorted per client."""
     with open(trace_path, "r", encoding="utf-8") as stream:
         records = list(TraceReader(stream))
     streams: dict[int, list] = {}

@@ -20,7 +20,6 @@ from repro.errors import TraceError
 from repro.patsy.sprite import SPRITE_OP_NAMES
 from repro.patsy.traces import (
     TraceRecord,
-    stream_synthesize_missing_times,
     synthesize_missing_times,
     trace_stream,
 )
@@ -90,25 +89,21 @@ class CodaTraceReader:
         return self._client_ids[text]
 
 
-def load_coda_trace(
-    source: Union[str, Path, TextIO], fill_missing_times: bool = True
-) -> list[TraceRecord]:
-    """Load a Coda-like trace file."""
-    with trace_stream(source) as stream:
-        records = list(CodaTraceReader(stream))
-    if fill_missing_times:
-        records = synthesize_missing_times(records)
-    return records
-
-
 def iter_coda_trace(
     source: Union[str, Path, TextIO], fill_missing_times: bool = True
 ) -> Iterator[TraceRecord]:
-    """Stream a Coda-like trace without materialising it (the streaming
-    counterpart of :func:`load_coda_trace`; the input must be
-    time-ordered)."""
+    """Stream a Coda-like trace without materialising it, filling missing
+    operation times as :func:`~repro.patsy.sprite.iter_sprite_trace` does;
+    the input must be time-ordered."""
     with trace_stream(source) as stream:
         reader: Iterable[TraceRecord] = CodaTraceReader(stream)
         if fill_missing_times:
-            reader = stream_synthesize_missing_times(reader)
+            reader = synthesize_missing_times(reader)
         yield from reader
+
+
+def load_coda_trace(
+    source: Union[str, Path, TextIO], fill_missing_times: bool = True
+) -> list[TraceRecord]:
+    """:func:`iter_coda_trace`, as a list."""
+    return list(iter_coda_trace(source, fill_missing_times))

@@ -11,9 +11,9 @@ simulation time and of the overall simulation").
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import (
     Any,
@@ -39,7 +39,6 @@ from repro.patsy.traces import (
     TRACE_OPERATIONS,
     TraceRecord,
     iter_trace,
-    records_by_client,
     scan_trace_client_counts,
 )
 
@@ -53,108 +52,6 @@ TraceSource = Union[Sequence[TraceRecord], str, Path, Iterable[TraceRecord]]
 #: as the generator the thread delegates to.
 Handles = Dict[str, int]
 ClientCall = Generator[Any, Any, Any]
-
-
-class _TraceDemux:
-    """Pull-based demultiplexer feeding per-client replay threads from one
-    shared record iterator.
-
-    There is no pump thread: when a client thread needs its next record and
-    its queue is empty, it synchronously pulls from the iterator, parking
-    records that belong to other clients on their queues.  Keeping the pull
-    inside the consuming thread means streaming replay presents *exactly*
-    the same runnable-thread sequence to the scheduler as materialised
-    replay, so the two modes are reproducibly identical under the seeded
-    random scheduling policy.  Buffering is bounded by the timestamp skew
-    between clients (tracked in :attr:`peak_buffered`), never by the trace
-    length.
-
-    ``remaining`` optionally pre-declares per-client record counts (from a
-    scan pass); with it, a client whose records have run out gets ``None``
-    immediately instead of pulling — and buffering — the rest of the trace.
-    Without counts (discovery mode over an arbitrary iterator) the last
-    pull of an early-finishing client can buffer the remaining trace.
-    """
-
-    __slots__ = ("_iter", "_queues", "_finished", "_exhausted", "_on_new_client",
-                 "_remaining", "buffered", "peak_buffered", "records_read")
-
-    def __init__(
-        self,
-        records: Iterable[TraceRecord],
-        on_new_client: Optional[Callable[[int], None]] = None,
-        remaining: Optional[Dict[int, int]] = None,
-    ):
-        self._iter = iter(records)
-        self._queues: Dict[int, deque] = {}
-        self._finished: set[int] = set()
-        self._exhausted = False
-        self._on_new_client = on_new_client
-        self._remaining = dict(remaining) if remaining is not None else None
-        self.buffered = 0
-        self.peak_buffered = 0
-        self.records_read = 0
-
-    def add_client(self, client: int) -> None:
-        """Pre-register a client (no new-client callback fires for it)."""
-        if client not in self._queues:
-            self._queues[client] = deque()
-
-    def _enqueue(self, record: TraceRecord) -> None:
-        client = record.client
-        if client in self._finished:
-            return
-        queue = self._queues.get(client)
-        if queue is None:
-            queue = self._queues[client] = deque()
-            if self._on_new_client is not None:
-                self._on_new_client(client)
-        queue.append(record)
-        self.buffered += 1
-        if self.buffered > self.peak_buffered:
-            self.peak_buffered = self.buffered
-
-    def prime(self) -> bool:
-        """Read ahead until at least one client is known (discovery mode).
-        Returns False when the trace is empty."""
-        if self._queues:
-            return True
-        record = next(self._iter, None)
-        if record is None:
-            self._exhausted = True
-            return False
-        self.records_read += 1
-        self._enqueue(record)
-        return True
-
-    def next_record(self, client: int) -> Optional[TraceRecord]:
-        """The next record for ``client``, pulling the shared iterator as
-        far as needed; None once the trace holds nothing more for it."""
-        queue = self._queues.get(client)
-        if queue:
-            self.buffered -= 1
-            return queue.popleft()
-        remaining = self._remaining
-        if remaining is not None and not remaining.get(client):
-            return None
-        if not self._exhausted:
-            for record in self._iter:
-                self.records_read += 1
-                owner = record.client
-                if remaining is not None and owner in remaining:
-                    remaining[owner] -= 1
-                if owner == client:
-                    return record
-                self._enqueue(record)
-            self._exhausted = True
-        return None
-
-    def finish_client(self, client: int) -> None:
-        """Drop a finished client's queue (and any late records for it)."""
-        self._finished.add(client)
-        queue = self._queues.pop(client, None)
-        if queue:
-            self.buffered -= len(queue)
 
 
 @dataclass
@@ -173,8 +70,7 @@ class SimulationResult:
     write_savings_blocks: int = 0
     blocks_written_to_disk: int = 0
     #: replay bookkeeping on the host side: ``direct_resumes`` (context
-    #: switches the event loop resumed in place) and, for streaming replay,
-    #: the demux counters (peak buffering etc.).
+    #: switches the event loop resumed in place).
     stream_stats: Dict[str, Any] = field(default_factory=dict)
     #: per-volume breakdown and array-level rollup (not part of
     #: :meth:`summary`).
@@ -283,7 +179,6 @@ class PatsySimulator:
             op: getattr(self, f"_op_{op}") for op in TRACE_OPERATIONS
         }
         self._mounted = False
-        self._stream_stats: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -317,154 +212,117 @@ class PatsySimulator:
 
     def replay(
         self,
-        records: TraceSource,
+        source: TraceSource,
         trace_name: str = "",
         max_time: Optional[float] = None,
     ) -> SimulationResult:
         """Replay a trace and return the measurements.
 
-        ``records`` may be a materialised record list, a path to an on-disk
-        trace, an open text stream, or any record iterator.  A source that
-        cannot be rewound goes to :meth:`replay_stream`, which replays
-        without materialising the trace; both engines produce identical
-        measurements on the same trace.
+        ``source`` may be a record list, a path to an on-disk trace, an open
+        text stream, or any record iterator.  It is read once, front to
+        back: each client thread pulls its next record from the shared
+        iterator, parking other clients' records on their queues as it
+        goes, so buffering is bounded by the skew between clients, never by
+        the trace length.  When the clients are known up front (a path,
+        scanned once, or a list) their threads start together in client
+        order and each stops pulling after its last record; otherwise a
+        client's thread starts when its first record appears.  A client
+        whose records go back in time raises :class:`TraceError`.
         """
-        is_path = isinstance(records, (str, Path))
-        is_sequence = not is_path and isinstance(records, Sequence)
-        if not (is_path or is_sequence):
-            return self.replay_stream(records, trace_name=trace_name, max_time=max_time)
-        # A trace on disk is read once, line by line into the per-client
-        # streams; no list of the whole trace is built on the way.
-        streams = records_by_client(iter_trace(records) if is_path else records)
-        if not streams:
+        records: Iterator[TraceRecord]
+        counts: Dict[int, int]
+        if isinstance(source, (str, Path)):
+            records, counts = iter_trace(source), scan_trace_client_counts(source)
+        elif isinstance(source, Sequence):
+            records, counts = iter(source), Counter(record.client for record in source)
+        else:
+            records = iter_trace(source) if hasattr(source, "read") else iter(source)
+            first = next(records, None)
+            counts = {} if first is None else {first.client: -1}
+            records = chain((first,), records)
+        if not counts:
             raise TraceError("cannot replay an empty trace")
-        self.mount()
-        threads = [
-            self.scheduler.spawn(
-                self._client_thread,
-                client,
-                partial(next, iter(stream), None),
-                max_time,
-                name=f"client-{client}",
-            )
-            for client, stream in sorted(streams.items())
-        ]
-        for thread in threads:
-            self.scheduler.run_until_complete(thread)
-        self.latency.finish()
-        return self.build_result(trace_name)
-
-    def replay_stream(
-        self,
-        source: TraceSource,
-        trace_name: str = "",
-        max_time: Optional[float] = None,
-        clients: Optional[Iterable[int]] = None,
-    ) -> SimulationResult:
-        """Replay a trace in streaming mode: records are pulled from the
-        source one at a time and demultiplexed into per-client threads, so
-        memory is constant in the trace length.
-
-        ``clients`` pre-declares the client population; when omitted it is
-        recovered with a cheap scan pass for on-disk traces (or from the
-        sequence itself), so streaming replay spawns the same client
-        threads in the same order as materialised replay and the two modes
-        yield identical measurements on a per-client time-ordered trace.
-        Sources that cannot be enumerated up-front (generators, streams)
-        fall back to discovery: a client's thread starts when its first
-        record surfaces.
-        """
-        self.mount()
-        records, known_clients, counts = self._open_trace_source(source, clients)
+        queues: Dict[int, deque] = {}
         threads: List[Any] = []
-        demux: _TraceDemux
 
-        def spawn_client(client: int) -> None:
+        def records_of(client: int, count: int) -> Iterator[TraceRecord]:
+            """``client``'s ``count`` records (-1: until the trace ends):
+            parked ones first, then pulled from the shared iterator."""
+            queue = queues[client]
+            try:
+                while count:
+                    count -= 1
+                    if queue:
+                        yield queue.popleft()
+                        continue
+                    for record in records:
+                        owner = record.client
+                        if owner == client:
+                            break
+                        parked = queues.get(owner)
+                        if parked is None:
+                            spawn(owner, -1)
+                            parked = queues[owner]
+                        parked.append(record)
+                    else:
+                        return
+                    yield record
+            finally:
+                # A client that is done parks no more records.
+                queues[client] = deque(maxlen=0)
+
+        def spawn(client: int, count: int) -> None:
+            queues[client] = deque()
             threads.append(
                 self.scheduler.spawn(
                     self._client_thread,
                     client,
-                    partial(demux.next_record, client),
+                    records_of(client, count),
                     max_time,
-                    partial(demux.finish_client, client),
                     name=f"client-{client}",
                 )
             )
 
-        demux = _TraceDemux(records, on_new_client=spawn_client, remaining=counts)
-        if known_clients is not None:
-            if not known_clients:
-                raise TraceError("cannot replay an empty trace")
-            for client in sorted(known_clients):
-                demux.add_client(client)
-            for client in sorted(known_clients):
-                spawn_client(client)
-        elif not demux.prime():
-            raise TraceError("cannot replay an empty trace")
-        index = 0
-        while index < len(threads):  # discovery may append threads mid-run
-            self.scheduler.run_until_complete(threads[index])
-            index += 1
+        self.mount()
+        for client in sorted(counts):
+            spawn(client, counts[client])
+        try:
+            for thread in threads:  # a client found mid-run appends its thread
+                self.scheduler.run_until_complete(thread)
+        finally:
+            # The last client stops short of the end of a trace file: close
+            # the reader, and with it the file, now.
+            if isinstance(records, Generator):
+                records.close()
         self.latency.finish()
-        self._stream_stats = {
-            "records_replayed": demux.records_read,
-            "peak_buffered_records": demux.peak_buffered,
-            "clients": len(threads),
-        }
         return self.build_result(trace_name)
-
-    def _open_trace_source(
-        self, source: TraceSource, clients: Optional[Iterable[int]]
-    ) -> tuple[Iterator[TraceRecord], Optional[List[int]], Optional[Dict[int, int]]]:
-        """Resolve a trace source to (record iterator, known client ids,
-        per-client record counts).  Counts — available whenever the source
-        can be enumerated cheaply — let the demux stop a finished client
-        from pulling (and buffering) the rest of the trace."""
-        known = sorted(set(clients)) if clients is not None else None
-        if isinstance(source, (str, Path)):
-            counts = scan_trace_client_counts(source)
-            if known is None:
-                known = sorted(counts)
-            return iter_trace(source), known, counts
-        if isinstance(source, Sequence):
-            counts = {}
-            for record in source:
-                counts[record.client] = counts.get(record.client, 0) + 1
-            if known is None:
-                known = sorted(counts)
-            return iter(source), known, counts
-        if hasattr(source, "read"):
-            return iter_trace(source), known, None
-        return iter(source), known, None
 
     def _client_thread(
         self,
         client: int,
-        next_record: Callable[[], Optional[TraceRecord]],
+        records: Generator[TraceRecord, None, None],
         max_time: Optional[float],
-        on_done: Optional[Callable[[], None]] = None,
     ) -> Generator[Any, Any, None]:
-        """One client's replay loop, shared by both engines.
-
-        ``next_record`` returns the client's next record or None when it
-        has no more — an iterator over its materialised stream, or a pull
-        from the streaming demux (which never yields, so the scheduler sees
-        the same execution either way).  ``on_done`` runs once the records
-        are exhausted, before the leftover handles are closed.
-        """
+        """One client's replay loop over its own records, in trace order;
+        closing ``records`` at the end stops it parking any more."""
         handles: Dict[str, int] = {}
         # Bound once per thread, when replay starts: a wrapper a tracer put
         # on ``LatencyRecorder.record`` since the simulator was built is seen.
         now = self.scheduler.clock.now
         record_latency = self.latency.record
         execute = self._execute
-        while True:
-            record = next_record()
-            if record is None:
+        previous = 0.0
+        for record in records:
+            timestamp = record.timestamp
+            if timestamp < previous:
+                raise TraceError(
+                    f"client {client}: record at t={timestamp} comes after one "
+                    f"at t={previous}; a client's records must be in time order"
+                )
+            if max_time is not None and timestamp > max_time:
                 break
-            if max_time is not None and record.timestamp > max_time:
-                break
-            delay = record.timestamp - now()
+            previous = timestamp
+            delay = timestamp - now()
             if delay > 0:
                 yield Delay(delay)
             started = now()
@@ -473,8 +331,7 @@ class PatsySimulator:
             except FileSystemError:
                 self.errors += 1
             record_latency(started, record.op, now() - started, client)
-        if on_done is not None:
-            on_done()
+        records.close()
         # Close anything the trace left open.
         for path, handle in list(handles.items()):
             try:
@@ -564,9 +421,7 @@ class PatsySimulator:
             plugin_reports=reports,
             write_savings_blocks=self.cache.stats.dirty_blocks_discarded,
             blocks_written_to_disk=self.cache.stats.blocks_written,
-            stream_stats=dict(
-                self._stream_stats, direct_resumes=self.scheduler.direct_resumes
-            ),
+            stream_stats={"direct_resumes": self.scheduler.direct_resumes},
             volume_stats=self.collect_volume_stats(),
             cluster_stats=self.collect_cluster_stats(),
         )

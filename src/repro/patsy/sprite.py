@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, TextIO, Union
 from repro.errors import TraceError
 from repro.patsy.traces import (
     TraceRecord,
-    stream_synthesize_missing_times,
     synthesize_missing_times,
     trace_stream,
 )
@@ -123,35 +122,30 @@ class SpriteTraceReader:
         return self._client_ids[text]
 
 
-def load_sprite_trace(
-    source: Union[str, Path, TextIO], fill_missing_times: bool = True
-) -> list[TraceRecord]:
-    """Load a Sprite-like trace file, optionally spacing out read/write
-    operations that share their open's timestamp (the paper's equidistant
-    placement of missing operation times)."""
-    with trace_stream(source) as stream:
-        records = list(SpriteTraceReader(stream))
-    if fill_missing_times:
-        records = synthesize_missing_times(records)
-    return records
-
-
 def iter_sprite_trace(
     source: Union[str, Path, TextIO], fill_missing_times: bool = True
 ) -> Iterator[TraceRecord]:
     """Stream a Sprite-like trace without materialising it.
 
-    The streaming counterpart of :func:`load_sprite_trace` for
-    multi-million-line converted traces: records are parsed one line at a
-    time and missing operation times are filled by
-    :func:`repro.patsy.traces.stream_synthesize_missing_times`, whose
-    memory is bounded by concurrently open open..close brackets.  The
-    input file must be time-ordered (real converted traces are)."""
+    Records are parsed one line at a time and, unless
+    ``fill_missing_times`` is off, read/write operations that share their
+    open's timestamp are spaced out by
+    :func:`repro.patsy.traces.synthesize_missing_times` (the paper's
+    equidistant placement of missing operation times), whose memory is
+    bounded by concurrently open open..close brackets.  The input file
+    must be time-ordered (real converted traces are)."""
     with trace_stream(source) as stream:
         reader: Iterable[TraceRecord] = SpriteTraceReader(stream)
         if fill_missing_times:
-            reader = stream_synthesize_missing_times(reader)
+            reader = synthesize_missing_times(reader)
         yield from reader
+
+
+def load_sprite_trace(
+    source: Union[str, Path, TextIO], fill_missing_times: bool = True
+) -> list[TraceRecord]:
+    """:func:`iter_sprite_trace`, as a list."""
+    return list(iter_sprite_trace(source, fill_missing_times))
 
 
 def sprite_trace(name: str, scale: float = 1.0, seed: int = 0) -> list[TraceRecord]:

@@ -1,4 +1,4 @@
-"""File-system traces: records, readers, writers and grouping.
+"""File-system traces: records, readers, writers and missing-time synthesis.
 
 "File-system traces are collections of records that describe all the
 activity of a real file-system at some time.  These records specify when the
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Tuple, Union
 
 from repro.errors import TraceError
 
@@ -32,17 +31,12 @@ __all__ = [
     "load_trace",
     "iter_trace",
     "iter_trace_tuples",
-    "scan_trace_clients",
     "scan_trace_client_counts",
     "save_trace",
     "trace_stream",
-    "records_by_client",
-    "group_operations",
-    "OperationGroup",
     "trace_duration",
     "operation_mix",
     "synthesize_missing_times",
-    "stream_synthesize_missing_times",
 ]
 
 #: operations understood by the replayer.
@@ -256,10 +250,10 @@ def iter_trace_tuples(
 def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]:
     """One cheap pass over a trace counting records per client id.
 
-    Streaming replay uses this to spawn the same client threads, in the
-    same sorted order, as materialised replay, and to let a finished
-    client stop pulling the shared iterator the moment its records run
-    out — memory is O(#clients), never O(#records)."""
+    Replay of a path uses this to start every client thread up front, in
+    client order, and to let a finished client stop pulling the shared
+    iterator the moment its records run out — memory is O(#clients),
+    never O(#records)."""
     counts: dict[int, int] = {}
     with trace_stream(source) as stream:
         for line in stream:
@@ -276,28 +270,7 @@ def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]
     return counts
 
 
-def scan_trace_clients(source: Union[str, Path, TextIO]) -> list[int]:
-    """One cheap pass over a trace collecting the sorted client ids."""
-    return sorted(scan_trace_client_counts(source))
-
-
 # --------------------------------------------------------------------------- analysis helpers
-
-
-def records_by_client(records: Iterable[TraceRecord]) -> dict[int, list[TraceRecord]]:
-    """Split a trace into per-client streams, each sorted by time.
-
-    One pass, so ``records`` may be a reader (``iter_trace(path)``): the
-    records then go from their lines into the streams and nowhere else."""
-    streams: dict[int, list[TraceRecord]] = {}
-    for record in records:
-        stream = streams.get(record.client)
-        if stream is None:
-            stream = streams[record.client] = []
-        stream.append(record)
-    for stream in streams.values():
-        stream.sort(key=attrgetter("timestamp"))
-    return streams
 
 
 def trace_duration(records: Sequence[TraceRecord]) -> float:
@@ -312,52 +285,6 @@ def operation_mix(records: Sequence[TraceRecord]) -> dict[str, int]:
     for record in records:
         mix[record.op] = mix.get(record.op, 0) + 1
     return mix
-
-
-@dataclass
-class OperationGroup:
-    """A group of operations that obviously belong together.
-
-    The replayer threads "read a part of the trace file, group operations
-    that obviously belong together (such as an open, read, read, write, ...,
-    close sequence), and call the abstract-client interface to execute the
-    operation on the simulated system."
-    """
-
-    client: int
-    path: str
-    records: list[TraceRecord] = field(default_factory=list)
-
-    @property
-    def start_time(self) -> float:
-        return self.records[0].timestamp if self.records else 0.0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def group_operations(records: Sequence[TraceRecord]) -> list[OperationGroup]:
-    """Group per-client open..close sequences on the same path.
-
-    Operations outside any open..close bracket become single-record groups.
-    """
-    groups: list[OperationGroup] = []
-    open_groups: dict[tuple[int, str], OperationGroup] = {}
-    for record in sorted(records, key=lambda r: (r.timestamp, r.client)):
-        key = (record.client, record.path)
-        if record.op == "open":
-            group = OperationGroup(client=record.client, path=record.path, records=[record])
-            open_groups[key] = group
-            groups.append(group)
-        elif key in open_groups:
-            open_groups[key].records.append(record)
-            if record.op == "close":
-                del open_groups[key]
-        else:
-            groups.append(
-                OperationGroup(client=record.client, path=record.path, records=[record])
-            )
-    return groups
 
 
 def _adjust_group(body: list[TraceRecord]) -> list[TraceRecord]:
@@ -385,20 +312,11 @@ def _adjust_group(body: list[TraceRecord]) -> list[TraceRecord]:
     return adjusted
 
 
-def synthesize_missing_times(records: Sequence[TraceRecord]) -> list[TraceRecord]:
-    """Fill in missing read/write times in every open..close bracket of a
-    trace (:func:`_adjust_group`) and return it in time order."""
-    result: list[TraceRecord] = []
-    for group in group_operations(records):
-        result.extend(_adjust_group(group.records))
-    result.sort(key=lambda record: record.timestamp)
-    return result
-
-
-def stream_synthesize_missing_times(
+def synthesize_missing_times(
     records: Iterable[TraceRecord],
 ) -> Iterator[TraceRecord]:
-    """Streaming counterpart of :func:`synthesize_missing_times`.
+    """Fill in missing read/write times in every open..close bracket of a
+    trace (:func:`_adjust_group`), streaming, and return it in time order.
 
     The input must be time-ordered (which every on-disk trace is).  Open..
     close brackets are buffered until their close arrives — an adjusted
@@ -427,8 +345,8 @@ def stream_synthesize_missing_times(
         key = (record.client, record.path)
         if record.op == "open":
             # A re-open without a close abandons the previous bracket; its
-            # records pass through unadjusted, exactly as in the batch
-            # version (where the abandoned group never gets a close).
+            # records pass through unadjusted (the bracket never gets a
+            # close to space them against).
             stale = open_groups.pop(key, None)
             if stale is not None:
                 for abandoned in stale:

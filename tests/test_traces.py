@@ -1,4 +1,5 @@
-"""Trace records, readers/writers, grouping and the Sprite/Coda parsers."""
+"""Trace records, readers/writers, missing-time synthesis and the Sprite/Coda
+parsers."""
 
 import io
 
@@ -11,10 +12,8 @@ from repro.patsy.traces import (
     TraceReader,
     TraceRecord,
     TraceWriter,
-    group_operations,
     load_trace,
     operation_mix,
-    records_by_client,
     save_trace,
     synthesize_missing_times,
     trace_duration,
@@ -66,26 +65,12 @@ def test_reader_rejects_malformed_lines():
         TraceReader.parse_line("not\tenough\tfields", 1)
 
 
-def test_records_by_client_sorted():
-    streams = records_by_client(sample_records())
-    assert set(streams) == {0, 1}
-    assert [r.timestamp for r in streams[1]] == [0.2, 2.0]
-
-
 def test_trace_duration_and_mix():
     records = sample_records()
     assert trace_duration(records) == pytest.approx(2.0)
     mix = operation_mix(records)
     assert mix["read"] == 1 and mix["open"] == 1
     assert trace_duration([]) == 0.0
-
-
-def test_group_operations_brackets_open_close():
-    groups = group_operations(sample_records())
-    session = [g for g in groups if g.path == "/a"][0]
-    assert [r.op for r in session.records] == ["open", "read", "close"]
-    singles = [g for g in groups if g.path == "/b"]
-    assert len(singles) == 2
 
 
 def test_synthesize_missing_times_spreads_operations():
@@ -95,7 +80,7 @@ def test_synthesize_missing_times_spreads_operations():
         TraceRecord(10.0, 0, "read", "/f", offset=100, size=100),
         TraceRecord(13.0, 0, "close", "/f"),
     ]
-    fixed = synthesize_missing_times(records)
+    fixed = list(synthesize_missing_times(records))
     reads = [r for r in fixed if r.op == "read"]
     assert reads[0].timestamp == pytest.approx(11.0)
     assert reads[1].timestamp == pytest.approx(12.0)

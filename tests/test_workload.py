@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.patsy.synthetic import SPRITE_PROFILES, SPRITE_TRACE_NAMES, sprite_like_trace
-from repro.patsy.traces import operation_mix, records_by_client, trace_duration
+from repro.patsy.traces import operation_mix, trace_duration
 from repro.patsy.workload import SyntheticWorkloadGenerator, WorkloadProfile, generate_workload
 
 
@@ -40,7 +40,7 @@ def test_records_sorted_and_within_duration():
 
 def test_all_clients_active():
     records = generate_workload(small_profile(), seed=2)
-    assert set(records_by_client(records)) == {0, 1, 2}
+    assert {record.client for record in records} == {0, 1, 2}
 
 
 def test_operation_mix_contains_expected_ops():
