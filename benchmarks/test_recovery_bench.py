@@ -63,7 +63,7 @@ def make_tier(store, **cluster):
         commit_interval=0.0,  # no daemon: the benchmark drives every sync
     )
     manifest_store = ManifestStore(scheduler, device)
-    tier = MetadataTier(scheduler, placement, wal, manifest_store, config)
+    tier = MetadataTier(scheduler, placement, wal, manifest_store)
     return tier, placement, scheduler
 
 

@@ -86,31 +86,22 @@ class Binding:
     def build_hardware(self, spec: StackSpec, scheduler: Scheduler) -> Hardware:
         raise NotImplementedError
 
-    def make_datamover(self, spec: StackSpec) -> DataMover:
+    def make_datamover(self) -> DataMover:
         raise NotImplementedError
 
     def build_network(self, spec: StackSpec, scheduler: Scheduler) -> List[Any]:
-        """One NIC per node of a multi-node cluster, from the spec's
-        cluster section; a single machine has no network.
+        """One NIC per node of a multi-node cluster; a single machine has
+        no network.
 
         Both worlds share this default: the NIC only charges (virtual or
         real) scheduler time, exactly like the data mover.
         """
-        cluster = spec.cluster
-        if cluster.nodes <= 1:
+        nodes = spec.cluster.nodes
+        if nodes <= 1:
             return []
         from repro.core.cluster.network import Nic
 
-        return [
-            Nic(
-                scheduler,
-                name=f"nic{node}",
-                bandwidth=cluster.network_bandwidth,
-                latency=cluster.network_latency,
-                overhead=cluster.nic_overhead,
-            )
-            for node in range(cluster.nodes)
-        ]
+        return [Nic(scheduler, name=f"nic{node}") for node in range(nodes)]
 
     def make_metadata_device(self, spec: StackSpec, scheduler: Scheduler) -> Any:
         """The device the durable metadata tier (WAL + manifest) lives on;
@@ -153,43 +144,33 @@ class SimulatedBinding(Binding):
         # Imported here so the assembly layer does not hard-depend on the
         # patsy package when only the on-line world is used.
         from repro.patsy.bus import ScsiBus
-        from repro.patsy.diskspec import disk_spec_by_name
+        from repro.patsy.diskspec import HP97560
         from repro.patsy.simdisk import SimulatedDisk
         from repro.patsy.simdriver import SimulatedDiskDriver
 
-        host = spec.host
-        disk_spec = disk_spec_by_name(host.disk_model)
-        buses = [
-            ScsiBus(
-                scheduler,
-                name=f"scsi{i}",
-                bandwidth=host.bus_bandwidth,
-                arbitration_overhead=host.bus_overhead,
-            )
-            for i in range(spec.num_buses)
-        ]
+        buses = [ScsiBus(scheduler, name=f"scsi{i}") for i in range(spec.num_buses)]
         disks: List[Any] = []
         drivers: List[Any] = []
         for index in range(spec.num_disks):
             bus = buses[spec.bus_for_disk(index)]
             node = spec.node_of_disk(index)
-            disk = SimulatedDisk(scheduler, disk_spec, bus, name=f"disk{index}", node=node)
+            disk = SimulatedDisk(scheduler, HP97560, bus, name=f"disk{index}", node=node)
             driver = SimulatedDiskDriver(
                 scheduler,
                 disk,
                 bus,
                 name=f"sim-disk{index}",
-                io_scheduler=registry.create("iosched", host.io_scheduler),
+                io_scheduler=registry.create("iosched", spec.host.io_scheduler),
                 node=node,
             )
             disks.append(disk)
             drivers.append(driver)
         return Hardware(drivers=drivers, buses=buses, disks=disks)
 
-    def make_datamover(self, spec: StackSpec) -> DataMover:
+    def make_datamover(self) -> DataMover:
         # The simulator cannot perform the buffer copies, so it charges
         # time for them at the host's memory bandwidth.
-        return DataMover(charge_time=True, bandwidth=spec.host.memory_copy_bandwidth)
+        return DataMover(charge_time=True)
 
 
 class OnlineBinding(Binding):
@@ -269,6 +250,6 @@ class OnlineBinding(Binding):
                 )
         return Hardware(drivers=drivers)
 
-    def make_datamover(self, spec: StackSpec) -> DataMover:
+    def make_datamover(self) -> DataMover:
         # Real copies happen in real code; virtual time charges nothing.
         return DataMover(charge_time=False)

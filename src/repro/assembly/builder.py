@@ -128,7 +128,7 @@ class StorageStack:
             rebalancer.start()
         # The repair loop exists only for replicated clusters (replicas=0
         # spawns nothing).
-        if cluster_config.replicas > 0 and cluster_config.repair:
+        if cluster_config.replicas > 0:
             repairer = ReplicationRepairer(
                 self.scheduler,
                 self.layout,
@@ -137,7 +137,6 @@ class StorageStack:
                 self.cluster.faults,
                 self.cache,
                 self.metadata,
-                interval=cluster_config.repair_interval,
                 workers=cluster_config.repair_workers,
                 crashpoints=self.crashpoints,
             )
@@ -185,8 +184,6 @@ def _make_cleaner_daemon(
         scheduler,
         layout,
         registry.create("cleaner", spec.layout.cleaner_policy),
-        low_water=spec.layout.cleaner_low_water,
-        high_water=spec.layout.cleaner_high_water,
         node=node,
     )
 
@@ -216,9 +213,7 @@ def build_stack(
     cluster = spec.cluster
     total_volumes = spec.num_volumes
     placement = ClusterPlacement(
-        registry.create(
-            "placement", array.placement, total_volumes, stripe_unit=array.stripe_unit_blocks
-        ),
+        registry.create("placement", array.placement, total_volumes),
         cluster.nodes,
         spec.volumes_per_node,
         replicas=cluster.replicas,
@@ -275,7 +270,7 @@ def build_stack(
         for _ in range(total_volumes)
     ]
     cache = ShardedCache(shards, placement.volume_for_block)
-    datamover = binding.make_datamover(spec)
+    datamover = binding.make_datamover()
     # Each cache shard's flush daemons (and the governors) are homed on the
     # node that owns the shard's volume.
     flush_policy = ShardedFlushPolicy(
@@ -301,7 +296,6 @@ def build_stack(
         placement,
         wal,
         ManifestStore(scheduler, device, crashpoints=crashpoints),
-        cluster,
         crashpoints=crashpoints,
     )
     layout.tiers.append(metadata)

@@ -14,24 +14,26 @@ simulated Sprite file server (Section 5.1), and so on.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Optional, get_args, get_type_hints
+from typing import Any, Dict, get_type_hints
 
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_BLOCK_SIZE, KB, MB
 
 
-def _is_registered(kind: str, name: str) -> bool:
-    """Whether a component is registered under ``(kind, name)``.
+def _check_registered(kind: str, name: str, what: str) -> None:
+    """Reject a component name the :mod:`repro.assembly.registry` does not
+    hold, so a config names only what ``build_stack`` can build.
 
-    Policy-name validation accepts the built-in names statically and falls
-    back to the :mod:`repro.assembly.registry` for third-party components
-    (which must be registered before the configuration is constructed).
+    The registry is the one list of names: importing :mod:`repro` loads
+    every built-in module, which registers its components, and third-party
+    components must be registered before the configuration is constructed.
     The import is lazy because config sits below the assembly layer in the
     import graph.
     """
     from repro.assembly.registry import registry
 
-    return registry.has(kind, name)
+    if not registry.has(kind, name):
+        raise ConfigurationError(f"unknown {what} {name!r}")
 
 __all__ = [
     "CacheConfig",
@@ -41,7 +43,6 @@ __all__ = [
     "ArrayConfig",
     "ClusterConfig",
     "StackSpec",
-    "DAEMON_LOW_WATER_DEFAULTS",
     "sprite_server_config",
     "sun4_280_config",
     "cluster_config",
@@ -58,60 +59,17 @@ class CacheConfig:
     #: replacement policy: "lru", "random", "lfu", "slru", "lru-k",
     #: "clock", "2q" or "arc" (see :mod:`repro.core.replacement`).
     replacement: str = "lru"
-    #: K parameter for LRU-K replacement.
-    lru_k: int = 2
-    #: fraction of the cache given to 2Q's A1in FIFO (only used by "2q").
-    twoq_in_fraction: float = 0.25
-    #: size of 2Q's A1out ghost FIFO as a fraction of the cache.
-    twoq_out_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
             raise ConfigurationError("block_size must be positive")
         if self.size_bytes < self.block_size:
             raise ConfigurationError("cache must hold at least one block")
-        if self.replacement not in {
-            "lru",
-            "random",
-            "lfu",
-            "slru",
-            "lru-k",
-            "clock",
-            "2q",
-            "arc",
-        } and not _is_registered("replacement", self.replacement):
-            raise ConfigurationError(f"unknown replacement policy {self.replacement!r}")
-        # Policy parameters are validated only for the selected policy:
-        # the knobs are documented as "only used by" their policy, and a
-        # config that never reads a value must not be rejected over it.
-        if self.replacement == "2q" and (
-            not (0.0 < self.twoq_in_fraction < 1.0) or self.twoq_out_fraction <= 0.0
-        ):
-            raise ConfigurationError("2Q fractions must be positive (in_fraction < 1)")
+        _check_registered("replacement", self.replacement, "replacement policy")
 
     @property
     def num_blocks(self) -> int:
         return self.size_bytes // self.block_size
-
-
-#: Per-policy defaults for :attr:`FlushConfig.daemon_low_water`, applied when
-#: the field is left at ``None``.  Low water both triggers the flush daemon
-#: (an allocation leaving fewer free + clean blocks wakes it) and is the level
-#: each wakeup refills the pool to.  Rationale:
-#: * ``periodic`` — 1/16 of the cache.  The update daemon writes on a timer
-#:   anyway, so flushing slightly ahead of allocation pressure costs little
-#:   write traffic but restocks the pool before an allocation has to stall.
-#: * ``ups`` — 0.  Write saving *is* the policy: every block written ahead of
-#:   real pressure is a block that might have died in memory, so the UPS
-#:   experiment must stay strictly flush-on-demand.
-#: * ``nvram`` — 0.  The NVRAM write-behind daemon already drains at its own
-#:   high-water mark; a second flush-ahead would fight it for the same blocks
-#:   and blur the "drain only when the NVRAM fills" semantics being measured.
-DAEMON_LOW_WATER_DEFAULTS = {
-    "periodic": 1.0 / 16.0,
-    "ups": 0.0,
-    "nvram": 0.0,
-}
 
 
 @dataclass(frozen=True)
@@ -135,32 +93,13 @@ class FlushConfig:
     #: flush in a separate daemon thread (the Section 5.2 lesson) rather than
     #: synchronously in the thread that needed a block.
     asynchronous: bool = True
-    #: free-block low-water mark for the asynchronous daemon, as a fraction
-    #: of the cache: an allocation leaving fewer free + clean blocks wakes
-    #: the daemon, which flushes until this many are allocatable again, so
-    #: it restocks before allocations stall.  ``None``
-    #: selects the per-policy default from :data:`DAEMON_LOW_WATER_DEFAULTS`;
-    #: 0 keeps the strict flush-on-demand behaviour (required by the UPS
-    #: write-saving policy, which must never write ahead of real pressure).
-    daemon_low_water: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in {"periodic", "ups", "nvram"} and not _is_registered(
-            "flush", self.policy
-        ):
-            raise ConfigurationError(f"unknown flush policy {self.policy!r}")
+        _check_registered("flush", self.policy, "flush policy")
         if self.update_interval <= 0 or self.scan_interval <= 0:
             raise ConfigurationError("flush intervals must be positive")
         if self.nvram_bytes <= 0:
             raise ConfigurationError("nvram_bytes must be positive")
-        if self.daemon_low_water is not None and not (0.0 <= self.daemon_low_water < 1.0):
-            raise ConfigurationError("daemon_low_water must be in [0, 1)")
-
-    def resolved_daemon_low_water(self) -> float:
-        """The effective flush-ahead low-water mark for this policy."""
-        if self.daemon_low_water is not None:
-            return self.daemon_low_water
-        return DAEMON_LOW_WATER_DEFAULTS[self.policy]
 
 
 @dataclass(frozen=True)
@@ -169,43 +108,14 @@ class LayoutConfig:
 
     kind: str = "lfs"
     segment_size: int = 256 * KB
-    #: start cleaning when the fraction of free segments drops below this.
-    cleaner_low_water: float = 0.2
-    #: stop cleaning when the fraction of free segments rises above this.
-    cleaner_high_water: float = 0.4
     #: cleaner policy: "greedy" or "cost-benefit".
     cleaner_policy: str = "cost-benefit"
-    #: LFS per-segment index: bound on the cleaner's candidate set drawn
-    #: from the utilisation buckets (0 = scan every segment).
-    cleaner_candidates: int = 64
-    #: cold-read run length read-ahead stops at (<=1: none; never splits asked-for blocks).
-    read_coalesce_blocks: int = 8
 
     def __post_init__(self) -> None:
-        if self.kind not in {"lfs", "ffs"} and not _is_registered("layout", self.kind):
-            raise ConfigurationError(f"unknown storage layout {self.kind!r}")
+        _check_registered("layout", self.kind, "storage layout")
         if self.segment_size <= 0:
             raise ConfigurationError("segment_size must be positive")
-        if not (0.0 <= self.cleaner_low_water < self.cleaner_high_water <= 1.0):
-            raise ConfigurationError("cleaner water marks must satisfy 0 <= low < high <= 1")
-        if self.cleaner_policy not in {"greedy", "cost-benefit"} and not _is_registered(
-            "cleaner", self.cleaner_policy
-        ):
-            raise ConfigurationError(f"unknown cleaner policy {self.cleaner_policy!r}")
-        if self.cleaner_candidates < 0:
-            raise ConfigurationError("cleaner_candidates must be >= 0")
-        if self.read_coalesce_blocks < 0:
-            raise ConfigurationError("read_coalesce_blocks must be >= 0")
-
-    def index_config(self):
-        """The :class:`~repro.core.storage.segindex.SegmentIndexConfig`
-        these knobs describe."""
-        from repro.core.storage.segindex import SegmentIndexConfig
-
-        return SegmentIndexConfig(
-            cleaner_candidates=self.cleaner_candidates,
-            read_coalesce_blocks=self.read_coalesce_blocks,
-        )
+        _check_registered("cleaner", self.cleaner_policy, "cleaner policy")
 
 
 @dataclass(frozen=True)
@@ -214,15 +124,8 @@ class HostConfig:
 
     num_disks: int = 1
     num_buses: int = 1
-    disk_model: str = "hp97560"
-    #: SCSI-2 sustained transfer rate, bytes per second.
-    bus_bandwidth: float = 10 * MB
-    #: per-transaction bus arbitration + selection overhead, seconds.
-    bus_overhead: float = 0.0002
-    #: host memory copy bandwidth, bytes per second (used to charge for the
-    #: buffer copies that the simulator cannot perform for real).
-    memory_copy_bandwidth: float = 80 * MB
-    #: disk queue scheduling policy: "fcfs", "scan", "cscan", "look", "clook".
+    #: disk queue scheduling policy: "fcfs", "scan", "cscan", "look", "clook"
+    #: or "scan-edf" (see :mod:`repro.core.iosched`).
     io_scheduler: str = "clook"
 
     def __post_init__(self) -> None:
@@ -230,15 +133,7 @@ class HostConfig:
             raise ConfigurationError("need at least one disk and one bus")
         if self.num_buses > self.num_disks:
             raise ConfigurationError("more buses than disks makes no sense")
-        if self.io_scheduler not in {
-            "fcfs",
-            "scan",
-            "cscan",
-            "look",
-            "clook",
-            "scan-edf",
-        } and not _is_registered("iosched", self.io_scheduler):
-            raise ConfigurationError(f"unknown I/O scheduler {self.io_scheduler!r}")
+        _check_registered("iosched", self.io_scheduler, "I/O scheduler")
 
     def bus_for_disk(self, disk_index: int) -> int:
         """Disks are spread round-robin over the available buses."""
@@ -267,18 +162,11 @@ class ArrayConfig:
     #: by name hash), "stripe" (round-robin stripe units across volumes) or
     #: "directory" (files co-locate with their parent directory).
     placement: str = "hash"
-    #: stripe unit in file blocks (placement == "stripe").
-    stripe_unit_blocks: int = 16
 
     def __post_init__(self) -> None:
         if self.volumes < 1:
             raise ConfigurationError("an array needs at least one volume")
-        if self.placement not in {"hash", "stripe", "directory"} and not _is_registered(
-            "placement", self.placement
-        ):
-            raise ConfigurationError(f"unknown placement policy {self.placement!r}")
-        if self.stripe_unit_blocks < 1:
-            raise ConfigurationError("stripe_unit_blocks must be positive")
+        _check_registered("placement", self.placement, "placement policy")
 
     def check_fits(self, host: HostConfig) -> None:
         """Reject an array that carves ``host`` into more volumes than it
@@ -312,13 +200,6 @@ class ClusterConfig:
 
     #: number of machines; node 0 is the client-facing front end.
     nodes: int = 1
-    #: sustained NIC bandwidth, bytes per second (full-duplex links; each
-    #: direction charges the *sending* NIC).
-    network_bandwidth: float = 100 * MB
-    #: one-way propagation latency per message, seconds (not holding the NIC).
-    network_latency: float = 0.0002
-    #: per-message NIC setup/interrupt overhead, seconds (holding the NIC).
-    nic_overhead: float = 0.00005
     #: whether the skew monitor runs (``nodes > 1`` only).
     rebalance: bool = True
     #: how often (simulated seconds) the skew monitor re-examines the volumes.
@@ -337,8 +218,6 @@ class ClusterConfig:
     #: ... or this many buffered bytes (or a second of simulated time
     #: since the previous commit).
     wal_commit_bytes: int = 4 * KB
-    #: fold the WAL into the manifest once the log file passes this size.
-    wal_checkpoint_bytes: int = 64 * KB
     #: per-operation latency of the (simulated) metadata device, seconds.
     metadata_latency: float = 0.0002
     #: bandwidth of the metadata device, bytes per second.
@@ -349,14 +228,12 @@ class ClusterConfig:
     #: volumes on a one-node cluster), so no two copies ever share a volume
     #: — or a node, when there are enough nodes.  Writes fan out to every
     #: copy (charged over the serving nodes' NICs); reads fail over to a
-    #: surviving copy when the fault harness kills a volume or node.
+    #: surviving copy when the fault harness kills a volume or node.  A
+    #: replicated cluster always runs the
+    #: :class:`~repro.core.cluster.replication.ReplicationRepairer`, which
+    #: re-replicates under-replicated files and flips dead primaries onto
+    #: surviving copies after a fault.
     replicas: int = 0
-    #: run the :class:`~repro.core.cluster.replication.ReplicationRepairer`
-    #: daemon (``replicas > 0`` only): re-replicates under-replicated files
-    #: and flips dead primaries onto surviving copies after a fault.
-    repair: bool = True
-    #: how often (simulated seconds) the repairer checks for new faults.
-    repair_interval: float = 1.0
     #: concurrent repair threads per scan.  1 (the default) repairs files
     #: strictly in id order; higher values shard the scan round-robin
     #: across worker threads so re-replication overlaps disk queueing —
@@ -366,10 +243,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError("a cluster needs at least one node")
-        if self.network_bandwidth <= 0:
-            raise ConfigurationError("network bandwidth must be positive")
-        if self.network_latency < 0 or self.nic_overhead < 0:
-            raise ConfigurationError("network latency/overhead cannot be negative")
         if self.rebalance_interval <= 0:
             raise ConfigurationError("rebalance_interval must be positive")
         if self.imbalance_threshold < 1.0:
@@ -380,16 +253,12 @@ class ClusterConfig:
             raise ConfigurationError("wal_commit_records must be positive")
         if self.wal_commit_bytes < 1:
             raise ConfigurationError("wal_commit_bytes must be positive")
-        if self.wal_checkpoint_bytes < 1:
-            raise ConfigurationError("wal_checkpoint_bytes must be positive")
         if self.metadata_latency < 0 or self.metadata_bandwidth < 0:
             raise ConfigurationError("metadata device costs cannot be negative")
         if not (0 <= self.replicas <= 6):
             # The WAL packs a replica set into one i64 argument: up to seven
             # 8-bit volume slots, so at most 6 extra copies.
             raise ConfigurationError("replicas must be between 0 and 6")
-        if self.repair_interval <= 0:
-            raise ConfigurationError("repair_interval must be positive")
         if self.repair_workers < 1:
             raise ConfigurationError("repair_workers must be positive")
 
@@ -416,9 +285,7 @@ def _section_from_dict(name: str, section_type: type, section: Dict[str, Any]) -
             f"unknown keys in StackSpec section {name!r}: {sorted(bad)}"
         )
     for key, value in section.items():
-        allowed = get_args(hints[key]) or (hints[key],)  # Optional[float] -> (float, NoneType)
-        if float in allowed:
-            allowed += (int,)
+        allowed = (float, int) if hints[key] is float else (hints[key],)
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             wanted = " or ".join(t.__name__ for t in allowed)
             raise ConfigurationError(
@@ -441,7 +308,7 @@ class StackSpec:
     :class:`~repro.assembly.bindings.OnlineBinding`); that is the paper's
     cut-and-paste claim made into an object.  ``host`` describes the
     hardware complement: the simulated binding builds exactly that machine
-    (disk model, buses, I/O scheduler); the on-line binding keeps the
+    (HP 97560 disks, SCSI buses, I/O scheduler); the on-line binding keeps the
     disk/volume counts and the I/O scheduler and ignores the performance
     model underneath.
 
@@ -631,7 +498,6 @@ def cluster_config(
     buses_per_node: int = 1,
     placement: str = "directory",
     rebalance: bool = True,
-    network_bandwidth: float = 100 * MB,
     replicas: int = 0,
 ) -> StackSpec:
     """An N-node cluster of small storage servers behind one front end.
@@ -657,7 +523,6 @@ def cluster_config(
         cluster=ClusterConfig(
             nodes=nodes,
             rebalance=rebalance,
-            network_bandwidth=network_bandwidth,
             replicas=replicas,
         ),
         seed=seed,

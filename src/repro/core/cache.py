@@ -129,7 +129,7 @@ class BlockCache:
         self.stats = CacheStatistics()
         #: the replacement policy; event-driven, shares this cache's stats.
         self.policy = registry.create(
-            "replacement", config.replacement, config.num_blocks, scheduler.rng, self.stats, config
+            "replacement", config.replacement, config.num_blocks, scheduler.rng, self.stats
         )
         self._slots = [
             CacheBlock(slot, config.block_size, with_data, self)

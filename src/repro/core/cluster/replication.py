@@ -376,7 +376,7 @@ class ReplicaManager:
 class ReplicationRepairer:
     """Re-replicates damaged files after the fault harness strikes.
 
-    A polling daemon (``ClusterConfig.repair_interval``) that re-scans the
+    A polling daemon (every ``interval`` simulated seconds) that re-scans the
     replicated file set whenever the fault board's epoch moves.  Per file:
 
     1. **promote** — primary volume unavailable: flush the file (pushing

@@ -52,6 +52,12 @@ class FlushPolicy(ABC):
 
     name = "abstract"
 
+    #: free-block low-water mark of the asynchronous daemon, as a fraction
+    #: of the cache: an allocation leaving fewer free + clean blocks wakes
+    #: the daemon, which flushes until this many are allocatable again, so
+    #: it restocks before allocations stall.  0 keeps strict flush-on-demand.
+    daemon_low_water = 0.0
+
     def __init__(self, config: FlushConfig):
         self.config = config
         self.cache: Optional[BlockCache] = None
@@ -84,7 +90,7 @@ class FlushPolicy(ABC):
         self.configure_cache(cache)
         if self.config.asynchronous:
             cache.space_requester = self._request_space
-            cache.low_water_blocks = int(cache.num_blocks * self.config.resolved_daemon_low_water())
+            cache.low_water_blocks = int(cache.num_blocks * self.daemon_low_water)
             self.daemon_thread = scheduler.spawn(
                 self._flush_daemon, name=f"{self.name}-flush-daemon", daemon=True, node=node
             )
@@ -170,6 +176,11 @@ class PeriodicUpdatePolicy(FlushPolicy):
 
     name = "periodic"
 
+    #: the update daemon writes on a timer anyway, so flushing slightly
+    #: ahead of allocation pressure costs little write traffic but restocks
+    #: the pool before an allocation has to stall.
+    daemon_low_water = 1.0 / 16.0
+
     def start(self) -> Thread:
         assert self.scheduler is not None
         return self.scheduler.spawn(
@@ -209,6 +220,10 @@ class WriteSavingPolicy(FlushPolicy):
 
     name = "ups"
 
+    #: write saving *is* the policy: every block written ahead of real
+    #: pressure is a block that might have died in memory.
+    daemon_low_water = 0.0
+
 
 class NvramPolicy(FlushPolicy):
     """Dirty data confined to an NVRAM buffer.
@@ -224,6 +239,10 @@ class NvramPolicy(FlushPolicy):
 
     name = "nvram"
 
+    #: the write-behind daemon already drains at its own high water; a
+    #: second flush-ahead would fight it for the same blocks and blur the
+    #: "drain only when the NVRAM fills" semantics being measured.
+    daemon_low_water = 0.0
     #: start draining when dirty data exceeds this fraction of the NVRAM.
     high_water = 0.90
     #: stop draining when dirty data falls below this fraction.

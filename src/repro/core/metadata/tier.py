@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.config import ClusterConfig
 from repro.core.metadata.crash import CrashPoints
 from repro.core.metadata.manifest import Manifest, ManifestStore
 from repro.core.metadata.wal import (
@@ -63,6 +62,7 @@ from repro.core.metadata.wal import (
 )
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
+from repro.units import KB
 
 __all__ = ["MetadataTier"]
 
@@ -70,20 +70,21 @@ __all__ = ["MetadataTier"]
 class MetadataTier:
     """Durable metadata (WAL + manifest) above a ``ClusterPlacement``."""
 
+    #: fold the WAL into the manifest once the log file passes this size.
+    checkpoint_bytes = 64 * KB
+
     def __init__(
         self,
         scheduler: Scheduler,
         placement: Any,
         wal: WriteAheadLog,
         manifest_store: ManifestStore,
-        config: ClusterConfig,
         crashpoints: Optional[CrashPoints] = None,
     ):
         self.scheduler = scheduler
         self.placement = placement
         self.wal = wal
         self.manifest_store = manifest_store
-        self.config = config
         self.crashpoints = crashpoints
         self.epoch = 0
         self.checkpoints = 0
@@ -142,7 +143,7 @@ class MetadataTier:
         fired, fold the journal into the manifest when it has grown past
         the checkpoint threshold."""
         yield from self.wal.maybe_sync()
-        if self.wal.device.wal_bytes >= self.config.wal_checkpoint_bytes:
+        if self.wal.device.wal_bytes >= self.checkpoint_bytes:
             yield from self.checkpoint()
 
     # ------------------------------------------------------------------ checkpoint

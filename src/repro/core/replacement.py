@@ -215,9 +215,9 @@ class ReplacementPolicy(ABC):
     queries).  ``incoming`` optionally names the block identity about to be
     inserted, which exact ARC uses to resolve its REPLACE tie-break.
 
-    Every policy is constructed as ``(capacity, rng, stats, config)``;
-    ``config`` is the owning cache's :class:`~repro.config.CacheConfig`, read
-    only by the policies that have knobs there (``lru_k``, ``twoq_*``).
+    Every policy is constructed as ``(capacity, rng, stats)``; a policy
+    with parameters of its own (LRU-K's ``k``, 2Q's fractions) takes them
+    as keyword arguments whose defaults are the values the stack uses.
 
     Dirty blocks are *parked*: removed from the eviction lists (they cannot
     be victims, and skipping them on every selection would make eviction
@@ -234,7 +234,6 @@ class ReplacementPolicy(ABC):
         capacity: int,
         rng: Optional[random.Random] = None,
         stats: Optional[object] = None,
-        config: Optional[object] = None,
     ):
         if capacity < 1:
             raise ConfigurationError("replacement policy capacity must be >= 1")
@@ -365,7 +364,7 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None):
+    def __init__(self, capacity: int, rng=None, stats=None):
         super().__init__(capacity, rng, stats)
         self._list = _DList("lru")
 
@@ -396,7 +395,7 @@ class RandomPolicy(ReplacementPolicy):
     name = "random"
     _PROBES = 8
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None):
+    def __init__(self, capacity: int, rng=None, stats=None):
         super().__init__(capacity, rng, stats)
         self._order: list[_Node] = []
 
@@ -473,7 +472,7 @@ class LfuPolicy(ReplacementPolicy):
 
     name = "lfu"
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None):
+    def __init__(self, capacity: int, rng=None, stats=None):
         super().__init__(capacity, rng, stats)
         self._buckets: Dict[int, _DList] = {}
         #: lower bound on the smallest occupied frequency (lazily advanced
@@ -573,7 +572,7 @@ class SlruPolicy(ReplacementPolicy):
     name = "slru"
 
     def __init__(
-        self, capacity: int, rng=None, stats=None, config=None, protected_fraction: float = 0.5
+        self, capacity: int, rng=None, stats=None, protected_fraction: float = 0.5
     ):
         super().__init__(capacity, rng, stats)
         if not (0.0 < protected_fraction < 1.0):
@@ -640,10 +639,8 @@ class LruKPolicy(ReplacementPolicy):
 
     name = "lru-k"
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None, k: int = 2):
+    def __init__(self, capacity: int, rng=None, stats=None, k: int = 2):
         super().__init__(capacity, rng, stats)
-        if config is not None:
-            k = config.lru_k
         if k < 1:
             raise ConfigurationError("LRU-K requires k >= 1")
         self.k = k
@@ -704,7 +701,7 @@ class ClockPolicy(ReplacementPolicy):
 
     name = "clock"
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None):
+    def __init__(self, capacity: int, rng=None, stats=None):
         super().__init__(capacity, rng, stats)
         self._ring = _DList("clock")
         self._hand: Optional[_Node] = None
@@ -819,13 +816,10 @@ class TwoQPolicy(ReplacementPolicy):
         capacity: int,
         rng=None,
         stats=None,
-        config=None,
         in_fraction: float = 0.25,
         out_fraction: float = 0.5,
     ):
         super().__init__(capacity, rng, stats)
-        if config is not None:
-            in_fraction, out_fraction = config.twoq_in_fraction, config.twoq_out_fraction
         if not (0.0 < in_fraction < 1.0):
             raise ConfigurationError("2Q in_fraction must be in (0, 1)")
         if out_fraction <= 0.0:
@@ -908,7 +902,7 @@ class ArcPolicy(ReplacementPolicy):
 
     name = "arc"
 
-    def __init__(self, capacity: int, rng=None, stats=None, config=None):
+    def __init__(self, capacity: int, rng=None, stats=None):
         super().__init__(capacity, rng, stats)
         self._t1 = _DList("t1")
         self._t2 = _DList("t2")
@@ -1036,9 +1030,9 @@ class ArcPolicy(ReplacementPolicy):
 POLICY_NAMES = ("lru", "random", "lfu", "slru", "lru-k", "clock", "2q", "arc")
 
 
-# Every "replacement" factory is called as (capacity, rng, stats, config):
-# ``config`` is the cache's CacheConfig, from which a policy with knobs there
-# (``lru_k``, ``twoq_*``) reads them, so a policy class is its own factory.
+# Every "replacement" factory is called as (capacity, rng, stats), so a
+# policy class is its own factory; LRU-K and 2Q run at their constructor
+# defaults.
 for _cls in (
     LruPolicy, RandomPolicy, LfuPolicy, SlruPolicy, LruKPolicy, ClockPolicy, TwoQPolicy, ArcPolicy
 ):

@@ -184,18 +184,11 @@ class DirectoryAffinityPlacement(PlacementPolicy):
         return self.volume_of_file(parent_id)
 
 
-# "placement" factories take (num_volumes, stripe_unit=...) and return a
-# PlacementPolicy, keyed by ``ArrayConfig.placement``; whole-file policies
-# ignore the stripe keyword.
-registry.register(
-    "placement", "hash", lambda num_volumes, stripe_unit=16: HashPlacement(num_volumes)
-)
+# "placement" factories take (num_volumes) and return a PlacementPolicy,
+# keyed by ``ArrayConfig.placement``; striping runs at its default unit.
+registry.register("placement", "hash", HashPlacement)
 registry.register("placement", "stripe", StripedPlacement)
-registry.register(
-    "placement",
-    "directory",
-    lambda num_volumes, stripe_unit=16: DirectoryAffinityPlacement(num_volumes),
-)
+registry.register("placement", "directory", DirectoryAffinityPlacement)
 
 
 # --------------------------------------------------------------------------- volume set

@@ -1020,7 +1020,6 @@ def _build_lfs_layout(
         segment_blocks=max(layout_config.segment_size // block_size, 4),
         simulated=simulated,
         seed=seed,
-        index_config=layout_config.index_config(),
     )
 
 

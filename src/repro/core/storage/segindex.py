@@ -69,7 +69,8 @@ def owner_key(owner: int) -> int:
 
 @dataclass(frozen=True)
 class SegmentIndexConfig:
-    """Knobs of the per-segment index machinery (see ``LayoutConfig``)."""
+    """Knobs of the per-segment index machinery; every stack runs the
+    defaults."""
 
     #: sample every Nth summary entry into the sparse offset index.
     sparse_every: int = 4

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.units import KB, SECTOR_SIZE
 
-__all__ = ["DiskSpec", "HP97560", "GENERIC_SMALL_DISK", "DISK_SPECS", "disk_spec_by_name"]
+__all__ = ["DiskSpec", "HP97560", "GENERIC_SMALL_DISK"]
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,3 @@ GENERIC_SMALL_DISK = DiskSpec(
     sectors_per_track=144,
     cache_bytes=64 * KB,
 )
-
-DISK_SPECS = {spec.name: spec for spec in (HP97560, GENERIC_SMALL_DISK)}
-
-
-def disk_spec_by_name(name: str) -> DiskSpec:
-    try:
-        return DISK_SPECS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown disk model {name!r}; known models: {sorted(DISK_SPECS)}"
-        ) from None

@@ -35,6 +35,7 @@ from repro.core.storage.array import (
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume
 from repro.errors import ConfigurationError
+from repro.patsy.diskspec import HP97560
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.pfs.diskfile import MemoryBackedDiskDriver
@@ -75,8 +76,9 @@ def test_sun4_280_preset_matches_the_paper():
     assert config.host.num_disks == 10
     assert config.host.num_buses == 3
     assert config.array.volumes == 5
-    assert config.host.disk_model == "hp97560"
     assert config.layout.kind == "lfs"
+    disks = PatsySimulator(config).stack.disks
+    assert len(disks) == 10 and all(disk.spec is HP97560 for disk in disks)
 
 
 # --------------------------------------------------------------------------- placement
@@ -601,9 +603,12 @@ def test_multi_volume_array_replays_and_spreads(placement):
         base,
         cache=replace(base.cache, size_bytes=192 * 4 * KB),
         host=replace(base.host, num_disks=4, num_buses=2),
-        array=ArrayConfig(volumes=3, placement=placement, stripe_unit_blocks=4),
+        array=ArrayConfig(volumes=3, placement=placement),
     )
-    result = PatsySimulator(config).replay(array_trace(seed=5), trace_name=placement)
+    simulator = PatsySimulator(config)
+    if placement == "stripe":
+        simulator.stack.placement.inner.stripe_unit = 4
+    result = simulator.replay(array_trace(seed=5), trace_name=placement)
     assert result.errors == 0
     per_volume = result.volume_stats["per_volume"]
     assert set(per_volume) == {"vol0", "vol1", "vol2"}

@@ -163,7 +163,7 @@ def test_stack_spec_from_dict_rejects_unknown_keys():
         ({"cache": {"size_bytes": "big"}}, "cache", "size_bytes"),
         ({"array": {"volumes": "2"}}, "array", "volumes"),
         ({"flush": {"whole_file": 1}}, "flush", "whole_file"),
-        ({"flush": {"daemon_low_water": "0.1"}}, "flush", "daemon_low_water"),
+        ({"flush": {"update_interval": "30"}}, "flush", "update_interval"),
         ({"host": {"num_disks": True}}, "host", "num_disks"),
         ({"cluster": {"nodes": 2.0}}, "cluster", "nodes"),
     ],
@@ -178,13 +178,11 @@ def test_stack_spec_from_dict_names_a_wrong_typed_value(data, section, key):
 
 
 def test_stack_spec_from_dict_accepts_json_numbers_and_null_sections():
-    # An int where a float is wanted, null for an Optional knob, and null
-    # for a whole section (what an older to_dict wrote for "no array" and
-    # "no cluster") or no key at all.
+    # An int where a float is wanted, and null for a whole section (what an
+    # older to_dict wrote for "no array" and "no cluster") or no key at all.
     spec = StackSpec.from_dict(
         {
-            "flush": {"update_interval": 30, "daemon_low_water": None},
-            "host": {"bus_bandwidth": 10485760},
+            "flush": {"update_interval": 30},
             "array": None,
             "cluster": None,
         }
@@ -355,8 +353,7 @@ def test_third_party_replacement_class_registers_directly():
         name = "mru-test"
 
     # The registry docstring's pattern: register the class itself — every
-    # policy class takes (capacity, rng, stats, config), so it is its own
-    # factory.
+    # policy class takes (capacity, rng, stats), so it is its own factory.
     registry.register("replacement", "mru-test", MruLikePolicy)
     try:
         policy = registry.create("replacement", "mru-test", 16)

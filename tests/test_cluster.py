@@ -48,8 +48,6 @@ def test_cluster_config_validation():
     with pytest.raises(ConfigurationError):
         ClusterConfig(nodes=0)
     with pytest.raises(ConfigurationError):
-        ClusterConfig(network_bandwidth=0)
-    with pytest.raises(ConfigurationError):
         ClusterConfig(imbalance_threshold=0.5)
     with pytest.raises(ConfigurationError):
         ClusterConfig(rebalance_interval=0)
@@ -57,8 +55,6 @@ def test_cluster_config_validation():
         ClusterConfig(wal_commit_records=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(wal_commit_bytes=0)
-    with pytest.raises(ConfigurationError):
-        ClusterConfig(wal_checkpoint_bytes=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(metadata_latency=-0.1)
     with pytest.raises(ConfigurationError):
@@ -100,6 +96,13 @@ def test_nic_charges_serialisation_and_latency(scheduler):
     assert elapsed == pytest.approx(0.0005 + 1.0 + 0.001)
     assert nic.messages == 1 and nic.bytes_sent == 1 * MB
     assert nic.busy_time == pytest.approx(1.0005)
+
+
+def test_nic_rejects_impossible_link_parameters(scheduler):
+    with pytest.raises(ConfigurationError):
+        Nic(scheduler, bandwidth=0)
+    with pytest.raises(ConfigurationError):
+        Nic(scheduler, latency=-0.1)
 
 
 def test_nic_queues_concurrent_senders(scheduler):
@@ -517,10 +520,10 @@ def test_a_dead_home_volume_serves_the_whole_group_from_the_replica():
     sub-layout serves them in one call, and every block counts as one
     fail-over read."""
     from tests.test_replication import (
-        FILE_BYTES, build_online, kill, payload, populate, replica_spec,
+        FILE_BYTES, PARKED, build_online, kill, payload, populate, replica_spec,
     )
 
-    stack = build_online(replica_spec(nodes=3, repair=False))
+    stack = build_online(replica_spec(nodes=3), repair_interval=PARKED)
     files = populate(stack)
     kill(stack, "node_crash", 1, scrub=True)
     placement, manager = stack.cluster.placement, stack.cluster.replication

@@ -2,11 +2,15 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.assembly.registry import registry
 from repro.config import (
     ArrayConfig,
     CacheConfig,
@@ -21,9 +25,9 @@ from repro.config import (
 from repro.errors import ConfigurationError
 from repro.units import MB
 
-#: ``src/**/*.py`` lines once trace replay became one engine; the next
-#: simplicity change ratchets it down.
-SRC_LINE_BUDGET = 18_981
+#: ``src/**/*.py`` lines once the config knobs nobody set became component
+#: constants; the next simplicity change ratchets it down.
+SRC_LINE_BUDGET = 18_817
 
 
 def test_cache_config_defaults_and_blocks():
@@ -53,8 +57,6 @@ def test_layout_config_validation():
     with pytest.raises(ConfigurationError):
         LayoutConfig(kind="zfs")
     with pytest.raises(ConfigurationError):
-        LayoutConfig(cleaner_low_water=0.9, cleaner_high_water=0.5)
-    with pytest.raises(ConfigurationError):
         LayoutConfig(cleaner_policy="oracular")
 
 
@@ -67,6 +69,40 @@ def test_host_config_validation_and_bus_mapping():
         HostConfig(num_disks=1, num_buses=2)
     with pytest.raises(ConfigurationError):
         HostConfig(io_scheduler="random")
+
+
+@pytest.mark.parametrize(
+    "kind, name, section, key",
+    [
+        ("replacement", "arc", CacheConfig, "replacement"),
+        ("flush", "ups", FlushConfig, "policy"),
+        ("layout", "ffs", LayoutConfig, "kind"),
+        ("cleaner", "greedy", LayoutConfig, "cleaner_policy"),
+        ("iosched", "scan-edf", HostConfig, "io_scheduler"),
+        ("placement", "stripe", ArrayConfig, "placement"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_config_accepts_only_what_the_registry_holds(kind, name, section, key):
+    """The registry is the one list of component names: once a name is
+    unregistered the config rejects it, not ``build_stack`` later on."""
+    factory = registry.get(kind, name)
+    section(**{key: name})
+    registry.unregister(kind, name)
+    try:
+        with pytest.raises(ConfigurationError, match=repr(name)):
+            section(**{key: name})
+    finally:
+        registry.register(kind, name, factory)
+    section(**{key: name})
+
+
+def test_a_fresh_interpreter_accepts_a_built_in_name():
+    """Importing the config alone registers every built-in component."""
+    code = "from repro.config import HostConfig; HostConfig(io_scheduler='scan-edf')"
+    src = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_sprite_server_config_scaling():
@@ -123,7 +159,7 @@ def test_every_config_field_is_read_by_the_program():
     for config in configs:
         unread = [f.name for f in dataclasses.fields(config) if f.name not in read]
         assert not unread, f"{config.__name__} fields no code reads: {unread}"
-    assert sum(len(dataclasses.fields(config)) for config in configs) == 54
+    assert sum(len(dataclasses.fields(config)) for config in configs) == 35
 
 
 def test_src_line_budget():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.assembly.registry import registry
-from repro.config import DAEMON_LOW_WATER_DEFAULTS, FlushConfig
+from repro.config import FlushConfig
 from repro.core.cache import BlockCache
 from repro.core.flush import (
     NvramPolicy,
@@ -17,7 +17,8 @@ from repro.errors import ConfigurationError
 from tests.conftest import run
 
 
-def make_cache_with_policy(scheduler, flush_config, blocks=16):
+def make_cache_with_policy(scheduler, flush_config, blocks=16, daemon_low_water=None):
+    """``daemon_low_water`` overrides the policy's own low water."""
     cache = BlockCache(scheduler, CacheConfig(size_bytes=blocks * 4096), with_data=False)
     written = []
 
@@ -28,6 +29,8 @@ def make_cache_with_policy(scheduler, flush_config, blocks=16):
 
     cache.writeback = writeback
     policy = registry.create("flush", flush_config.policy, flush_config)
+    if daemon_low_water is not None:
+        policy.daemon_low_water = daemon_low_water
     policy.attach(cache, scheduler)
     return cache, policy, written
 
@@ -173,8 +176,8 @@ def test_periodic_policy_counts_flushes(scheduler):
 
 
 def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
-    config = FlushConfig(policy="ups", daemon_low_water=0.5)
-    cache, policy, written = make_cache_with_policy(scheduler, config, blocks=8)
+    config = FlushConfig(policy="ups")
+    cache, policy, written = make_cache_with_policy(scheduler, config, blocks=8, daemon_low_water=0.5)
     # Fill the cache with dirty data, no two blocks adjacent: the one extent
     # the allocation demands is one block, the rest is the daemon's to restock.
     dirty_blocks(scheduler, cache, 3, 8, stride=2)
@@ -210,8 +213,8 @@ def test_daemon_low_water_flushes_ahead_of_demand(scheduler):
 
 
 def test_an_allocation_below_low_water_wakes_the_daemon_before_anyone_stalls(scheduler):
-    config = FlushConfig(policy="periodic", daemon_low_water=0.25)
-    cache, policy, written = make_cache_with_policy(scheduler, config, blocks=16)
+    config = FlushConfig(policy="periodic")
+    cache, policy, written = make_cache_with_policy(scheduler, config, blocks=16, daemon_low_water=0.25)
     assert cache.low_water_blocks == 4
 
     def writer():
@@ -255,22 +258,12 @@ def test_daemon_low_water_default_keeps_demand_only_behaviour(scheduler):
     assert policy.flush_ahead_blocks == 0
 
 
-def test_daemon_low_water_validation():
-    with pytest.raises(ConfigurationError):
-        FlushConfig(daemon_low_water=1.0)
-    with pytest.raises(ConfigurationError):
-        FlushConfig(daemon_low_water=-0.1)
-
-
 def test_daemon_low_water_per_policy_defaults():
-    # Unset (None) resolves to the documented per-policy defaults: periodic
-    # restocks 1/16 of the cache ahead of demand, UPS and NVRAM stay at 0.
-    assert FlushConfig(policy="periodic").resolved_daemon_low_water() == DAEMON_LOW_WATER_DEFAULTS["periodic"] > 0
-    assert FlushConfig(policy="ups").resolved_daemon_low_water() == 0.0
-    assert FlushConfig(policy="nvram").resolved_daemon_low_water() == 0.0
-    # An explicit setting always wins over the default.
-    assert FlushConfig(policy="periodic", daemon_low_water=0.0).resolved_daemon_low_water() == 0.0
-    assert FlushConfig(policy="nvram", daemon_low_water=0.25).resolved_daemon_low_water() == 0.25
+    # Each policy keeps its own low water: periodic restocks 1/16 of the
+    # cache ahead of demand, UPS and NVRAM stay at 0.
+    assert PeriodicUpdatePolicy.daemon_low_water == 1.0 / 16.0
+    assert WriteSavingPolicy.daemon_low_water == 0.0
+    assert NvramPolicy.daemon_low_water == 0.0
 
 
 def test_ups_default_never_flush_aheads_under_sustained_pressure(scheduler):

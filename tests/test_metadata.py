@@ -18,7 +18,6 @@ The contracts pinned here:
 
 import pytest
 
-from repro.config import ClusterConfig
 from repro.core.cluster.placement import ClusterPlacement
 from repro.core.metadata import (
     CrashPoints,
@@ -52,7 +51,6 @@ def make_tier(
     volumes_per_node=1,
     store=None,
     crashpoints=None,
-    config=None,
     **wal_kwargs,
 ):
     total = nodes * volumes_per_node
@@ -60,11 +58,7 @@ def make_tier(
     device = MemoryMetadataDevice(scheduler, store=store)
     wal = WriteAheadLog(scheduler, device, crashpoints=crashpoints, **wal_kwargs)
     manifest_store = ManifestStore(scheduler, device, crashpoints=crashpoints)
-    if config is None:
-        config = ClusterConfig(nodes=nodes)
-    tier = MetadataTier(
-        scheduler, placement, wal, manifest_store, config, crashpoints=crashpoints
-    )
+    tier = MetadataTier(scheduler, placement, wal, manifest_store, crashpoints=crashpoints)
     return tier, placement, device
 
 
@@ -495,9 +489,7 @@ def test_any_wal_prefix_recovers_a_consistent_routing_table(ops, data):
     placement = ClusterPlacement(HashPlacement(NUM_VOLUMES), 2, 2)
     device = MemoryMetadataDevice(scheduler, store=store)
     wal = WriteAheadLog(scheduler, device)
-    tier = MetadataTier(
-        scheduler, placement, wal, ManifestStore(scheduler, device), ClusterConfig(nodes=2)
-    )
+    tier = MetadataTier(scheduler, placement, wal, ManifestStore(scheduler, device))
     run(scheduler, tier.recover)
 
     table = placement.overrides_snapshot()

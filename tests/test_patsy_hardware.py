@@ -5,7 +5,7 @@ import pytest
 from repro.core.driver import IOKind, IORequest
 from repro.errors import ConfigurationError
 from repro.patsy.bus import ScsiBus
-from repro.patsy.diskspec import GENERIC_SMALL_DISK, HP97560, DiskSpec, disk_spec_by_name
+from repro.patsy.diskspec import GENERIC_SMALL_DISK, HP97560, DiskSpec
 from repro.patsy.simdisk import SimulatedDisk
 from repro.patsy.simdriver import SimulatedDiskDriver
 from repro.units import MB
@@ -39,12 +39,6 @@ def test_decompose_roundtrip():
         + sector_in_track
     )
     assert rebuilt == sector
-
-
-def test_disk_spec_lookup():
-    assert disk_spec_by_name("hp97560") is HP97560
-    with pytest.raises(ConfigurationError):
-        disk_spec_by_name("quantum-fireball")
 
 
 def test_disk_spec_validation():

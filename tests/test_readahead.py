@@ -16,6 +16,7 @@ from repro.assembly.bindings import SimulatedBinding
 from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import CacheConfig
+from repro.core.storage.segindex import SegmentIndexConfig
 from repro.pfs.filesystem import PegasusFileSystem
 from repro.pfs.nfs import NfsLoopbackClient, NfsServer
 from repro.units import KB, MB
@@ -23,8 +24,8 @@ from tests.conftest import run
 
 SPEC = StackSpec(cache=CacheConfig(size_bytes=1 * MB))
 BLOCK = 4 * KB
-#: read-ahead's bound on a run (``LayoutConfig.read_coalesce_blocks``).
-AHEAD = SPEC.layout.read_coalesce_blocks
+#: read-ahead's bound on a run, which every stack's LFS runs at its default.
+AHEAD = SegmentIndexConfig().read_coalesce_blocks
 
 
 class Patsy:

@@ -68,13 +68,7 @@ def crash_spec(nodes=2, volumes_per_node=1, placement="hash"):
         layout=LayoutConfig(segment_size=16 * 4 * KB),
         host=HostConfig(num_disks=volumes_per_node),
         array=ArrayConfig(volumes=volumes_per_node, placement=placement),
-        cluster=ClusterConfig(
-            nodes=nodes,
-            rebalance=False,
-            # Small enough that the WAL folds into the manifest mid-workload,
-            # putting manifest.write.* and wal.truncate.pre into the matrix.
-            wal_checkpoint_bytes=256,
-        ),
+        cluster=ClusterConfig(nodes=nodes, rebalance=False),
     )
 
 
@@ -85,7 +79,13 @@ def build_crash_stack(spec, store, crashpoints=None, simulated=False):
         binding = OnlineBinding(
             size_bytes=16 * MB * spec.cluster.nodes, metadata_store=store
         )
-    return build_stack(spec, binding, crashpoints=crashpoints)
+    stack = build_stack(spec, binding, crashpoints=crashpoints)
+    # Small enough that the WAL folds into the manifest mid-workload,
+    # putting manifest.write.* and wal.truncate.pre into the matrix.
+    stack.metadata.checkpoint_bytes = 256
+    if stack.cluster.repairer is not None:
+        stack.cluster.repairer.interval = 0.5
+    return stack
 
 
 def drive_workload(stack, with_data=True):
@@ -381,13 +381,7 @@ def replica_crash_spec():
         flush=spec.flush,
         layout=spec.layout,
         array=spec.array,
-        cluster=ClusterConfig(
-            nodes=3,
-            rebalance=False,
-            wal_checkpoint_bytes=256,
-            replicas=1,
-            repair_interval=0.5,
-        ),
+        cluster=ClusterConfig(nodes=3, rebalance=False, replicas=1),
     )
 
 

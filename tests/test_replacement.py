@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.assembly.registry import registry
-from repro.config import CacheConfig
 from repro.core.blocks import BlockId, BlockState, CacheBlock
 from repro.core.replacement import (
     ArcPolicy,
@@ -291,9 +290,8 @@ def test_factory_rejects_unknown():
 
 def test_factory_forwards_parameters():
     assert SlruPolicy(16, protected_fraction=0.25).protected_capacity == 4
-    knobs = CacheConfig(lru_k=3, twoq_in_fraction=0.5, twoq_out_fraction=1.0)
-    lru_k = registry.create("replacement", "lru-k", 16, config=knobs)
+    lru_k = registry.create("replacement", "lru-k", 16, k=3)
     assert lru_k.k == 3
-    twoq = registry.create("replacement", "2q", 16, config=knobs)
+    twoq = registry.create("replacement", "2q", 16, in_fraction=0.5, out_fraction=1.0)
     assert twoq.k_in == 8
     assert twoq.k_out == 16

@@ -48,13 +48,11 @@ def payload(index: int) -> bytes:
     return bytes((index * 41 + j) % 251 for j in range(FILE_BYTES))
 
 
-def replica_spec(
-    nodes=3,
-    volumes_per_node=1,
-    replicas=1,
-    repair=True,
-    repair_interval=0.5,
-):
+#: a repair interval no test reaches: the repairer never scans on its own.
+PARKED = 1e9
+
+
+def replica_spec(nodes=3, volumes_per_node=1, replicas=1):
     return StackSpec(
         cache=CacheConfig(size_bytes=256 * 4 * KB),
         flush=FlushConfig(policy="periodic"),
@@ -65,18 +63,21 @@ def replica_spec(
             nodes=nodes,
             rebalance=False,
             replicas=replicas,
-            repair=repair,
-            repair_interval=repair_interval,
         ),
     )
 
 
-def build_online(spec, store=None):
+def build_online(spec, store=None, repair_interval=0.5):
+    """The on-line stack of ``spec``; a replicated one's repairer polls
+    every ``repair_interval`` simulated seconds (``PARKED``: never)."""
     binding = OnlineBinding(
         size_bytes=16 * MB * spec.cluster.nodes,
         metadata_store=store if store is not None else DurableStore(),
     )
-    return build_stack(spec, binding)
+    stack = build_stack(spec, binding)
+    if stack.cluster.repairer is not None:
+        stack.cluster.repairer.interval = repair_interval
+    return stack
 
 
 def populate(stack, num_files=NUM_FILES):
@@ -213,7 +214,7 @@ def test_replica_sets_never_colocate(nodes, volumes_per_node, replicas, file_id)
 def test_failover_reads_survive_scrubbed_node_kill():
     """Kill a whole node *and zero its disk images*: every file must still
     read back byte-identical, via the surviving replicas only."""
-    stack = build_online(replica_spec(nodes=3, repair=False))
+    stack = build_online(replica_spec(nodes=3), repair_interval=PARKED)
     files = populate(stack)
     manager = stack.cluster.replication
     assert manager is not None
@@ -320,7 +321,7 @@ def carriers(count, fill):
 
 
 def test_replicated_writeback_is_one_append_per_live_replica_and_none_on_a_dead_one():
-    stack = build_online(replica_spec(nodes=3, repair=False))
+    stack = build_online(replica_spec(nodes=3), repair_interval=PARKED)
     files = populate(stack, num_files=1)
     _path, file_id = files[0]
     scheduler, layout = stack.scheduler, stack.layout
@@ -358,8 +359,7 @@ def test_replicated_writeback_is_one_append_per_live_replica_and_none_on_a_dead_
 def test_clone_copies_a_file_in_segment_sized_appends():
     """Re-replication writes ⌈(k+1)/usable-segment⌉ log appends for a
     k-block file — the shadow inode riding the last — not k + 1."""
-    spec = replica_spec(nodes=3, repair=True, repair_interval=1e9)  # daemon parked
-    stack = build_online(spec)
+    stack = build_online(replica_spec(nodes=3), repair_interval=PARKED)
     populate(stack, num_files=1)
     scheduler, client, layout = stack.scheduler, stack.client, stack.layout
     blocks = 20

@@ -194,7 +194,9 @@ def test_index_config_validation():
         SegmentIndexConfig(sparse_every=0)
     with pytest.raises(ConfigurationError):
         SegmentIndexConfig(bloom_bits=0)
-    assert LayoutConfig(cleaner_candidates=9).index_config().cleaner_candidates == 9
+    # Every stack's LFS runs the defaults.
+    stack = build_stack(_stack_spec(nodes=1), OnlineBinding(size_bytes=16 * MB))
+    assert all(sub.index_config == INDEX for sub in stack.layout.sublayouts)
 
 
 # --------------------------------------------------------------------------- codec
