@@ -130,10 +130,13 @@ class LogStructuredLayout(StorageLayout):
         #: packed several inodes into stays live until the last of them dies.
         self._inode_blocks: dict[int, set[int]] = {}
         # --- segment accounting ------------------------------------------------
-        self.segment_usage: dict[int, int] = {s: 0 for s in range(self.num_segments)}
-        self.segment_mtime: dict[int, float] = {s: 0.0 for s in range(self.num_segments)}
+        # Flat per-segment tables: a volume has tens of thousands of segments.
+        self.segment_usage: list[int] = [0] * self.num_segments
+        self.segment_mtime: list[float] = [0.0] * self.num_segments
         self.segment_summaries: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
-        self.free_segments: set[int] = set(range(self.num_segments))
+        #: one flag per segment (1 = free), and how many are set.
+        self.free_segments = bytearray(b"\x01") * self.num_segments
+        self.free_segment_count = self.num_segments
         # --- in-core state -----------------------------------------------------
         self.next_inode_number = ROOT_INODE_NUMBER
         self._inode_objects: dict[int, Inode] = {}
@@ -188,10 +191,6 @@ class LogStructuredLayout(StorageLayout):
         return -1
 
     @property
-    def free_segment_count(self) -> int:
-        return len(self.free_segments)
-
-    @property
     def free_segment_fraction(self) -> float:
         return self.free_segment_count / self.num_segments
 
@@ -211,9 +210,10 @@ class LogStructuredLayout(StorageLayout):
         self.inode_map.clear()
         self._inode_blocks.clear()
         self._inode_objects.clear()
-        self.segment_usage = {s: 0 for s in range(self.num_segments)}
+        self.segment_usage = [0] * self.num_segments
         self.segment_summaries.clear()
-        self.free_segments = set(range(self.num_segments))
+        self.free_segments = bytearray(b"\x01") * self.num_segments
+        self.free_segment_count = self.num_segments
         self.next_inode_number = ROOT_INODE_NUMBER
         self._checkpoint_location = None
         self._durable_checkpoint = False
@@ -266,14 +266,13 @@ class LogStructuredLayout(StorageLayout):
             self._inode_blocks.setdefault(first, set()).add(number)
         self.next_inode_number = checkpoint["next_inode_number"]
         usage = checkpoint["segment_usage"]
-        self.segment_usage = {s: usage.get(s, 0) for s in range(self.num_segments)}
-        self.free_segments = {
-            s for s in range(self.num_segments) if self.segment_usage[s] == 0
-        }
+        self.segment_usage = [usage.get(s, 0) for s in range(self.num_segments)]
+        self.free_segments = bytearray(live == 0 for live in self.segment_usage)
+        self.free_segment_count = self.free_segments.count(1)
         self._checkpoint_location = (address, nblocks)
         self._durable_checkpoint = True
         self._rebuild_free_heaps()
-        self._live_total = sum(self.segment_usage.values())
+        self._live_total = sum(self.segment_usage)
         # Lazy mount: no summary sweep.  The checkpoint's usage counters are
         # enough to seed the cleaner's utilisation buckets; a segment's
         # summary (and persisted index) is read the first time the cleaner
@@ -284,7 +283,7 @@ class LogStructuredLayout(StorageLayout):
         self.segment_summaries.clear()
         self._owner_bloom = BloomFilter(1 << 14)
         for segment in range(self.num_segments):
-            if segment in self.free_segments:
+            if self.free_segments[segment]:
                 continue
             self._unloaded.add(segment)
             self._buckets.insert(
@@ -624,7 +623,7 @@ class LogStructuredLayout(StorageLayout):
         them) minus the free and the active ones."""
         infos = []
         for segment in range(self.num_segments) if segments is None else segments:
-            if segment in self.free_segments or segment == self._active_segment:
+            if self.free_segments[segment] or segment == self._active_segment:
                 continue
             infos.append(
                 SegmentInfo(
@@ -658,7 +657,7 @@ class LogStructuredLayout(StorageLayout):
 
         Returns ``(blocks_copied, blocks_examined)``.
         """
-        if segment in self.free_segments or segment == self._active_segment:
+        if self.free_segments[segment] or segment == self._active_segment:
             return (0, 0)
         if segment in self._unloaded:
             yield from self._load_segment_summary(segment)
@@ -717,7 +716,8 @@ class LogStructuredLayout(StorageLayout):
         self.segment_usage[segment] = 0
         self.segment_mtime[segment] = self.scheduler.now
         self.segment_summaries.pop(segment, None)
-        self.free_segments.add(segment)
+        self.free_segments[segment] = 1
+        self.free_segment_count += 1
         self._free_push(segment)
         self._indexes.pop(segment, None)
         self._buckets.remove(segment)
@@ -898,7 +898,8 @@ class LogStructuredLayout(StorageLayout):
             crashpoints.hit("lfs.index.write.post")
 
     def _activate_segment(self, segment: int) -> None:
-        self.free_segments.discard(segment)
+        self.free_segments[segment] = 0  # always a _pick_free_segment() result
+        self.free_segment_count -= 1
         self._active_segment = segment
         self._active_offset = 1
         self.segment_summaries[segment] = []
@@ -909,8 +910,9 @@ class LogStructuredLayout(StorageLayout):
 
     def _rebuild_free_heaps(self) -> None:
         self._free_heaps = [[] for _ in range(self.volume.num_disks)]
-        for segment in self.free_segments:
-            self._free_heaps[self._segment_disk[segment]].append(segment)
+        for segment in range(self.num_segments):
+            if self.free_segments[segment]:
+                self._free_heaps[self._segment_disk[segment]].append(segment)
         for heap in self._free_heaps:
             heapq.heapify(heap)
 
@@ -918,7 +920,7 @@ class LogStructuredLayout(StorageLayout):
         heapq.heappush(self._free_heaps[self._segment_disk[segment]], segment)
 
     def _pick_free_segment(self) -> int:
-        if not self.free_segments:
+        if not self.free_segment_count:
             raise NoSpaceLeft("no free LFS segments left (cleaner cannot keep up)")
         # Prefer a segment on a different disk from the last one so that
         # consecutive segment writes can proceed in parallel.  Per-disk min
@@ -929,7 +931,7 @@ class LogStructuredLayout(StorageLayout):
         best: Optional[int] = None
         other: Optional[int] = None
         for disk, heap in enumerate(self._free_heaps):
-            while heap and heap[0] not in free:
+            while heap and not free[heap[0]]:
                 heapq.heappop(heap)  # stale entry: segment was activated
             if not heap:
                 continue

@@ -412,12 +412,12 @@ def test_routed_layout_striped_release_frees_every_volume(scheduler):
     )
     # Blocks alternate volumes: both sub-layouts hold live data.
     live_before = [
-        sum(sub.segment_usage.values()) for sub in layout.sublayouts
+        sum(sub.segment_usage) for sub in layout.sublayouts
     ]
     assert all(live > 0 for live in live_before)
     run(scheduler, layout.release_blocks, inode, 0)
     assert inode.block_map == {}
-    live_after = [sum(sub.segment_usage.values()) for sub in layout.sublayouts]
+    live_after = [sum(sub.segment_usage) for sub in layout.sublayouts]
     # Releasing through the router freed the data on *both* volumes.
     assert all(after < before for after, before in zip(live_after, live_before))
 

@@ -175,13 +175,13 @@ def test_overwrite_kills_old_blocks(scheduler):
     first_address = inode.get_block_address(0)
     first_inode_address = layout.inode_map[inode.number][0]
     # One data block and, right behind it, the inode that maps it.
-    assert sum(layout.segment_usage.values()) == 2
+    assert sum(layout.segment_usage) == 2
     run(scheduler, layout.write_file_blocks, inode, [(0, data_block(b"v2"))])
     # The log never overwrites in place: block and inode moved, the old
     # copies died.
     assert inode.get_block_address(0) != first_address
     assert layout.inode_map[inode.number][0] != first_inode_address
-    assert sum(layout.segment_usage.values()) == 2
+    assert sum(layout.segment_usage) == 2
 
 
 def test_release_blocks_frees_segment_usage(scheduler):
@@ -244,7 +244,7 @@ def test_clean_segment_copies_live_blocks(scheduler):
     free_before = layout.free_segment_count
     copied, examined = run(scheduler, layout.clean_segment, victim_segment)
     assert examined >= copied >= 1
-    assert victim_segment in layout.free_segments
+    assert layout.free_segments[victim_segment]
     assert layout.free_segment_count >= free_before
     # All live block addresses moved out of the cleaned segment.
     assert all(layout.segment_of(addr) != victim_segment for addr in inode.block_map.values())
@@ -255,8 +255,8 @@ def test_segment_infos_exclude_free_and_active(scheduler):
     infos = layout.segment_infos()
     indices = {info.index for info in infos}
     assert layout._active_segment not in indices
-    for segment in layout.free_segments:
-        assert segment not in indices
+    for segment, free in enumerate(layout.free_segments):
+        assert not free or segment not in indices
 
 
 def test_cleaner_policies_choose_sensibly(scheduler):
@@ -407,7 +407,7 @@ def test_a_batch_of_small_files_is_one_write_run_with_shared_inode_blocks(schedu
         (start + k + i // per_block, 1) for i in range(k)
     ]
     assert layout.stats.inodes_written == k
-    assert sum(layout.segment_usage.values()) == k + inode_blocks
+    assert sum(layout.segment_usage) == k + inode_blocks
     if not simulated:
         layout._inode_objects.clear()
         fresh = remounted(scheduler, layout)
@@ -424,15 +424,15 @@ def test_a_shared_inode_block_dies_with_its_last_inode(scheduler):
     run(scheduler, layout.write_files, [(inode, [], True) for inode in inodes])
     shared = layout.inode_map[inodes[0].number][0]
     assert layout._inode_blocks == {shared: {inode.number for inode in inodes}}
-    live = sum(layout.segment_usage.values())
+    live = sum(layout.segment_usage)
     assert live == 1
     for inode in inodes[:2]:
         run(scheduler, layout.write_inode, inode)
         live += 1  # a fresh copy; the shared block still holds a live inode
-        assert sum(layout.segment_usage.values()) == live
+        assert sum(layout.segment_usage) == live
     assert layout._inode_blocks[shared] == {inodes[2].number}
     run(scheduler, layout.free_inode, inodes[2])
-    assert sum(layout.segment_usage.values()) == live - 1
+    assert sum(layout.segment_usage) == live - 1
     assert shared not in layout._inode_blocks
 
 
@@ -454,7 +454,7 @@ def test_cleaner_copies_forward_the_live_inodes_of_a_shared_block(scheduler, sim
     assert layout._inode_blocks[shared] == {b.number, c.number}
     assert victim != layout._active_segment
     run(scheduler, layout.clean_segment, victim)
-    assert victim in layout.free_segments
+    assert layout.free_segments[victim]
     moved = layout.inode_map[b.number][0]
     assert layout.inode_map[c.number] == (moved, 1)  # still sharing, one append
     assert layout.segment_of(moved) != victim
@@ -494,11 +494,11 @@ def test_a_remount_finds_the_last_live_inode_of_a_shared_block(scheduler):
     fresh = remounted(scheduler, layout)
     shared = fresh.inode_map[c.number][0]
     assert fresh.segment_of(shared) == victim and fresh._inode_blocks[shared] == {c.number}
-    live = sum(fresh.segment_usage.values())
+    live = sum(fresh.segment_usage)
     run(scheduler, fresh.clean_segment, victim)
-    assert victim in fresh.free_segments
+    assert fresh.free_segments[victim]
     assert fresh.segment_of(fresh.inode_map[c.number][0]) != victim
-    assert sum(fresh.segment_usage.values()) == live
+    assert sum(fresh.segment_usage) == live
     fresh._inode_objects.clear()
     for f in (a, b, c):
         loaded, head = read_back(scheduler, fresh, f.number)

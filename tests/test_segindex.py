@@ -692,20 +692,21 @@ def test_pick_free_segment_matches_reference_scan(scheduler):
     layout = make_layout(scheduler, segment_blocks=8, disks=3, disk_mb=2)
 
     def reference(last_disk):
-        free = layout.free_segments
+        free = [s for s, flag in enumerate(layout.free_segments) if flag]
         disks = layout._segment_disk
         best = min(free)
         other = [s for s in free if disks[s] != last_disk]
         return min(other) if other else best
 
-    rng_segments = sorted(layout.free_segments)[:12]
+    rng_segments = [s for s, flag in enumerate(layout.free_segments) if flag][:12]
     for segment in rng_segments:
         expected = reference(layout._last_disk)
         assert layout._pick_free_segment() == expected
         layout._activate_segment(expected)
     # Freeing pushes back into the heaps.
     freed = rng_segments[0]
-    layout.free_segments.add(freed)
+    layout.free_segments[freed] = 1
+    layout.free_segment_count += 1
     layout._free_push(freed)
     assert layout._pick_free_segment() == reference(layout._last_disk)
 
@@ -815,7 +816,7 @@ def _check_invariants(layout):
     expected = {
         s
         for s in range(layout.num_segments)
-        if s not in layout.free_segments and s != layout._active_segment
+        if not layout.free_segments[s] and s != layout._active_segment
     }
     assert tracked == expected
     for segment in tracked:
@@ -823,9 +824,11 @@ def _check_invariants(layout):
             layout.segment_usage[segment], capacity
         )
     # Incremental free accounting matches a recount.
-    assert layout._live_total == sum(layout.segment_usage.values())
+    assert layout._live_total == sum(layout.segment_usage)
+    free = {s for s, flag in enumerate(layout.free_segments) if flag}
+    assert layout.free_segment_count == len(free)
     heap_members = {s for heap in layout._free_heaps for s in heap}
-    assert layout.free_segments <= heap_members  # heaps may hold stale extras
+    assert free <= heap_members  # heaps may hold stale extras
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
