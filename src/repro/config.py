@@ -190,10 +190,11 @@ class ClusterConfig:
     simulated network link — per-NIC queueing plus latency and bandwidth,
     charged with the same time discipline as PATSY's SCSI buses.
 
-    A skew monitor watches per-volume load and free space and, when the
-    imbalance passes the configured thresholds, *migrates* files between
-    volumes online: live blocks are copied forward through the cache and
-    the routing entry is flipped atomically.  With ``nodes=1`` (the
+    A skew monitor watches each live volume's load, disk busy time and free
+    space and, when a busy volume's load passes ``imbalance_threshold`` (or
+    a volume runs short of space), *migrates* files to a live volume
+    online: live blocks are copied forward through the cache and the
+    routing entry is flipped atomically.  With ``nodes=1`` (the
     default: a single machine) no network objects or monitor threads exist
     at all, and the metadata tier stays idle until something is journalled.
     """
@@ -204,8 +205,9 @@ class ClusterConfig:
     rebalance: bool = True
     #: how often (simulated seconds) the skew monitor re-examines the volumes.
     rebalance_interval: float = 5.0
-    #: migrate when the busiest volume carries more than this multiple of the
-    #: mean per-volume load over the last interval.
+    #: migrate when the busiest live volume carries more than this multiple
+    #: of the mean live per-volume load over the last interval and its disks
+    #: were busy at least ``rebalance.BUSY_FLOOR`` (half) of that interval.
     imbalance_threshold: float = 2.0
     #: upper bound on file migrations per monitor round.
     max_migrations_per_round: int = 8

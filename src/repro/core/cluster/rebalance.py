@@ -1,11 +1,14 @@
 """Online rebalancing: the skew monitor and the file-migration machinery.
 
 Placement skew is the array's known failure mode (one volume filling up or
-carrying most of the traffic while others idle).  The rebalancer watches
-per-volume load (disk operations over the last interval) and free space,
-and when the imbalance passes the configured thresholds it *migrates* files
-from the overloaded volume to the least-loaded one, online, through the
-ordinary cache and layout paths.
+carrying most of the traffic while others idle).  Each round the
+rebalancer *migrates* files online, through the ordinary cache and layout
+paths, off a volume short of free space or off an overloaded one: more than
+``imbalance_threshold`` times the mean load (disk operations over the
+interval) *and* disks busy at least ``BUSY_FLOOR`` of it — below that there
+is no queue to relieve.  Files go to the least-loaded volume.  Only live
+volumes count: a write flushed to one the fault board reports unavailable
+is dropped.
 
 One migration runs this state machine (all steps through charged I/O, so a
 migration's cost shows up in the measurements like any other traffic):
@@ -33,7 +36,7 @@ schedule (pinned by ``tests/test_cluster.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.config import ClusterConfig
 from repro.core.cluster.placement import ClusterPlacement
@@ -50,6 +53,9 @@ __all__ = ["ClusterRebalancer", "Migration"]
 
 #: migrate off (and never onto) a volume whose free-block fraction is below this.
 FREE_SPACE_LOW_WATER = 0.10
+#: load skew migrates only off a volume whose disks were busy at least this
+#: share of the interval: below it there is no queue for a migration to relieve.
+BUSY_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,6 @@ class ClusterRebalancer:
         self.migrations = 0
         self.blocks_copied = 0
         self.migrations_skipped = 0
-        self._last_ops: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ wiring
 
@@ -115,75 +120,65 @@ class ClusterRebalancer:
 
     # ------------------------------------------------------------------ the monitor
 
-    def _volume_drivers(self, volume: int):
-        return self.layout.sublayouts[volume].volume.drivers
-
-    def _load_snapshot(self) -> List[int]:
-        return [
-            sum(driver.stats.operations for driver in self._volume_drivers(v))
-            for v in range(self.placement.num_volumes)
-        ]
-
-    def _free_fraction(self, volume: int) -> float:
-        sub = self.layout.sublayouts[volume]
-        total = max(sub.volume.total_blocks, 1)
-        return sub.free_blocks / total
+    def _snapshot(self) -> List[Tuple[int, float]]:
+        """Per volume: disk operations so far, and busy seconds per disk."""
+        snapshot = []
+        for sub in self.layout.sublayouts:
+            stats = [driver.stats for driver in sub.volume.drivers]
+            busy = sum(s.busy_time for s in stats) / len(stats)
+            snapshot.append((sum(s.operations for s in stats), busy))
+        return snapshot
 
     def _monitor(self) -> Generator[Any, Any, None]:
-        config = self.config
+        before, since = self._snapshot(), self.scheduler.now
         while True:
-            yield from self.scheduler.sleep(config.rebalance_interval)
+            yield from self.scheduler.sleep(self.config.rebalance_interval)
             self.rounds += 1
-            ops = self._load_snapshot()
-            if self._last_ops is None:
-                delta = list(ops)
-            else:
-                delta = [now - before for now, before in zip(ops, self._last_ops)]
-            self._last_ops = ops
-            yield from self.rebalance_once(delta)
+            snapshot, elapsed = self._snapshot(), self.scheduler.now - since
+            load = [ops - old for (ops, _), (old, _) in zip(snapshot, before)]
+            busy = [(now - old) / elapsed for (_, now), (_, old) in zip(snapshot, before)]
+            before, since = snapshot, self.scheduler.now
+            yield from self.rebalance_once(load, busy)
 
-    def rebalance_once(self, load: List[int]) -> Generator[Any, Any, int]:
-        """One monitor round over per-volume interval loads.
+    def rebalance_once(self, load: List[int], busy: List[float]) -> Generator[Any, Any, int]:
+        """One monitor round over per-volume interval loads (disk
+        operations) and busy fractions (per disk, of the interval).
 
         Returns the number of files migrated.  Exposed separately so tests
         and experiments can drive rounds without the daemon.
         """
-        config = self.config
-        volumes = self.placement.num_volumes
-        if volumes < 2:
+        faults = self.layout.faults
+        live = [v for v in range(len(load)) if not faults.volume_unavailable(v)]
+        if len(live) < 2:
             return 0
-        free = [self._free_fraction(v) for v in range(volumes)]
-        mean_load = sum(load) / volumes
+        subs = self.layout.sublayouts
+        free = {v: subs[v].free_blocks / max(subs[v].volume.total_blocks, 1) for v in live}
+        mean_load = sum(load[v] for v in live) / len(live)
 
         source: Optional[int] = None
-        starved = [v for v in range(volumes) if free[v] < FREE_SPACE_LOW_WATER]
+        starved = [v for v in live if free[v] < FREE_SPACE_LOW_WATER]
         if starved:
             # Free-space pressure beats load skew: migrate off the fullest.
             source = min(starved, key=lambda v: (free[v], v))
         elif mean_load > 0:
-            busiest = max(range(volumes), key=lambda v: (load[v], -v))
-            if load[busiest] > config.imbalance_threshold * mean_load:
+            busiest = max(live, key=lambda v: (load[v], -v))
+            skewed = load[busiest] > self.config.imbalance_threshold * mean_load
+            if skewed and busy[busiest] >= BUSY_FLOOR:
                 source = busiest
         if source is None:
             return 0
-        # The least-loaded volume with the most room — never the source,
-        # and never a volume itself below the free-space low water (moving
-        # files onto a full volume just ping-pongs them back next round).
-        candidates = [
-            v
-            for v in range(volumes)
-            if v != source and free[v] >= FREE_SPACE_LOW_WATER
-        ]
+        # The least-loaded live volume with the most room — never the
+        # source, and never a volume itself below the free-space low water
+        # (moving files onto a full volume just ping-pongs them back).
+        candidates = [v for v in live if v != source and free[v] >= FREE_SPACE_LOW_WATER]
         if not candidates:
             return 0
         target = min(candidates, key=lambda v: (load[v], -free[v], v))
         migrated = 0
         for file_id in self._victims(source):
-            if migrated >= config.max_migrations_per_round:
+            if migrated >= self.config.max_migrations_per_round:
                 break
-            moved = yield from self.migrate_file(file_id, target)
-            if moved:
-                migrated += 1
+            migrated += yield from self.migrate_file(file_id, target)
         return migrated
 
     def _victims(self, source: int) -> List[int]:

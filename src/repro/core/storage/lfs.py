@@ -130,7 +130,6 @@ class LogStructuredLayout(StorageLayout):
         #: packed several inodes into stays live until the last of them dies.
         self._inode_blocks: dict[int, set[int]] = {}
         # --- segment accounting ------------------------------------------------
-        # Flat per-segment tables: a volume has tens of thousands of segments.
         self.segment_usage: list[int] = [0] * self.num_segments
         self.segment_mtime: list[float] = [0.0] * self.num_segments
         self.segment_summaries: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)

@@ -238,13 +238,14 @@ def test_volume_set_rejects_raw_block_io(scheduler):
 # --------------------------------------------------------------------------- equivalence
 
 
-def skewed_trace(seed=3, duration=120.0, directories=1):
+def skewed_trace(seed=3, duration=120.0, directories=1, num_clients=4, mean_think_time=2.0):
     """All traffic lands in ``directories`` directories: with
     directory-affinity placement the load concentrates on that many homes."""
     profile = WorkloadProfile(
         name="cluster-skew",
         duration=duration,
-        num_clients=4,
+        num_clients=num_clients,
+        mean_think_time=mean_think_time,
         initial_files=40,
         directory_count=directories,
         read_fraction=0.7,
@@ -469,7 +470,12 @@ def rebalancing_config(seed=0, rebalance=True):
     )
 
 
-def _rebalancing_run(seed=0, rebalance=True):
+#: the same skew at a load that keeps its home disk busy most of the time;
+#: the default 4-client trace leaves that disk at most 0.4 busy.
+SATURATING = dict(num_clients=8, mean_think_time=0.02)
+
+
+def _rebalancing_run(seed=0, rebalance=True, **trace):
     config = replace(
         rebalancing_config(seed=seed, rebalance=rebalance),
         cluster=replace(
@@ -481,12 +487,12 @@ def _rebalancing_run(seed=0, rebalance=True):
         ),
     )
     simulator = PatsySimulator(config)
-    result = simulator.replay(skewed_trace(seed=5, directories=1), trace_name="skew")
+    result = simulator.replay(skewed_trace(seed=5, directories=1, **trace), trace_name="skew")
     return result
 
 
 def test_rebalancer_migrates_under_directory_skew():
-    result = _rebalancing_run()
+    result = _rebalancing_run(**SATURATING)
     assert result.errors == 0
     rebalancer = result.cluster_stats["rebalancer"]
     assert rebalancer["migrations"] > 0
@@ -501,8 +507,9 @@ def test_rebalancer_migrates_under_directory_skew():
 def test_rebalancing_schedule_is_deterministic():
     """Same seed + same skew ⇒ the identical migration schedule, down to
     the timestamps, and identical end-to-end measurements."""
-    first = _rebalancing_run(seed=1)
-    second = _rebalancing_run(seed=1)
+    first = _rebalancing_run(seed=1, **SATURATING)
+    second = _rebalancing_run(seed=1, **SATURATING)
+    assert first.cluster_stats["migration_schedule"]
     assert first.cluster_stats["migration_schedule"] == second.cluster_stats[
         "migration_schedule"
     ]
@@ -510,8 +517,48 @@ def test_rebalancing_schedule_is_deterministic():
 
 
 def test_rebalancing_changes_with_the_seed_but_replays_cleanly():
-    result = _rebalancing_run(seed=2)
+    result = _rebalancing_run(seed=2, **SATURATING)
     assert result.errors == 0
+
+
+def test_light_skew_does_not_migrate():
+    """Skewed but light: the home disk is never busy half an interval, so
+    there is no queue for a migration to relieve and none runs."""
+    result = _rebalancing_run()
+    assert result.errors == 0
+    assert result.cluster_stats["rebalancer"]["rounds"] > 0
+    assert result.cluster_stats["rebalancer"]["migrations"] == 0
+
+
+@pytest.mark.parametrize(
+    "load, busy, migrates",
+    [
+        # Volume 0 is busiest; the crashed node's volume 1 reads no load.
+        ([40, 0, 5, 5], [0.9, 0.0, 0.1, 0.1], True),
+        # The dead volume holds the highest load of the interval.
+        ([30, 100, 0, 5], [0.9, 1.0, 0.0, 0.1], True),
+        # Skewed, but the busiest live volume's disk idles most of the time.
+        ([40, 0, 5, 5], [0.4, 0.0, 0.1, 0.1], False),
+    ],
+)
+def test_rebalancer_moves_files_only_between_live_volumes(load, busy, migrates):
+    """A crashed node's volume is never a migration source or target:
+    writes flushed there would be dropped, and reads off it fail."""
+    from tests.test_replication import build_online, kill, populate, replica_spec
+
+    stack = build_online(replica_spec(nodes=4, replicas=0))
+    populate(stack, num_files=16)
+    kill(stack, "node_crash", 1)
+    dead = stack.cluster.faults.dead_volumes
+    assert dead == {1}
+    rebalancer = ClusterRebalancer(
+        stack.fs, stack.cluster.placement, stack.spec.cluster, metadata=stack.metadata
+    )
+    moved = run(stack.scheduler, rebalancer.rebalance_once, load, busy)
+    assert (moved > 0) is migrates
+    for migration in rebalancer.schedule:
+        assert migration.source == 0
+        assert migration.target not in dead
 
 
 def test_a_dead_home_volume_serves_the_whole_group_from_the_replica():
