@@ -471,7 +471,7 @@ def rebalancing_config(seed=0, rebalance=True):
 
 
 #: the same skew at a load that keeps its home disk busy most of the time;
-#: the default 4-client trace leaves that disk at most 0.4 busy.
+#: the default 4-client trace leaves that disk at most about 0.4 busy.
 SATURATING = dict(num_clients=8, mean_think_time=0.02)
 
 
