@@ -155,19 +155,17 @@ class BaseFile:
         # the last one, when the write ends inside it: it rides the first
         # block's disk read.
         last_no = span[-1]
-        tail = (
-            (last_no,)
-            if (offset + length) % self.block_size and self._has_old_data(last_no)
-            else ()
-        )
+        end_in_last = (offset + length) - last_no * self.block_size
+        tail = (last_no,) if self._keeps_old_bytes(last_no, 0, end_in_last) else ()
         for block_no in span:
             block_start = block_no * self.block_size
             start_in_block = max(offset, block_start) - block_start
             end_in_block = min(offset + length, block_start + self.block_size) - block_start
             extent = end_in_block - start_in_block
-            whole_block = start_in_block == 0 and extent == self.block_size
             block = yield from self._block_for_write(
-                block_no, whole_block, tail if block_no < last_no else ()
+                block_no,
+                not self._keeps_old_bytes(block_no, start_in_block, end_in_block),
+                tail if block_no < last_no else (),
             )
             block.pin()
             try:
@@ -235,11 +233,12 @@ class BaseFile:
             block_no, whole_block, call_blocks, self.fs.cache.lookup(self.file_id, block_no), False
         )
 
-    def _has_old_data(self, block_no: int) -> bool:
-        return (
-            self.inode.get_block_address(block_no) is not None
-            or block_no * self.block_size < self.inode.size
-        )
+    def _keeps_old_bytes(self, block_no: int, start: int, end: int) -> bool:
+        """Whether writing bytes ``[start, end)`` of ``block_no`` leaves
+        some of its old bytes standing: the file had bytes in the block and
+        the write does not run from the block's first byte to their end."""
+        old_end = min(self.inode.size - block_no * self.block_size, self.block_size)
+        return old_end > 0 and (start > 0 or end < old_end)
 
     def _block_for(
         self,
@@ -251,8 +250,8 @@ class BaseFile:
     ) -> Generator[Any, Any, CacheBlock]:
         """``block`` is what the caller's ``cache.lookup`` of ``block_no``
         just returned.  ``whole_block`` is ``None`` for a read; for a write
-        it says whether the whole block is replaced — then, or with no old
-        data under it, a miss needs no disk read.  ``readahead`` says
+        it says whether the write leaves no old byte of the block standing —
+        then a miss needs no disk read.  ``readahead`` says
         whether a fill may read past ``call_blocks``."""
         cache = self.fs.cache
         while True:
@@ -273,7 +272,7 @@ class BaseFile:
                     self.fs.layout.stats.coalesced_read_hits += 1
                 return block
             block = cache.lookup(self.file_id, block_no)
-        if whole_block is None or (not whole_block and self._has_old_data(block_no)):
+        if not whole_block:
             yield from self._fill(block_no, block, call_blocks, readahead)
         return block
 
