@@ -52,6 +52,7 @@ class CacheBlock:
         "pin_count",
         "busy",
         "read_ahead",
+        "owed",
         "owner",
     )
 
@@ -83,6 +84,12 @@ class CacheBlock:
         #: somebody references it: that first reference is counted as the
         #: cache miss it would have been without the early fill.
         self.read_ahead = False
+        #: set on a block a write changed without reading it first:
+        #: ``(lo, hi, old_end)`` says the file's old bytes ``[0, old_end)``
+        #: of the block are still on disk only, except ``[lo, hi)``, which
+        #: writes replaced.  The owed bytes are read in when a read or the
+        #: writeback needs them; ``None``: nothing owed.
+        self.owed: Optional[tuple[int, int, int]] = None
 
     # -- state queries --------------------------------------------------------
 
@@ -138,6 +145,7 @@ class CacheBlock:
         self.access_history.clear()
         self.busy = False
         self.read_ahead = False
+        self.owed = None
         if self.data is not None:
             # Zero the buffer so stale data never leaks into a new file.
             self.data[:] = bytes(self.size)

@@ -34,7 +34,7 @@ the cache through the public flush interfaces below.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 import repro.core.replacement  # noqa: F401  (registers the built-in "replacement" policies)
@@ -77,6 +77,15 @@ class CacheStatistics:
     #: list nodes examined across all victim selections; divided by
     #: ``evictions`` this measures the (amortised O(1)) eviction cost.
     victim_scan_steps: int = 0
+    #: partial-block writes over uncached old bytes that read nothing and
+    #: left the bytes owed (``CacheBlock.owed``), and where the debts were
+    #: paid: by a read outside the written bytes, by a later write disjoint
+    #: from them, or by the writeback.  The rest were never paid: the block
+    #: got overwritten whole, truncated or deleted first.
+    fills_deferred: int = 0
+    fills_at_read: int = 0
+    fills_at_write: int = 0
+    fills_at_writeback: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -85,26 +94,7 @@ class CacheStatistics:
         return self.hits / self.lookups
 
     def snapshot(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "allocations": self.allocations,
-            "evictions": self.evictions,
-            "blocks_dirtied": self.blocks_dirtied,
-            "blocks_cleaned": self.blocks_cleaned,
-            "writeback_calls": self.writeback_calls,
-            "blocks_written": self.blocks_written,
-            "dirty_blocks_discarded": self.dirty_blocks_discarded,
-            "allocation_stalls": self.allocation_stalls,
-            "nvram_stalls": self.nvram_stalls,
-            "peak_dirty_bytes": self.peak_dirty_bytes,
-            "forced_replacement_flushes": self.forced_replacement_flushes,
-            "ghost_hits": self.ghost_hits,
-            "policy_adaptations": self.policy_adaptations,
-            "victim_scan_steps": self.victim_scan_steps,
-        }
+        return dict(vars(self), hit_rate=self.hit_rate)
 
 
 class BlockCache:
@@ -570,6 +560,11 @@ class BlockCache:
                 block.busy = False
         for block in blocks:
             self.mark_clean(block)
+            if block.owed is not None and not block.pinned:
+                # The writeback could not read its old bytes (dead volume,
+                # no live copy) and left it out: drop it, never keep or
+                # write a block with a hole where those bytes belong.
+                self.invalidate(block)
         self.stats.writeback_calls += 1
         self.stats.blocks_written += len(blocks)
         self.notify_space_available()

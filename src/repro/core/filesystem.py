@@ -25,7 +25,8 @@ from repro.core.namespace import Namespace
 from repro.core.scheduler import Scheduler
 from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.layout import StorageLayout
-from repro.errors import FileSystemError, StorageError
+from repro.core.sync import gather
+from repro.errors import DataUnavailable, FileSystemError, StorageError
 from repro.core.storage.volume import Volume
 
 __all__ = ["FileSystem"]
@@ -137,7 +138,8 @@ class FileSystem:
 
     def _writeback(self, batch: list[tuple[int, list[int]]]) -> Generator[Any, Any, None]:
         """Write one batch — the given cached blocks of each file, and its
-        inode — to disk.
+        inode — to disk, after one gathered read of the old bytes that
+        partial-block writes left owed in them.
 
         Registered with the cache at construction time; every flush —
         policy-driven, NVRAM drain or replacement pressure — funnels through
@@ -157,11 +159,32 @@ class FileSystem:
             ]
             if pairs:
                 files.append((inode, pairs, True))
+        debts = [
+            self._pay_debts(inode, owed)
+            for inode, pairs, _with_inode in files
+            if (owed := [pair for pair in pairs if pair[1].owed is not None])
+        ]
+        if debts:
+            yield from gather(self.scheduler, debts, name="pay-debts")
+            # A block whose debt could not be paid stays out of the write
+            # (the cache then drops it).
+            files = [(i, [p for p in pairs if p[1].owed is None], w) for i, pairs, w in files]
         # Blocks and the inodes that map them: one layout call, which the
         # LFS turns into one log append.
         yield from self.layout.write_files(files)
         for inode, _pairs, _with_inode in files:
             self._dirty_inodes.pop(inode.number, None)
+
+    def _pay_debts(self, inode: Inode, owed: list) -> Generator[Any, Any, None]:
+        """Read the old bytes the blocks ``owed`` of ``inode`` owe in under
+        the new ones; if they are unavailable, the blocks stay owing."""
+        try:
+            yield from self.layout.read_file_blocks(inode, owed)
+        except DataUnavailable:
+            return
+        for _block_no, block in owed:
+            block.owed = None
+            block.owner.stats.fills_at_writeback += 1
 
     def __repr__(self) -> str:
         return (

@@ -123,12 +123,14 @@ class BaseFile:
             end_in_block = min(offset + length, block_start + block_size) - block_start
             extent = end_in_block - start_in_block
             # A plain hit is taken straight from the lookup; anything else
-            # (miss, busy, first touch of a read-ahead block) from the
-            # general path, which starts from that same lookup's answer.
+            # (miss, busy, first touch of a read-ahead block, old bytes
+            # still owed) from the general path, which starts from that
+            # same lookup's answer.
             block = lookup(file_id, block_no)
-            if block is None or block.busy or block.read_ahead:
-                block = yield from self._block_for(
-                    block_no, None, range(block_no + 1, span.stop), block,
+            if block is None or block.busy or block.read_ahead or block.owed is not None:
+                block = yield from self._block_for_read(
+                    block_no, block, start_in_block, end_in_block,
+                    range(block_no + 1, span.stop),
                     span.start in (0, previous, previous - 1),  # a sequential read
                 )
             chunk = yield from copy_out(block, start_in_block, extent)
@@ -148,25 +150,19 @@ class BaseFile:
             raise InvalidArgument("write needs data or an explicit length")
         if length == 0:
             return 0
-        scheduler = self.fs.scheduler
+        block_size = self.block_size
+        lookup, file_id = self.fs.cache.lookup, self.file_id
         written = 0
-        span = block_span(offset, length, self.block_size)
-        # The only other block of the call that can need its old contents is
-        # the last one, when the write ends inside it: it rides the first
-        # block's disk read.
-        last_no = span[-1]
-        end_in_last = (offset + length) - last_no * self.block_size
-        tail = (last_no,) if self._keeps_old_bytes(last_no, 0, end_in_last) else ()
-        for block_no in span:
-            block_start = block_no * self.block_size
+        for block_no in block_span(offset, length, block_size):
+            block_start = block_no * block_size
             start_in_block = max(offset, block_start) - block_start
-            end_in_block = min(offset + length, block_start + self.block_size) - block_start
+            end_in_block = min(offset + length, block_start + block_size) - block_start
             extent = end_in_block - start_in_block
-            block = yield from self._block_for_write(
-                block_no,
-                not self._keeps_old_bytes(block_no, start_in_block, end_in_block),
-                tail if block_no < last_no else (),
-            )
+            # No disk read: a miss gets an empty slot, and the old bytes the
+            # write leaves standing are owed until something needs them.
+            block, fresh = yield from self._block_for(block_no, lookup(file_id, block_no))
+            if fresh or block.owed is not None:
+                yield from self._note_write(block_no, block, fresh, start_in_block, end_in_block)
             block.pin()
             try:
                 if data is not None:
@@ -181,7 +177,7 @@ class BaseFile:
                 block.unpin()
             written += extent
         self.inode.size = max(self.inode.size, offset + length)
-        self.inode.touch_mtime(scheduler.now)
+        self.inode.touch_mtime(self.fs.scheduler.now)
         self.fs.note_inode_dirty(self.inode)
         return written
 
@@ -191,6 +187,12 @@ class BaseFile:
             raise InvalidArgument("cannot truncate to a negative size")
         first_dead_block = (new_size + self.block_size - 1) // self.block_size
         if new_size < self.inode.size:
+            cut = min(self.inode.size, first_dead_block * self.block_size) - new_size
+            if cut and self.fs.cache.with_data:
+                # Zero the cut-off end of the last block, in the cache and
+                # on disk: a later write past the new end must not bring
+                # those bytes back.
+                yield from self.write(new_size, bytes(cut))
             self.fs.cache.invalidate_file(self.file_id, from_block=first_dead_block)
             yield from self.fs.layout.release_blocks(self.inode, first_dead_block)
         self.inode.size = new_size
@@ -215,50 +217,56 @@ class BaseFile:
     # -- cache plumbing ------------------------------------------------------------------
 
     def _block_for_read(
-        self, block_no: int, call_blocks: Iterable[int] = ()
+        self, block_no: int, block: Optional[CacheBlock], start: int, end: int,
+        call_blocks: Iterable[int] = (), readahead: bool = True,
     ) -> Generator[Any, Any, CacheBlock]:
-        """The cache block holding ``block_no``, read from disk on a miss —
-        in the same disk read as whichever of ``call_blocks`` (the blocks
-        the call goes on to need) are missing too."""
-        return self._block_for(
-            block_no, None, call_blocks, self.fs.cache.lookup(self.file_id, block_no), True
-        )
+        """The cache block holding bytes ``[start, end)`` of ``block_no``;
+        ``block`` is what the caller's ``cache.lookup`` of it just returned.
+        A miss, or a block owing old bytes outside ``[start, end)``, is read
+        from disk together with whichever of ``call_blocks`` (the blocks the
+        call goes on to need) are missing too and, with ``readahead``,
+        whatever the layout reads ahead."""
+        block, fresh = yield from self._block_for(block_no, block)
+        owed = block.owed
+        if fresh or (owed is not None and not owed[0] <= start < end <= owed[1]):
+            yield from self._fill(block_no, block, call_blocks, readahead)
+            if owed is not None:
+                block.owner.stats.fills_at_read += 1
+        return block
 
-    def _block_for_write(
-        self, block_no: int, whole_block: bool, call_blocks: Iterable[int] = ()
-    ) -> Generator[Any, Any, CacheBlock]:
-        """The cache block to write ``block_no`` into; a partial write over
-        old data reads the block first (``call_blocks`` as above)."""
-        return self._block_for(
-            block_no, whole_block, call_blocks, self.fs.cache.lookup(self.file_id, block_no), False
-        )
-
-    def _keeps_old_bytes(self, block_no: int, start: int, end: int) -> bool:
-        """Whether writing bytes ``[start, end)`` of ``block_no`` leaves
-        some of its old bytes standing: the file had bytes in the block and
-        the write does not run from the block's first byte to their end."""
-        old_end = min(self.inode.size - block_no * self.block_size, self.block_size)
-        return old_end > 0 and (start > 0 or end < old_end)
+    def _note_write(
+        self, block_no: int, block: CacheBlock, fresh: bool, start: int, end: int
+    ) -> Generator[Any, Any, None]:
+        """Bytes ``[start, end)`` of a ``fresh`` or owing ``block`` are about
+        to be written.  A fresh block owes the old bytes the write leaves
+        standing (``CacheBlock.owed``).  A write overlapping or next to an
+        owing block's written bytes widens them, clearing the debt once they
+        cover every old byte; a write apart from them pays it first."""
+        if fresh:
+            old_end = min(self.inode.size - block_no * self.block_size, self.block_size)
+            if old_end > 0 and (start > 0 or end < old_end):
+                block.owed = (start, end, old_end)
+                block.owner.stats.fills_deferred += 1
+            return
+        lo, hi, old_end = block.owed
+        if end < lo or start > hi:
+            yield from self._fill(block_no, block, (), False)
+            block.owner.stats.fills_at_write += 1
+            return
+        lo, hi = min(lo, start), max(hi, end)
+        block.owed = None if lo == 0 and hi >= old_end else (lo, hi, old_end)
 
     def _block_for(
-        self,
-        block_no: int,
-        whole_block: Optional[bool],
-        call_blocks: Iterable[int],
-        block: Optional[CacheBlock],
-        readahead: bool,
-    ) -> Generator[Any, Any, CacheBlock]:
-        """``block`` is what the caller's ``cache.lookup`` of ``block_no``
-        just returned.  ``whole_block`` is ``None`` for a read; for a write
-        it says whether the write leaves no old byte of the block standing —
-        then a miss needs no disk read.  ``readahead`` says
-        whether a fill may read past ``call_blocks``."""
+        self, block_no: int, block: Optional[CacheBlock]
+    ) -> Generator[Any, Any, tuple[CacheBlock, bool]]:
+        """The cache block of ``block_no``, and whether it was just
+        allocated (empty) for it; ``block`` is what the caller's
+        ``cache.lookup`` of ``block_no`` just returned."""
         cache = self.fs.cache
         while True:
             if block is None:
                 try:
-                    block = yield from cache.allocate(self.file_id, block_no)
-                    break
+                    return (yield from cache.allocate(self.file_id, block_no)), True
                 except CacheError:
                     pass  # Another thread slipped in and cached the block; retry.
             elif block.busy:
@@ -270,18 +278,16 @@ class BaseFile:
                     # disk read it did not need.
                     block.read_ahead = False
                     self.fs.layout.stats.coalesced_read_hits += 1
-                return block
+                return block, False
             block = cache.lookup(self.file_id, block_no)
-        if not whole_block:
-            yield from self._fill(block_no, block, call_blocks, readahead)
-        return block
 
     def _fill(
         self, block_no: int, block: CacheBlock, call_blocks: Iterable[int], readahead: bool
     ) -> Generator[Any, Any, None]:
-        """One layout read for a missed block and for what can ride along:
-        the other missing blocks of the call, and (with ``readahead``)
-        whatever following blocks the layout finds worth reading ahead.
+        """One layout read for a missed block (or one owing old bytes) and
+        for what can ride along: the other missing blocks of the call, and
+        (with ``readahead``) whatever following blocks the layout finds
+        worth reading ahead.
         Those get a slot only if the cache can spare one without flushing;
         all slots are pinned busy while the read is in flight, so a second
         client missing any of them waits for this read instead of issuing
@@ -309,6 +315,7 @@ class BaseFile:
             yield from self.fs.layout.read_file_blocks(
                 self.inode, list(filling), readahead=spare_slot if readahead else None
             )
+            block.owed = None
         except Exception:
             failed = True
             raise
@@ -509,7 +516,8 @@ class MultimediaFile(BaseFile):
         block_interval = self.block_size / max(rate, 1.0)
         block_no = offset // self.block_size
         while not self._stop_streaming and block_no * self.block_size < self.inode.size:
-            yield from self._block_for_read(block_no)
+            cached = self.fs.cache.lookup(self.file_id, block_no)
+            yield from self._block_for_read(block_no, cached, 0, self.block_size)
             yield from self._enforce_budget()
             block_no += 1
             yield from self.fs.scheduler.sleep(block_interval)

@@ -245,7 +245,12 @@ class StorageLayout(ABC):
             for offset, block_no in members:
                 block = slots[block_no]
                 if block.data is not None:
-                    block.data[:size] = raw[offset * size : (offset + 1) * size]
+                    disk = raw[offset * size : (offset + 1) * size]
+                    # Old bytes a block owes land around what writes put
+                    # there, never over it.
+                    lo, hi, old_end = block.owed or (0, 0, size)
+                    block.data[:lo] = disk[:lo]
+                    block.data[hi:old_end] = disk[hi:old_end]
                     block.valid_bytes = block.size
         return sum(len(members) for _address, members in runs)
 

@@ -132,11 +132,17 @@ def test_a_random_reader_reads_exactly_the_blocks_it_asked_for(cold_file):
 
 def test_a_partial_block_write_fills_only_the_blocks_it_needs(cold_file):
     world = cold_file(16)
-    # Inside block 3: that block alone is read before it is changed.
-    assert cost(world, world.write, (3 * BLOCK + 100, b"x" * 200)) == (1, 1, 0)
-    # Blocks 5 to 7, starting and ending inside a block: those two, in one
-    # disk read through block 6, which is not kept; block 7 rode block 5's.
-    assert cost(world, world.write, (5 * BLOCK + 100, b"y" * (2 * BLOCK))) == (1, 2, 1)
+    # A write reads nothing: inside block 3, and over blocks 5 to 7 (block 6
+    # replaced whole), the blocks it changes owe their old bytes instead.
+    assert cost(world, world.write, (3 * BLOCK + 100, b"x" * 200)) == (0, 0, 0)
+    assert cost(world, world.write, (5 * BLOCK + 100, b"y" * (2 * BLOCK))) == (0, 0, 0)
+    # A read outside the written bytes pays its block's debt, and that alone.
+    assert reads_of(world, (3 * BLOCK, 100)) == (1, 1, 0)
+    # Inside them it is a hit.
+    assert reads_of(world, (5 * BLOCK + 200, 100)) == (0, 0, 0)
+    # The sync pays blocks 5 and 7 in one disk read through block 6, which
+    # is not kept.
+    assert cost(world, lambda: run(world.fs.scheduler, world.fs.sync), ()) == (1, 2, 0)
     assert read_ahead_slots(world) == []
     world.read(0, 16 * BLOCK)
 
