@@ -289,6 +289,10 @@ class ClusterRebalancer:
 
         try:
             for _attempt in range(8):
+                if any(b.owed is not None for b in cache.cached_blocks_of(file_id)):
+                    # Old bytes a block owes sit at addresses the flip
+                    # drops: the writeback reads them in.
+                    yield from cache.flush_file(file_id)
                 # -- PULL: every live block into the cache, old routing.
                 block_nos = sorted(
                     set(inode.block_map)
@@ -361,14 +365,16 @@ class ClusterRebalancer:
                 }
                 # A concurrent flush clearing ``busy`` can let a pulled
                 # block be evicted before we get here: every on-disk block
-                # must be back in the cache, and every cached block outside
-                # the target shard needs its landing slot — else go again.
+                # must be back in the cache, every cached block outside the
+                # target shard needs its landing slot, and a write during the
+                # pull may have left a block owing old bytes — else go again.
                 missing_pull = set(inode.block_map) - moving - set(landed)
                 missing_copy = any(
                     shard is not target and no not in copies
                     for no, _b, shard in to_move
                 )
-                if missing_pull or missing_copy:
+                owing = any(block.owed is not None for _no, block, _shard in to_move)
+                if missing_pull or missing_copy or owing:
                     for _no, block, _shard in pulled:
                         block.busy = False
                     pulled = []

@@ -387,6 +387,34 @@ def test_migration_lands_uncached_blocks_straight_in_the_new_homes_shard():
     assert run(scheduler, read_all) == expected
 
 
+def test_migration_pays_the_old_bytes_a_partial_write_owes_before_the_flip():
+    """A block a write changed in part owes old bytes that sit at the old
+    home's addresses, which the flip drops: they are read in first (real
+    bytes, so a hole would read back as zeros)."""
+    stack = build_online_cluster(nodes=2)
+    scheduler, client = stack.scheduler, stack.client
+    payload = bytes(range(256)) * 96  # 24 KB, six blocks
+    file_id = _online_file(stack, payload)
+    placement = stack.cluster.placement
+    new_home = 1 - placement.volume_of_file(file_id)
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    offset, patch = 2 * 4 * KB + 100, b"\xee" * 200
+    run(scheduler, client.write_file, "/data.bin", offset, patch)
+    assert stack.cache.peek(file_id, 2).owed == (100, 300, 4 * KB)
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster, metadata=stack.metadata)
+    assert run(scheduler, rebalancer.migrate_file, file_id, new_home)
+    expected = payload[:offset] + patch + payload[offset + len(patch) :]
+
+    def read_all():
+        return (yield from client.read_file("/data.bin", 0, len(payload)))
+
+    assert run(scheduler, read_all) == expected
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    assert run(scheduler, read_all) == expected
+
+
 def test_migration_rereads_a_block_rewritten_while_it_was_being_pulled():
     """The straight-from-disk copy is good only while the inode still maps
     the block to the address it was read from."""
