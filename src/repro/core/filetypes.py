@@ -287,11 +287,10 @@ class BaseFile:
         """One layout read for a missed block (or one owing old bytes) and
         for what can ride along: the other missing blocks of the call, and
         (with ``readahead``) whatever following blocks the layout finds
-        worth reading ahead.
-        Those get a slot only if the cache can spare one without flushing;
-        all slots are pinned busy while the read is in flight, so a second
-        client missing any of them waits for this read instead of issuing
-        its own."""
+        worth reading ahead.  Those get a slot only if the cache can spare
+        one without flushing; all slots are pinned busy while the read is in
+        flight, so a second client missing any of them waits for this read
+        instead of issuing its own."""
         cache, file_id = self.fs.cache, self.file_id
         filling: list[tuple[int, CacheBlock]] = []
 

@@ -26,9 +26,9 @@ from repro.errors import ConfigurationError
 from repro.units import MB
 
 #: ``src/**/*.py`` lines once the config knobs nobody set became component
-#: constants (18,817), plus the 44 net lines of writes that owe their old
+#: constants (18,817), plus the 43 net lines of writes that owe their old
 #: bytes instead of reading them; the next simplicity change ratchets it down.
-SRC_LINE_BUDGET = 18_861
+SRC_LINE_BUDGET = 18_860
 
 
 def test_cache_config_defaults_and_blocks():
