@@ -1,7 +1,7 @@
-"""LFS segment indexes: lazy mounts, bounded cleaner scans, coalesced reads.
+"""LFS read and cleaner paths: lazy mounts, bounded cleaner scans, coalesced reads.
 
-Three costs the LSM-style per-segment indexes keep from growing with the
-volume instead of with the work actually requested:
+Three costs the LFS keeps growing with the work actually requested instead
+of with the volume:
 
 * **mount** reads the superblock and the checkpoint, not one summary block
   per non-free segment;
@@ -16,8 +16,7 @@ volume instead of with the work actually requested:
    candidates and wall time per victim selection.
 3. ``cold_read`` — the ``sun4_280`` 10-disk preset replaying a
    write-then-sequential-scan trace through a deliberately small cache:
-   read p50/p95 and disk operations, plus the in-core index memory as a
-   fraction of the cache budget (must stay under 1%).
+   read p50/p95 and disk operations.
 4. ``cluster`` — the same trace on the 4-node cluster preset.
 
 Simulated and counted results land in ``BENCH_lfs_index.json`` at the
@@ -36,7 +35,6 @@ from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind
 from repro.core.scheduler import Scheduler
 from repro.core.storage.lfs import LogStructuredLayout
-from repro.core.storage.segindex import SegmentIndexConfig
 from repro.core.storage.volume import LocalVolume
 from repro.core.blocks import CacheBlock
 from repro.patsy.simulator import PatsySimulator
@@ -44,7 +42,7 @@ from repro.patsy.traces import TraceRecord
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
 
-INDEX = SegmentIndexConfig()
+BOUND = LogStructuredLayout.cleaner_candidate_bound
 BLOCK = 4 * KB
 
 
@@ -189,8 +187,7 @@ def _read_percentiles(result):
 
 def bench_cold_read():
     # scale=0.1: a 12.8 MB cache, deliberately smaller than the ~19 MB scan
-    # working set so every scan read misses — while keeping the cache budget
-    # large enough that the <=1% index-memory bound is a meaningful claim.
+    # working set so every scan read misses.
     config = sun4_280_config(scale=0.1, seed=BENCH_SEED)
     result = PatsySimulator(config).replay(
         scan_trace(files=200), trace_name="lfs-index-scan"
@@ -204,8 +201,6 @@ def bench_cold_read():
         "disk_reads": rollup["layout"]["disk_reads"],
         "cold_read_runs": rollup["layout"]["cold_read_runs"],
         "coalesced_read_hits": rollup["layout"]["coalesced_read_hits"],
-        "index_memory_bytes": rollup["index"]["memory_bytes"],
-        "index_fraction_of_cache": round(rollup["index"]["fraction_of_cache"], 5),
     }
 
 
@@ -267,8 +262,8 @@ def test_lfs_index_read_and_cleaner_path(benchmark):
             f"{timing['microseconds_per_choose']:>8}us ({row['candidates_per_choose']:.0f} cands)"
         )
         # The candidate set is bounded however large the volume.
-        assert row["candidates_per_choose"] <= INDEX.cleaner_candidates
-    assert report["cleaner_scan"][-1]["sealed_segments"] > 4 * INDEX.cleaner_candidates
+        assert row["candidates_per_choose"] <= BOUND
+    assert report["cleaner_scan"][-1]["sealed_segments"] > 4 * BOUND
 
     cold = report["cold_read"]
     print(
@@ -278,6 +273,5 @@ def test_lfs_index_read_and_cleaner_path(benchmark):
     assert cold["cold_read_runs"] > 0 and cold["coalesced_read_hits"] > 0
     # Fewer disk reads than blocks read: extents, not blocks.
     assert cold["disk_reads"] < cold["operations"] / 2
-    assert cold["index_fraction_of_cache"] <= 0.01
 
     print(f"4-node cluster: p50={report['cluster']['latency']['p50'] * 1000:.2f}ms")

@@ -216,12 +216,6 @@ def format_volume_table(
                 f"blocks-copied={layout_rollup.get('cleaner_blocks_copied', 0)} "
                 f"candidate-scans={layout_rollup.get('cleaner_candidate_scans', 0)}"
             )
-        if "index" in rollup:
-            index = rollup["index"]
-            lines.append(
-                f"segment index: {index['memory_bytes']} bytes in core "
-                f"({index['fraction_of_cache'] * 100:.2f}% of cache budget)"
-            )
     return "\n".join(lines)
 
 

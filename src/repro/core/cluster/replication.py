@@ -131,22 +131,12 @@ class ReplicaManager:
         ``like`` is given, loaded from the sub-layout after a remount."""
         shadow = self._shadows.get((file_id, volume))
         if shadow is None:
-            sub = self.layout.sublayouts[volume]
-            # LFS sub-layouts expose an O(1) owner-bloom probe: a False is
-            # authoritative, so the doomed read_inode attempt (a disk read
-            # that ends in StorageError) can be skipped outright.
-            probe = getattr(sub, "may_contain_inode", None)
-            if probe is not None and not probe(file_id):
+            try:
+                shadow = yield from self.layout.sublayouts[volume].read_inode(file_id)
+            except StorageError:
                 if like is None:
                     return None
                 shadow = Inode(number=file_id, kind=like.kind)
-            else:
-                try:
-                    shadow = yield from sub.read_inode(file_id)
-                except StorageError:
-                    if like is None:
-                        return None
-                    shadow = Inode(number=file_id, kind=like.kind)
             self._shadows[(file_id, volume)] = shadow
         return shadow
 

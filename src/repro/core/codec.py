@@ -13,7 +13,7 @@ so that corruption is detected loudly rather than silently.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from repro.core.inode import FileKind, Inode
 from repro.errors import StorageError
@@ -36,16 +36,12 @@ __all__ = [
     "unpack_checkpoint",
     "pack_segment_summary",
     "unpack_segment_summary",
-    "segment_summary_size",
-    "pack_segment_index",
-    "unpack_segment_index",
 ]
 
 SUPERBLOCK_MAGIC = 0x50465331  # "PFS1"
 CHECKPOINT_MAGIC = 0x43484B31  # "CHK1"
 INODE_MAGIC = 0x494E4F31  # "INO1"
 SUMMARY_MAGIC = 0x53554D31  # "SUM1"
-SEGINDEX_MAGIC = 0x53494458  # "SIDX"
 #: the logical-block field of a segment-summary entry for an inode block
 #: shared by several inodes (its owner field names the first of them).
 SHARED_INODE_BLOCK = 0xFFFFFFFF
@@ -317,6 +313,8 @@ def pack_segment_summary(entries: Iterable[tuple[int, int, bool]]) -> bytes:
 
 
 def unpack_segment_summary(data: bytes) -> list[tuple[int, int, bool]]:
+    """Decode a segment summary; bytes past its entries are ignored (images
+    written before the summary block lost its index section carry one)."""
     try:
         magic, count = _SUMMARY_HEADER.unpack_from(data)
     except struct.error as exc:
@@ -324,104 +322,11 @@ def unpack_segment_summary(data: bytes) -> list[tuple[int, int, bool]]:
     if magic != SUMMARY_MAGIC:
         raise StorageError(f"bad segment summary magic 0x{magic:08x}")
     offset = _SUMMARY_HEADER.size
+    if len(data) < offset + count * _SUMMARY_ENTRY.size:
+        raise StorageError(f"segment summary of {count} entries is truncated")
     entries = []
     for _ in range(count):
         inode_number, logical_block, is_inode = _SUMMARY_ENTRY.unpack_from(data, offset)
         offset += _SUMMARY_ENTRY.size
         entries.append((inode_number, logical_block, bool(is_inode)))
     return entries
-
-
-def segment_summary_size(entry_count: int) -> int:
-    """Serialised size of a summary with ``entry_count`` entries (the
-    offset at which a trailing segment-index section begins)."""
-    return _SUMMARY_HEADER.size + entry_count * _SUMMARY_ENTRY.size
-
-
-# --------------------------------------------------------------------------- segment indexes
-#
-# The per-segment LSM-style summary (sparse offset index + bloom filter +
-# live/dead counters) rides in the same block as the segment summary, as a
-# self-describing trailing section.  Blocks written before the index
-# existed simply lack the section; readers rebuild the index from the
-# summary entries in that case.
-
-_SEGINDEX_HEADER = struct.Struct("<IIIIHHHH")  # magic, entries, live, dead,
-#                                               bloom_bits, bloom_hashes,
-#                                               sparse_every, sparse_count
-_SEGINDEX_SPARSE_ENTRY = struct.Struct("<IIBH")  # owner, logical, is_inode, offset
-
-
-def pack_segment_index(
-    entries: int,
-    live: int,
-    dead: int,
-    bloom_bits: int,
-    bloom_hashes: int,
-    bloom_bytes: bytes,
-    sparse_every: int,
-    sparse: Mapping[tuple[int, int, bool], int],
-) -> bytes:
-    """Segment-index section: counters + bloom bits + sampled offsets."""
-    parts = [
-        _SEGINDEX_HEADER.pack(
-            SEGINDEX_MAGIC,
-            entries,
-            live,
-            dead,
-            bloom_bits,
-            bloom_hashes,
-            sparse_every,
-            len(sparse),
-        ),
-        struct.pack("<H", len(bloom_bytes)),
-        bloom_bytes,
-    ]
-    for (owner, logical, is_inode), offset in sorted(sparse.items()):
-        parts.append(
-            _SEGINDEX_SPARSE_ENTRY.pack(owner, logical, 1 if is_inode else 0, offset)
-        )
-    return b"".join(parts)
-
-
-def unpack_segment_index(data: bytes, offset: int = 0) -> Optional[dict]:
-    """Decode a segment-index section starting at ``offset``.
-
-    Returns None when no index section is present (legacy summary block or
-    damaged bytes) — callers then rebuild the index from the summary
-    entries instead of failing the whole block.
-    """
-    try:
-        fields = _SEGINDEX_HEADER.unpack_from(data, offset)
-    except struct.error:
-        return None
-    (magic, entries, live, dead, bloom_bits, bloom_hashes, sparse_every, n_sparse) = fields
-    if magic != SEGINDEX_MAGIC:
-        return None
-    cursor = offset + _SEGINDEX_HEADER.size
-    try:
-        (bloom_len,) = struct.unpack_from("<H", data, cursor)
-        cursor += 2
-        bloom_bytes = bytes(data[cursor : cursor + bloom_len])
-        if len(bloom_bytes) != bloom_len:
-            return None
-        cursor += bloom_len
-        sparse: Dict[tuple[int, int, bool], int] = {}
-        for _ in range(n_sparse):
-            owner, logical, is_inode, entry_offset = _SEGINDEX_SPARSE_ENTRY.unpack_from(
-                data, cursor
-            )
-            cursor += _SEGINDEX_SPARSE_ENTRY.size
-            sparse[(owner, logical, bool(is_inode))] = entry_offset
-    except struct.error:
-        return None
-    return {
-        "entries": entries,
-        "live": live,
-        "dead": dead,
-        "bloom_bits": bloom_bits,
-        "bloom_hashes": bloom_hashes,
-        "bloom_bytes": bloom_bytes,
-        "sparse_every": sparse_every,
-        "sparse": sparse,
-    }

@@ -66,9 +66,10 @@ class LayoutStatistics:
     #: cleaner candidate selections served and candidates handed out.
     cleaner_candidate_scans: int = 0
     cleaner_candidates_considered: int = 0
-    #: segment-index persistence and lazy-summary traffic.
+    #: segment-summary block writes, one per seal in both worlds (the name
+    #: predates the summary block losing its index section).
     index_writes: int = 0
-    index_reads: int = 0
+    #: sealed segments' summary blocks read after a lazy mount.
     lazy_summary_loads: int = 0
     #: cold-read run coalescing: disk reads that fetched more than one file
     #: block, the blocks they fetched beyond their first, and blocks first
@@ -77,8 +78,6 @@ class LayoutStatistics:
     cold_read_runs: int = 0
     cold_read_blocks_coalesced: int = 0
     coalesced_read_hits: int = 0
-    #: reads skipped because a bloom probe proved the data absent.
-    bloom_skips: int = 0
     extra: dict = field(default_factory=dict)
 
 

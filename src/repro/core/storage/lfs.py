@@ -37,13 +37,7 @@ from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
 from repro.core.storage.layout import ReadAhead, ReadRun, StorageLayout, WriteBack
-from repro.core.storage.segindex import (
-    BloomFilter,
-    SegmentIndex,
-    SegmentIndexConfig,
-    UtilisationBuckets,
-    owner_key,
-)
+from repro.core.storage.segindex import UtilisationBuckets
 from repro.core.storage.volume import Volume
 from repro.core.sync import Mutex
 from repro.errors import NoSpaceLeft, StorageError
@@ -88,6 +82,12 @@ class LogStructuredLayout(StorageLayout):
     """Segmented log-structured layout."""
 
     name = "lfs"
+    #: cold-read run length read-ahead stops at (<=1: none; never splits
+    #: asked-for blocks).
+    read_coalesce_blocks = 8
+    #: cleaner candidate-set bound drawn from the utilisation buckets
+    #: (0 = unbounded, i.e. the full segment scan).
+    cleaner_candidate_bound = 64
 
     def __init__(
         self,
@@ -97,7 +97,6 @@ class LogStructuredLayout(StorageLayout):
         segment_blocks: int = 64,
         simulated: bool = False,
         seed: int = 0,
-        index_config: SegmentIndexConfig = SegmentIndexConfig(),
     ):
         super().__init__(scheduler, volume, block_size, simulated=simulated, seed=seed)
         if segment_blocks < 4:
@@ -153,17 +152,14 @@ class LogStructuredLayout(StorageLayout):
         # Incremental total of live blocks across all segments (= what the old
         # free_blocks property recomputed with an O(num_segments) sum).
         self._live_total = 0
-        # --- LSM-style per-segment indexes ------------------------------------
-        self.index_config = index_config
         #: recovery crash points; attached by the assembly builder when a
         #: CrashPoints instance is threaded through the stack.
         self.crashpoints = None
         #: True once a checkpoint is reachable from the superblock (the
         #: recovery floor; crash points only arm past it).
         self._durable_checkpoint = False
-        self._indexes: dict[int, SegmentIndex] = {}
         self._buckets = UtilisationBuckets()
-        #: non-free segments whose summary/index has not been read since
+        #: non-free segments whose summary has not been read since
         #: mount (lazy mount: loaded on first cleaner touch).
         self._unloaded: set[int] = set()
         #: log addresses reserved under the append lock whose disk write has
@@ -171,8 +167,6 @@ class LogStructuredLayout(StorageLayout):
         #: bytes are not on disk yet: read-ahead must stop short of them
         #: (the block itself stays cached until its writeback returns).
         self._unwritten: set[int] = set()
-        #: layout-wide owner bloom: which inode numbers ever hit this log.
-        self._owner_bloom = BloomFilter(1 << 14)
 
     # ------------------------------------------------------------------ geometry helpers
 
@@ -218,11 +212,9 @@ class LogStructuredLayout(StorageLayout):
         self._durable_checkpoint = False
         self._rebuild_free_heaps()
         self._live_total = 0
-        self._indexes.clear()
         self._buckets.clear()
         self._unloaded.clear()
         self._unwritten.clear()
-        self._owner_bloom = BloomFilter(1 << 14)
         if not self.simulated:
             superblock = codec.pack_superblock(
                 self.block_size, self.segment_blocks, self.volume.total_blocks, 0, 0
@@ -274,13 +266,10 @@ class LogStructuredLayout(StorageLayout):
         self._live_total = sum(self.segment_usage)
         # Lazy mount: no summary sweep.  The checkpoint's usage counters are
         # enough to seed the cleaner's utilisation buckets; a segment's
-        # summary (and persisted index) is read the first time the cleaner
-        # touches it.
-        self._indexes.clear()
+        # summary is read the first time the cleaner touches it.
         self._buckets.clear()
         self._unloaded.clear()
         self.segment_summaries.clear()
-        self._owner_bloom = BloomFilter(1 << 14)
         for segment in range(self.num_segments):
             if self.free_segments[segment]:
                 continue
@@ -292,48 +281,16 @@ class LogStructuredLayout(StorageLayout):
     def _load_segment_summary(self, segment: int) -> Generator[Any, Any, None]:
         """Lazily read one sealed segment's summary block.
 
-        Decodes the summary entries and, when the block carries a persisted
-        index section, the bloom/sparse index; legacy blocks written before
-        index persistence get their index rebuilt from the entries."""
+        A block that cannot be read or decoded raises ``StorageError`` and
+        leaves the segment unloaded: an empty summary would let the cleaner
+        free a segment that still holds live blocks."""
+        raw = yield from self.volume.read_block(self.segment_start(segment))
+        self.stats.disk_reads += 1
+        if raw is None:
+            raise StorageError(f"segment {segment}: summary block returned no data")
+        self.segment_summaries[segment] = codec.unpack_segment_summary(raw)
         self._unloaded.discard(segment)
-        try:
-            raw = yield from self.volume.read_block(self.segment_start(segment))
-            self.stats.disk_reads += 1
-        except StorageError:
-            raw = None
         self.stats.lazy_summary_loads += 1
-        entries: list[tuple[int, int, bool]] = []
-        packed = None
-        if raw is not None:
-            try:
-                entries = codec.unpack_segment_summary(raw)
-                packed = codec.unpack_segment_index(
-                    raw, codec.segment_summary_size(len(entries))
-                )
-            except StorageError:
-                entries = []
-        self.segment_summaries[segment] = entries
-        live = self.segment_usage[segment]
-        if packed is not None and packed["sparse_every"] == self.index_config.sparse_every:
-            self.stats.index_reads += 1
-            index = SegmentIndex(
-                self.index_config,
-                self.segment_blocks - 1,
-                bloom=BloomFilter.from_bytes(
-                    packed["bloom_bytes"], packed["bloom_bits"], packed["bloom_hashes"]
-                ),
-                sparse=dict(packed["sparse"]),
-                entries=packed["entries"],
-                live=min(max(live, 0), packed["entries"]),
-            )
-            index.dead = index.entries - index.live
-        else:
-            index = SegmentIndex.rebuild(
-                self.index_config, self.segment_blocks - 1, entries, live
-            )
-        self._indexes[segment] = index
-        for owner, _logical, _is_inode in entries:
-            self._owner_bloom.add(owner_key(owner))
 
     def checkpoint(self) -> Generator[Any, Any, None]:
         """Append a checkpoint to the log and point the superblock at it."""
@@ -477,7 +434,7 @@ class LogStructuredLayout(StorageLayout):
         ``read_coalesce_blocks`` file blocks: that bound is on read-ahead
         alone (0 or 1: none), never on the blocks the call asked for.
         """
-        limit = self.index_config.read_coalesce_blocks
+        limit = self.read_coalesce_blocks
         runs: list[ReadRun] = []
         members: list[tuple[int, int]] = []
         start = room = 0
@@ -603,7 +560,6 @@ class LogStructuredLayout(StorageLayout):
             self._inode_blocks[addresses[0]] = {inode.number for inode in group}
             for inode in group:
                 self.inode_map[inode.number] = (addresses[0], nblocks)
-                self._owner_bloom.add(owner_key(inode.number))
         self.stats.inodes_written += len(inodes)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
@@ -638,14 +594,15 @@ class LogStructuredLayout(StorageLayout):
         """Bounded cleaner candidate set.
 
         Candidates come from the incrementally maintained utilisation
-        buckets — the emptiest segments first, at most ``cleaner_candidates``
-        of them — so a cleaner wakeup costs O(bound) instead of rebuilding an
-        O(num_segments) info list.  Greedy's global minimum always lies in
-        the lowest occupied bucket; cost-benefit's age term may in rare cases
-        prefer a segment outside the bound (the usual LSM-compaction
-        approximation).  A bound of 0 scans every segment.
+        buckets — the emptiest segments first, at most
+        ``cleaner_candidate_bound`` of them — so a cleaner wakeup costs
+        O(bound) instead of rebuilding an O(num_segments) info list.
+        Greedy's global minimum always lies in the lowest occupied bucket;
+        cost-benefit's age term may in rare cases prefer a segment outside
+        the bound (the usual LSM-compaction approximation).  A bound of 0
+        scans every segment.
         """
-        bound = self.index_config.cleaner_candidates
+        bound = self.cleaner_candidate_bound
         infos = self.segment_infos(self._buckets.candidates(bound) if bound > 0 else None)
         self.stats.cleaner_candidate_scans += 1
         self.stats.cleaner_candidates_considered += len(infos)
@@ -718,7 +675,6 @@ class LogStructuredLayout(StorageLayout):
         self.free_segments[segment] = 1
         self.free_segment_count += 1
         self._free_push(segment)
-        self._indexes.pop(segment, None)
         self._buckets.remove(segment)
         self._unloaded.discard(segment)
         self.stats.cleaner_segments_cleaned += 1
@@ -831,17 +787,9 @@ class LogStructuredLayout(StorageLayout):
             for _owner, _logical, _is_inode, data in batch:
                 parts.append(self._pad(data if data is not None else b""))
             payload = b"".join(parts)
-        summary = self.segment_summaries[segment]
-        index = self._indexes[segment]
-        offset = self._active_offset
-        last_owner = None
-        for owner, logical, is_inode, _data in batch:
-            summary.append((owner, logical, is_inode))
-            index.add(owner, logical, is_inode, offset)
-            if owner != last_owner:
-                self._owner_bloom.add(owner_key(owner))
-                last_owner = owner
-            offset += 1
+        self.segment_summaries[segment].extend(
+            (owner, logical, is_inode) for owner, logical, is_inode, _data in batch
+        )
         self.segment_usage[segment] += len(batch)
         self._live_total += len(batch)
         self.segment_mtime[segment] = self.scheduler.now
@@ -866,35 +814,17 @@ class LogStructuredLayout(StorageLayout):
         # LFS), which is outside the recovery harness's contract.
         crashpoints = self.crashpoints if self._durable_checkpoint else None
         payload: Optional[bytes] = None
-        if self.simulated:
-            # The simulated world charges the summary+index block write the
-            # real world performs at every segment seal.
-            self.stats.index_writes += 1
-        else:
-            packed = codec.pack_segment_summary(self.segment_summaries.get(segment, []))
-            index = self._indexes[segment]
-            section = codec.pack_segment_index(
-                index.entries,
-                index.live,
-                index.dead,
-                index.bloom.num_bits,
-                index.bloom.num_hashes,
-                index.bloom.to_bytes(),
-                index.config.sparse_every,
-                index.sparse,
+        if not self.simulated:
+            payload = self._pad(
+                codec.pack_segment_summary(self.segment_summaries.get(segment, []))
             )
-            # Ride in the summary block's slack; absurdly large segment
-            # geometries simply skip persistence (rebuilt from entries).
-            if len(packed) + len(section) <= self.block_size:
-                packed += section
-                self.stats.index_writes += 1
-            payload = self._pad(packed)
+        self.stats.index_writes += 1
         if crashpoints is not None:
-            crashpoints.hit("lfs.index.write.pre")
+            crashpoints.hit("lfs.summary.write.pre")
         yield from self.volume.write_block(self.segment_start(segment), payload)
         self.stats.disk_writes += 1
         if crashpoints is not None:
-            crashpoints.hit("lfs.index.write.post")
+            crashpoints.hit("lfs.summary.write.post")
 
     def _activate_segment(self, segment: int) -> None:
         self.free_segments[segment] = 0  # always a _pick_free_segment() result
@@ -905,7 +835,6 @@ class LogStructuredLayout(StorageLayout):
         self._last_disk = self._segment_disk[segment]
         self._buckets.remove(segment)
         self._unloaded.discard(segment)
-        self._indexes[segment] = SegmentIndex(self.index_config, self.segment_blocks - 1)
 
     def _rebuild_free_heaps(self) -> None:
         self._free_heaps = [[] for _ in range(self.volume.num_disks)]
@@ -950,38 +879,8 @@ class LogStructuredLayout(StorageLayout):
                 usage = self.segment_usage[segment] - 1
                 self.segment_usage[segment] = usage
                 self._live_total -= 1
-                index = self._indexes.get(segment)
-                if index is not None:
-                    index.kill()
                 # O(1): no-op unless the segment crosses a bucket edge.
                 self._buckets.update(segment, usage, self.segment_blocks - 1)
-
-    # ------------------------------------------------------------------ index probes
-
-    def may_contain_inode(self, inode_number: int) -> bool:
-        """O(1) probe: can this log possibly hold ``inode_number``?
-
-        ``False`` is authoritative (the inode never hit this log); ``True``
-        is advisory.  Replication's shadow-inode synthesis uses this to skip
-        doomed ``read_inode`` attempts on fail-over.  Always ``True`` while
-        any segment summary is still unloaded — a bloom must never produce a
-        false negative."""
-        if inode_number in self.inode_map or inode_number in self._inode_objects:
-            return True
-        if self._unloaded:
-            return True
-        if self._owner_bloom.may_contain(owner_key(inode_number)):
-            return True
-        self.stats.bloom_skips += 1
-        return False
-
-    def index_memory_bytes(self) -> int:
-        """Approximate in-core footprint of the segment-index machinery."""
-        total = self._owner_bloom.memory_bytes
-        for index in self._indexes.values():
-            total += index.memory_bytes
-        total += 48 * len(self._buckets)  # bucket dict + _where entries
-        return total
 
     def _chunk(self, payload: bytes, nblocks: int) -> list[bytes]:
         return [

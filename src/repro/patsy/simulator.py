@@ -457,9 +457,6 @@ class PatsySimulator:
             }
             if sub.stats.cleaner_read_runs:
                 layout_entry["cleaner_read_runs"] = sub.stats.cleaner_read_runs
-            index_memory = getattr(sub, "index_memory_bytes", None)
-            if index_memory is not None and index_memory():
-                layout_entry["index_memory_bytes"] = index_memory()
             per_volume[f"vol{v}"] = {
                 "disks": disks,
                 "layout": layout_entry,
@@ -479,16 +476,6 @@ class PatsySimulator:
             ),
         }
         rollup["layout"] = self.layout.combined_stats()
-        index_total = sum(
-            getattr(sub, "index_memory_bytes", lambda: 0)()
-            for sub in self.layout.sublayouts
-        )
-        if index_total:
-            cache_budget = max(1, spec.cache.size_bytes)
-            rollup["index"] = {
-                "memory_bytes": index_total,
-                "fraction_of_cache": index_total / cache_budget,
-            }
         rollup["flush"] = self.flush_policy.stats()
         rollup["governor_wakeups"] = self.flush_policy.governor_wakeups
         rollup["governor_flushes"] = self.flush_policy.governor_flushes

@@ -18,7 +18,6 @@ from repro.core.datamover import DataMover
 from repro.core.filesystem import FileSystem
 from repro.core.scheduler import FifoSchedulingPolicy, Scheduler
 from repro.core.storage.lfs import LogStructuredLayout
-from repro.core.storage.segindex import SegmentIndexConfig
 from repro.core.storage.volume import LocalVolume
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.pfs.filesystem import PegasusFileSystem
@@ -76,7 +75,6 @@ def make_memory_filesystem(
     disk_mb: int = 16,
     flush: FlushConfig | None = None,
     segment_blocks: int = 16,
-    index_config: SegmentIndexConfig = SegmentIndexConfig(),
 ) -> FileSystem:
     """A small real (byte-moving) file system on a memory disk."""
     driver = MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB)
@@ -87,7 +85,6 @@ def make_memory_filesystem(
         block_size=4 * KB,
         segment_blocks=segment_blocks,
         simulated=False,
-        index_config=index_config,
     )
     cache = BlockCache(scheduler, CacheConfig(size_bytes=cache_blocks * 4 * KB), with_data=True)
     datamover = DataMover(charge_time=False)

@@ -16,7 +16,7 @@ from repro.assembly.bindings import SimulatedBinding
 from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import CacheConfig
-from repro.core.storage.segindex import SegmentIndexConfig
+from repro.core.storage.lfs import LogStructuredLayout
 from repro.pfs.filesystem import PegasusFileSystem
 from repro.pfs.nfs import NfsLoopbackClient, NfsServer
 from repro.units import KB, MB
@@ -25,7 +25,7 @@ from tests.conftest import run
 SPEC = StackSpec(cache=CacheConfig(size_bytes=1 * MB))
 BLOCK = 4 * KB
 #: read-ahead's bound on a run, which every stack's LFS runs at its default.
-AHEAD = SegmentIndexConfig().read_coalesce_blocks
+AHEAD = LogStructuredLayout.read_coalesce_blocks
 
 
 class Patsy:

@@ -217,9 +217,9 @@ def test_crash_at_every_step_recovers_byte_identical(nodes, volumes_per_node, pl
     assert any(p.startswith("migrate.") for p in points)
     assert any(p.startswith("wal.") for p in points)
     assert any(p.startswith("manifest.") for p in points)
-    # LFS summary+index writes: only armed past the first durable
-    # checkpoint (before that floor a crash legitimately loses data).
-    assert any(p.startswith("lfs.index.") for p in points)
+    # LFS summary writes: only armed past the first durable checkpoint
+    # (before that floor a crash legitimately loses data).
+    assert any(p.startswith("lfs.summary.") for p in points)
     for point, occurrence in matrix[::MATRIX_STRIDE]:
         store, images = crashed_run(spec, point, occurrence)
         stack = remount(spec, store, images)
@@ -353,7 +353,7 @@ def sweep_batched_sync(spec):
     marks = []
     drive_batched_sync(build_crash_stack(spec, DurableStore(), recording), marks)
     matrix = recording.seen[marks[0] :]
-    assert any(point.startswith("lfs.index.") for point, _ in matrix)
+    assert any(point.startswith("lfs.summary.") for point, _ in matrix)
     survivors = set()
     for point, occurrence in matrix[::MATRIX_STRIDE]:
         store = DurableStore()

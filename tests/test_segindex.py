@@ -1,14 +1,10 @@
-"""The LSM-style LFS segment indexes: blooms, sparse offsets, utilisation
-buckets, lazy mounts and coalesced reads.
+"""The LFS read and cleaner paths: utilisation buckets, lazy mounts,
+segment summaries and coalesced reads.
 
 The property test at the bottom drives a real (byte-moving) layout
 through random write/overwrite/release/clean/checkpoint-remount sequences
-and checks the invariants that make the index safe to consult:
+and checks the invariants the cleaner relies on:
 
-* a segment's bloom never produces a false negative for an entry its
-  summary holds (a negative must be authoritative);
-* every sparse-index sample points at the exact summary offset;
-* the index's live counter equals the segment's usage counter;
 * the utilisation buckets track exactly the sealed non-free segments, each
   in the bucket its usage dictates;
 * the incremental free-block/free-heap accounting matches a from-scratch
@@ -16,8 +12,6 @@ and checks the invariants that make the index safe to consult:
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,33 +32,15 @@ from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind
 from repro.core.scheduler import Scheduler
 from repro.core.storage.lfs import LogStructuredLayout
-from repro.core.storage.segindex import (
-    BloomFilter,
-    SegmentIndex,
-    SegmentIndexConfig,
-    UtilisationBuckets,
-    _mix,
-    entry_key,
-    owner_key,
-)
+from repro.core.storage.segindex import UtilisationBuckets
 from repro.core.storage.volume import LocalVolume
 from repro.core.client import AbstractClientInterface
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import StorageError
 from repro.pfs.diskfile import MemoryBackedDiskDriver
 from repro.units import KB, MB
 from tests.conftest import make_memory_filesystem, run
 
-INDEX = SegmentIndexConfig()
-
-
-def make_layout(
-    scheduler,
-    simulated=False,
-    disk_mb=8,
-    segment_blocks=8,
-    disks=1,
-    index_config=INDEX,
-):
+def make_layout(scheduler, simulated=False, disk_mb=8, segment_blocks=8, disks=1):
     drivers = [
         MemoryBackedDiskDriver(scheduler, size_bytes=disk_mb * MB, name=f"d{i}")
         for i in range(disks)
@@ -76,7 +52,6 @@ def make_layout(
         block_size=4 * KB,
         segment_blocks=segment_blocks,
         simulated=simulated,
-        index_config=index_config,
     )
     run(scheduler, layout.format)
     run(scheduler, layout.mount)
@@ -93,88 +68,6 @@ def data_block(payload=b""):
 # --------------------------------------------------------------------------- units
 
 
-def test_bloom_has_no_false_negatives():
-    bloom = BloomFilter(256)
-    keys = [entry_key(i, i * 3, bool(i & 1)) for i in range(40)]
-    for key in keys:
-        bloom.add(key)
-    assert all(bloom.may_contain(key) for key in keys)
-
-
-def test_bloom_rejects_most_absent_keys():
-    bloom = BloomFilter(8 * 64)
-    for i in range(32):
-        bloom.add(owner_key(i))
-    misses = sum(not bloom.may_contain(owner_key(i)) for i in range(1000, 2000))
-    assert misses > 900  # ~8 bits/key, 4 hashes: fp-rate ~2-3%
-
-
-def test_bloom_bytes_round_trip():
-    bloom = BloomFilter(200, num_hashes=3)
-    for i in range(25):
-        bloom.add(entry_key(i, i, False))
-    clone = BloomFilter.from_bytes(bloom.to_bytes(), bloom.num_bits, bloom.num_hashes)
-    assert clone.bits == bloom.bits
-    assert all(clone.may_contain(entry_key(i, i, False)) for i in range(25))
-
-
-def test_bloom_serialises_like_the_big_int_construction():
-    """The on-disk bytes are those of the original one-integer filter
-    (``bits |= 1 << pos``, little-endian): bit ``i`` in byte ``i >> 3``."""
-    bloom = BloomFilter(203, num_hashes=4)
-    reference = 0
-    for i in range(60):
-        key = entry_key(i % 7, i * 5, bool(i & 1)) if i % 3 else owner_key(i % 7)
-        bloom.add(key)
-        h2 = _mix(key) | 1
-        for probe in range(4):
-            reference |= 1 << ((key + probe * h2) % 203)
-    assert bloom.bits == reference
-    assert bloom.to_bytes() == reference.to_bytes((203 + 7) // 8, "little")
-    assert BloomFilter.from_bytes(bloom.to_bytes(), 203, 4).to_bytes() == bloom.to_bytes()
-    # A section of the wrong length is taken as far as it goes, never indexed past.
-    assert BloomFilter.from_bytes(b"\xff" * 99, 203, 4).to_bytes()[-1] == 0xFF
-    assert BloomFilter.from_bytes(b"\xff", 203, 4).may_contain(owner_key(1)) is False
-
-
-def test_segment_index_adds_the_owner_key_once_per_run_of_one_owner():
-    index = SegmentIndex(SegmentIndexConfig(), capacity=15)
-    reference = BloomFilter(index.bloom.num_bits)
-    for offset, owner in enumerate([4, 4, 4, 9, 4], start=1):
-        index.add(owner, offset, False, offset)
-        reference.add(entry_key(owner, offset, False))
-        reference.add(owner_key(owner))
-    assert index.bloom.to_bytes() == reference.to_bytes()
-
-
-def test_segment_index_counters_and_sparse_samples():
-    index = SegmentIndex(SegmentIndexConfig(sparse_every=2), capacity=15)
-    for offset in range(1, 11):
-        index.add(owner=7, logical_block=offset - 1, is_inode=False, offset=offset)
-    assert index.entries == 10 and index.live == 10 and index.dead == 0
-    # Entries 0, 2, 4, ... were sampled; each points at its exact offset.
-    assert index.find(7, 0) == 1
-    assert index.find(7, 2) == 3
-    assert index.find(7, 1) is None  # unsampled, not absent
-    assert index.may_contain(7, 1)
-    assert index.may_contain_owner(7)
-    for _ in range(4):
-        index.kill()
-    assert index.live == 6 and index.dead == 4
-    assert index.utilisation == 6 / 15
-
-
-def test_segment_index_rebuild_matches_incremental():
-    entries = [(3, i, False) for i in range(6)] + [(4, 0, True)]
-    incremental = SegmentIndex(INDEX, capacity=15)
-    for offset, (owner, logical, is_inode) in enumerate(entries, start=1):
-        incremental.add(owner, logical, is_inode, offset)
-    rebuilt = SegmentIndex.rebuild(INDEX, 15, entries, live=5)
-    assert rebuilt.bloom.bits == incremental.bloom.bits
-    assert rebuilt.sparse == incremental.sparse
-    assert rebuilt.entries == 7 and rebuilt.live == 5 and rebuilt.dead == 2
-
-
 def test_utilisation_buckets_track_and_order():
     buckets = UtilisationBuckets(num_buckets=4)
     buckets.insert(0, live=0, capacity=8)   # bucket 0
@@ -189,56 +82,26 @@ def test_utilisation_buckets_track_and_order():
     assert 0 not in buckets and len(buckets) == 2
 
 
-def test_index_config_validation():
-    with pytest.raises(ConfigurationError):
-        SegmentIndexConfig(sparse_every=0)
-    with pytest.raises(ConfigurationError):
-        SegmentIndexConfig(bloom_bits=0)
-    # Every stack's LFS runs the defaults.
-    stack = build_stack(_stack_spec(nodes=1), OnlineBinding(size_bytes=16 * MB))
-    assert all(sub.index_config == INDEX for sub in stack.layout.sublayouts)
-
-
 # --------------------------------------------------------------------------- codec
 
 
-def test_codec_segment_index_round_trip():
-    index = SegmentIndex(INDEX, capacity=15)
-    for offset in range(1, 9):
-        index.add(5, offset - 1, False, offset)
-    index.kill()
-    packed = codec.pack_segment_index(
-        index.entries, index.live, index.dead,
-        index.bloom.num_bits, index.bloom.num_hashes, index.bloom.to_bytes(),
-        INDEX.sparse_every, index.sparse,
-    )
-    decoded = codec.unpack_segment_index(packed)
-    assert decoded is not None
-    assert decoded["entries"] == 8 and decoded["live"] == 7 and decoded["dead"] == 1
-    assert decoded["sparse_every"] == INDEX.sparse_every
-    assert dict(decoded["sparse"]) == index.sparse
-    clone = BloomFilter.from_bytes(
-        decoded["bloom_bytes"], decoded["bloom_bits"], decoded["bloom_hashes"]
-    )
-    assert clone.bits == index.bloom.bits
+#: the segment-index section every sealed summary block carried before the
+#: section was dropped, as written for the three entries below.
+_OLD_INDEX_SECTION = bytes.fromhex(
+    "5844495303000000030000000000000070000400040001000e00000024a020040101"
+    "0208041000100500000000000000000100"
+)
 
 
-def test_codec_index_absent_or_torn_returns_none():
-    entries = [(1, 0, False), (1, 1, False)]
+def test_codec_summary_decodes_past_an_old_index_section():
+    """Disk images written with the index section still mount: the summary
+    decoder reads its entries and ignores the bytes behind them (but not
+    entries cut short)."""
+    entries = [(5, 0, False), (5, 1, False), (5, 0, True)]
     summary = codec.pack_segment_summary(entries)
-    # A legacy summary block carries no index section.
-    assert codec.unpack_segment_index(summary, len(summary)) is None
-    assert codec.unpack_segment_index(summary + bytes(64), len(summary)) is None
-    index = SegmentIndex(INDEX, capacity=7)
-    index.add(1, 0, False, 1)
-    packed = codec.pack_segment_index(
-        1, 1, 0, index.bloom.num_bits, index.bloom.num_hashes,
-        index.bloom.to_bytes(), INDEX.sparse_every, index.sparse,
-    )
-    # Truncated mid-section: treated as absent, never an exception.
-    assert codec.unpack_segment_index(packed[: len(packed) - 3]) is None
-    # The summary decoder ignores a trailing index section.
-    assert codec.unpack_segment_summary(summary + packed) == entries
+    assert codec.unpack_segment_summary(summary + _OLD_INDEX_SECTION) == entries
+    with pytest.raises(StorageError):
+        codec.unpack_segment_summary(summary[:-1])
 
 
 # --------------------------------------------------------------------------- layout integration
@@ -290,8 +153,7 @@ def test_lazy_mount_defers_summary_reads(scheduler):
     non_free = layout.num_segments - layout.free_segment_count
 
     remounted = LogStructuredLayout(
-        scheduler, layout.volume, block_size=4 * KB, segment_blocks=8,
-        index_config=INDEX,
+        scheduler, layout.volume, block_size=4 * KB, segment_blocks=8
     )
     run(scheduler, remounted.mount)
     # Mount reads the superblock and the checkpoint run — not one summary
@@ -301,20 +163,48 @@ def test_lazy_mount_defers_summary_reads(scheduler):
     assert remounted.stats.lazy_summary_loads == 0
     assert len(remounted._unloaded) >= non_free - 1  # minus the new active
 
-    # The first cleaner touch loads exactly that segment's summary (and its
-    # persisted index, so nothing is rebuilt from entries).
+    # The first cleaner touch loads exactly that segment's summary.
     victim = remounted.cleaner_candidates()[0].index
     run(scheduler, remounted.clean_segment, victim)
     assert remounted.stats.lazy_summary_loads >= 1
-    assert remounted.stats.index_reads >= 1
+
+
+def test_a_damaged_summary_block_leaves_its_segment_live(scheduler):
+    """A summary block that does not decode must not read as an empty
+    segment: cleaning one raises and frees nothing, so the live blocks in
+    it are never handed out for new data."""
+    layout = make_layout(scheduler, segment_blocks=8)
+    inode = _write_file(scheduler, layout, blocks=6)
+    run(scheduler, layout.checkpoint)
+    victim = layout.segment_of(inode.get_block_address(0))
+    summary_address = layout.segment_start(victim)
+    raw = bytearray(run(scheduler, layout.volume.read_block, summary_address))
+    raw[:4] = bytes(4)  # the magic
+    run(scheduler, layout.volume.write_block, summary_address, bytes(raw))
+
+    remounted = LogStructuredLayout(
+        scheduler, layout.volume, block_size=4 * KB, segment_blocks=8
+    )
+    run(scheduler, remounted.mount)
+    live = remounted.segment_usage[victim]
+    assert live == 7  # six data blocks and the inode
+    with pytest.raises(StorageError):
+        run(scheduler, remounted.clean_segment, victim)
+    assert not remounted.free_segments[victim]
+    assert victim in remounted._unloaded
+    assert remounted.segment_usage[victim] == live
+    for i in range(40):
+        other = remounted.allocate_inode(FileKind.REGULAR)
+        run(scheduler, remounted.write_file_blocks, other, [(0, data_block(b"\xee" * 8))])
+    reread = run(scheduler, remounted.read_inode, inode.number)
+    block = data_block()
+    run(scheduler, remounted.read_file_blocks, reread, [(0, block)])
+    assert bytes(block.data[:8]) == b"\x00" * 8
 
 
 def test_cleaner_candidates_bounded_and_contain_greedy_choice(scheduler):
-    layout = make_layout(
-        scheduler,
-        segment_blocks=8,
-        index_config=SegmentIndexConfig(cleaner_candidates=4),
-    )
+    layout = make_layout(scheduler, segment_blocks=8)
+    layout.cleaner_candidate_bound = 4
     inodes = [_write_file(scheduler, layout, blocks=6, payload_base=i) for i in range(5)]
     # Kill most blocks of the first files to spread utilisation.
     for inode in inodes[:3]:
@@ -395,7 +285,7 @@ def _cold_file(scheduler, blocks, cache_blocks=64):
     """A memory file system holding ``/f`` — ``blocks`` blocks, block ``i``
     filled with byte ``i + 1`` — on disk and nowhere in the cache."""
     fs = make_memory_filesystem(
-        scheduler, cache_blocks=cache_blocks, segment_blocks=32, index_config=INDEX
+        scheduler, cache_blocks=cache_blocks, segment_blocks=32
     )
     run(scheduler, fs.mount, True)
     client = AbstractClientInterface(fs, auto_materialize=False)
@@ -419,7 +309,7 @@ def test_a_block_read_ahead_is_the_cache_miss_it_was(scheduler):
     read, and the cache still reports eight misses — a block that arrived
     with another block's read is counted when it is first referenced, as a
     miss for the cache and as a coalesced hit for the layout."""
-    assert INDEX.read_coalesce_blocks == 8
+    assert LogStructuredLayout.read_coalesce_blocks == 8
     fs, client, file = _cold_file(scheduler, blocks=8)
     cache, layout = fs.cache, fs.layout
     hits, misses = cache.stats.hits, cache.stats.misses
@@ -541,7 +431,7 @@ def test_cold_read_runs_through_the_inode_between_two_writebacks(scheduler):
     assert other.get_block_address(1) == first + 3
     assert planned(layout, other, 0) == ([(first, [(0, 0)])], [0])
     assert planned(layout, other, 0, 1)[0] == [(first, [(0, 0)]), (first + 3, [(0, 1)])]
-    layout.index_config = replace(INDEX, read_coalesce_blocks=3)
+    layout.read_coalesce_blocks = 3
     assert planned(layout, inode, 0)[1] == [0, 1, 2]
     # Asked-for blocks past the bound stay in one run, which reads no further.
     runs, fetched = planned(layout, inode, 0, 1, 2, 3)
@@ -623,12 +513,8 @@ def block_maps(draw):
 def test_planned_runs_cover_the_read_once_and_respect_every_bound(case):
     block_map, wanted, unwritten, cached, limit, size_blocks = case
     scheduler = Scheduler(clock=VirtualClock(), seed=7)
-    layout = make_layout(
-        scheduler,
-        segment_blocks=16,
-        disk_mb=1,
-        index_config=replace(INDEX, read_coalesce_blocks=limit),
-    )
+    layout = make_layout(scheduler, segment_blocks=16, disk_mb=1)
+    layout.read_coalesce_blocks = limit
     inode = layout.allocate_inode(FileKind.REGULAR)
     inode.block_map = dict(block_map)
     inode.size = size_blocks * 4 * KB
@@ -677,15 +563,6 @@ def test_planned_runs_cover_the_read_once_and_respect_every_bound(case):
         assert [n for _offset, n in runs[-1][1]][-len(ahead):] == ahead  # the last run, extended
         assert len(runs[-1][1]) <= limit  # ... never past the bound
     assert [n for n in offered if n not in cached] == ahead
-
-
-def test_may_contain_inode_probe(scheduler):
-    layout = make_layout(scheduler, segment_blocks=8)
-    inode = _write_file(scheduler, layout, blocks=2)
-    assert layout.may_contain_inode(inode.number)
-    absent = sum(not layout.may_contain_inode(n) for n in range(50_000, 50_200))
-    assert absent > 150  # blooms: almost all unknown inodes are rejected
-    assert layout.stats.bloom_skips == absent
 
 
 def test_pick_free_segment_matches_reference_scan(scheduler):
@@ -796,21 +673,6 @@ def workload_steps(draw):
 
 def _check_invariants(layout):
     capacity = layout.segment_blocks - 1
-    for segment, entries in layout.segment_summaries.items():
-        index = layout._indexes.get(segment)
-        if index is None:
-            continue
-        for offset, (owner, logical, is_inode) in enumerate(entries, start=1):
-            # Blooms: never a false negative.
-            assert index.may_contain(owner, logical, is_inode)
-            assert index.may_contain_owner(owner)
-            found = index.find(owner, logical, is_inode)
-            if found is not None and (owner, logical, is_inode) not in entries[offset:]:
-                # A sparse sample points at the entry's last occurrence.
-                assert entries[found - 1] == (owner, logical, is_inode)
-        assert index.entries == len(entries)
-        if segment != layout._active_segment:
-            assert index.live == layout.segment_usage[segment]
     # Buckets: exactly the sealed, loaded-or-not, non-free segments.
     tracked = set(layout._buckets._where)
     expected = {
@@ -862,7 +724,6 @@ def test_index_invariants_hold_over_random_histories(steps):
                 layout.volume,
                 block_size=4 * KB,
                 segment_blocks=8,
-                index_config=INDEX,
             )
             run(scheduler, layout.mount)
             inodes = {}  # in-core handles died with the old incarnation
