@@ -81,6 +81,10 @@ class ClusterPlacement(PlacementPolicy):
         #: called with the file id whenever an *existing* entry is dropped
         #: by :meth:`forget` (the metadata tier journals a FORGET record).
         self._forget_hook: Optional[Callable[[int], None]] = None
+        #: called after a file's routing or replica set changed, with its
+        #: id, or with ``None`` when a whole table was replaced (the replica
+        #: manager keeps its under-replicated set current through it).
+        self._changed: Callable[[Optional[int]], None] = lambda file_id: None
 
     # ------------------------------------------------------------------ topology
 
@@ -131,8 +135,9 @@ class ClusterPlacement(PlacementPolicy):
             # needed.  Striped files keep one (their native routing rotates
             # per block, but a migrated file is whole-file resident).
             self._overrides.pop(file_id, None)
-            return
-        self._overrides[file_id] = new_volume
+        else:
+            self._overrides[file_id] = new_volume
+        self._changed(file_id)
 
     def forget(self, file_id: int) -> None:
         """Drop the routing entries of a deleted file.
@@ -145,11 +150,16 @@ class ClusterPlacement(PlacementPolicy):
         """
         dropped = self._overrides.pop(file_id, None) is not None
         dropped |= self._replica_overrides.pop(file_id, None) is not None
-        if dropped and self._forget_hook is not None:
-            self._forget_hook(file_id)
+        if dropped:
+            self._changed(file_id)
+            if self._forget_hook is not None:
+                self._forget_hook(file_id)
 
     def set_forget_hook(self, hook: Optional[Callable[[int], None]]) -> None:
         self._forget_hook = hook
+
+    def set_change_hook(self, hook: Callable[[Optional[int]], None]) -> None:
+        self._changed = hook
 
     # ------------------------------------------------------------------ replication
 
@@ -199,6 +209,7 @@ class ClusterPlacement(PlacementPolicy):
             self._replica_overrides.pop(file_id, None)
         else:
             self._replica_overrides[file_id] = volumes
+        self._changed(file_id)
 
     def replication_conflict(self, file_id: int, volume: int) -> bool:
         """Would homing ``file_id``'s primary on ``volume`` collide with one
@@ -227,6 +238,7 @@ class ClusterPlacement(PlacementPolicy):
             if not (0 <= volume < self.num_volumes):
                 raise ConfigurationError(f"no volume {volume} in this cluster")
         self._overrides = dict(overrides)
+        self._changed(None)
 
     def overrides_snapshot(self) -> Dict[int, int]:
         """A copy of the routing table (checkpoint: what the manifest saves)."""
@@ -239,6 +251,7 @@ class ClusterPlacement(PlacementPolicy):
                 if not (0 <= volume < self.num_volumes):
                     raise ConfigurationError(f"no volume {volume} in this cluster")
         self._replica_overrides = {fid: tuple(vols) for fid, vols in replicas.items()}
+        self._changed(None)
 
     def replica_snapshot(self) -> Dict[int, Tuple[int, ...]]:
         """A copy of the replica routing table (checkpoint)."""

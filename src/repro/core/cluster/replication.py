@@ -112,6 +112,12 @@ class ReplicaManager:
         self._stale: Set[Tuple[int, int]] = set()
         #: every file that ever replicated a write (the repairer's scan set).
         self.files: Set[int] = set()
+        #: the files :meth:`short` holds for, as of fault epoch
+        #: ``_short_epoch``: rebuilt in one pass when the epoch moves,
+        #: otherwise rechecked per file wherever an input of ``short`` changes.
+        self._short: Set[int] = set()
+        self._short_epoch: Optional[int] = None
+        placement.set_change_hook(self._recheck)
         # -- counters
         self.replicated_block_writes = 0
         self.replicated_inode_writes = 0
@@ -145,8 +151,10 @@ class ReplicaManager:
             setattr(shadow, attr, getattr(primary, attr))
 
     def _track(self, inode: Inode) -> None:
-        self.files.add(inode.number)
         self._primaries[inode.number] = inode
+        if inode.number not in self.files:
+            self.files.add(inode.number)
+            self._recheck(inode.number)
 
     def _adopt_live_rset(
         self, file_id: int, rset: Tuple[int, ...]
@@ -209,6 +217,8 @@ class ReplicaManager:
                 rset = yield from self._adopt_live_rset(inode.number, rset)
             for volume in rset:
                 if faults.active and faults.volume_unavailable(volume):
+                    # No recheck: ``short`` already counts the volume out,
+                    # and its heal moves the epoch.
                     self._stale.add((inode.number, volume))
                     self.dropped_replica_writes += len(blocks)
                     faults.note_dropped_write(volume, len(blocks) or 1)
@@ -312,6 +322,7 @@ class ReplicaManager:
         rset = self.placement.replica_set(inode.number)
         for volume in rset:
             self._stale.discard((inode.number, volume))
+            self._recheck(inode.number)
             shadow = self._shadows.pop((inode.number, volume), None)
             if self.faults.active and self.faults.volume_unavailable(volume):
                 continue
@@ -323,6 +334,7 @@ class ReplicaManager:
                     continue
             yield from sub.free_inode(shadow)
         self.files.discard(inode.number)
+        self._recheck(inode.number)
         self._primaries.pop(inode.number, None)
 
     # ------------------------------------------------------------------ reporting
@@ -337,8 +349,27 @@ class ReplicaManager:
             live += 1
         return live <= self.placement.replicas
 
+    def _recheck(self, file_id: Optional[int]) -> None:
+        """An input of :meth:`short` changed for ``file_id`` (``None``: for
+        every file, so the next query rebuilds).  Skipped while the kept
+        set is from an older epoch: the rebuild will see the change."""
+        if file_id is None:
+            self._short_epoch = None
+        elif self._short_epoch == self.faults.epoch:
+            if file_id in self.files and self.short(file_id):
+                self._short.add(file_id)
+            else:
+                self._short.discard(file_id)
+
+    def short_files(self) -> Set[int]:
+        """The files :meth:`short` holds for (the kept set; do not mutate)."""
+        if self._short_epoch != self.faults.epoch:
+            self._short = set(filter(self.short, self.files))
+            self._short_epoch = self.faults.epoch
+        return self._short
+
     def under_replicated_files(self) -> int:
-        return sum(map(self.short, self.files))
+        return len(self.short_files())
 
     def healthy(self, file_id: int) -> bool:
         """Nothing for repair to do: the primary and every replica volume
@@ -432,7 +463,7 @@ class ReplicationRepairer:
             # being created while hardware is down.  Keep scanning until
             # the file set is fully replicated again (or nothing more can
             # be done with the surviving failure domains).
-            if self.faults.active and any(map(self.manager.short, self.manager.files)):
+            if self.faults.active and self.manager.short_files():
                 yield from self.repair_all()
 
     def repair_all(self) -> Generator[Any, Any, None]:
@@ -638,6 +669,7 @@ class ReplicationRepairer:
         manager._shadows[(file_id, replacement)] = shadow
         manager._stale.discard((file_id, bad))
         manager._stale.discard((file_id, replacement))
+        manager._recheck(file_id)
         if bad != replacement:
             manager._shadows.pop((file_id, bad), None)
         self.repaired_copies += 1

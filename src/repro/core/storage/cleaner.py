@@ -11,12 +11,12 @@ the statistics, exactly as in a real LFS).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Optional, Sequence, Set
 
 from repro.assembly.registry import registry
 from repro.core.scheduler import Scheduler, Thread
 from repro.core.storage.lfs import LogStructuredLayout, SegmentInfo
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 
 __all__ = [
     "SegmentCleaner",
@@ -114,6 +114,9 @@ class CleanerDaemon:
         self.node = node
         self.segments_cleaned = 0
         self.blocks_copied = 0
+        #: segments whose summary block could not be read or decoded: left
+        #: unfreed (their live blocks are not known) and never chosen again.
+        self.unreadable_segments: Set[int] = set()
         self.thread: Optional[Thread] = None
 
     def start(self) -> Thread:
@@ -137,11 +140,19 @@ class CleanerDaemon:
         """
         cleaned = 0
         while self.layout.free_segment_fraction < target_fraction:
-            candidates = self.layout.cleaner_candidates(self.scheduler.now)
+            candidates = [
+                info
+                for info in self.layout.cleaner_candidates(self.scheduler.now)
+                if info.index not in self.unreadable_segments
+            ]
             victim = self.policy.choose(candidates, self.scheduler.now)
-            if victim is None:
-                break
-            copied, _examined = yield from self.layout.clean_segment(victim.index)
+            if victim is None or victim.live_blocks >= victim.capacity:
+                break  # a full segment frees nothing: copying it only churns
+            try:
+                copied, _examined = yield from self.layout.clean_segment(victim.index)
+            except StorageError:
+                self.unreadable_segments.add(victim.index)
+                continue
             cleaned += 1
             self.segments_cleaned += 1
             self.blocks_copied += copied

@@ -104,3 +104,49 @@ def test_cleaner_water_mark_validation(scheduler):
 def test_segment_info_utilisation():
     info = SegmentInfo(index=0, live_blocks=3, capacity=6, modified_at=0.0)
     assert info.utilisation == pytest.approx(0.5)
+
+
+def test_a_damaged_summary_block_costs_one_segment_not_the_cleaner(scheduler):
+    """The cleaner daemon skips a segment whose summary block does not
+    decode: it counts the segment, never frees or picks it again, and keeps
+    cleaning the others instead of dying with the error."""
+    layout = make_layout(scheduler, disk_mb=1, segment_blocks=8)
+    inodes = []
+    for i in range(4):
+        inode = layout.allocate_inode(FileKind.REGULAR)
+        run(
+            scheduler,
+            layout.write_file_blocks,
+            inode,
+            [(n, data_block(bytes([i + 1]) * 8)) for n in range(6)],
+        )
+        inodes.append(inode)
+    for inode in inodes[:3]:
+        run(scheduler, layout.release_blocks, inode, 2)
+    run(scheduler, layout.checkpoint)
+    damaged = layout.segment_of(inodes[0].get_block_address(0))
+    summary_address = layout.segment_start(damaged)
+    raw = bytearray(run(scheduler, layout.volume.read_block, summary_address))
+    raw[:4] = bytes(4)  # the magic
+    run(scheduler, layout.volume.write_block, summary_address, bytes(raw))
+
+    remounted = LogStructuredLayout(
+        scheduler, layout.volume, block_size=4 * KB, segment_blocks=8
+    )
+    run(scheduler, remounted.mount)
+    live = remounted.segment_usage[damaged]
+    daemon = CleanerDaemon(
+        scheduler, remounted, GreedyCleaner(), low_water=0.99, high_water=1.0, check_interval=1.0
+    )
+    daemon.start()
+    scheduler.run(until=3.0)
+    assert daemon.thread.alive
+    assert daemon.unreadable_segments == {damaged}
+    assert daemon.segments_cleaned >= 2
+    assert not remounted.free_segments[damaged]
+    assert remounted.segment_usage[damaged] == live
+    for inode in inodes[1:]:
+        reread = run(scheduler, remounted.read_inode, inode.number)
+        block = data_block(b"")
+        run(scheduler, remounted.read_file_blocks, reread, [(0, block)])
+        assert bytes(block.data[:8]) == bytes([inodes.index(inode) + 1]) * 8

@@ -15,6 +15,9 @@ The contract under test, end to end:
   repoints through the metadata WAL.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -457,3 +460,114 @@ def test_simulator_counts_faults_failovers_and_repairs():
         entry["faults"].get("failovers", 0) for entry in stats["per_node"].values()
     )
     assert total_failovers == stats["replication"]["failover_reads"]
+
+
+# --------------------------------------------------------------------------- the kept damage set
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kept_short_set_equals_its_definition_over_random_histories(seed):
+    """Random create / write / delete / sync / crash / disk-failure /
+    partition-and-heal / repair / migration steps on a four-node cluster:
+    after every step the manager's kept set of under-replicated files is
+    exactly the files ``short`` holds for."""
+    rng = random.Random(seed)
+    spec = replica_spec(nodes=4, volumes_per_node=2)
+    spec = replace(
+        spec, cluster=replace(spec.cluster, rebalance=True, rebalance_interval=PARKED)
+    )
+    stack = build_online(spec, repair_interval=PARKED)
+    scheduler, client, fs = stack.scheduler, stack.client, stack.fs
+    manager, repairer = stack.cluster.replication, stack.cluster.repairer
+    rebalancer, faults = stack.cluster.rebalancer, stack.cluster.faults
+    injector = FaultInjector(scheduler, stack.cluster, [])
+    files = {path for path, _file_id in populate(stack)}
+    next_index = len(files)
+    permanent_fault = False
+    partition = None
+
+    def attempt(body, *args):
+        try:
+            run(scheduler, body, *args)
+        except DataUnavailable:
+            pass  # both copies of the file sit on unavailable volumes
+
+    for _step in range(40):
+        action = rng.choice(
+            ["create", "create", "write", "write", "write", "delete", "sync",
+             "fault", "partition", "partition", "blip", "repair", "repair", "migrate"]
+        )
+        if action == "create" or (action in ("write", "delete") and not files):
+            path = f"/r{next_index}"
+            attempt(client.write_file, path, 0, payload(next_index))
+            next_index += 1
+            files.add(path)
+        elif action == "write":
+            for path in rng.sample(sorted(files), min(3, len(files))):
+                attempt(client.write_file, path, rng.randrange(FILE_BYTES), b"w" * 100)
+            if rng.random() < 0.5:
+                attempt(fs.sync)  # the copies miss it while a volume is away
+        elif action == "delete":
+            path = rng.choice(sorted(files))
+            files.discard(path)
+            attempt(client.unlink, path)
+        elif action == "sync":
+            attempt(fs.sync)
+        elif action == "fault" and not permanent_fault:
+            permanent_fault = True
+            if rng.random() < 0.5:
+                event = FaultEvent(scheduler.now, "node_crash", rng.randrange(4))
+            else:
+                event = FaultEvent(scheduler.now, "disk_fail", rng.randrange(8))
+            injector.apply(event)
+        elif action == "blip" and partition is None:
+            # A short partition over synced writes: the copies on the
+            # cut-off node go stale and are re-synced in place afterwards.
+            blip = FaultEvent(scheduler.now, "nic_partition", rng.randrange(4), duration=1.0)
+            injector.apply(blip)
+            for path in rng.sample(sorted(files), min(4, len(files))):
+                attempt(client.write_file, path, 0, b"b" * 100)
+            attempt(fs.sync)
+            injector.heal(blip)
+        elif action == "partition":
+            if partition is None:
+                partition = FaultEvent(
+                    scheduler.now, "nic_partition", rng.randrange(4), duration=1.0
+                )
+                injector.apply(partition)
+            else:
+                injector.heal(partition)
+                partition = None
+                if rng.random() < 0.5:
+                    run(scheduler, repairer.repair_all)  # re-syncs stale copies
+        elif action == "repair":
+            run(scheduler, repairer.repair_all)
+        elif action == "migrate" and manager.files:
+            file_id = rng.choice(sorted(manager.files))
+            live = [v for v in range(8) if not faults.volume_unavailable(v)]
+            attempt(rebalancer.migrate_file, file_id, rng.choice(live))
+        scheduler.run(until=scheduler.now + rng.choice([0.01, 0.3, 1.5]))
+        assert manager.short_files() == {f for f in manager.files if manager.short(f)}
+    assert manager.files and faults.active
+
+
+def test_a_repairer_tick_after_repair_evaluates_short_nowhere():
+    """Once repair has restored every copy, the repairer's once-a-second
+    check while faults stay active reads the kept set: ``short`` is not
+    evaluated for any file."""
+    stack = build_online(replica_spec(nodes=3))
+    populate(stack)
+    manager, repairer = stack.cluster.replication, stack.cluster.repairer
+    kill(stack, "disk_fail", 0)
+    deadline = stack.scheduler.now + 60.0
+    while manager.under_replicated_files() and stack.scheduler.now < deadline:
+        stack.scheduler.run(until=stack.scheduler.now + 1.0, inclusive=True)
+    assert manager.under_replicated_files() == 0
+    stack.scheduler.run(until=stack.scheduler.now + 1.0, inclusive=True)
+    scans = repairer.scans
+    calls = []
+    definition = manager.short
+    manager.short = lambda file_id: calls.append(file_id) or definition(file_id)
+    stack.scheduler.run(until=stack.scheduler.now + 10 * repairer.interval, inclusive=True)
+    assert stack.cluster.faults.active and len(manager.files) > NUM_FILES // 2
+    assert calls == [] and repairer.scans == scans
