@@ -156,6 +156,12 @@ class BlockCache:
         #: an allocation leaving fewer free + clean blocks wakes the flush
         #: daemon without waiting for it (set by the flush policy; 0: never).
         self.low_water_blocks = 0
+        #: set by the NVRAM flush policy when flushing is asynchronous: wakes
+        #: its drain daemon.  A dirtying past ``drain_high_water_bytes``
+        #: calls it without waiting, one that would pass the dirty limit
+        #: calls it and waits for space.  ``None``: the writer flushes itself.
+        self.drain_requester: Optional[Callable[[], None]] = None
+        self.drain_high_water_bytes = 0
 
         self._space_available = scheduler.new_event("cache-space")
         self._io_done = scheduler.new_event("cache-io-done")
@@ -376,7 +382,9 @@ class BlockCache:
         When a dirty-byte limit is configured (the NVRAM experiments) and the
         limit is reached, the caller is stalled while the oldest dirty data
         is drained to disk — this is exactly the "new writes are waiting for
-        the NVRAM to drain" behaviour reported for trace 1b.
+        the NVRAM to drain" behaviour reported for trace 1b.  With a drain
+        daemon (:attr:`drain_requester`) the caller signals it and waits for
+        space; without one it flushes in its own thread.
         """
         if block.block_id is None or block.block_id not in self._index:
             raise CacheError("cannot dirty a block that is not in the cache")
@@ -387,13 +395,16 @@ class BlockCache:
         if block.is_dirty:
             block.record_access(self.scheduler.now)
             return
-        while (
-            self.dirty_limit_bytes is not None
-            and self.dirty_bytes + self.block_size > self.dirty_limit_bytes
-            and self.dirty_count > 0
-        ):
+        limit = self.dirty_limit_bytes
+        if limit is not None and self.dirty_bytes + self.block_size > limit and self._dirty:
+            # One stall per dirtying that waits, however many wake-ups it takes.
             self.stats.nvram_stalls += 1
-            yield from self._flush_oldest_or_wait()
+            while self.dirty_bytes + self.block_size > limit and self._dirty:
+                if self.drain_requester is None:
+                    yield from self._flush_oldest_or_wait()
+                else:
+                    self.drain_requester()
+                    yield from self._space_available.wait()
         self._clean.pop(block.block_id, None)
         block.state = BlockState.DIRTY
         block.dirty_since = self.scheduler.now
@@ -403,6 +414,8 @@ class BlockCache:
         self.stats.blocks_dirtied += 1
         self.stats.peak_dirty_bytes = max(self.stats.peak_dirty_bytes, self.dirty_bytes)
         block.record_access(self.scheduler.now)
+        if self.drain_requester is not None and self.dirty_bytes > self.drain_high_water_bytes:
+            self.drain_requester()
 
     def mark_clean(self, block: CacheBlock) -> None:
         """Move a dirty block back to the clean list (its data is on disk)."""
@@ -507,17 +520,28 @@ class BlockCache:
             return 0
         return (yield from self._writeback_blocks(blocks))
 
-    def flush_oldest(self) -> Generator[Any, Any, int]:
-        """Flush the oldest non-busy dirty block as one :attr:`flush_unit`;
-        returns the number of blocks written (0: nothing flushable)."""
-        victim = self.oldest_dirty()
-        if victim is None:
+    def flush_oldest(self, blocks: int = 1) -> Generator[Any, Any, int]:
+        """Flush the oldest non-busy dirty data as one writeback: a
+        :attr:`flush_unit` around each dirty block in first-dirtied order
+        until the units hold ``blocks`` blocks or more.  Returns the number
+        of blocks written (0: nothing flushable)."""
+        batch: dict[BlockId, CacheBlock] = {}
+        for block in self._dirty.values():
+            if len(batch) >= blocks:
+                break
+            if not block.busy and block.block_id not in batch:
+                batch.update((mate.block_id, mate) for mate in self._unit_of(block))
+        if not batch:
             return 0
-        if self.flush_unit == "file":
-            return (yield from self.flush_file(victim.block_id.file_id))
+        return (yield from self._writeback_blocks(list(batch.values())))
+
+    def _unit_of(self, victim: CacheBlock) -> list[CacheBlock]:
         if self.flush_unit == "block":
-            return (yield from self.flush_block(victim))
-        return (yield from self._writeback_blocks(self._extent_around(victim)))
+            return [victim]
+        if self.flush_unit == "file":
+            mates = self._dirty_of[victim.block_id.file_id].values()
+            return [mate for mate in mates if not mate.busy]
+        return self._extent_around(victim)
 
     def _extent_around(self, victim: CacheBlock) -> list[CacheBlock]:
         """``victim`` and its dirty file-mates at consecutive block numbers

@@ -28,9 +28,10 @@ from repro.units import MB
 #: ``src/**/*.py`` lines once the LFS segment index nothing read (per-segment
 #: blooms, sparse offsets, the on-disk index section) was deleted (18,396),
 #: plus the replica manager's kept set of under-replicated files and the
-#: cleaner daemon skipping a segment whose summary does not decode (+56);
-#: the next simplicity change ratchets it down.
-SRC_LINE_BUDGET = 18_452
+#: cleaner daemon skipping a segment whose summary does not decode (+56),
+#: plus the signalled NVRAM drain daemon writing one batch per wake-up
+#: (+42); the next simplicity change ratchets it down.
+SRC_LINE_BUDGET = 18_494
 
 
 def test_cache_config_defaults_and_blocks():

@@ -127,30 +127,112 @@ def test_nvram_background_drain_keeps_occupancy_below_limit(scheduler):
     cache, policy, written = make_cache_with_policy(scheduler, config, blocks=32)
     dirty_blocks(scheduler, cache, 6, 8)  # exactly at the limit
     scheduler.run(until=5.0)
-    # The write-behind daemon drains below the high-water mark.
+    # Reaching the limit passed the high water: the drain daemon empties it below.
     assert cache.dirty_bytes < 8 * 4096
 
 
+def record_writeback_calls(scheduler, cache) -> list:
+    """Wrap ``cache.writeback`` to log every call as ``(thread name,
+    [(file_id, block_nos), ...])``."""
+    calls: list = []
+    inner = cache.writeback
+
+    def writeback(batch):
+        thread = scheduler.current_thread.name
+        calls.append((thread, [(file_id, tuple(block_nos)) for file_id, block_nos in batch]))
+        yield from inner(batch)
+
+    cache.writeback = writeback
+    return calls
+
+
+def dirty_in_order(scheduler, cache, order):
+    """Dirty the ``(file_id, block_no)`` blocks of ``order``, in order."""
+
+    def body():
+        for file_id, block_no in order:
+            block = yield from cache.allocate(file_id, block_no)
+            yield from cache.mark_dirty(block)
+
+    run(scheduler, body)
+
+
 def test_nvram_flush_unit_is_the_block_or_the_file_never_the_extent():
-    """The paper's two NVRAM experiments keep their granularity on both
-    paths: "partial file" writes the oldest block alone even though its
-    neighbours are dirty, "whole file" every dirty block of its file."""
+    """The paper's two NVRAM experiments keep their granularity in the
+    drain daemon.  Five 3-block files dirtied round robin fill a 16-block
+    NVRAM, so 16 - 12 (low water) = 4 blocks or more must go: "whole file"
+    writes every dirty block of the two oldest files as one batch,
+    "partial file" the oldest block alone, four times, never a dirty
+    neighbour with it."""
     for whole_file in (False, True):
-        # The stall path: a writer outruns a 4-block NVRAM.
+        config = FlushConfig(policy="nvram", nvram_bytes=16 * 4096, whole_file=whole_file)
+        scheduler = Scheduler(clock=VirtualClock(), seed=7)
+        cache, policy, written = make_cache_with_policy(scheduler, config, blocks=32)
+        calls = record_writeback_calls(scheduler, cache)
+        round_robin = [(file_id, no) for no in range(3) for file_id in (1, 2, 3, 4, 5)]
+        dirty_in_order(scheduler, cache, round_robin + [(6, 0)])
+        scheduler.run(until=5.0)
+        assert cache.stats.nvram_stalls == 0
+        if whole_file:
+            assert calls == [("nvram-drain", [(1, (0, 1, 2)), (2, (0, 1, 2))])]
+        else:
+            assert calls == [("nvram-drain", [(file_id, (0,))]) for file_id in (1, 2, 3, 4)]
+        assert policy.policy_flushes == cache.stats.blocks_written == (6 if whole_file else 4)
+        assert cache.dirty_count == (10 if whole_file else 12)
+
+
+def test_nvram_writer_at_the_limit_waits_for_the_drain_daemon():
+    """A writer outrunning a 4-block NVRAM stalls, but every writeback runs
+    in the drain daemon's thread, one writeback call per wake-up, of one
+    unit (4 - 3 (low water) = 1 block or more): the oldest block, or every
+    dirty block of its file."""
+    for whole_file in (False, True):
         config = FlushConfig(policy="nvram", nvram_bytes=4 * 4096, whole_file=whole_file)
         scheduler = Scheduler(clock=VirtualClock(), seed=7)
         cache, policy, written = make_cache_with_policy(scheduler, config)
+        calls = record_writeback_calls(scheduler, cache)
         dirty_blocks(scheduler, cache, 5, 10)
-        assert cache.stats.nvram_stalls > 0 and policy.policy_flushes == 0
-        assert {len(block_nos) for _file, block_nos in written} == ({4} if whole_file else {1})
-        # The drain daemon: occupancy sits at the limit, nobody stalls.
-        config = FlushConfig(policy="nvram", nvram_bytes=8 * 4096, whole_file=whole_file)
-        scheduler = Scheduler(clock=VirtualClock(), seed=7)
-        cache, policy, written = make_cache_with_policy(scheduler, config, blocks=32)
-        dirty_blocks(scheduler, cache, 6, 8)
-        scheduler.run(until=5.0)
-        assert cache.stats.nvram_stalls == 0 and policy.policy_flushes > 0
-        assert [len(block_nos) for _file, block_nos in written] == ([8] if whole_file else [1, 1])
+        assert cache.stats.nvram_stalls > 0
+        assert {thread for thread, _batch in calls} == {"nvram-drain"}
+        assert all(len(batch) == 1 for _thread, batch in calls)
+        assert {len(batch[0][1]) for _thread, batch in calls} == ({4} if whole_file else {1})
+        assert policy.policy_flushes == cache.stats.blocks_written
+        assert cache.stats.writeback_calls == len(calls)
+        assert cache.stats.peak_dirty_bytes <= 4 * 4096
+
+
+def test_a_writer_waiting_through_several_drains_is_one_nvram_stall(scheduler):
+    """Three writers stall at once on a full 4-block NVRAM.  Each drain
+    round frees one block and wakes every waiter; the writer that comes
+    last waits through three writebacks and re-checks after each, but a
+    stall is counted per dirtying that waited, not per wake-up."""
+    config = FlushConfig(policy="nvram", nvram_bytes=4 * 4096, whole_file=False)
+    cache, policy, written = make_cache_with_policy(scheduler, config)
+    dirty_blocks(scheduler, cache, 1, 4, stride=2)
+    waits = {}
+
+    def writer(file_id):
+        block = yield from cache.allocate(file_id, 0)
+        before = cache.stats.writeback_calls
+        yield from cache.mark_dirty(block)
+        waits[file_id] = cache.stats.writeback_calls - before
+
+    threads = [scheduler.spawn(writer, file_id) for file_id in (2, 3, 4)]
+    for thread in threads:
+        scheduler.run_until_complete(thread)
+    assert sorted(waits.values()) == [1, 2, 3]
+    assert cache.stats.nvram_stalls == 3
+    assert cache.dirty_count == 4
+
+
+def test_nvram_without_asynchronous_flushes_in_the_writer_thread(scheduler):
+    config = FlushConfig(policy="nvram", nvram_bytes=4 * 4096, asynchronous=False)
+    cache, policy, written = make_cache_with_policy(scheduler, config)
+    assert cache.drain_requester is None and policy.policy_thread is None
+    calls = record_writeback_calls(scheduler, cache)
+    dirty_blocks(scheduler, cache, 5, 10)
+    assert cache.stats.nvram_stalls > 0 and policy.policy_flushes == 0
+    assert calls and all(thread != "nvram-drain" for thread, _batch in calls)
 
 
 def test_synchronous_flush_mode(scheduler):

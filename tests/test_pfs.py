@@ -476,3 +476,52 @@ def test_sync_writes_a_batch_of_dirty_files_as_one_append_per_volume():
     fresh.mount()
     for path, data in contents.items():
         assert fresh.read_file(path) == data
+
+
+def test_a_small_nvram_drained_many_times_over_keeps_every_byte():
+    """The NVRAM drain daemon in the on-line world: files written, partly
+    overwritten and appended to through an 8-block NVRAM, more than ten
+    times its size in all, read back equal before and after a remount."""
+
+    def nvram_pfs():
+        return PegasusFileSystem(
+            spec=StackSpec(
+                cache=CacheConfig(size_bytes=1 * MB),
+                flush=FlushConfig(policy="nvram", nvram_bytes=8 * 4 * KB),
+                layout=LayoutConfig(segment_size=256 * KB),
+            ),
+            size_bytes=16 * MB,
+        )
+
+    pfs = nvram_pfs()
+    pfs.format()
+    contents = {}
+    written = 0
+    for i in range(10):
+        path = f"/f{i}"
+        contents[path] = bytes((i * 37 + j) % 251 for j in range(24 * KB + 1500 * i))
+        pfs.write_file(path, contents[path])
+        written += len(contents[path])
+    for i in range(0, 10, 3):
+        path = f"/f{i}"
+        patch = bytes([200 + i]) * (6 * KB)
+        handle = pfs.open(path)
+        pfs.write(handle, 5 * KB, patch)
+        pfs.write(handle, len(contents[path]), patch)
+        pfs.close(handle)
+        data = bytearray(contents[path])
+        data[5 * KB : 11 * KB] = patch
+        contents[path] = bytes(data) + patch
+        written += 2 * len(patch)
+    assert written >= 10 * 8 * 4 * KB
+    stats = pfs.cache.stats
+    assert stats.nvram_stalls > 0 and stats.peak_dirty_bytes <= 8 * 4 * KB
+    for path, data in contents.items():
+        assert pfs.read_file(path) == data
+    pfs.unmount()
+    fresh = nvram_pfs()
+    for source, target in zip(pfs.drivers, fresh.drivers):
+        target.restore(source.snapshot())
+    fresh.mount()
+    for path, data in contents.items():
+        assert fresh.read_file(path) == data
