@@ -19,14 +19,14 @@ from repro.patsy.simdriver import SimulatedDiskDriver
 NUM_REQUESTS = 150
 
 
-def run_policy(policy_name: str) -> dict:
+def run_policy(policy_name: str, request_seed: int = 42) -> dict:
     scheduler = Scheduler(clock=VirtualClock(), seed=9)
     bus = ScsiBus(scheduler)
     disk = SimulatedDisk(scheduler, HP97560, bus)
     driver = SimulatedDiskDriver(
         scheduler, disk, bus, io_scheduler=registry.create("iosched", policy_name)
     )
-    rng = random.Random(42)
+    rng = random.Random(request_seed)
     sectors = [rng.randrange(0, disk.num_sectors - 64) for _ in range(NUM_REQUESTS)]
 
     def client(sector):
@@ -43,7 +43,7 @@ def run_policy(policy_name: str) -> dict:
 
 
 def run_all_policies():
-    return {name: run_policy(name) for name in ("fcfs", "clook", "scan", "cscan", "look")}
+    return {name: run_policy(name) for name in registry.names("iosched")}
 
 
 def test_ablation_io_scheduler(benchmark):
