@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -45,6 +46,7 @@ from repro.patsy.simulator import PatsySimulator  # noqa: E402
 from repro.patsy.synthetic import SPRITE_TRACE_NAMES  # noqa: E402
 from repro.patsy.workload import ACCESS_PATTERNS, generate_workload  # noqa: E402
 from repro.units import KB  # noqa: E402
+from tests.test_policy_discrimination import SCAN_VS_HOTSET, TIGHT_LOOP  # noqa: E402
 
 OUTPUT = ROOT / "BENCH_components.json"
 SEEDS = (1, 2, 3)
@@ -146,12 +148,6 @@ def _deep_queue(kind: str, names: List[str], seed: int, workdir: Path) -> Dict[s
     return {name: (1e3 * deep_queue(name, request_seed=seed)["mean_response"], None) for name in names}
 
 
-def _discrimination_profiles():
-    from tests.test_policy_discrimination import SCAN_VS_HOTSET, TIGHT_LOOP
-
-    return SCAN_VS_HOTSET, TIGHT_LOOP
-
-
 def rows(kind: str) -> Dict[str, Callable]:
     table: Dict[str, Callable] = {}
     for workload in wl.SHAPES:
@@ -162,9 +158,8 @@ def rows(kind: str) -> Dict[str, Callable]:
         for pattern in ACCESS_PATTERNS:
             table[f"pattern/{pattern}"] = _small(make_profile(pattern), 40)
         table["ablation/replacement"] = _small(PROFILE, 48)
-        scan_vs_hotset, tight_loop = _discrimination_profiles()
-        table["discrimination/scan-vs-hotset"] = _small(scan_vs_hotset, 32)
-        table["discrimination/tight-loop"] = _small(tight_loop, 64)
+        table["discrimination/scan-vs-hotset"] = _small(SCAN_VS_HOTSET, 32)
+        table["discrimination/tight-loop"] = _small(TIGHT_LOOP, 64)
     else:
         table["queue/deep"] = _deep_queue
     return table
@@ -245,6 +240,13 @@ def document(tables: Dict[str, Dict[str, dict]]) -> dict:
     }
 
 
+def dump(doc: dict) -> str:
+    """JSON with one line per list of values (a value per seed)."""
+    text = json.dumps(doc, indent=1)
+    return re.sub(r"\[\s+([^\[\]{}]*?)\s+\]",
+                  lambda m: "[" + ", ".join(v.strip() for v in m.group(1).split(",")) + "]", text) + "\n"
+
+
 # --------------------------------------------------------------------------- main
 
 
@@ -292,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if name not in names:
                         table[row][name] = values
         tables[kind] = {row: dict(sorted(cells.items())) for row, cells in table.items()}
-    OUTPUT.write_text(json.dumps(document(tables), indent=1) + "\n")
+    OUTPUT.write_text(dump(document(tables)))
     print(f"wrote {OUTPUT}")
     return 0
 
