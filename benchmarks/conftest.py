@@ -29,6 +29,23 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def recorded_ranking(row: str, metric: str, seed: int = BENCH_SEED) -> list:
+    """The registered replacement policies, lowest ``metric`` first, as
+    ``BENCH_components.json`` (``benchmarks/components_matrix.py``) records
+    them on ``row`` at ``seed``."""
+    from repro.assembly.registry import registry
+
+    matrix = json.loads((Path(__file__).resolve().parents[1] / "BENCH_components.json").read_text())
+    cells = matrix["kinds"]["replacement"]["rows"][row]
+    column = matrix["seeds"].index(seed)
+    return ranking({name: {metric: cells[name][metric][column]} for name in registry.names("replacement")}, metric)
+
+
+def ranking(values: dict, metric: str) -> list:
+    """Names ordered by ``values[name][metric]``, lowest first, ties by name."""
+    return sorted(values, key=lambda name: (values[name][metric], name))
+
+
 def write_results(name: str, simulated: dict, host: dict) -> None:
     """Publish one benchmark's numbers at the repository root.
 

@@ -1,4 +1,4 @@
-"""Ablation: disk-queue scheduling policy (FCFS vs. C-LOOK vs. SCAN).
+"""Ablation: disk-queue scheduling policy (FCFS vs. C-LOOK vs. SCAN-EDF).
 
 The production driver uses C-LOOK (Section 3); this ablation shows why —
 under a random-access load with a deep queue, positional ordering beats

@@ -1,11 +1,13 @@
-"""Ablation: cache replacement policies, classic and adaptive.
+"""Ablation: cache replacement policies, the baseline and the adaptive one.
 
 Section 2 lists RR, LFU, SLRU, LRU-K and "adaptive" policies as drop-in
-replacements for the base cache's LRU lists; the event-driven subsystem in
-:mod:`repro.core.replacement` adds the adaptive ones (CLOCK, 2Q, ARC).
-This benchmark replays the same skewed (hot-set) read workload under every
-policy and compares hit rates plus the adaptive-policy counters (ghost
-hits, adaptations, amortised victim-selection cost).
+replacements for the base cache's LRU lists.  The component matrix
+(``benchmarks/components_matrix.py``, ``BENCH_components.json``) measured
+all of them and kept LRU and ARC.  This benchmark replays one skewed
+(hot-set) read workload under every registered policy and compares mean
+latency and hit rate plus ARC's counters (ghost hits, adaptations,
+amortised victim-selection cost); the ordering must be the one the matrix
+records on this row (``ablation/replacement``) at this seed.
 
 The workload keeps a stable hot set (``large_file_fraction=0`` — a single
 512 KB "hot" file would be bigger than the whole 48-block cache and no
@@ -14,10 +16,10 @@ policy could hold it).
 
 from dataclasses import replace
 
-from benchmarks.conftest import BENCH_SEED, run_once
+from benchmarks.conftest import BENCH_SEED, ranking, recorded_ranking, run_once
 from repro.analysis.report import format_replacement_comparison
+from repro.assembly.registry import registry
 from repro.config import CacheConfig, small_test_config
-from repro.core.replacement import POLICY_NAMES
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.units import KB
@@ -44,25 +46,19 @@ def run_replacement(policy: str) -> dict:
     )
     simulator = PatsySimulator(spec)
     result = simulator.replay(generate_workload(PROFILE, seed=BENCH_SEED))
-    return result.cache_stats
+    return dict(result.cache_stats, sim_mean_ms=1e3 * result.mean_latency)
 
 
 def run_all():
-    return {name: run_replacement(name) for name in POLICY_NAMES}
+    return {name: run_replacement(name) for name in registry.names("replacement")}
 
 
 def test_ablation_replacement_policies(benchmark):
     stats = run_once(benchmark, run_all)
     print()
     print(format_replacement_comparison(stats))
-    hit_rates = {name: s["hit_rate"] for name, s in stats.items()}
-    # Every policy must achieve a non-degenerate hit rate on a strongly
-    # skewed workload, and the default (LRU) should not lose badly to random.
-    assert all(rate > 0.02 for rate in hit_rates.values())
-    assert max(hit_rates.values()) > 0.10
-    assert hit_rates["lru"] >= hit_rates["random"] - 0.05
-    # The adaptive policies must clear the threshold on their own.
-    assert max(hit_rates["arc"], hit_rates["2q"]) > 0.10
+    for metric in ("sim_mean_ms", "hit_rate"):
+        assert ranking(stats, metric) == recorded_ranking("ablation/replacement", metric), metric
     # The ghost lists actually see reuse on this workload.
     assert stats["arc"]["ghost_hits"] > 0
     # Victim selection is O(1): a handful of list nodes examined per

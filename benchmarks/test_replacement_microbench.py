@@ -14,13 +14,11 @@ small constant nor grow with the cache size.
 import random
 
 from benchmarks.conftest import BENCH_SEED, run_once
+from repro.assembly.registry import registry
 from repro.config import CacheConfig
 from repro.core.cache import BlockCache
 from repro.core.clock import VirtualClock
 from repro.core.scheduler import Scheduler
-
-#: policies whose victim selection must be O(1) amortised.
-POLICIES = ("lru", "slru", "lru-k", "lfu", "clock", "2q", "arc")
 
 #: cache sizes in blocks; spanning 16x so linear scans would show up.
 CACHE_SIZES = (128, 512, 2048)
@@ -60,7 +58,7 @@ def drive_cache(policy: str, num_blocks: int) -> dict:
 def run_all():
     return {
         policy: {size: drive_cache(policy, size) for size in CACHE_SIZES}
-        for policy in POLICIES
+        for policy in registry.names("replacement")
     }
 
 

@@ -33,7 +33,9 @@ def _check_registered(kind: str, name: str, what: str) -> None:
     from repro.assembly.registry import registry
 
     if not registry.has(kind, name):
-        raise ConfigurationError(f"unknown {what} {name!r}")
+        raise ConfigurationError(
+            f"unknown {what} {name!r}; registered: {registry.names(kind) or 'none'}"
+        )
 
 __all__ = [
     "CacheConfig",
@@ -56,8 +58,8 @@ class CacheConfig:
 
     size_bytes: int = 8 * MB
     block_size: int = DEFAULT_BLOCK_SIZE
-    #: replacement policy: "lru", "random", "lfu", "slru", "lru-k",
-    #: "clock", "2q" or "arc" (see :mod:`repro.core.replacement`).
+    #: replacement policy: "lru" or "arc" (see :mod:`repro.core.replacement`),
+    #: or any name registered under "replacement".
     replacement: str = "lru"
 
     def __post_init__(self) -> None:
@@ -124,8 +126,8 @@ class HostConfig:
 
     num_disks: int = 1
     num_buses: int = 1
-    #: disk queue scheduling policy: "fcfs", "scan", "cscan", "look", "clook"
-    #: or "scan-edf" (see :mod:`repro.core.iosched`).
+    #: disk queue scheduling policy: "clook", "fcfs" or "scan-edf" (see
+    #: :mod:`repro.core.iosched`), or any name registered under "iosched".
     io_scheduler: str = "clook"
 
     def __post_init__(self) -> None:

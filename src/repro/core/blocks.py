@@ -47,8 +47,6 @@ class CacheBlock:
         "valid_bytes",
         "dirty_since",
         "last_access",
-        "access_count",
-        "access_history",
         "pin_count",
         "busy",
         "read_ahead",
@@ -71,9 +69,6 @@ class CacheBlock:
         #: scheduler time at which the block first became dirty.
         self.dirty_since: Optional[float] = None
         self.last_access = 0.0
-        self.access_count = 0
-        #: recent access times, newest last (used by LRU-K replacement).
-        self.access_history: list[float] = []
         #: pinned blocks cannot be evicted or reused (I/O in progress).
         self.pin_count = 0
         #: set while a flush of this block is in flight, so that concurrent
@@ -125,13 +120,9 @@ class CacheBlock:
 
     # -- bookkeeping --------------------------------------------------------------
 
-    def record_access(self, now: float, history_depth: int = 4) -> None:
+    def record_access(self, now: float) -> None:
         """Record an access for replacement-policy bookkeeping."""
         self.last_access = now
-        self.access_count += 1
-        self.access_history.append(now)
-        if len(self.access_history) > history_depth:
-            del self.access_history[0]
 
     def reset(self) -> None:
         """Return the slot to the FREE state (contents are discarded)."""
@@ -141,8 +132,6 @@ class CacheBlock:
         self.state = BlockState.FREE
         self.dirty_since = None
         self.valid_bytes = 0
-        self.access_count = 0
-        self.access_history.clear()
         self.busy = False
         self.read_ahead = False
         self.owed = None

@@ -70,7 +70,7 @@ class CacheStatistics:
     nvram_stalls: int = 0
     peak_dirty_bytes: int = 0
     forced_replacement_flushes: int = 0
-    #: misses whose identity was found in a policy ghost list (ARC/2Q).
+    #: misses whose identity was found in a policy ghost list (ARC).
     ghost_hits: int = 0
     #: times an adaptive policy re-tuned itself (ARC target movements).
     policy_adaptations: int = 0

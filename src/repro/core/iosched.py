@@ -3,8 +3,13 @@
 Disk drivers "can implement disk queue scheduling policies to optimize disk
 I/O queue time (e.g. SCAN, C-SCAN, LOOK, C-LOOK) or guarantee real-time
 delivery of data through algorithms such as scan-EDF" (Section 3).  The
-production driver in the paper uses a combined read/write queue with C-LOOK;
-the others are provided for experiments and ablations.
+production driver in the paper uses a combined read/write queue with C-LOOK
+(``clook``, the default); ``fcfs`` is the no-scheduling reference the
+ablation measures it against, and ``scan-edf`` orders by deadline.  The
+component matrix (``BENCH_components.json``) measured LOOK, SCAN and C-SCAN
+too: SCAN and C-SCAN were the same code as LOOK and C-LOOK, and LOOK won no
+row, so all three were deleted; a derived :class:`IoScheduler` registered
+under ``"iosched"`` brings any of them back without a core edit.
 
 A queue scheduler holds pending :class:`~repro.core.driver.IORequest`
 objects and, given the current head position (in sectors), decides which
@@ -25,10 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "IoScheduler",
     "FcfsScheduler",
-    "LookScheduler",
     "ClookScheduler",
-    "ScanScheduler",
-    "CscanScheduler",
     "ScanEdfScheduler",
 ]
 
@@ -74,81 +76,11 @@ class FcfsScheduler(IoScheduler):
         return self._pending.pop(0)
 
 
-class LookScheduler(IoScheduler):
-    """LOOK: elevator that reverses direction at the last pending request."""
-
-    name = "look"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._direction = 1  # +1 = towards higher sectors
-
-    def next(self, head_position: int) -> Optional["IORequest"]:
-        if not self._pending:
-            return None
-        ahead = [r for r in self._pending if self._is_ahead(r.sector, head_position)]
-        if not ahead:
-            self._direction = -self._direction
-            ahead = [r for r in self._pending if self._is_ahead(r.sector, head_position)]
-            if not ahead:
-                ahead = self._pending
-        chosen = min(ahead, key=lambda r: abs(r.sector - head_position))
-        return self._take(chosen)
-
-    def _is_ahead(self, sector: int, head_position: int) -> bool:
-        if self._direction > 0:
-            return sector >= head_position
-        return sector <= head_position
-
-
 class ClookScheduler(IoScheduler):
     """C-LOOK: service requests in ascending order, wrapping to the lowest
     pending sector after the highest one (the production driver's policy)."""
 
     name = "clook"
-
-    def next(self, head_position: int) -> Optional["IORequest"]:
-        if not self._pending:
-            return None
-        ahead = [r for r in self._pending if r.sector >= head_position]
-        pool = ahead if ahead else self._pending
-        chosen = min(pool, key=lambda r: r.sector)
-        return self._take(chosen)
-
-
-class ScanScheduler(IoScheduler):
-    """SCAN: elevator that sweeps to the end of the disk before reversing."""
-
-    name = "scan"
-
-    def __init__(self, num_sectors: int = 1 << 62) -> None:
-        super().__init__()
-        self.num_sectors = num_sectors
-        self._direction = 1
-
-    def next(self, head_position: int) -> Optional["IORequest"]:
-        if not self._pending:
-            return None
-        ahead = [r for r in self._pending if self._is_ahead(r.sector, head_position)]
-        if not ahead:
-            # The sweep continues to the edge of the disk, then reverses.
-            self._direction = -self._direction
-            ahead = [r for r in self._pending if self._is_ahead(r.sector, head_position)]
-            if not ahead:
-                ahead = self._pending
-        chosen = min(ahead, key=lambda r: abs(r.sector - head_position))
-        return self._take(chosen)
-
-    def _is_ahead(self, sector: int, head_position: int) -> bool:
-        if self._direction > 0:
-            return sector >= head_position
-        return sector <= head_position
-
-
-class CscanScheduler(IoScheduler):
-    """C-SCAN: one-directional sweep, returning to sector zero at the end."""
-
-    name = "cscan"
 
     def next(self, head_position: int) -> Optional["IORequest"]:
         if not self._pending:
@@ -192,12 +124,5 @@ class ScanEdfScheduler(IoScheduler):
 
 # "iosched" factories take no arguments and return a fresh IoScheduler
 # (each disk driver owns its own queue, so instances are never shared).
-for _cls in (
-    FcfsScheduler,
-    LookScheduler,
-    ClookScheduler,
-    ScanScheduler,
-    CscanScheduler,
-    ScanEdfScheduler,
-):
+for _cls in (FcfsScheduler, ClookScheduler, ScanEdfScheduler):
     registry.register("iosched", _cls.name, _cls)

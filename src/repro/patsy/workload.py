@@ -26,7 +26,7 @@ sessions pick files, which is what the replacement-policy ablations key on:
 * ``"zipf"``   — file popularity follows a Zipf law with ``zipf_alpha``,
 * ``"scan"``   — hot-set reads interleaved with sequential one-shot sweeps
   over the whole file population (the LRU-killing pattern that
-  scan-resistant policies such as ARC and 2Q are built for),
+  scan-resistant policies such as ARC are built for),
 * ``"loop"``   — reads cycle over the file population in order (the LRU
   worst case: with a loop slightly larger than the cache, LRU hits never).
 

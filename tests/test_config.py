@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,12 @@ from repro.config import (
 from repro.errors import ConfigurationError
 from repro.units import MB
 
-#: ``src/**/*.py`` lines once the LFS segment index nothing read (per-segment
-#: blooms, sparse offsets, the on-disk index section) was deleted (18,396),
-#: plus the replica manager's kept set of under-replicated files and the
-#: cleaner daemon skipping a segment whose summary does not decode (+56),
-#: plus the signalled NVRAM drain daemon writing one batch per wake-up
-#: (+42); the next simplicity change ratchets it down.
-SRC_LINE_BUDGET = 18_494
+#: ``src/**/*.py`` lines once the replacement and disk-queue policies the
+#: component matrix (``BENCH_components.json``) drops were deleted — RR,
+#: LFU, SLRU, LRU-K, CLOCK, 2Q, LOOK, SCAN, C-SCAN and the per-block access
+#: history only LRU-K read (18,494 → 17,871); the next change that adds
+#: code raises it on purpose.
+SRC_LINE_BUDGET = 17_871
 
 
 def test_cache_config_defaults_and_blocks():
@@ -43,7 +43,8 @@ def test_cache_config_defaults_and_blocks():
 def test_cache_config_validation():
     with pytest.raises(ConfigurationError):
         CacheConfig(size_bytes=100, block_size=4096)
-    with pytest.raises(ConfigurationError):
+    listed = re.escape(f"registered: {registry.names('replacement')}")
+    with pytest.raises(ConfigurationError, match=rf"unknown replacement policy 'mru'; {listed}"):
         CacheConfig(replacement="mru")
     with pytest.raises(ConfigurationError):
         CacheConfig(block_size=0)
@@ -71,7 +72,8 @@ def test_host_config_validation_and_bus_mapping():
     assert host.bus_for_disk(5) == 2
     with pytest.raises(ConfigurationError):
         HostConfig(num_disks=1, num_buses=2)
-    with pytest.raises(ConfigurationError):
+    listed = re.escape(f"registered: {registry.names('iosched')}")
+    with pytest.raises(ConfigurationError, match=rf"unknown I/O scheduler 'random'; {listed}"):
         HostConfig(io_scheduler="random")
 
 

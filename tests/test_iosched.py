@@ -40,29 +40,6 @@ def test_clook_empty_returns_none():
     assert sched.next(0) is None
 
 
-def test_look_elevator_reverses_at_edge():
-    sched = registry.create("iosched", "look")
-    for sector in (500, 100, 900):
-        sched.add(req(sector))
-    order = drain(sched, head=450)
-    assert order == [500, 900, 100]
-
-
-def test_scan_services_all_requests():
-    sched = registry.create("iosched", "scan")
-    sectors = [10, 990, 400, 600]
-    for sector in sectors:
-        sched.add(req(sector))
-    assert sorted(drain(sched, head=500)) == sorted(sectors)
-
-
-def test_cscan_wraps_to_lowest():
-    sched = registry.create("iosched", "cscan")
-    for sector in (800, 200, 600):
-        sched.add(req(sector))
-    assert drain(sched, head=500) == [600, 800, 200]
-
-
 def test_scan_edf_prefers_earliest_deadline():
     sched = registry.create("iosched", "scan-edf")
     late = req(100, deadline=10.0)

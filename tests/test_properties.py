@@ -113,7 +113,7 @@ def test_allocator_never_double_allocates(operations):
 @given(
     sectors=st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=40),
     head=st.integers(min_value=0, max_value=100_000),
-    policy=st.sampled_from(["fcfs", "clook", "look", "scan", "cscan", "scan-edf"]),
+    policy=st.sampled_from(registry.names("iosched")),
 )
 @settings(max_examples=60, deadline=None)
 def test_io_schedulers_serve_every_request_exactly_once(sectors, head, policy):

@@ -1,12 +1,12 @@
-"""Adaptive replacement policies: ghost lists, ARC adaptation, CLOCK hand.
+"""The adaptive replacement policy: ghost lists and ARC adaptation.
 
-Covers the behaviours that make ARC/2Q/CLOCK more than recency lists:
+Covers the behaviours that make ARC more than a recency list:
 
 * ghost-list eviction and promotion (identities remembered after eviction),
 * ARC's online adaptation of the T1 target under scan-then-reuse traffic,
-* CLOCK hand wraparound and second chances,
-* determinism of trace generation and policy decisions under a fixed seed
-  (including independence from ``PYTHONHASHSEED``).
+* the policy driven through the real cache (dirty parking, invalidation),
+* determinism of trace generation under a fixed seed (including
+  independence from ``PYTHONHASHSEED``).
 """
 
 import os
@@ -17,10 +17,9 @@ import sys
 from repro.core.blocks import BlockId, BlockState
 from repro.core.cache import BlockCache
 from repro.config import CacheConfig
-from repro.core.replacement import ArcPolicy, ClockPolicy, TwoQPolicy
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from tests.conftest import run
-from tests.test_replacement import MiniCache, make_block
+from tests.test_replacement import MiniCache
 
 
 # ---------------------------------------------------------------- ARC ghosts
@@ -128,91 +127,6 @@ def test_arc_adapts_under_shifting_traffic():
     assert cache.policy.stats.policy_adaptations > 0
 
 
-# ---------------------------------------------------------------- 2Q
-
-
-def test_twoq_first_touch_stays_in_a1in_fifo():
-    cache = MiniCache("2q", 8)
-    for fid in range(2):
-        cache.access(fid)
-    # Re-references inside A1in are correlated and must not promote.
-    cache.access(0)
-    snap = cache.policy.snapshot()
-    assert snap["a1in"] == 2
-    assert snap["am"] == 0
-
-
-def test_twoq_ghost_hit_promotes_to_am():
-    cache = MiniCache("2q", 4, in_fraction=0.25, out_fraction=1.0)
-    for fid in range(1, 7):
-        cache.access(fid)  # fills A1in past k_in; oldest spill to A1out
-    assert cache.policy.snapshot()["a1out_ghosts"] > 0
-    ghost_key = cache.evicted[0].file_id
-    before = cache.policy.stats.ghost_hits
-    cache.access(ghost_key)  # reuse after A1in: the real-reuse signal
-    assert cache.policy.stats.ghost_hits == before + 1
-    assert cache.policy.snapshot()["am"] == 1
-
-
-def test_twoq_a1out_is_bounded():
-    cache = MiniCache("2q", 4, out_fraction=0.5)
-    for fid in range(100):
-        cache.access(fid)
-    assert cache.policy.snapshot()["a1out_ghosts"] <= cache.policy.k_out
-
-
-# ---------------------------------------------------------------- CLOCK
-
-
-def test_clock_second_chance_and_wraparound():
-    policy = ClockPolicy(4)
-    blocks = [make_block(i, 0) for i in range(4)]
-    for block in blocks:
-        policy.on_insert(block)
-    for block in blocks:
-        policy.on_access(block)  # every reference bit set
-    # The sweep must clear all four bits (one full lap) and then evict on
-    # wraparound; afterwards the surviving bits stay cleared.
-    victim = policy.victim()
-    assert victim in blocks
-    assert policy.snapshot()["referenced"] == 0
-
-
-def test_clock_spares_referenced_blocks():
-    cache = MiniCache("clock", 4)
-    for fid in range(4):
-        cache.access(fid)
-    cache.access(0)  # 0 gets a second chance
-    cache.access(4)
-    assert BlockId(0, 0) not in cache.evicted
-    assert 0 in cache.keys()
-
-
-def test_clock_hand_survives_eviction_of_hand_block():
-    policy = ClockPolicy(2)
-    a, b = make_block(1, 0), make_block(2, 0)
-    policy.on_insert(a)
-    policy.on_insert(b)
-    hand_before = policy.hand_key
-    hand_block = a if hand_before == a.block_id else b
-    other = b if hand_block is a else a
-    policy.on_evict(hand_block)
-    assert policy.hand_key == other.block_id
-    policy.on_evict(other)
-    assert policy.hand_key is None
-    assert policy.victim() is None
-
-
-def test_clock_peek_does_not_clear_bits():
-    policy = ClockPolicy(3)
-    blocks = [make_block(i, 0) for i in range(3)]
-    for block in blocks:
-        policy.on_insert(block)
-        policy.on_access(block)
-    assert policy.victim(peek=True) is not None
-    assert policy.snapshot()["referenced"] == 3  # untouched
-
-
 # ---------------------------------------------------------------- through the cache
 
 
@@ -241,7 +155,7 @@ def test_cache_surfaces_ghost_hits_in_statistics(scheduler):
 
 
 def test_cache_dirty_blocks_are_never_victims(scheduler):
-    cache = make_cache(scheduler, blocks=4, replacement="clock")
+    cache = make_cache(scheduler, blocks=4, replacement="arc")
     written = []
 
     def writeback(batch):
@@ -287,7 +201,7 @@ def test_invalidate_file_purges_ghosts(scheduler):
 
 
 def test_cache_invalidate_file_keeps_policy_consistent(scheduler):
-    cache = make_cache(scheduler, blocks=8, replacement="2q")
+    cache = make_cache(scheduler, blocks=8, replacement="arc")
 
     def body():
         for i in range(4):
@@ -337,16 +251,6 @@ def test_workload_generation_independent_of_hash_seed():
         )
         outputs.add(result.stdout.strip())
     assert len(outputs) == 1, f"trace depends on PYTHONHASHSEED: {outputs}"
-
-
-def test_random_policy_is_deterministic_under_fixed_seed():
-    def evictions(seed):
-        cache = MiniCache("random", 8, rng=random.Random(seed))
-        for fid in range(64):
-            cache.access(fid % 24)
-        return cache.evicted
-
-    assert evictions(9) == evictions(9)
 
 
 def test_scan_workload_profile_patterns_are_deterministic():
