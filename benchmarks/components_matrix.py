@@ -1,16 +1,19 @@
-"""The component matrix: does each replacement and disk-queue policy earn its keep?
+"""The component matrix: does each replacement, disk-queue, placement and layout earn its keep?
 
     python benchmarks/components_matrix.py                    # every row, write BENCH_components.json
     python benchmarks/components_matrix.py --check --seeds 1  # re-run, compare with the committed file
 
-Every registered ``replacement`` name and every ``iosched`` name but
-``scan-edf`` (judged by whether deadlines reach the disk queue, not here)
-replays the same rows on seeds 1, 2 and 3; only simulated numbers are
-recorded, so the file is byte-stable and ``--check`` compares with ``==``.
-The judged metric is the mean simulated latency of an operation,
-``sim_mean_ms``; the cache hit rate stands beside it.  ``KEEP_RULE`` was
-written down before the first run and is copied into the file with the
-verdicts it gives.
+Every registered ``replacement``, ``iosched``, ``placement`` and ``layout``
+name but the unjudged ones (``UNJUDGED``) replays the same rows on seeds 1,
+2 and 3; only simulated numbers are recorded, so the file is byte-stable
+and ``--check`` compares with ``==``.  The judged metric is the mean
+simulated latency of an operation, ``sim_mean_ms``; the cache hit rate
+stands beside it (and, on the cold-read row, the mean of its reads alone).
+A name that cannot build a row's stack records ``null`` there and wins
+nothing on it.  ``KEEP_RULE`` was written down before the first run and is
+copied into the file with the verdicts it gives.  Per kind the file also
+lists the rows on which every name measured the same on every seed: rows
+that judge nothing.
 
 A name the file records but the registry no longer holds keeps its recorded
 numbers (that run is the evidence it was dropped on), so a full run after a
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 import tempfile
@@ -38,12 +42,15 @@ import measure  # noqa: E402  (benchmarks/e2e, by import only)
 import workloads as wl  # noqa: E402
 from benchmarks.test_ablation_iosched import run_policy as deep_queue  # noqa: E402
 from benchmarks.test_ablation_replacement import PROFILE  # noqa: E402
+from benchmarks.test_array_scaling import STEPS as ARRAY_STEPS, scaling_workload  # noqa: E402
 from benchmarks.test_policy_comparison_workloads import make_profile  # noqa: E402
 from repro.assembly.registry import registry  # noqa: E402
-from repro.config import CacheConfig, StackSpec, small_test_config  # noqa: E402
+from repro.config import CacheConfig, StackSpec, small_test_config, sun4_280_config  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
 from repro.patsy.experiments import DelayedWriteExperiment  # noqa: E402
 from repro.patsy.simulator import PatsySimulator  # noqa: E402
 from repro.patsy.synthetic import SPRITE_TRACE_NAMES  # noqa: E402
+from repro.patsy.traces import TraceRecord  # noqa: E402
 from repro.patsy.workload import ACCESS_PATTERNS, generate_workload  # noqa: E402
 from repro.units import KB  # noqa: E402
 from tests.test_policy_discrimination import SCAN_VS_HOTSET, TIGHT_LOOP  # noqa: E402
@@ -53,8 +60,12 @@ SEEDS = (1, 2, 3)
 METRIC = "sim_mean_ms"
 #: a win is a mean latency at most this share of every rival's, seed by seed.
 WIN_RATIO = 0.98
-#: judged by whether deadlines reach the disk queue, not by this matrix.
-UNJUDGED = {"iosched": ("scan-edf",)}
+#: the kinds, in the order the file lists them.
+KINDS = ("replacement", "iosched", "placement", "layout", "cleaner")
+#: names this matrix does not judge: scan-edf by whether deadlines reach the
+#: disk queue, the cleaners once they run at all (neither ever does on
+#: today's traffic: no row here fills a log).
+UNJUDGED = {"iosched": ("scan-edf",), "cleaner": ("cost-benefit", "greedy")}
 #: code duplicates: measured, to show they equal their original, but
 #: dropped whatever they measure and never counted as a rival.
 DUPLICATES = {"iosched": {"scan": "look", "cscan": "clook"}}
@@ -65,16 +76,24 @@ REFERENCES = {
         "clook": "the paper's baseline (the production driver's policy)",
         "fcfs": "the no-scheduling reference test_ablation_iosched.py asserts against",
     },
+    "placement": {"hash": "the sun4_280 and experiments default: one file lives on one volume"},
+    "layout": {"lfs": "the paper's layout"},
 }
 KEEP_RULE = (
     "scan and cscan are dropped as code duplicates of look and clook; lru and clook stay as "
     "the paper's baselines and fcfs as the no-scheduling reference. Any other name stays only "
     f"if on at least one row its {METRIC} is <= {WIN_RATIO} x that of every other name of its "
     "kind (duplicates aside) on every seed, compared seed by seed: a seed changes the trace, so "
-    "the spread across seeds measures the workload, not noise. Everything else is dropped."
+    "the spread across seeds measures the workload, not noise. Everything else is dropped. "
+    "Placement and layout follow the same rule, with hash (one file on one volume) and lfs "
+    "(the paper's layout) as references; a name that cannot build a row's stack wins nothing "
+    "there, and a rival that cannot is left out of that row's comparison. The cleaners are "
+    "unjudged until a row fills a log."
 )
 
-Outcome = Tuple[float, Optional[float]]  # (sim_mean_ms, hit rate or None)
+#: one name's numbers on one row and seed: ``{metric: value}``, ``METRIC``
+#: first, ``None`` where the name cannot build the row's stack.
+Outcome = Dict[str, Optional[float]]
 
 
 # --------------------------------------------------------------------------- rows
@@ -83,21 +102,32 @@ Outcome = Tuple[float, Optional[float]]  # (sim_mean_ms, hit rate or None)
 def _override(kind: str, name: str, spec: StackSpec) -> StackSpec:
     if kind == "replacement":
         return replace(spec, cache=replace(spec.cache, replacement=name))
-    return replace(spec, host=replace(spec.host, io_scheduler=name))
+    if kind == "iosched":
+        return replace(spec, host=replace(spec.host, io_scheduler=name))
+    if kind == "placement":
+        return replace(spec, array=replace(spec.array, placement=name))
+    return replace(spec, layout=replace(spec.layout, kind=name))
 
 
 def _replay(kind: str, names: List[str], spec: StackSpec, trace, trace_name: str,
-            faults=None) -> Dict[str, Outcome]:
-    """One trace replayed on ``spec`` under each name."""
+            faults=None, reads: bool = False) -> Dict[str, Outcome]:
+    """One trace replayed on ``spec`` under each name; ``reads`` adds the
+    mean latency of the reads alone."""
     outcomes = {}
     for name in names:
-        simulator = PatsySimulator(_override(kind, name, spec))
+        try:
+            simulator = PatsySimulator(_override(kind, name, spec))
+        except ConfigurationError:
+            outcomes[name] = {METRIC: None, "hit_rate": None, **({"read_mean_ms": None} if reads else {})}
+            continue
         if faults:
             simulator.inject_faults(faults)
         result = simulator.replay(trace, trace_name=trace_name)
         if result.errors:
             raise SystemExit(f"{trace_name} under {name}: {result.errors} operations failed")
-        outcomes[name] = (1e3 * result.mean_latency, result.cache_stats["hit_rate"])
+        outcomes[name] = {METRIC: 1e3 * result.mean_latency, "hit_rate": result.cache_stats["hit_rate"]}
+        if reads:
+            outcomes[name]["read_mean_ms"] = 1e3 * result.latency.mean_latency("read")
     return outcomes
 
 
@@ -145,23 +175,80 @@ def _small(profile, cache_blocks: int):
 
 
 def _deep_queue(kind: str, names: List[str], seed: int, workdir: Path) -> Dict[str, Outcome]:
-    return {name: (1e3 * deep_queue(name, request_seed=seed)["mean_response"], None) for name in names}
+    return {name: {METRIC: 1e3 * deep_queue(name, request_seed=seed)["mean_response"], "hit_rate": None}
+            for name in names}
+
+
+def _array(disks: int, volumes: int, buses: int):
+    """A step of ``BENCH_array.json``'s scaling curve, at that file's trace scale."""
+
+    def run(kind: str, names: List[str], seed: int, workdir: Path) -> Dict[str, Outcome]:
+        spec = sun4_280_config(scale=0.001, seed=seed, volumes=volumes, num_disks=disks, buses=buses)
+        return _replay(kind, names, spec, scaling_workload(seed, scale=0.4), f"{disks}-disk")
+
+    return run
+
+
+def cold_read_trace(seed: int) -> List[TraceRecord]:
+    """The case a read-optimised layout exists for: 16 files of 128 KB
+    written in 4 KB writes, 256 random 4 KB overwrites in place, an fsync of
+    each file and 120 s idle; then each file read whole in 32 KB reads, the
+    files in shuffled order."""
+    rng = random.Random(seed)
+    paths = [f"/cold{i:02d}" for i in range(16)]
+    records: List[TraceRecord] = []
+    now = 0.0
+
+    def emit(op: str, path: str, offset: int = 0, size: int = 0) -> None:
+        nonlocal now
+        now = round(now + 0.01, 6)
+        records.append(TraceRecord(now, 0, op, path, offset=offset, size=size))
+
+    for path in paths:
+        emit("open", path)
+        for block in range(32):
+            emit("write", path, block * 4 * KB, 4 * KB)
+    for _ in range(256):
+        emit("write", rng.choice(paths), rng.randrange(32) * 4 * KB, 4 * KB)
+    for path in paths:
+        emit("fsync", path)
+        emit("close", path)
+    now += 120.0
+    rng.shuffle(paths)
+    for path in paths:
+        emit("open", path)
+        for offset in range(0, 128 * KB, 32 * KB):
+            emit("read", path, offset, 32 * KB)
+        emit("close", path)
+    return records
+
+
+def _cold_read(kind: str, names: List[str], seed: int, workdir: Path) -> Dict[str, Outcome]:
+    return _replay(kind, names, small_test_config(seed=seed), cold_read_trace(seed), "cold-read", reads=True)
 
 
 def rows(kind: str) -> Dict[str, Callable]:
     table: Dict[str, Callable] = {}
+    if kind == "cleaner":
+        return table
     for workload in wl.SHAPES:
         table[f"e2e/{workload}"] = _e2e(workload)
-    for trace_name in SPRITE_TRACE_NAMES:
-        table[f"sprite/{trace_name}"] = _sprite(trace_name)
+    if kind != "placement":  # the Sprite rows run one volume: every placement is the same there
+        for trace_name in SPRITE_TRACE_NAMES:
+            table[f"sprite/{trace_name}"] = _sprite(trace_name)
     if kind == "replacement":
         for pattern in ACCESS_PATTERNS:
             table[f"pattern/{pattern}"] = _small(make_profile(pattern), 40)
         table["ablation/replacement"] = _small(PROFILE, 48)
         table["discrimination/scan-vs-hotset"] = _small(SCAN_VS_HOTSET, 32)
         table["discrimination/tight-loop"] = _small(TIGHT_LOOP, 64)
-    else:
+    elif kind == "iosched":
         table["queue/deep"] = _deep_queue
+    elif kind == "placement":
+        for disks, volumes, buses in ARRAY_STEPS[1:]:
+            table[f"array/{disks}-disk"] = _array(disks, volumes, buses)
+    else:
+        table["cold-read"] = _cold_read
     return table
 
 
@@ -174,22 +261,35 @@ def measure_kind(kind: str, names: List[str], seeds: Tuple[int, ...]) -> Dict[st
     table: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="components-") as work:
         for row, run in rows(kind).items():
-            cells = {name: {METRIC: [], "hit_rate": []} for name in names}
+            cells: Dict[str, dict] = {name: {} for name in names}
             for seed in seeds:
-                for name, (mean_ms, hit) in run(kind, names, seed, Path(work)).items():
-                    cells[name][METRIC].append(mean_ms)
-                    cells[name]["hit_rate"].append(hit)
+                for name, outcome in run(kind, names, seed, Path(work)).items():
+                    for metric, value in outcome.items():
+                        cells[name].setdefault(metric, []).append(value)
             table[row] = cells
             print(f"{kind:<12} {row:<32} " + "  ".join(
-                f"{name} {cell[METRIC][0]:.4g}" for name, cell in cells.items()), flush=True)
+                f"{name} {cell[METRIC][0]}" for name, cell in cells.items()), flush=True)
     return table
 
 
 # --------------------------------------------------------------------------- verdicts
 
 
+def _worst_seed_ratio(cells: Dict[str, dict], name: str, rivals: List[str]) -> Optional[float]:
+    """On one row, the worst seed's ratio of ``name`` to its best rival;
+    ``None`` when ``name``, or every rival, cannot build the row's stack."""
+    worst = None
+    for i, mine in enumerate(cells[name][METRIC]):
+        theirs = [cells[other][METRIC][i] for other in rivals
+                  if other != name and cells[other][METRIC][i] is not None]
+        if mine is None or not theirs:
+            return None
+        worst = max(mine / min(theirs), worst if worst is not None else 0.0)
+    return worst
+
+
 def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
-    names = sorted(next(iter(table.values())))
+    names = sorted(next(iter(table.values()), {}))
     duplicates = DUPLICATES.get(kind, {})
     rivals = [name for name in names if name not in duplicates]
     out: Dict[str, dict] = {}
@@ -201,12 +301,8 @@ def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
                          "why": f"code duplicate of {original} (identical on every row: {identical})"}
             continue
         # Per row, the worst seed's ratio to the best rival; <= WIN_RATIO is a win.
-        ratios = {}
-        for row, cells in table.items():
-            ratios[row] = max(
-                cells[name][METRIC][i] / min(cells[other][METRIC][i] for other in rivals if other != name)
-                for i in range(len(cells[name][METRIC]))
-            )
+        ratios = {row: ratio for row, cells in table.items()
+                  if (ratio := _worst_seed_ratio(cells, name, rivals)) is not None}
         best = min(ratios, key=lambda row: (ratios[row], row))
         entry = {"best_row": best, "best_row_worst_seed_ratio": round(ratios[best], 4)}
         if name in REFERENCES.get(kind, {}):
@@ -227,12 +323,15 @@ def document(tables: Dict[str, Dict[str, dict]]) -> dict:
             "kept": sorted(name for name, entry in judgement.items() if entry["verdict"] == "kept"),
             "dropped": sorted(name for name, entry in judgement.items() if entry["verdict"] == "dropped"),
             "unjudged": list(UNJUDGED.get(kind, ())),
+            "uninformative_rows": [row for row, cells in table.items()
+                                   if len({tuple(cell[METRIC]) for cell in cells.values()}) == 1],
             "verdicts": judgement,
             "rows": table,
         }
     return {
         "about": "simulated numbers only: mean operation latency (ms) and cache hit rate per "
-                 "row, name and seed; written by benchmarks/components_matrix.py",
+                 "row, name and seed (null: the name cannot build that row's stack); written by "
+                 "benchmarks/components_matrix.py",
         "keep_rule": KEEP_RULE,
         "metric": METRIC,
         "seeds": list(SEEDS),
@@ -285,10 +384,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if seeds != SEEDS:
         raise SystemExit(f"the file records seeds {list(SEEDS)}; --seeds is for --check")
     tables = {}
-    for kind in ("replacement", "iosched"):
+    for kind in KINDS:
         names = judged(kind)
         table = measure_kind(kind, names, seeds)
-        if committed is not None:  # names deleted since keep what they measured
+        if committed is not None and kind in committed["kinds"]:  # names deleted since keep what they measured
             for row, cells in committed["kinds"][kind]["rows"].items():
                 for name, values in cells.items():
                     if name not in names:

@@ -32,10 +32,10 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_array.json"
 STEPS = ((1, 1, 1), (2, 2, 1), (5, 5, 2), (10, 5, 3))
 
 
-def scaling_workload():
+def scaling_workload(seed: int = BENCH_SEED, scale: float = BENCH_TRACE_SCALE):
     profile = WorkloadProfile(
         name="array-scaling",
-        duration=60.0 * max(BENCH_TRACE_SCALE, 0.1) / 0.4,
+        duration=60.0 * max(scale, 0.1) / 0.4,
         num_clients=12,
         read_fraction=0.7,
         stat_fraction=1.0,
@@ -54,7 +54,7 @@ def scaling_workload():
         hot_read_fraction=0.2,
         hot_set_size=20,
     )
-    return generate_workload(profile, seed=BENCH_SEED)
+    return generate_workload(profile, seed=seed)
 
 
 def run_scaling():
