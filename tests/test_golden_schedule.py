@@ -16,7 +16,7 @@ unmount and a remount, pinned down to the bytes of every backing image.
 The third freezes the stacks with no array section
 (``tests/golden/single_volume_replay.json``): PATSY replaying the same trace on
 ``small_test_config`` and ``sprite_server_config`` under ``periodic`` and
-``nvram``, on LFS and on FFS, pinned by summary, schedule digest and every
+``nvram`` (on LFS, the one layout), pinned by summary, schedule digest and every
 disk's sectors read and written; and the default PFS running the same script
 on a memory disk and on one backing file.
 
@@ -292,13 +292,9 @@ SINGLE_PRESETS = {
 SINGLE_PFS_BYTES = 16 * MB
 
 
-def single_patsy_run(preset: str, policy: str, kind: str) -> dict:
+def single_patsy_run(preset: str, policy: str) -> dict:
     config = SINGLE_PRESETS[preset]()
-    config = replace(
-        config,
-        flush=replace(config.flush, policy=policy),
-        layout=replace(config.layout, kind=kind),
-    )
+    config = replace(config, flush=replace(config.flush, policy=policy))
     simulator = PatsySimulator(config)
     simulator.scheduler.enable_schedule_hash()
     result = simulator.replay(array_trace(), trace_name="golden")
@@ -351,10 +347,9 @@ def single_pfs_run(backing: Path | None) -> dict:
 def single_volume_run(directory: Path) -> dict:
     pinned = {
         "patsy": {
-            f"{preset}/{policy}/{kind}": single_patsy_run(preset, policy, kind)
+            f"{preset}/{policy}/lfs": single_patsy_run(preset, policy)
             for preset in SINGLE_PRESETS
             for policy in ("periodic", "nvram")
-            for kind in ("lfs", "ffs")
         },
         "pfs": {"memory": single_pfs_run(None), "file": single_pfs_run(directory / "disk")},
     }
@@ -365,7 +360,7 @@ def test_single_volume_replay_matches_golden(tmp_path):
     run = single_volume_run(tmp_path)
     golden = json.loads(SINGLE_GOLDEN.read_text())
     hint = f"; if the stack was meant to change, regenerate with `{REGENERATE}`"
-    assert len(golden["patsy"]) == 8
+    assert len(golden["patsy"]) == 4
     for name, pinned in golden["patsy"].items():
         assert pinned["summary"]["errors"] == 0
         assert any(written for _, written in pinned["sectors"].values())
