@@ -17,7 +17,9 @@ that judge nothing.
 
 A name the file records but the registry no longer holds keeps its recorded
 numbers (that run is the evidence it was dropped on), so a full run after a
-deletion rewrites the same bytes.  ``--check`` re-runs only the names still
+deletion rewrites the same bytes.  Where a row's stack changed after such a
+name was deleted (a preset's default moved), its cells there are ``null``:
+its numbers came from another stack.  ``--check`` re-runs only the names still
 registered.  The script is not a test module: pytest does not collect it.
 """
 
@@ -296,9 +298,10 @@ def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
     for name in names:
         if name in duplicates:
             original = duplicates[name]
-            identical = all(cells[name] == cells[original] for cells in table.values())
+            identical = all(cells[name] == cells[original] for cells in table.values()
+                            if None not in cells[name][METRIC])
             out[name] = {"verdict": "dropped",
-                         "why": f"code duplicate of {original} (identical on every row: {identical})"}
+                         "why": f"code duplicate of {original} (identical on every row both ran: {identical})"}
             continue
         # Per row, the worst seed's ratio to the best rival; <= WIN_RATIO is a win.
         ratios = {row: ratio for row, cells in table.items()

@@ -500,7 +500,7 @@ def cluster_config(
     volumes_per_node: int = 2,
     disks_per_node: int = 2,
     buses_per_node: int = 1,
-    placement: str = "directory",
+    placement: str = "hash",
     rebalance: bool = True,
     replicas: int = 0,
 ) -> StackSpec:

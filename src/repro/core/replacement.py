@@ -362,10 +362,10 @@ class ArcPolicy(ReplacementPolicy):
     (LFU-like) behaviour online, and one-shot scans — whose identities die
     in B1 unreferenced — cannot displace the frequent working set in T2.
 
-    Kept by the component matrix (``BENCH_components.json``) for its win on
-    row ``e2e/sprite_mix``: on seeds 1, 2 and 3 its mean latency is at most
-    0.965 of the best other policy's (0.519 / 0.554 / 0.447 ms against the
-    default LRU's 0.730 / 0.718 / 0.573).
+    Kept by the component matrix (``BENCH_components.json``): it wins row
+    ``e2e/sprite_mix`` (mean latency at most 0.965 of every other policy's
+    on seeds 1-3: 0.519 / 0.554 / 0.447 ms against LRU's 0.730 / 0.718 /
+    0.573) and, its best, ``e2e/cluster_repl`` (0.87-0.93 of LRU's).
     """
 
     name = "arc"
