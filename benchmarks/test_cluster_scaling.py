@@ -10,8 +10,8 @@ Two experiments above the storage array:
    gained must beat the network latency paid.
 
 2. **Rebalancing** — the same cluster under a pathologically *skewed*
-   workload: every file lives in one directory, so directory-affinity
-   placement piles the whole load onto one volume of one node.  With the
+   workload: a placement derived here for the run (``OneVolumePlacement``)
+   piles every file onto one volume of one node.  With the
    skew monitor off the cluster performs like a single overloaded machine;
    with it on, hot files migrate online (copy-forward through the cache,
    atomic routing flip) and both throughput and tail latency must improve
@@ -29,7 +29,9 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_SEED, BENCH_TRACE_SCALE, run_once
 from repro.analysis.report import format_cluster_table
+from repro.assembly.registry import registry
 from repro.config import cluster_config
+from repro.core.storage.array import HashPlacement
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 from repro.units import KB
@@ -64,9 +66,19 @@ def scaling_workload():
     return generate_workload(profile, seed=BENCH_SEED)
 
 
+class OneVolumePlacement(HashPlacement):
+    """Every new file on the last volume: the whole trace becomes one
+    volume's load, the rebalancer's worst case.  A derived component, cut
+    in for the skew run only."""
+
+    name = "one-volume"
+
+    def home_for_new_file(self, parent_id, name, counter):
+        return self.num_volumes - 1
+
+
 def skewed_workload():
-    """Everything in one directory: directory-affinity placement turns the
-    whole trace into single-volume load — the rebalancer's worst case."""
+    """Everything in one directory, read hot."""
     profile = WorkloadProfile(
         name="cluster-skew",
         duration=60.0 * max(BENCH_TRACE_SCALE, 0.1) / 0.4,
@@ -137,16 +149,20 @@ def run_cluster_benchmarks():
 
     skew_trace = skewed_workload()
     skew_rows = {}
-    for rebalance in (False, True):
-        config = _cluster(NODE_STEPS[-1], placement="directory", rebalance=rebalance)
-        result = PatsySimulator(config).replay(skew_trace, trace_name="skew")
-        label = "rebalance-on" if rebalance else "rebalance-off"
-        extra = {"rebalance": rebalance}
-        if rebalance:
-            rebalancer = result.cluster_stats["rebalancer"]
-            extra["migrations"] = rebalancer["migrations"]
-            extra["blocks_copied"] = rebalancer["blocks_copied"]
-        skew_rows[label] = (_row(result, **extra), result)
+    registry.register("placement", OneVolumePlacement.name, OneVolumePlacement)
+    try:
+        for rebalance in (False, True):
+            config = _cluster(NODE_STEPS[-1], placement=OneVolumePlacement.name, rebalance=rebalance)
+            result = PatsySimulator(config).replay(skew_trace, trace_name="skew")
+            label = "rebalance-on" if rebalance else "rebalance-off"
+            extra = {"rebalance": rebalance}
+            if rebalance:
+                rebalancer = result.cluster_stats["rebalancer"]
+                extra["migrations"] = rebalancer["migrations"]
+                extra["blocks_copied"] = rebalancer["blocks_copied"]
+            skew_rows[label] = (_row(result, **extra), result)
+    finally:
+        registry.unregister("placement", OneVolumePlacement.name)
     return scaling_rows, skew_rows, last_result
 
 
@@ -167,7 +183,7 @@ def test_cluster_scaling_and_rebalancing(benchmark):
     print()
     off, off_result = skew_rows["rebalance-off"]
     on, on_result = skew_rows["rebalance-on"]
-    print("skewed directory-affinity workload, 4 nodes:")
+    print("skewed one-volume workload, 4 nodes:")
     for label, row in (("rebalance-off", off), ("rebalance-on", on)):
         print(
             f"  {label:<14} ops/s={row['throughput_ops_per_s']:>7.1f} "

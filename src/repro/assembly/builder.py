@@ -50,12 +50,6 @@ from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
 from repro.core.storage.cleaner import CleanerDaemon, CleanerSet
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume, Volume
-from repro.errors import ConfigurationError
-
-# Imported for their registry side effects: the built-in layouts register
-# themselves under the "layout" kind when their module loads (lfs does so
-# via the import above).
-import repro.core.storage.ffs  # noqa: E402,F401  (registers "ffs")
 
 __all__ = ["StorageStack", "build_stack"]
 
@@ -87,7 +81,7 @@ class StorageStack:
     datamover: DataMover
     #: one flush daemon per shard.
     flush_policy: ShardedFlushPolicy
-    #: one cleaner daemon per LFS volume (empty when no volume is an LFS).
+    #: one cleaner daemon per volume.
     cleaner: CleanerSet
     #: routes files and blocks to volumes: the spec's placement policy
     #: under the migration routing table.
@@ -152,13 +146,10 @@ def _build_layout(
     volume: Volume,
     simulated: bool,
     seed: int,
-    inode_base: int = 0,
-    inode_stride: int = 1,
     crashpoints: Optional[Any] = None,
-):
-    """One storage layout over one volume — member ``inode_base`` of an
-    ``inode_stride``-volume array — created through the "layout" component
-    registry."""
+) -> LogStructuredLayout:
+    """One storage layout over one volume, created through the "layout"
+    component registry."""
     layout = registry.create(
         "layout",
         spec.layout.kind,
@@ -168,11 +159,9 @@ def _build_layout(
         simulated=simulated,
         seed=seed,
         layout_config=spec.layout,
-        inode_base=inode_base,
-        inode_stride=inode_stride,
     )
-    if crashpoints is not None and isinstance(layout, LogStructuredLayout):
-        # The recovery harness crashes inside the LFS index/summary write.
+    if crashpoints is not None:
+        # The recovery harness crashes inside the LFS summary write.
         layout.crashpoints = crashpoints
     return layout
 
@@ -247,8 +236,6 @@ def build_stack(
             volumes[v],
             binding.simulated,
             spec.seed + v,
-            inode_base=v,
-            inode_stride=total_volumes,
             crashpoints=crashpoints,
         )
         for v in range(total_volumes)
@@ -279,7 +266,6 @@ def build_stack(
     cleaner = CleanerSet([
         _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
         for v in range(total_volumes)
-        if isinstance(sublayouts[v], LogStructuredLayout)
     ])
     # The durable metadata tier stays invisible to the replay (and to the
     # disk) until something is journalled.
@@ -322,12 +308,6 @@ def build_stack(
         faults=layout.faults,
     )
     if cluster.replicas > 0:
-        if any(not hasattr(sub, "inode_map") for sub in sublayouts):
-            raise ConfigurationError(
-                "replication needs sub-layouts that can host foreign "
-                "inode numbers (LFS); slot-mapped layouts cannot hold "
-                "shadow inodes"
-            )
         # Creation-time replica re-homing (dead default volume at first
         # write) journals RSETs like a repair does.
         layout.replication = ReplicaManager(

@@ -37,7 +37,7 @@ KNOWN_KINDS = (
     "replacement",  # cache replacement policies        (core.replacement)
     "flush",        # delayed-write / persistency       (core.flush)
     "iosched",      # disk-queue scheduling             (core.iosched)
-    "layout",       # storage layouts (LFS / FFS)       (core.storage.lfs/ffs)
+    "layout",       # storage layouts (LFS)             (core.storage.lfs)
     "placement",    # array file/block placement        (core.storage.array)
     "cleaner",      # LFS segment cleaners              (core.storage.cleaner)
 )

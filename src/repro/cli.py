@@ -19,7 +19,7 @@ Cluster replays additionally take ``--nodes N`` — replay on an N-node
 cluster instead of one machine.  ``add_cluster_flags`` installs it;
 ``cluster_replay_config`` turns the parsed arguments into the
 :func:`repro.config.cluster_config` preset (front-end entry at node 0,
-directory placement, online rebalancing — the shape the benchmarks run).
+hash placement, online rebalancing — the shape the benchmarks run).
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ class FlushConfig:
 
 @dataclass(frozen=True)
 class LayoutConfig:
-    """Storage-layout configuration (segmented LFS by default)."""
+    """Storage-layout configuration: the segmented LFS, the one layout built
+    in, or a layout derived from it and registered under ``kind``."""
 
     kind: str = "lfs"
     segment_size: int = 256 * KB
@@ -161,8 +162,7 @@ class ArrayConfig:
     #: spare disks).
     volumes: int = 1
     #: placement policy routing files/blocks to volumes: "hash" (whole file
-    #: by name hash), "stripe" (round-robin stripe units across volumes) or
-    #: "directory" (files co-locate with their parent directory).
+    #: by name hash) or "stripe" (round-robin stripe units across volumes).
     placement: str = "hash"
 
     def __post_init__(self) -> None:

@@ -341,7 +341,7 @@ class AbstractClientInterface:
         self, parent: DirectoryFile, name: str, kind: FileKind
     ) -> Generator[Any, Any, BaseFile]:
         # The parent directory and leaf name route the new file to a volume
-        # in multi-volume arrays (directory-affinity / hash placement).
+        # in multi-volume arrays (hash placement).
         inode = self.fs.layout.allocate_inode(kind, parent_id=parent.file_id, name=name)
         if kind is FileKind.DIRECTORY:
             inode.nlink = 2

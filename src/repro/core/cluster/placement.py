@@ -1,6 +1,6 @@
 """``ClusterPlacement``: the routing tier above the array's placement.
 
-The array's placement policies (hash / stripe / directory-affinity) are
+The array's placement policies (hash / stripe) are
 pure arithmetic: a file's home volume is encoded in its inode number, so
 routing needs no table.  A cluster must be able to *change* a file's home —
 that is what rebalancing is — so this tier adds exactly one thing on top of
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.inode import FileKind
 from repro.core.storage.array import PlacementPolicy
 from repro.errors import ConfigurationError
 
@@ -93,14 +92,8 @@ class ClusterPlacement(PlacementPolicy):
 
     # ------------------------------------------------------------------ routing
 
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
-        return self.inner.home_for_new_file(parent_id, name, counter, kind=kind)
+    def home_for_new_file(self, parent_id: Optional[int], name: Optional[str], counter: int) -> int:
+        return self.inner.home_for_new_file(parent_id, name, counter)
 
     def volume_of_file(self, file_id: int) -> int:
         home = self._overrides.get(file_id)

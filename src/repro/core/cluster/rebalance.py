@@ -222,11 +222,6 @@ class ClusterRebalancer:
             return False
         new_sub = layout.sublayouts[new_home]
         old_sub = layout.sublayouts[old_home]
-        if not hasattr(new_sub, "inode_map") or not hasattr(old_sub, "inode_map"):
-            # Slot-mapped layouts (FFS) pin inode numbers to their home
-            # volume's arithmetic progression; they cannot adopt a migrant.
-            self.migrations_skipped += 1
-            return False
         loaded = self.fs.file_table.find(file_id)
         if loaded is not None:
             inode = loaded.inode

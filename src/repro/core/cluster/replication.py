@@ -638,7 +638,7 @@ class ReplicationRepairer:
         # Whole file, a segment's worth of blocks per append (bounded
         # memory); the shadow inode rides the last batch.
         block_nos = sorted(source_inode.block_map)
-        batch = max(getattr(target_sub, "segment_blocks", 64) - 2, 1)
+        batch = max(target_sub.segment_blocks - 2, 1)
         for start in range(0, len(block_nos), batch):
             carriers = [
                 (block_no, CacheBlock(slot=-1, size=layout.block_size, with_data=with_data))

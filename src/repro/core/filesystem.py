@@ -42,7 +42,7 @@ class FileSystem:
         layout: StorageLayout,
         datamover: DataMover,
         flush_policy: Optional[FlushPolicy] = None,
-        # One cleaner daemon per LFS volume (none over an FFS).
+        # One cleaner daemon per volume.
         cleaner: Iterable[CleanerDaemon] = (),
     ):
         self.scheduler = scheduler

@@ -3,8 +3,8 @@
 An inode is the on-disk (and in-core) description of a file: its type, size,
 link count, times, and the mapping from logical block numbers to disk block
 addresses.  The block map is a sparse dictionary — holes simply have no
-entry — which matches the behaviour of both the segmented LFS and the
-FFS-like layout in :mod:`repro.core.storage`.
+entry — which matches the behaviour of the segmented LFS in
+:mod:`repro.core.storage`.
 """
 
 from __future__ import annotations

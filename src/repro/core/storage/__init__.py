@@ -4,22 +4,20 @@
 layout on a raw disk.  This component knows the actual location(s) of
 file-system meta-data, and is able to store and retrieve information from
 one or more disks."  The base class is only an interface; the segmented LFS
-(:mod:`repro.core.storage.lfs`) is the layout used throughout the paper's
-experiments, and an FFS-like write-in-place layout
-(:mod:`repro.core.storage.ffs`) demonstrates that other layouts drop into
-the same slot.
+(:mod:`repro.core.storage.lfs`), the layout of the paper's experiments, is
+the one built in.  Another layout drops into the same slot as a class
+registered under the "layout" kind: derived from the LFS, it overrides only
+what it changes.
 """
 
 from repro.core.storage.layout import StorageLayout
 from repro.core.storage.lfs import LogStructuredLayout
-from repro.core.storage.ffs import FfsLikeLayout
 from repro.core.storage.volume import LocalVolume, Volume
 from repro.core.storage.cleaner import CostBenefitCleaner, GreedyCleaner, SegmentCleaner
 
 __all__ = [
     "StorageLayout",
     "LogStructuredLayout",
-    "FfsLikeLayout",
     "Volume",
     "LocalVolume",
     "SegmentCleaner",

@@ -45,7 +45,6 @@ __all__ = [
     "PlacementPolicy",
     "HashPlacement",
     "StripedPlacement",
-    "DirectoryAffinityPlacement",
     "VolumeSet",
     "ShardedCache",
     "RoutedLayout",
@@ -83,17 +82,10 @@ class PlacementPolicy(ABC):
         return range(start, start + self.volumes_per_node)
 
     @abstractmethod
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
+    def home_for_new_file(self, parent_id: Optional[int], name: Optional[str], counter: int) -> int:
         """Home volume for a file about to be created.  ``counter`` is the
         array-wide allocation sequence number (a deterministic tiebreak for
-        files with no parent/name hint); ``kind`` lets policies treat
-        directories differently from regular files."""
+        files with no parent/name hint)."""
 
     def volume_of_file(self, file_id: int) -> int:
         """Home volume of an existing file, recovered from its inode number."""
@@ -120,13 +112,7 @@ class HashPlacement(PlacementPolicy):
 
     name = "hash"
 
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
+    def home_for_new_file(self, parent_id: Optional[int], name: Optional[str], counter: int) -> int:
         if name is None:
             return _crc(str(counter)) % self.num_volumes
         return _crc(f"{parent_id if parent_id is not None else 0}/{name}") % self.num_volumes
@@ -135,7 +121,9 @@ class HashPlacement(PlacementPolicy):
 class StripedPlacement(PlacementPolicy):
     """Round-robin striping: consecutive runs of ``stripe_unit`` blocks of a
     file rotate over the volumes (RAID-0 at file-block granularity), so one
-    large file drives every disk in the array at once."""
+    large file drives every disk in the array at once.  It earns its place
+    on ``e2e/write_burst`` in ``BENCH_components.json``: large new files
+    streamed by many clients drain over every volume at once."""
 
     name = "stripe"
 
@@ -145,13 +133,7 @@ class StripedPlacement(PlacementPolicy):
             raise ConfigurationError("stripe unit must be at least one block")
         self.stripe_unit = stripe_unit
 
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
+    def home_for_new_file(self, parent_id: Optional[int], name: Optional[str], counter: int) -> int:
         return counter % self.num_volumes
 
     def volume_for_block(self, file_id: int, block_no: int) -> int:
@@ -159,36 +141,10 @@ class StripedPlacement(PlacementPolicy):
         return (home + block_no // self.stripe_unit) % self.num_volumes
 
 
-class DirectoryAffinityPlacement(PlacementPolicy):
-    """Directory affinity: the FFS cylinder-group idea lifted to array
-    scale.  New *directories* are spread over the volumes (by name hash) so
-    the namespace fans out; regular files then land on their parent
-    directory's volume, keeping name lookups, dirent updates and the files
-    of one working directory on a single set of disk arms."""
-
-    name = "directory"
-
-    def home_for_new_file(
-        self,
-        parent_id: Optional[int],
-        name: Optional[str],
-        counter: int,
-        kind: Optional[FileKind] = None,
-    ) -> int:
-        if kind is FileKind.DIRECTORY:
-            if name is None:
-                return counter % self.num_volumes
-            return _crc(f"{parent_id if parent_id is not None else 0}/{name}") % self.num_volumes
-        if parent_id is None:
-            return counter % self.num_volumes
-        return self.volume_of_file(parent_id)
-
-
 # "placement" factories take (num_volumes) and return a PlacementPolicy,
 # keyed by ``ArrayConfig.placement``; striping runs at its default unit.
 registry.register("placement", "hash", HashPlacement)
 registry.register("placement", "stripe", StripedPlacement)
-registry.register("placement", "directory", DirectoryAffinityPlacement)
 
 
 # --------------------------------------------------------------------------- volume set
@@ -538,7 +494,7 @@ class ShardedCache:
 class RoutedLayout(StorageLayout):
     """A storage layout routing files and blocks over per-volume sub-layouts.
 
-    Each volume runs its own complete layout instance (LFS or FFS) over its
+    Each volume runs its own complete layout instance (an LFS) over its
     own disks; this class owns only the *routing*: inode numbers are handed
     out in per-volume arithmetic progressions (``number ≡ ROOT + v`` modulo
     the volume count) so a file's home volume is recoverable from its
@@ -570,18 +526,7 @@ class RoutedLayout(StorageLayout):
         )
         self.sublayouts = list(sublayouts)
         self.placement = placement
-        volumes = len(self.sublayouts)
-        for v, sub in enumerate(self.sublayouts):
-            # Slot-mapped layouts (FFS) must be built for exactly this
-            # member's arithmetic progression of inode numbers.
-            stride = getattr(sub, "inode_stride", None)
-            if stride is not None and (stride, getattr(sub, "inode_base", None)) != (volumes, v):
-                raise ConfigurationError(
-                    f"sub-layout {v} expects inode progression base="
-                    f"{getattr(sub, 'inode_base', None)} stride={stride}, "
-                    f"but this array hands it base={v} stride={volumes}"
-                )
-        self._next_number = [ROOT_INODE_NUMBER + v for v in range(volumes)]
+        self._next_number = [ROOT_INODE_NUMBER + v for v in range(len(self.sublayouts))]
         self._file_counter = 0
         #: the fault board: inert (one attribute check per I/O) until a
         #: fault schedule or a test marks a volume dead, unreachable or slow.
@@ -662,9 +607,7 @@ class RoutedLayout(StorageLayout):
             # superblock it lives on volume 0.
             home = 0
         else:
-            home = self.placement.home_for_new_file(
-                parent_id, name, self._file_counter, kind=kind
-            )
+            home = self.placement.home_for_new_file(parent_id, name, self._file_counter)
         number = self._next_number[home]
         self._next_number[home] += self.num_volumes
         sub = self.sublayouts[home]
@@ -837,15 +780,8 @@ class RoutedLayout(StorageLayout):
 
     @property
     def free_segment_fraction(self) -> float:
-        """Mean free-segment fraction over LFS sub-layouts (1.0 otherwise)."""
-        fractions = [
-            sub.free_segment_fraction
-            for sub in self.sublayouts
-            if hasattr(sub, "free_segment_fraction")
-        ]
-        if not fractions:
-            return 1.0
-        return sum(fractions) / len(fractions)
+        """Mean free-segment fraction over the sub-layouts."""
+        return sum(sub.free_segment_fraction for sub in self.sublayouts) / len(self.sublayouts)
 
     # ------------------------------------------------------------------ reporting
 

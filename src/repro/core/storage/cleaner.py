@@ -162,10 +162,9 @@ class CleanerDaemon:
 class CleanerSet:
     """Per-volume cleaner daemons behind one handle.
 
-    Each LFS volume of a storage array runs its own cleaner (a stack of
-    FFS volumes has an empty set); the file system starts each daemon at
-    mount, and the set aggregates their counters so reports can keep
-    treating "the cleaner" as one component.
+    Each LFS volume of a storage array runs its own cleaner; the file
+    system starts each daemon at mount, and the set aggregates their
+    counters so reports can keep treating "the cleaner" as one component.
     """
 
     def __init__(self, daemons: Sequence[CleanerDaemon]):

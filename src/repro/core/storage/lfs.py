@@ -898,21 +898,10 @@ class LogStructuredLayout(StorageLayout):
 # "layout" factories share one signature so the assembly builder can
 # instantiate any registered layout from a LayoutConfig:
 #   factory(scheduler, volume, block_size=..., simulated=..., seed=...,
-#           layout_config=LayoutConfig, inode_base=0, inode_stride=1)
-# LFS maps arbitrary inode numbers, so it ignores the array progression.
+#           layout_config=LayoutConfig)
 
 
-def _build_lfs_layout(
-    scheduler,
-    volume,
-    *,
-    block_size,
-    simulated,
-    seed,
-    layout_config,
-    inode_base=0,
-    inode_stride=1,
-):
+def _build_lfs_layout(scheduler, volume, *, block_size, simulated, seed, layout_config):
     return LogStructuredLayout(
         scheduler,
         volume,

@@ -1,6 +1,6 @@
 """The Pegasus File-System: a synchronous facade over the framework.
 
-A PFS instance wires the shared components (cache, LFS or FFS layout, flush
+A PFS instance wires the shared components (cache, LFS layout, flush
 policy, cleaner) on top of a *real* disk back-end that moves real bytes —
 either an in-memory store or an ordinary Unix file, as in the paper.  The
 facade drives the cooperative scheduler to completion for every call, so

@@ -25,7 +25,6 @@ from repro.core.flush import ShardedFlushPolicy
 from repro.core.inode import FileKind, ROOT_INODE_NUMBER
 from repro.core.scheduler import Delay
 from repro.core.storage.array import (
-    DirectoryAffinityPlacement,
     HashPlacement,
     RoutedLayout,
     ShardedCache,
@@ -101,22 +100,9 @@ def test_striped_placement_rotates_blocks():
     assert policy.home_for_new_file(None, None, 7) == 3
 
 
-def test_directory_affinity_groups_files_and_spreads_directories():
-    policy = DirectoryAffinityPlacement(4)
-    directory_id = ROOT_INODE_NUMBER + 2  # a directory homed on volume 2
-    for name in ("a", "b", "c"):
-        assert policy.home_for_new_file(directory_id, name, 10) == 2
-    homes = {
-        policy.home_for_new_file(ROOT_INODE_NUMBER, f"dir{i}", i, kind=FileKind.DIRECTORY)
-        for i in range(64)
-    }
-    assert len(homes) > 1  # directories fan out over the volumes
-
-
 def test_placement_policy_factory():
     assert isinstance(registry.create("placement", "hash", 3), HashPlacement)
     assert isinstance(registry.create("placement", "stripe", 3, stripe_unit=8), StripedPlacement)
-    assert isinstance(registry.create("placement", "directory", 3), DirectoryAffinityPlacement)
     with pytest.raises(ConfigurationError):
         registry.create("placement", "nearest", 3)
 
@@ -439,71 +425,6 @@ def test_routed_layout_free_blocks_sums_volumes(scheduler):
     assert 0.0 < layout.free_segment_fraction <= 1.0
 
 
-def test_ffs_sublayout_keeps_full_slot_capacity_under_strided_numbering(scheduler):
-    """An FFS member of a V-volume array only ever sees numbers from its own
-    progression (ROOT + v, ROOT + v + V, ...); the stride maps them to dense
-    table slots so the member keeps its full inode capacity."""
-    from repro.core.storage.ffs import FfsLikeLayout
-
-    volume = LocalVolume(
-        [MemoryBackedDiskDriver(scheduler, size_bytes=2 * MB)], block_size=4 * KB
-    )
-    layout = FfsLikeLayout(
-        scheduler,
-        volume,
-        block_size=4 * KB,
-        max_inodes=16,
-        simulated=True,
-        inode_base=1,
-        inode_stride=4,
-    )
-    run(scheduler, layout.mount)
-    numbers = [layout.allocate_inode(FileKind.REGULAR).number for _ in range(16)]
-    # All 16 slots are usable, and every number stays in the progression.
-    assert numbers == [ROOT_INODE_NUMBER + 1 + 4 * slot for slot in range(16)]
-    with pytest.raises(Exception):
-        layout.allocate_inode(FileKind.REGULAR)  # table genuinely full
-    # A number from another volume's progression is rejected, not aliased.
-    from repro.errors import StorageError
-
-    with pytest.raises(StorageError):
-        layout._slot_address(ROOT_INODE_NUMBER + 2)
-
-
-def test_routed_layout_rejects_mismatched_ffs_progression(scheduler):
-    from repro.core.storage.ffs import FfsLikeLayout
-
-    volumes = [
-        LocalVolume([MemoryBackedDiskDriver(scheduler, size_bytes=2 * MB)], block_size=4 * KB)
-        for _ in range(2)
-    ]
-    subs = [
-        FfsLikeLayout(scheduler, vol, block_size=4 * KB, simulated=True)  # stride 1
-        for vol in volumes
-    ]
-    with pytest.raises(ConfigurationError):
-        RoutedLayout(
-            scheduler, VolumeSet(volumes), subs, HashPlacement(2), block_size=4 * KB
-        )
-
-
-def test_ffs_array_survives_many_files():
-    base = small_test_config()
-    config = replace(
-        base,
-        layout=replace(base.layout, kind="ffs"),
-        host=replace(base.host, num_disks=2),
-        array=ArrayConfig(volumes=2),
-    )
-    simulator = PatsySimulator(config)
-    for v, sub in enumerate(simulator.layout.sublayouts):
-        assert (sub.inode_base, sub.inode_stride) == (v, 2)
-    result = simulator.replay(array_trace(seed=9, duration=150.0), trace_name="ffs-array")
-    assert result.errors == 0
-    # Far more files than one volume's dense slot share of a naive layout.
-    assert len(simulator.layout.known_inode_numbers()) > 40
-
-
 # --------------------------------------------------------------------------- sharded flush
 
 
@@ -596,7 +517,7 @@ def array_trace(seed=3, duration=120.0):
     return generate_workload(profile, seed=seed)
 
 
-@pytest.mark.parametrize("placement", ["hash", "stripe", "directory"])
+@pytest.mark.parametrize("placement", ["hash", "stripe"])
 def test_multi_volume_array_replays_and_spreads(placement):
     base = small_test_config()
     config = replace(

@@ -83,7 +83,7 @@ def test_builtin_policies_are_registered():
     assert registry.has("cleaner", "cost-benefit")
     assert registry.has("placement", "stripe")
     assert registry.has("replacement", "arc")
-    assert registry.has("layout", "lfs") and registry.has("layout", "ffs")
+    assert registry.has("layout", "lfs")
 
 
 def test_third_party_flush_policy_plugs_in_without_editing_core():
@@ -436,15 +436,11 @@ def payloads_to_names(payloads):
 
 
 @pytest.mark.parametrize("volumes", [1, 3])
-@pytest.mark.parametrize("kind", ["lfs", "ffs"])
-def test_files_created_after_a_remount_get_fresh_inode_numbers(volumes, kind):
+def test_files_created_after_a_remount_get_fresh_inode_numbers(volumes):
     """The router resumes every volume's inode progression at mount.  It
     used to start over at the root's number, so the first file created on a
     remounted array replaced the root directory."""
-    from dataclasses import replace
-
-    base = array_spec(volumes=volumes)
-    spec = replace(base, layout=replace(base.layout, kind=kind))
+    spec = array_spec(volumes=volumes)
     first = PegasusFileSystem(spec=spec, size_bytes=24 * MB)
     first.format()
     first.mkdir("/d")

@@ -17,6 +17,7 @@ import pytest
 
 from repro.assembly.bindings import OnlineBinding, SimulatedBinding
 from repro.assembly.builder import build_stack
+from repro.assembly.registry import registry
 from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
@@ -239,8 +240,7 @@ def test_volume_set_rejects_raw_block_io(scheduler):
 
 
 def skewed_trace(seed=3, duration=120.0, directories=1, num_clients=4, mean_think_time=2.0):
-    """All traffic lands in ``directories`` directories: with
-    directory-affinity placement the load concentrates on that many homes."""
+    """All traffic lands in ``directories`` directories."""
     profile = WorkloadProfile(
         name="cluster-skew",
         duration=duration,
@@ -486,6 +486,22 @@ def test_migration_skips_directories_and_root():
     assert rebalancer.migrations == 0
 
 
+class OneVolumePlacement(HashPlacement):
+    """Every new file on the last volume: the skew the rebalancer is for."""
+
+    name = "one-volume"
+
+    def home_for_new_file(self, parent_id, name, counter):
+        return self.num_volumes - 1
+
+
+@pytest.fixture
+def one_volume_placement():
+    registry.register("placement", OneVolumePlacement.name, OneVolumePlacement)
+    yield OneVolumePlacement.name
+    registry.unregister("placement", OneVolumePlacement.name)
+
+
 def rebalancing_config(seed=0, rebalance=True):
     return cluster_config(
         nodes=2,
@@ -493,7 +509,7 @@ def rebalancing_config(seed=0, rebalance=True):
         seed=seed,
         volumes_per_node=1,
         disks_per_node=1,
-        placement="directory",
+        placement=OneVolumePlacement.name,
         rebalance=rebalance,
     )
 
@@ -519,7 +535,7 @@ def _rebalancing_run(seed=0, rebalance=True, **trace):
     return result
 
 
-def test_rebalancer_migrates_under_directory_skew():
+def test_rebalancer_migrates_under_directory_skew(one_volume_placement):
     result = _rebalancing_run(**SATURATING)
     assert result.errors == 0
     rebalancer = result.cluster_stats["rebalancer"]
@@ -532,7 +548,7 @@ def test_rebalancer_migrates_under_directory_skew():
     assert node1["disk_operations"] > 0 or node0["disk_operations"] > 0
 
 
-def test_rebalancing_schedule_is_deterministic():
+def test_rebalancing_schedule_is_deterministic(one_volume_placement):
     """Same seed + same skew ⇒ the identical migration schedule, down to
     the timestamps, and identical end-to-end measurements."""
     first = _rebalancing_run(seed=1, **SATURATING)
@@ -544,12 +560,12 @@ def test_rebalancing_schedule_is_deterministic():
     assert repr(first.summary()) == repr(second.summary())
 
 
-def test_rebalancing_changes_with_the_seed_but_replays_cleanly():
+def test_rebalancing_changes_with_the_seed_but_replays_cleanly(one_volume_placement):
     result = _rebalancing_run(seed=2, **SATURATING)
     assert result.errors == 0
 
 
-def test_light_skew_does_not_migrate():
+def test_light_skew_does_not_migrate(one_volume_placement):
     """Skewed but light: the home disk is never busy half an interval, so
     there is no queue for a migration to relieve and none runs."""
     result = _rebalancing_run()

@@ -1,10 +1,11 @@
-"""The registered replacement and disk-queue policies are the ones the matrix keeps.
+"""The registered components are the ones the matrix keeps.
 
 ``BENCH_components.json`` (written by ``benchmarks/components_matrix.py``)
-records every judged name's simulated numbers and its verdict.  These tests
-read only that file, never simulate: a name the matrix dropped may not be
-registered, a kept one may not go missing, and a kept name that is neither
-a baseline nor a reference must say in its docstring which row it won.
+records every judged replacement, disk-queue, placement and layout name's
+simulated numbers and its verdict.  These tests read only that file, never
+simulate: a name the matrix dropped may not be registered, a kept one may
+not go missing, and a kept name that is neither a baseline nor a reference
+must say in its docstring which row it won.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from repro.assembly.registry import registry
 
-KINDS = ("replacement", "iosched")
+KINDS = ("replacement", "iosched", "placement", "layout")
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def matrix():
     return json.loads((Path(__file__).resolve().parents[1] / "BENCH_components.json").read_text())
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("cleaner",))
 def test_registered_names_are_the_kept_ones(matrix, kind):
     entry = matrix["kinds"][kind]
     assert registry.names(kind) == sorted(entry["kept"] + entry["unjudged"])
@@ -38,6 +39,9 @@ def test_every_judged_name_has_numbers_and_a_verdict(matrix, kind):
         assert sorted(cells) == judged, row
         for name, values in cells.items():
             assert len(values[matrix["metric"]]) == len(matrix["seeds"]), (row, name)
+    # A row listed as judging nothing measured every name the same on every seed.
+    for row in entry["uninformative_rows"]:
+        assert len({tuple(cell[matrix["metric"]]) for cell in entry["rows"][row].values()}) == 1, row
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -45,3 +49,9 @@ def test_each_winner_names_its_row_in_its_docstring(matrix, kind):
     for name, verdict in matrix["kinds"][kind]["verdicts"].items():
         if verdict["verdict"] == "kept" and "won" in verdict:
             assert verdict["won"] in (registry.get(kind, name).__doc__ or ""), name
+
+
+def test_the_cleaners_are_listed_unjudged(matrix):
+    entry = matrix["kinds"]["cleaner"]
+    assert entry["unjudged"] == registry.names("cleaner")
+    assert entry["kept"] == entry["dropped"] == [] and entry["verdicts"] == {}

@@ -154,6 +154,65 @@ def test_migrating_a_policy_requires_no_code_changes():
     assert type(policy_for_patsy) is type(policy_for_pfs)
 
 
+class CountingLayout(LogStructuredLayout):
+    """A derived layout: the LFS with one method overridden, to count the
+    writeback batches it is handed."""
+
+    batches = 0
+
+    def write_files(self, files):
+        self.batches += 1
+        yield from super().write_files(files)
+
+
+def _build_counting_layout(scheduler, volume, *, block_size, simulated, seed, layout_config):
+    return CountingLayout(
+        scheduler,
+        volume,
+        block_size=block_size,
+        segment_blocks=layout_config.segment_size // block_size,
+        simulated=simulated,
+        seed=seed,
+    )
+
+
+@pytest.fixture
+def counting_layout():
+    registry.register("layout", "counting", _build_counting_layout)
+    yield "counting"
+    registry.unregister("layout", "counting")
+
+
+def test_a_derived_layout_is_cut_in_from_one_spec_in_both_worlds(counting_layout):
+    """A layout is a component like any other: a class derived from the LFS
+    and registered under a name is what both worlds build from one spec,
+    and a file round-trips through it."""
+    base = small_test_config(seed=4)
+    spec = replace(base, layout=replace(base.layout, kind=counting_layout))
+    simulator = PatsySimulator(spec)
+    pfs = PegasusFileSystem(spec, size_bytes=16 * MB)
+    for layout in (simulator.layout, pfs.layout):
+        assert [type(sub) for sub in layout.sublayouts] == [CountingLayout]
+
+    trace = [
+        TraceRecord(0.1, 0, "write", "/f", offset=0, size=12 * KB),
+        TraceRecord(0.2, 0, "fsync", "/f"),
+        TraceRecord(0.3, 0, "read", "/f", offset=0, size=12 * KB),
+    ]
+    assert simulator.replay(trace, trace_name="derived").errors == 0
+    assert simulator.layout.sublayouts[0].batches > 0
+
+    payload = bytes(range(256)) * 48
+    pfs.format()
+    pfs.write_file("/f", payload)
+    pfs.unmount()
+    assert pfs.layout.sublayouts[0].batches > 0
+    remounted = PegasusFileSystem(spec, size_bytes=16 * MB)
+    remounted.drivers[0].restore(pfs.drivers[0].snapshot())
+    remounted.mount()
+    assert remounted.read_file("/f") == payload
+
+
 # --------------------------------------------------------------------------- one spec, two worlds
 #
 # The assembly layer makes the paper's claim checkable wholesale: build the

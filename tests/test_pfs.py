@@ -117,19 +117,6 @@ def test_persistence_across_remount_memoryless(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_ffs_layout_variant():
-    pfs = PegasusFileSystem(
-        spec=StackSpec(
-            cache=CacheConfig(size_bytes=1 * MB),
-            layout=LayoutConfig(kind="ffs"),
-        ),
-        size_bytes=16 * MB,
-    )
-    pfs.format()
-    pfs.write_file("/on-ffs", b"ffs data" * 100)
-    assert pfs.read_file("/on-ffs") == b"ffs data" * 100
-
-
 def test_ups_flush_policy_variant():
     pfs = PegasusFileSystem(
         spec=StackSpec(

@@ -9,7 +9,6 @@ from repro.core import codec
 from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind, Inode
 from repro.core.scheduler import Delay, FifoSchedulingPolicy, Scheduler
-from repro.core.storage.allocator import BlockAllocator
 from repro.config import CacheConfig
 from repro.core.cache import BlockCache
 from repro.core.driver import IOKind, IORequest
@@ -86,25 +85,6 @@ def test_checkpoint_codec_roundtrip(inode_map, usage):
     fields = codec.unpack_checkpoint(packed)
     assert fields["inode_map"] == inode_map
     assert fields["segment_usage"] == usage
-
-
-# --------------------------------------------------------------------------- allocator invariants
-
-
-@given(st.lists(st.sampled_from(["alloc", "free"]), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_allocator_never_double_allocates(operations):
-    allocator = BlockAllocator(first_block=100, num_blocks=32)
-    allocated = set()
-    for op in operations:
-        if op == "alloc" and allocator.free_count > 0:
-            address = allocator.allocate()
-            assert address not in allocated
-            allocated.add(address)
-        elif op == "free" and allocated:
-            address = allocated.pop()
-            allocator.free(address)
-        assert allocator.free_count + len(allocated) == 32
 
 
 # --------------------------------------------------------------------------- I/O schedulers

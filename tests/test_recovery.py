@@ -203,7 +203,7 @@ def check_recovered(stack, files, deleted_path, context):
 
 FULL_MATRIX_SHAPES = [
     pytest.param(1, 2, "hash", id="1node-2vol-hash"),
-    pytest.param(2, 1, "directory", id="2node-directory"),
+    pytest.param(2, 1, "stripe", id="2node-stripe"),
 ]
 
 

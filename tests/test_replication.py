@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.assembly.bindings import OnlineBinding, SimulatedBinding
+from repro.assembly.bindings import OnlineBinding
 from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
@@ -153,21 +153,6 @@ def test_replicas_zero_is_inert():
         overrides={},
     )
     assert b"replicas" not in manifest.encode()
-
-
-def test_replication_requires_foreign_inode_hosting():
-    """FFS sub-layouts (fixed inode slots) cannot hold another volume's
-    shadow inodes; the builder must reject the combination outright."""
-    spec = replica_spec(replicas=1)
-    spec = StackSpec(
-        cache=spec.cache,
-        flush=spec.flush,
-        layout=LayoutConfig(kind="ffs"),
-        array=spec.array,
-        cluster=spec.cluster,
-    )
-    with pytest.raises(ConfigurationError, match="foreign inode"):
-        build_stack(spec, SimulatedBinding(metadata_store=DurableStore()))
 
 
 # --------------------------------------------------------------------------- placement property

@@ -1,6 +1,5 @@
 """The Patsy simulator and the delayed-write experiments (integration level)."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -147,13 +146,6 @@ def test_nvram_bottleneck_on_write_heavy_trace():
     write_delay = results["write-delay"]
     assert nvram.cache_stats["nvram_stalls"] > 0
     assert nvram.blocks_written_to_disk >= write_delay.blocks_written_to_disk * 0.8
-
-
-def test_ffs_layout_simulation():
-    spec = small_test_config()
-    simulator = PatsySimulator(replace(spec, layout=replace(spec.layout, kind="ffs")))
-    result = simulator.replay(tiny_trace())
-    assert result.errors == 0
 
 
 def test_same_trace_different_policies_same_operation_count():
