@@ -120,7 +120,7 @@ def _replay(kind: str, names: List[str], spec: StackSpec, trace, trace_name: str
         try:
             simulator = PatsySimulator(_override(kind, name, spec))
         except ConfigurationError:
-            outcomes[name] = {METRIC: None, "hit_rate": None, **({"read_mean_ms": None} if reads else {})}
+            outcomes[name] = dict.fromkeys([METRIC, "hit_rate"] + (["read_mean_ms"] if reads else []))
             continue
         if faults:
             simulator.inject_faults(faults)
@@ -280,13 +280,13 @@ def measure_kind(kind: str, names: List[str], seeds: Tuple[int, ...]) -> Dict[st
 def _worst_seed_ratio(cells: Dict[str, dict], name: str, rivals: List[str]) -> Optional[float]:
     """On one row, the worst seed's ratio of ``name`` to its best rival;
     ``None`` when ``name``, or every rival, cannot build the row's stack."""
-    worst = None
+    worst = 0.0
     for i, mine in enumerate(cells[name][METRIC]):
         theirs = [cells[other][METRIC][i] for other in rivals
                   if other != name and cells[other][METRIC][i] is not None]
         if mine is None or not theirs:
             return None
-        worst = max(mine / min(theirs), worst if worst is not None else 0.0)
+        worst = max(worst, mine / min(theirs))
     return worst
 
 
@@ -333,7 +333,8 @@ def document(tables: Dict[str, Dict[str, dict]]) -> dict:
         }
     return {
         "about": "simulated numbers only: mean operation latency (ms) and cache hit rate per "
-                 "row, name and seed (null: the name cannot build that row's stack); written by "
+                 "row, name and seed (null: the name cannot build that row's stack, or a deleted "
+                 "name's numbers there came from another stack); written by "
                  "benchmarks/components_matrix.py",
         "keep_rule": KEEP_RULE,
         "metric": METRIC,
