@@ -25,16 +25,9 @@ from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode
 from repro.core.scheduler import Scheduler
 from repro.core.storage.volume import Volume
-from repro.core.sync import gather
 from repro.errors import StorageError
 
-__all__ = ["StorageLayout", "LayoutStatistics", "ReadRun", "ReadAhead", "WriteBack"]
-
-#: one planned disk read: the first block address and the file blocks it
-#: fetches, as ``(offset from that address, logical block number)`` in
-#: ascending order.  The read spans up to the last offset; an offset no
-#: member names is a block read through and discarded.
-ReadRun = tuple[int, list[tuple[int, int]]]
+__all__ = ["StorageLayout", "LayoutStatistics", "ReadAhead", "WriteBack"]
 
 #: what a caller of :meth:`StorageLayout.read_file_blocks` offers for
 #: read-ahead: given a logical block number, a cache slot to fill — or
@@ -172,6 +165,7 @@ class StorageLayout(ABC):
 
     # ------------------------------------------------------------------ data blocks
 
+    @abstractmethod
     def read_file_blocks(
         self,
         inode: Inode,
@@ -182,76 +176,11 @@ class StorageLayout(ABC):
         """One client read: fill the given (logical block number, cache
         block) pairs of ``inode`` from disk.
 
-        The layout plans the blocks into physical runs (:meth:`_plan_read_runs`)
-        and issues one ``volume.read_run`` per run; runs on different disks
-        are in flight together.  A layout that coalesces may extend the last
-        run with the file's following blocks, into slots ``readahead``
-        hands out.  Returns the number of blocks read; a hole (a block of a
-        real file with no address) is left untouched — the caller sees zeros.
+        A layout that coalesces may extend the read with the file's
+        following blocks, into slots ``readahead`` hands out.  Returns the
+        number of blocks read; a hole (a block of a real file with no
+        address) is left untouched — the caller sees zeros.
         """
-        slots = dict(blocks)
-        by_disk: dict[int, list[ReadRun]] = {}
-        for run in self._plan_read_runs(inode, slots, readahead):
-            by_disk.setdefault(self.volume.disk_of(run[0]), []).append(run)
-        counts = yield from gather(
-            self.scheduler,
-            [self._read_runs(runs, slots) for runs in by_disk.values()],
-            name="read-run",
-        )
-        return sum(counts)
-
-    def _plan_read_runs(
-        self,
-        inode: Inode,
-        slots: dict[int, CacheBlock],
-        readahead: Optional[ReadAhead],
-    ) -> list[ReadRun]:
-        """The disk reads that fetch the blocks of ``slots``.  The base plan
-        is one single-block read per block; a layout that knows which
-        addresses are safe to read together overrides this, and adds the
-        slots it obtained from ``readahead`` to ``slots``."""
-        runs: list[ReadRun] = []
-        for block_no in sorted(slots):
-            address = self._read_address(inode, block_no)
-            if address is not None:
-                runs.append((address, [(0, block_no)]))
-        return runs
-
-    def _read_address(self, inode: Inode, block_no: int) -> Optional[int]:
-        """Where to read ``block_no`` from: its mapped address, else (in a
-        simulator) its place in the file's synthetic extent, else ``None``."""
-        address = inode.get_block_address(block_no)
-        if address is None and self.simulated:
-            address = self.synthesize_address(inode.number, block_no)
-        return address
-
-    def _read_runs(
-        self, runs: list[ReadRun], slots: dict[int, CacheBlock]
-    ) -> Generator[Any, Any, int]:
-        """Issue ``runs`` (all on one disk) one after the other and copy
-        what they return into the cache blocks; returns the blocks read."""
-        size = self.block_size
-        stats = self.stats
-        for address, members in runs:
-            raw = yield from self.volume.read_run(address, members[-1][0] + 1)
-            stats.disk_reads += 1
-            stats.blocks_read += len(members)
-            if len(members) > 1:
-                stats.cold_read_runs += 1
-                stats.cold_read_blocks_coalesced += len(members) - 1
-            if raw is None:
-                continue
-            for offset, block_no in members:
-                block = slots[block_no]
-                if block.data is not None:
-                    disk = raw[offset * size : (offset + 1) * size]
-                    # Old bytes a block owes land around what writes put
-                    # there, never over it.
-                    lo, hi, old_end = block.owed or (0, 0, size)
-                    block.data[:lo] = disk[:lo]
-                    block.data[hi:old_end] = disk[hi:old_end]
-                    block.valid_bytes = block.size
-        return sum(len(members) for _address, members in runs)
 
     def write_file_blocks(
         self,

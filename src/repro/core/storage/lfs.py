@@ -36,14 +36,20 @@ from repro.core import codec
 from repro.core.blocks import CacheBlock
 from repro.core.inode import FileKind, Inode, ROOT_INODE_NUMBER
 from repro.core.scheduler import Scheduler
-from repro.core.storage.layout import ReadAhead, ReadRun, StorageLayout, WriteBack
+from repro.core.storage.layout import ReadAhead, StorageLayout, WriteBack
 from repro.core.storage.segindex import UtilisationBuckets
 from repro.core.storage.volume import Volume
-from repro.core.sync import Mutex
+from repro.core.sync import Mutex, gather
 from repro.errors import NoSpaceLeft, StorageError
 from repro.units import DEFAULT_BLOCK_SIZE
 
 __all__ = ["LogStructuredLayout", "SegmentInfo"]
+
+#: one planned disk read: the first block address and the file blocks it
+#: fetches, as ``(offset from that address, logical block number)`` in
+#: ascending order.  The read spans up to the last offset; an offset no
+#: member names is a block read through and discarded.
+ReadRun = tuple[int, list[tuple[int, int]]]
 
 
 def _contiguous_runs(offsets: list[int]) -> list[tuple[int, int]]:
@@ -413,6 +419,31 @@ class LogStructuredLayout(StorageLayout):
 
     # ------------------------------------------------------------------ file data
 
+    def read_file_blocks(
+        self,
+        inode: Inode,
+        blocks: list[tuple[int, CacheBlock]],
+        *,
+        readahead: Optional[ReadAhead] = None,
+    ) -> Generator[Any, Any, int]:
+        """One client read: fill the given (logical block number, cache
+        block) pairs of ``inode`` from disk.
+
+        The blocks are planned into physical runs (:meth:`_plan_read_runs`)
+        and each run is one ``volume.read_run``; runs on different disks
+        are in flight together.
+        """
+        slots = dict(blocks)
+        by_disk: dict[int, list[ReadRun]] = {}
+        for run in self._plan_read_runs(inode, slots, readahead):
+            by_disk.setdefault(self.volume.disk_of(run[0]), []).append(run)
+        counts = yield from gather(
+            self.scheduler,
+            [self._read_runs(runs, slots) for runs in by_disk.values()],
+            name="read-run",
+        )
+        return sum(counts)
+
     def _plan_read_runs(
         self,
         inode: Inode,
@@ -472,6 +503,42 @@ class LogStructuredLayout(StorageLayout):
                 members.append((address - start, block_no))
                 block_no += 1
         return runs
+
+    def _read_address(self, inode: Inode, block_no: int) -> Optional[int]:
+        """Where to read ``block_no`` from: its mapped address, else (in a
+        simulator) its place in the file's synthetic extent, else ``None``."""
+        address = inode.get_block_address(block_no)
+        if address is None and self.simulated:
+            address = self.synthesize_address(inode.number, block_no)
+        return address
+
+    def _read_runs(
+        self, runs: list[ReadRun], slots: dict[int, CacheBlock]
+    ) -> Generator[Any, Any, int]:
+        """Issue ``runs`` (all on one disk) one after the other and copy
+        what they return into the cache blocks; returns the blocks read."""
+        size = self.block_size
+        stats = self.stats
+        for address, members in runs:
+            raw = yield from self.volume.read_run(address, members[-1][0] + 1)
+            stats.disk_reads += 1
+            stats.blocks_read += len(members)
+            if len(members) > 1:
+                stats.cold_read_runs += 1
+                stats.cold_read_blocks_coalesced += len(members) - 1
+            if raw is None:
+                continue
+            for offset, block_no in members:
+                block = slots[block_no]
+                if block.data is not None:
+                    disk = raw[offset * size : (offset + 1) * size]
+                    # Old bytes a block owes land around what writes put
+                    # there, never over it.
+                    lo, hi, old_end = block.owed or (0, 0, size)
+                    block.data[:lo] = disk[:lo]
+                    block.data[hi:old_end] = disk[hi:old_end]
+                    block.valid_bytes = block.size
+        return sum(len(members) for _address, members in runs)
 
     def write_files(self, files: list[WriteBack]) -> Generator[Any, Any, None]:
         """One log append per batch, split before the file whose data
