@@ -81,11 +81,6 @@ class _Node:
         #: to when cleaned; policies may retarget it on parked accesses.
         self.home: Optional["_DList"] = None
 
-    @property
-    def segment(self) -> Optional["_DList"]:
-        """The list this node logically belongs to (even while parked)."""
-        return self.owner if self.owner is not None else self.home
-
 
 class _DList:
     """Intrusive doubly-linked list with a sentinel: every operation O(1).
@@ -139,12 +134,6 @@ class _DList:
     def move_to_tail(self, node: _Node) -> None:
         self.remove(node)
         self.append(node)
-
-    def pop_head(self) -> Optional[_Node]:
-        node = self.head
-        if node is not None:
-            self.remove(node)
-        return node
 
     def __iter__(self) -> Iterator[_Node]:
         node = self._sentinel.next
@@ -377,6 +366,9 @@ class ArcPolicy(ReplacementPolicy):
         self._b1 = _DList("b1")
         self._b2 = _DList("b2")
         self._ghosts: Dict[BlockId, _Node] = {}
+        #: the same ghosts by file, ``file_id -> {block_no: node}``, so that
+        #: a truncate or delete touches only its own file's ghosts.
+        self._ghosts_of: Dict[int, Dict[int, _Node]] = {}
         #: adaptation target: desired size of T1, in blocks.
         self.p = 0.0
 
@@ -385,10 +377,10 @@ class ArcPolicy(ReplacementPolicy):
     def on_insert(self, block: CacheBlock) -> None:
         key = block.block_id
         node = self._register(block)
-        ghost = self._ghosts.pop(key, None)
+        ghost = self._ghosts.get(key)
         if ghost is not None:
             in_b1 = ghost.owner is self._b1
-            ghost.owner.remove(ghost)
+            self._drop_ghost(ghost)
             self.stats.ghost_hits += 1
             self._adapt(hit_in_b1=in_b1)
             self._t2.append(node)  # proven reuse goes straight to T2
@@ -430,16 +422,16 @@ class ArcPolicy(ReplacementPolicy):
         return node.block if node else None
 
     def _retire(self, node: _Node, ghost: bool) -> None:
-        from_t1 = node.segment is self._t1
+        segment = node.owner or node.home
         super()._retire(node, ghost)
         if not ghost:
             return
-        ghost_node = _Node(node.key)
-        if from_t1:
-            self._b1.append(ghost_node)
-        else:
-            self._b2.append(ghost_node)
-        self._ghosts[node.key] = ghost_node
+        # The evicted node itself becomes the ghost.
+        node.block = node.home = None
+        (self._b1 if segment is self._t1 else self._b2).append(node)
+        key = node.key
+        self._ghosts[key] = node
+        self._ghosts_of.setdefault(key.file_id, {})[key.block_no] = node
         self._trim_ghosts()
 
     # -- ARC internals --------------------------------------------------------
@@ -457,26 +449,33 @@ class ArcPolicy(ReplacementPolicy):
 
     def _trim_ghosts(self) -> None:
         """Enforce |T1|+|B1| <= c and |T1|+|T2|+|B1|+|B2| <= 2c."""
-        while self._b1 and len(self._t1) + len(self._b1) > self.capacity:
-            self._drop_ghost(self._b1)
-        total = len(self._t1) + len(self._t2) + len(self._b1) + len(self._b2)
-        while total > 2 * self.capacity and (self._b1 or self._b2):
-            self._drop_ghost(self._b2 if self._b2 else self._b1)
-            total -= 1
+        b1, b2 = self._b1, self._b2
+        t1_size = self._t1._size
+        excess = t1_size + b1._size - self.capacity
+        while excess > 0 and b1._size:
+            self._drop_ghost(b1.head)
+            excess -= 1
+        excess = t1_size + self._t2._size + b1._size + b2._size - 2 * self.capacity
+        while excess > 0 and (b1._size or b2._size):
+            self._drop_ghost((b2 if b2._size else b1).head)
+            excess -= 1
 
-    def _drop_ghost(self, dlist: _DList) -> None:
-        dropped = dlist.pop_head()
-        if dropped is not None:
-            self._ghosts.pop(dropped.key, None)
+    def _drop_ghost(self, ghost: _Node) -> None:
+        ghost.owner.remove(ghost)
+        key = ghost.key
+        del self._ghosts[key]
+        blocks = self._ghosts_of[key.file_id]
+        del blocks[key.block_no]
+        if not blocks:
+            del self._ghosts_of[key.file_id]
 
     # -- introspection --------------------------------------------------------
 
     def forget_file(self, file_id: int, from_block: int = 0) -> None:
-        for key in [
-            k for k in self._ghosts if k.file_id == file_id and k.block_no >= from_block
-        ]:
-            ghost = self._ghosts.pop(key)
-            ghost.owner.remove(ghost)
+        ghosts = self._ghosts_of.get(file_id)
+        if ghosts:
+            for ghost in [g for no, g in ghosts.items() if no >= from_block]:
+                self._drop_ghost(ghost)
 
     def ghost_lists(self) -> tuple[list[BlockId], list[BlockId]]:
         """(B1, B2) identities, eviction end first (exposed for tests)."""

@@ -10,16 +10,19 @@ from repro.core.clock import VirtualClock
 from repro.core.inode import FileKind, Inode
 from repro.core.scheduler import Delay, FifoSchedulingPolicy, Scheduler
 from repro.config import CacheConfig
+from repro.core.blocks import BlockId, BlockState
 from repro.core.cache import BlockCache
 from repro.core.driver import IOKind, IORequest
 from repro.analysis.cdf import cumulative_distribution, fraction_at_or_below
 from repro.core.client import AbstractClientInterface
 from repro.core.filetypes import DirectoryFile, SymlinkFile
 from repro.core.namespace import MAX_SYMLINK_DEPTH, Namespace, normalize_path, split_path
+from repro.core.replacement import ArcPolicy
 from repro.errors import FileNotFound, FileSystemError, InvalidArgument, NotADirectory, TraceError
 from repro.patsy.diskspec import HP97560
 from repro.patsy.traces import TRACE_OPERATIONS, TraceReader
 from tests.conftest import make_memory_filesystem, run
+from tests.test_replacement import make_block
 
 
 # --------------------------------------------------------------------------- codec round trips
@@ -173,6 +176,93 @@ def test_cache_list_accounting_invariant(operations):
 
     thread = scheduler.spawn(body)
     scheduler.run_until_complete(thread)
+
+
+#: resident blocks of the ARC history test: small, so ghosts pile up fast.
+ARC_CAPACITY = 6
+
+
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "access", "dirty", "clean", "evict", "invalidate", "forget"]),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=5),
+        ),
+        min_size=1,
+        max_size=150,
+    )
+)
+# A block cleaned after an eviction pushes T1 + B1 past c until the next trim.
+@example(operations=[("insert", 0, n) for n in range(6)]
+         + [("dirty", 0, 5), ("insert", 1, 0), ("clean", 0, 5), ("forget", 3, 0), ("insert", 2, 0)])
+@settings(max_examples=80, deadline=None)
+def test_arc_ghost_index_matches_a_full_scan(operations):
+    """After every step of a random history, ARC's per-file ghost index
+    holds exactly the ghosts of that file, ``forget_file`` leaves what a
+    scan of every ghost would, and the ghost lists keep ARC's bounds.
+
+    ARC trims its ghosts on every insert and every eviction; a cleaned
+    block returns to its list without one, so each clean since the last
+    trim may hold the sizes one block over their bounds."""
+    policy = ArcPolicy(ARC_CAPACITY)
+    resident = {}
+    cleaned_since_trim = 0
+
+    def evict(incoming=None):
+        nonlocal cleaned_since_trim
+        victim = policy.victim(incoming=incoming)
+        if victim is not None:
+            policy.on_evict(victim, ghost=True)
+            del resident[victim.block_id]
+            cleaned_since_trim = 0
+        return victim
+
+    for op, file_id, block_no in operations:
+        key = BlockId(file_id, block_no)
+        block = resident.get(key)
+        ghosts_before = set(policy._ghosts)
+        if op == "insert" and block is None:
+            if len(resident) < ARC_CAPACITY or evict(incoming=key) is not None:
+                resident[key] = make_block(file_id, block_no)
+                policy.on_insert(resident[key])
+                cleaned_since_trim = 0
+        elif op == "access" and block is not None:
+            policy.on_access(block)
+        elif op == "dirty" and block is not None and block.is_clean:
+            block.state = BlockState.DIRTY
+            policy.on_dirty(block)
+        elif op == "clean" and block is not None and block.is_dirty:
+            block.state = BlockState.CLEAN
+            policy.on_clean(block)
+            cleaned_since_trim += 1
+            assert set(policy._ghosts) == ghosts_before
+        elif op == "evict":
+            evict()
+        elif op == "invalidate" and block is not None:
+            policy.on_evict(resident.pop(key), ghost=False)
+        elif op == "forget":
+            b1, b2 = policy.ghost_lists()
+
+            def survives(k):
+                return not (k.file_id == file_id and k.block_no >= block_no)
+
+            policy.forget_file(file_id, block_no)
+            assert policy.ghost_lists() == ([k for k in b1 if survives(k)], [k for k in b2 if survives(k)])
+            assert set(policy._ghosts) == {k for k in ghosts_before if survives(k)}
+
+        files = {k.file_id for k in policy._ghosts}
+        assert set(policy._ghosts_of) == files
+        for f in files:
+            by_file = policy._ghosts_of[f]
+            assert {BlockId(f, no) for no in by_file} == {k for k in policy._ghosts if k.file_id == f}
+            assert all(policy._ghosts[BlockId(f, no)] is node for no, node in by_file.items())
+        b1, b2 = policy.ghost_lists()
+        assert sorted(b1 + b2) == sorted(policy._ghosts)
+        snap = policy.snapshot()
+        assert snap["t1"] + snap["b1_ghosts"] <= ARC_CAPACITY + cleaned_since_trim
+        total = snap["t1"] + snap["t2"] + snap["b1_ghosts"] + snap["b2_ghosts"]
+        assert total <= 2 * ARC_CAPACITY + cleaned_since_trim
 
 
 # --------------------------------------------------------------------------- misc

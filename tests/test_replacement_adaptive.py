@@ -259,3 +259,24 @@ def test_scan_workload_profile_patterns_are_deterministic():
             name=f"pattern-{pattern}", duration=20.0, num_clients=2, access_pattern=pattern
         )
         assert generate_workload(profile, seed=4) == generate_workload(profile, seed=4)
+
+
+class _NoScanDict(dict):
+    """A dict that fails any walk over all of its entries."""
+
+    def _walk(self, *args):
+        raise AssertionError("walked every ghost")
+
+    __iter__ = keys = values = items = _walk
+
+
+def test_forget_file_touches_only_its_own_files_ghosts():
+    cache = MiniCache("arc", 4)
+    for fid in (1, 1, 2, 2, 3, 4, 5, 6, 7):
+        cache.access(fid)  # 1 and 2 in T2; 4 and 5 end up in B1
+    policy = cache.policy
+    assert policy.ghost_lists() == ([BlockId(4, 0), BlockId(5, 0)], [])
+    policy._ghosts = _NoScanDict(policy._ghosts)
+    policy.forget_file(42)  # no ghosts: the global dict is not walked
+    policy.forget_file(4)  # one ghost: dropped through the per-file index
+    assert policy.ghost_lists() == ([BlockId(5, 0)], [])
