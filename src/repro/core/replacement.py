@@ -105,11 +105,6 @@ class _DList:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    @property
-    def head(self) -> Optional[_Node]:
-        node = self._sentinel.next
-        return None if node is self._sentinel else node
-
     def append(self, node: _Node) -> None:
         """Insert at the tail (the MRU / most-recently-inserted end)."""
         if node.owner is not None:
@@ -254,13 +249,7 @@ class ReplacementPolicy(ABC):
         (truncate/delete), where remembering the identity would be wrong.
         """
         node = self._nodes.pop(block.block_id, None)
-        if node is None:
-            return
-        self._retire(node, ghost)
-
-    def _retire(self, node: _Node, ghost: bool) -> None:
-        """Unlink a resident node; subclasses hook this to create ghosts."""
-        if node.owner is not None:
+        if node is not None and node.owner is not None:
             node.owner.remove(node)
 
     # ------------------------------------------------------------------ helpers
@@ -375,9 +364,8 @@ class ArcPolicy(ReplacementPolicy):
     # -- events ---------------------------------------------------------------
 
     def on_insert(self, block: CacheBlock) -> None:
-        key = block.block_id
         node = self._register(block)
-        ghost = self._ghosts.get(key)
+        ghost = self._ghosts.get(node.key)
         if ghost is not None:
             in_b1 = ghost.owner is self._b1
             self._drop_ghost(ghost)
@@ -404,29 +392,33 @@ class ArcPolicy(ReplacementPolicy):
             self._t2.move_to_tail(node)
 
     def victim(self, incoming=None, peek=False) -> Optional[CacheBlock]:
-        incoming_in_b2 = (
-            incoming is not None
+        t1, t2 = self._t1, self._t2
+        size = t1._size
+        # REPLACE: take from T1 while it is over its target, or at it when
+        # the incoming block is a B2 ghost; else from T2.
+        if size and (size > self.p or (
+            size == int(self.p)
+            and incoming is not None
             and (ghost := self._ghosts.get(incoming)) is not None
             and ghost.owner is self._b2
-        )
-        t1_len = len(self._t1)
-        prefer_t1 = t1_len >= 1 and (
-            t1_len > self.p or (incoming_in_b2 and t1_len == int(self.p))
-        )
-        primary, secondary = (
-            (self._t1, self._t2) if prefer_t1 else (self._t2, self._t1)
-        )
-        node = self._scan(primary, peek)
-        if node is None:
-            node = self._scan(secondary, peek)
-        return node.block if node else None
+        )):
+            node = self._scan(t1, peek) or self._scan(t2, peek)
+        else:
+            node = self._scan(t2, peek) or self._scan(t1, peek)
+        return None if node is None else node.block
 
-    def _retire(self, node: _Node, ghost: bool) -> None:
-        segment = node.owner or node.home
-        super()._retire(node, ghost)
+    def on_evict(self, block: CacheBlock, ghost: bool = True) -> None:
+        node = self._nodes.pop(block.block_id, None)
+        if node is None:
+            return
+        segment = node.owner
+        if segment is not None:
+            segment.remove(node)
+        else:
+            segment = node.home
         if not ghost:
             return
-        # The evicted node itself becomes the ghost.
+        # The evicted node itself becomes the ghost, in B1 if it left T1.
         node.block = node.home = None
         (self._b1 if segment is self._t1 else self._b2).append(node)
         key = node.key
@@ -453,11 +445,11 @@ class ArcPolicy(ReplacementPolicy):
         t1_size = self._t1._size
         excess = t1_size + b1._size - self.capacity
         while excess > 0 and b1._size:
-            self._drop_ghost(b1.head)
+            self._drop_ghost(b1._sentinel.next)
             excess -= 1
         excess = t1_size + self._t2._size + b1._size + b2._size - 2 * self.capacity
         while excess > 0 and (b1._size or b2._size):
-            self._drop_ghost((b2 if b2._size else b1).head)
+            self._drop_ghost((b2 if b2._size else b1)._sentinel.next)
             excess -= 1
 
     def _drop_ghost(self, ghost: _Node) -> None:
