@@ -58,9 +58,10 @@ class CacheConfig:
 
     size_bytes: int = 8 * MB
     block_size: int = DEFAULT_BLOCK_SIZE
-    #: replacement policy: "lru" or "arc" (see :mod:`repro.core.replacement`),
-    #: or any name registered under "replacement".
-    replacement: str = "lru"
+    #: replacement policy: "arc" (the default, the component matrix's
+    #: winner) or "lru" (the paper's baseline; see
+    #: :mod:`repro.core.replacement`), or any name registered under "replacement".
+    replacement: str = "arc"
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:

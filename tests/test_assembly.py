@@ -540,11 +540,11 @@ def test_spec_diff_reports_differing_fields_only():
     a = small_test_config()
     b = small_test_config(seed=7)
     b = replace(
-        b, array=ArrayConfig(placement="stripe"), cache=replace(b.cache, replacement="arc")
+        b, array=ArrayConfig(placement="stripe"), cache=replace(b.cache, replacement="lru")
     )
     delta = spec_diff(a, b)
     assert set(delta) == {"cache", "array", "seed"}
-    assert delta["cache"] == {"replacement": ("lru", "arc")}
+    assert delta["cache"] == {"replacement": ("arc", "lru")}
     assert delta["array"] == {"placement": ("hash", "stripe")}
     assert delta["seed"] == (0, 7)
     # Untouched sections never appear.

@@ -37,7 +37,7 @@ SRC_LINE_BUDGET = 17_392
 def test_cache_config_defaults_and_blocks():
     config = CacheConfig(size_bytes=8 * MB)
     assert config.num_blocks == 2048
-    assert config.replacement == "lru"
+    assert config.replacement == "arc"
 
 
 def test_cache_config_validation():
