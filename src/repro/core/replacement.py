@@ -20,9 +20,10 @@ scan-resistant.
 Built-in policies:
 
 ``lru``     classic least-recently-used (one recency list), the paper's
-            baseline and the default,
+            baseline,
 ``arc``     Megiddo & Modha's Adaptive Replacement Cache: T1/T2 resident
-            lists, B1/B2 ghost lists and a self-tuning target ``p``.
+            lists, B1/B2 ghost lists and a self-tuning target ``p``; the
+            default.
 
 These two are what ``BENCH_components.json`` (written by
 ``benchmarks/components_matrix.py``) keeps: every other policy it measured
@@ -305,7 +306,7 @@ class ReplacementPolicy(ABC):
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used over one intrusive recency list (the default)."""
+    """Least-recently-used over one intrusive recency list (the paper's baseline)."""
 
     name = "lru"
 
@@ -340,10 +341,12 @@ class ArcPolicy(ReplacementPolicy):
     (LFU-like) behaviour online, and one-shot scans — whose identities die
     in B1 unreferenced — cannot displace the frequent working set in T2.
 
-    Kept by the component matrix (``BENCH_components.json``): it wins row
-    ``e2e/sprite_mix`` (mean latency at most 0.965 of every other policy's
-    on seeds 1-3: 0.519 / 0.554 / 0.447 ms against LRU's 0.730 / 0.718 /
-    0.573) and, its best, ``e2e/cluster_repl`` (0.87-0.93 of LRU's).
+    Kept by the component matrix (``BENCH_components.json``), and the
+    default because it wins row ``e2e/sprite_mix`` there (mean latency at
+    most 0.965 of every other policy's on seeds 1-3: 0.519 / 0.554 / 0.447
+    ms against LRU's 0.730 / 0.718 / 0.573); its best row is
+    ``e2e/cluster_repl`` (0.87-0.93 of LRU's).  The Sprite-like rows, and
+    with them Figs. 2-5, never evict a block, so there it measures as LRU.
     """
 
     name = "arc"
