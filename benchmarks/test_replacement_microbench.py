@@ -72,13 +72,14 @@ FILE_BLOCKS = 4
 DELETE_EVERY = 4
 
 
-def _counting_dict(counter: dict) -> type:
-    """A dict class that adds every entry a walk over it touches to
-    ``counter["touched"]`` (and makes the tables it holds count too)."""
+def _counting(base: type, counter: dict) -> type:
+    """A ``base`` (dict or OrderedDict) class that adds every entry a walk
+    over it touches to ``counter["touched"]``; the tables it is handed
+    through ``setdefault`` count too."""
 
-    class CountingDict(dict):
+    class Counting(base):
         def __iter__(self):
-            for key in dict.__iter__(self):
+            for key in base.__iter__(self):
                 counter["touched"] += 1
                 yield key
 
@@ -86,36 +87,37 @@ def _counting_dict(counter: dict) -> type:
             return iter(self)
 
         def items(self):
-            return ((key, dict.__getitem__(self, key)) for key in self)
+            return ((key, base.__getitem__(self, key)) for key in self)
 
         def values(self):
-            return (dict.__getitem__(self, key) for key in self)
+            return (base.__getitem__(self, key) for key in self)
 
         def setdefault(self, key, default=None):
             if key not in self:
-                self[key] = CountingDict() if isinstance(default, dict) else default
-            return dict.__getitem__(self, key)
+                self[key] = _counting(type(default), counter)(default) if isinstance(default, dict) else default
+            return base.__getitem__(self, key)
 
-    return CountingDict
+    return Counting
 
 
 def churn_ghosts(policy: str, num_blocks: int) -> dict:
     """Skewed reads over files of ``FILE_BLOCKS`` blocks, ~4x more blocks
     than the cache, with a whole-file delete after every ``DELETE_EVERY``
-    reads: ghosts of many files stay resident while others are forgotten."""
+    reads: ghosts of many files stay resident while others are forgotten.
+    Every table the policy holds counts the entries walked in it."""
     scheduler = Scheduler(clock=VirtualClock(), seed=BENCH_SEED)
     config = CacheConfig(size_bytes=num_blocks * 4096, block_size=4096, replacement=policy)
     cache = BlockCache(scheduler, config, with_data=False)
     counter = {"touched": 0, "forgets": 0, "ghosts_seen": 0}
-    table = _counting_dict(counter)
     for name, value in list(vars(cache.policy).items()):
-        if "ghost" in name and isinstance(value, dict):
-            setattr(cache.policy, name, table(value))
+        if isinstance(value, dict):
+            setattr(cache.policy, name, _counting(type(value), counter)(value))
     forget = cache.policy.forget_file
 
     def counted_forget(file_id, from_block=0):
+        snapshot = cache.policy.snapshot()
         counter["forgets"] += 1
-        counter["ghosts_seen"] += len(getattr(cache.policy, "_ghosts", ()))
+        counter["ghosts_seen"] += snapshot.get("b1_ghosts", 0) + snapshot.get("b2_ghosts", 0)
         forget(file_id, from_block)
 
     cache.policy.forget_file = counted_forget

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from typing import Dict, Iterator, Optional
 
 from repro.assembly.registry import registry
@@ -66,13 +67,13 @@ class PolicyCounters:
 
 
 class _Node:
-    """Intrusive list node for one block identity (resident or ghost)."""
+    """Intrusive list node for one resident block."""
 
     __slots__ = ("key", "block", "prev", "next", "owner", "home")
 
     def __init__(self, key: BlockId, block: Optional[CacheBlock] = None):
         self.key = key
-        #: the resident block, or ``None`` for a ghost entry.
+        #: the resident block (``None`` only on a list's sentinel).
         self.block = block
         self.prev: Optional["_Node"] = None
         self.next: Optional["_Node"] = None
@@ -102,9 +103,6 @@ class _DList:
 
     def __len__(self) -> int:
         return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
 
     def append(self, node: _Node) -> None:
         """Insert at the tail (the MRU / most-recently-inserted end)."""
@@ -355,12 +353,13 @@ class ArcPolicy(ReplacementPolicy):
         super().__init__(capacity, rng, stats)
         self._t1 = _DList("t1")
         self._t2 = _DList("t2")
-        self._b1 = _DList("b1")
-        self._b2 = _DList("b2")
-        self._ghosts: Dict[BlockId, _Node] = {}
-        #: the same ghosts by file, ``file_id -> {block_no: node}``, so that
+        # The ghosts are identities only, oldest first: no node outlives
+        # its block, so a ghost costs no object the garbage collector tracks.
+        self._b1: OrderedDict[BlockId, None] = OrderedDict()
+        self._b2: OrderedDict[BlockId, None] = OrderedDict()
+        #: every ghost by file, ``file_id -> {block_no: B1 or B2}``, so that
         #: a truncate or delete touches only its own file's ghosts.
-        self._ghosts_of: Dict[int, Dict[int, _Node]] = {}
+        self._ghosts_of: Dict[int, Dict[int, OrderedDict]] = {}
         #: adaptation target: desired size of T1, in blocks.
         self.p = 0.0
 
@@ -368,12 +367,13 @@ class ArcPolicy(ReplacementPolicy):
 
     def on_insert(self, block: CacheBlock) -> None:
         node = self._register(block)
-        ghost = self._ghosts.get(node.key)
-        if ghost is not None:
-            in_b1 = ghost.owner is self._b1
-            self._drop_ghost(ghost)
+        key = node.key
+        by_file = self._ghosts_of.get(key.file_id)
+        ghosts = by_file.get(key.block_no) if by_file else None
+        if ghosts is not None:
+            self._drop_ghost(key, ghosts)
             self.stats.ghost_hits += 1
-            self._adapt(hit_in_b1=in_b1)
+            self._adapt(hit_in_b1=ghosts is self._b1)
             self._t2.append(node)  # proven reuse goes straight to T2
         else:
             self._t1.append(node)
@@ -399,12 +399,7 @@ class ArcPolicy(ReplacementPolicy):
         size = t1._size
         # REPLACE: take from T1 while it is over its target, or at it when
         # the incoming block is a B2 ghost; else from T2.
-        if size and (size > self.p or (
-            size == int(self.p)
-            and incoming is not None
-            and (ghost := self._ghosts.get(incoming)) is not None
-            and ghost.owner is self._b2
-        )):
+        if size and (size > self.p or (size == int(self.p) and incoming in self._b2)):
             node = self._scan(t1, peek) or self._scan(t2, peek)
         else:
             node = self._scan(t2, peek) or self._scan(t1, peek)
@@ -421,12 +416,10 @@ class ArcPolicy(ReplacementPolicy):
             segment = node.home
         if not ghost:
             return
-        # The evicted node itself becomes the ghost, in B1 if it left T1.
-        node.block = node.home = None
-        (self._b1 if segment is self._t1 else self._b2).append(node)
         key = node.key
-        self._ghosts[key] = node
-        self._ghosts_of.setdefault(key.file_id, {})[key.block_no] = node
+        ghosts = self._b1 if segment is self._t1 else self._b2
+        ghosts[key] = None
+        self._ghosts_of.setdefault(key.file_id, {})[key.block_no] = ghosts
         self._trim_ghosts()
 
     # -- ARC internals --------------------------------------------------------
@@ -446,19 +439,20 @@ class ArcPolicy(ReplacementPolicy):
         """Enforce |T1|+|B1| <= c and |T1|+|T2|+|B1|+|B2| <= 2c."""
         b1, b2 = self._b1, self._b2
         t1_size = self._t1._size
-        excess = t1_size + b1._size - self.capacity
-        while excess > 0 and b1._size:
-            self._drop_ghost(b1._sentinel.next)
+        excess = t1_size + len(b1) - self.capacity
+        while excess > 0 and b1:
+            self._unindex(b1.popitem(last=False)[0])
             excess -= 1
-        excess = t1_size + self._t2._size + b1._size + b2._size - 2 * self.capacity
-        while excess > 0 and (b1._size or b2._size):
-            self._drop_ghost((b2 if b2._size else b1)._sentinel.next)
+        excess = t1_size + self._t2._size + len(b1) + len(b2) - 2 * self.capacity
+        while excess > 0 and (b1 or b2):
+            self._unindex((b2 if b2 else b1).popitem(last=False)[0])
             excess -= 1
 
-    def _drop_ghost(self, ghost: _Node) -> None:
-        ghost.owner.remove(ghost)
-        key = ghost.key
-        del self._ghosts[key]
+    def _drop_ghost(self, key: BlockId, ghosts: OrderedDict) -> None:
+        del ghosts[key]
+        self._unindex(key)
+
+    def _unindex(self, key: BlockId) -> None:
         blocks = self._ghosts_of[key.file_id]
         del blocks[key.block_no]
         if not blocks:
@@ -467,14 +461,14 @@ class ArcPolicy(ReplacementPolicy):
     # -- introspection --------------------------------------------------------
 
     def forget_file(self, file_id: int, from_block: int = 0) -> None:
-        ghosts = self._ghosts_of.get(file_id)
-        if ghosts:
-            for ghost in [g for no, g in ghosts.items() if no >= from_block]:
-                self._drop_ghost(ghost)
+        by_file = self._ghosts_of.get(file_id)
+        if by_file:
+            for block_no, ghosts in [(no, of) for no, of in by_file.items() if no >= from_block]:
+                self._drop_ghost(BlockId(file_id, block_no), ghosts)
 
     def ghost_lists(self) -> tuple[list[BlockId], list[BlockId]]:
         """(B1, B2) identities, eviction end first (exposed for tests)."""
-        return [n.key for n in self._b1], [n.key for n in self._b2]
+        return list(self._b1), list(self._b2)
 
     def snapshot(self) -> dict:
         snap = super().snapshot()

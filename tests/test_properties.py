@@ -218,10 +218,14 @@ def test_arc_ghost_index_matches_a_full_scan(operations):
             cleaned_since_trim = 0
         return victim
 
+    def ghosts():
+        b1, b2 = policy.ghost_lists()
+        return set(b1) | set(b2)
+
     for op, file_id, block_no in operations:
         key = BlockId(file_id, block_no)
         block = resident.get(key)
-        ghosts_before = set(policy._ghosts)
+        ghosts_before = ghosts()
         if op == "insert" and block is None:
             if len(resident) < ARC_CAPACITY or evict(incoming=key) is not None:
                 resident[key] = make_block(file_id, block_no)
@@ -236,7 +240,7 @@ def test_arc_ghost_index_matches_a_full_scan(operations):
             block.state = BlockState.CLEAN
             policy.on_clean(block)
             cleaned_since_trim += 1
-            assert set(policy._ghosts) == ghosts_before
+            assert ghosts() == ghosts_before
         elif op == "evict":
             evict()
         elif op == "invalidate" and block is not None:
@@ -249,16 +253,19 @@ def test_arc_ghost_index_matches_a_full_scan(operations):
 
             policy.forget_file(file_id, block_no)
             assert policy.ghost_lists() == ([k for k in b1 if survives(k)], [k for k in b2 if survives(k)])
-            assert set(policy._ghosts) == {k for k in ghosts_before if survives(k)}
+            assert ghosts() == {k for k in ghosts_before if survives(k)}
 
-        files = {k.file_id for k in policy._ghosts}
+        # The index holds every ghost, once, under its file, and names the
+        # list it is on.
+        b1, b2 = policy.ghost_lists()
+        assert not set(b1) & set(b2)
+        everyone = set(b1) | set(b2)
+        files = {k.file_id for k in everyone}
         assert set(policy._ghosts_of) == files
         for f in files:
             by_file = policy._ghosts_of[f]
-            assert {BlockId(f, no) for no in by_file} == {k for k in policy._ghosts if k.file_id == f}
-            assert all(policy._ghosts[BlockId(f, no)] is node for no, node in by_file.items())
-        b1, b2 = policy.ghost_lists()
-        assert sorted(b1 + b2) == sorted(policy._ghosts)
+            assert {BlockId(f, no) for no in by_file} == {k for k in everyone if k.file_id == f}
+            assert all(BlockId(f, no) in of for no, of in by_file.items())
         snap = policy.snapshot()
         assert snap["t1"] + snap["b1_ghosts"] <= ARC_CAPACITY + cleaned_since_trim
         total = snap["t1"] + snap["t2"] + snap["b1_ghosts"] + snap["b2_ghosts"]

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 
 from repro.core.blocks import BlockId, BlockState
 from repro.core.cache import BlockCache
@@ -261,8 +262,8 @@ def test_scan_workload_profile_patterns_are_deterministic():
         assert generate_workload(profile, seed=4) == generate_workload(profile, seed=4)
 
 
-class _NoScanDict(dict):
-    """A dict that fails any walk over all of its entries."""
+class _NoScanDict(OrderedDict):
+    """A ghost list that fails any walk over all of its entries."""
 
     def _walk(self, *args):
         raise AssertionError("walked every ghost")
@@ -276,7 +277,10 @@ def test_forget_file_touches_only_its_own_files_ghosts():
         cache.access(fid)  # 1 and 2 in T2; 4 and 5 end up in B1
     policy = cache.policy
     assert policy.ghost_lists() == ([BlockId(4, 0), BlockId(5, 0)], [])
-    policy._ghosts = _NoScanDict(policy._ghosts)
-    policy.forget_file(42)  # no ghosts: the global dict is not walked
+    b1 = policy._b1 = _NoScanDict(policy._b1)
+    policy._b2 = _NoScanDict(policy._b2)
+    for entries in policy._ghosts_of.values():  # the index names the lists
+        entries.update((no, b1) for no in entries)
+    policy.forget_file(42)  # no ghosts: no ghost list is walked
     policy.forget_file(4)  # one ghost: dropped through the per-file index
-    assert policy.ghost_lists() == ([BlockId(5, 0)], [])
+    assert list(OrderedDict.__iter__(b1)) == [BlockId(5, 0)] and not policy._b2
