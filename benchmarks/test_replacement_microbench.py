@@ -12,8 +12,8 @@ small constant nor grow with the cache size.
 
 The ghost-churn leg checks the same of deletes: a truncate or delete asks
 the policy to forget the file's ghosts (``forget_file``), and the entries
-that call walks in the policy's ghost tables must depend on that file's
-ghosts alone, not on how many ghosts of other files the cache remembers.
+that call walks in the policy's tables must depend on that file's ghosts
+alone, not on how many ghosts of other files the cache remembers.
 """
 
 import random
