@@ -126,7 +126,7 @@ class CacheBlock:
 
     def reset(self) -> None:
         """Return the slot to the FREE state (contents are discarded)."""
-        if self.pinned:
+        if self.pin_count > 0:
             raise CacheError(f"cannot reset pinned block {self.block_id}")
         self.block_id = None
         self.state = BlockState.FREE

@@ -46,6 +46,8 @@ from repro.errors import CacheError, CacheExhaustedError
 
 __all__ = ["BlockCache", "CacheStatistics", "WritebackFn"]
 
+CLEAN, DIRTY = BlockState.CLEAN, BlockState.DIRTY
+
 #: Writeback callback registered by the file system: a generator function
 #: that writes one batch — ``(file_id, logical block numbers)`` per file —
 #: to stable storage and returns when the write has completed.
@@ -113,6 +115,7 @@ class BlockCache:
 
     def __init__(self, scheduler: Scheduler, config: CacheConfig, with_data: bool = True):
         self.scheduler = scheduler
+        self._now = scheduler.clock.now
         self.config = config
         self.block_size = config.block_size
         self.with_data = with_data
@@ -192,19 +195,23 @@ class BlockCache:
     def cached_count(self) -> int:
         return len(self._index)
 
+    # A plain ``(file_id, block_no)`` tuple hashes and compares equal to
+    # the ``BlockId`` keys, and is cheaper to build for a probe.
+
     def contains(self, file_id: int, block_no: int) -> bool:
-        return BlockId(file_id, block_no) in self._index
+        return (file_id, block_no) in self._index
 
     def peek(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         """Look up a block without touching statistics or recency."""
-        return self._index.get(BlockId(file_id, block_no))
+        return self._index.get((file_id, block_no))
 
     def lookup(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         """Look up a block, recording a hit or miss and updating recency."""
-        self.stats.lookups += 1
-        block = self._index.get(BlockId(file_id, block_no))
+        stats = self.stats
+        stats.lookups += 1
+        block = self._index.get((file_id, block_no))
         if block is None:
-            self.stats.misses += 1
+            stats.misses += 1
             return None
         if block.read_ahead:
             # Present only because a read for another block fetched it too:
@@ -213,15 +220,16 @@ class BlockCache:
             # policy — a second event would promote every sequentially read
             # block as "re-referenced".  The caller clears the flag once it
             # takes the block.
-            self.stats.misses += 1
+            stats.misses += 1
             return block
-        self.stats.hits += 1
-        self.touch(block)
+        stats.hits += 1
+        block.last_access = self._now()
+        self.policy.on_access(block)
         return block
 
     def touch(self, block: CacheBlock) -> None:
         """Record a reference to ``block`` for replacement bookkeeping."""
-        block.record_access(self.scheduler.now)
+        block.last_access = self._now()
         self.policy.on_access(block)
 
     def dirty_blocks_of(self, file_id: int) -> list[CacheBlock]:
@@ -305,7 +313,7 @@ class BlockCache:
             if block_id in self._index:
                 raise CacheError(f"block {block_id} is already cached")
         block = self._install(block, block_id)
-        if len(self._free) + len(self._clean) < self.low_water_blocks:
+        if self.low_water_blocks and len(self._free) + len(self._clean) < self.low_water_blocks:
             self.space_requester()
         return block
 
@@ -323,10 +331,10 @@ class BlockCache:
 
     def _install(self, block: CacheBlock, block_id: BlockId) -> CacheBlock:
         block.block_id = block_id
-        block.state = BlockState.CLEAN
-        block.record_access(self.scheduler.now)
+        block.state = CLEAN
+        block.last_access = self._now()
         self._index[block_id] = block
-        self._resident_of.setdefault(block_id.file_id, {})[block_id.block_no] = block
+        self._resident_of.setdefault(block_id[0], {})[block_id[1]] = block
         self._clean[block_id] = block
         self.policy.on_insert(block)
         self.stats.allocations += 1
@@ -386,65 +394,71 @@ class BlockCache:
         daemon (:attr:`drain_requester`) the caller signals it and waits for
         space; without one it flushes in its own thread.
         """
-        if block.block_id is None or block.block_id not in self._index:
+        block_id = block.block_id
+        if block_id is None or block_id not in self._index:
             raise CacheError("cannot dirty a block that is not in the cache")
         # The reference that dirtied this block was already counted by the
         # lookup/allocate that preceded it; notifying the policy again would
         # make every freshly written block look re-referenced and defeat
         # scan resistance, so only the block's own bookkeeping is updated.
-        if block.is_dirty:
-            block.record_access(self.scheduler.now)
+        if block.state is DIRTY:
+            block.last_access = self._now()
             return
-        limit = self.dirty_limit_bytes
-        if limit is not None and self.dirty_bytes + self.block_size > limit and self._dirty:
+        limit, dirty, size = self.dirty_limit_bytes, self._dirty, self.block_size
+        if limit is not None and (len(dirty) + 1) * size > limit and dirty:
             # One stall per dirtying that waits, however many wake-ups it takes.
             self.stats.nvram_stalls += 1
-            while self.dirty_bytes + self.block_size > limit and self._dirty:
+            while (len(dirty) + 1) * size > limit and dirty:
                 if self.drain_requester is None:
                     yield from self._flush_oldest_or_wait()
                 else:
                     self.drain_requester()
                     yield from self._space_available.wait()
-        self._clean.pop(block.block_id, None)
-        block.state = BlockState.DIRTY
-        block.dirty_since = self.scheduler.now
-        self._dirty[block.block_id] = block
-        self._dirty_of.setdefault(block.block_id.file_id, {})[block.block_id.block_no] = block
+        self._clean.pop(block_id, None)
+        block.state = DIRTY
+        block.dirty_since = block.last_access = self._now()
+        dirty[block_id] = block
+        self._dirty_of.setdefault(block_id[0], {})[block_id[1]] = block
         self.policy.on_dirty(block)
-        self.stats.blocks_dirtied += 1
-        self.stats.peak_dirty_bytes = max(self.stats.peak_dirty_bytes, self.dirty_bytes)
-        block.record_access(self.scheduler.now)
-        if self.drain_requester is not None and self.dirty_bytes > self.drain_high_water_bytes:
+        stats = self.stats
+        stats.blocks_dirtied += 1
+        dirty_bytes = len(dirty) * size
+        if dirty_bytes > stats.peak_dirty_bytes:
+            stats.peak_dirty_bytes = dirty_bytes
+        if self.drain_requester is not None and dirty_bytes > self.drain_high_water_bytes:
             self.drain_requester()
 
     def mark_clean(self, block: CacheBlock) -> None:
         """Move a dirty block back to the clean list (its data is on disk)."""
-        if not block.is_dirty:
+        if block.state is not DIRTY:
             return
-        self._dirty.pop(block.block_id, None)
-        self._drop_from(self._dirty_of, block.block_id)
-        block.state = BlockState.CLEAN
+        block_id = block.block_id
+        self._dirty.pop(block_id, None)
+        self._drop_from(self._dirty_of, block_id)
+        block.state = CLEAN
         block.dirty_since = None
-        self._clean[block.block_id] = block
+        self._clean[block_id] = block
         self.policy.on_clean(block)
         self.stats.blocks_cleaned += 1
 
     # ------------------------------------------------------------------ invalidation
 
     def _remove(self, block: CacheBlock) -> None:
-        if block.block_id is None:
+        block_id = block.block_id
+        if block_id is None:
             return
-        self._index.pop(block.block_id, None)
-        self._clean.pop(block.block_id, None)
-        self._dirty.pop(block.block_id, None)
-        self._drop_from(self._resident_of, block.block_id)
-        self._drop_from(self._dirty_of, block.block_id)
+        self._index.pop(block_id, None)
+        self._drop_from(self._resident_of, block_id)
+        if self._clean.pop(block_id, None) is None:
+            self._dirty.pop(block_id, None)
+            self._drop_from(self._dirty_of, block_id)
 
     @staticmethod
     def _drop_from(view: dict[int, dict[int, CacheBlock]], block_id: BlockId) -> None:
-        blocks = view.get(block_id.file_id)
-        if blocks is not None and blocks.pop(block_id.block_no, None) is not None and not blocks:
-            del view[block_id.file_id]
+        file_id, block_no = block_id
+        blocks = view.get(file_id)
+        if blocks is not None and blocks.pop(block_no, None) is not None and not blocks:
+            del view[file_id]
 
     def invalidate(self, block: CacheBlock) -> None:
         """Drop one block from the cache, discarding its contents."""

@@ -13,7 +13,7 @@ switch atomic — no I/O can interleave with it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.storage.array import PlacementPolicy
 from repro.errors import ConfigurationError
@@ -52,6 +52,8 @@ class ClusterPlacement(PlacementPolicy):
             )
         if replicas < 0:
             raise ConfigurationError("replicas cannot be negative")
+        #: the inner policy spreads one file's blocks over several volumes.
+        self.striped = type(inner).volume_for_block is not PlacementPolicy.volume_for_block
         if replicas > 0:
             # Replicas never share a failure domain with the primary: with
             # several nodes the domain is the node, with one node it is the
@@ -69,6 +71,7 @@ class ClusterPlacement(PlacementPolicy):
                 )
         super().__init__(inner.num_volumes)
         self.inner = inner
+        self._inner_block = inner.volume_for_block
         self.nodes = nodes
         self.volumes_per_node = volumes_per_node
         self.replicas = replicas
@@ -105,10 +108,14 @@ class ClusterPlacement(PlacementPolicy):
         # Migrated files are whole-file resident on their new home: a
         # striped file collapses onto one volume when it migrates (the
         # migration copies every live block there).
-        home = self._overrides.get(file_id)
-        if home is not None:
-            return home
-        return self.inner.volume_for_block(file_id, block_no)
+        if file_id in self._overrides:
+            return self._overrides[file_id]
+        return self._inner_block(file_id, block_no)
+
+    def group_blocks(self, file_id: int, blocks: List[tuple]) -> Dict[int, list]:
+        if file_id in self._overrides:
+            return {self._overrides[file_id]: list(blocks)} if blocks else {}
+        return self.inner.group_blocks(file_id, blocks)
 
     # ------------------------------------------------------------------ migration
 
@@ -120,10 +127,7 @@ class ClusterPlacement(PlacementPolicy):
         """
         if not (0 <= new_volume < self.num_volumes):
             raise ConfigurationError(f"no volume {new_volume} in this cluster")
-        whole_file = (
-            type(self.inner).volume_for_block is PlacementPolicy.volume_for_block
-        )
-        if whole_file and new_volume == self.inner.volume_of_file(file_id):
+        if not self.striped and new_volume == self.inner.volume_of_file(file_id):
             # Back on the native home of a whole-file policy: no entry
             # needed.  Striped files keep one (their native routing rotates
             # per block, but a migrated file is whole-file resident).

@@ -117,8 +117,9 @@ class DriverStatistics:
         else:
             self.writes += 1
             self.sectors_written += request.count
-        self.busy_time += request.service_time
-        self.response_time_total += request.response_time
+        completed = request.completed_at
+        self.busy_time += max(completed - request.dispatched_at, 0.0)
+        self.response_time_total += max(completed - request.created_at, 0.0)
 
     @property
     def operations(self) -> int:
@@ -162,6 +163,7 @@ class DiskDriver(ABC):
         if num_sectors <= 0:
             raise DiskError("disk must have a positive number of sectors")
         self.scheduler = scheduler
+        self._now = scheduler.clock.now
         self.name = name
         self.node = node
         self.queue = io_scheduler if io_scheduler is not None else registry.create("iosched", "clook")
@@ -206,12 +208,12 @@ class DiskDriver(ABC):
     def submit(self, request: IORequest) -> Generator[Any, Any, IORequest]:
         """Queue a request and wait for its completion."""
         self._check_bounds(request)
-        request.created_at = self.scheduler.now
-        request.done = self.scheduler.new_event(self._io_event_name)
+        request.created_at = self._now()
+        request.done = done = Event(self.scheduler, self._io_event_name)
         self.stats.record_submit(len(self.queue))
         self.queue.add(request)
         self._work.signal()
-        yield from request.done.wait()
+        yield from done.wait()
         return request
 
     @property
@@ -227,23 +229,23 @@ class DiskDriver(ABC):
     # -- service loop -------------------------------------------------------------
 
     def _service_loop(self) -> Generator[Any, Any, None]:
+        now, queue, stats, perform = self._now, self.queue, self.stats, self._perform
         while True:
-            request = self.queue.next(self._head_position)
+            request = queue.next(self._head_position)
             if request is None:
                 yield from self._work.wait()
                 continue
-            request.dispatched_at = self.scheduler.now
+            request.dispatched_at = now()
             self._in_flight += 1
             try:
-                yield from self._perform(request)
+                yield from perform(request)
             finally:
                 self._in_flight -= 1
-            request.completed_at = self.scheduler.now
+            request.completed_at = now()
             self._head_position = request.sector + request.count
-            self.stats.record_completion(request)
-            assert request.done is not None
+            stats.record_completion(request)
             request.done.signal(request)
-            if self.outstanding == 0:
+            if not self._in_flight and not len(queue):
                 self._idle.signal()
 
     # -- to be provided by derived drivers ------------------------------------------

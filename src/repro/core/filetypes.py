@@ -150,29 +150,34 @@ class BaseFile:
             raise InvalidArgument("write needs data or an explicit length")
         if length == 0:
             return 0
-        block_size = self.block_size
+        block_size, end = self.block_size, offset + length
         lookup, file_id = self.fs.cache.lookup, self.file_id
+        copy_in, charge = self.fs.datamover.copy_in, self.fs.datamover.charge
         written = 0
         for block_no in block_span(offset, length, block_size):
             block_start = block_no * block_size
             start_in_block = max(offset, block_start) - block_start
-            end_in_block = min(offset + length, block_start + block_size) - block_start
+            end_in_block = min(end, block_start + block_size) - block_start
             extent = end_in_block - start_in_block
             # No disk read: a miss gets an empty slot, and the old bytes the
             # write leaves standing are owed until something needs them.
-            block, fresh = yield from self._block_for(block_no, lookup(file_id, block_no))
+            block = lookup(file_id, block_no)
+            if block is None or block.busy or block.read_ahead:
+                block, fresh = yield from self._block_for(block_no, block)
+            else:
+                fresh = False
             if fresh or block.owed is not None:
                 yield from self._note_write(block_no, block, fresh, start_in_block, end_in_block)
-            block.pin()
+            block.pin_count += 1
             try:
                 if data is not None:
-                    chunk = data[written : written + extent]
-                    yield from self.fs.datamover.copy_in(block, start_in_block, chunk)
+                    yield from copy_in(block, start_in_block, data[written : written + extent])
                 else:
-                    yield from self.fs.datamover.charge(extent)
+                    yield from charge(extent)
                     if block.data is not None:
                         block.valid_bytes = max(block.valid_bytes, end_in_block)
-                yield from self.fs.cache.mark_dirty(block)
+                # Straight to the block's own cache (shard).
+                yield from block.owner.mark_dirty(block)
             finally:
                 block.unpin()
             written += extent
@@ -403,10 +408,6 @@ class DirectoryFile(BaseFile):
     def list_entries(self) -> Generator[Any, Any, Dict[str, int]]:
         entries = yield from self.load_entries()
         return dict(entries)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries) if self._entries is not None else 0
 
     def is_empty(self) -> Generator[Any, Any, bool]:
         entries = yield from self.load_entries()

@@ -83,12 +83,18 @@ class ClookScheduler(IoScheduler):
     name = "clook"
 
     def next(self, head_position: int) -> Optional["IORequest"]:
-        if not self._pending:
-            return None
-        ahead = [r for r in self._pending if r.sector >= head_position]
-        pool = ahead if ahead else self._pending
-        chosen = min(pool, key=lambda r: r.sector)
-        return self._take(chosen)
+        # One pass: the lowest sector at or past the head, else the lowest
+        # of all; the first queued wins a tie.
+        ahead = wrap = None
+        for index, request in enumerate(self._pending):
+            sector = request.sector
+            if sector >= head_position:
+                if ahead is None or sector < self._pending[ahead].sector:
+                    ahead = index
+            elif wrap is None or sector < self._pending[wrap].sector:
+                wrap = index
+        chosen = ahead if ahead is not None else wrap
+        return None if chosen is None else self._pending.pop(chosen)
 
 
 class ScanEdfScheduler(IoScheduler):

@@ -43,13 +43,15 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.assembly.registry import registry
-from repro.core.blocks import BlockId, CacheBlock
+from repro.core.blocks import BlockId, BlockState, CacheBlock
 from repro.errors import CacheError, ConfigurationError
 
 __all__ = ["PolicyCounters", "ReplacementPolicy", "LruPolicy", "ArcPolicy"]
+
+CLEAN = BlockState.CLEAN
 
 
 class PolicyCounters:
@@ -129,23 +131,6 @@ class _DList:
         self.remove(node)
         self.append(node)
 
-    def __iter__(self) -> Iterator[_Node]:
-        node = self._sentinel.next
-        while node is not self._sentinel:
-            nxt = node.next
-            yield node
-            node = nxt
-
-
-def _evictable(block: Optional[CacheBlock]) -> bool:
-    """Only clean, unpinned, idle blocks may be evicted."""
-    return (
-        block is not None
-        and block.is_clean
-        and not block.pinned
-        and not block.busy
-    )
-
 
 class ReplacementPolicy(ABC):
     """Event-driven strategy deciding which resident block to evict.
@@ -210,7 +195,7 @@ class ReplacementPolicy(ABC):
 
     def on_dirty(self, block: CacheBlock) -> None:
         """``block`` became dirty: park it off the eviction lists."""
-        node = self._node_of(block)
+        node = self._nodes.get(block.block_id)
         if node is None or node.owner is None:
             return
         node.home = node.owner
@@ -218,7 +203,7 @@ class ReplacementPolicy(ABC):
 
     def on_clean(self, block: CacheBlock) -> None:
         """A dirty ``block`` was written back: restore it as evictable."""
-        node = self._node_of(block)
+        node = self._nodes.get(block.block_id)
         if node is None or node.owner is not None:
             return
         self._unpark(node)
@@ -263,11 +248,6 @@ class ReplacementPolicy(ABC):
         self._nodes[key] = node
         return node
 
-    def _node_of(self, block: CacheBlock) -> Optional[_Node]:
-        if block.block_id is None:
-            return None
-        return self._nodes.get(block.block_id)
-
     def _scan(self, dlist: _DList, peek: bool) -> Optional[_Node]:
         """First evictable node from the eviction (head) end of ``dlist``.
 
@@ -276,15 +256,15 @@ class ReplacementPolicy(ABC):
         amortised work stays O(1).  Every node examined is counted.
         """
         steps = 0
-        found = None
-        for node in dlist:
+        found = sentinel = dlist._sentinel
+        while (found := found.next) is not sentinel:
             steps += 1
-            if _evictable(node.block):
-                found = node
+            block = found.block  # only clean, unpinned, idle blocks may go
+            if block.state is CLEAN and not block.pin_count and not block.busy:
                 break
         if not peek:
             self.stats.victim_scan_steps += steps
-        return found
+        return None if found is sentinel else found
 
     # ------------------------------------------------------------------ queries
 
@@ -316,7 +296,7 @@ class LruPolicy(ReplacementPolicy):
         self._list.append(self._register(block))
 
     def on_access(self, block: CacheBlock) -> None:
-        node = self._node_of(block)
+        node = self._nodes.get(block.block_id)
         if node is not None and node.owner is not None:
             self._list.move_to_tail(node)
 
@@ -368,8 +348,8 @@ class ArcPolicy(ReplacementPolicy):
     def on_insert(self, block: CacheBlock) -> None:
         node = self._register(block)
         key = node.key
-        by_file = self._ghosts_of.get(key.file_id)
-        ghosts = by_file.get(key.block_no) if by_file else None
+        by_file = self._ghosts_of.get(key[0])
+        ghosts = by_file.get(key[1]) if by_file else None
         if ghosts is not None:
             self._drop_ghost(key, ghosts)
             self.stats.ghost_hits += 1
@@ -380,7 +360,7 @@ class ArcPolicy(ReplacementPolicy):
         self._trim_ghosts()
 
     def on_access(self, block: CacheBlock) -> None:
-        node = self._node_of(block)
+        node = self._nodes.get(block.block_id)
         if node is None:
             return
         if node.owner is None:
@@ -419,7 +399,7 @@ class ArcPolicy(ReplacementPolicy):
         key = node.key
         ghosts = self._b1 if segment is self._t1 else self._b2
         ghosts[key] = None
-        self._ghosts_of.setdefault(key.file_id, {})[key.block_no] = ghosts
+        self._ghosts_of.setdefault(key[0], {})[key[1]] = ghosts
         self._trim_ghosts()
 
     # -- ARC internals --------------------------------------------------------
@@ -453,10 +433,11 @@ class ArcPolicy(ReplacementPolicy):
         self._unindex(key)
 
     def _unindex(self, key: BlockId) -> None:
-        blocks = self._ghosts_of[key.file_id]
-        del blocks[key.block_no]
+        file_id, block_no = key
+        blocks = self._ghosts_of[file_id]
+        del blocks[block_no]
         if not blocks:
-            del self._ghosts_of[key.file_id]
+            del self._ghosts_of[file_id]
 
     # -- introspection --------------------------------------------------------
 

@@ -170,12 +170,13 @@ class Event:
         signal is latched for the next waiter.
         """
         if self._waiters:
-            woken = 0
             waiters, self._waiters = self._waiters, []
             for thread in waiters:
-                thread._wake(value)
-                woken += 1
-            return woken
+                if thread.alive:  # Thread._wake, inlined
+                    thread._send_value = value
+                    thread._waiting_on = None
+                    thread.scheduler._make_runnable(thread)
+            return len(waiters)
         self._pending = True
         self._pending_value = value
         return 0

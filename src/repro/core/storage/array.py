@@ -95,6 +95,12 @@ class PlacementPolicy(ABC):
         """Volume holding one logical block of ``file_id``."""
         return self.volume_of_file(file_id)
 
+    def group_blocks(self, file_id: int, blocks: List[tuple]) -> Dict[int, list]:
+        """``blocks`` (tuples led by a block number) of ``file_id`` grouped
+        by the volume holding each, in their order: whole-file placement
+        routes the file once."""
+        return {self.volume_of_file(file_id): list(blocks)} if blocks else {}
+
     def forget(self, file_id: int) -> None:
         """``file_id`` is deleted: pure arithmetic keeps nothing to drop
         (the cluster placement tier keeps a routing entry per displaced
@@ -137,8 +143,19 @@ class StripedPlacement(PlacementPolicy):
         return counter % self.num_volumes
 
     def volume_for_block(self, file_id: int, block_no: int) -> int:
-        home = self.volume_of_file(file_id)
-        return (home + block_no // self.stripe_unit) % self.num_volumes
+        return (file_id - ROOT_INODE_NUMBER + block_no // self.stripe_unit) % self.num_volumes
+
+    def group_blocks(self, file_id: int, blocks: List[tuple]) -> Dict[int, list]:
+        """Routes once per stripe unit of consecutive blocks, not per block."""
+        groups: Dict[int, list] = {}
+        unit, base = self.stripe_unit, file_id - ROOT_INODE_NUMBER
+        run = group = None
+        for item in blocks:
+            if item[0] // unit != run:
+                run = item[0] // unit
+                group = groups.setdefault((base + run) % self.num_volumes, [])
+            group.append(item)
+        return groups
 
 
 # "placement" factories take (num_volumes) and return a PlacementPolicy,
@@ -284,7 +301,8 @@ class ShardedCache:
         if not shards:
             raise ConfigurationError("a sharded cache needs at least one shard")
         self.shards = list(shards)
-        self._router = router
+        #: block -> shard index; a single shard needs no routing.
+        self._router = router if len(self.shards) > 1 else lambda file_id, block_no: 0
         first = self.shards[0]
         self.scheduler = first.scheduler
         self.config = first.config
@@ -299,13 +317,8 @@ class ShardedCache:
 
     # ------------------------------------------------------------------ routing
 
-    def shard_index(self, file_id: int, block_no: int) -> int:
-        if len(self.shards) == 1:
-            return 0
-        return self._router(file_id, block_no) % len(self.shards)
-
     def shard_for(self, file_id: int, block_no: int) -> BlockCache:
-        return self.shards[self.shard_index(file_id, block_no)]
+        return self.shards[self._router(file_id, block_no)]
 
     # ------------------------------------------------------------------ aggregate views
 
@@ -373,19 +386,20 @@ class ShardedCache:
     # ------------------------------------------------------------------ block-routed operations
 
     def contains(self, file_id: int, block_no: int) -> bool:
-        return self.shard_for(file_id, block_no).contains(file_id, block_no)
+        return self.shards[self._router(file_id, block_no)].contains(file_id, block_no)
 
     def peek(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
-        return self.shard_for(file_id, block_no).peek(file_id, block_no)
+        return self.shards[self._router(file_id, block_no)].peek(file_id, block_no)
 
     def lookup(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
-        return self.shard_for(file_id, block_no).lookup(file_id, block_no)
+        return self.shards[self._router(file_id, block_no)].lookup(file_id, block_no)
 
     def allocate(self, file_id: int, block_no: int) -> Generator[Any, Any, CacheBlock]:
+        router, shards = self._router, self.shards
         while True:
-            shard = self.shard_for(file_id, block_no)
+            shard = shards[router(file_id, block_no)]
             block = yield from shard.allocate(file_id, block_no)
-            if self.shard_for(file_id, block_no) is shard:
+            if shards[router(file_id, block_no)] is shard:
                 return block
             # The block's routing changed while the allocation waited for
             # space (an online migration flipped the file's home volume).
@@ -660,10 +674,7 @@ class RoutedLayout(StorageLayout):
         """Group the call's blocks by volume (as :meth:`write_files`
         does) and read every group at once: a striped file keeps all its
         volumes busy for one client read."""
-        groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
-        for block_no, cache_block in blocks:
-            volume = self.placement.volume_for_block(inode.number, block_no)
-            groups.setdefault(volume, []).append((block_no, cache_block))
+        groups = self.placement.group_blocks(inode.number, blocks)
         counts = yield from gather(
             self.scheduler,
             [
@@ -721,13 +732,11 @@ class RoutedLayout(StorageLayout):
         volumes other than its home — so every inode lands behind the blocks
         it maps; an inode whose home got no blocks has its own entry there."""
         phases: tuple[Dict[int, List[WriteBack]], ...] = ({}, {})
+        group_blocks = self.placement.group_blocks
         for inode, blocks, with_inode in files:
-            home = self.home_of(inode.number)
-            groups: Dict[int, List[tuple[int, CacheBlock]]] = {}
-            for block_no, cache_block in blocks:
-                volume = self.placement.volume_for_block(inode.number, block_no)
-                groups.setdefault(volume, []).append((block_no, cache_block))
+            groups = group_blocks(inode.number, blocks)
             if with_inode:
+                home = self.home_of(inode.number)
                 groups.setdefault(home, [])
             for volume, group in groups.items():
                 carries = with_inode and volume == home
@@ -758,17 +767,14 @@ class RoutedLayout(StorageLayout):
         yield from self.sublayouts[volume].write_files(share)
 
     def release_blocks(self, inode: Inode, from_block: int) -> Generator[Any, Any, None]:
-        groups: Dict[int, Dict[int, int]] = {}
-        for block_no, address in inode.block_map.items():
-            if block_no < from_block:
-                continue
-            volume = self.placement.volume_for_block(inode.number, block_no)
-            groups.setdefault(volume, {})[block_no] = address
+        groups = self.placement.group_blocks(
+            inode.number, [item for item in inode.block_map.items() if item[0] >= from_block]
+        )
         for volume in sorted(groups):
             # Each sub-layout must only see (and free) the addresses it owns,
             # so hand it a shim inode carrying just that volume's mappings.
             shim = Inode(number=inode.number, kind=inode.kind)
-            shim.block_map = groups[volume]
+            shim.block_map = dict(groups[volume])
             yield from self.sublayouts[volume].release_blocks(shim, from_block)
         inode.drop_blocks_from(from_block)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.units import KB, SECTOR_SIZE
@@ -53,18 +54,18 @@ class DiskSpec:
         if self.rpm <= 0:
             raise ConfigurationError("rpm must be positive")
 
-    # -- derived quantities -----------------------------------------------------
+    # -- derived quantities (worked out on first use: the spec is frozen) ------
 
-    @property
+    @cached_property
     def rotation_time(self) -> float:
         """Time for one full revolution, seconds."""
         return 60.0 / self.rpm
 
-    @property
+    @cached_property
     def sectors_per_cylinder(self) -> int:
         return self.heads * self.sectors_per_track
 
-    @property
+    @cached_property
     def num_sectors(self) -> int:
         return self.cylinders * self.sectors_per_cylinder
 
@@ -89,11 +90,8 @@ class DiskSpec:
 
     def decompose(self, sector: int) -> tuple[int, int, int]:
         """Split an absolute sector number into (cylinder, head, sector-in-track)."""
-        cylinder = sector // self.sectors_per_cylinder
-        remainder = sector % self.sectors_per_cylinder
-        head = remainder // self.sectors_per_track
-        sector_in_track = remainder % self.sectors_per_track
-        return cylinder, head, sector_in_track
+        cylinder, remainder = divmod(sector, self.sectors_per_cylinder)
+        return (cylinder, *divmod(remainder, self.sectors_per_track))
 
 
 #: The disk used throughout the paper's experiments (HP 97560: 1962 cylinders,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.core.driver import IOKind, IORequest
+from repro.units import SECTOR_SIZE
 from repro.core.scheduler import Delay, Event, Scheduler
 from repro.core.sync import Channel
 from repro.patsy.bus import ScsiBus
@@ -28,6 +29,8 @@ from repro.patsy.diskspec import DiskSpec
 from repro.patsy.stats import Histogram
 
 __all__ = ["SimulatedDisk", "DiskStatistics"]
+
+READ = IOKind.READ
 
 
 @dataclass
@@ -81,6 +84,10 @@ class SimulatedDisk:
         #: when the disk last finished servicing a request (idle time since
         #: then is spent destaging the write cache in the background).
         self._idle_since = 0.0
+        self.cache_sectors = spec.cache_bytes // spec.sector_size
+        self.read_ahead_sectors = spec.read_ahead_bytes // spec.sector_size
+        self._now = scheduler.clock.now
+        self._overhead = Delay(spec.controller_overhead)  # one command, reused
         self._thread = scheduler.spawn(
             self._controller, name=f"{name}-controller", daemon=True, node=node
         )
@@ -90,14 +97,6 @@ class SimulatedDisk:
     @property
     def num_sectors(self) -> int:
         return self.spec.num_sectors
-
-    @property
-    def cache_sectors(self) -> int:
-        return self.spec.cache_bytes // self.spec.sector_size
-
-    @property
-    def read_ahead_sectors(self) -> int:
-        return self.spec.read_ahead_bytes // self.spec.sector_size
 
     # -- interface used by the simulated disk driver ------------------------------------
 
@@ -110,13 +109,20 @@ class SimulatedDisk:
     # -- the controller thread --------------------------------------------------------------
 
     def _controller(self) -> Generator[Any, Any, None]:
+        now, stats, get = self._now, self.stats, self._work.get
         while True:
-            request, completion = yield from self._work.get()
-            started = self.scheduler.now
+            request, completion = yield from get()
+            started = now()
             self._credit_idle_time(started)
-            yield from self._service(request)
-            self.stats.busy_time += self.scheduler.now - started
-            self._idle_since = self.scheduler.now
+            stats.requests += 1
+            # Controller/command decode overhead.
+            yield self._overhead
+            if request.kind is READ:
+                yield from self._service_read(request)
+            else:
+                yield from self._service_write(request)
+            finished = self._idle_since = now()
+            stats.busy_time += finished - started
             completion.signal(request)
 
     def _credit_idle_time(self, now: float) -> None:
@@ -139,16 +145,6 @@ class SimulatedDisk:
             self._pending_destage_time = 0.0
             self._pending_destage_bytes = 0
             yield Delay(owed)
-
-    def _service(self, request: IORequest) -> Generator[Any, Any, None]:
-        spec = self.spec
-        self.stats.requests += 1
-        # Controller/command decode overhead.
-        yield Delay(spec.controller_overhead)
-        if request.kind is IOKind.READ:
-            yield from self._service_read(request)
-        else:
-            yield from self._service_write(request)
 
     # -- reads ---------------------------------------------------------------------------------
 
@@ -173,17 +169,16 @@ class SimulatedDisk:
 
     def _service_write(self, request: IORequest) -> Generator[Any, Any, None]:
         self.stats.writes += 1
-        media_time = self._mechanical_time(request)
-        fits_in_cache = (
-            self._pending_destage_bytes + request.nbytes <= self.spec.cache_bytes
-        )
+        seek_time, rotation, transfer = self._mechanical_parts(request)
+        nbytes = request.count * SECTOR_SIZE
+        fits_in_cache = self._pending_destage_bytes + nbytes <= self.spec.cache_bytes
         if self.spec.immediate_reported_writes and fits_in_cache:
             # The write is reported complete once the data is in the disk's
             # cache; the media write is owed and destaged in the background
             # (idle time) or before the media is next needed.
             self.stats.immediate_writes += 1
-            self._pending_destage_time += media_time
-            self._pending_destage_bytes += request.nbytes
+            self._pending_destage_time += seek_time + rotation + transfer
+            self._pending_destage_bytes += nbytes
             self._advance_position(request)
         else:
             yield from self._drain_destage()
@@ -205,39 +200,28 @@ class SimulatedDisk:
         yield Delay(seek_time + rotation + transfer)
         self._advance_position(request)
 
-    def _mechanical_time(self, request: IORequest) -> float:
-        seek_time, rotation, transfer = self._mechanical_parts(request)
-        return seek_time + rotation + transfer
-
     def _mechanical_parts(self, request: IORequest) -> tuple[float, float, float]:
+        """Seek (with any head switch), rotational latency to the first
+        sector once the seek is done, and media transfer."""
         spec = self.spec
         cylinder, head, sector_in_track = spec.decompose(request.sector)
         distance = abs(cylinder - self._current_cylinder)
         seek_time = spec.seek_time(distance)
         if distance == 0 and head != self._current_head:
             seek_time += spec.head_switch_time
-        rotation = self._rotational_delay(sector_in_track, after=seek_time)
-        transfer = spec.sector_transfer_time(request.count)
-        return seek_time, rotation, transfer
-
-    def _rotational_delay(self, target_sector_in_track: int, after: float) -> float:
-        """Rotational latency to reach ``target_sector_in_track`` once the
-        seek (taking ``after`` seconds) has completed."""
-        spec = self.spec
-        arrival = self.scheduler.now + after
-        rotations = arrival / spec.rotation_time
+        rotation_time = spec.rotation_time
+        rotations = (self._now() + seek_time) / rotation_time
         current_angle = rotations - int(rotations)  # fraction of a revolution
-        target_angle = target_sector_in_track / spec.sectors_per_track
-        delta = target_angle - current_angle
+        delta = sector_in_track / spec.sectors_per_track - current_angle
         if delta < 0:
             delta += 1.0
-        return delta * spec.rotation_time
+        return seek_time, delta * rotation_time, spec.sector_transfer_time(request.count)
 
     def _advance_position(self, request: IORequest) -> None:
         last_sector = request.sector + request.count - 1
-        cylinder, head, _ = self.spec.decompose(min(last_sector, self.num_sectors - 1))
-        self._current_cylinder = cylinder
-        self._current_head = head
+        self._current_cylinder, self._current_head, _ = self.spec.decompose(
+            min(last_sector, self.num_sectors - 1)
+        )
 
     # -- the on-disk cache ---------------------------------------------------------------------------
 
@@ -251,8 +235,7 @@ class SimulatedDisk:
         extra = self.read_ahead_sectors if read_ahead else 0
         end = min(sector + count + extra, self.num_sectors)
         # The cache holds the tail of what just streamed past the head.
-        start = max(sector, end - self.cache_sectors)
-        self._cached_range = (start, end)
+        self._cached_range = (max(sector, end - self.cache_sectors), end)
 
     def __repr__(self) -> str:
         return f"SimulatedDisk({self.name!r}, spec={self.spec.name!r})"

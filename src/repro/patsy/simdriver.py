@@ -19,7 +19,7 @@ from typing import Any, Generator, Optional
 
 from repro.core.driver import DiskDriver, IOKind, IORequest
 from repro.core.iosched import IoScheduler
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import Event, Scheduler
 from repro.patsy.bus import ScsiBus
 from repro.patsy.simdisk import SimulatedDisk
 
@@ -43,6 +43,7 @@ class SimulatedDiskDriver(DiskDriver):
     ):
         self.disk = disk
         self.bus = bus if bus is not None else disk.bus
+        self._disk_done_name = f"{name}-disk-done"
         super().__init__(
             scheduler,
             name=name,
@@ -59,6 +60,6 @@ class SimulatedDiskDriver(DiskDriver):
         if request.kind is IOKind.WRITE:
             command_bytes += request.nbytes
         yield from self.bus.transfer(command_bytes)
-        completion = self.scheduler.new_event(f"{self.name}-disk-done-{request.request_id}")
+        completion = Event(self.scheduler, self._disk_done_name)
         self.disk.submit(request, completion)
         yield from completion.wait()
