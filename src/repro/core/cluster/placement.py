@@ -55,6 +55,11 @@ class ClusterPlacement(PlacementPolicy):
         #: the inner policy spreads one file's blocks over several volumes.
         self.striped = type(inner).volume_for_block is not PlacementPolicy.volume_for_block
         if replicas > 0:
+            if self.striped:  # replica sets derive from the home volume
+                raise ConfigurationError(
+                    f"{inner.name!r} placement spreads a file over volumes, so a "
+                    "replica (derived from its home) can share a volume with its data"
+                )
             # Replicas never share a failure domain with the primary: with
             # several nodes the domain is the node, with one node it is the
             # volume, so each copy needs a domain of its own.

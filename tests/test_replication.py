@@ -21,7 +21,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.assembly.bindings import OnlineBinding
+from repro.assembly.bindings import OnlineBinding, SimulatedBinding
+from repro.assembly.registry import registry
 from repro.assembly.builder import build_stack
 from repro.assembly.spec import StackSpec
 from repro.config import (
@@ -31,6 +32,7 @@ from repro.config import (
     ClusterConfig,
     FlushConfig,
     LayoutConfig,
+    cluster_config,
 )
 from repro.core.blocks import CacheBlock
 from repro.core.cluster.placement import ClusterPlacement
@@ -38,7 +40,6 @@ from repro.core.faults import FaultEvent, FaultInjector
 from repro.core.metadata import DurableStore, decode_wal
 from repro.core.metadata.manifest import Manifest
 from repro.core.metadata.wal import REC_RSET
-from repro.core.storage.array import HashPlacement
 from repro.errors import ConfigurationError, DataUnavailable
 from repro.units import KB, MB
 from tests.conftest import record_write_runs, run
@@ -160,40 +161,52 @@ def test_replicas_zero_is_inert():
 
 @settings(max_examples=200, deadline=None)
 @given(
+    placement=st.sampled_from(registry.names("placement")),
     nodes=st.integers(min_value=1, max_value=5),
     volumes_per_node=st.integers(min_value=1, max_value=4),
     replicas=st.integers(min_value=1, max_value=4),
     file_id=st.integers(min_value=2, max_value=5000),
 )
-def test_replica_sets_never_colocate(nodes, volumes_per_node, replicas, file_id):
-    """Property: a file's primary and its replicas all live on distinct
-    failure domains — distinct nodes on a multi-node cluster, distinct
-    volumes on a single node — for every file id and cluster shape."""
+def test_replica_sets_never_colocate(placement, nodes, volumes_per_node, replicas, file_id):
+    """Property: every block of a file and each of its replicas live on
+    distinct failure domains — distinct nodes on a multi-node cluster,
+    distinct volumes on a single node — for every registered placement,
+    file id and cluster shape.  A placement that spreads one file over
+    several volumes cannot promise that, so it is refused with replicas."""
     num_volumes = nodes * volumes_per_node
     domains = nodes if nodes > 1 else num_volumes
-    if replicas >= domains:
+    inner = registry.create("placement", placement, num_volumes)
+    blocks = range(64)
+    spread = len({inner.volume_for_block(file_id, block_no) for block_no in blocks}) > 1
+    if replicas >= domains or spread:
         with pytest.raises(ConfigurationError):
             ClusterPlacement(
-                HashPlacement(num_volumes),
-                nodes=nodes,
-                volumes_per_node=volumes_per_node,
-                replicas=replicas,
+                inner, nodes=nodes, volumes_per_node=volumes_per_node, replicas=replicas
             )
         return
-    placement = ClusterPlacement(
-        HashPlacement(num_volumes),
-        nodes=nodes,
-        volumes_per_node=volumes_per_node,
-        replicas=replicas,
+    cluster = ClusterPlacement(
+        inner, nodes=nodes, volumes_per_node=volumes_per_node, replicas=replicas
     )
-    primary = placement.volume_of_file(file_id)
-    rset = placement.replica_set(file_id)
+    rset = cluster.replica_set(file_id)
     assert len(rset) == replicas
-    homes = (primary,) + rset
-    assert len(set(homes)) == len(homes), "replica volume collision"
-    if nodes > 1:
-        home_nodes = [placement.node_of_volume(v) for v in homes]
-        assert len(set(home_nodes)) == len(home_nodes), "replica node collision"
+    for block_no in blocks:
+        homes = (cluster.volume_for_block(file_id, block_no),) + rset
+        assert len(set(homes)) == len(homes), f"block {block_no}: replica volume collision"
+        if nodes > 1:
+            home_nodes = [cluster.node_of_volume(v) for v in homes]
+            assert len(set(home_nodes)) == len(home_nodes), "replica node collision"
+
+
+def test_striped_placement_with_replicas_is_refused():
+    """A striped file's later units would share a volume with a replica
+    derived from its home, so one crash there would lose them: the stack
+    refuses to build (3 nodes x 1 volume, one replica)."""
+    spec = cluster_config(
+        nodes=3, volumes_per_node=1, disks_per_node=1, placement="stripe", replicas=1
+    )
+    with pytest.raises(ConfigurationError, match="stripe"):
+        build_stack(spec, SimulatedBinding())
+    build_stack(replace(spec, array=replace(spec.array, placement="hash")), SimulatedBinding())
 
 
 # --------------------------------------------------------------------------- fail-over reads
