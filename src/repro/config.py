@@ -468,7 +468,7 @@ def sun4_280_config(
     scale: float = 1.0,
     seed: int = 0,
     volumes: int = 5,
-    placement: str = "hash",
+    placement: str = "stripe",
     num_disks: int = 10,
     buses: int = 3,
 ) -> StackSpec:

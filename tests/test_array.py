@@ -552,7 +552,7 @@ def test_sun4_280_preset_runs_with_per_volume_stats():
 
     table = format_volume_table(result.volume_stats)
     assert "vol0" in table and "vol4" in table
-    assert "placement=hash" in table
+    assert "placement=stripe" in table
 
 
 def test_a_disk_of_a_single_machine_can_fail():
@@ -645,10 +645,11 @@ def test_a_read_spanning_two_volumes_has_both_reads_outstanding_at_once(schedule
 def test_a_sync_of_five_volumes_takes_the_slowest_volume_not_the_sum():
     """One dirty file per volume of the Sun 4/280 array: every shard
     flushes at once, so the sync lasts about as long as its slowest volume's
-    append, not as long as the five appends one after another."""
+    append, not as long as the five appends one after another.  The premise
+    is one whole file per volume, so the array places whole files."""
 
     def sync_time(dirty_volumes):
-        simulator = PatsySimulator(sun4_280_config(scale=0.02))
+        simulator = PatsySimulator(sun4_280_config(scale=0.02, placement="hash"))
         simulator.mount()
         client, fs = simulator.client, simulator.fs
 
