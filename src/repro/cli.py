@@ -8,6 +8,7 @@ Every script in ``examples/`` accepts the same pair of hardware flags:
   fast single-disk default.
 * ``--volumes N`` — how many volumes the ten disks are carved into
   (default 5, the preset's shape; only meaningful with ``--full-hardware``).
+  Files are striped over the volumes, as the preset places them.
 
 ``add_stack_flags`` puts the flags on an ``argparse`` parser;
 ``stack_config`` turns parsed arguments into the ``StackSpec`` a simulator
@@ -59,20 +60,13 @@ def add_stack_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
-def stack_config(
-    args: argparse.Namespace,
-    scale: float = 0.002,
-    seed: int = 0,
-    placement: str = "hash",
-) -> StackSpec:
-    """The stack the flags describe: the ``sun4_280``
-    preset with ``--full-hardware``, the small test stack otherwise."""
+def stack_config(args: argparse.Namespace, scale: float = 0.002, seed: int = 0) -> StackSpec:
+    """The stack the flags describe: the ``sun4_280`` preset (striped
+    placement) with ``--full-hardware``, the small test stack otherwise."""
     if args.volumes < 1:
         raise ConfigurationError("--volumes must be at least 1")
     if args.full_hardware:
-        return sun4_280_config(
-            scale=scale, seed=seed, volumes=args.volumes, placement=placement
-        )
+        return sun4_280_config(scale=scale, seed=seed, volumes=args.volumes)
     return small_test_config(seed=seed)
 
 

@@ -72,8 +72,9 @@ DEFAULT_MEMORY_SCALE = 1.0 / 2.0
 #: queueing effects the experiments are about.
 DEFAULT_HOST = HostConfig(num_disks=1, num_buses=1)
 
-#: the paper machine's array shape used when ``full_hardware=True``.
-FULL_HARDWARE_VOLUMES = 5
+#: the paper machine's array shape used when ``full_hardware=True``; its
+#: files stay whole, as on the traced Sprite server's file systems.
+FULL_HARDWARE_VOLUMES, FULL_HARDWARE_PLACEMENT = 5, "hash"
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,10 @@ class DelayedWriteExperiment:
     seed: int = 0
     full_hardware: bool = False
     volumes: int = FULL_HARDWARE_VOLUMES
-    placement: str = "hash"
+    placement: str = FULL_HARDWARE_PLACEMENT
 
     def with_array(
-        self, volumes: int = FULL_HARDWARE_VOLUMES, placement: str = "hash"
+        self, volumes: int = FULL_HARDWARE_VOLUMES, placement: str = FULL_HARDWARE_PLACEMENT
     ) -> "DelayedWriteExperiment":
         """This experiment on the paper's ten-disk array (fluent API)."""
         return replace(self, full_hardware=True, volumes=volumes, placement=placement)
@@ -134,7 +135,7 @@ def experiment_config(
     seed: int = 0,
     full_hardware: bool = False,
     volumes: int = FULL_HARDWARE_VOLUMES,
-    placement: str = "hash",
+    placement: str = FULL_HARDWARE_PLACEMENT,
 ) -> StackSpec:
     """The stack for one of the Section 5.1 policies.
 
@@ -147,7 +148,8 @@ def experiment_config(
             f"unknown experiment policy {policy_name!r}; "
             f"known policies: {sorted(EXPERIMENT_POLICIES)}"
         )
-    if not full_hardware and (volumes != FULL_HARDWARE_VOLUMES or placement != "hash"):
+    array = (volumes, placement)
+    if not full_hardware and array != (FULL_HARDWARE_VOLUMES, FULL_HARDWARE_PLACEMENT):
         # The array shape only exists on the full-hardware stack; ignoring
         # these silently would report single-disk runs as array results.
         raise ConfigurationError(
@@ -196,7 +198,7 @@ def run_delayed_write_experiment(
     seed: int = 0,
     full_hardware: bool = False,
     volumes: int = FULL_HARDWARE_VOLUMES,
-    placement: str = "hash",
+    placement: str = FULL_HARDWARE_PLACEMENT,
 ) -> SimulationResult:
     """Run one (trace, policy) cell of the evaluation."""
     experiment = DelayedWriteExperiment(
@@ -220,7 +222,7 @@ def run_policy_comparison(
     seed: int = 0,
     full_hardware: bool = False,
     volumes: int = FULL_HARDWARE_VOLUMES,
-    placement: str = "hash",
+    placement: str = FULL_HARDWARE_PLACEMENT,
 ) -> Dict[str, SimulationResult]:
     """Replay one trace under several policies (one Figure 2-4 panel)."""
     chosen = list(policies) if policies is not None else list(EXPERIMENT_POLICIES)
