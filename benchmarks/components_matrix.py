@@ -78,7 +78,8 @@ REFERENCES = {
         "clook": "the paper's baseline (the production driver's policy)",
         "fcfs": "the no-scheduling reference test_ablation_iosched.py asserts against",
     },
-    "placement": {"hash": "the sun4_280 and experiments default: one file lives on one volume"},
+    "placement": {"hash": "one file lives on one volume: the default of the cluster preset "
+                          "(replicas need it) and of the Fig. 2-5 experiments"},
     "layout": {"lfs": "the paper's layout"},
 }
 KEEP_RULE = (
