@@ -195,11 +195,8 @@ class BlockCache:
     def cached_count(self) -> int:
         return len(self._index)
 
-    # A plain ``(file_id, block_no)`` tuple hashes and compares equal to
-    # the ``BlockId`` keys, and is cheaper to build for a probe.
-
     def contains(self, file_id: int, block_no: int) -> bool:
-        return (file_id, block_no) in self._index
+        return (file_id, block_no) in self._index  # a plain tuple probes BlockId keys
 
     def peek(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         """Look up a block without touching statistics or recency."""
@@ -343,12 +340,12 @@ class BlockCache:
     def _take_free_or_evict(self, incoming: Optional[BlockId] = None) -> Optional[CacheBlock]:
         if self._free:
             return self._free.popleft()
-        victim = self.policy.victim(incoming=incoming)
+        victim = self.policy.victim(incoming)
         if victim is None:
             return None
         # Replacement eviction: the policy may remember the identity in a
         # ghost list (the incoming block is what pushed it out).
-        self.policy.on_evict(victim, ghost=True)
+        self.policy.on_evict(victim, True)
         self._remove(victim)
         victim.reset()
         self.stats.evictions += 1

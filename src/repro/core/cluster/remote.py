@@ -87,9 +87,6 @@ class RemoteVolume(Volume):
     def disk_of(self, block_addr: int) -> int:
         return self.backing.disk_of(block_addr)
 
-    def locate(self, block_addr: int):
-        return self.backing.locate(block_addr)
-
     def blocks_on_disk(self, disk_index: int) -> range:
         return self.backing.blocks_on_disk(disk_index)
 

@@ -40,16 +40,24 @@ class DataMover:
         self.charge_time = charge_time
         self.bandwidth = float(bandwidth)
         self.bytes_copied = 0
+        #: the copy-time command per size; commands are immutable, so reused.
+        self._delays: dict[int, Delay] = {}
 
     def copy_time(self, nbytes: int) -> float:
         return nbytes / self.bandwidth
+
+    def _delay(self, nbytes: int) -> Delay:
+        delay = self._delays.get(nbytes)
+        if delay is None:
+            delay = self._delays[nbytes] = Delay(self.copy_time(nbytes))
+        return delay
 
     def charge(self, nbytes: int) -> Generator[Any, Any, None]:
         """Charge copy time for ``nbytes`` without moving any data (used when
         the simulator has no real payload to copy)."""
         self.bytes_copied += nbytes
         if self.charge_time and nbytes:
-            yield Delay(self.copy_time(nbytes))
+            yield self._delay(nbytes)
 
     def copy_in(
         self, block: CacheBlock, offset: int, data: Optional[bytes]
@@ -72,7 +80,7 @@ class DataMover:
             block.valid_bytes = max(block.valid_bytes, offset + nbytes)
         self.bytes_copied += nbytes
         if self.charge_time and nbytes:
-            yield Delay(self.copy_time(nbytes))
+            yield self._delay(nbytes)
         return nbytes
 
     def copy_out(
@@ -93,5 +101,5 @@ class DataMover:
             payload = bytes(length)
         self.bytes_copied += length
         if self.charge_time and length:
-            yield Delay(self.copy_time(length))
+            yield self._delay(length)
         return payload

@@ -202,13 +202,6 @@ class Event:
 
     # -- scheduler hooks ------------------------------------------------------
 
-    def _consume_pending(self) -> tuple[bool, Any]:
-        if self._pending:
-            self._pending = False
-            value, self._pending_value = self._pending_value, None
-            return True, value
-        return False, None
-
     def _add_waiter(self, thread: "Thread") -> None:
         self._waiters.append(thread)
 
@@ -811,9 +804,9 @@ class Scheduler:
         (which the loop handles itself)."""
         if isinstance(command, WaitEvent):
             event = command.event
-            consumed, value = event._consume_pending()
-            if consumed:
-                thread._send_value = value
+            if event._pending:  # a latched signal: consumed, no wait
+                event._pending = False
+                thread._send_value, event._pending_value = event._pending_value, None
                 self._make_runnable(thread)
             else:
                 thread.state = ThreadState.BLOCKED

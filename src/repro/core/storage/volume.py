@@ -126,9 +126,7 @@ class LocalVolume(Volume):
 
     def locate(self, block_addr: int) -> tuple[DiskDriver, int]:
         """(driver, first sector) for a block address."""
-        index = self.disk_of(block_addr)
-        local_block = block_addr - self._disk_starts[index]
-        return self.drivers[index], local_block * self.sectors_per_block
+        return self._run_start(block_addr, 1)
 
     def blocks_on_disk(self, disk_index: int) -> range:
         """Block address range living on one disk."""
@@ -143,9 +141,7 @@ class LocalVolume(Volume):
 
     def read_run(self, block_addr: int, nblocks: int = 1) -> Generator[Any, Any, Optional[bytes]]:
         """Read ``nblocks`` contiguous blocks (must lie on one disk)."""
-        self._check(block_addr, nblocks)
-        self._check_single_disk(block_addr, nblocks)
-        driver, sector = self.locate(block_addr)
+        driver, sector = self._run_start(block_addr, nblocks)
         request: IORequest = yield from driver.read(sector, nblocks * self.sectors_per_block)
         if request.data is None:
             return None
@@ -155,13 +151,11 @@ class LocalVolume(Volume):
         self, block_addr: int, nblocks: int, data: Optional[bytes]
     ) -> Generator[Any, Any, None]:
         """Write ``nblocks`` contiguous blocks (must lie on one disk)."""
-        self._check(block_addr, nblocks)
-        self._check_single_disk(block_addr, nblocks)
+        driver, sector = self._run_start(block_addr, nblocks)
         if data is not None and len(data) != nblocks * self.block_size:
             raise StorageError(
                 f"write_run data length {len(data)} != {nblocks} blocks of {self.block_size}"
             )
-        driver, sector = self.locate(block_addr)
         yield from driver.write(sector, nblocks * self.sectors_per_block, data)
 
     def flush(self) -> Generator[Any, Any, None]:
@@ -172,19 +166,22 @@ class LocalVolume(Volume):
     # -- helpers -----------------------------------------------------------------
 
     def _check(self, block_addr: int, nblocks: int) -> None:
-        if block_addr < 0 or nblocks < 1 or block_addr + nblocks > self.total_blocks:
+        if block_addr < 0 or nblocks < 1 or block_addr + nblocks > self._total_blocks:
             raise DiskAddressError(
                 f"block run [{block_addr}, {block_addr + nblocks}) outside volume "
-                f"of {self.total_blocks} blocks"
+                f"of {self._total_blocks} blocks"
             )
 
-    def _check_single_disk(self, block_addr: int, nblocks: int) -> None:
-        # Callers bounds-check first; one bisect pair, no redundant checks.
-        starts = self._disk_starts
-        if bisect_right(starts, block_addr) != bisect_right(starts, block_addr + nblocks - 1):
+    def _run_start(self, block_addr: int, nblocks: int) -> tuple[DiskDriver, int]:
+        """(driver, first sector) of a run, bounds-checked; it must lie on one disk."""
+        self._check(block_addr, nblocks)
+        index = bisect_right(self._disk_starts, block_addr) - 1
+        start = self._disk_starts[index]
+        if block_addr + nblocks > start + self._disk_blocks[index]:
             raise StorageError(
                 f"block run [{block_addr}, {block_addr + nblocks}) crosses a disk boundary"
             )
+        return self.drivers[index], (block_addr - start) * self.sectors_per_block
 
     def __repr__(self) -> str:
         return f"LocalVolume(disks={len(self.drivers)}, blocks={self.total_blocks})"
