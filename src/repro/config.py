@@ -163,7 +163,9 @@ class ArrayConfig:
     #: spare disks).
     volumes: int = 1
     #: placement policy routing files/blocks to volumes: "hash" (whole file
-    #: by name hash) or "stripe" (round-robin stripe units across volumes).
+    #: by name hash; the default here, in ``cluster_config`` and in the
+    #: Fig. 2-5 experiments) or "stripe" (round-robin stripe units across
+    #: volumes; ``sun4_280_config``'s default).
     placement: str = "hash"
 
     def __post_init__(self) -> None:
@@ -477,8 +479,10 @@ def sun4_280_config(
     A Sun 4/280 file server with ten HP 97560 disks on three SCSI-2 buses
     (Section 5.1), modelled as ``volumes`` independent volumes (the real
     machine carved the ten disks into fourteen file systems) with per-volume
-    cache shards and flush daemons.  ``scale`` shrinks the memory sizes
-    exactly as in :func:`sprite_server_config`.
+    cache shards and flush daemons.  Files are striped over the volumes, so
+    a large write drains through every volume's NVRAM share and disks at
+    once.  ``scale`` shrinks the memory sizes exactly as in
+    :func:`sprite_server_config`.
     """
     if scale <= 0 or scale > 1.0:
         raise ConfigurationError("scale must be in (0, 1]")
