@@ -110,24 +110,21 @@ class LogStructuredLayout(StorageLayout):
         self.segment_blocks = segment_blocks
         # Segments are laid out per disk so a segment never straddles a disk
         # boundary (one segment write is one disk operation).  Block 0 of the
-        # volume (on disk 0) is reserved for the superblock.
+        # volume (on disk 0) is reserved for the superblock.  Geometry is
+        # static, so each segment's disk is recorded once, here.
         self._segment_starts: list[int] = []
+        self._segment_disk: list[int] = []
         for disk_index in range(volume.num_disks):
             disk_blocks = volume.blocks_on_disk(disk_index)
             start = disk_blocks.start + (1 if disk_index == 0 else 0)
-            usable = disk_blocks.stop - start
-            for segment in range(usable // segment_blocks):
-                self._segment_starts.append(start + segment * segment_blocks)
+            starts = range(start, disk_blocks.stop - segment_blocks + 1, segment_blocks)
+            self._segment_starts.extend(starts)
+            self._segment_disk.extend([disk_index] * len(starts))
         self.num_segments = len(self._segment_starts)
         if self.num_segments < 2:
             raise StorageError(
                 f"volume too small for LFS: {self.num_segments} segments of {segment_blocks} blocks"
             )
-        # Geometry is static: resolve each segment's disk once instead of a
-        # volume address translation on every activation/pick.
-        self._segment_disk: list[int] = [
-            volume.disk_of(start) for start in self._segment_starts
-        ]
         # --- IFILE / inode map: inode number -> (log address, blocks) -------
         self.inode_map: dict[int, tuple[int, int]] = {}
         #: live inode blocks (the first block of a multi-block inode):
@@ -574,18 +571,20 @@ class LogStructuredLayout(StorageLayout):
         yield from self._append_lock.acquire()
         try:
             entries = []
+            payload = self.block_payload
             for inode, blocks, _with_inode in files:
+                number, block_map = inode.number, inode.block_map
                 for block_no, cache_block in blocks:
-                    old_address = inode.get_block_address(block_no)
+                    old_address = block_map.get(block_no)
                     if old_address is not None and not self._is_synthetic(
-                        inode.number, block_no, old_address
+                        number, block_no, old_address
                     ):
                         self._kill_blocks(old_address, 1)
-                    entries.append((inode.number, block_no, False, self.block_payload(cache_block)))
+                    entries.append((number, block_no, False, payload(cache_block)))
             addresses = iter((yield from self._reserve(entries, writes)))
             for inode, blocks, _with_inode in files:
                 for block_no, _cache_block in blocks:
-                    inode.set_block_address(block_no, next(addresses))
+                    inode.block_map[block_no] = next(addresses)  # cache block numbers are >= 0
             self.stats.blocks_written += len(entries)
             inodes = [inode for inode, _blocks, with_inode in files if with_inode]
             yield from self._append_inodes(inodes, writes)
