@@ -117,9 +117,8 @@ class DriverStatistics:
         else:
             self.writes += 1
             self.sectors_written += request.count
-        completed = request.completed_at
-        self.busy_time += max(completed - request.dispatched_at, 0.0)
-        self.response_time_total += max(completed - request.created_at, 0.0)
+        self.busy_time += request.service_time
+        self.response_time_total += request.response_time
 
     @property
     def operations(self) -> int:
@@ -245,7 +244,7 @@ class DiskDriver(ABC):
             self._head_position = request.sector + request.count
             stats.record_completion(request)
             request.done.signal(request)
-            if not self._in_flight and not len(queue):
+            if self.outstanding == 0:
                 self._idle.signal()
 
     # -- to be provided by derived drivers ------------------------------------------

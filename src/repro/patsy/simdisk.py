@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.core.driver import IOKind, IORequest
-from repro.units import SECTOR_SIZE
 from repro.core.scheduler import Delay, Event, Scheduler
 from repro.core.sync import Channel
 from repro.patsy.bus import ScsiBus
 from repro.patsy.diskspec import DiskSpec
 from repro.patsy.stats import Histogram
+from repro.units import SECTOR_SIZE
 
 __all__ = ["SimulatedDisk", "DiskStatistics"]
 
