@@ -31,9 +31,10 @@ from repro.units import MB
 #: LFU, SLRU, LRU-K, CLOCK, 2Q, LOOK, SCAN, C-SCAN and the per-block access
 #: history only LRU-K read (18,494 → 17,871) — then directory placement and
 #: the FFS layout (17,392), then the base class's unused read planner,
-#: which paid for ARC's per-file ghost index (17,377); the next change that
-#: adds code raises it on purpose.
-SRC_LINE_BUDGET = 17_377
+#: which paid for ARC's per-file ghost index (17,377), then the striped
+#: default's host work, which paid for its own routing (17,373); the next
+#: change that adds code raises it on purpose.
+SRC_LINE_BUDGET = 17_373
 
 
 def test_cache_config_defaults_and_blocks():
