@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.assembly.bindings import OnlineBinding, SimulatedBinding
-from repro.assembly.registry import registry
 from repro.assembly.builder import build_stack
+from repro.assembly.registry import registry
 from repro.assembly.spec import StackSpec
 from repro.config import (
     ArrayConfig,
