@@ -32,7 +32,7 @@ from repro.units import MB, human_time
 def main() -> None:
     args = add_stack_flags(argparse.ArgumentParser(description=__doc__)).parse_args()
     # The stack, described once: cache shards, flush daemons + governor,
-    # per-volume LFS + cleaners, hash placement over the volumes.
+    # per-volume LFS + cleaners, files striped over the volumes.
     spec = sun4_280_config(scale=0.002, seed=42, volumes=args.volumes)
     print("spec:", f"{spec.num_disks} disks / {spec.num_buses} buses /",
           f"{spec.num_volumes} volumes, layout={spec.layout.kind}")
