@@ -12,15 +12,18 @@ stands beside it (and, on the cold-read row, the mean of its reads alone).
 A name that cannot build a row's stack records ``null`` there and wins
 nothing on it.  ``KEEP_RULE`` was written down before the first run and is
 copied into the file with the verdicts it gives.  Per kind the file also
-lists the rows on which every name measured the same on every seed: rows
-that judge nothing.
+lists the rows on which the kept names measured the same on every seed (two
+of them at least, so a row only one kept name can build is not listed):
+rows that judge nothing.
 
 A name the file records but the registry no longer holds keeps its recorded
 numbers (that run is the evidence it was dropped on), so a full run after a
 deletion rewrites the same bytes.  Where a row's stack changed after such a
 name was deleted (a preset's default moved), its cells there are ``null``:
 its numbers came from another stack.  ``--check`` re-runs only the names still
-registered.  The script is not a test module: pytest does not collect it.
+registered, and derives the kept, dropped and uninformative lists from the
+committed rows again.  The script is not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -319,16 +322,27 @@ def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
     return out
 
 
+def uninformative_rows(table: Dict[str, dict], kept: List[str]) -> List[str]:
+    """Rows on which at least two kept names measured, all the same on every seed."""
+    out = []
+    for row, cells in table.items():
+        measured = [tuple(cells[name][METRIC]) for name in kept
+                    if any(value is not None for value in cells[name][METRIC])]
+        if len(measured) >= 2 and len(set(measured)) == 1:
+            out.append(row)
+    return out
+
+
 def document(tables: Dict[str, Dict[str, dict]]) -> dict:
     kinds = {}
     for kind, table in tables.items():
         judgement = verdicts(kind, table)
+        kept = sorted(name for name, entry in judgement.items() if entry["verdict"] == "kept")
         kinds[kind] = {
-            "kept": sorted(name for name, entry in judgement.items() if entry["verdict"] == "kept"),
+            "kept": kept,
             "dropped": sorted(name for name, entry in judgement.items() if entry["verdict"] == "dropped"),
             "unjudged": list(UNJUDGED.get(kind, ())),
-            "uninformative_rows": [row for row, cells in table.items()
-                                   if len({tuple(cell[METRIC]) for cell in cells.values()}) == 1],
+            "uninformative_rows": uninformative_rows(table, kept),
             "verdicts": judgement,
             "rows": table,
         }
@@ -355,8 +369,16 @@ def dump(doc: dict) -> str:
 
 
 def check(committed: dict, seeds: Tuple[int, ...]) -> int:
-    """Re-run the names still registered on ``seeds``; 1 if any value differs."""
+    """Re-derive the file's lists from its rows, re-run the names still
+    registered on ``seeds``; 1 if any list or value differs."""
     differences = 0
+    derived = document({kind: recorded["rows"] for kind, recorded in committed["kinds"].items()})
+    for kind, recorded in committed["kinds"].items():
+        for field in ("kept", "dropped", "uninformative_rows"):
+            if derived["kinds"][kind][field] != recorded[field]:
+                differences += 1
+                print(f"DIFFERS {kind} {field}: the committed rows give "
+                      f"{derived['kinds'][kind][field]}, the file lists {recorded[field]}")
     for kind, recorded in committed["kinds"].items():
         names = judged(kind)
         if set(names) != set(recorded["kept"]):

@@ -102,12 +102,13 @@ def run_cleaner_experiment(policy_name: str) -> dict:
         if layout.free_segment_fraction < daemon.low_water:
             drive(scheduler, daemon.clean_until, daemon.high_water)
 
+    stats = layout.stats
     return {
         "policy": policy_name,
-        "segments_cleaned": daemon.segments_cleaned,
-        "blocks_copied": daemon.blocks_copied,
+        "segments_cleaned": stats.cleaner_segments_cleaned,
+        "blocks_copied": stats.cleaner_blocks_copied,
         "new_blocks": new_blocks,
-        "write_amplification": daemon.blocks_copied / max(new_blocks, 1),
+        "write_amplification": stats.cleaner_blocks_copied / max(new_blocks, 1),
         "free_fraction": layout.free_segment_fraction,
     }
 

@@ -49,8 +49,8 @@ def run_configuration(segment_blocks: int, cleaner_policy: str) -> dict:
     thread = scheduler.spawn(body)
     scheduler.run_until_complete(thread)
     return {
-        "segments_cleaned": daemon.segments_cleaned,
-        "blocks_copied": daemon.blocks_copied,
+        "segments_cleaned": layout.stats.cleaner_segments_cleaned,
+        "blocks_copied": layout.stats.cleaner_blocks_copied,
         "disk_writes": layout.stats.disk_writes,
         "free_fraction": layout.free_segment_fraction,
     }

@@ -4,8 +4,9 @@
 Shows the full off-line loop the paper describes: obtain a trace (here a
 synthetic Sprite-like workload written to disk in the Sprite text format),
 read it back through the Sprite trace reader, replay it on a configured
-Patsy simulator, and print the per-interval and plug-in statistics,
-including the disk-queue and rotational-delay histograms.
+Patsy simulator, and print the per-interval statistics and the paper's
+plug-in histograms (disk-queue lengths and rotational delays), drawn from the
+counters the drivers and disk models keep.
 
 Run with:  python examples/trace_replay.py [trace-name] [scale] [--full-hardware] [--volumes N]
            python examples/trace_replay.py --nodes 4   # 4-node cluster replay
@@ -19,9 +20,9 @@ from pathlib import Path
 from repro import PatsySimulator, sprite_like_trace
 from repro.analysis.report import format_cluster_table
 from repro.cli import add_cluster_flags, add_stack_flags, cluster_replay_config
-from repro.config import FlushConfig, sprite_server_config, sun4_280_config
+from repro.config import FlushConfig, sun4_280_config
 from repro.patsy.sprite import load_sprite_trace
-from repro.patsy.stats import DiskQueuePlugin, RotationalDelayPlugin
+from repro.patsy.stats import Histogram
 from repro.patsy.traces import load_trace, operation_mix, save_trace
 from repro.units import human_time
 
@@ -55,7 +56,8 @@ def main() -> None:
         # shards and flush daemons via the sun4_280 preset.
         config = sun4_280_config(scale=0.25, seed=11, volumes=args.volumes)
     else:
-        config = sprite_server_config(scale=0.25, seed=11)
+        # The same machine as one file system.
+        config = sun4_280_config(scale=0.25, seed=11, volumes=1, placement="hash")
     config = replace(config, flush=FlushConfig(policy="ups"))
     simulator = PatsySimulator(config)
     result = simulator.replay(replayable, trace_name=trace_name)
@@ -76,9 +78,16 @@ def main() -> None:
         print(format_cluster_table(result.cluster_stats))
 
     print("\nplug-in statistics histograms:")
-    print(DiskQueuePlugin().histogram(simulator).to_ascii(label="disk queue length"))
+    queues = Histogram(bucket_bounds=[0, 1, 2, 4, 8, 16, 32, 64])
+    for driver in simulator.drivers:
+        for length, arrivals in sorted(driver.stats.queue_lengths.items()):
+            queues.add(length, arrivals)
+    print(queues.to_ascii(label="disk queue length"))
     print()
-    print(RotationalDelayPlugin().histogram(simulator).to_ascii(label="rotational delay (s)"))
+    rotation = Histogram(low=0.0, high=simulator.disks[0].spec.rotation_time, buckets=15)
+    for disk in simulator.disks:
+        rotation.merge(disk.stats.rotation)
+    print(rotation.to_ascii(label="rotational delay (s)"))
 
     trace_path.unlink(missing_ok=True)
 

@@ -42,7 +42,6 @@ from repro.config import (
     LayoutConfig,
     cluster_config,
     small_test_config,
-    sprite_server_config,
     sun4_280_config,
 )
 from repro.patsy.experiments import (
@@ -77,7 +76,6 @@ __all__ = [
     "LayoutConfig",
     "cluster_config",
     "small_test_config",
-    "sprite_server_config",
     "sun4_280_config",
     "EXPERIMENT_POLICIES",
     "DelayedWriteExperiment",

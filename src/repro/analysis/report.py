@@ -204,10 +204,11 @@ def format_volume_table(
             f"volumes={rollup.get('volumes', 0)} buses={rollup.get('buses', 0)} "
             f"disk-ops={rollup.get('disk_operations', 0)}"
         )
-        if "governor_wakeups" in rollup:
+        flush = rollup.get("flush", {})
+        if "governor_wakeups" in flush:
             lines.append(
-                f"governor: wakeups={rollup['governor_wakeups']} "
-                f"flushes={rollup['governor_flushes']}"
+                f"governor: wakeups={flush['governor_wakeups']} "
+                f"flushes={flush['governor_flushes']}"
             )
         layout_rollup = rollup.get("layout", {})
         if layout_rollup.get("cleaner_read_runs"):

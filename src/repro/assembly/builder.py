@@ -47,7 +47,7 @@ from repro.core.metadata.tier import MetadataTier
 from repro.core.metadata.wal import WriteAheadLog
 from repro.core.scheduler import Scheduler
 from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
-from repro.core.storage.cleaner import CleanerDaemon, CleanerSet
+from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.core.storage.volume import LocalVolume, Volume
 
@@ -82,7 +82,7 @@ class StorageStack:
     #: one flush daemon per shard.
     flush_policy: ShardedFlushPolicy
     #: one cleaner daemon per volume.
-    cleaner: CleanerSet
+    cleaner: List[CleanerDaemon]
     #: routes files and blocks to volumes: the spec's placement policy
     #: under the migration routing table.
     placement: ClusterPlacement
@@ -263,10 +263,10 @@ def build_stack(
     flush_policy = ShardedFlushPolicy(
         spec.flush, shard_nodes=[spec.node_of_volume(v) for v in range(total_volumes)]
     )
-    cleaner = CleanerSet([
+    cleaner = [
         _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
         for v in range(total_volumes)
-    ])
+    ]
     # The durable metadata tier stays invisible to the replay (and to the
     # disk) until something is journalled.
     device = binding.make_metadata_device(spec, scheduler)

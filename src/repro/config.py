@@ -45,7 +45,6 @@ __all__ = [
     "ArrayConfig",
     "ClusterConfig",
     "StackSpec",
-    "sprite_server_config",
     "sun4_280_config",
     "cluster_config",
     "small_test_config",
@@ -443,29 +442,6 @@ class StackSpec:
         return cls(**kwargs)
 
 
-def sprite_server_config(scale: float = 1.0, seed: int = 0) -> StackSpec:
-    """Configuration modelled on the traced Sprite file server.
-
-    The original machine was a Sun 4/280 with 128 MB of main memory and ten
-    disks on three SCSI buses (Section 5.1).  ``scale`` shrinks the memory
-    sizes (cache and NVRAM) proportionally so that scaled-down synthetic
-    traces exercise the same regimes — the published experiments depend on
-    the *ratio* of NVRAM to cache and of working set to cache, not on the
-    absolute 1996 sizes.
-    """
-    if scale <= 0 or scale > 1.0:
-        raise ConfigurationError("scale must be in (0, 1]")
-    cache_bytes = max(int(128 * MB * scale), 64 * DEFAULT_BLOCK_SIZE)
-    nvram_bytes = max(int(4 * MB * scale), 8 * DEFAULT_BLOCK_SIZE)
-    return StackSpec(
-        cache=CacheConfig(size_bytes=cache_bytes),
-        flush=FlushConfig(policy="periodic", nvram_bytes=nvram_bytes),
-        layout=LayoutConfig(kind="lfs"),
-        host=HostConfig(num_disks=10, num_buses=3),
-        seed=seed,
-    )
-
-
 def sun4_280_config(
     scale: float = 1.0,
     seed: int = 0,
@@ -476,13 +452,17 @@ def sun4_280_config(
 ) -> StackSpec:
     """The paper's evaluation machine as a storage array.
 
-    A Sun 4/280 file server with ten HP 97560 disks on three SCSI-2 buses
-    (Section 5.1), modelled as ``volumes`` independent volumes (the real
-    machine carved the ten disks into fourteen file systems) with per-volume
-    cache shards and flush daemons.  Files are striped over the volumes, so
-    a large write drains through every volume's NVRAM share and disks at
-    once.  ``scale`` shrinks the memory sizes exactly as in
-    :func:`sprite_server_config`.
+    A Sun 4/280 file server with 128 MB of main memory and ten HP 97560
+    disks on three SCSI-2 buses (Section 5.1), modelled as ``volumes``
+    independent volumes (the real machine carved the ten disks into fourteen
+    file systems) with per-volume cache shards and flush daemons.  Files are
+    striped over the volumes, so a large write drains through every volume's
+    NVRAM share and disks at once; ``volumes=1, placement="hash"`` is the
+    machine as one file system.  ``scale`` shrinks the memory sizes (cache
+    and NVRAM) proportionally so that scaled-down synthetic traces exercise
+    the same regimes — the published experiments depend on the *ratio* of
+    NVRAM to cache and of working set to cache, not on the absolute 1996
+    sizes.
     """
     if scale <= 0 or scale > 1.0:
         raise ConfigurationError("scale must be in (0, 1]")
@@ -516,7 +496,7 @@ def cluster_config(
     other nodes' volumes are reached over simulated network links.  The
     cache and NVRAM scale with the node count so per-volume shards keep a
     workable size; ``scale`` shrinks memory exactly as in
-    :func:`sprite_server_config`.
+    :func:`sun4_280_config`.
     """
     if scale <= 0 or scale > 1.0:
         raise ConfigurationError("scale must be in (0, 1]")

@@ -34,6 +34,7 @@ from repro.config import FlushConfig
 from repro.core.cache import BlockCache
 from repro.core.scheduler import Scheduler, Thread
 from repro.errors import ConfigurationError
+from repro.units import add_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.storage.array import ShardedCache
@@ -400,18 +401,12 @@ class ShardedFlushPolicy(FlushPolicy):
         return sum(shard.dirty_bytes for shard in shards) / max(capacity, 1)
 
     def stats(self) -> dict:
-        """Aggregate child counters plus governor activity."""
-        totals: dict = {}
-        for child in self.children:
-            for key, value in child.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        totals["governor_wakeups"] = self.governor_wakeups
-        totals["governor_flushes"] = self.governor_flushes
-        return totals
-
-    def shard_stats(self) -> List[dict]:
-        """Per-shard flush counters, in shard (= volume) order."""
-        return [child.stats() for child in self.children]
+        """The per-shard policies' counters added up, plus governor activity."""
+        return dict(
+            add_counters(child.stats() for child in self.children),
+            governor_wakeups=self.governor_wakeups,
+            governor_flushes=self.governor_flushes,
+        )
 
 
 # "flush" factories take one FlushConfig and return an unattached policy.

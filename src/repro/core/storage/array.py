@@ -40,6 +40,7 @@ from repro.core.storage.layout import ReadAhead, StorageLayout, WriteBack
 from repro.core.storage.volume import Volume
 from repro.core.sync import gather
 from repro.errors import ConfigurationError, DataUnavailable, StorageError
+from repro.units import add_counters
 
 __all__ = [
     "PlacementPolicy",
@@ -233,64 +234,6 @@ class VolumeSet(Volume):
 # --------------------------------------------------------------------------- sharded cache
 
 
-class ShardedCacheStatistics:
-    """Read-only aggregate view over per-shard :class:`CacheStatistics`.
-
-    Counter attributes sum across the shards on every access, so the view
-    is always current.  ``peak_dirty_bytes`` is the sum of per-shard peaks —
-    an upper bound on the true simultaneous aggregate peak.
-    """
-
-    _FIELDS = tuple(CacheStatistics().snapshot().keys())
-
-    def __init__(self, shards: Sequence[BlockCache]):
-        self._shards = list(shards)
-
-    def __getattr__(self, name: str):
-        if name in self._FIELDS and name != "hit_rate":
-            return sum(getattr(shard.stats, name) for shard in self._shards)
-        raise AttributeError(name)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = sum(shard.stats.lookups for shard in self._shards)
-        if lookups == 0:
-            return 0.0
-        return sum(shard.stats.hits for shard in self._shards) / lookups
-
-    def snapshot(self) -> dict:
-        snapshot: Dict[str, Any] = {}
-        for shard in self._shards:
-            for key, value in shard.stats.snapshot().items():
-                snapshot[key] = snapshot.get(key, 0) + value
-        snapshot["hit_rate"] = self.hit_rate
-        return snapshot
-
-
-class _ShardedPolicyView:
-    """Aggregate view of the per-shard replacement policies (name plus a
-    summed counter snapshot) for reports that expect ``cache.policy``."""
-
-    def __init__(self, shards: Sequence[BlockCache]):
-        self._shards = list(shards)
-
-    @property
-    def name(self) -> str:
-        return self._shards[0].policy.name
-
-    def snapshot(self) -> dict:
-        merged: Dict[str, Any] = {}
-        for shard in self._shards:
-            for key, value in shard.policy.snapshot().items():
-                if isinstance(value, (int, float)) and isinstance(
-                    merged.get(key, 0), (int, float)
-                ):
-                    merged[key] = merged.get(key, 0) + value
-                else:
-                    merged.setdefault(key, value)
-        return merged
-
-
 class ShardedCache:
     """Per-volume :class:`BlockCache` shards behind the ``BlockCache`` API.
 
@@ -312,12 +255,6 @@ class ShardedCache:
         self.config = first.config
         self.block_size = first.block_size
         self.with_data = first.with_data
-        self._aggregate = (
-            first.stats if len(self.shards) == 1 else ShardedCacheStatistics(self.shards)
-        )
-        self._policy_view = (
-            first.policy if len(self.shards) == 1 else _ShardedPolicyView(self.shards)
-        )
 
     # ------------------------------------------------------------------ routing
 
@@ -327,12 +264,10 @@ class ShardedCache:
     # ------------------------------------------------------------------ aggregate views
 
     @property
-    def stats(self):
-        return self._aggregate
-
-    @property
-    def policy(self):
-        return self._policy_view
+    def stats(self) -> CacheStatistics:
+        """The shards' counters added up (``peak_dirty_bytes`` is the sum of
+        the per-shard peaks, an upper bound on the simultaneous peak)."""
+        return CacheStatistics(**add_counters(vars(shard.stats) for shard in self.shards))
 
     @property
     def num_blocks(self) -> int:
@@ -402,7 +337,10 @@ class ShardedCache:
         router, shards = self._router, self.shards
         while True:
             shard = shards[router(file_id, block_no)]
+            stalls = shard.stats.allocation_stalls
             block = yield from shard.allocate(file_id, block_no)
+            if shard.stats.allocation_stalls == stalls:
+                return block  # it never waited, so its routing cannot have moved
             if shards[router(file_id, block_no)] is shard:
                 return block
             # The block's routing changed while the allocation waited for
@@ -800,12 +738,7 @@ class RoutedLayout(StorageLayout):
         the sub-layouts (the per-volume breakdown lives in the report), plus
         what is counted against the router itself (``coalesced_read_hits``:
         the file system credits the layout it talks to)."""
-        totals: Dict[str, int] = {}
-        for layout in (self, *self.sublayouts):
-            for key, value in vars(layout.stats).items():
-                if isinstance(value, (int, float)):
-                    totals[key] = totals.get(key, 0) + value
-        return totals
+        return add_counters(vars(layout.stats) for layout in (self, *self.sublayouts))
 
     def __repr__(self) -> str:
         return (

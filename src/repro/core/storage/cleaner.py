@@ -23,7 +23,6 @@ __all__ = [
     "GreedyCleaner",
     "CostBenefitCleaner",
     "CleanerDaemon",
-    "CleanerSet",
 ]
 
 
@@ -112,8 +111,6 @@ class CleanerDaemon:
         self.high_water = high_water
         self.check_interval = check_interval
         self.node = node
-        self.segments_cleaned = 0
-        self.blocks_copied = 0
         #: segments whose summary block could not be read or decoded: left
         #: unfreed (their live blocks are not known) and never chosen again.
         self.unreadable_segments: Set[int] = set()
@@ -137,6 +134,8 @@ class CleanerDaemon:
 
         Returns the number of segments cleaned.  Also usable synchronously
         (outside the daemon) by tests and by the layout when it runs short.
+        The layout counts what was cleaned and copied
+        (``LayoutStatistics.cleaner_segments_cleaned`` / ``cleaner_blocks_copied``).
         """
         cleaned = 0
         while self.layout.free_segment_fraction < target_fraction:
@@ -149,40 +148,12 @@ class CleanerDaemon:
             if victim is None or victim.live_blocks >= victim.capacity:
                 break  # a full segment frees nothing: copying it only churns
             try:
-                copied, _examined = yield from self.layout.clean_segment(victim.index)
+                yield from self.layout.clean_segment(victim.index)
             except StorageError:
                 self.unreadable_segments.add(victim.index)
                 continue
             cleaned += 1
-            self.segments_cleaned += 1
-            self.blocks_copied += copied
         return cleaned
-
-
-class CleanerSet:
-    """Per-volume cleaner daemons behind one handle.
-
-    Each LFS volume of a storage array runs its own cleaner; the file
-    system starts each daemon at mount, and the set aggregates their
-    counters so reports can keep treating "the cleaner" as one component.
-    """
-
-    def __init__(self, daemons: Sequence[CleanerDaemon]):
-        self.daemons = list(daemons)
-
-    @property
-    def segments_cleaned(self) -> int:
-        return sum(daemon.segments_cleaned for daemon in self.daemons)
-
-    @property
-    def blocks_copied(self) -> int:
-        return sum(daemon.blocks_copied for daemon in self.daemons)
-
-    def __len__(self) -> int:
-        return len(self.daemons)
-
-    def __iter__(self):
-        return iter(self.daemons)
 
 
 # "cleaner" factories take no arguments and return a SegmentCleaner, keyed

@@ -25,14 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.assembly.spec import spec_diff
-from repro.config import (
-    ArrayConfig,
-    FlushConfig,
-    HostConfig,
-    StackSpec,
-    sprite_server_config,
-    sun4_280_config,
-)
+from repro.config import FlushConfig, StackSpec, sun4_280_config
 from repro.errors import ConfigurationError
 from repro.patsy.simulator import PatsySimulator, SimulationResult
 from repro.patsy.synthetic import SPRITE_TRACE_NAMES, sprite_like_trace
@@ -65,12 +58,6 @@ EXPERIMENT_POLICIES: Dict[str, FlushConfig] = {
 #: (c) the write-heavy traces (1b, 5) overflow the NVRAM — all three regimes
 #: are preserved at this scale.
 DEFAULT_MEMORY_SCALE = 1.0 / 2.0
-
-#: default number of disks/buses; the full Sprite complement (10 disks on
-#: 3 buses, five volumes) is available via ``full_hardware=True`` but a
-#: smaller complement keeps the default runs fast and concentrates the
-#: queueing effects the experiments are about.
-DEFAULT_HOST = HostConfig(num_disks=1, num_buses=1)
 
 #: the paper machine's array shape used when ``full_hardware=True``; its
 #: files stay whole, as on the traced Sprite server's file systems.
@@ -161,13 +148,15 @@ def experiment_config(
             scale=memory_scale, seed=seed, volumes=volumes, placement=placement
         )
     else:
-        base = sprite_server_config(scale=memory_scale, seed=seed)
+        # One disk on one bus: the full complement is there with
+        # ``full_hardware=True``, but the smaller one keeps the default runs
+        # fast and concentrates the queueing effects the experiments are about.
+        base = sun4_280_config(
+            scale=memory_scale, seed=seed, volumes=1, placement="hash", num_disks=1, buses=1
+        )
     # The policy's knobs, with the scaled NVRAM size of the base stack.
     flush = replace(EXPERIMENT_POLICIES[policy_name], nvram_bytes=base.flush.nvram_bytes)
-    spec = replace(base, flush=flush)
-    if not full_hardware:
-        spec = replace(spec, host=DEFAULT_HOST, array=ArrayConfig())
-    return spec
+    return replace(base, flush=flush)
 
 
 def format_spec_delta(delta: dict, indent: str = "  ") -> str:

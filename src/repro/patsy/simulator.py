@@ -31,16 +31,18 @@ from typing import (
 from repro.assembly.bindings import SimulatedBinding
 from repro.assembly.builder import StorageStack, build_stack
 from repro.config import StackSpec, small_test_config
+from repro.core.cache import CacheStatistics
 from repro.core.faults import FaultEvent, FaultInjector
 from repro.core.scheduler import Delay
 from repro.errors import ConfigurationError, FileSystemError, TraceError
-from repro.patsy.stats import DEFAULT_PLUGINS, LatencyRecorder, StatisticsPlugin
+from repro.patsy.stats import LatencyRecorder
 from repro.patsy.traces import (
     TRACE_OPERATIONS,
     TraceRecord,
     iter_trace,
     scan_trace_client_counts,
 )
+from repro.units import add_counters
 
 __all__ = ["PatsySimulator", "SimulationResult", "TraceSource"]
 
@@ -122,9 +124,9 @@ class PatsySimulator:
     :class:`~repro.assembly.bindings.SimulatedBinding`.  The simulator owns
     only what is specific to its world: trace replay and measurement
     (``report_interval``: interval statistics every this many simulated
-    seconds; the paper reports every 15 minutes).  ``plugins=None`` installs
-    :data:`~repro.patsy.stats.DEFAULT_PLUGINS`, an empty sequence none.  A
-    pre-built ``stack`` carries its own spec.
+    seconds; the paper reports every 15 minutes).  The paper's plug-in
+    statistics are the counters the components keep, read into the result
+    by :meth:`build_result`.  A pre-built ``stack`` carries its own spec.
     """
 
     def __init__(
@@ -132,7 +134,6 @@ class PatsySimulator:
         spec: Optional[StackSpec] = None,
         *,
         report_interval: float = 900.0,
-        plugins: Optional[Iterable[type]] = None,
         stack: Optional[StorageStack] = None,
     ):
         if stack is None:
@@ -170,9 +171,6 @@ class PatsySimulator:
 
         # --- measurement -----------------------------------------------------------
         self.latency = LatencyRecorder(report_interval=report_interval)
-        self.plugins: List[StatisticsPlugin] = [
-            cls() for cls in (DEFAULT_PLUGINS if plugins is None else plugins)
-        ]
         self.errors = 0
         #: trace operation -> the method that issues it (``_execute``).
         self._operations: Dict[str, Callable[[TraceRecord, Handles], ClientCall]] = {
@@ -403,13 +401,36 @@ class PatsySimulator:
     # ------------------------------------------------------------------ results
 
     def build_result(self, trace_name: str = "") -> SimulationResult:
-        reports = {}
-        for plugin in self.plugins:
-            reports[plugin.name] = plugin.collect(self)
-        cache_stats = self.cache.stats.snapshot()
-        cache_stats["replacement"] = self.cache.policy.name
-        for key, value in self.cache.policy.snapshot().items():
+        cache = self.cache.stats
+        cache_stats = cache.snapshot()
+        shards = self.cache.shards
+        cache_stats["replacement"] = shards[0].policy.name
+        for key, value in add_counters(shard.policy.snapshot() for shard in shards).items():
             cache_stats[f"policy_{key}"] = value
+        elapsed = max(self.scheduler.now, 1e-9)
+        # What the paper's plug-in statistics objects report: the disk
+        # models' rotational delays and the buses' contention.
+        reports = {
+            "rotational-delay": {"disks": {
+                disk.name: {
+                    "requests": disk.stats.requests,
+                    "cache_read_hits": disk.stats.cache_read_hits,
+                    "immediate_writes": disk.stats.immediate_writes,
+                    "mean_rotational_delay": disk.stats.mean_rotational_delay(),
+                    "total_seek_time": disk.stats.total_seek_time,
+                }
+                for disk in self.disks
+            }},
+            "bus": {"buses": {
+                bus.name: {
+                    "transfers": bus.transfers,
+                    "bytes": bus.bytes_transferred,
+                    "utilisation": bus.utilisation(elapsed),
+                    "mean_wait_time": bus.mean_wait_time,
+                }
+                for bus in self.buses
+            }},
+        }
         result = SimulationResult(
             trace_name=trace_name,
             policy_name=self.spec.flush.policy,
@@ -419,8 +440,8 @@ class PatsySimulator:
             latency=self.latency,
             cache_stats=cache_stats,
             plugin_reports=reports,
-            write_savings_blocks=self.cache.stats.dirty_blocks_discarded,
-            blocks_written_to_disk=self.cache.stats.blocks_written,
+            write_savings_blocks=cache.dirty_blocks_discarded,
+            blocks_written_to_disk=cache.blocks_written,
             stream_stats={"direct_resumes": self.scheduler.direct_resumes},
             volume_stats=self.collect_volume_stats(),
             cluster_stats=self.collect_cluster_stats(),
@@ -435,7 +456,6 @@ class PatsySimulator:
         num_volumes = spec.num_volumes
         elapsed = max(self.scheduler.now, 1e-9)
         per_volume: Dict[str, Any] = {}
-        flush_children = self.flush_policy.shard_stats()
         for v in range(num_volumes):
             sub = self.layout.sublayouts[v]
             disks = {}
@@ -461,15 +481,16 @@ class PatsySimulator:
                 "disks": disks,
                 "layout": layout_entry,
                 "cache": self.cache.shards[v].stats.snapshot(),
-                "flush": flush_children[v],
+                "flush": self.flush_policy.children[v].stats(),
             }
+        cache = self.cache.stats
         rollup: Dict[str, Any] = {
             "volumes": num_volumes,
             "disks": spec.num_disks,
             "buses": spec.num_buses,
             "placement": spec.array.placement,
-            "cache_hit_rate": self.cache.stats.hit_rate,
-            "blocks_written": self.cache.stats.blocks_written,
+            "cache_hit_rate": cache.hit_rate,
+            "blocks_written": cache.blocks_written,
             "disk_operations": sum(d.stats.operations for d in self.drivers),
             "mean_disk_utilisation": (
                 sum(d.stats.utilisation(elapsed) for d in self.drivers) / len(self.drivers)
@@ -477,8 +498,6 @@ class PatsySimulator:
         }
         rollup["layout"] = self.layout.combined_stats()
         rollup["flush"] = self.flush_policy.stats()
-        rollup["governor_wakeups"] = self.flush_policy.governor_wakeups
-        rollup["governor_flushes"] = self.flush_policy.governor_flushes
         return {"per_volume": per_volume, "rollup": rollup}
 
     def collect_cluster_stats(self) -> Dict[str, Any]:
@@ -505,9 +524,8 @@ class PatsySimulator:
                 "free_blocks": sum(sub.free_blocks for sub in node.sublayouts),
             }
             if node.cache_shards:
-                lookups = sum(s.stats.lookups for s in node.cache_shards)
-                hits = sum(s.stats.hits for s in node.cache_shards)
-                entry["cache_hit_rate"] = hits / lookups if lookups else 0.0
+                counts = add_counters(vars(s.stats) for s in node.cache_shards)
+                entry["cache_hit_rate"] = CacheStatistics(**counts).hit_rate
             if node.nic is not None:
                 nic = node.nic
                 entry["nic"] = dict(
@@ -519,9 +537,7 @@ class PatsySimulator:
                 if v in topology.remote_volumes
             ]
             if remote:
-                entry["remote_io"] = {
-                    key: sum(r[key] for r in remote) for key in remote[0]
-                }
+                entry["remote_io"] = add_counters(remote)
             faults = topology.faults
             if faults.active:
                 i = node.index

@@ -1,4 +1,4 @@
-"""Plug-in statistics objects and constant-memory latency measurement.
+"""Statistics views and constant-memory latency measurement.
 
 "Detailed internal measurements are provided by plug-in statistics objects.
 These plug-in statistics can be activated when the simulator is started and
@@ -6,9 +6,15 @@ they can provide standard statistics output with or without histograms.
 Some of the standard detailed statistics objects include histograms of disk
 queue sizes, cache statistics, and disk rotational delay statistics."
 
-The plug-ins below read counters that the core components already maintain
-(driver queue lengths, disk model rotational delays, cache statistics, bus
-contention) and turn them into report dictionaries and ASCII histograms.
+Those objects only read counters the components already keep, so here they
+are not objects at all: every counter lives once, in its component (the
+cache's, layout's, driver's and disk model's ``*Statistics``, a bus's or
+NIC's own attributes), and the simulator's result
+(:meth:`~repro.patsy.simulator.PatsySimulator.build_result`) reads them
+into report dictionaries, adding per-shard counters up with
+:func:`repro.units.add_counters`.  :class:`Histogram` is the fixed-bucket
+histogram the disk models keep their rotational delays in; the same class
+renders queue-length and delay histograms as text.
 
 The :class:`LatencyRecorder` is the "general simulation class" measurement
 store: per-operation latencies, means, percentiles and CDFs, reported every
@@ -23,27 +29,17 @@ bounded by 2%).
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.cdf import downsample_cdf
 from repro.errors import InvalidArgument
 from repro.units import human_time
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.patsy.simulator import PatsySimulator
-
 __all__ = [
     "Histogram",
     "LatencyRecorder",
     "LatencyShard",
-    "StatisticsPlugin",
-    "DiskQueuePlugin",
-    "RotationalDelayPlugin",
-    "CachePlugin",
-    "BusPlugin",
-    "DEFAULT_PLUGINS",
 ]
 
 
@@ -567,99 +563,3 @@ class LatencyRecorder:
                     f"p95 {human_time(stats['p95_latency'])}"
                 )
         return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------- plug-ins
-
-
-class StatisticsPlugin(ABC):
-    """A pluggable statistics collector activated when the simulator starts."""
-
-    name = "abstract"
-
-    @abstractmethod
-    def collect(self, simulator: "PatsySimulator") -> dict:
-        """Produce this plug-in's report from the simulator's components."""
-
-    def histogram(self, simulator: "PatsySimulator") -> Optional[Histogram]:
-        """Optional histogram view (None when not applicable)."""
-        return None
-
-
-class DiskQueuePlugin(StatisticsPlugin):
-    """Histogram of disk queue lengths seen by arriving requests."""
-
-    name = "disk-queues"
-
-    def collect(self, simulator: "PatsySimulator") -> dict:
-        per_disk = {}
-        for driver in simulator.drivers:
-            per_disk[driver.name] = {
-                "operations": driver.stats.operations,
-                "mean_queue_length": driver.stats.mean_queue_length(),
-                "max_queue_length": max(driver.stats.queue_lengths, default=0),
-                "mean_response_time": driver.stats.mean_response_time(),
-            }
-        return {"disks": per_disk}
-
-    def histogram(self, simulator: "PatsySimulator") -> Histogram:
-        histogram = Histogram(bucket_bounds=[0, 1, 2, 4, 8, 16, 32, 64])
-        for driver in simulator.drivers:
-            for length, arrivals in sorted(driver.stats.queue_lengths.items()):
-                histogram.add(length, arrivals)
-        return histogram
-
-
-class RotationalDelayPlugin(StatisticsPlugin):
-    """Histogram of rotational delays charged by the disk models."""
-
-    name = "rotational-delay"
-
-    def collect(self, simulator: "PatsySimulator") -> dict:
-        per_disk = {}
-        for disk in simulator.disks:
-            per_disk[disk.name] = {
-                "requests": disk.stats.requests,
-                "cache_read_hits": disk.stats.cache_read_hits,
-                "immediate_writes": disk.stats.immediate_writes,
-                "mean_rotational_delay": disk.stats.mean_rotational_delay(),
-                "total_seek_time": disk.stats.total_seek_time,
-            }
-        return {"disks": per_disk}
-
-    def histogram(self, simulator: "PatsySimulator") -> Histogram:
-        rotation = simulator.disks[0].spec.rotation_time if simulator.disks else 0.015
-        histogram = Histogram(low=0.0, high=rotation, buckets=15)
-        for disk in simulator.disks:
-            histogram.merge(disk.stats.rotation)
-        return histogram
-
-
-class CachePlugin(StatisticsPlugin):
-    """File-system cache statistics (hit rates, write savings, stalls)."""
-
-    name = "cache"
-
-    def collect(self, simulator: "PatsySimulator") -> dict:
-        return {"cache": simulator.cache.stats.snapshot()}
-
-
-class BusPlugin(StatisticsPlugin):
-    """SCSI bus utilisation and contention."""
-
-    name = "bus"
-
-    def collect(self, simulator: "PatsySimulator") -> dict:
-        elapsed = max(simulator.scheduler.now, 1e-9)
-        buses = {}
-        for bus in simulator.buses:
-            buses[bus.name] = {
-                "transfers": bus.transfers,
-                "bytes": bus.bytes_transferred,
-                "utilisation": bus.utilisation(elapsed),
-                "mean_wait_time": bus.mean_wait_time,
-            }
-        return {"buses": buses}
-
-
-DEFAULT_PLUGINS = (DiskQueuePlugin, RotationalDelayPlugin, CachePlugin, BusPlugin)

@@ -24,7 +24,7 @@ Profiles are scaled down from 24 hours to minutes so a pure-Python
 simulation finishes quickly; the *ratios* that matter (write volume versus
 cache size versus NVRAM size, burstiness, overwrite factor) are preserved,
 and the experiment configuration scales the cache and NVRAM with the same
-factor (see ``repro.config.sprite_server_config``).
+factor (see ``repro.config.sun4_280_config``).
 """
 
 from __future__ import annotations

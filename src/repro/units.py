@@ -8,6 +8,8 @@ per second SCSI-2 bus, and so on.
 
 from __future__ import annotations
 
+from typing import Any, Dict, Iterable, Mapping
+
 # --- sizes -----------------------------------------------------------------
 
 KB = 1024
@@ -58,6 +60,18 @@ def block_span(offset: int, length: int, block_size: int = DEFAULT_BLOCK_SIZE) -
     first = offset // block_size
     last = (offset + length - 1) // block_size
     return range(first, last + 1)
+
+
+def add_counters(mappings: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Key-by-key sums of counter mappings (a statistics object's ``vars()``,
+    a ``snapshot()``), keys in first-seen order; values that are not
+    numbers are left out."""
+    totals: Dict[str, Any] = {}
+    for mapping in mappings:
+        for key, value in mapping.items():
+            if isinstance(value, (int, float)):
+                totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 def human_bytes(nbytes: float) -> str:

@@ -27,13 +27,12 @@ from repro.config import (
     LayoutConfig,
     cluster_config,
     small_test_config,
-    sprite_server_config,
     sun4_280_config,
 )
 from repro.core.cache import BlockCache
 from repro.core.flush import FlushPolicy, ShardedFlushPolicy
 from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
-from repro.core.storage.cleaner import CleanerSet
+from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.lfs import LogStructuredLayout
 from repro.errors import ConfigurationError
 from repro.patsy.experiments import DelayedWriteExperiment, experiment_config
@@ -124,7 +123,7 @@ def test_stack_spec_round_trips_through_dict():
         small_spec(),
         small_spec(host=HostConfig(num_disks=3), array=ArrayConfig(volumes=3)),
         small_test_config(),
-        sprite_server_config(scale=0.002),
+        sun4_280_config(scale=0.002, volumes=1, placement="hash"),
         sun4_280_config(scale=0.002),
         cluster_config(nodes=3, scale=0.002, replicas=1),
     ):
@@ -232,7 +231,11 @@ def test_no_code_asks_whether_there_is_a_cluster():
     assert StackSpec().cluster == ClusterConfig()
     stacks = [PegasusFileSystem(size_bytes=16 * MB).stack] + [
         build_stack(spec, SimulatedBinding())
-        for spec in (small_test_config(), sprite_server_config(0.002), sun4_280_config(0.002))
+        for spec in (
+            small_test_config(),
+            sun4_280_config(0.002, volumes=1, placement="hash"),
+            sun4_280_config(0.002),
+        )
     ]
     for stack in stacks:
         topology = stack.cluster
@@ -260,7 +263,7 @@ def test_stack_spec_shape_helpers():
     "spec",
     [
         small_test_config(),
-        sprite_server_config(scale=0.002),
+        sun4_280_config(scale=0.002, volumes=1, placement="hash"),
         sun4_280_config(scale=0.002),
         cluster_config(nodes=2, scale=0.002),
     ],
@@ -280,7 +283,7 @@ def test_every_preset_builds_the_same_five_component_classes_in_both_worlds(spec
         assert type(stack.cache) is ShardedCache
         assert [type(shard) for shard in stack.cache.shards] == [BlockCache] * spec.num_volumes
         assert type(stack.flush_policy) is ShardedFlushPolicy
-        assert type(stack.cleaner) is CleanerSet and len(stack.cleaner) == spec.num_volumes
+        assert [type(daemon) for daemon in stack.cleaner] == [CleanerDaemon] * spec.num_volumes
     # ...with only the helpers differing.
     assert sim.cache.with_data is False and online.cache.with_data is True
     assert len(sim.buses) == spec.num_buses and not online.buses
@@ -361,7 +364,7 @@ def test_third_party_replacement_class_registers_directly():
         cache_config = CacheConfig(size_bytes=16 * 4 * KB, replacement="mru-test")
         spec = small_spec(cache=cache_config)
         stack = build_stack(spec, SimulatedBinding())
-        assert isinstance(stack.cache.policy, MruLikePolicy)
+        assert all(isinstance(shard.policy, MruLikePolicy) for shard in stack.cache.shards)
     finally:
         registry.unregister("replacement", "mru-test")
 

@@ -73,7 +73,7 @@ def test_cleaner_daemon_recovers_free_segments(scheduler):
     cleaned = run(scheduler, daemon.clean_until, 0.95)
     assert cleaned >= 1
     assert layout.free_segment_fraction >= 0.9
-    assert daemon.segments_cleaned == cleaned
+    assert layout.stats.cleaner_segments_cleaned == cleaned
 
 
 def test_cleaner_daemon_thread_runs_in_background(scheduler):
@@ -92,7 +92,7 @@ def test_cleaner_daemon_thread_runs_in_background(scheduler):
         )
     scheduler.run(until=20.0)
     assert layout.free_segment_fraction >= 0.6
-    assert daemon.blocks_copied >= 0
+    assert layout.stats.cleaner_blocks_copied >= 0
 
 
 def test_cleaner_water_mark_validation(scheduler):
@@ -142,7 +142,7 @@ def test_a_damaged_summary_block_costs_one_segment_not_the_cleaner(scheduler):
     scheduler.run(until=3.0)
     assert daemon.thread.alive
     assert daemon.unreadable_segments == {damaged}
-    assert daemon.segments_cleaned >= 2
+    assert remounted.stats.cleaner_segments_cleaned >= 2
     assert not remounted.free_segments[damaged]
     assert remounted.segment_usage[damaged] == live
     for inode in inodes[1:]:

@@ -39,9 +39,32 @@ def test_every_judged_name_has_numbers_and_a_verdict(matrix, kind):
         assert sorted(cells) == judged, row
         for name, values in cells.items():
             assert len(values[matrix["metric"]]) == len(matrix["seeds"]), (row, name)
-    # A row listed as judging nothing measured every name the same on every seed.
+    # A row listed as judging nothing measured two kept names at least, all
+    # the same on every seed.
     for row in entry["uninformative_rows"]:
-        assert len({tuple(cell[matrix["metric"]]) for cell in entry["rows"][row].values()}) == 1, row
+        measured = kept_measurements(matrix, kind, row)
+        assert len(measured) >= 2 and len(set(measured)) == 1, row
+
+
+def kept_measurements(matrix, kind, row):
+    """The kept names' values on ``row``, one tuple (a value per seed) for
+    each name that could build the row's stack."""
+    cells = matrix["kinds"][kind]["rows"][row]
+    values = [tuple(cells[name][matrix["metric"]]) for name in matrix["kinds"][kind]["kept"]]
+    return [value for value in values if value != (None,) * len(value)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_uninformative_rows_are_every_row_the_kept_names_cannot_tell_apart(matrix, kind):
+    """Recomputed from the committed rows: a deleted name's all-``null``
+    cells are no measurement, and one kept name alone judges nothing."""
+    entry = matrix["kinds"][kind]
+    expected = []
+    for row in entry["rows"]:
+        measured = kept_measurements(matrix, kind, row)
+        if len(measured) >= 2 and len(set(measured)) == 1:
+            expected.append(row)
+    assert entry["uninformative_rows"] == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -21,7 +21,6 @@ from repro.config import (
     HostConfig,
     cluster_config,
     small_test_config,
-    sprite_server_config,
     sun4_280_config,
 )
 from repro.core.cache import BlockCache
@@ -268,7 +267,7 @@ def test_one_spec_builds_identical_component_classes_in_both_worlds(host, array)
     "spec",
     [
         small_test_config(seed=3),
-        sprite_server_config(scale=0.002),
+        sun4_280_config(scale=0.002, volumes=1, placement="hash"),
         sun4_280_config(scale=0.002),
         cluster_config(nodes=2, scale=0.002),
     ],

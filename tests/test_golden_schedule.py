@@ -15,10 +15,11 @@ unmount and a remount, pinned down to the bytes of every backing image.
 
 The third freezes the stacks with no array section
 (``tests/golden/single_volume_replay.json``): PATSY replaying the same trace on
-``small_test_config`` and ``sprite_server_config`` under ``periodic`` and
-``nvram`` (on LFS, the one layout), pinned by summary, schedule digest and every
-disk's sectors read and written; and the default PFS running the same script
-on a memory disk and on one backing file.
+``small_test_config`` and the one-volume ``sun4_280_config`` (the
+``sprite_server`` leg) under ``periodic`` and ``nvram`` (on LFS, the one
+layout), pinned by summary, schedule digest and every disk's sectors read and
+written; and the default PFS running the same script on a memory disk and on
+one backing file.
 
 The fourth freezes the event loop itself
 (``tests/golden/scheduler_programs.json``): a couple of hundred small thread
@@ -44,7 +45,6 @@ from pathlib import Path
 from repro.config import (
     cluster_config,
     small_test_config,
-    sprite_server_config,
     sun4_280_config,
 )
 from repro.core.clock import VirtualClock
@@ -287,7 +287,7 @@ def test_array_replay_matches_golden(tmp_path):
 
 SINGLE_PRESETS = {
     "small_test": small_test_config,
-    "sprite_server": lambda: sprite_server_config(scale=0.02),
+    "sprite_server": lambda: sun4_280_config(scale=0.02, volumes=1, placement="hash"),
 }
 SINGLE_PFS_BYTES = 16 * MB
 
