@@ -6,8 +6,8 @@ disk-bound workload (an op rate far above what one 1996 disk can serve)
 through growing slices of that machine — 1, 2, 5 and the full 10 disks of
 the ``sun4_280`` preset — and measures aggregate throughput: operations
 divided by the simulated time the run needed to absorb them.  With the
-storage array routing files over per-volume layouts, cache shards and
-flush daemons, adding spindles must increase throughput monotonically;
+storage array routing files over per-volume layouts behind the machine's
+one cache, adding spindles must increase throughput monotonically;
 the run also prints the per-volume table for the full machine.
 
 Results land in ``BENCH_array.json`` at the repository root so CI can

@@ -23,7 +23,7 @@ from repro.units import KB, MB
 def build_fs(args) -> PegasusFileSystem:
     spec = replace(
         stack_config(args),
-        # 256 cache blocks (split into per-volume shards on the array).
+        # 256 cache blocks, one cache however the array is carved.
         cache=CacheConfig(size_bytes=1 * MB),
         layout=LayoutConfig(segment_size=128 * KB),
     )

@@ -31,7 +31,7 @@ from repro.units import MB, human_time
 
 def main() -> None:
     args = add_stack_flags(argparse.ArgumentParser(description=__doc__)).parse_args()
-    # The stack, described once: cache shards, flush daemons + governor,
+    # The stack, described once: one buffer cache and flush policy,
     # per-volume LFS + cleaners, files striped over the volumes.
     spec = sun4_280_config(scale=0.002, seed=42, volumes=args.volumes)
     print("spec:", f"{spec.num_disks} disks / {spec.num_buses} buses /",
@@ -63,9 +63,9 @@ def main() -> None:
     for i in range(8):
         pfs.write_file(f"/home/file{i}.txt", f"file {i} on a 5-volume array\n".encode())
     print("read back :", pfs.read_file("/home/file3.txt").decode().strip())
-    print("cache     :", type(pfs.cache).__name__, f"({len(pfs.cache.shards)} shards)")
+    print("cache     :", type(pfs.cache).__name__, f"({len(pfs.cache.shards)} shard)")
     print("layout    :", repr(pfs.layout))
-    pfs.unmount()  # flushes every shard through its volume's sub-layout
+    pfs.unmount()  # flushes the cache through every volume's sub-layout
     busy = sum(1 for sub in pfs.layout.sublayouts if sub.stats.blocks_written > 0)
     print(f"volumes written by 8 files: {busy}/{spec.num_volumes}")
 

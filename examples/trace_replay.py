@@ -2,8 +2,8 @@
 """Trace-driven simulation from a trace file (the Patsy workflow).
 
 Shows the full off-line loop the paper describes: obtain a trace (here a
-synthetic Sprite-like workload written to disk in the Sprite text format),
-read it back through the Sprite trace reader, replay it on a configured
+synthetic Sprite-like workload written to disk as a ``repro-trace v1``
+text file), read it back with ``load_trace``, replay it on a configured
 Patsy simulator, and print the per-interval statistics and the paper's
 plug-in histograms (disk-queue lengths and rotational delays), drawn from the
 counters the drivers and disk models keep.
@@ -21,7 +21,6 @@ from repro import PatsySimulator, sprite_like_trace
 from repro.analysis.report import format_cluster_table
 from repro.cli import add_cluster_flags, add_stack_flags, cluster_replay_config
 from repro.config import FlushConfig, sun4_280_config
-from repro.patsy.sprite import load_sprite_trace
 from repro.patsy.stats import Histogram
 from repro.patsy.traces import load_trace, operation_mix, save_trace
 from repro.units import human_time
@@ -43,7 +42,7 @@ def main() -> None:
     print(f"wrote {len(records)} records to {trace_path}")
     print("operation mix:", operation_mix(records))
 
-    # 2. Read it back (the same path a converted real Sprite/Coda trace takes).
+    # 2. Read it back from the file.
     replayable = load_trace(trace_path)
 
     # 3. Configure a simulator close to the paper's Sprite server and replay.
@@ -52,8 +51,8 @@ def main() -> None:
         # directory across every node's volumes, the rebalancer runs.
         config = cluster_replay_config(args, seed=11)
     elif args.full_hardware:
-        # The paper machine as a storage array: per-volume layouts, cache
-        # shards and flush daemons via the sun4_280 preset.
+        # The paper machine as a storage array via the sun4_280 preset:
+        # per-volume layouts behind one buffer cache and one flush policy.
         config = sun4_280_config(scale=0.25, seed=11, volumes=args.volumes)
     else:
         # The same machine as one file system.

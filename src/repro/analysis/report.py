@@ -156,13 +156,13 @@ def format_volume_table(
     volume_stats: Mapping[str, object],
     title: str = "storage-array volumes",
 ) -> str:
-    """Per-volume hit-rate/utilisation/queue table plus an array rollup.
+    """Per-volume written/utilisation/queue table plus an array rollup.
 
     ``volume_stats`` is :attr:`repro.patsy.simulator.SimulationResult.volume_stats`
-    (``{"per_volume": {...}, "rollup": {...}}``).  One row per volume: cache
-    hit rate of the volume's shard, blocks written, mean disk
-    utilisation/queue length/response time over the volume's disks.  The
-    rollup line aggregates the whole array.
+    (``{"per_volume": {...}, "rollup": {...}}``).  One row per volume:
+    blocks written, mean disk utilisation/queue length/response time over
+    the volume's disks.  The rollup lines aggregate the whole array, with
+    the hit rate of the cache all its volumes share.
     """
     per_volume = volume_stats.get("per_volume", {}) if volume_stats else {}
     rollup = volume_stats.get("rollup", {}) if volume_stats else {}
@@ -170,7 +170,7 @@ def format_volume_table(
         return "(no per-volume statistics)"
     lines = [title, ""]
     header = (
-        f"{'volume':<8} {'disks':>5} {'hit%':>6} {'written':>8} "
+        f"{'volume':<8} {'disks':>5} {'written':>8} "
         f"{'disk-util%':>11} {'queue':>7} {'resp':>10}"
     )
     lines.append(header)
@@ -182,19 +182,15 @@ def format_volume_table(
         utilisation = sum(d.get("utilisation", 0.0) for d in disks.values()) / n_disks
         queue = sum(d.get("mean_queue_length", 0.0) for d in disks.values()) / n_disks
         response = sum(d.get("mean_response_time", 0.0) for d in disks.values()) / n_disks
-        cache = entry.get("cache", {})
-        hit = cache.get("hit_rate")
         written = entry.get("layout", {}).get("blocks_written", 0)
         lines.append(
-            f"{name:<8} {len(disks):>5} "
-            f"{(hit * 100 if hit is not None else 0.0):>5.1f}% {written:>8} "
+            f"{name:<8} {len(disks):>5} {written:>8} "
             f"{utilisation * 100:>10.1f}% {queue:>7.2f} {human_time(response):>10}"
         )
     if rollup:
         lines.append("-" * len(header))
         lines.append(
             f"{'array':<8} {rollup.get('disks', 0):>5} "
-            f"{rollup.get('cache_hit_rate', 0.0) * 100:>5.1f}% "
             f"{rollup.get('blocks_written', 0):>8} "
             f"{rollup.get('mean_disk_utilisation', 0.0) * 100:>10.1f}% "
             f"{'':>7} {'':>10}"
@@ -202,14 +198,9 @@ def format_volume_table(
         lines.append(
             f"placement={rollup.get('placement', '?')} "
             f"volumes={rollup.get('volumes', 0)} buses={rollup.get('buses', 0)} "
-            f"disk-ops={rollup.get('disk_operations', 0)}"
+            f"disk-ops={rollup.get('disk_operations', 0)} "
+            f"cache-hit={rollup.get('cache_hit_rate', 0.0) * 100:.1f}%"
         )
-        flush = rollup.get("flush", {})
-        if "governor_wakeups" in flush:
-            lines.append(
-                f"governor: wakeups={flush['governor_wakeups']} "
-                f"flushes={flush['governor_flushes']}"
-            )
         layout_rollup = rollup.get("layout", {})
         if layout_rollup.get("cleaner_read_runs"):
             lines.append(
@@ -229,7 +220,7 @@ def format_cluster_table(
     ``cluster_stats`` is :attr:`repro.patsy.simulator.SimulationResult.cluster_stats`
     (``{"nodes": N, "per_node": {...}, "rebalancer": {...}}``, produced for
     multi-node cluster runs).  One row per node: its volumes, disk
-    operations and utilisation, cache hit rate of its shards, and — for
+    operations and utilisation, cache hit rate of its shard, and — for
     remote nodes — the NIC's traffic and utilisation.  The rebalancer line
     summarises the migration activity.
     """

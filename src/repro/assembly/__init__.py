@@ -10,8 +10,8 @@ package is where that thesis lives in code:
   cleaner), populated by the built-in modules and open to third parties.
 * :mod:`repro.assembly.spec` — :class:`StackSpec` (defined in
   :mod:`repro.config`), a frozen, serialisable description of a full storage
-  stack (cache + shards, flush + governor, layouts, array/placement,
-  cleaner) independent of which world runs it, and ``spec_diff``.
+  stack (cache, flush policy, layouts, array/placement, cleaner)
+  independent of which world runs it, and ``spec_diff``.
 * :mod:`repro.assembly.bindings` — the helper-component bundles that *do*
   pick a world: :class:`SimulatedBinding` (simulated disks and buses, no
   data buffers) and :class:`OnlineBinding` (memory- or file-backed drivers

@@ -10,8 +10,8 @@ array).  This builder is now the only assembly path: a world-independent
 
 Every stack is a cluster of nodes (one by default), each an array of
 volumes: a machine's disks carved into ``spec.array.volumes`` volumes (one by
-default), each with its own layout, cache shard and flush daemon behind the
-routing façades, under a
+default), each with its own layout and cleaner, in front of one buffer cache
+and one flush policy per node, behind the routing façades, under a
 :class:`~repro.core.cluster.placement.ClusterPlacement` routing tier, a fault
 board and the durable metadata tier.  What the spec's numbers add: with more
 than one node, every non-front-end node's volumes are wrapped in a
@@ -76,10 +76,10 @@ class StorageStack:
     volume: VolumeSet
     #: the router over one sub-layout per volume.
     layout: RoutedLayout
-    #: one cache shard per volume.
+    #: one cache shard per node.
     cache: ShardedCache
     datamover: DataMover
-    #: one flush daemon per shard.
+    #: one flush policy per cache shard, that is per node.
     flush_policy: ShardedFlushPolicy
     #: one cleaner daemon per volume.
     cleaner: List[CleanerDaemon]
@@ -248,21 +248,21 @@ def build_stack(
         block_size=spec.cache.block_size,
         seed=spec.seed,
     )
+    # One buffer cache per node: a node's volumes share one shard, one
+    # replacement policy and one NVRAM budget (the spec's sizes are
+    # whole-cluster totals, split evenly over the nodes).
     shard_config = replace(
         spec.cache,
-        size_bytes=max(spec.cache.size_bytes // total_volumes, spec.cache.block_size),
+        size_bytes=max(spec.cache.size_bytes // cluster.nodes, spec.cache.block_size),
     )
     shards = [
         BlockCache(scheduler, shard_config, with_data=binding.with_data)
-        for _ in range(total_volumes)
+        for _ in range(cluster.nodes)
     ]
-    cache = ShardedCache(shards, placement.volume_for_block)
+    node_of, volume_for = placement.node_of_volume, placement.volume_for_block
+    cache = ShardedCache(shards, lambda f, b: node_of(volume_for(f, b)))
     datamover = binding.make_datamover()
-    # Each cache shard's flush daemons (and the governors) are homed on the
-    # node that owns the shard's volume.
-    flush_policy = ShardedFlushPolicy(
-        spec.flush, shard_nodes=[spec.node_of_volume(v) for v in range(total_volumes)]
-    )
+    flush_policy = ShardedFlushPolicy(spec.flush)
     cleaner = [
         _make_cleaner_daemon(spec, scheduler, sublayouts[v], node=spec.node_of_volume(v))
         for v in range(total_volumes)
@@ -296,7 +296,7 @@ def build_stack(
                 drivers=[drivers[i] for v in vol_indices for i in spec.disks_of_volume(v)],
                 volumes=[volumes[v] for v in vol_indices],
                 sublayouts=[sublayouts[v] for v in vol_indices],
-                cache_shards=[shards[v] for v in vol_indices],
+                cache_shards=[shards[n]],
             )
         )
     topology = ClusterTopology(

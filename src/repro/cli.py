@@ -4,8 +4,8 @@ Every script in ``examples/`` accepts the same pair of hardware flags:
 
 * ``--full-hardware`` — run on the paper's evaluation machine, the
   ``sun4_280`` preset (ten HP 97560 disks on three SCSI buses, carved into
-  volumes with per-volume cache shards and flush daemons), instead of the
-  fast single-disk default.
+  volumes behind one buffer cache and one NVRAM), instead of the fast
+  single-disk default.
 * ``--volumes N`` — how many volumes the ten disks are carved into
   (default 5, the preset's shape; only meaningful with ``--full-hardware``).
   Files are striped over the volumes, as the preset places them.

@@ -150,11 +150,11 @@ class ArrayConfig:
     The traced Sprite server was a Sun 4/280 with ten HP 97560 disks on
     three SCSI buses carved into more than a dozen file systems (Section
     5.1).  An array groups the disks :class:`HostConfig` describes into
-    ``volumes`` independent volumes — each with its own storage layout,
-    cache shard and flush daemon — and routes files (or individual blocks,
-    for striping) onto them with a pluggable placement policy.  Every stack
-    is such an array; the default is one volume over all of the host's
-    disks.
+    ``volumes`` independent volumes — each with its own storage layout and
+    cleaner, all behind the machine's one buffer cache — and routes files
+    (or individual blocks, for striping) onto them with a pluggable
+    placement policy.  Every stack is such an array; the default is one
+    volume over all of the host's disks.
     """
 
     #: number of independent volumes the host's disks are carved into
@@ -452,17 +452,18 @@ def sun4_280_config(
 ) -> StackSpec:
     """The paper's evaluation machine as a storage array.
 
-    A Sun 4/280 file server with 128 MB of main memory and ten HP 97560
-    disks on three SCSI-2 buses (Section 5.1), modelled as ``volumes``
-    independent volumes (the real machine carved the ten disks into fourteen
-    file systems) with per-volume cache shards and flush daemons.  Files are
-    striped over the volumes, so a large write drains through every volume's
-    NVRAM share and disks at once; ``volumes=1, placement="hash"`` is the
-    machine as one file system.  ``scale`` shrinks the memory sizes (cache
-    and NVRAM) proportionally so that scaled-down synthetic traces exercise
-    the same regimes — the published experiments depend on the *ratio* of
-    NVRAM to cache and of working set to cache, not on the absolute 1996
-    sizes.
+    A Sun 4/280 file server with 128 MB of main memory, 4 MB of NVRAM and
+    ten HP 97560 disks on three SCSI-2 buses (Section 5.1), modelled as
+    ``volumes`` independent volumes (the real machine carved the ten disks
+    into fourteen file systems), each with its own log, behind the one
+    buffer cache: one replacement policy over all 128 MB and one flush
+    policy with the whole NVRAM, as on the real machine.  Files are striped
+    over the volumes, so a large write drains through every volume's disks
+    at once; ``volumes=1, placement="hash"`` is the machine as one file
+    system.  ``scale`` shrinks the memory sizes (cache and NVRAM)
+    proportionally so that scaled-down synthetic traces exercise the same
+    regimes — the published experiments depend on the *ratio* of NVRAM to
+    cache and of working set to cache, not on the absolute 1996 sizes.
     """
     if scale <= 0 or scale > 1.0:
         raise ConfigurationError("scale must be in (0, 1]")
@@ -493,10 +494,11 @@ def cluster_config(
 
     Each node runs ``volumes_per_node`` volumes over ``disks_per_node``
     disks on ``buses_per_node`` SCSI buses; node 0 is the front end and the
-    other nodes' volumes are reached over simulated network links.  The
-    cache and NVRAM scale with the node count so per-volume shards keep a
-    workable size; ``scale`` shrinks memory exactly as in
-    :func:`sun4_280_config`.
+    other nodes' volumes are reached over simulated network links.  Each
+    node has its own memory: the cache and NVRAM sizes are cluster totals,
+    split evenly into one cache shard and one NVRAM per node, and they grow
+    with the volume count so every node's share keeps a workable size;
+    ``scale`` shrinks memory exactly as in :func:`sun4_280_config`.
     """
     if scale <= 0 or scale > 1.0:
         raise ConfigurationError("scale must be in (0, 1]")

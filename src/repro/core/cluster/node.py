@@ -1,8 +1,8 @@
 """``ClusterNode`` and ``ClusterTopology``: the shape of a built stack.
 
 A node wraps one machine's slice of the stack — its NIC, its disk drivers,
-its (possibly remote-wrapped) volumes, its per-volume layouts and cache
-shards.  The topology groups the nodes (one for a single machine) plus the
+its (possibly remote-wrapped) volumes, its per-volume layouts and its one
+cache shard (the machine's memory).  The topology groups the nodes (one for a single machine) plus the
 pieces that span them (placement tier, fault board, metadata tier,
 rebalancer) for reporting and fault injection; all of the actual I/O
 routing happens through the placement and the routed layout, not through
@@ -41,6 +41,7 @@ class ClusterNode:
     drivers: List[Any]
     volumes: List[Volume]
     sublayouts: List[Any]
+    #: the node's buffer cache: one shard, shared by all its volumes.
     cache_shards: List[Any]
 
     def __repr__(self) -> str:

@@ -19,9 +19,11 @@ migration's cost shows up in the measurements like any other traffic):
    (``busy``) so replacement cannot drop them mid-migration.
 2. **FLIP**   — the routing entry flips to the new home volume.  A single
    dictionary store under the cooperative scheduler: atomic.
-3. **COPY**   — cached copies move into the new home's cache shard and are
-   marked dirty ("copy-forward through the cache").  From this instant
-   every lookup routes to the new shard and hits.
+3. **COPY**   — cached copies move into the new home node's cache shard
+   and are marked dirty ("copy-forward through the cache").  From this
+   instant every lookup routes to the new shard and hits.  Between two
+   volumes of one node the blocks already sit in that shard: they are only
+   marked dirty, no copy is made.
 4. **FLUSH**  — the file's dirty blocks are written out; the layout assigns
    fresh addresses on the new volume and updates the block map.
 5. **RETIRE** — the old on-disk blocks (captured before the flip) are
@@ -253,9 +255,10 @@ class ClusterRebalancer:
         #: landing slots filled straight from disk (the block was not
         #: cached): block no -> the disk address the bytes came from.
         landed: Dict[int, Optional[int]] = {}
-        # Where the file's blocks route once the flip lands (a migrated file
-        # is whole-file resident, so every block shares one target shard).
-        target = cache.shards[new_home]
+        # Where the file's blocks route once the flip lands: the new home's
+        # node shard (a migrated file is whole-file resident).  A move
+        # between two volumes of one node lands in the shard it is in.
+        target = cache.shards[placement.node_of_volume(new_home)]
 
         def release_pins() -> None:
             for _no, block, _shard in pulled + to_move:

@@ -6,7 +6,7 @@ partial failures a replicated cluster must survive while it keeps running:
 
 * ``disk_fail``  — one volume dies (its bytes are gone for good);
 * ``node_crash`` — a whole node dies: every volume it owns plus the
-  contents of its cache shards (the node's memory);
+  contents of its cache shard (the node's memory);
 * ``nic_partition`` — a node becomes unreachable for a while and then
   heals (its disks keep their bytes; writes issued meanwhile miss it);
 * ``slow_disk``  — a volume serves I/O with extra latency for a while
@@ -182,7 +182,7 @@ class FaultInjector:
     One daemon thread sleeps until each event's time (events and their
     heals expanded into one sorted timeline) and applies it to the
     topology's :class:`FaultState`.  ``node_crash`` additionally drops the node's
-    cache shards — the crashed machine's memory — losing whatever dirty
+    cache shard — the crashed machine's memory — losing whatever dirty
     blocks had not been flushed (exactly what replication must absorb).
 
     ``scrub`` is for byte-faithful tests: on a kill, memory-backed disk
@@ -278,7 +278,7 @@ class FaultInjector:
                     restore(bytes(len(snapshot())))
 
     def _drop_node_memory(self, node_index: int) -> None:
-        """A crashed node loses its cache shards: every unreferenced block
+        """A crashed node loses its cache shard: every unreferenced block
         is dropped (dirty ones are the writes the crash ate).  Blocks a
         thread is actively using (pinned or busy) are left; their owners
         run to completion against the now-dead volume and the routing layer

@@ -33,7 +33,6 @@ from repro.assembly.registry import registry
 from repro.config import FlushConfig
 from repro.core.cache import BlockCache
 from repro.core.scheduler import Scheduler, Thread
-from repro.errors import ConfigurationError
 from repro.units import add_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -297,116 +296,35 @@ class NvramPolicy(FlushPolicy):
 
 
 class ShardedFlushPolicy(FlushPolicy):
-    """One flush daemon per cache shard, plus a shared dirty-ratio governor.
-
-    Attached to a :class:`~repro.core.storage.array.ShardedCache`, this
-    policy instantiates the configured flush policy once *per shard* — each
-    volume gets its own update/drain daemon working against its own dirty
-    list, exactly as the real machine ran one update daemon per file system.
-    The NVRAM budget is split evenly over the shards so the array's total
-    dirty-data bound matches the single-volume configuration.
-
-    Cross-volume flush pressure is coordinated by a *governor* thread: when
-    the aggregate dirty ratio across all shards passes ``high_water`` it
-    drains the dirtiest shard (one ``flush_unit`` of that shard at a time)
-    until the aggregate falls back below ``low_water``.
-    The governor never runs for the UPS write-saving policy — writing ahead
-    of real allocation pressure would defeat the write savings that policy
-    exists to measure — or for single-shard caches, where there is no other
-    shard to balance against.
-    """
+    """The configured flush policy once per cache shard, that is once per
+    node: each node's update or drain daemon works against its own memory's
+    dirty list, on that node.  A single machine has one shard and gets the
+    whole NVRAM; a cluster splits the budget evenly over its nodes, so the
+    total dirty-data bound is the spec's.  The counters are the per-node
+    policies' added up."""
 
     name = "sharded"
 
-    def __init__(
-        self,
-        config: FlushConfig,
-        shard_nodes: List[int],
-        high_water: float = 0.85,
-        low_water: float = 0.70,
-        check_interval: float = 1.0,
-    ):
+    def __init__(self, config: FlushConfig):
         super().__init__(config)
-        if not (0.0 <= low_water <= high_water <= 1.0):
-            raise ConfigurationError("governor water marks must satisfy 0 <= low <= high <= 1")
-        if check_interval <= 0:
-            raise ConfigurationError("governor check interval must be positive")
-        self.high_water = high_water
-        self.low_water = low_water
-        self.check_interval = check_interval
         self.children: List[FlushPolicy] = []
-        #: the node each shard's daemons (and its governor) run on.
-        self.shard_nodes = shard_nodes
-        self.governor_threads: List[Thread] = []
-        self.governor_wakeups = 0
-        self.governor_flushes = 0
 
     def attach(self, cache: "ShardedCache", scheduler: Scheduler, node: int = 0) -> None:
         self.cache = cache  # type: ignore[assignment]
         self.scheduler = scheduler
-        self.node = node
         shards = cache.shards
-        shard_nodes = self.shard_nodes
-        if len(shard_nodes) != len(shards):
-            raise ConfigurationError(
-                f"shard_nodes carries {len(shard_nodes)} entries "
-                f"for a {len(shards)}-shard cache"
-            )
         child_config = self.config
-        if self.config.policy == "nvram" and len(shards) > 1:
+        if len(shards) > 1:
             child_config = replace(
                 self.config, nvram_bytes=max(self.config.nvram_bytes // len(shards), 1)
             )
-        for shard, shard_node in zip(shards, shard_nodes):
+        for shard_node, shard in enumerate(shards):
             child = registry.create("flush", child_config.policy, child_config)
             child.attach(shard, scheduler, node=shard_node)
             self.children.append(child)
-        if self.config.policy == "ups" or self.high_water >= 1.0:
-            return
-        # One governor per node, each watching only its node's shards —
-        # flush pressure never crosses the NIC boundary.  Thread names feed
-        # the schedule digests: a single machine's governor has the plain one.
-        distinct_nodes = sorted(set(shard_nodes))
-        for shard_node in distinct_nodes:
-            group = [s for s, n in zip(shards, shard_nodes) if n == shard_node]
-            if len(group) <= 1:
-                continue
-            name = "dirty-governor"
-            if len(distinct_nodes) > 1:
-                name += f"-n{shard_node}"
-            thread = scheduler.spawn(
-                self._governor, group, name=name, daemon=True, node=shard_node
-            )
-            self.governor_threads.append(thread)
-
-    def _governor(self, shards: List[BlockCache]) -> Generator[Any, Any, None]:
-        assert self.cache is not None and self.scheduler is not None
-        capacity = sum(shard.num_blocks * shard.block_size for shard in shards)
-        while True:
-            yield from self.scheduler.sleep(self.check_interval)
-            if self._dirty_ratio(shards, capacity) <= self.high_water:
-                continue
-            self.governor_wakeups += 1
-            while self._dirty_ratio(shards, capacity) > self.low_water:
-                victim = max(
-                    shards, key=lambda shard: shard.dirty_bytes / max(shard.num_blocks, 1)
-                )
-                written = yield from victim.flush_oldest()
-                if written == 0:
-                    break
-                self.governor_flushes += written
-
-    @staticmethod
-    def _dirty_ratio(shards: List[BlockCache], capacity: int) -> float:
-        return sum(shard.dirty_bytes for shard in shards) / max(capacity, 1)
 
     def stats(self) -> dict:
-        """The per-shard policies' counters added up, plus governor activity."""
-        return dict(
-            add_counters(child.stats() for child in self.children),
-            governor_wakeups=self.governor_wakeups,
-            governor_flushes=self.governor_flushes,
-        )
+        return add_counters(child.stats() for child in self.children)
 
 
 # "flush" factories take one FlushConfig and return an unattached policy.

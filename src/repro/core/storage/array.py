@@ -1,4 +1,4 @@
-"""The multi-volume storage array: placement, cache shards and routing.
+"""The multi-volume storage array: placement, the per-node cache and routing.
 
 The traced Sprite server was not "one big disk": it was a Sun 4/280 with
 ten HP 97560 disks on three SCSI buses, carved into fourteen file systems
@@ -11,9 +11,10 @@ cache, one volume, one driver list" into that shape:
 * :class:`VolumeSet` groups N independent :class:`~repro.core.storage.volume.Volume`
   objects, each over its own disk complement.
 * :class:`ShardedCache` presents the :class:`~repro.core.cache.BlockCache`
-  API over one cache shard per volume, so the file system, the flush
-  daemons and the replacement subsystem run unchanged against either a
-  single cache or N shards.
+  API over one cache shard per node, so the file system runs unchanged
+  against one machine's buffer cache or a cluster's N memories.  A
+  machine's volumes share its one shard, as the Sun 4/280's ten disks
+  shared its one 128 MB memory and one 4 MB NVRAM.
 * :class:`RoutedLayout` presents the :class:`~repro.core.storage.layout.StorageLayout`
   API over one sub-layout per volume, routing inodes to their home volume
   and data blocks wherever the placement policy puts them.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
 
 from repro.assembly.registry import registry
 from repro.core.blocks import CacheBlock
@@ -130,9 +131,9 @@ class StripedPlacement(PlacementPolicy):
     file rotate over the volumes (RAID-0 at file-block granularity), so one
     large file drives every disk in the array at once.  The ``sun4_280``
     preset's default: it wins ``e2e/write_burst`` in ``BENCH_components.json``
-    (4.16 / 3.92 / 4.38 ms against hash's 6.01 / 6.85 / 7.12 on seeds 1-3),
-    where large new files drain through every volume's NVRAM share and disks
-    at once.  ``hash`` stays the default where files must stay whole: in a
+    (STRIPE_ROW ms against hash's HASH_ROW on seeds 1-3), where large new
+    files drain from the one NVRAM through every volume's disks at once.
+    ``hash`` stays the default where files must stay whole: in a
     replicated cluster (replica sets derive from the home volume, so striping
     with replicas is refused) and in the Fig. 2-5 experiments."""
 
@@ -235,13 +236,13 @@ class VolumeSet(Volume):
 
 
 class ShardedCache:
-    """Per-volume :class:`BlockCache` shards behind the ``BlockCache`` API.
+    """One :class:`BlockCache` shard per node behind the ``BlockCache`` API.
 
-    Block-identified operations route to the owning shard via the placement
-    router (the same function that places the block on disk, so a block's
-    cache shard always fronts the volume that stores it); whole-cache and
-    whole-file operations fan out over the shards.  With a single shard
-    (the default one-volume stack) every call is a bare pass-through.
+    Block-identified operations route to the shard of the node whose volume
+    stores the block (the router composes the placement with the node map,
+    so a block's shard is always its disk's machine's memory); whole-cache
+    and whole-file operations fan out over the shards.  With a single shard
+    (every single machine) every call is a bare pass-through.
     """
 
     def __init__(self, shards: Sequence[BlockCache], router: Callable[[int, int], int]):
@@ -278,22 +279,14 @@ class ShardedCache:
         return sum(shard.free_count for shard in self.shards)
 
     @property
-    def clean_count(self) -> int:
-        return sum(shard.clean_count for shard in self.shards)
-
-    @property
     def dirty_count(self) -> int:
         return sum(shard.dirty_count for shard in self.shards)
-
-    @property
-    def dirty_bytes(self) -> int:
-        return sum(shard.dirty_bytes for shard in self.shards)
 
     @property
     def cached_count(self) -> int:
         return sum(shard.cached_count for shard in self.shards)
 
-    # -- shared cache knobs, fanned out to every shard -------------------------
+    # -- the file system's writeback, fanned out to every shard ---------------
 
     @property
     def writeback(self):
@@ -303,24 +296,6 @@ class ShardedCache:
     def writeback(self, fn) -> None:
         for shard in self.shards:
             shard.writeback = fn
-
-    @property
-    def dirty_limit_bytes(self) -> Optional[int]:
-        return self.shards[0].dirty_limit_bytes
-
-    @dirty_limit_bytes.setter
-    def dirty_limit_bytes(self, limit: Optional[int]) -> None:
-        for shard in self.shards:
-            shard.dirty_limit_bytes = limit
-
-    @property
-    def space_requester(self):
-        return self.shards[0].space_requester
-
-    @space_requester.setter
-    def space_requester(self, fn) -> None:
-        for shard in self.shards:
-            shard.space_requester = fn
 
     # ------------------------------------------------------------------ block-routed operations
 
@@ -344,7 +319,7 @@ class ShardedCache:
             if shards[router(file_id, block_no)] is shard:
                 return block
             # The block's routing changed while the allocation waited for
-            # space (an online migration flipped the file's home volume).
+            # space (an online migration moved the file to another node).
             # The slot landed in a shard nothing will ever route to again:
             # release it and allocate in the right shard instead.
             shard.invalidate(block)
@@ -352,20 +327,11 @@ class ShardedCache:
     def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         return self.shard_for(file_id, block_no).try_allocate(file_id, block_no)
 
-    def touch(self, block: CacheBlock) -> None:
-        block.owner.touch(block)
-
     def mark_dirty(self, block: CacheBlock) -> Generator[Any, Any, None]:
         yield from block.owner.mark_dirty(block)
 
-    def mark_clean(self, block: CacheBlock) -> None:
-        block.owner.mark_clean(block)
-
     def invalidate(self, block: CacheBlock) -> None:
         block.owner.invalidate(block)
-
-    def flush_block(self, block: CacheBlock) -> Generator[Any, Any, int]:
-        return (yield from block.owner.flush_block(block))
 
     def wait_block_ready(self, file_id: int, block_no: int) -> Generator[Any, Any, None]:
         yield from self.shard_for(file_id, block_no).wait_block_ready()
@@ -376,71 +342,32 @@ class ShardedCache:
     # ------------------------------------------------------------------ fan-out queries
 
     def dirty_blocks_of(self, file_id: int) -> List[CacheBlock]:
-        blocks: List[CacheBlock] = []
-        for shard in self.shards:
-            blocks.extend(shard.dirty_blocks_of(file_id))
-        return blocks
+        return [block for shard in self.shards for block in shard.dirty_blocks_of(file_id)]
 
     def cached_blocks_of(self, file_id: int) -> List[CacheBlock]:
-        blocks: List[CacheBlock] = []
-        for shard in self.shards:
-            blocks.extend(shard.cached_blocks_of(file_id))
-        return blocks
-
-    def oldest_dirty(self, skip_busy: bool = True) -> Optional[CacheBlock]:
-        oldest: Optional[CacheBlock] = None
-        for shard in self.shards:
-            candidate = shard.oldest_dirty(skip_busy=skip_busy)
-            if candidate is None:
-                continue
-            if oldest is None or (candidate.dirty_since or 0.0) < (oldest.dirty_since or 0.0):
-                oldest = candidate
-        return oldest
-
-    def blocks(self) -> Iterable[CacheBlock]:
-        for shard in self.shards:
-            yield from shard.blocks()
-
-    def has_allocatable_slot(self) -> bool:
-        return any(shard.has_allocatable_slot() for shard in self.shards)
-
-    def notify_space_available(self) -> None:
-        for shard in self.shards:
-            shard.notify_space_available()
+        return [block for shard in self.shards for block in shard.cached_blocks_of(file_id)]
 
     # ------------------------------------------------------------------ fan-out mutations
 
     def invalidate_file(self, file_id: int, from_block: int = 0) -> tuple[int, int]:
-        clean_dropped = 0
-        dirty_dropped = 0
-        for shard in self.shards:
-            clean, dirty = shard.invalidate_file(file_id, from_block)
-            clean_dropped += clean
-            dirty_dropped += dirty
-        return clean_dropped, dirty_dropped
+        """(clean, dirty) blocks dropped, over every shard."""
+        dropped = [shard.invalidate_file(file_id, from_block) for shard in self.shards]
+        return sum(clean for clean, _ in dropped), sum(dirty for _, dirty in dropped)
 
     def flush_file(self, file_id: int) -> Generator[Any, Any, int]:
         """Every shard holding dirty blocks of the file writes at once."""
         jobs = [s.flush_file(file_id) for s in self.shards if s.dirty_blocks_of(file_id)]
         return sum((yield from gather(self.scheduler, jobs, name="flush-shard")))
 
-    def flush_oldest(self) -> Generator[Any, Any, int]:
-        """One flush unit of the shard holding the oldest dirty block (a
-        shard only sees its own stripe units of a striped file)."""
-        victim = self.oldest_dirty()
-        if victim is None:
-            return 0
-        return (yield from victim.owner.flush_oldest())
-
     def flush_all(self) -> Generator[Any, Any, int]:
-        """Every dirty shard flushes at once: a sync takes its slowest volume's time."""
+        """Every dirty shard flushes at once: a sync takes its slowest node's time."""
         jobs = [shard.flush_all() for shard in self.shards if shard.dirty_count]
         return sum((yield from gather(self.scheduler, jobs, name="flush-shard")))
 
     def __repr__(self) -> str:
         return (
             f"ShardedCache(shards={len(self.shards)}, blocks={self.num_blocks}, "
-            f"free={self.free_count}, clean={self.clean_count}, dirty={self.dirty_count})"
+            f"free={self.free_count}, dirty={self.dirty_count})"
         )
 
 

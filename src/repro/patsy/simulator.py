@@ -116,8 +116,8 @@ class SimulationResult:
 class PatsySimulator:
     """A complete off-line file-system simulator instantiated from the library.
 
-    The whole storage stack — simulated hardware, cache (shards), layout(s),
-    flush policy, cleaner(s) — is assembled by
+    The whole storage stack — simulated hardware, cache (one shard per
+    node), layout(s), flush policy, cleaner(s) — is assembled by
     :func:`repro.assembly.builder.build_stack` from the
     :class:`~repro.config.StackSpec` it is handed — the object a
     :class:`~repro.pfs.filesystem.PegasusFileSystem` takes — under a
@@ -450,8 +450,9 @@ class PatsySimulator:
         return result
 
     def collect_volume_stats(self) -> Dict[str, Any]:
-        """Per-volume cache/layout/disk/flush breakdown plus an array-level
-        rollup."""
+        """Per-volume layout/disk breakdown plus an array-level rollup (the
+        cache and the flush policy belong to the node, not to a volume:
+        they report in the rollup, and per node in ``cluster_stats``)."""
         spec = self.spec
         num_volumes = spec.num_volumes
         elapsed = max(self.scheduler.now, 1e-9)
@@ -480,8 +481,6 @@ class PatsySimulator:
             per_volume[f"vol{v}"] = {
                 "disks": disks,
                 "layout": layout_entry,
-                "cache": self.cache.shards[v].stats.snapshot(),
-                "flush": self.flush_policy.children[v].stats(),
             }
         cache = self.cache.stats
         rollup: Dict[str, Any] = {
@@ -523,9 +522,8 @@ class PatsySimulator:
                 ),
                 "free_blocks": sum(sub.free_blocks for sub in node.sublayouts),
             }
-            if node.cache_shards:
-                counts = add_counters(vars(s.stats) for s in node.cache_shards)
-                entry["cache_hit_rate"] = CacheStatistics(**counts).hit_rate
+            counts = add_counters(vars(s.stats) for s in node.cache_shards)
+            entry["cache_hit_rate"] = CacheStatistics(**counts).hit_rate
             if node.nic is not None:
                 nic = node.nic
                 entry["nic"] = dict(

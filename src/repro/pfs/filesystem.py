@@ -34,8 +34,8 @@ class PegasusFileSystem:
     :class:`~repro.assembly.bindings.OnlineBinding` — the *same* builder,
     spec object and component classes that PATSY simulates, bound to drivers
     that move real bytes.  That includes multi-volume array specs: a PFS can
-    mount the ``sun4_280`` five-volume stack with per-shard caches and
-    flush daemons, exactly as the simulator runs it.
+    mount the ``sun4_280`` five-volume stack behind its one cache and
+    flush policy, exactly as the simulator runs it.
 
     Parameters
     ----------

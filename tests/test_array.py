@@ -475,75 +475,14 @@ def test_sharded_flush_policy_splits_nvram_budget(scheduler):
     config = CacheConfig(size_bytes=8 * 4 * KB)
     shards = [BlockCache(scheduler, config, with_data=False) for _ in range(2)]
     cache = ShardedCache(shards, router=lambda f, b: f % 2)
-    policy = ShardedFlushPolicy(
-        FlushConfig(policy="nvram", nvram_bytes=8 * 4 * KB), shard_nodes=[0, 0]
-    )
+    policy = ShardedFlushPolicy(FlushConfig(policy="nvram", nvram_bytes=8 * 4 * KB))
     policy.attach(cache, scheduler)
-    assert len(policy.children) == 2
-    # The 8-block NVRAM is split 4 + 4 over the shards.
+    # One policy per node shard, its daemons on that node; the 8-block
+    # NVRAM is split 4 + 4 over the two nodes' memories.
+    assert [child.cache for child in policy.children] == shards
+    assert [child.node for child in policy.children] == [0, 1]
     assert shards[0].dirty_limit_bytes == 4 * 4 * KB
     assert shards[1].dirty_limit_bytes == 4 * 4 * KB
-
-
-def test_sharded_flush_governor_drains_aggregate_dirty(scheduler):
-    config = CacheConfig(size_bytes=8 * 4 * KB)
-    shards = [BlockCache(scheduler, config, with_data=False) for _ in range(2)]
-    cache = ShardedCache(shards, router=lambda f, b: f % 2)
-    written = []
-
-    def writeback(batch):
-        for file_id, block_nos in batch:
-            written.append((file_id, tuple(block_nos)))
-        yield Delay(0.001)
-
-    cache.writeback = writeback
-    # A periodic policy that never fires on its own: only the governor acts.
-    policy = ShardedFlushPolicy(
-        FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
-        shard_nodes=[0, 0],
-        high_water=0.5,
-        low_water=0.25,
-        check_interval=0.5,
-    )
-    policy.attach(cache, scheduler)
-    assert len(policy.governor_threads) == 1
-
-    def dirty_everything():
-        for file_id in (4, 5):
-            for block_no in range(6):
-                block = yield from cache.allocate(file_id, block_no)
-                yield from cache.mark_dirty(block)
-
-    run(scheduler, dirty_everything)
-    assert cache.dirty_bytes / (cache.num_blocks * cache.block_size) > 0.5
-    scheduler.run(until=5.0)
-    assert policy.governor_wakeups >= 1
-    assert policy.governor_flushes > 0
-    assert cache.dirty_bytes / (cache.num_blocks * cache.block_size) <= 0.5
-    stats = policy.stats()
-    assert stats["governor_flushes"] == policy.governor_flushes
-    assert stats["policy_flushes"] == sum(c.stats()["policy_flushes"] for c in policy.children)
-
-
-def test_sharded_flush_governor_never_runs_for_ups(scheduler):
-    config = CacheConfig(size_bytes=8 * 4 * KB)
-    shards = [BlockCache(scheduler, config, with_data=False) for _ in range(2)]
-    cache = ShardedCache(shards, router=lambda f, b: f % 2)
-    policy = ShardedFlushPolicy(
-        FlushConfig(policy="ups"), shard_nodes=[0, 0], high_water=0.5, low_water=0.25
-    )
-    policy.attach(cache, scheduler)
-    assert not policy.governor_threads  # write saving: no write-ahead
-
-
-def test_sharded_flush_single_shard_spawns_no_governor(scheduler):
-    config = CacheConfig(size_bytes=8 * 4 * KB)
-    shards = [BlockCache(scheduler, config, with_data=False)]
-    cache = ShardedCache(shards, router=lambda f, b: 0)
-    policy = ShardedFlushPolicy(FlushConfig(policy="periodic"), shard_nodes=[0])
-    policy.attach(cache, scheduler)
-    assert not policy.governor_threads
-    assert len(policy.children) == 1
 
 
 # --------------------------------------------------------------------------- end to end
@@ -576,8 +515,10 @@ def test_multi_volume_array_replays_and_spreads(placement):
     assert result.errors == 0
     per_volume = result.volume_stats["per_volume"]
     assert set(per_volume) == {"vol0", "vol1", "vol2"}
-    # Every volume has its own cache shard and flush daemon to report.
-    assert all({"cache", "flush"} <= set(entry) for entry in per_volume.values())
+    # Volumes report their disks and logs; the one cache and its flush
+    # policy report in the rollup.
+    assert all(set(entry) == {"disks", "layout"} for entry in per_volume.values())
+    assert "policy_flushes" in result.volume_stats["rollup"]["flush"]
     writes = [per_volume[f"vol{v}"]["layout"]["blocks_written"] for v in range(3)]
     busy = sum(1 for w in writes if w > 0)
     assert busy >= 2, f"placement {placement} left the array lopsided: {writes}"

@@ -6,6 +6,7 @@ through the registry without editing core modules, and a PFS can mount a
 multi-volume array spec and move real bytes through it.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.config import (
 )
 from repro.core.cache import BlockCache
 from repro.core.flush import FlushPolicy, ShardedFlushPolicy
+from repro.core.inode import ROOT_INODE_NUMBER
 from repro.core.storage.array import RoutedLayout, ShardedCache, VolumeSet
 from repro.core.storage.cleaner import CleanerDaemon
 from repro.core.storage.lfs import LogStructuredLayout
@@ -113,8 +115,6 @@ def small_spec(**overrides):
         host=HostConfig(num_disks=1, num_buses=1),
         seed=3,
     )
-    from dataclasses import replace
-
     return replace(base, **overrides)
 
 
@@ -281,7 +281,8 @@ def test_every_preset_builds_the_same_five_component_classes_in_both_worlds(spec
             [LogStructuredLayout] * spec.num_volumes
         )
         assert type(stack.cache) is ShardedCache
-        assert [type(shard) for shard in stack.cache.shards] == [BlockCache] * spec.num_volumes
+        # One buffer cache per node, however its disks are carved.
+        assert [type(shard) for shard in stack.cache.shards] == [BlockCache] * spec.num_nodes
         assert type(stack.flush_policy) is ShardedFlushPolicy
         assert [type(daemon) for daemon in stack.cleaner] == [CleanerDaemon] * spec.num_volumes
     # ...with only the helpers differing.
@@ -293,10 +294,47 @@ def test_every_preset_builds_the_same_five_component_classes_in_both_worlds(spec
 def test_build_stack_array_builds_sharded_components():
     spec = small_spec(host=HostConfig(num_disks=4, num_buses=2), array=ArrayConfig(volumes=3))
     stack = build_stack(spec, SimulatedBinding())
-    assert len(stack.cache.shards) == len(stack.volume) == len(stack.cleaner) == 3
+    assert len(stack.volume) == len(stack.cleaner) == 3
+    assert len(stack.cache.shards) == 1  # the machine's one memory
     assert [volume.num_disks for volume in stack.volume] == [2, 1, 1]
     assert stack.placement.inner.name == "hash"
     assert len(stack.drivers) == 4 and len(stack.buses) == 2
+
+
+def test_a_machine_has_one_buffer_cache_and_the_whole_nvram():
+    """The Sun 4/280 preset: five volumes behind one cache shard holding the
+    whole cache, one replacement policy over it, and under ``nvram`` one
+    flush policy holding the whole NVRAM; no dirty-ratio governor runs."""
+    spec = sun4_280_config(scale=0.02)
+    stack = build_stack(spec, SimulatedBinding())
+    assert len(stack.layout.sublayouts) == 5
+    (shard,) = stack.cache.shards
+    assert shard.config.size_bytes == spec.cache.size_bytes
+    assert shard.num_blocks == spec.cache.num_blocks == shard.policy.capacity
+    assert [child.cache for child in stack.flush_policy.children] == [shard]
+
+    nvram = replace(spec, flush=replace(spec.flush, policy="nvram"))
+    stack = build_stack(nvram, SimulatedBinding())
+    (shard,) = stack.cache.shards
+    assert shard.dirty_limit_bytes == nvram.flush.nvram_bytes
+    assert not [t for t in stack.scheduler.threads if t.name.startswith("dirty-governor")]
+
+
+def test_a_cluster_has_one_cache_shard_per_node():
+    spec = cluster_config(nodes=4, scale=0.002)
+    stack = build_stack(spec, SimulatedBinding())
+    shards = stack.cache.shards
+    assert len(shards) == 4 and spec.volumes_per_node == 2
+    assert len({id(shard.policy) for shard in shards}) == 4
+    for node in stack.cluster.nodes:
+        assert node.cache_shards == [shards[node.index]]
+        assert shards[node.index].config.size_bytes == spec.cache.size_bytes // 4
+    # A block routes to the shard of the node whose volume stores it.
+    placement = stack.placement
+    for file_id in range(ROOT_INODE_NUMBER, ROOT_INODE_NUMBER + 16):
+        for block_no in (0, 20):
+            node = placement.node_of_volume(placement.volume_for_block(file_id, block_no))
+            assert stack.cache.shard_for(file_id, block_no) is shards[node]
 
 
 def test_hardware_is_described_once():
@@ -398,7 +436,7 @@ def array_spec(volumes=3):
 def test_pfs_mounts_a_multi_volume_array_spec():
     """The acceptance contract: the on-line world gains the array stack."""
     pfs = PegasusFileSystem(spec=array_spec(volumes=3), size_bytes=24 * MB)
-    assert len(pfs.cache.shards) == len(pfs.layout.sublayouts) == 3
+    assert len(pfs.layout.sublayouts) == 3 and len(pfs.cache.shards) == 1
     assert len(pfs.drivers) == 3
     pfs.format()
 
@@ -479,7 +517,8 @@ def test_pfs_sun4_280_spec_mounts():
     """One spec, both worlds: the paper machine's stack mounts on-line."""
     spec = sun4_280_config(scale=0.002, seed=1)
     pfs = PegasusFileSystem(spec, size_bytes=40 * MB)
-    assert len(pfs.cache.shards) == 5 and len(pfs.drivers) == 10
+    assert len(pfs.layout.sublayouts) == 5 and len(pfs.drivers) == 10
+    assert len(pfs.cache.shards) == 1
     pfs.format()
     pfs.write_file("/hello.txt", b"ten disks, three buses, five volumes")
     assert pfs.read_file("/hello.txt") == b"ten disks, three buses, five volumes"

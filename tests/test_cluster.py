@@ -387,6 +387,60 @@ def test_migration_lands_uncached_blocks_straight_in_the_new_homes_shard():
     assert run(scheduler, read_all) == expected
 
 
+def test_migration_inside_a_node_keeps_its_blocks_and_across_nodes_lands_there():
+    """A node's volumes share its cache shard: a move between two of them
+    re-homes the very same cached blocks (no landing copies), a move to
+    another node copies them into that node's shard.  Real bytes both ways."""
+    stack = build_stack(cluster_spec(nodes=2, volumes_per_node=2), OnlineBinding(size_bytes=32 * MB))
+    scheduler, client = stack.scheduler, stack.client
+    run(scheduler, stack.fs.mount, True)
+    payload = bytes(range(256)) * 96  # 24 KB, six blocks
+    file_id = _online_file(stack, payload)
+    placement = stack.cluster.placement
+    home = placement.volume_of_file(file_id)
+    node = placement.node_of_volume(home)
+    shard = stack.cache.shards[node]
+    blocks = {b.block_id.block_no: b for b in shard.cached_blocks_of(file_id)}
+    assert sorted(blocks) == list(range(6))
+    allocations = shard.stats.allocations
+    rebalancer = ClusterRebalancer(stack.fs, placement, stack.spec.cluster, metadata=stack.metadata)
+
+    def read_all():
+        return (yield from client.read_file("/data.bin", 0, len(payload)))
+
+    neighbour = home ^ 1  # the other volume of the same node
+    assert placement.node_of_volume(neighbour) == node
+    assert run(scheduler, rebalancer.migrate_file, file_id, neighbour)
+    assert placement.volume_of_file(file_id) == neighbour
+    moved = shard.cached_blocks_of(file_id)
+    assert len(moved) == 6 and all(b is blocks[b.block_id.block_no] for b in moved)
+    assert shard.stats.allocations == allocations
+    assert run(scheduler, read_all) == payload
+
+    other = 1 - node
+    far = placement.volumes_of_node(other)[0]
+    assert run(scheduler, rebalancer.migrate_file, file_id, far)
+    assert shard.cached_blocks_of(file_id) == []
+    assert len(stack.cache.shards[other].cached_blocks_of(file_id)) == 6
+    assert run(scheduler, read_all) == payload
+    run(scheduler, stack.fs.sync)
+    stack.cache.invalidate_file(file_id)
+    assert run(scheduler, read_all) == payload
+
+
+def test_a_node_crash_drops_only_that_nodes_cache_shard():
+    from tests.test_replication import build_online, kill, populate, replica_spec
+
+    stack = build_online(replica_spec(nodes=2, volumes_per_node=2, replicas=0))
+    populate(stack)
+    survivor, crashed = stack.cache.shards
+    kept = list(survivor.blocks())
+    assert kept and list(crashed.blocks())
+    kill(stack, "node_crash", 1)
+    assert list(survivor.blocks()) == kept
+    assert [b for b in crashed.blocks() if b.block_id is not None] == []
+
+
 def test_migration_pays_the_old_bytes_a_partial_write_owes_before_the_flip():
     """A block a write changed in part owes old bytes that sit at the old
     home's addresses, which the flip drops: they are read in first (real

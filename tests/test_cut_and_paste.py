@@ -132,8 +132,8 @@ def test_same_policy_objects_run_in_both_worlds():
     for flush_policy in (pfs.flush_policy, simulator.flush_policy):
         assert isinstance(flush_policy, ShardedFlushPolicy)
         assert [type(child) for child in flush_policy.children] == [NvramPolicy]
-    assert pfs.cache.dirty_limit_bytes is not None
-    assert simulator.cache.dirty_limit_bytes is not None
+    assert pfs.cache.shards[0].dirty_limit_bytes is not None
+    assert simulator.cache.shards[0].dirty_limit_bytes is not None
 
 
 def test_write_savings_visible_in_both_instantiations():
