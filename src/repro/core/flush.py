@@ -313,11 +313,8 @@ class ShardedFlushPolicy(FlushPolicy):
         self.cache = cache  # type: ignore[assignment]
         self.scheduler = scheduler
         shards = cache.shards
-        child_config = self.config
-        if len(shards) > 1:
-            child_config = replace(
-                self.config, nvram_bytes=max(self.config.nvram_bytes // len(shards), 1)
-            )
+        nvram_bytes = max(self.config.nvram_bytes // len(shards), 1)
+        child_config = replace(self.config, nvram_bytes=nvram_bytes)
         for shard_node, shard in enumerate(shards):
             child = registry.create("flush", child_config.policy, child_config)
             child.attach(shard, scheduler, node=shard_node)

@@ -131,11 +131,11 @@ class StripedPlacement(PlacementPolicy):
     file rotate over the volumes (RAID-0 at file-block granularity), so one
     large file drives every disk in the array at once.  The ``sun4_280``
     preset's default: it wins ``e2e/write_burst`` in ``BENCH_components.json``
-    (STRIPE_ROW ms against hash's HASH_ROW on seeds 1-3), where large new
-    files drain from the one NVRAM through every volume's disks at once.
-    ``hash`` stays the default where files must stay whole: in a
-    replicated cluster (replica sets derive from the home volume, so striping
-    with replicas is refused) and in the Fig. 2-5 experiments."""
+    (3.14 / 3.44 / 3.20 ms against hash's 10.06 / 10.25 / 10.05 on seeds
+    1-3), where large new files drain from the one NVRAM through all disks
+    at once.  ``hash`` stays the default where files must stay whole: in a
+    replicated cluster (replica sets derive from the home volume, so
+    striping with replicas is refused) and in the Fig. 2-5 experiments."""
 
     name = "stripe"
 
