@@ -2,11 +2,11 @@
 
 A node wraps one machine's slice of the stack — its NIC, its disk drivers,
 its (possibly remote-wrapped) volumes, its per-volume layouts and its one
-cache shard (the machine's memory).  The topology groups the nodes (one for a single machine) plus the
-pieces that span them (placement tier, fault board, metadata tier,
-rebalancer) for reporting and fault injection; all of the actual I/O
-routing happens through the placement and the routed layout, not through
-these wrappers.
+cache shard (the machine's memory).  The topology groups the nodes (one
+for a single machine) plus the pieces that span them (placement tier,
+fault board, metadata tier, rebalancer) for reporting and fault
+injection; all of the actual I/O routing happens through the placement
+and the routed layout, not through these wrappers.
 """
 
 from __future__ import annotations
