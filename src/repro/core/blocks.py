@@ -52,6 +52,10 @@ class CacheBlock:
         "read_ahead",
         "owed",
         "owner",
+        "prev",
+        "next",
+        "segment",
+        "home",
     )
 
     def __init__(self, slot: int, size: int, with_data: bool, owner: Any = None):
@@ -85,6 +89,10 @@ class CacheBlock:
         #: writes replaced.  The owed bytes are read in when a read or the
         #: writeback needs them; ``None``: nothing owed.
         self.owed: Optional[tuple[int, int, int]] = None
+        #: the block is its own node in its replacement policy's lists:
+        #: neighbours, the list holding it (``segment``; ``owner`` is the
+        #: shard) and, while it is dirty and parked off them, its ``home``.
+        self.prev = self.next = self.segment = self.home = None
 
     # -- state queries --------------------------------------------------------
 

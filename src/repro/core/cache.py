@@ -9,8 +9,9 @@ blocks are replaced and flushed." (Section 2)
 The base cache keeps three collections:
 
 * a free list of never-used slots,
-* a *clean* (non-dirty) set whose eviction order is maintained by the
-  replacement policy's own lists,
+* an index of every resident block, whose clean members sit in the
+  replacement policy's own lists (each block is its own list node), in
+  eviction order,
 * a *dirty* list ordered by the time each block first became dirty.
 
 Allocation takes free slots first, then asks the configured
@@ -44,14 +45,16 @@ from repro.core.blocks import BlockId, BlockState, CacheBlock
 from repro.core.scheduler import Scheduler
 from repro.errors import CacheError, CacheExhaustedError
 
-__all__ = ["BlockCache", "CacheStatistics", "WritebackFn"]
+__all__ = ["BlockCache", "CacheStatistics", "WritebackBatch", "WritebackFn"]
 
 CLEAN, DIRTY = BlockState.CLEAN, BlockState.DIRTY
 
 #: Writeback callback registered by the file system: a generator function
-#: that writes one batch — ``(file_id, logical block numbers)`` per file —
-#: to stable storage and returns when the write has completed.
-WritebackFn = Callable[[list[tuple[int, list[int]]]], Generator[Any, Any, None]]
+#: that writes one batch — ``(file_id, [(block_no, block), ...])`` per file,
+#: the cache's own pinned, busy blocks in block-number order — to stable
+#: storage and returns when the write has completed.
+WritebackBatch = list[tuple[int, list[tuple[int, CacheBlock]]]]
+WritebackFn = Callable[[WritebackBatch], Generator[Any, Any, None]]
 
 
 @dataclass
@@ -130,9 +133,6 @@ class BlockCache:
         ]
         self._free: deque[CacheBlock] = deque(self._slots)
         self._index: dict[BlockId, CacheBlock] = {}
-        #: clean residents (membership/count only; eviction order lives in
-        #: the policy's own lists).
-        self._clean: dict[BlockId, CacheBlock] = {}
         #: dirty residents, in first-dirtied order (drives flush policies).
         self._dirty: "OrderedDict[BlockId, CacheBlock]" = OrderedDict()
         #: per-file views of ``_index`` and ``_dirty``: ``file_id ->
@@ -181,7 +181,7 @@ class BlockCache:
 
     @property
     def clean_count(self) -> int:
-        return len(self._clean)
+        return len(self._index) - len(self._dirty)
 
     @property
     def dirty_count(self) -> int:
@@ -223,11 +223,6 @@ class BlockCache:
         block.last_access = self._now()
         self.policy.on_access(block)
         return block
-
-    def touch(self, block: CacheBlock) -> None:
-        """Record a reference to ``block`` for replacement bookkeeping."""
-        block.last_access = self._now()
-        self.policy.on_access(block)
 
     def dirty_blocks_of(self, file_id: int) -> list[CacheBlock]:
         """Dirty blocks of one file, oldest first."""
@@ -287,69 +282,80 @@ class BlockCache:
         non-dirty list, and when there are no non-dirty blocks available, the
         cache initiates a cache flush through the oldest dirty block".
         """
-        block_id = BlockId(file_id, block_no)
-        if block_id in self._index:
-            raise CacheError(f"block {block_id} is already cached")
+        block = self.allocate_now(file_id, block_no)
+        if block is None:
+            block = yield from self.allocate_later(file_id, block_no)
+        return block
+
+    def allocate_now(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
+        """:meth:`allocate` without waiting: ``None`` when no slot is free or
+        evictable right now (the caller then goes on with
+        :meth:`allocate_later`); ``CacheError`` when the block is cached."""
+        block = self._take(file_id, block_no)
+        low_water = self.low_water_blocks
+        if block is not None and low_water and (
+            len(self._free) + len(self._index) - len(self._dirty) < low_water
+        ):
+            self.space_requester()
+        return block
+
+    def allocate_later(self, file_id: int, block_no: int) -> Generator[Any, Any, CacheBlock]:
+        """The rest of :meth:`allocate` once :meth:`allocate_now` found no
+        slot: make space (flush, or wait for the flush daemon) and try again
+        until a slot is found."""
         attempts = 0
         while True:
-            block = self._take_free_or_evict(block_id)
-            if block is not None:
-                break
             attempts += 1
             if attempts > 10 * self.num_blocks:
                 raise CacheExhaustedError(
-                    f"cannot allocate a cache block for {block_id}: "
+                    f"cannot allocate a cache block for {BlockId(file_id, block_no)}: "
                     f"{self.dirty_count} dirty, {self.clean_count} clean (all pinned?)"
                 )
             self.stats.allocation_stalls += 1
             yield from self._make_space()
             # Another thread may have cached this very block while we
-            # waited for space; inserting a second copy would corrupt the
-            # index.  Raise the same error the entry check uses — every
-            # caller already handles it with a re-lookup.
-            if block_id in self._index:
-                raise CacheError(f"block {block_id} is already cached")
-        block = self._install(block, block_id)
-        if self.low_water_blocks and len(self._free) + len(self._clean) < self.low_water_blocks:
-            self.space_requester()
-        return block
+            # waited for space: ``allocate_now`` raises the ``CacheError``
+            # every caller already handles with a re-lookup.
+            block = self.allocate_now(file_id, block_no)
+            if block is not None:
+                return block
 
     def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         """:meth:`allocate` for a block nobody is waiting for (read-ahead):
-        never blocks and never flushes.  ``None`` when the block is already
-        cached or no slot is free or evictable right now."""
+        never blocks, never flushes and never wakes the flush daemon.
+        ``None`` when the block is already cached or no slot is free or
+        evictable right now."""
+        if (file_id, block_no) in self._index:
+            return None
+        return self._take(file_id, block_no)
+
+    def _take(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
+        """A free slot, or the replacement policy's victim evicted, installed
+        as ``(file_id, block_no)``; ``None`` if neither exists, and a
+        ``CacheError`` if the block is cached already."""
         block_id = BlockId(file_id, block_no)
         if block_id in self._index:
-            return None
-        block = self._take_free_or_evict(block_id)
-        if block is None:
-            return None
-        return self._install(block, block_id)
-
-    def _install(self, block: CacheBlock, block_id: BlockId) -> CacheBlock:
+            raise CacheError(f"block {block_id} is already cached")
+        if self._free:
+            block = self._free.popleft()
+        else:
+            block = self.policy.victim(block_id)
+            if block is None:
+                return None
+            # Replacement eviction: the policy may remember the identity in
+            # a ghost list (the incoming block is what pushed it out).
+            self.policy.on_evict(block, True)
+            self._remove(block)
+            block.reset()
+            self.stats.evictions += 1
         block.block_id = block_id
         block.state = CLEAN
         block.last_access = self._now()
         self._index[block_id] = block
-        self._resident_of.setdefault(block_id[0], {})[block_id[1]] = block
-        self._clean[block_id] = block
+        self._resident_of.setdefault(file_id, {})[block_no] = block
         self.policy.on_insert(block)
         self.stats.allocations += 1
         return block
-
-    def _take_free_or_evict(self, incoming: Optional[BlockId] = None) -> Optional[CacheBlock]:
-        if self._free:
-            return self._free.popleft()
-        victim = self.policy.victim(incoming)
-        if victim is None:
-            return None
-        # Replacement eviction: the policy may remember the identity in a
-        # ghost list (the incoming block is what pushed it out).
-        self.policy.on_evict(victim, True)
-        self._remove(victim)
-        victim.reset()
-        self.stats.evictions += 1
-        return victim
 
     def has_allocatable_slot(self) -> bool:
         """True when an allocation could succeed right now without flushing."""
@@ -391,6 +397,22 @@ class BlockCache:
         daemon (:attr:`drain_requester`) the caller signals it and waits for
         space; without one it flushes in its own thread.
         """
+        if self.mark_dirty_now(block):
+            return
+        limit, dirty, size = self.dirty_limit_bytes, self._dirty, self.block_size
+        # One stall per dirtying that waits, however many wake-ups it takes.
+        self.stats.nvram_stalls += 1
+        while (len(dirty) + 1) * size > limit and dirty:
+            if self.drain_requester is None:
+                yield from self._flush_oldest_or_wait()
+            else:
+                self.drain_requester()
+                yield from self._space_available.wait()
+        self._dirty_block(block)
+
+    def mark_dirty_now(self, block: CacheBlock) -> bool:
+        """:meth:`mark_dirty` without waiting: ``False``, with nothing done,
+        when the dirtying would pass the dirty limit."""
         block_id = block.block_id
         if block_id is None or block_id not in self._index:
             raise CacheError("cannot dirty a block that is not in the cache")
@@ -400,18 +422,15 @@ class BlockCache:
         # scan resistance, so only the block's own bookkeeping is updated.
         if block.state is DIRTY:
             block.last_access = self._now()
-            return
-        limit, dirty, size = self.dirty_limit_bytes, self._dirty, self.block_size
-        if limit is not None and (len(dirty) + 1) * size > limit and dirty:
-            # One stall per dirtying that waits, however many wake-ups it takes.
-            self.stats.nvram_stalls += 1
-            while (len(dirty) + 1) * size > limit and dirty:
-                if self.drain_requester is None:
-                    yield from self._flush_oldest_or_wait()
-                else:
-                    self.drain_requester()
-                    yield from self._space_available.wait()
-        self._clean.pop(block_id, None)
+            return True
+        limit, dirty = self.dirty_limit_bytes, self._dirty
+        if limit is not None and (len(dirty) + 1) * self.block_size > limit and dirty:
+            return False
+        self._dirty_block(block)
+        return True
+
+    def _dirty_block(self, block: CacheBlock) -> None:
+        block_id, dirty = block.block_id, self._dirty
         block.state = DIRTY
         block.dirty_since = block.last_access = self._now()
         dirty[block_id] = block
@@ -419,7 +438,7 @@ class BlockCache:
         self.policy.on_dirty(block)
         stats = self.stats
         stats.blocks_dirtied += 1
-        dirty_bytes = len(dirty) * size
+        dirty_bytes = len(dirty) * self.block_size
         if dirty_bytes > stats.peak_dirty_bytes:
             stats.peak_dirty_bytes = dirty_bytes
         if self.drain_requester is not None and dirty_bytes > self.drain_high_water_bytes:
@@ -434,7 +453,6 @@ class BlockCache:
         self._drop_from(self._dirty_of, block_id)
         block.state = CLEAN
         block.dirty_since = None
-        self._clean[block_id] = block
         self.policy.on_clean(block)
         self.stats.blocks_cleaned += 1
 
@@ -446,8 +464,7 @@ class BlockCache:
             return
         self._index.pop(block_id, None)
         self._drop_from(self._resident_of, block_id)
-        if self._clean.pop(block_id, None) is None:
-            self._dirty.pop(block_id, None)
+        if self._dirty.pop(block_id, None) is not None:
             self._drop_from(self._dirty_of, block_id)
 
     @staticmethod
@@ -579,19 +596,22 @@ class BlockCache:
 
     def _writeback_blocks(self, blocks: list[CacheBlock]) -> Generator[Any, Any, int]:
         """One writeback call for ``blocks``, grouped by file in the order
-        the files first appear."""
+        the files first appear, each file's blocks in block-number order."""
         if self.writeback is None:
             raise CacheError("no writeback function registered with the cache")
-        batch: dict[int, list[int]] = {}
+        batch: dict[int, list[tuple[int, CacheBlock]]] = {}
         for block in blocks:
             block.busy = True
-            block.pin()
-            batch.setdefault(block.block_id.file_id, []).append(block.block_id.block_no)
+            block.pin_count += 1
+            file_id, block_no = block.block_id
+            batch.setdefault(file_id, []).append((block_no, block))
+        for pairs in batch.values():
+            pairs.sort()  # by block number: no two are equal, no blocks compared
         try:
-            yield from self.writeback([(file_id, sorted(nos)) for file_id, nos in batch.items()])
+            yield from self.writeback(list(batch.items()))
         finally:
             for block in blocks:
-                block.unpin()
+                block.pin_count -= 1
                 block.busy = False
         for block in blocks:
             self.mark_clean(block)

@@ -52,12 +52,12 @@ class DataMover:
             delay = self._delays[nbytes] = Delay(self.copy_time(nbytes))
         return delay
 
-    def charge(self, nbytes: int) -> Generator[Any, Any, None]:
+    def charge(self, nbytes: int) -> tuple[Delay, ...]:
         """Charge copy time for ``nbytes`` without moving any data (used when
-        the simulator has no real payload to copy)."""
+        the simulator has no real payload to copy): the commands to ``yield
+        from``.  Not a generator, since a write charges once per block."""
         self.bytes_copied += nbytes
-        if self.charge_time and nbytes:
-            yield self._delay(nbytes)
+        return (self._delay(nbytes),) if self.charge_time and nbytes else ()
 
     def copy_in(
         self, block: CacheBlock, offset: int, data: Optional[bytes]

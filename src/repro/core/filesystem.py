@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, Optional
 
-from repro.core.cache import BlockCache
+from repro.core.cache import BlockCache, WritebackBatch
 from repro.core.datamover import DataMover
 from repro.core.filetable import FileTable
 from repro.core.filetypes import DirectoryFile
@@ -136,7 +136,7 @@ class FileSystem:
 
     # ------------------------------------------------------------------ the writeback path
 
-    def _writeback(self, batch: list[tuple[int, list[int]]]) -> Generator[Any, Any, None]:
+    def _writeback(self, batch: WritebackBatch) -> Generator[Any, Any, None]:
         """Write one batch — the given cached blocks of each file, and its
         inode — to disk, after one gathered read of the old bytes that
         partial-block writes left owed in them.
@@ -144,21 +144,17 @@ class FileSystem:
         Registered with the cache at construction time; every flush —
         policy-driven, NVRAM drain or replacement pressure — funnels through
         here and therefore through the storage layout and disk drivers.
+        The blocks are the calling cache's own, pinned and busy until this
+        returns: they are written as handed, never looked up again.
         """
         files = []
-        for file_id, block_nos in batch:
+        for file_id, pairs in batch:
             loaded = self.file_table.find(file_id)
             if loaded is not None:
                 inode = loaded.inode
             else:
                 inode = yield from self.layout.read_inode(file_id)
-            pairs = [
-                (block_no, block)
-                for block_no in block_nos
-                if (block := self.cache.peek(file_id, block_no)) is not None
-            ]
-            if pairs:
-                files.append((inode, pairs, True))
+            files.append((inode, pairs, True))
         debts = [
             self._pay_debts(inode, owed)
             for inode, pairs, _with_inode in files

@@ -151,7 +151,8 @@ class BaseFile:
         if length == 0:
             return 0
         block_size, end = self.block_size, offset + length
-        lookup, file_id = self.fs.cache.lookup, self.file_id
+        cache, file_id = self.fs.cache, self.file_id
+        lookup, allocate_now = cache.lookup, cache.allocate_now
         copy_in, charge = self.fs.datamover.copy_in, self.fs.datamover.charge
         written = 0
         for block_no in block_span(offset, length, block_size):
@@ -160,12 +161,17 @@ class BaseFile:
             end_in_block = min(end, block_start + block_size) - block_start
             extent = end_in_block - start_in_block
             # No disk read: a miss gets an empty slot, and the old bytes the
-            # write leaves standing are owed until something needs them.
+            # write leaves standing are owed until something needs them.  A
+            # slot free or evictable right now is taken without a generator.
             block = lookup(file_id, block_no)
-            if block is None or block.busy or block.read_ahead:
+            fresh = block is None
+            if fresh and (block := allocate_now(file_id, block_no)) is None:
+                try:
+                    block = yield from cache.allocate_later(file_id, block_no)
+                except CacheError:  # another thread cached it meanwhile
+                    block, fresh = yield from self._block_for(block_no, lookup(file_id, block_no))
+            elif not fresh and (block.busy or block.read_ahead):
                 block, fresh = yield from self._block_for(block_no, block)
-            else:
-                fresh = False
             if fresh or block.owed is not None:
                 yield from self._note_write(block_no, block, fresh, start_in_block, end_in_block)
             block.pin_count += 1
@@ -176,10 +182,12 @@ class BaseFile:
                     yield from charge(extent)
                     if block.data is not None:
                         block.valid_bytes = max(block.valid_bytes, end_in_block)
-                # Straight to the block's own cache (shard).
-                yield from block.owner.mark_dirty(block)
+                # Straight to the block's own cache (shard); a generator
+                # only when the dirtying has to wait.
+                if not block.owner.mark_dirty_now(block):
+                    yield from block.owner.mark_dirty(block)
             finally:
-                block.unpin()
+                block.pin_count -= 1
             written += extent
         self.inode.size = max(self.inode.size, offset + length)
         self.inode.touch_mtime(self.fs.scheduler.now)

@@ -34,7 +34,7 @@ Any of them can come back as a derived class registered with
 Pinned, busy and dirty blocks are never evicted; ``victim`` skips over them
 from the eviction end of its lists, so the work per eviction is proportional
 to the handful of temporarily ineligible blocks near the tail, not to the
-cache size.  Every examined node is counted in ``stats.victim_scan_steps``
+cache size.  Every examined block is counted in ``stats.victim_scan_steps``
 so tests and benchmarks can verify the O(1) claim directly.
 """
 
@@ -68,68 +68,46 @@ class PolicyCounters:
         self.victim_scan_steps = 0
 
 
-class _Node:
-    """Intrusive list node for one resident block."""
-
-    __slots__ = ("key", "block", "prev", "next", "owner", "home")
-
-    def __init__(self, key: BlockId, block: Optional[CacheBlock] = None):
-        self.key = key
-        #: the resident block (``None`` only on a list's sentinel).
-        self.block = block
-        self.prev: Optional["_Node"] = None
-        self.next: Optional["_Node"] = None
-        #: the :class:`_DList` currently holding this node (None if unlisted).
-        self.owner: Optional["_DList"] = None
-        #: while the block is dirty (parked off-list), the list it returns
-        #: to when cleaned; policies may retarget it on parked accesses.
-        self.home: Optional["_DList"] = None
-
-
 class _DList:
-    """Intrusive doubly-linked list with a sentinel: every operation O(1).
+    """Intrusive doubly-linked list of :class:`CacheBlock` s: every operation
+    O(1).  The list is its own sentinel (``prev`` / ``next`` close the ring
+    on it), and a block's ``segment`` is the list holding it.
 
     Convention: the *head* is the eviction end (LRU / FIFO-out) and the
     *tail* is the insertion end (MRU / FIFO-in).
     """
 
-    __slots__ = ("tag", "_sentinel", "_size")
+    __slots__ = ("tag", "prev", "next", "_size")
 
     def __init__(self, tag: str = ""):
         self.tag = tag
-        sentinel = _Node(None)  # type: ignore[arg-type]
-        sentinel.prev = sentinel
-        sentinel.next = sentinel
-        self._sentinel = sentinel
+        self.prev = self.next = self
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def append(self, node: _Node) -> None:
+    def append(self, block: CacheBlock) -> None:
         """Insert at the tail (the MRU / most-recently-inserted end)."""
-        if node.owner is not None:
-            raise CacheError(f"node {node.key} is already on list {node.owner.tag!r}")
-        anchor = self._sentinel
-        node.prev = anchor.prev
-        node.next = anchor
-        anchor.prev.next = node
-        anchor.prev = node
-        node.owner = self
+        if block.segment is not None:
+            raise CacheError(f"block {block.block_id} is already on list {block.segment.tag!r}")
+        block.prev = last = self.prev
+        block.next = self
+        last.next = self.prev = block
+        block.segment = self
         self._size += 1
 
-    def remove(self, node: _Node) -> None:
-        if node.owner is not self:
-            raise CacheError(f"node {node.key} is not on list {self.tag!r}")
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        node.prev = node.next = None
-        node.owner = None
+    def remove(self, block: CacheBlock) -> None:
+        if block.segment is not self:
+            raise CacheError(f"block {block.block_id} is not on list {self.tag!r}")
+        block.prev.next = block.next
+        block.next.prev = block.prev
+        block.prev = block.next = block.segment = None
         self._size -= 1
 
-    def move_to_tail(self, node: _Node) -> None:
-        self.remove(node)
-        self.append(node)
+    def move_to_tail(self, block: CacheBlock) -> None:
+        self.remove(block)
+        self.append(block)
 
 
 class ReplacementPolicy(ABC):
@@ -154,12 +132,14 @@ class ReplacementPolicy(ABC):
     replacement), and a policy with parameters of its own takes them as
     keyword arguments whose defaults are the values the stack uses.
 
-    Dirty blocks are *parked*: removed from the eviction lists (they cannot
-    be victims, and skipping them on every selection would make eviction
-    O(dirty count)) while remembering their segment in ``node.home``.
-    ``on_clean`` re-inserts the block at the MRU end of that segment —
-    freshly cleaned data was written recently, which is exactly what the
-    MRU position encodes.
+    Every resident block is on exactly one of the policy's lists
+    (``block.segment``), or *parked* off them while it is dirty: it cannot
+    be a victim, and skipping it on every selection would make eviction
+    O(dirty count).  A parked block remembers its segment in
+    ``block.home``; ``on_clean`` re-inserts it at the MRU end of that
+    segment — freshly cleaned data was written recently, which is exactly
+    what the MRU position encodes.  The block is its own list node, so no
+    event looks anything up.
     """
 
     name = "abstract"
@@ -175,7 +155,8 @@ class ReplacementPolicy(ABC):
         self.capacity = capacity
         self.rng = rng if rng is not None else random.Random(0)
         self.stats = stats if stats is not None else PolicyCounters()
-        self._nodes: Dict[BlockId, _Node] = {}
+        #: blocks on the lists or parked.
+        self.resident_count = 0
 
     # ------------------------------------------------------------------ events
 
@@ -195,29 +176,18 @@ class ReplacementPolicy(ABC):
 
     def on_dirty(self, block: CacheBlock) -> None:
         """``block`` became dirty: park it off the eviction lists."""
-        node = self._nodes.get(block.block_id)
-        if node is None or node.owner is None:
-            return
-        node.home = node.owner
-        node.owner.remove(node)
+        segment = block.segment
+        if segment is not None:
+            segment.remove(block)
+            block.home = segment
 
     def on_clean(self, block: CacheBlock) -> None:
-        """A dirty ``block`` was written back: restore it as evictable."""
-        node = self._nodes.get(block.block_id)
-        if node is None or node.owner is not None:
-            return
-        self._unpark(node)
-
-    def _unpark(self, node: _Node) -> None:
-        """Re-insert a parked node at the MRU end of its home segment."""
-        home = node.home
-        node.home = None
-        if home is None:  # defensive: never seen on_dirty
-            home = self._default_list()
-        home.append(node)
-
-    def _default_list(self) -> _DList:
-        raise CacheError(f"policy {self.name} cannot restore an unparked block")
+        """A dirty ``block`` was written back: restore it as evictable, at
+        the MRU end of its home segment (no ghost trim, unlike an insert)."""
+        home = block.home
+        if home is not None and block.segment is None:
+            block.home = None
+            home.append(block)
 
     def forget_file(self, file_id: int, from_block: int = 0) -> None:
         """Purge ghost entries for ``file_id`` (truncate/delete destroyed
@@ -232,52 +202,49 @@ class ReplacementPolicy(ABC):
         remembered in a ghost list); ``ghost=False`` for invalidations
         (truncate/delete), where remembering the identity would be wrong.
         """
-        node = self._nodes.pop(block.block_id, None)
-        if node is not None and node.owner is not None:
-            node.owner.remove(node)
+        self._unlist(block)
 
     # ------------------------------------------------------------------ helpers
 
-    def _register(self, block: CacheBlock) -> _Node:
-        key = block.block_id
-        if key is None:
-            raise CacheError("cannot track a block without an identity")
-        if key in self._nodes:
-            raise CacheError(f"block {key} is already tracked by {self.name}")
-        node = _Node(key, block)
-        self._nodes[key] = node
-        return node
+    def _register(self, block: CacheBlock) -> None:
+        if block.segment is not None or block.home is not None:
+            raise CacheError(f"block {block.block_id} is already tracked by {self.name}")
+        self.resident_count += 1
 
-    def _scan(self, dlist: _DList, peek: bool) -> Optional[_Node]:
-        """First evictable node from the eviction (head) end of ``dlist``.
+    def _unlist(self, block: CacheBlock) -> Optional[_DList]:
+        """Take a tracked ``block`` off its list, or out of the parked set;
+        the segment it was in (its home, if parked), ``None`` if untracked."""
+        segment = block.segment
+        if segment is not None:
+            segment.remove(block)
+        elif (segment := block.home) is None:
+            return None
+        block.home = None
+        self.resident_count -= 1
+        return segment
+
+    def _scan(self, dlist: _DList, peek: bool) -> Optional[CacheBlock]:
+        """First evictable block from the eviction (head) end of ``dlist``.
 
         Ineligible blocks (pinned, busy, dirty) are skipped, not removed;
         they are expected to become eligible or leave the list soon, so the
-        amortised work stays O(1).  Every node examined is counted.
+        amortised work stays O(1).  Every block examined is counted.
         """
         steps = 0
-        found = sentinel = dlist._sentinel
-        while (found := found.next) is not sentinel:
-            steps += 1
-            block = found.block  # only clean, unpinned, idle blocks may go
-            if block.state is CLEAN and not block.pin_count and not block.busy:
+        found = dlist
+        while (found := found.next) is not dlist:
+            steps += 1  # only clean, unpinned, idle blocks may go
+            if found.state is CLEAN and not found.pin_count and not found.busy:
                 break
         if not peek:
             self.stats.victim_scan_steps += steps
-        return None if found is sentinel else found
+        return None if found is dlist else found
 
     # ------------------------------------------------------------------ queries
 
-    @property
-    def resident_count(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, key: BlockId) -> bool:
-        return key in self._nodes
-
     def snapshot(self) -> dict:
         """Policy-internal gauges, surfaced in simulation reports."""
-        return {"resident": len(self._nodes)}
+        return {"resident": self.resident_count}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(capacity={self.capacity})"
@@ -293,19 +260,15 @@ class LruPolicy(ReplacementPolicy):
         self._list = _DList("lru")
 
     def on_insert(self, block: CacheBlock) -> None:
-        self._list.append(self._register(block))
+        self._register(block)
+        self._list.append(block)
 
     def on_access(self, block: CacheBlock) -> None:
-        node = self._nodes.get(block.block_id)
-        if node is not None and node.owner is not None:
-            self._list.move_to_tail(node)
+        if block.segment is not None:
+            self._list.move_to_tail(block)
 
     def victim(self, incoming=None, peek=False) -> Optional[CacheBlock]:
-        node = self._scan(self._list, peek)
-        return node.block if node else None
-
-    def _default_list(self) -> _DList:
-        return self._list
+        return self._scan(self._list, peek)
 
 
 class ArcPolicy(ReplacementPolicy):
@@ -346,33 +309,31 @@ class ArcPolicy(ReplacementPolicy):
     # -- events ---------------------------------------------------------------
 
     def on_insert(self, block: CacheBlock) -> None:
-        node = self._register(block)
-        key = node.key
+        self._register(block)
+        key = block.block_id
         by_file = self._ghosts_of.get(key[0])
         ghosts = by_file.get(key[1]) if by_file else None
         if ghosts is not None:
             self._drop_ghost(key, ghosts)
             self.stats.ghost_hits += 1
             self._adapt(hit_in_b1=ghosts is self._b1)
-            self._t2.append(node)  # proven reuse goes straight to T2
+            self._t2.append(block)  # proven reuse goes straight to T2
         else:
-            self._t1.append(node)
+            self._t1.append(block)
         self._trim_ghosts()
 
     def on_access(self, block: CacheBlock) -> None:
-        node = self._nodes.get(block.block_id)
-        if node is None:
-            return
-        if node.owner is None:
-            # Parked (dirty): a re-reference proves reuse, so the block
-            # re-enters in T2 once it is cleaned.
-            node.home = self._t2
-            return
-        if node.owner is self._t1:
-            self._t1.remove(node)
-            self._t2.append(node)
-        elif node.owner is self._t2:
-            self._t2.move_to_tail(node)
+        segment = block.segment
+        if segment is None:
+            if block.home is not None:
+                # Parked (dirty): a re-reference proves reuse, so the block
+                # re-enters in T2 once it is cleaned.
+                block.home = self._t2
+        elif segment is self._t1:
+            self._t1.remove(block)
+            self._t2.append(block)
+        else:
+            self._t2.move_to_tail(block)
 
     def victim(self, incoming=None, peek=False) -> Optional[CacheBlock]:
         t1, t2 = self._t1, self._t2
@@ -380,23 +341,14 @@ class ArcPolicy(ReplacementPolicy):
         # REPLACE: take from T1 while it is over its target, or at it when
         # the incoming block is a B2 ghost; else from T2.
         if size and (size > self.p or (size == int(self.p) and incoming in self._b2)):
-            node = self._scan(t1, peek) or self._scan(t2, peek)
-        else:
-            node = self._scan(t2, peek) or self._scan(t1, peek)
-        return None if node is None else node.block
+            return self._scan(t1, peek) or self._scan(t2, peek)
+        return self._scan(t2, peek) or self._scan(t1, peek)
 
     def on_evict(self, block: CacheBlock, ghost: bool = True) -> None:
-        node = self._nodes.pop(block.block_id, None)
-        if node is None:
+        segment = self._unlist(block)
+        if segment is None or not ghost:
             return
-        segment = node.owner
-        if segment is not None:
-            segment.remove(node)
-        else:
-            segment = node.home
-        if not ghost:
-            return
-        key = node.key
+        key = block.block_id
         ghosts = self._b1 if segment is self._t1 else self._b2
         ghosts[key] = None
         self._ghosts_of.setdefault(key[0], {})[key[1]] = ghosts

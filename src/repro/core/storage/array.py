@@ -252,6 +252,9 @@ class ShardedCache:
         #: block -> shard index; a single shard needs no routing.
         self._router = router if len(self.shards) > 1 else lambda file_id, block_no: 0
         first = self.shards[0]
+        if len(self.shards) == 1:
+            # A single machine: the per-block calls are the shard's own.
+            self.lookup, self.allocate_now = first.lookup, first.allocate_now
         self.scheduler = first.scheduler
         self.config = first.config
         self.block_size = first.block_size
@@ -308,21 +311,23 @@ class ShardedCache:
     def lookup(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         return self.shards[self._router(file_id, block_no)].lookup(file_id, block_no)
 
-    def allocate(self, file_id: int, block_no: int) -> Generator[Any, Any, CacheBlock]:
-        router, shards = self._router, self.shards
-        while True:
-            shard = shards[router(file_id, block_no)]
-            stalls = shard.stats.allocation_stalls
-            block = yield from shard.allocate(file_id, block_no)
-            if shard.stats.allocation_stalls == stalls:
-                return block  # it never waited, so its routing cannot have moved
-            if shards[router(file_id, block_no)] is shard:
-                return block
-            # The block's routing changed while the allocation waited for
-            # space (an online migration moved the file to another node).
-            # The slot landed in a shard nothing will ever route to again:
-            # release it and allocate in the right shard instead.
-            shard.invalidate(block)
+    #: allocate_now, then allocate_later if it found no slot: as a shard.
+    allocate = BlockCache.allocate
+
+    def allocate_now(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
+        return self.shards[self._router(file_id, block_no)].allocate_now(file_id, block_no)
+
+    def allocate_later(self, file_id: int, block_no: int) -> Generator[Any, Any, CacheBlock]:
+        shard = self.shard_for(file_id, block_no)
+        block = yield from shard.allocate_later(file_id, block_no)
+        if self.shard_for(file_id, block_no) is shard:
+            return block
+        # The block's routing changed while the allocation waited for
+        # space (an online migration moved the file to another node).  The
+        # slot landed in a shard nothing will ever route to again: release
+        # it and allocate in the right shard instead.
+        shard.invalidate(block)
+        return (yield from self.allocate(file_id, block_no))
 
     def try_allocate(self, file_id: int, block_no: int) -> Optional[CacheBlock]:
         return self.shard_for(file_id, block_no).try_allocate(file_id, block_no)

@@ -20,8 +20,13 @@ def make_cache(scheduler, blocks=8, with_data=False, replacement="lru"):
     written = []
 
     def writeback(batch):
-        for file_id, block_nos in batch:
-            written.append((file_id, tuple(block_nos)))
+        for file_id, pairs in batch:
+            # The cache's own resident blocks, pinned and busy while written.
+            assert all(
+                cache.peek(file_id, no) is block and block.pinned and block.busy
+                for no, block in pairs
+            )
+            written.append((file_id, tuple(no for no, _block in pairs)))
         yield Delay(0.005)
 
     cache.writeback = writeback

@@ -139,7 +139,7 @@ def record_writeback_calls(scheduler, cache) -> list:
 
     def writeback(batch):
         thread = scheduler.current_thread.name
-        calls.append((thread, [(file_id, tuple(block_nos)) for file_id, block_nos in batch]))
+        calls.append((thread, [(file_id, tuple(no for no, _b in pairs)) for file_id, pairs in batch]))
         yield from inner(batch)
 
     cache.writeback = writeback

@@ -352,6 +352,44 @@ def test_one_64kb_read_of_a_fragmented_file_costs_one_disk_read_per_fragment():
     assert reads == [(addresses[0], 6), (addresses[6], 5), (addresses[11], 5)]
 
 
+def test_the_writeback_writes_the_blocks_the_cache_hands_it_and_looks_nothing_up():
+    """A flush hands ``FileSystem._writeback`` the shard's own dirty
+    ``CacheBlock`` objects, and those very objects reach the layout: with
+    every ``peek`` and ``lookup`` of the cache raising, a sync still writes
+    the file, and its bytes read back."""
+    pfs = PegasusFileSystem(
+        spec=StackSpec(
+            cache=CacheConfig(size_bytes=1 * MB),
+            flush=FlushConfig(policy="periodic", update_interval=1e6, scan_interval=1e5),
+        ),
+        size_bytes=16 * MB,
+    )
+    pfs.format()
+    data = bytes((5 * j) % 253 for j in range(16 * KB + 100))
+    pfs.write_file("/a", data)
+    shard = pfs.cache.shards[0]
+    assert len(shard.dirty_blocks_of(pfs.stat("/a")["ino"])) == 5
+    dirty = [block for file_id in shard.dirty_files() for block in shard.dirty_blocks_of(file_id)]
+    handed = []
+    write_files = pfs.layout.write_files
+
+    def recording(files):
+        handed.extend(block for _inode, pairs, _with_inode in files for _no, block in pairs)
+        return write_files(files)
+
+    def no_lookup(*_args):
+        raise AssertionError("the writeback looked a block up")
+
+    pfs.layout.write_files = recording
+    for cache in (pfs.cache, shard):
+        cache.peek = cache.lookup = no_lookup
+    assert pfs.sync() == len(dirty)
+    assert sorted(map(id, handed)) == sorted(map(id, dirty))
+    for cache in (pfs.cache, shard):
+        del cache.peek, cache.lookup
+    assert pfs.read_file("/a") == data
+
+
 def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
     """16 sequentially written blocks go through an 8-block cache whose
     update daemon never fires, so every writeback is a pressure flush.  Each
@@ -377,7 +415,7 @@ def test_a_file_pushed_out_under_pressure_is_a_few_appends_not_one_per_block():
     writeback = pfs.cache.writeback
 
     def logged(batch):
-        calls.extend((file_no, list(block_nos)) for file_no, block_nos in batch)
+        calls.extend((file_no, [no for no, _block in pairs]) for file_no, pairs in batch)
         return writeback(batch)
 
     pfs.cache.writeback = logged

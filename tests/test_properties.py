@@ -17,7 +17,7 @@ from repro.analysis.cdf import cumulative_distribution, fraction_at_or_below
 from repro.core.client import AbstractClientInterface
 from repro.core.filetypes import DirectoryFile, SymlinkFile
 from repro.core.namespace import MAX_SYMLINK_DEPTH, Namespace, normalize_path, split_path
-from repro.core.replacement import ArcPolicy
+from repro.core.replacement import ArcPolicy, _DList
 from repro.errors import FileNotFound, FileSystemError, InvalidArgument, NotADirectory, TraceError
 from repro.patsy.diskspec import HP97560
 from repro.patsy.traces import TRACE_OPERATIONS, TraceReader
@@ -176,6 +176,87 @@ def test_cache_list_accounting_invariant(operations):
 
     thread = scheduler.spawn(body)
     scheduler.run_until_complete(thread)
+
+
+def listed(dlist) -> list:
+    """The blocks on one of a policy's lists, head to tail, with their links
+    and ``segment`` checked on the way."""
+    blocks, node = [], dlist
+    while (node := node.next) is not dlist:
+        assert node.segment is dlist and node.next.prev is node and node.home is None
+        blocks.append(node)
+    assert len(blocks) == len(dlist)
+    return blocks
+
+
+@given(
+    replacement=st.sampled_from(["lru", "arc"]),
+    operations=st.lists(
+        st.tuples(
+            # Inserts, dirtyings and cleanings drawn more often than the
+            # events that take blocks away, so the cache stays busy.
+            st.sampled_from(["insert"] * 3 + ["access", "evict", "invalidate", "forget"]
+                            + ["dirty", "clean"] * 2),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=4),
+        ),
+        min_size=10,
+        max_size=120,
+    ),
+)
+@example(replacement="lru", operations=[("insert", 0, 0), ("dirty", 0, 0), ("clean", 0, 0)])
+# A parked block re-referenced under ARC, cleaned after an eviction, then
+# its file's ghosts forgotten.
+@example(replacement="arc", operations=[("insert", 0, n) for n in range(5)] + [
+    ("insert", 1, 0), ("dirty", 0, 1), ("access", 0, 1), ("evict", 0, 0),
+    ("clean", 0, 1), ("forget", 0, 3), ("insert", 0, 0),
+])
+@settings(max_examples=100, deadline=None)
+def test_each_cached_block_is_one_record_in_its_policy(replacement, operations):
+    """Each resident block is its own node in its replacement policy: after
+    every step of a random history, the policy's lists hold exactly the
+    clean residents, the parked blocks (off the lists, with a home) are
+    exactly the dirty ones, a free slot is on no list, and the counts
+    agree with the cache's."""
+    scheduler = Scheduler(clock=VirtualClock(), policy=FifoSchedulingPolicy())
+    cache = BlockCache(
+        scheduler, CacheConfig(size_bytes=6 * 4096, replacement=replacement), with_data=False
+    )
+    policy = cache.policy
+    lists = [value for value in vars(policy).values() if isinstance(value, _DList)]
+    spare = iter(range(1000))  # block numbers of file 9, allocated only to evict
+
+    for op, file_id, block_no in operations:
+        block = cache.peek(file_id, block_no)
+        if op == "insert" and block is None:
+            cache.allocate_now(file_id, block_no)
+        elif op == "access" and block is not None:
+            cache.lookup(file_id, block_no)
+        elif op == "dirty" and block is not None:
+            assert cache.mark_dirty_now(block)
+        elif op == "clean" and block is not None:
+            cache.mark_clean(block)
+        elif op == "evict" and cache.free_count == 0:
+            # A replacement eviction (with its ghost), then the slot is freed.
+            fresh = cache.allocate_now(9, next(spare))
+            if fresh is not None:
+                cache.invalidate(fresh)
+        elif op == "invalidate" and block is not None:
+            cache.invalidate(block)
+        elif op == "forget":
+            cache.invalidate_file(file_id, block_no)
+
+        residents = [slot for slot in cache.blocks() if slot.block_id is not None]
+        on_lists = [block for dlist in lists for block in listed(dlist)]
+        assert len(on_lists) == len(set(map(id, on_lists)))
+        assert {id(b) for b in on_lists} == {id(b) for b in residents if b.is_clean}
+        parked = [b for b in residents if b.segment is None]
+        assert all(b.home in lists for b in parked)
+        assert {id(b) for b in parked} == {id(b) for b in residents if b.is_dirty}
+        assert all(b.segment is b.home is None for b in cache.blocks() if b.is_free)
+        assert policy.resident_count == cache.cached_count == len(residents)
+        assert cache.clean_count == cache.cached_count - cache.dirty_count
+        assert cache.clean_count == sum(b.is_clean for b in residents)
 
 
 #: resident blocks of the ARC history test: small, so ghosts pile up fast.
