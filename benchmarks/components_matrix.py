@@ -294,7 +294,11 @@ def _worst_seed_ratio(cells: Dict[str, dict], name: str, rivals: List[str]) -> O
     return worst
 
 
-def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
+def verdicts(kind: str, table: Dict[str, dict],
+             recorded: Optional[Dict[str, dict]] = None) -> Dict[str, dict]:
+    """Each name's verdict on ``table``.  A name no row judges (it has no
+    cell beside a rival's on any row) keeps its ``recorded`` drop if it was
+    deleted, and is ``unjudged`` if it is still registered."""
     names = sorted(next(iter(table.values()), {}))
     duplicates = DUPLICATES.get(kind, {})
     rivals = [name for name in names if name not in duplicates]
@@ -310,6 +314,12 @@ def verdicts(kind: str, table: Dict[str, dict]) -> Dict[str, dict]:
         # Per row, the worst seed's ratio to the best rival; <= WIN_RATIO is a win.
         ratios = {row: ratio for row, cells in table.items()
                   if (ratio := _worst_seed_ratio(cells, name, rivals)) is not None}
+        if not ratios:
+            if name not in registry.names(kind) and name in (recorded or {}):
+                out[name] = recorded[name]
+            else:
+                out[name] = {"verdict": "unjudged", "why": "no row measured it beside a rival"}
+            continue
         best = min(ratios, key=lambda row: (ratios[row], row))
         entry = {"best_row": best, "best_row_worst_seed_ratio": round(ratios[best], 4)}
         if name in REFERENCES.get(kind, {}):
@@ -333,15 +343,21 @@ def uninformative_rows(table: Dict[str, dict], kept: List[str]) -> List[str]:
     return out
 
 
-def document(tables: Dict[str, Dict[str, dict]]) -> dict:
+def document(tables: Dict[str, Dict[str, dict]], committed: Optional[dict] = None) -> dict:
+    """The file for ``tables``; ``committed`` (the file as it was) gives
+    the recorded verdicts of deleted names."""
     kinds = {}
     for kind, table in tables.items():
-        judgement = verdicts(kind, table)
-        kept = sorted(name for name, entry in judgement.items() if entry["verdict"] == "kept")
+        recorded = committed["kinds"].get(kind, {}).get("verdicts") if committed else None
+        judgement = verdicts(kind, table, recorded)
+        by_verdict = {verdict: sorted(name for name, entry in judgement.items()
+                                      if entry["verdict"] == verdict)
+                      for verdict in ("kept", "dropped", "unjudged")}
+        kept = by_verdict["kept"]
         kinds[kind] = {
             "kept": kept,
-            "dropped": sorted(name for name, entry in judgement.items() if entry["verdict"] == "dropped"),
-            "unjudged": list(UNJUDGED.get(kind, ())),
+            "dropped": by_verdict["dropped"],
+            "unjudged": sorted(set(UNJUDGED.get(kind, ())) | set(by_verdict["unjudged"])),
             "uninformative_rows": uninformative_rows(table, kept),
             "verdicts": judgement,
             "rows": table,
@@ -372,7 +388,8 @@ def check(committed: dict, seeds: Tuple[int, ...]) -> int:
     """Re-derive the file's lists from its rows, re-run the names still
     registered on ``seeds``; 1 if any list or value differs."""
     differences = 0
-    derived = document({kind: recorded["rows"] for kind, recorded in committed["kinds"].items()})
+    derived = document({kind: recorded["rows"] for kind, recorded in committed["kinds"].items()},
+                       committed)
     for kind, recorded in committed["kinds"].items():
         for field in ("kept", "dropped", "uninformative_rows"):
             if derived["kinds"][kind][field] != recorded[field]:
@@ -420,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if name not in names:
                         table[row][name] = values
         tables[kind] = {row: dict(sorted(cells.items())) for row, cells in table.items()}
-    OUTPUT.write_text(dump(document(tables)))
+    OUTPUT.write_text(dump(document(tables, committed)))
     print(f"wrote {OUTPUT}")
     return 0
 

@@ -5,7 +5,8 @@ records every judged replacement, disk-queue, placement and layout name's
 simulated numbers and its verdict.  These tests read only that file, never
 simulate: a name the matrix dropped may not be registered, a kept one may
 not go missing, and a kept name that is neither a baseline nor a reference
-must say in its docstring which row it won.
+must say in its docstring which row it won.  One test gives the matrix's
+verdict rule a hand-made table.
 """
 
 import json
@@ -78,3 +79,21 @@ def test_the_cleaners_are_listed_unjudged(matrix):
     entry = matrix["kinds"]["cleaner"]
     assert entry["unjudged"] == registry.names("cleaner")
     assert entry["kept"] == entry["dropped"] == [] and entry["verdicts"] == {}
+
+
+def test_a_name_no_row_judges_gets_a_verdict_without_raising():
+    """A name with no cell beside a rival's on any row -- a deleted name
+    whose cells were nulled where its row's stack changed, or a registered
+    one that builds no row's stack -- is not judged on nothing: the deleted
+    one keeps its recorded drop, the registered one is unjudged."""
+    from benchmarks.components_matrix import verdicts
+
+    def cell(*values):
+        return {"sim_mean_ms": list(values)}
+
+    table = {"row": {"directory": cell(None, None), "hash": cell(1.0, 1.0),
+                     "stripe": cell(0.5, 0.5)}}
+    recorded = {"directory": {"verdict": "dropped", "why": "wins no row on every seed"}}
+    assert verdicts("placement", table, recorded)["directory"] == recorded["directory"]
+    table["row"]["stripe"] = cell(None, None)
+    assert verdicts("placement", table, recorded)["stripe"]["verdict"] == "unjudged"
