@@ -284,9 +284,9 @@ class ArcPolicy(ReplacementPolicy):
 
     Kept by the component matrix (``BENCH_components.json``), and the
     default because it wins row ``e2e/sprite_mix`` there (mean latency at
-    most 0.76 of every other policy's on seeds 1-3: 0.492 / 0.533 / 0.432
-    ms against LRU's 0.706 / 0.723 / 0.569); on ``e2e/cluster_repl`` it
-    takes 0.87-0.93 of LRU's.  The Sprite-like rows, and
+    most 0.711 of every other policy's on seeds 1-3: 0.440 / 0.465 / 0.401
+    ms against LRU's 0.692 / 0.708 / 0.565); on ``e2e/cluster_repl`` it
+    takes 0.81-0.88 of LRU's.  The Sprite-like rows, and
     with them Figs. 2-5, never evict a block, so there it measures as LRU.
     """
 
