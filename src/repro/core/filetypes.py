@@ -172,8 +172,13 @@ class BaseFile:
                     block, fresh = yield from self._block_for(block_no, lookup(file_id, block_no))
             elif not fresh and (block.busy or block.read_ahead):
                 block, fresh = yield from self._block_for(block_no, block)
-            if fresh or block.owed is not None:
-                yield from self._note_write(block_no, block, fresh, start_in_block, end_in_block)
+            if fresh:
+                old_end = min(self.inode.size - block_start, block_size)
+                if old_end > 0 and (start_in_block > 0 or end_in_block < old_end):
+                    block.owed = (start_in_block, end_in_block, old_end)
+                    block.owner.stats.fills_deferred += 1
+            elif block.owed is not None:
+                yield from self._note_write(block_no, block, start_in_block, end_in_block)
             block.pin_count += 1
             try:
                 if data is not None:
@@ -248,19 +253,12 @@ class BaseFile:
         return block
 
     def _note_write(
-        self, block_no: int, block: CacheBlock, fresh: bool, start: int, end: int
+        self, block_no: int, block: CacheBlock, start: int, end: int
     ) -> Generator[Any, Any, None]:
-        """Bytes ``[start, end)`` of a ``fresh`` or owing ``block`` are about
-        to be written.  A fresh block owes the old bytes the write leaves
-        standing (``CacheBlock.owed``).  A write overlapping or next to an
-        owing block's written bytes widens them, clearing the debt once they
-        cover every old byte; a write apart from them pays it first."""
-        if fresh:
-            old_end = min(self.inode.size - block_no * self.block_size, self.block_size)
-            if old_end > 0 and (start > 0 or end < old_end):
-                block.owed = (start, end, old_end)
-                block.owner.stats.fills_deferred += 1
-            return
+        """Bytes ``[start, end)`` of a ``block`` owing old bytes
+        (``CacheBlock.owed``) are about to be written.  A write overlapping
+        or next to its written bytes widens them, clearing the debt once
+        they cover every old byte; a write apart from them pays it first."""
         lo, hi, old_end = block.owed
         if end < lo or start > hi:
             yield from self._fill(block_no, block, (), False)
