@@ -154,7 +154,7 @@ def test_cache_list_accounting_invariant(operations):
     scheduler = Scheduler(clock=VirtualClock(), policy=FifoSchedulingPolicy())
     cache = BlockCache(scheduler, CacheConfig(size_bytes=16 * 4096), with_data=False)
 
-    def writeback(file_id, block_nos):
+    def writeback(batch):
         return
         yield  # pragma: no cover
 
